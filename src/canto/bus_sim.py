@@ -19,9 +19,13 @@ import numpy as np
 
 from canto.clock_model import ClockModel
 from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_max_stuff_bits,
-                               frame_stuff_bits, transmission_time_us)
+                               frame_wire_time_us, transmission_time_us)
 from canto.incanta import CovertConfig, covert_delay, embed_counter
 from canto.scheduler import Schedule, check_complete, hyperperiod_us
+
+
+STUFFING_MODES = ("none", "sampled", "payload")
+PAYLOAD_MODES = ("counter", "random", "zero")
 
 
 class OversubscribedBusError(RuntimeError):
@@ -56,9 +60,9 @@ class BusConfig:
         slowest = max(f.period_us for n in self.nodes for f in n.frames)
         if self.duration_us < 2 * slowest:
             raise ValueError("duration must cover at least two periods of the slowest frame")
-        if self.stuffing not in ("none", "sampled", "payload"):
+        if self.stuffing not in STUFFING_MODES:
             raise ValueError(f"unknown stuffing mode {self.stuffing!r}")
-        if self.payload_mode not in ("counter", "random", "zero"):
+        if self.payload_mode not in PAYLOAD_MODES:
             raise ValueError(f"unknown payload mode {self.payload_mode!r}")
         for n in self.nodes:
             if n.covert is not None and n.covert.counter_in_payload:
@@ -127,8 +131,9 @@ def simulate(config: BusConfig) -> Trace:
         warnings.warn("schedule is not collision-free; covert verification will degrade",
                       stacklevel=2)
 
-    # (ready_us, arbitration key, seq, frame) released per spec, then arbitrated.
-    releases: list[tuple[float, tuple, int, TimedFrame]] = []
+    # (ready_us, arbitration key, seq, id, counter, sched_time, tx, payload) per
+    # release; a TimedFrame is built only when the frame wins the bus.
+    releases: list[tuple] = []
     seq = 0
     for node_idx, node in enumerate(config.nodes):
         for frame_idx, spec in enumerate(node.frames):
@@ -138,6 +143,7 @@ def simulate(config: BusConfig) -> Trace:
             nbytes = spec.payload_bits // 8
             frame_bits = frame_bit_length(spec.payload_bits, spec.id.kind)
             nominal_tx = transmission_time_us(frame_bits, config.bitrate_bps)
+            key = spec.id.arbitration_key()
             counter = 0
             k = 0
             while True:
@@ -160,27 +166,25 @@ def simulate(config: BusConfig) -> Trace:
                 sched_time = base + xi
                 ready = node.clock.local_to_bus_time(sched_time, rng)
                 if config.stuffing == "payload":
-                    stuff = frame_stuff_bits(spec.id, payload)
+                    tx = frame_wire_time_us(spec.id, payload, config.bitrate_bps)
                 elif config.stuffing == "sampled":
                     stuff = int(rng.integers(0, frame_max_stuff_bits(spec.payload_bits) + 1))
+                    tx = transmission_time_us(frame_bits + stuff, config.bitrate_bps)
                 else:
-                    stuff = 0
-                tx = nominal_tx if stuff == 0 else transmission_time_us(
-                    frame_bits + stuff, config.bitrate_bps)
-                releases.append((ready, spec.id.arbitration_key(), seq,
-                                 TimedFrame(spec.id, counter, sched_time, ready, tx, payload)))
+                    tx = nominal_tx
+                releases.append((ready, key, seq, spec.id, counter, sched_time, tx, payload))
                 seq += 1
                 k += 1
 
     heapq.heapify(releases)
-    waiting: list[tuple[tuple, int, float, TimedFrame]] = []
+    waiting: list[tuple] = []  # (arbitration key, seq, release)
     out: list[TimedFrame] = []
     queue_limit = 4 * len(specs) + 16
     t = 0.0
     while releases or waiting:
         while releases and releases[0][0] <= t:
-            ready, key, s, fr = heapq.heappop(releases)
-            heapq.heappush(waiting, (key, s, ready, fr))
+            release = heapq.heappop(releases)
+            heapq.heappush(waiting, (release[1], release[2], release))
         if not waiting:
             t = releases[0][0]
             continue
@@ -188,10 +192,10 @@ def simulate(config: BusConfig) -> Trace:
             raise OversubscribedBusError(
                 f"transmission queue exceeded {queue_limit} pending frames "
                 f"(theoretical busload {_theoretical_busload(config):.0f}%)")
-        _, _, ready, fr = heapq.heappop(waiting)
+        ready, _, _, can_id, counter, sched_time, tx, payload = heapq.heappop(waiting)[2]
         start = max(t, ready)
-        out.append(replace(fr, bus_time_us=start))
-        t = start + fr.tx_time_us
+        out.append(TimedFrame(can_id, counter, sched_time, start, tx, payload))
+        t = start + tx
     return Trace(out, config.bitrate_bps, config.duration_us, config.seed)
 
 
@@ -206,10 +210,7 @@ def busload(trace: Trace, bitrate_bps: int | None = None) -> float:
     duration = trace.duration_us or trace.frames[-1].end_time_us
     total = sum(f.tx_time_us for f in trace.frames)
     if total == 0.0 and bitrate_bps:
-        total = sum(
-            transmission_time_us(frame_bit_length(len(f.payload) * 8, f.id.kind)
-                                 + frame_stuff_bits(f.id, f.payload), bitrate_bps)
-            for f in trace.frames)
+        total = sum(frame_wire_time_us(f.id, f.payload, bitrate_bps) for f in trace.frames)
     return 100.0 * total / duration
 
 

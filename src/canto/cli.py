@@ -157,13 +157,16 @@ def cmd_verify(args) -> int:
     trace = trace_io.parse_trace(args.trace, bitrate_bps=config.bitrate_bps)
     verdicts = _verify_trace(trace, config, sched, args.rho,
                              compensate=not args.no_compensate)
+    scored = [v for v in verdicts if v.reason != "first"]
+    if not scored:
+        raise TraceFormatError(f"{args.trace}: no scored frames (each ID needs at least "
+                               "two frames to verify)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    scored = [v for v in verdicts if v.reason != "first"]
     accepted = sum(v.accepted for v in scored)
     windows = [v for v in verdicts if v.window_authenticated is not None]
     _write_verdicts(verdicts, out / "verdicts.csv")
-    rate = 100.0 * accepted / len(scored) if scored else float("nan")
+    rate = 100.0 * accepted / len(scored)
     auth = 100.0 * sum(bool(w.window_authenticated) for w in windows) / len(windows) \
         if windows else float("nan")
     summary = (f"frames={len(verdicts)}\nscored={len(scored)}\n"

@@ -9,8 +9,7 @@ rule applied to a concrete bit pattern when payload bytes are known.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import total_ordering
+from functools import cache, lru_cache, total_ordering
 from typing import Iterable
 
 CRC_BITS = 15
@@ -123,24 +122,31 @@ def frame_max_stuff_bits(payload_bits: int) -> int:
 
 
 def transmission_time_us(bits: int, bitrate_bps: int) -> float:
-    """Wire time of `bits` at `bitrate_bps`, rounded to the nearest 0.1 us."""
+    """Wire time of `bits` at `bitrate_bps`, rounded to the nearest 0.1 us.
+
+    Exact integer arithmetic; a tie rounds to the even tenth.
+    """
     if bitrate_bps <= 0:
         raise FrameModelError("bitrate must be positive")
     if bits < 0:
         raise FrameModelError("bit count must be nonnegative")
-    tenths = Fraction(bits * 10_000_000, bitrate_bps)
-    return float(round(tenths)) / 10.0
+    tenths, rem = divmod(bits * 10_000_000, bitrate_bps)
+    if 2 * rem > bitrate_bps or (2 * rem == bitrate_bps and tenths & 1):
+        tenths += 1
+    return float(tenths) / 10.0
 
 
-def count_stuff_bits(bits: Iterable[int]) -> int:
-    """Apply the real stuffing rule to a bit pattern.
+def frame_wire_time_us(can_id: CanId, payload: bytes, bitrate_bps: int) -> float:
+    """Wire time of a concrete data frame: field-sum length plus its stuff bits."""
+    bits = frame_bit_length(len(payload) * 8, can_id.kind) + frame_stuff_bits(can_id, payload)
+    return transmission_time_us(bits, bitrate_bps)
 
-    After five consecutive identical bits one opposite bit is inserted;
-    inserted bits take part in subsequent runs.
-    """
+
+def _stuff_walk(bits: Iterable[int], run_bit: int | None = None,
+                run_len: int = 0) -> tuple[int, int | None, int]:
+    """Stuff bits inserted into `bits`, continuing from a run of `run_len`
+    copies of `run_bit`; returns (count, run_bit, run_len) at the end."""
     count = 0
-    run_bit = None
-    run_len = 0
     for b in bits:
         if b == run_bit:
             run_len += 1
@@ -149,26 +155,62 @@ def count_stuff_bits(bits: Iterable[int]) -> int:
         if run_len == 5:
             count += 1
             run_bit, run_len = 1 - b, 1  # the inserted opposite bit
-    return count
+    return count, run_bit, run_len
+
+
+def count_stuff_bits(bits: Iterable[int]) -> int:
+    """Apply the real stuffing rule to a bit pattern.
+
+    After five consecutive identical bits one opposite bit is inserted;
+    inserted bits take part in subsequent runs.
+    """
+    return _stuff_walk(bits)[0]
+
+
+# A run state packs the current bit and run length 1..4 as bit << 2 | (len - 1);
+# a packed entry adds the stuff count above it: count << 3 | state.
+def _pack(count: int, run_bit: int, run_len: int) -> int:
+    return count << 3 | run_bit << 2 | (run_len - 1)
+
+
+@cache
+def _byte_table() -> list[int]:
+    """Packed (stuff count, run state after) for every (run state, byte),
+    indexed state << 8 | byte; built on first use."""
+    return [_pack(*_stuff_walk([(byte >> (7 - i)) & 1 for i in range(8)],
+                               state >> 2, (state & 3) + 1))
+            for state in range(8) for byte in range(256)]
+
+
+@lru_cache(maxsize=4096)
+def _header_entry(value: int, extended: bool, dlc: int) -> int:
+    """Packed (stuff count, run state after) of SOF, identifier, RTR/IDE/r0 and DLC."""
+    bits: list[int] = [0]  # SOF dominant
+    if extended:
+        bits += [(value >> (28 - i)) & 1 for i in range(11)]
+        bits += [1, 1]  # SRR, IDE recessive
+        bits += [(value >> (17 - i)) & 1 for i in range(18)]
+        bits += [0, 0, 0]  # RTR, r1, r0
+    else:
+        bits += [(value >> (10 - i)) & 1 for i in range(11)]
+        bits += [0, 0, 0]  # RTR, IDE, r0
+    bits += [(dlc >> (3 - i)) & 1 for i in range(4)]
+    return _pack(*_stuff_walk(bits))
 
 
 def frame_stuff_bits(can_id: CanId, payload: bytes) -> int:
     """Stuff bits of a concrete frame, from its header and payload pattern.
 
-    The CRC field is excluded (its value is out of scope here), so this
-    undercounts a real frame by the CRC region's stuffing.
+    Table-driven: the header's count and final run state are cached per
+    (identifier, DLC), then each payload byte is one lookup in a table
+    indexed by (run bit, run length 1..4, byte). The CRC field is still
+    excluded (its value is out of scope here), so this undercounts a real
+    frame by the CRC region's stuffing.
     """
-    bits: list[int] = [0]  # SOF dominant
-    if can_id.extended:
-        base = [(can_id.value >> (28 - i)) & 1 for i in range(11)]
-        bits += base + [1, 1]  # SRR, IDE recessive
-        bits += [(can_id.value >> (17 - i)) & 1 for i in range(18)]
-        bits += [0, 0, 0]  # RTR, r1, r0
-    else:
-        bits += [(can_id.value >> (10 - i)) & 1 for i in range(11)]
-        bits += [0, 0, 0]  # RTR, IDE, r0
-    dlc = len(payload)
-    bits += [(dlc >> (3 - i)) & 1 for i in range(4)]
+    entry = _header_entry(can_id.value, can_id.extended, len(payload))
+    count = entry >> 3
+    table = _byte_table()
     for byte in payload:
-        bits += [(byte >> (7 - i)) & 1 for i in range(8)]
-    return count_stuff_bits(bits)
+        entry = table[(entry & 7) << 8 | byte]
+        count += entry >> 3
+    return count

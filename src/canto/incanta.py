@@ -12,9 +12,9 @@ of consecutive frames.
 from __future__ import annotations
 
 import hashlib
-import hmac
 from collections import deque
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from canto.frame_model import CanId
 
@@ -49,11 +49,32 @@ def mac_input(counter: int, can_id: CanId, payload: bytes) -> bytes:
     return counter.to_bytes(4, "big") + can_id.value.to_bytes(4, "big") + payload
 
 
+_IPAD = bytes(x ^ 0x36 for x in range(256))
+_OPAD = bytes(x ^ 0x5C for x in range(256))
+
+
+@lru_cache(maxsize=64)
+def _hmac_pads(key: bytes):
+    """SHA-256 states after absorbing the key's inner and outer pads (RFC 2104)."""
+    if len(key) > 64:  # the SHA-256 block size
+        key = hashlib.sha256(key).digest()
+    key = key.ljust(64, b"\0")
+    return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
+
+
 def covert_delay(key: bytes, counter: int, can_id: CanId, payload: bytes,
                  level_bits: int = 8) -> int:
-    """Covert delay in microseconds: low `level_bits` bits of the HMAC-SHA256 tag."""
-    tag = hmac.new(key, mac_input(counter, can_id, payload), hashlib.sha256).digest()
-    return int.from_bytes(tag, "big") & ((1 << level_bits) - 1)
+    """Covert delay in microseconds: low `level_bits` bits of the HMAC-SHA256 tag.
+
+    The tag equals hmac.new(key, msg, sha256); the pad states are kept per
+    key so a call hashes only the message and the inner digest.
+    """
+    inner_pad, outer_pad = _hmac_pads(key)
+    inner = inner_pad.copy()
+    inner.update(mac_input(counter, can_id, payload))
+    outer = outer_pad.copy()
+    outer.update(inner.digest())
+    return int.from_bytes(outer.digest(), "big") & ((1 << level_bits) - 1)
 
 
 def embed_counter(payload: bytes, counter: int) -> bytes:

@@ -17,6 +17,7 @@ Five strategies are provided:
 
 from __future__ import annotations
 
+import inspect
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -346,21 +347,16 @@ def build_schedule(specs: Sequence[FrameSpec], algorithm: str, *, ifs_us: float 
                    grid_step_us: float | None = None, max_iterations: int = 100,
                    seed: int = 0, horizon_us: float | None = None) -> Schedule:
     """Run one allocator over the specs' periods and attach the offsets."""
+    try:
+        allocate = ALLOCATORS[algorithm]
+    except KeyError:
+        raise ValueError(f"unknown allocation algorithm {algorithm!r}") from None
+    # each allocator takes the subset of these options named in its signature
+    options = {"ifs_us": ifs_us, "grid_step_us": grid_step_us,
+               "max_iterations": max_iterations, "seed": seed, "horizon_us": horizon_us}
+    accepted = inspect.signature(allocate).parameters
     periods = [f.period_us for f in specs]
-    if algorithm == "binary":
-        offsets = allocate_binary_symmetric(periods)
-    elif algorithm == "random":
-        offsets = allocate_randomized(periods, max_iterations=max_iterations, seed=seed,
-                                      horizon_us=horizon_us)
-    elif algorithm == "greedy":
-        offsets = allocate_greedy(periods, horizon_us=horizon_us)
-    elif algorithm == "greedy-ml":
-        offsets = allocate_greedy_multilayer(periods, grid_step_us=grid_step_us,
-                                             horizon_us=horizon_us)
-    elif algorithm == "gcd":
-        offsets = allocate_gcd(periods, ifs_us=ifs_us)
-    else:
-        raise ValueError(f"unknown allocation algorithm {algorithm!r}")
+    offsets = allocate(periods, **{k: v for k, v in options.items() if k in accepted})
     frames = tuple(FrameSpec(f.id, f.period_us, off, f.payload_bits)
                    for f, off in zip(specs, offsets))
     schedule = Schedule(frames, hyperperiod_us(periods) if horizon_us is None else horizon_us)

@@ -14,13 +14,14 @@ import configparser
 import io
 import re
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from canto.bus_sim import BusConfig, NodeConfig, TimedFrame, Trace
+from canto.bus_sim import (PAYLOAD_MODES, STUFFING_MODES, BusConfig, NodeConfig, TimedFrame,
+                           Trace)
 from canto.clock_model import ClockModel, Jitter
-from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_stuff_bits,
-                               transmission_time_us)
+from canto.frame_model import CanId, FrameSpec, frame_wire_time_us
 from canto.incanta import CovertConfig, counter_from_payload
 from canto.scheduler import Schedule, hyperperiod_us
 
@@ -66,15 +67,9 @@ def parse_trace(source, fmt: str = "native_csv", bitrate_bps: int | None = None)
     return Trace(frames, bitrate_bps or 0, duration, 0)
 
 
-def _tx_time(can_id: CanId, payload: bytes, bitrate_bps: int | None) -> float:
-    if not bitrate_bps:
-        return 0.0
-    bits = frame_bit_length(len(payload) * 8, can_id.kind) + frame_stuff_bits(can_id, payload)
-    return transmission_time_us(bits, bitrate_bps)
-
-
 def _parse_native(fh, bitrate_bps) -> list[TimedFrame]:
     frames = []
+    ids: dict[str, CanId] = {}  # each distinct id text is parsed once
     for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line or (lineno == 1 and line == TRACE_HEADER):
@@ -84,15 +79,17 @@ def _parse_native(fh, bitrate_bps) -> list[TimedFrame]:
             raise TraceFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
             tenths = int(parts[0])
-            can_id = CanId.parse(parts[1])
+            can_id = ids.get(parts[1])
+            if can_id is None:
+                can_id = ids[parts[1]] = CanId.parse(parts[1])
             counter = int(parts[2])
             payload = bytes.fromhex(parts[3])
             genuine = bool(int(parts[4]))
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
         t = tenths / 10.0
-        frames.append(TimedFrame(can_id, counter, t, t, _tx_time(can_id, payload, bitrate_bps),
-                                 payload, genuine))
+        tx = frame_wire_time_us(can_id, payload, bitrate_bps) if bitrate_bps else 0.0
+        frames.append(TimedFrame(can_id, counter, t, t, tx, payload, genuine))
     return frames
 
 
@@ -116,8 +113,8 @@ def _parse_candump(fh, bitrate_bps) -> list[TimedFrame]:
         except ValueError as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
         counter = counter_from_payload(payload) if len(payload) >= 4 else 0
-        frames.append(TimedFrame(can_id, counter, float(t), float(t),
-                                 _tx_time(can_id, payload, bitrate_bps), payload, True))
+        tx = frame_wire_time_us(can_id, payload, bitrate_bps) if bitrate_bps else 0.0
+        frames.append(TimedFrame(can_id, counter, float(t), float(t), tx, payload, True))
     return frames
 
 
@@ -209,6 +206,24 @@ def _reject_unknown(section: str, keys, allowed) -> None:
         raise TraceFormatError(f"[{section}]: unknown keys {sorted(unknown)}")
 
 
+@contextmanager
+def _naming(section: str, key: str | None = None):
+    """Re-raise a bad value as a TraceFormatError naming `[section] key`."""
+    try:
+        yield
+    except TraceFormatError:
+        raise
+    except ValueError as exc:
+        where = f"[{section}] {key}" if key else f"[{section}]"
+        raise TraceFormatError(f"{where}: {exc}") from exc
+
+
+def _get(sec, key: str, getter, default):
+    """`getter(key, default)` on a section, with a bad value named."""
+    with _naming(sec.name, key):
+        return getter(key, default)
+
+
 def parse_experiment_config(source) -> ExperimentConfig:
     """Parse and validate an experiment INI document (path, stream or text)."""
     cp = configparser.ConfigParser()
@@ -224,6 +239,9 @@ def parse_experiment_config(source) -> ExperimentConfig:
     _reject_unknown("bus", bus.keys(), _BUS_KEYS)
     if "duration_us" not in bus:
         raise TraceFormatError("[bus]: missing required key duration_us")
+    for key, allowed in (("stuffing", STUFFING_MODES), ("payload_mode", PAYLOAD_MODES)):
+        if key in bus and bus[key] not in allowed:
+            raise TraceFormatError(f"[bus] {key}: {bus[key]!r} is not one of {allowed}")
 
     covert = None
     if "covert" in cp:
@@ -231,12 +249,15 @@ def parse_experiment_config(source) -> ExperimentConfig:
         _reject_unknown("covert", sec.keys(), _COVERT_KEYS)
         if "key_hex" not in sec:
             raise TraceFormatError("[covert]: missing required key key_hex")
-        covert = CovertConfig(
-            key=bytes.fromhex(sec["key_hex"]),
-            level_bits=sec.getint("level_bits", 8),
-            tolerance_us=sec.getfloat("tolerance_us", 5.0),
-            frames_required=sec.getint("frames_required", 6),
-            counter_in_payload=sec.getboolean("counter_in_payload", True))
+        with _naming("covert", "key_hex"):
+            key = bytes.fromhex(sec["key_hex"])
+        level_bits = _get(sec, "level_bits", sec.getint, 8)
+        tolerance_us = _get(sec, "tolerance_us", sec.getfloat, 5.0)
+        frames_required = _get(sec, "frames_required", sec.getint, 6)
+        counter_in_payload = _get(sec, "counter_in_payload", sec.getboolean, True)
+        with _naming("covert"):  # range checks name their own key
+            covert = CovertConfig(key, level_bits, tolerance_us, frames_required,
+                                  counter_in_payload)
 
     allocator: dict = {}
     if "allocator" in cp:
@@ -245,10 +266,10 @@ def parse_experiment_config(source) -> ExperimentConfig:
         if "algorithm" not in sec:
             raise TraceFormatError("[allocator]: missing required key algorithm")
         allocator = {"algorithm": sec["algorithm"]}
-        for key, conv in (("ifs_us", float), ("grid_step_us", float),
-                          ("iterations", int), ("seed", int)):
+        for key, getter in (("ifs_us", sec.getfloat), ("grid_step_us", sec.getfloat),
+                            ("iterations", sec.getint), ("seed", sec.getint)):
             if key in sec:
-                allocator[key] = conv(sec[key])
+                allocator[key] = _get(sec, key, getter, None)
 
     nodes: list[NodeSpec] = []
     seen_ids: set[CanId] = set()
@@ -261,9 +282,12 @@ def parse_experiment_config(source) -> ExperimentConfig:
         _reject_unknown(section, sec.keys(), _NODE_KEYS)
         if "frames" not in sec:
             raise TraceFormatError(f"[{section}]: missing required key frames")
-        clock = ClockModel(skew_ppm=sec.getfloat("skew_ppm", 0.0),
-                           tick_ns=sec.getint("tick_ns", 10),
-                           jitter=Jitter.parse(sec.get("jitter", "none")))
+        skew_ppm = _get(sec, "skew_ppm", sec.getfloat, 0.0)
+        tick_ns = _get(sec, "tick_ns", sec.getint, 10)
+        with _naming(section, "jitter"):
+            jitter = Jitter.parse(sec.get("jitter", "none"))
+        with _naming(section):
+            clock = ClockModel(skew_ppm=skew_ppm, tick_ns=tick_ns, jitter=jitter)
         frames = []
         offsets_given = False
         for token in sec["frames"].split():
@@ -271,17 +295,18 @@ def parse_experiment_config(source) -> ExperimentConfig:
             if not m:
                 raise TraceFormatError(f"[{section}]: bad frame spec {token!r} "
                                        "(want id:period_us:payload_bytes[:offset_us])")
-            can_id = CanId.parse(m.group(1))
-            if can_id in seen_ids:
-                raise TraceFormatError(f"duplicate CAN id {can_id} across nodes")
-            seen_ids.add(can_id)
-            offset = float(m.group(4)) if m.group(4) is not None else 0.0
-            if m.group(4) is not None:
-                offsets_given = True
-            frames.append(FrameSpec(can_id, float(m.group(2)), offset,
-                                    int(m.group(3)) * 8))
+            with _naming(section, "frames"):
+                can_id = CanId.parse(m.group(1))
+                if can_id in seen_ids:
+                    raise TraceFormatError(f"duplicate CAN id {can_id} across nodes")
+                seen_ids.add(can_id)
+                offset = float(m.group(4)) if m.group(4) is not None else 0.0
+                if m.group(4) is not None:
+                    offsets_given = True
+                frames.append(FrameSpec(can_id, float(m.group(2)), offset,
+                                        int(m.group(3)) * 8))
         nodes.append(NodeSpec(section[len("node."):], clock, frames, offsets_given,
-                              sec.getboolean("covert", covert is not None)))
+                              _get(sec, "covert", sec.getboolean, covert is not None)))
     if not nodes:
         raise TraceFormatError("no [node.*] sections")
     if allocator and any(n.offsets_given for n in nodes):
@@ -290,9 +315,9 @@ def parse_experiment_config(source) -> ExperimentConfig:
         raise TraceFormatError("a node enables the covert channel but [covert] is missing")
 
     return ExperimentConfig(
-        bitrate_bps=bus.getint("bitrate", 500_000),
-        duration_us=bus.getfloat("duration_us"),
-        seed=bus.getint("seed", 0),
+        bitrate_bps=_get(bus, "bitrate", bus.getint, 500_000),
+        duration_us=_get(bus, "duration_us", bus.getfloat, None),
+        seed=_get(bus, "seed", bus.getint, 0),
         stuffing=bus.get("stuffing", "payload"),
         payload_mode=bus.get("payload_mode", "counter"),
         nodes=nodes, covert=covert, allocator=allocator)

@@ -211,3 +211,31 @@ class TestReportErrors:
         rc = main(["simulate", "--config", str(tmp_path / "none.ini"),
                    "--out", str(tmp_path)])
         assert rc == 3
+
+
+class TestInputErrors:
+    def test_verify_without_scored_frames_is_format_error(self, small_config, tmp_path,
+                                                          capsys):
+        trace = tmp_path / "one_frame.csv"
+        trace.write_text("bus_time_us,id_hex,counter,payload_hex,genuine\n"
+                         "100000,100,1,2021222300000001,1\n")
+        rc = main(["verify", "--config", str(small_config), "--trace", str(trace),
+                   "--out", str(tmp_path / "ver")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "one_frame.csv" in err and "no scored frames" in err
+        assert not (tmp_path / "ver" / "verify_summary.txt").exists()
+
+    @pytest.mark.parametrize("line,value,where", [
+        ("level_bits = 8", "level_bits = 40", "[covert]: level_bits"),
+        ("key_hex = 000102030405060708090A0B0C0D0E0F", "key_hex = 0001zz", "[covert] key_hex"),
+        ("jitter = steps", "jitter = uniform:x", "[node.one] jitter"),
+        ("seed = 3", "seed = 3\nstuffing = bogus", "[bus] stuffing"),
+    ])
+    def test_bad_config_value_names_key(self, tmp_path, capsys, line, value, where):
+        config = tmp_path / "bad.ini"
+        config.write_text(SMALL.replace(line, value))
+        rc = main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert where in err and "internal error" not in err

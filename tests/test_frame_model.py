@@ -3,11 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from canto.frame_model import (CanId, FrameModelError, FrameSpec, count_stuff_bits,
                                frame_bit_length, frame_max_stuff_bits, frame_stuff_bits,
-                               max_stuff_bits, transmission_time_us)
+                               frame_wire_time_us, max_stuff_bits, transmission_time_us)
 
 # Independent field-sum oracle: SOF, arbitration, control, data, CRC,
 # CRC delimiter, ACK slot, ACK delimiter, EOF, IFS.
@@ -80,6 +80,15 @@ class TestTransmissionTime:
         got = transmission_time_us(bits, rate)
         assert abs(got - float(exact)) <= 0.05 + 1e-9
 
+    @given(bits=st.integers(0, 100_000), rate=st.integers(1, 2_000_000))
+    @example(bits=1, rate=160_000)  # 62.5 tenths: the tie goes to the even 62
+    @example(bits=3, rate=160_000)  # 187.5 tenths: the tie goes to the even 188
+    @example(bits=2, rate=3)  # remainder just above half an odd rate rounds up
+    def test_rounds_exactly_like_fraction(self, bits, rate):
+        # round() on a Fraction is round-half-even on the exact quotient
+        assert transmission_time_us(bits, rate) == \
+            float(round(Fraction(bits * 10_000_000, rate))) / 10.0
+
     @given(bits=st.integers(1, 130), rate=st.sampled_from([125_000, 500_000, 1_000_000]))
     def test_stuffing_never_shortens(self, bits, rate):
         stuffed = bits + max_stuff_bits(bits)
@@ -141,6 +150,24 @@ def oracle_stuff_count(bits):
     return inserted
 
 
+def frame_bit_pattern(can_id, payload):
+    """SOF, identifier, RTR/IDE/r0 (or SRR/IDE/RTR/r1/r0), DLC and payload
+    bits of a data frame, most significant bit first; the CRC is excluded."""
+    bits = [0]
+    if can_id.extended:
+        bits += [(can_id.value >> (28 - i)) & 1 for i in range(11)]
+        bits += [1, 1]
+        bits += [(can_id.value >> (17 - i)) & 1 for i in range(18)]
+        bits += [0, 0, 0]
+    else:
+        bits += [(can_id.value >> (10 - i)) & 1 for i in range(11)]
+        bits += [0, 0, 0]
+    bits += [(len(payload) >> (3 - i)) & 1 for i in range(4)]
+    for byte in payload:
+        bits += [(byte >> (7 - i)) & 1 for i in range(8)]
+    return bits
+
+
 class TestRealStuffing:
     @pytest.mark.parametrize("pattern,expect", [
         ([0] * 5, 1),
@@ -154,6 +181,21 @@ class TestRealStuffing:
     @given(st.lists(st.integers(0, 1), min_size=0, max_size=200))
     def test_matches_insertion_oracle(self, bits):
         assert count_stuff_bits(bits) == oracle_stuff_count(bits)
+
+    @given(can_id=ids, payload=st.binary(max_size=8))
+    # runs that start in the header and carry through every payload byte
+    @example(can_id=CanId(0), payload=bytes(8))
+    @example(can_id=CanId(0x7FF), payload=b"\xff" * 8)
+    @example(can_id=CanId(0x1FFFFFFF, extended=True), payload=b"\x0f" * 7)
+    def test_frame_table_matches_bit_list(self, can_id, payload):
+        assert frame_stuff_bits(can_id, payload) == \
+            count_stuff_bits(frame_bit_pattern(can_id, payload))
+
+    def test_wire_time_adds_stuff_bits_to_field_sum(self):
+        payload = bytes(8)
+        bits = frame_bit_length(64) + frame_stuff_bits(CanId(0), payload)
+        assert frame_wire_time_us(CanId(0), payload, 500_000) == \
+            transmission_time_us(bits, 500_000)
 
     def test_zero_payload_frame_stuffs_header_runs(self):
         # id 0 gives a long dominant run through SOF+ID+RTR+IDE+r0

@@ -1,10 +1,11 @@
 """Covert delay derivation and receiver-side verification."""
 
 import hashlib
+import hmac
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from canto.frame_model import CanId
 from canto.incanta import (CovertConfig, Verifier, adversary_advantage, counter_from_payload,
@@ -38,6 +39,21 @@ class TestCovertDelay:
         for bits in (1, 8, 17, 32):
             assert covert_delay(KEY, 1, ID, PAYLOAD, bits) == \
                 int.from_bytes(digest, "big") & ((1 << bits) - 1)
+
+    # a uniform key length reaches the 64-byte block size and beyond often
+    @given(key=st.integers(1, 100).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+           counter=st.integers(0, 2**32 - 1),
+           value=st.integers(0, 2**29 - 1), payload=st.binary(max_size=8),
+           level_bits=st.integers(1, 32))
+    @example(key=bytes(range(64)), counter=1, value=0x100, payload=PAYLOAD, level_bits=32)
+    @example(key=bytes(range(65)), counter=1, value=0x100, payload=PAYLOAD, level_bits=32)
+    @example(key=bytes(range(100)), counter=1, value=0x100, payload=PAYLOAD, level_bits=32)
+    def test_matches_stdlib_hmac(self, key, counter, value, payload, level_bits):
+        # keys past the 64-byte block size are hashed first (RFC 2104)
+        can_id = CanId(value, extended=value > 0x7FF)
+        tag = hmac.new(key, mac_input(counter, can_id, payload), hashlib.sha256).digest()
+        assert covert_delay(key, counter, can_id, payload, level_bits) == \
+            int.from_bytes(tag, "big") & ((1 << level_bits) - 1)
 
     @given(counter=st.integers(0, 2**32 - 1), payload=st.binary(min_size=0, max_size=8))
     def test_range(self, counter, payload):
