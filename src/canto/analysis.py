@@ -1,109 +1,77 @@
 """Post-hoc trace analytics for the covert timing channel.
 
-Turns traces into per-ID deviation series, empirical channel matrices
-(sent covert delay vs. decoded delay), success-rate tables for genuine
-senders and blind adversaries, and channel capacity via the
-Blahut-Arimoto iteration.
+Turns traces into per-ID deviation series and empirical channel matrices
+(sent covert delay vs. decoded delay), both views over `incanta.decode`;
+scores blind adversaries by Monte Carlo; computes channel capacity via
+the Blahut-Arimoto iteration; and bins histograms.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from canto.bus_sim import Trace
 from canto.frame_model import CanId
-from canto.incanta import CovertConfig, covert_delay
+from canto.incanta import CovertConfig, Decoded, decode
 
 
 class CapacityError(RuntimeError):
     """Blahut-Arimoto could not run or converge on the given matrix."""
 
 
-def _arrivals(trace: Trace, compensate_frame_length: bool) -> dict[CanId, list]:
-    """Per-ID (timestamp, counter, payload) triples in trace order.
+# a row thinner than this is flagged; every entry gets the smoothing mass
+# so that later logarithms stay finite
+MIN_SAMPLES_PER_SYMBOL = 100
+SMOOTHING = 1e-9
 
-    Compensation subtracts each frame's actual wire time, i.e. timestamps
-    become start-of-frame instead of end-of-frame; that removes the
-    stuff-bit length variation a receiver would otherwise see.
-    """
-    per_id: dict[CanId, list] = {}
-    for fr in trace.frames:
-        t = fr.bus_time_us if compensate_frame_length else fr.end_time_us
-        per_id.setdefault(fr.id, []).append((t, fr.counter, fr.payload, fr.genuine))
-    return per_id
+
+def _genuine_pairs(trace: Trace, covert: CovertConfig | None, periods_us: dict[CanId, float],
+                   compensate: bool) -> tuple[Decoded, np.ndarray]:
+    """Decode; mark the scored frames that are genuine with a genuine reference."""
+    decoded = decode(trace, covert, periods_us, compensate)
+    genuine = np.fromiter((f.genuine for f in trace.frames), bool, len(trace))
+    return decoded, ~np.isnan(decoded.error_us) & genuine & genuine[decoded.ref]
 
 
 def deviation_series(trace: Trace, periods_us: dict[CanId, float],
                      covert: CovertConfig | None = None,
-                     compensate_frame_length: bool = True,
-                     genuine_only: bool = True) -> dict[CanId, np.ndarray]:
-    """Observed minus expected inter-arrival per same-ID consecutive pair.
+                     compensate_frame_length: bool = True) -> dict[CanId, np.ndarray]:
+    """Observed minus expected inter-arrival per genuine same-ID pair.
 
     The expected spacing is the frame period (scaled by any counter gap)
     plus, when a covert configuration is given, the difference of the two
     covert delays.
     """
-    out: dict[CanId, np.ndarray] = {}
-    for can_id, rows in _arrivals(trace, compensate_frame_length).items():
-        if can_id not in periods_us:
-            raise KeyError(f"trace contains unknown id {can_id}")
-        period = periods_us[can_id]
-        devs = []
-        prev = None
-        for t, counter, payload, genuine in rows:
-            if genuine_only and not genuine:
-                prev = None
-                continue
-            xi = covert_delay(covert.key, counter, can_id, payload,
-                              covert.level_bits) if covert is not None else 0
-            if prev is not None:
-                t0, c0, xi0 = prev
-                devs.append((t - t0) - (period * (counter - c0) + xi - xi0))
-            prev = (t, counter, xi)
-        out[can_id] = np.asarray(devs, dtype=np.float64)
-    return out
+    decoded, pairs = _genuine_pairs(trace, covert, periods_us, compensate_frame_length)
+    return {can_id: decoded.error_us[pairs & (decoded.id_index == k)]
+            for k, can_id in enumerate(decoded.ids)}
 
 
 def extract_channel_matrix(trace: Trace, covert: CovertConfig,
                            periods_us: dict[CanId, float],
-                           compensate_frame_length: bool = True,
-                           min_samples_per_symbol: int = 100,
-                           smoothing: float = 1e-9) -> np.ndarray:
+                           compensate_frame_length: bool = True) -> np.ndarray:
     """Empirical row-stochastic matrix P[decoded | sent] over the delay alphabet.
 
-    The decoder quantizes (observed inter-arrival - period + previous
-    delay) to the nearest microsecond, clamped to [0, 2^l). Sparse rows
-    are flagged and the whole matrix gets a tiny additive smoothing so
-    later logarithms stay finite.
+    Each genuine pair's decoded symbol (observed inter-arrival - period +
+    previous delay, to the nearest microsecond, clamped to [0, 2^l)) is
+    counted against the sent delay. Sparse rows are flagged and the whole
+    matrix gets a tiny additive smoothing.
     """
+    decoded, pairs = _genuine_pairs(trace, covert, periods_us, compensate_frame_length)
     size = covert.window_us
-    counts = np.zeros((size, size), dtype=np.float64)
-    for can_id, rows in _arrivals(trace, compensate_frame_length).items():
-        period = periods_us.get(can_id)
-        if period is None:
-            raise KeyError(f"trace contains unknown id {can_id}")
-        prev = None
-        for t, counter, payload, genuine in rows:
-            if not genuine:
-                prev = None
-                continue
-            xi = covert_delay(covert.key, counter, can_id, payload, covert.level_bits)
-            if prev is not None:
-                t0, c0, xi0 = prev
-                decoded = round((t - t0) - period * (counter - c0) + xi0)
-                counts[xi, min(max(decoded, 0), size - 1)] += 1.0
-            prev = (t, counter, xi)
+    symbol = np.clip(decoded.symbol[pairs], 0, size - 1).astype(np.int64)
+    counts = np.bincount(decoded.xi[pairs] * size + symbol, minlength=size * size)
+    counts = counts.reshape(size, size).astype(np.float64)
     row_totals = counts.sum(axis=1)
     if np.any(row_totals == 0):
         raise ValueError("no samples for some delay symbols; trace too short")
-    if row_totals.min() < min_samples_per_symbol:
+    if row_totals.min() < MIN_SAMPLES_PER_SYMBOL:
         warnings.warn(f"sparse channel matrix: thinnest row has {int(row_totals.min())} "
-                      f"samples (< {min_samples_per_symbol}); rows are smoothed", stacklevel=2)
-    counts += smoothing
+                      f"samples (< {MIN_SAMPLES_PER_SYMBOL}); rows are smoothed", stacklevel=2)
+    counts += SMOOTHING
     return counts / counts.sum(axis=1, keepdims=True)
 
 
@@ -159,44 +127,6 @@ def mc_adversary_rate(tolerance_us: float, level_bits: int = 8, frames: int = 1,
         hits += int(np.count_nonzero(ok.all(axis=1)))
         done += n
     return hits / trials
-
-
-@dataclass
-class SuccessTable:
-    """Acceptance rates by tolerance (rows) and window length (columns)."""
-
-    rho_us: tuple[float, ...]
-    frames: tuple[int, ...]
-    ecu: np.ndarray  # genuine acceptance, powered per window length
-    adv: np.ndarray  # adversary acceptance per window, Monte Carlo
-
-    def row(self, rho: float) -> tuple[np.ndarray, np.ndarray]:
-        i = self.rho_us.index(rho)
-        return self.ecu[i], self.adv[i]
-
-
-def success_table(genuine_errors_us: np.ndarray, rho_set=(2.0, 3.0, 4.0, 5.0),
-                  frame_counts=(1, 2, 3, 4, 6), level_bits: int = 8,
-                  adv_trials: int = 1_000_000, seed: int = 0) -> SuccessTable:
-    """Build the genuine/adversary success-rate table.
-
-    Genuine rates come from the measured verification errors (fraction
-    within each tolerance, raised to the window length); adversary rates
-    come from per-window Monte Carlo.
-    """
-    errors = np.abs(np.asarray(genuine_errors_us, dtype=np.float64))
-    if errors.size == 0:
-        raise ValueError("no genuine verification errors supplied")
-    rho_set = tuple(float(r) for r in rho_set)
-    frame_counts = tuple(int(k) for k in frame_counts)
-    ecu = np.empty((len(rho_set), len(frame_counts)))
-    adv = np.empty_like(ecu)
-    for i, rho in enumerate(rho_set):
-        p = float(np.mean(errors <= rho))
-        for j, k in enumerate(frame_counts):
-            ecu[i, j] = p ** k
-            adv[i, j] = mc_adversary_rate(rho, level_bits, k, adv_trials, seed + j)
-    return SuccessTable(rho_set, frame_counts, ecu, adv)
 
 
 def histogram(series, bin_width: float) -> tuple[np.ndarray, np.ndarray]:

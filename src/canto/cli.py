@@ -12,15 +12,17 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 import canto
 from canto import analysis, bus_sim, scheduler, trace_io
-from canto.incanta import Verifier, adversary_advantage
+from canto.incanta import adversary_advantage, decode, ecu_success
 from canto.scheduler import ALLOCATORS, Schedule, build_schedule, schedule_quality
 from canto.trace_io import TraceFormatError
 
@@ -67,10 +69,6 @@ def _resolve_seed(args, config) -> int:
     return config.seed if config is not None else 0
 
 
-def _load_config(args):
-    return trace_io.parse_experiment_config(args.config)
-
-
 def _schedule_from(args, config, seed: int) -> Schedule:
     if getattr(args, "schedule", None):
         return trace_io.read_schedule(args.schedule)
@@ -88,7 +86,7 @@ def _schedule_from(args, config, seed: int) -> Schedule:
 # ---------------------------------------------------------------- allocate
 
 def cmd_allocate(args) -> int:
-    config = _load_config(args)
+    config = trace_io.parse_experiment_config(args.config)
     seed = _resolve_seed(args, config)
     specs = config.frame_specs()
     sched = build_schedule(specs, args.algorithm, ifs_us=args.ifs,
@@ -111,7 +109,7 @@ def cmd_allocate(args) -> int:
 # ---------------------------------------------------------------- simulate
 
 def cmd_simulate(args) -> int:
-    config = _load_config(args)
+    config = trace_io.parse_experiment_config(args.config)
     seed = _resolve_seed(args, config)
     sched = _schedule_from(args, config, seed)
     bus = config.to_bus_config(sched, seed=seed)
@@ -129,47 +127,48 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _verify_trace(trace, config, sched, rho=None, compensate=True):
-    periods = {f.id: f.period_us for f in sched.frames}
-    verifier = Verifier(config.covert, periods)
-    verdicts = []
-    for fr in trace.frames:
-        t = fr.bus_time_us if compensate else fr.end_time_us
-        verdicts.append(verifier.verify(fr.id, fr.counter, fr.payload, t, rho))
-    return verdicts
-
-
-def _write_verdicts(verdicts, path: Path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("bus_time_us,id_hex,counter,error_us,verdict\n")
-        for v in verdicts:
-            err = "" if v.error_us is None else f"{v.error_us:.4f}"
-            word = "accept" if v.accepted else "intrusion"
-            fh.write(f"{round(v.time_us * 10)},{v.can_id},{v.counter},{err},{word}\n")
-
-
-def cmd_verify(args) -> int:
-    config = _load_config(args)
+def _trace_inputs(args, needs: str):
+    """Config, seed, parsed trace and per-ID periods for a trace command."""
+    config = trace_io.parse_experiment_config(args.config)
     if config.covert is None:
-        raise TraceFormatError("verification needs a [covert] section")
+        raise TraceFormatError(f"{needs} needs a [covert] section")
     seed = _resolve_seed(args, config)
     sched = _schedule_from(args, config, seed)
     trace = trace_io.parse_trace(args.trace, bitrate_bps=config.bitrate_bps)
-    verdicts = _verify_trace(trace, config, sched, args.rho,
-                             compensate=not args.no_compensate)
-    scored = [v for v in verdicts if v.reason != "first"]
-    if not scored:
-        raise TraceFormatError(f"{args.trace}: no scored frames (each ID needs at least "
-                               "two frames to verify)")
+    return config, seed, trace, {f.id: f.period_us for f in sched.frames}
+
+
+def _write_verdicts(trace, decoded, path: Path) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write("bus_time_us,id_hex,counter,error_us,verdict\n")
+        for fr, t, err, ok in zip(trace.frames, decoded.time_us.tolist(),
+                                  decoded.error_us.tolist(), decoded.accepted.tolist()):
+            err = "" if math.isnan(err) else f"{err:.4f}"
+            word = "accept" if ok else "intrusion"
+            fh.write(f"{round(t * 10)},{fr.id},{fr.counter},{err},{word}\n")
+
+
+def cmd_verify(args) -> int:
+    if args.rho is not None and args.rho < 0:
+        raise TraceFormatError(f"--rho must be nonnegative, got {args.rho:g}")
+    config, seed, trace, periods = _trace_inputs(args, "verification")
+    covert = config.covert if args.rho is None else replace(config.covert, tolerance_us=args.rho)
+    try:
+        decoded = decode(trace, covert, periods, compensate=not args.no_compensate)
+    except KeyError as exc:
+        raise TraceFormatError(f"{args.trace}: {exc.args[0]}") from exc
+    scored = decoded.reason != "first"
+    windows = decoded.window[decoded.window >= 0]
+    if not scored.any() or not windows.size:
+        raise TraceFormatError(f"{args.trace}: no scored frames or no window verdict (an ID "
+                               "needs two frames to be scored and frames_required="
+                               f"{covert.frames_required} for a window)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    accepted = sum(v.accepted for v in scored)
-    windows = [v for v in verdicts if v.window_authenticated is not None]
-    _write_verdicts(verdicts, out / "verdicts.csv")
-    rate = 100.0 * accepted / len(scored)
-    auth = 100.0 * sum(bool(w.window_authenticated) for w in windows) / len(windows) \
-        if windows else float("nan")
-    summary = (f"frames={len(verdicts)}\nscored={len(scored)}\n"
+    _write_verdicts(trace, decoded, out / "verdicts.csv")
+    rate = 100.0 * np.count_nonzero(decoded.accepted[scored]) / np.count_nonzero(scored)
+    auth = 100.0 * np.count_nonzero(windows) / windows.size
+    summary = (f"frames={len(trace)}\nscored={np.count_nonzero(scored)}\n"
                f"accept_rate_percent={rate:.4f}\n"
                f"window_auth_rate_percent={auth:.4f}\n")
     (out / "verify_summary.txt").write_text(summary)
@@ -181,21 +180,27 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- attack
 
+def _write_attack(out: Path, rhos, frame_counts, level: int, trials: int, seed: int) -> dict:
+    """Write attack.csv and return its Monte Carlo rates by (rho, frames)."""
+    rates = {}
+    with open(out / "attack.csv", "w", newline="\n") as fh:
+        fh.write("rho_us,frames,adv_rate_mc,adv_rate_analytic\n")
+        for rho in rhos:
+            for k in frame_counts:
+                mc = rates[rho, k] = analysis.mc_adversary_rate(
+                    rho, level, k, trials, derive_seed(seed, f"attack:{rho}:{k}"))
+                fh.write(f"{rho:g},{k},{mc:.8g},{adversary_advantage(rho, level, k):.8g}\n")
+    return rates
+
+
 def cmd_attack(args) -> int:
-    config = _load_config(args)
+    config = trace_io.parse_experiment_config(args.config)
     if config.covert is None:
         raise TraceFormatError("attack scoring needs a [covert] section")
     seed = _resolve_seed(args, config)
-    level = config.covert.level_bits
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    with open(out / "attack.csv", "w", newline="\n") as fh:
-        fh.write("rho_us,frames,adv_rate_mc,adv_rate_analytic\n")
-        for rho in args.rho:
-            for k in args.frames:
-                mc = analysis.mc_adversary_rate(rho, level, k, args.trials,
-                                                derive_seed(seed, f"attack:{rho}:{k}"))
-                fh.write(f"{rho:g},{k},{mc:.8g},{adversary_advantage(rho, level, k):.8g}\n")
+    _write_attack(out, args.rho, args.frames, config.covert.level_bits, args.trials, seed)
     write_manifest(out, "attack", seed, {"config": Path(args.config)})
     print(f"attack rates for rho={args.rho} frames={args.frames} "
           f"({args.trials} trials each) -> {out / 'attack.csv'}")
@@ -205,15 +210,12 @@ def cmd_attack(args) -> int:
 # ---------------------------------------------------------------- capacity
 
 def cmd_capacity(args) -> int:
-    config = _load_config(args)
-    if config.covert is None:
-        raise TraceFormatError("capacity extraction needs a [covert] section")
-    seed = _resolve_seed(args, config)
-    sched = _schedule_from(args, config, seed)
-    trace = trace_io.parse_trace(args.trace, bitrate_bps=config.bitrate_bps)
-    periods = {f.id: f.period_us for f in sched.frames}
-    matrix = analysis.extract_channel_matrix(trace, config.covert, periods,
-                                             compensate_frame_length=not args.no_compensate)
+    config, seed, trace, periods = _trace_inputs(args, "capacity extraction")
+    try:
+        matrix = analysis.extract_channel_matrix(trace, config.covert, periods,
+                                                 compensate_frame_length=not args.no_compensate)
+    except (KeyError, ValueError) as exc:
+        raise TraceFormatError(f"{args.trace}: {exc.args[0]}") from exc
     capacity, iterations = analysis.blahut_arimoto(matrix, tolerance=args.tolerance)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -265,7 +267,7 @@ def cmd_report(args) -> int:
             p = float(np.mean(np.abs(errors) <= rho))
             for k in FRAME_SET:
                 adv = adv_mc.get((rho, k), adversary_advantage(rho, 8, k))
-                fh.write(f"{rho:g},{k},{p ** k:.8g},{adv:.8g}\n")
+                fh.write(f"{rho:g},{k},{ecu_success(p, k):.8g},{adv:.8g}\n")
 
     crossing = None
     with open(out / "fig_adversary_success.csv", "w", newline="\n") as fh:
@@ -315,18 +317,14 @@ def cmd_run(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     stage = "configure"
     try:
-        config = _load_config(args)
+        config = trace_io.parse_experiment_config(args.config)
         seed = _resolve_seed(args, config)
 
-        if not getattr(args, "schedule", None):
-            stage = "allocate"
-            sched = _schedule_from(args, config, seed)
-            trace_io.write_schedule(sched, out / "schedule.txt")
+        stage = "simulate" if args.schedule else "allocate"
+        sched = _schedule_from(args, config, seed)
+        trace_io.write_schedule(sched, out / "schedule.txt")
 
         stage = "simulate"
-        if getattr(args, "schedule", None):
-            sched = trace_io.read_schedule(args.schedule)
-            trace_io.write_schedule(sched, out / "schedule.txt")
         quality = schedule_quality(sched)
         bus = config.to_bus_config(sched, seed=seed)
         trace = bus_sim.simulate(bus)
@@ -334,20 +332,13 @@ def cmd_run(args) -> int:
 
         stage = "verify"
         if config.covert is not None:
-            verdicts = _verify_trace(trace, config, sched)
-            _write_verdicts(verdicts, out / "verdicts.csv")
-            errors = np.asarray([v.error_us for v in verdicts if v.error_us is not None])
+            decoded = decode(trace, config.covert, {f.id: f.period_us for f in sched.frames})
+            _write_verdicts(trace, decoded, out / "verdicts.csv")
+            errors = decoded.error_us[~np.isnan(decoded.error_us)]
 
             stage = "attack"
             level = config.covert.level_bits
-            with open(out / "attack.csv", "w", newline="\n") as fh:
-                fh.write("rho_us,frames,adv_rate_mc,adv_rate_analytic\n")
-                for rho in RHO_SET:
-                    for k in FRAME_SET:
-                        mc = analysis.mc_adversary_rate(
-                            rho, level, k, args.trials, derive_seed(seed, f"attack:{rho}:{k}"))
-                        fh.write(f"{rho:g},{k},{mc:.8g},"
-                                 f"{adversary_advantage(rho, level, k):.8g}\n")
+            adv_mc = _write_attack(out, RHO_SET, FRAME_SET, level, args.trials, seed)
 
             stage = "report"
             ns = argparse.Namespace(indir=str(out), out=str(out), bin_width=args.bin_width)
@@ -362,8 +353,7 @@ def cmd_run(args) -> int:
                 accept = float(np.mean(np.abs(errors) <= rho))
                 _check(accept == 1.0,
                        f"genuine acceptance at rho={rho} is {100 * accept:.3f}% (want 100%)")
-                mc = analysis.mc_adversary_rate(5.0, level, 1, args.trials,
-                                                derive_seed(seed, "attack:5.0:1"))
+                mc = adv_mc[5.0, 1]
                 _check(abs(mc - 0.039) < 0.0011,
                        f"adversary rate at rho=5 is {100 * mc:.3f}% (want 3.9 +- 0.1)")
                 ks = [k for k in range(1, 9)

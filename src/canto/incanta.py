@@ -15,8 +15,14 @@ import hashlib
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
+
+import numpy as np
 
 from canto.frame_model import CanId
+
+if TYPE_CHECKING:
+    from canto.bus_sim import Trace
 
 
 @dataclass(frozen=True)
@@ -184,3 +190,79 @@ class Verifier:
         if len(state.recent) == self.config.frames_required:
             verdict.window_authenticated = all(state.recent)
         return verdict
+
+
+@dataclass(frozen=True)
+class Decoded:
+    """Per-frame outcome of `decode`, each array in trace order.
+
+    `error_us` (observed minus expected spacing) and `symbol` (the decoded
+    covert delay, unclamped) are NaN unless `reason` is "" or "timing".
+    """
+
+    ids: tuple[CanId, ...]  # in order of first appearance
+    id_index: np.ndarray    # each frame's position in `ids`
+    time_us: np.ndarray
+    xi: np.ndarray
+    ref: np.ndarray         # last earlier non-replay frame of the same ID, or -1
+    error_us: np.ndarray
+    symbol: np.ndarray
+    reason: np.ndarray      # "", "first", "timing" or "replay", as in Verdict
+    accepted: np.ndarray
+    window: np.ndarray      # -1 before frames_required verdicts, else 0 or 1
+
+
+def decode(trace: Trace, covert: CovertConfig | None, periods_us: dict[CanId, float],
+           compensate: bool = True) -> Decoded:
+    """Every frame of a trace through `Verifier`'s receiver rule at once.
+
+    Each covert delay is computed once. With `compensate` a frame arrives
+    at its start on the bus, otherwise at its end, so stuff-bit length
+    variation stays in. With `covert` None every covert delay is 0 and
+    frames are judged at `CovertConfig`'s default tolerance and window.
+    """
+    frames = trace.frames
+    n = len(frames)
+    first_seen: dict[CanId, int] = {}
+    id_index = np.fromiter((first_seen.setdefault(f.id, len(first_seen)) for f in frames),
+                           np.int64, n)
+    for can_id in first_seen:
+        if can_id not in periods_us:
+            raise KeyError(f"unknown id {can_id} (not in the schedule)")
+    period = np.array([periods_us[i] for i in first_seen], dtype=np.float64)[id_index]
+    counter = np.fromiter((f.counter for f in frames), np.int64, n)
+    time_us = np.fromiter((f.bus_time_us if compensate else f.end_time_us for f in frames),
+                          np.float64, n)
+    xi = np.fromiter((covert_delay(covert.key, f.counter, f.id, f.payload, covert.level_bits)
+                      if covert else 0 for f in frames), np.int64, n)
+    judged = covert or CovertConfig  # the class attributes hold the defaults
+
+    ref = np.full(n, -1, dtype=np.int64)
+    last: dict[int, int] = {}
+    counters = counter.tolist()
+    for i, k in enumerate(id_index.tolist()):
+        ref[i] = j = last.get(k, -1)
+        if j < 0 or counters[i] > counters[j]:
+            last[k] = i
+    replay = (ref >= 0) & (counter <= counter[ref])
+
+    s = np.flatnonzero((ref >= 0) & ~replay)
+    r = ref[s]
+    gap, steps = time_us[s] - time_us[r], counter[s] - counter[r]
+    error_us, symbol = np.full(n, np.nan), np.full(n, np.nan)
+    # Verifier's expression order, so every error is bit-identical; the
+    # symbol is not error + xi, so that .5 ties round the same way
+    error_us[s] = gap - (period[s] * steps + xi[s] - xi[r])
+    symbol[s] = np.rint(gap - period[s] * steps + xi[r])
+    ok = np.abs(error_us) <= judged.tolerance_us
+    reason = np.select([ref < 0, replay, ok], ["first", "replay", ""], "timing")
+    accepted = (ref < 0) | ok
+
+    need = judged.frames_required
+    window = np.full(n, -1, dtype=np.int8)
+    for k in range(len(first_seen)):
+        rows = np.flatnonzero(id_index == k)
+        rejects = np.concatenate(([0], np.cumsum(~accepted[rows])))
+        window[rows[need - 1:]] = rejects[need:] == rejects[:-need]
+    return Decoded(tuple(first_seen), id_index, time_us, xi, ref, error_us, symbol, reason,
+                   accepted, window)

@@ -170,9 +170,6 @@ class ExperimentConfig:
     def frame_specs(self) -> list[FrameSpec]:
         return [f for n in self.nodes for f in n.frames]
 
-    def periods_by_id(self) -> dict[CanId, float]:
-        return {f.id: f.period_us for n in self.nodes for f in n.frames}
-
     def to_bus_config(self, schedule: Schedule | None = None,
                       seed: int | None = None) -> BusConfig:
         offsets = {f.id: f.offset_us for f in schedule.frames} if schedule else None

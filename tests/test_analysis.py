@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from canto.analysis import (CapacityError, blahut_arimoto, deviation_series,
-                            extract_channel_matrix, histogram, mc_adversary_rate,
-                            success_table)
-from canto.bus_sim import BusConfig, NodeConfig, simulate
+                            extract_channel_matrix, histogram, mc_adversary_rate)
+from canto.bus_sim import BusConfig, NodeConfig, Trace, inject_adversary, simulate
+from canto.cli import main
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec
 from canto.incanta import CovertConfig
@@ -172,25 +172,86 @@ class TestChannelMatrix:
         assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
 
+class TestGenuinePairing:
+    def test_forged_frames_and_their_successor_give_no_sample(self):
+        # frames 1000..1099 forged, the rest genuine; with no jitter every
+        # genuine pair deviates by exactly 0 and decodes to its sent delay,
+        # while a pair with a forged end sits off by the adversary's draws
+        trace, cov, periods = run_covert(Jitter.none(), 30_000 * MS)
+        forged = inject_adversary(trace, CanId(0x100), 10 * MS, seed=1)
+        assert not any(f.genuine for f in forged.frames[1000:1100])
+        mixed = Trace(trace.frames[:1000] + forged.frames[1000:1100] + trace.frames[1100:])
+        devs = deviation_series(mixed, periods, cov)[CanId(0x100)]
+        assert len(devs) == len(trace) - 1 - 101
+        assert np.all(devs == 0.0)
+        with pytest.warns(UserWarning, match="sparse"):
+            m = extract_channel_matrix(mixed, cov, periods)
+        assert np.all(m[~np.eye(256, dtype=bool)] < 1e-6)
+
+
+SMALL_RUN = """
+[bus]
+bitrate = 500000
+duration_us = 400000
+seed = 3
+
+[covert]
+key_hex = 000102030405060708090A0B0C0D0E0F
+
+[allocator]
+algorithm = gcd
+ifs_us = 600
+
+[node.one]
+jitter = steps
+frames = 0x100:10000:8 0x101:10000:8 0x102:20000:8
+"""
+
+
+def read_rows(path):
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
 class TestSuccessTable:
-    def test_ecu_rates_power_per_window(self):
-        errors = np.array([0.0] * 90 + [3.5] * 10)
-        table = success_table(errors, rho_set=(3.0, 5.0), frame_counts=(1, 2, 3),
-                              adv_trials=10_000)
-        ecu3, _ = table.row(3.0)
-        assert ecu3 == pytest.approx([0.9, 0.81, 0.729])
-        ecu5, _ = table.row(5.0)
-        assert np.all(ecu5 == 1.0)
+    """The success table is the `success_table.csv` that `canto report` writes."""
 
-    def test_adv_rates_near_analytic(self):
-        table = success_table(np.zeros(10), rho_set=(5.0,), frame_counts=(1,),
-                              adv_trials=200_000, seed=1)
-        _, adv = table.row(5.0)
-        assert adv[0] == pytest.approx(2 * 5 / 256, abs=0.002)
+    def report(self, tmp_path, errors):
+        indir = tmp_path / "in"
+        indir.mkdir()
+        (indir / "verdicts.csv").write_text(
+            "bus_time_us,id_hex,counter,error_us,verdict\n100,100,1,,accept\n"
+            + "".join(f"{i},100,{i},{e},accept\n" for i, e in enumerate(errors, 2)))
+        (indir / "attack.csv").write_text(
+            "rho_us,frames,adv_rate_mc,adv_rate_analytic\n5,1,0.04,0.0390625\n")
+        return main(["report", "--in", str(indir), "--out", str(tmp_path / "rep")])
 
-    def test_empty_errors_rejected(self):
-        with pytest.raises(ValueError):
-            success_table(np.array([]))
+    def test_ecu_rates_power_per_window(self, tmp_path):
+        assert self.report(tmp_path, ["0.0000"] * 90 + ["3.5000"] * 10) == 0
+        ecu = {(float(r), int(k)): float(e)
+               for r, k, e, _ in read_rows(tmp_path / "rep" / "success_table.csv")}
+        assert [ecu[3.0, k] for k in (1, 2, 3, 4, 6)] == \
+            pytest.approx([0.9, 0.81, 0.729, 0.6561, 0.531441])
+        assert all(ecu[5.0, k] == 1.0 for k in (1, 2, 3, 4, 6))
+
+    def test_adv_rates_near_analytic(self, tmp_path):
+        config = tmp_path / "small.ini"
+        config.write_text(SMALL_RUN)
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config), "--out", str(out),
+                     "--trials", "200000"]) == 0
+        errors = np.abs([float(r[3]) for r in read_rows(out / "verdicts.csv") if r[3]])
+        mc = {(r, k): a for r, k, a, _ in read_rows(out / "attack.csv")}
+        table = read_rows(out / "success_table.csv")
+        assert len(table) == 20
+        for rho, k, ecu, adv in table:
+            assert float(ecu) == pytest.approx(np.mean(errors <= float(rho)) ** int(k),
+                                               rel=1e-7)
+            assert adv == mc[rho, k]
+        assert float(mc["5", "1"]) == pytest.approx(2 * 5 / 256, abs=0.002)
+
+    def test_empty_errors_rejected(self, tmp_path, capsys):
+        assert self.report(tmp_path, []) == 3
+        assert "no scored frames" in capsys.readouterr().err
 
     def test_mc_deterministic(self):
         a = mc_adversary_rate(5.0, 8, 2, 50_000, seed=9)

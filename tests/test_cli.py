@@ -190,14 +190,16 @@ class TestAttackAndCapacity:
         value = float(report.splitlines()[0].split("=")[1])
         assert 4.0 <= value <= 8.0
 
-    def test_capacity_rejects_short_trace(self, small_config, tmp_path):
+    def test_capacity_rejects_short_trace(self, small_config, tmp_path, capsys):
         sim = tmp_path / "sim"
         main(["simulate", "--config", str(small_config), "--out", str(sim)])
         rc = main(["capacity", "--config", str(small_config),
                    "--trace", str(sim / "trace.csv"),
                    "--schedule", str(sim / "schedule.txt"),
                    "--out", str(tmp_path / "cap")])
-        assert rc == 4
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert str(sim / "trace.csv") in err and "trace too short" in err
 
 
 class TestReportErrors:
@@ -225,6 +227,37 @@ class TestInputErrors:
         err = capsys.readouterr().err
         assert "one_frame.csv" in err and "no scored frames" in err
         assert not (tmp_path / "ver" / "verify_summary.txt").exists()
+
+    def test_verify_without_window_is_format_error(self, small_config, tmp_path, capsys):
+        trace = tmp_path / "two_frames.csv"
+        trace.write_text("bus_time_us,id_hex,counter,payload_hex,genuine\n"
+                         "100000,100,1,2021222300000001,1\n"
+                         "200000,100,2,2021222300000002,1\n")
+        rc = main(["verify", "--config", str(small_config), "--trace", str(trace),
+                   "--out", str(tmp_path / "ver")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "two_frames.csv" in err and "frames_required=6" in err
+        assert not (tmp_path / "ver" / "verify_summary.txt").exists()
+
+    @pytest.mark.parametrize("command", ["verify", "capacity"])
+    def test_trace_id_missing_from_schedule(self, small_config, tmp_path, capsys, command):
+        trace = tmp_path / "stray.csv"
+        trace.write_text("bus_time_us,id_hex,counter,payload_hex,genuine\n"
+                         "100000,7FF,1,2021222300000001,1\n")
+        rc = main([command, "--config", str(small_config), "--trace", str(trace),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "stray.csv" in err and "7FF" in err and "internal error" not in err
+
+    def test_negative_rho_is_rejected(self, small_config, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        main(["simulate", "--config", str(small_config), "--out", str(sim)])
+        rc = main(["verify", "--config", str(small_config), "--trace", str(sim / "trace.csv"),
+                   "--rho", "-1", "--out", str(tmp_path / "ver")])
+        assert rc == 3
+        assert "--rho must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line,value,where", [
         ("level_bits = 8", "level_bits = 40", "[covert]: level_bits"),

@@ -2,14 +2,16 @@
 
 import hashlib
 import hmac
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from canto.bus_sim import TimedFrame, Trace, inject_adversary
 from canto.frame_model import CanId
 from canto.incanta import (CovertConfig, Verifier, adversary_advantage, counter_from_payload,
-                           covert_delay, ecu_success, embed_counter, mac_input)
+                           covert_delay, decode, ecu_success, embed_counter, mac_input)
 
 KEY = bytes(range(16))
 ID = CanId(0x100)
@@ -218,3 +220,62 @@ class TestVerifier:
         for k, p, t in rows[4:]:
             last = v.verify(ID, k, p, t)
         assert last.window_authenticated is False  # bad frame still inside
+
+
+# 8191.7 us: period plus covert delay crosses 2^13, so an inexact period
+# makes the float result depend on the order of operations
+PERIODS = {CanId(0x100): 10_000.0, CanId(0x101): 20_000.0, CanId(0x7FF): 8_191.7}
+
+
+@st.composite
+def receiver_traces(draw):
+    """Interleaved IDs whose counters step by -2..3 (so repeat or go back) and
+    whose spacing is the covert one plus an offset, then optionally one ID
+    handed to the adversary."""
+    cfg = config(level_bits=draw(st.integers(2, 8)),
+                 tolerance_us=draw(st.sampled_from([0.0, 2.5, 5.0])),
+                 frames_required=draw(st.integers(1, 4)))
+    start = draw(st.sampled_from([0.0, 123_456_789.1, 3_700_000_000.3]))
+    frames, last = [], {}
+    for _ in range(draw(st.integers(0, 40))):
+        can_id = draw(st.sampled_from(list(PERIODS)))
+        c0, t0, xi0 = last.get(can_id, (0, start, 0))
+        counter = max(0, c0 + draw(st.integers(-2, 3)))
+        payload = embed_counter(draw(st.binary(min_size=8, max_size=8)), counter)
+        xi = covert_delay(cfg.key, counter, can_id, payload, cfg.level_bits)
+        t = t0 + PERIODS[can_id] * (counter - c0) + xi - xi0 \
+            + draw(st.sampled_from([0.0, 0.5, -2.5, 5.0, 7.25, 0.1, -4.9, 2.3]))
+        frames.append(TimedFrame(can_id, counter, t, t, draw(st.sampled_from([0.0, 108.0, 131.5])),
+                                 payload, draw(st.booleans())))
+        last[can_id] = (counter, t, xi)
+    trace = Trace(frames)
+    if frames and draw(st.booleans()):
+        target = frames[0].id
+        trace = inject_adversary(trace, target, PERIODS[target], seed=draw(st.integers(0, 9)),
+                                 level_bits=cfg.level_bits)
+    return cfg, trace
+
+
+class TestDecode:
+    @settings(max_examples=300, deadline=None)
+    @given(receiver_traces(), st.booleans(), st.sampled_from([None, 0.0, 1.0, 4.0]))
+    def test_matches_frame_by_frame_verifier(self, case, compensate, rho):
+        cfg, trace = case
+        decoded = decode(trace, cfg if rho is None else replace(cfg, tolerance_us=rho),
+                         PERIODS, compensate)
+        verifier = Verifier(cfg, PERIODS)
+        arrivals = [f.bus_time_us if compensate else f.end_time_us for f in trace.frames]
+        for i, (f, t) in enumerate(zip(trace.frames, arrivals)):
+            v = verifier.verify(f.id, f.counter, f.payload, t, rho)
+            assert (decoded.accepted[i], decoded.reason[i]) == (v.accepted, v.reason)
+            assert decoded.window[i] == (-1 if v.window_authenticated is None
+                                         else v.window_authenticated)
+            if v.error_us is None:
+                assert np.isnan(decoded.error_us[i]) and np.isnan(decoded.symbol[i])
+                continue
+            assert decoded.error_us[i] == v.error_us
+            j = decoded.ref[i]
+            ref = trace.frames[j]
+            xi_ref = covert_delay(cfg.key, ref.counter, ref.id, ref.payload, cfg.level_bits)
+            assert decoded.symbol[i] == round(
+                (t - arrivals[j]) - PERIODS[f.id] * (f.counter - ref.counter) + xi_ref)
