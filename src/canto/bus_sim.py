@@ -12,7 +12,9 @@ byte for byte.
 from __future__ import annotations
 
 import heapq
+import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,6 +43,13 @@ class NodeConfig:
     frames: tuple[FrameSpec, ...] = ()
     covert: CovertConfig | None = None
 
+    def __post_init__(self):
+        if self.covert is not None:
+            small = [str(f.id) for f in self.frames if f.payload_bits < 32]
+            if small:
+                raise ValueError(f"frames {small} of node {self.name} cannot carry "
+                                 "the 4-byte counter in their payload")
+
 
 @dataclass(frozen=True)
 class BusConfig:
@@ -52,37 +61,36 @@ class BusConfig:
     payload_mode: str = "counter"  # counter | random | zero
 
     def __post_init__(self):
-        ids = [f.id for n in self.nodes for f in n.frames]
-        if len(ids) != len(set(ids)):
-            raise ValueError("frame identifiers must be unique across the bus")
-        if not ids:
+        specs = self.frame_specs()
+        if not specs:
             raise ValueError("no frames configured")
-        slowest = max(f.period_us for n in self.nodes for f in n.frames)
-        if self.duration_us < 2 * slowest:
-            raise ValueError("duration must cover at least two periods of the slowest frame")
+        duplicates = sorted(str(i) for i, n in Counter(f.id for f in specs).items() if n > 1)
+        if duplicates:
+            raise ValueError(f"duplicate CAN ids {duplicates}: frame identifiers must be "
+                             "unique across the bus")
+        slowest = max(f.period_us for f in specs)
+        if not 2 * slowest <= self.duration_us < math.inf:
+            raise ValueError(f"duration_us {self.duration_us:g} must be finite and cover "
+                             f"two periods of the slowest frame ({slowest:g} us)")
+        if self.bitrate_bps <= 0:
+            raise ValueError(f"bitrate {self.bitrate_bps} must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed {self.seed} must be nonnegative")
         if self.stuffing not in STUFFING_MODES:
-            raise ValueError(f"unknown stuffing mode {self.stuffing!r}")
+            raise ValueError(f"stuffing {self.stuffing!r} is not one of {STUFFING_MODES}")
         if self.payload_mode not in PAYLOAD_MODES:
-            raise ValueError(f"unknown payload mode {self.payload_mode!r}")
-        for n in self.nodes:
-            if n.covert is not None and n.covert.counter_in_payload:
-                small = [str(f.id) for f in n.frames if f.payload_bits < 32]
-                if small:
-                    raise ValueError(f"node {n.name}: frames {small} cannot carry "
-                                     "the 4-byte counter in their payload")
+            raise ValueError(f"payload_mode {self.payload_mode!r} is not one of {PAYLOAD_MODES}")
 
-    def all_frames(self) -> list[FrameSpec]:
+    def frame_specs(self) -> list[FrameSpec]:
         return [f for n in self.nodes for f in n.frames]
 
 
 @dataclass(frozen=True)
 class TimedFrame:
-    """One frame occurrence: intended local send time and the start of its
-    actual transmission on the bus."""
+    """One frame occurrence: the start of its transmission on the bus."""
 
     id: CanId
     counter: int
-    sched_time_us: float
     bus_time_us: float
     tx_time_us: float
     payload: bytes
@@ -96,9 +104,7 @@ class TimedFrame:
 @dataclass
 class Trace:
     frames: list[TimedFrame]
-    bitrate_bps: int = 500_000
     duration_us: float = 0.0
-    seed: int = 0
 
     def __iter__(self):
         return iter(self.frames)
@@ -117,7 +123,7 @@ def _payload_template(spec: FrameSpec) -> bytes:
 
 def _theoretical_busload(config: BusConfig) -> float:
     load = 0.0
-    for f in config.all_frames():
+    for f in config.frame_specs():
         bits = frame_bit_length(f.payload_bits, f.id.kind)
         load += transmission_time_us(bits, config.bitrate_bps) / f.period_us
     return 100.0 * load
@@ -125,13 +131,13 @@ def _theoretical_busload(config: BusConfig) -> float:
 
 def simulate(config: BusConfig) -> Trace:
     """Run the bus and return the time-ordered trace of transmissions."""
-    specs = config.all_frames()
+    specs = config.frame_specs()
     sched = Schedule(tuple(specs), hyperperiod_us([f.period_us for f in specs]))
     if not check_complete(sched):
         warnings.warn("schedule is not collision-free; covert verification will degrade",
                       stacklevel=2)
 
-    # (ready_us, arbitration key, seq, id, counter, sched_time, tx, payload) per
+    # (ready_us, arbitration key, seq, id, counter, tx, payload) per
     # release; a TimedFrame is built only when the frame wins the bus.
     releases: list[tuple] = []
     seq = 0
@@ -159,12 +165,10 @@ def simulate(config: BusConfig) -> Trace:
                     payload = template
                 xi = 0
                 if node.covert is not None:
-                    if node.covert.counter_in_payload:
-                        payload = embed_counter(payload, counter)
+                    payload = embed_counter(payload, counter)
                     xi = covert_delay(node.covert.key, counter, spec.id, payload,
                                       node.covert.level_bits)
-                sched_time = base + xi
-                ready = node.clock.local_to_bus_time(sched_time, rng)
+                ready = node.clock.local_to_bus_time(base + xi, rng)
                 if config.stuffing == "payload":
                     tx = frame_wire_time_us(spec.id, payload, config.bitrate_bps)
                 elif config.stuffing == "sampled":
@@ -172,7 +176,7 @@ def simulate(config: BusConfig) -> Trace:
                     tx = transmission_time_us(frame_bits + stuff, config.bitrate_bps)
                 else:
                     tx = nominal_tx
-                releases.append((ready, key, seq, spec.id, counter, sched_time, tx, payload))
+                releases.append((ready, key, seq, spec.id, counter, tx, payload))
                 seq += 1
                 k += 1
 
@@ -192,11 +196,11 @@ def simulate(config: BusConfig) -> Trace:
             raise OversubscribedBusError(
                 f"transmission queue exceeded {queue_limit} pending frames "
                 f"(theoretical busload {_theoretical_busload(config):.0f}%)")
-        ready, _, _, can_id, counter, sched_time, tx, payload = heapq.heappop(waiting)[2]
+        ready, _, _, can_id, counter, tx, payload = heapq.heappop(waiting)[2]
         start = max(t, ready)
-        out.append(TimedFrame(can_id, counter, sched_time, start, tx, payload))
+        out.append(TimedFrame(can_id, counter, start, tx, payload))
         t = start + tx
-    return Trace(out, config.bitrate_bps, config.duration_us, config.seed)
+    return Trace(out, config.duration_us)
 
 
 def busload(trace: Trace, bitrate_bps: int | None = None) -> float:
@@ -247,8 +251,8 @@ def inject_adversary(trace: Trace, can_id: CanId, period_us: float,
             draw = float(rng.uniform(0, 1 << level_bits)) if strategy == "random_in_window" \
                 else float(offset_us)
             t = last_time + period_us * delta + draw
-            out.append(replace(fr, bus_time_us=t, sched_time_us=t, genuine=False))
+            out.append(replace(fr, bus_time_us=t, genuine=False))
         last_time = out[-1].bus_time_us
         last_counter = fr.counter
     out.sort(key=lambda f: (f.bus_time_us, f.id.arbitration_key()))
-    return Trace(out, trace.bitrate_bps, trace.duration_us, trace.seed)
+    return Trace(out, trace.duration_us)

@@ -26,6 +26,9 @@ from canto.incanta import adversary_advantage, decode, ecu_success
 from canto.scheduler import ALLOCATORS, Schedule, build_schedule, schedule_quality
 from canto.trace_io import TraceFormatError
 
+# malformed or degenerate input: exit 3 with the message, never 4
+INPUT_ERRORS = (OSError, TraceFormatError, bus_sim.OversubscribedBusError)
+
 RHO_SET = (2.0, 3.0, 4.0, 5.0)
 FRAME_SET = (1, 2, 3, 4, 6)
 AUTOSAR_LEVEL = 2.0 ** -24
@@ -66,7 +69,15 @@ def _resolve_seed(args, config) -> int:
     env = os.environ.get("CANTO_SEED")
     if env is not None:
         return int(env)
-    return config.seed if config is not None else 0
+    return config.seed
+
+
+def _allocate(where: str, specs, algorithm: str, **options) -> Schedule:
+    """`build_schedule`, with an allocator's refusal named by `where`."""
+    try:
+        return build_schedule(specs, algorithm, **options)
+    except ValueError as exc:
+        raise TraceFormatError(f"{where}: {exc}") from exc
 
 
 def _schedule_from(args, config, seed: int) -> Schedule:
@@ -75,23 +86,28 @@ def _schedule_from(args, config, seed: int) -> Schedule:
     specs = config.frame_specs()
     if config.allocator:
         opts = dict(config.allocator)
+        where = "[allocator] " + ", ".join(f"{k} = {v}" for k, v in opts.items())
         algorithm = opts.pop("algorithm")
         if "iterations" in opts:
             opts["max_iterations"] = opts.pop("iterations")
-        return build_schedule(specs, algorithm, seed=opts.pop("seed", seed), **opts)
+        return _allocate(where, specs, algorithm, seed=opts.pop("seed", seed), **opts)
     return Schedule(tuple(specs),
                     scheduler.hyperperiod_us([f.period_us for f in specs]))
 
 
 # ---------------------------------------------------------------- allocate
 
+# the flag that tunes each allocator, named when the allocator refuses
+_TUNING_FLAG = {"gcd": "ifs", "greedy-ml": "grid", "random": "iterations"}
+
+
 def cmd_allocate(args) -> int:
     config = trace_io.parse_experiment_config(args.config)
     seed = _resolve_seed(args, config)
-    specs = config.frame_specs()
-    sched = build_schedule(specs, args.algorithm, ifs_us=args.ifs,
-                           grid_step_us=args.grid, max_iterations=args.iterations,
-                           seed=seed)
+    flag = _TUNING_FLAG.get(args.algorithm)
+    where = f"--algorithm {args.algorithm}" + (f" --{flag} {getattr(args, flag)}" if flag else "")
+    sched = _allocate(where, config.frame_specs(), args.algorithm, ifs_us=args.ifs,
+                      grid_step_us=args.grid, max_iterations=args.iterations, seed=seed)
     quality = schedule_quality(sched)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -114,14 +130,14 @@ def cmd_simulate(args) -> int:
     sched = _schedule_from(args, config, seed)
     bus = config.to_bus_config(sched, seed=seed)
     trace = bus_sim.simulate(bus)
+    busload = bus_sim.busload(trace)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     trace_io.export_trace(trace, out / "trace.csv")
     trace_io.write_schedule(sched, out / "schedule.txt")
-    (out / "busload.txt").write_text(f"busload_percent={bus_sim.busload(trace):.3f}\n"
-                                     f"frames={len(trace)}\n")
+    (out / "busload.txt").write_text(f"busload_percent={busload:.3f}\nframes={len(trace)}\n")
     write_manifest(out, "simulate", seed, {"config": Path(args.config)})
-    print(f"{len(trace)} frames, busload {bus_sim.busload(trace):.1f}%")
+    print(f"{len(trace)} frames, busload {busload:.1f}%")
     return 0
 
 
@@ -446,12 +462,11 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except (OSError, TraceFormatError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except StageError as exc:
-        cause = exc.__cause__
-        if isinstance(cause, (OSError, TraceFormatError)):
+        if isinstance(exc.__cause__, INPUT_ERRORS):
             print(f"error: {exc}", file=sys.stderr)
             return 3
         print(f"internal error: {exc}", file=sys.stderr)

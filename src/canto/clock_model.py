@@ -38,6 +38,9 @@ class Jitter:
             raise ValueError(f"unknown jitter kind {self.kind!r}")
         if self.kind == "steps" and not 0 <= 2 * self.prob <= 1:
             raise ValueError("step probability out of range")
+        if not all(0 <= v < math.inf for v in (self.half_width_us, self.sigma_us,
+                                               self.step_us, self.spread_us)):
+            raise ValueError("jitter widths must be finite and nonnegative")
 
     @classmethod
     def none(cls) -> "Jitter":
@@ -107,7 +110,7 @@ class ClockModel:
     def __post_init__(self):
         if self.tick_ns <= 0:
             raise ValueError("tick must be positive")
-        if abs(self.skew_ppm) >= 1e4:
+        if not abs(self.skew_ppm) < 1e4:  # NaN fails too
             raise ValueError("skew beyond +-10000 ppm is not an oscillator model")
 
     def local_to_bus_time(self, t_local_us: float, rng: np.random.Generator | None = None) -> float:

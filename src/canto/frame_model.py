@@ -8,6 +8,7 @@ rule applied to a concrete bit pattern when payload bytes are known.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, lru_cache, total_ordering
 from typing import Iterable
@@ -76,11 +77,21 @@ class FrameSpec:
     payload_bits: int = 64
 
     def __post_init__(self):
-        if self.period_us <= 0:
-            raise FrameModelError(f"period must be positive, got {self.period_us}")
+        period_tenths(self.period_us)
         if not 0 <= self.offset_us < self.period_us:
             raise FrameModelError(f"offset {self.offset_us} outside [0, {self.period_us})")
         _check_payload(self.payload_bits)
+
+
+def period_tenths(period_us: float) -> int:
+    """A period in whole tenths of a microsecond. Hyperperiods are computed on
+    that grid, so a period off it is rejected; offsets may take any value."""
+    if not 0 < period_us < math.inf:
+        raise FrameModelError(f"period must be positive and finite, got {period_us}")
+    tenths = round(period_us * 10)
+    if tenths / 10 != period_us:
+        raise FrameModelError(f"period {period_us} us is off the 0.1 us grid")
+    return tenths
 
 
 def _check_payload(payload_bits: int) -> None:

@@ -33,14 +33,13 @@ class CovertConfig:
     level_bits: int = 8
     tolerance_us: float = 5.0
     frames_required: int = 6
-    counter_in_payload: bool = True
 
     def __post_init__(self):
         if not 16 <= len(self.key) <= 32:
             raise ValueError("key must be 16..32 bytes")
         if not 1 <= self.level_bits <= 32:
             raise ValueError("level_bits must be 1..32")
-        if self.tolerance_us < 0:
+        if not self.tolerance_us >= 0:  # NaN fails too
             raise ValueError("tolerance must be nonnegative")
         if self.frames_required < 1:
             raise ValueError("frames_required must be >= 1")

@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from canto.frame_model import CanId, FrameSpec
+from canto.frame_model import FrameSpec, period_tenths
 
 
 class IncompleteScheduleError(ValueError):
@@ -43,9 +43,6 @@ class Schedule:
     frames: tuple[FrameSpec, ...]
     horizon_us: float
 
-    def entries(self) -> list[tuple[CanId, float, float]]:
-        return [(f.id, f.period_us, f.offset_us) for f in self.frames]
-
 
 @dataclass(frozen=True)
 class ScheduleQuality:
@@ -57,13 +54,7 @@ class ScheduleQuality:
 
 def hyperperiod_us(periods_us: Sequence[float]) -> float:
     """Least common multiple of the periods, on a 0.1 us grid."""
-    acc = 1
-    for p in periods_us:
-        tenths = round(p * 10)
-        if tenths <= 0:
-            raise ValueError(f"period must be positive, got {p}")
-        acc = math.lcm(acc, tenths)
-    return acc / 10.0
+    return math.lcm(*(period_tenths(p) for p in periods_us)) / 10.0
 
 
 def _instants(pairs: Sequence[tuple[float, float]], horizon_us: float) -> np.ndarray:
@@ -134,8 +125,8 @@ def check_complete(schedule: Schedule, horizon_us: float | None = None) -> bool:
     return bool(np.all(np.diff(ts) > 0))
 
 
-def schedule_quality(schedule: Schedule, horizon_us: float | None = None) -> ScheduleQuality:
-    ts = timestamps(schedule, horizon_us)
+def schedule_quality(schedule: Schedule) -> ScheduleQuality:
+    ts = timestamps(schedule)
     gaps = np.diff(ts)
     complete = len(gaps) > 0 and bool(np.all(gaps > 0))
     if not complete:
@@ -174,7 +165,7 @@ def allocate_binary_symmetric(periods_us: Sequence[float]) -> list[float]:
 
 
 def allocate_randomized(periods_us: Sequence[float], max_iterations: int = 100,
-                        seed: int = 0, horizon_us: float | None = None) -> list[float]:
+                        seed: int = 0) -> list[float]:
     """Best-of-N random assignment of the evenly spaced offset grid.
 
     The grid is {0, e, 2e, ...} with e = min(period)/n, permuted each
@@ -188,7 +179,7 @@ def allocate_randomized(periods_us: Sequence[float], max_iterations: int = 100,
         raise ValueError("empty period vector")
     e = min(periods_us) / n
     slots = np.arange(n, dtype=np.float64) * e
-    horizon = hyperperiod_us(periods_us) if horizon_us is None else horizon_us
+    horizon = hyperperiod_us(periods_us)
     rng = np.random.Generator(np.random.PCG64(seed))
     best_q = math.inf
     best: np.ndarray | None = None
@@ -202,7 +193,7 @@ def allocate_randomized(periods_us: Sequence[float], max_iterations: int = 100,
     return [float(x) for x in best]
 
 
-def allocate_greedy(periods_us: Sequence[float], horizon_us: float | None = None) -> list[float]:
+def allocate_greedy(periods_us: Sequence[float]) -> list[float]:
     """Assign periods in ascending order, each taking the unused grid
     offset that minimizes the incremental q; ties go to the smallest offset."""
     n = len(periods_us)
@@ -210,7 +201,7 @@ def allocate_greedy(periods_us: Sequence[float], horizon_us: float | None = None
         raise ValueError("empty period vector")
     e = min(periods_us) / n
     slots = [i * e for i in range(n)]
-    horizon = hyperperiod_us(periods_us) if horizon_us is None else horizon_us
+    horizon = hyperperiod_us(periods_us)
     offsets = [0.0] * n
     placed: list[tuple[float, float]] = []
     for idx in _sorted_order(periods_us):
@@ -235,8 +226,8 @@ def _collides(p1_tenths: int, o1_tenths: int, p2_tenths: int, o2_tenths: int) ->
     return (o1_tenths - o2_tenths) % math.gcd(p1_tenths, p2_tenths) == 0
 
 
-def allocate_greedy_multilayer(periods_us: Sequence[float], grid_step_us: float | None = None,
-                               horizon_us: float | None = None) -> list[float]:
+def allocate_greedy_multilayer(periods_us: Sequence[float],
+                               grid_step_us: float | None = None) -> list[float]:
     """Greedy allocation where a frame of period D may sit at any multiple
     of the grid step below D, so slow frames spread over their whole period.
 
@@ -256,13 +247,13 @@ def allocate_greedy_multilayer(periods_us: Sequence[float], grid_step_us: float 
         if e_tenths <= 0 or abs(e_tenths - grid_step_us * 10) > 1e-9:
             raise ValueError("grid step must sit on the 0.1 us grid")
     e = e_tenths / 10.0
-    horizon = hyperperiod_us(periods_us) if horizon_us is None else horizon_us
+    horizon = hyperperiod_us(periods_us)
     offsets = [0.0] * n
     placed: list[tuple[float, float]] = []
     placed_tenths: list[tuple[int, int]] = []
     for idx in _sorted_order(periods_us):
         period = periods_us[idx]
-        p_tenths = round(period * 10)
+        p_tenths = period_tenths(period)
         best_q, best_slot = math.inf, None
         for k in range(int(p_tenths // e_tenths)):
             o_tenths = k * e_tenths
@@ -293,9 +284,7 @@ def allocate_gcd(periods_us: Sequence[float], ifs_us: float = 500.0) -> list[flo
         raise ValueError("minimum spacing must be positive")
     if not periods_us:
         raise ValueError("empty period vector")
-    ints = [round(p * 10) for p in periods_us]
-    if any(v <= 0 for v in ints):
-        raise ValueError("periods must be positive")
+    ints = [period_tenths(p) for p in periods_us]
     g = 0
     lcm_v = 1
     for v in ints:
@@ -345,7 +334,7 @@ ALLOCATORS = {
 
 def build_schedule(specs: Sequence[FrameSpec], algorithm: str, *, ifs_us: float = 500.0,
                    grid_step_us: float | None = None, max_iterations: int = 100,
-                   seed: int = 0, horizon_us: float | None = None) -> Schedule:
+                   seed: int = 0) -> Schedule:
     """Run one allocator over the specs' periods and attach the offsets."""
     try:
         allocate = ALLOCATORS[algorithm]
@@ -353,13 +342,13 @@ def build_schedule(specs: Sequence[FrameSpec], algorithm: str, *, ifs_us: float 
         raise ValueError(f"unknown allocation algorithm {algorithm!r}") from None
     # each allocator takes the subset of these options named in its signature
     options = {"ifs_us": ifs_us, "grid_step_us": grid_step_us,
-               "max_iterations": max_iterations, "seed": seed, "horizon_us": horizon_us}
+               "max_iterations": max_iterations, "seed": seed}
     accepted = inspect.signature(allocate).parameters
     periods = [f.period_us for f in specs]
     offsets = allocate(periods, **{k: v for k, v in options.items() if k in accepted})
     frames = tuple(FrameSpec(f.id, f.period_us, off, f.payload_bits)
                    for f, off in zip(specs, offsets))
-    schedule = Schedule(frames, hyperperiod_us(periods) if horizon_us is None else horizon_us)
+    schedule = Schedule(frames, hyperperiod_us(periods))
     # binary/randomized place offsets inside the fastest period only, which
     # cannot always de-collide vectors whose pairwise gcds are smaller
     if not check_complete(schedule):

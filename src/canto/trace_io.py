@@ -11,15 +11,13 @@ line-oriented text: `id_hex period_us offset_us payload_bits`.
 from __future__ import annotations
 
 import configparser
-import io
 import re
 import warnings
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from canto.bus_sim import (PAYLOAD_MODES, STUFFING_MODES, BusConfig, NodeConfig, TimedFrame,
-                           Trace)
+from canto.bus_sim import BusConfig, NodeConfig, TimedFrame, Trace
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec, frame_wire_time_us
 from canto.incanta import CovertConfig, counter_from_payload
@@ -64,7 +62,7 @@ def parse_trace(source, fmt: str = "native_csv", bitrate_bps: int | None = None)
         warnings.warn("non-monotone timestamps in trace; applying stable sort", stacklevel=2)
         frames.sort(key=lambda f: f.bus_time_us)
     duration = frames[-1].end_time_us if frames else 0.0
-    return Trace(frames, bitrate_bps or 0, duration, 0)
+    return Trace(frames, duration)
 
 
 def _parse_native(fh, bitrate_bps) -> list[TimedFrame]:
@@ -83,13 +81,15 @@ def _parse_native(fh, bitrate_bps) -> list[TimedFrame]:
             if can_id is None:
                 can_id = ids[parts[1]] = CanId.parse(parts[1])
             counter = int(parts[2])
+            if not 0 <= counter <= 0xFFFFFFFF:  # the MAC input holds it in 4 bytes
+                raise ValueError(f"counter {counter} outside 0..2^32-1")
             payload = bytes.fromhex(parts[3])
             genuine = bool(int(parts[4]))
-        except ValueError as exc:
+            t = tenths / 10.0
+            tx = frame_wire_time_us(can_id, payload, bitrate_bps) if bitrate_bps else 0.0
+        except (ValueError, OverflowError) as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
-        t = tenths / 10.0
-        tx = frame_wire_time_us(can_id, payload, bitrate_bps) if bitrate_bps else 0.0
-        frames.append(TimedFrame(can_id, counter, t, t, tx, payload, genuine))
+        frames.append(TimedFrame(can_id, counter, t, tx, payload, genuine))
     return frames
 
 
@@ -106,15 +106,15 @@ def _parse_candump(fh, bitrate_bps) -> list[TimedFrame]:
         if not m:
             raise TraceFormatError(f"line {lineno}: not a candump record: {line!r}")
         secs, frac, _iface, id_hex, data_hex = m.groups()
-        t = int(secs) * 1_000_000 + int(frac.ljust(6, "0"))
         try:
+            t = float(int(secs) * 1_000_000 + int(frac.ljust(6, "0")))
             can_id = CanId.parse(id_hex)
             payload = bytes.fromhex(data_hex)
-        except ValueError as exc:
+            tx = frame_wire_time_us(can_id, payload, bitrate_bps) if bitrate_bps else 0.0
+        except (ValueError, OverflowError) as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
         counter = counter_from_payload(payload) if len(payload) >= 4 else 0
-        tx = frame_wire_time_us(can_id, payload, bitrate_bps) if bitrate_bps else 0.0
-        frames.append(TimedFrame(can_id, counter, float(t), float(t), tx, payload, True))
+        frames.append(TimedFrame(can_id, counter, t, tx, payload, True))
     return frames
 
 
@@ -145,51 +145,32 @@ def read_schedule(path) -> Schedule:
     return Schedule(tuple(frames), hyperperiod_us([f.period_us for f in frames]))
 
 
-@dataclass
-class NodeSpec:
-    name: str
-    clock: ClockModel
-    frames: list[FrameSpec]
-    offsets_given: bool
-    covert: bool
+@dataclass(frozen=True)
+class ExperimentConfig(BusConfig):
+    """Everything a run needs: the bus the simulator runs, the covert channel
+    parameters and the allocator options. Each node's `covert` is this
+    config's `covert` or None."""
 
-
-@dataclass
-class ExperimentConfig:
-    """Everything a run needs: bus parameters, nodes, covert channel, allocator."""
-
-    bitrate_bps: int
-    duration_us: float
-    seed: int
-    stuffing: str
-    payload_mode: str
-    nodes: list[NodeSpec]
     covert: CovertConfig | None = None
     allocator: dict = field(default_factory=dict)
 
-    def frame_specs(self) -> list[FrameSpec]:
-        return [f for n in self.nodes for f in n.frames]
-
     def to_bus_config(self, schedule: Schedule | None = None,
                       seed: int | None = None) -> BusConfig:
-        offsets = {f.id: f.offset_us for f in schedule.frames} if schedule else None
-        nodes = []
-        for n in self.nodes:
-            frames = tuple(
-                FrameSpec(f.id, f.period_us,
-                          offsets[f.id] if offsets is not None else f.offset_us,
-                          f.payload_bits)
-                for f in n.frames)
-            nodes.append(NodeConfig(n.name, n.clock, frames,
-                                    self.covert if n.covert else None))
-        return BusConfig(tuple(nodes), self.duration_us, self.bitrate_bps,
-                         self.seed if seed is None else seed,
-                         self.stuffing, self.payload_mode)
+        """This config with the schedule's offsets and, if given, another seed."""
+        nodes = self.nodes
+        if schedule is not None:
+            offsets = {f.id: f.offset_us for f in schedule.frames}
+            misfits = [str(f.id) for f in self.frame_specs()
+                       if not 0 <= offsets.get(f.id, -1) < f.period_us]
+            if misfits:
+                raise TraceFormatError(f"schedule gives ids {misfits} no offset in their period")
+            nodes = tuple(replace(n, frames=tuple(replace(f, offset_us=offsets[f.id])
+                                                  for f in n.frames)) for n in nodes)
+        return replace(self, nodes=nodes, seed=self.seed if seed is None else seed)
 
 
 _BUS_KEYS = {"bitrate", "duration_us", "seed", "stuffing", "payload_mode"}
-_COVERT_KEYS = {"key_hex", "level_bits", "tolerance_us", "frames_required",
-                "counter_in_payload"}
+_COVERT_KEYS = {"key_hex", "level_bits", "tolerance_us", "frames_required"}
 _ALLOC_KEYS = {"algorithm", "ifs_us", "grid_step_us", "iterations", "seed"}
 _NODE_KEYS = {"skew_ppm", "tick_ns", "jitter", "covert", "frames"}
 
@@ -223,12 +204,16 @@ def _get(sec, key: str, getter, default):
 
 def parse_experiment_config(source) -> ExperimentConfig:
     """Parse and validate an experiment INI document (path, stream or text)."""
-    cp = configparser.ConfigParser()
+    name = "<string>"
     if isinstance(source, (str, Path)) and "\n" not in str(source):
-        with open(source) as fh:
-            cp.read_file(fh)
-    else:
-        cp.read_file(io.StringIO(source if isinstance(source, str) else source.read()))
+        name, source = str(source), Path(source).read_text()
+    elif not isinstance(source, str):
+        source = source.read()
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_string(source, name)
+    except configparser.Error as exc:
+        raise TraceFormatError(f"not an INI document: {exc}") from exc
 
     if "bus" not in cp:
         raise TraceFormatError("missing [bus] section")
@@ -236,9 +221,6 @@ def parse_experiment_config(source) -> ExperimentConfig:
     _reject_unknown("bus", bus.keys(), _BUS_KEYS)
     if "duration_us" not in bus:
         raise TraceFormatError("[bus]: missing required key duration_us")
-    for key, allowed in (("stuffing", STUFFING_MODES), ("payload_mode", PAYLOAD_MODES)):
-        if key in bus and bus[key] not in allowed:
-            raise TraceFormatError(f"[bus] {key}: {bus[key]!r} is not one of {allowed}")
 
     covert = None
     if "covert" in cp:
@@ -251,10 +233,8 @@ def parse_experiment_config(source) -> ExperimentConfig:
         level_bits = _get(sec, "level_bits", sec.getint, 8)
         tolerance_us = _get(sec, "tolerance_us", sec.getfloat, 5.0)
         frames_required = _get(sec, "frames_required", sec.getint, 6)
-        counter_in_payload = _get(sec, "counter_in_payload", sec.getboolean, True)
         with _naming("covert"):  # range checks name their own key
-            covert = CovertConfig(key, level_bits, tolerance_us, frames_required,
-                                  counter_in_payload)
+            covert = CovertConfig(key, level_bits, tolerance_us, frames_required)
 
     allocator: dict = {}
     if "allocator" in cp:
@@ -268,8 +248,8 @@ def parse_experiment_config(source) -> ExperimentConfig:
             if key in sec:
                 allocator[key] = _get(sec, key, getter, None)
 
-    nodes: list[NodeSpec] = []
-    seen_ids: set[CanId] = set()
+    nodes: list[NodeConfig] = []
+    offsets_given = False
     for section in cp.sections():
         if not section.startswith("node."):
             if section in ("bus", "covert", "allocator"):
@@ -283,38 +263,35 @@ def parse_experiment_config(source) -> ExperimentConfig:
         tick_ns = _get(sec, "tick_ns", sec.getint, 10)
         with _naming(section, "jitter"):
             jitter = Jitter.parse(sec.get("jitter", "none"))
-        with _naming(section):
-            clock = ClockModel(skew_ppm=skew_ppm, tick_ns=tick_ns, jitter=jitter)
         frames = []
-        offsets_given = False
         for token in sec["frames"].split():
             m = _FRAME_RE.match(token)
             if not m:
                 raise TraceFormatError(f"[{section}]: bad frame spec {token!r} "
                                        "(want id:period_us:payload_bytes[:offset_us])")
-            with _naming(section, "frames"):
-                can_id = CanId.parse(m.group(1))
-                if can_id in seen_ids:
-                    raise TraceFormatError(f"duplicate CAN id {can_id} across nodes")
-                seen_ids.add(can_id)
-                offset = float(m.group(4)) if m.group(4) is not None else 0.0
-                if m.group(4) is not None:
-                    offsets_given = True
-                frames.append(FrameSpec(can_id, float(m.group(2)), offset,
-                                        int(m.group(3)) * 8))
-        nodes.append(NodeSpec(section[len("node."):], clock, frames, offsets_given,
-                              _get(sec, "covert", sec.getboolean, covert is not None)))
+            offsets_given |= m.group(4) is not None
+            with _naming(section, f"frames {token}"):
+                frames.append(FrameSpec(CanId.parse(m.group(1)), float(m.group(2)),
+                                        float(m.group(4) or 0), int(m.group(3)) * 8))
+        enabled = _get(sec, "covert", sec.getboolean, covert is not None)
+        if enabled and covert is None:
+            raise TraceFormatError(f"[{section}] covert: the node enables the covert "
+                                   "channel but [covert] is missing")
+        with _naming(section):
+            clock = ClockModel(skew_ppm=skew_ppm, tick_ns=tick_ns, jitter=jitter)
+            nodes.append(NodeConfig(section[len("node."):], clock, tuple(frames),
+                                    covert if enabled else None))
     if not nodes:
         raise TraceFormatError("no [node.*] sections")
-    if allocator and any(n.offsets_given for n in nodes):
+    if allocator and offsets_given:
         raise TraceFormatError("offsets given both manually and via [allocator]")
-    if any(n.covert for n in nodes) and covert is None:
-        raise TraceFormatError("a node enables the covert channel but [covert] is missing")
 
-    return ExperimentConfig(
-        bitrate_bps=_get(bus, "bitrate", bus.getint, 500_000),
-        duration_us=_get(bus, "duration_us", bus.getfloat, None),
-        seed=_get(bus, "seed", bus.getint, 0),
-        stuffing=bus.get("stuffing", "payload"),
-        payload_mode=bus.get("payload_mode", "counter"),
-        nodes=nodes, covert=covert, allocator=allocator)
+    with _naming("bus"):  # BusConfig's checks name their own key or ids
+        return ExperimentConfig(
+            nodes=tuple(nodes),
+            duration_us=_get(bus, "duration_us", bus.getfloat, None),
+            bitrate_bps=_get(bus, "bitrate", bus.getint, 500_000),
+            seed=_get(bus, "seed", bus.getint, 0),
+            stuffing=bus.get("stuffing", "payload"),
+            payload_mode=bus.get("payload_mode", "counter"),
+            covert=covert, allocator=allocator)

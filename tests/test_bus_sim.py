@@ -132,8 +132,7 @@ class TestBusload:
 
     def test_recomputes_wire_times_for_bare_traces(self):
         trace = simulate(config([node("a", [FrameSpec(CanId(0x10), 500 * MS)])], 1000 * MS))
-        bare = Trace([replace(f, tx_time_us=0.0) for f in trace.frames],
-                     trace.bitrate_bps, trace.duration_us)
+        bare = Trace([replace(f, tx_time_us=0.0) for f in trace.frames], trace.duration_us)
         assert busload(bare) == 0.0
         # recomputation includes payload stuffing the stuffing="none" sim skipped
         assert busload(bare, 500_000) == pytest.approx(busload(trace), rel=0.15)
@@ -224,7 +223,7 @@ class TestInjectAdversary:
         target = CanId(0x100)
         own = trace.by_id(target)[:2]
         delta = (own[1].bus_time_us - own[0].bus_time_us) - 10 * MS
-        short = Trace(own, trace.bitrate_bps, trace.duration_us, trace.seed)
+        short = Trace(own, trace.duration_us)
         forged = inject_adversary(short, target, 10 * MS, "fixed_offset", offset_us=delta)
         verifier = Verifier(cov, periods)
         verdicts = [verifier.verify(f.id, f.counter, f.payload, f.bus_time_us)

@@ -1,10 +1,12 @@
 """CLI subcommands, exit codes, and pipeline determinism."""
 
 import json
+import warnings
 
 import pytest
 
 from canto.cli import main
+from canto.trace_io import TRACE_HEADER
 
 PAPER = "configs/paper_vector.ini"
 
@@ -44,6 +46,63 @@ key_hex = 000102030405060708090A0B0C0D0E0F
 jitter = uniform:2.5
 frames = 0x100:10000:8
 """
+
+
+OVERSUBSCRIBED = """
+[bus]
+bitrate = 10000
+duration_us = 20000
+
+[node.a]
+frames = 0x10:1000:8 0x11:1000:8 0x12:1000:8
+"""
+
+def small(old, new):
+    assert old in SMALL
+    return SMALL.replace(old, new)
+
+
+# malformed or degenerate input, by name: (command, config text, files by flag,
+# more arguments, what the exit-3 message must name)
+MALFORMED = {
+    "duration-short": ("simulate", small("400000", "15000"), {}, [],
+                       "[bus]: duration_us 15000"),
+    "duration-inf": ("simulate", small("400000", "inf"), {}, [], "[bus]: duration_us inf"),
+    "covert-2-byte-payload": ("simulate", small("0x102:20000:8", "0x102:20000:2"), {}, [],
+                              "[node.one]: frames"),
+    "period-0.05": ("simulate", small("0x102:20000:8", "0x102:0.05:8"), {}, [],
+                    "[node.one] frames 0x102:0.05:8"),
+    "period-off-grid": ("simulate", small("0x102:20000:8", "0x102:10000.05:8"), {}, [],
+                        "[node.one] frames 0x102:10000.05:8"),
+    "skew-nan": ("simulate", small("jitter = steps", "skew_ppm = nan"), {}, [],
+                 "[node.one]: skew"),
+    "jitter-inf": ("simulate", small("jitter = steps", "jitter = uniform:inf"), {}, [],
+                   "[node.one] jitter"),
+    "bitrate-0": ("simulate", small("bitrate = 500000", "bitrate = 0"), {}, [],
+                  "[bus]: bitrate"),
+    "seed-negative": ("simulate", small("seed = 3", "seed = -1"), {}, [], "[bus]: seed"),
+    "tolerance-nan": ("simulate", small("tolerance_us = 5", "tolerance_us = nan"), {}, [],
+                      "[covert]: tolerance"),
+    "no-section-header": ("simulate", "duration_us = 5\n" + SMALL, {}, [],
+                          "bad.ini', line: 1"),
+    "unknown-algorithm": ("simulate", small("algorithm = gcd", "algorithm = magic"), {}, [],
+                          "[allocator] algorithm = magic"),
+    "oversubscribed": ("simulate", OVERSUBSCRIBED, {}, [], "busload 3330%"),
+    "schedule-missing-ids": ("simulate", SMALL, {"--schedule": "100 10000 0 64\n"}, [],
+                             "['101', '102']"),
+    "gcd-ifs": ("allocate", SMALL, {}, ["--algorithm", "gcd", "--ifs", "5000"], "--ifs 5000"),
+    "greedy-ml-grid": ("allocate", SMALL, {}, ["--algorithm", "greedy-ml", "--grid", "0.05"],
+                       "--grid 0.05"),
+    "allocator-ifs": ("run", small("ifs_us = 600", "ifs_us = 15000"), {}, [],
+                      "[allocator] algorithm = gcd, ifs_us = 15000"),
+    "counter-2^64+1": ("verify", SMALL, {"--trace": TRACE_HEADER
+                                         + "\n100000,100,1,2021222300000001,1\n"
+                                         + f"200000,100,{2**64 + 1},2021222300000002,1\n"},
+                       [], "line 3: counter"),
+    "payload-9-bytes": ("verify", SMALL, {"--trace": TRACE_HEADER
+                                          + "\n100000,100,1,202122230000000101,1\n"},
+                        [], "line 2: payload"),
+}
 
 
 @pytest.fixture
@@ -263,7 +322,7 @@ class TestInputErrors:
         ("level_bits = 8", "level_bits = 40", "[covert]: level_bits"),
         ("key_hex = 000102030405060708090A0B0C0D0E0F", "key_hex = 0001zz", "[covert] key_hex"),
         ("jitter = steps", "jitter = uniform:x", "[node.one] jitter"),
-        ("seed = 3", "seed = 3\nstuffing = bogus", "[bus] stuffing"),
+        ("seed = 3", "seed = 3\nstuffing = bogus", "[bus]: stuffing"),
     ])
     def test_bad_config_value_names_key(self, tmp_path, capsys, line, value, where):
         config = tmp_path / "bad.ini"
@@ -272,3 +331,18 @@ class TestInputErrors:
         assert rc == 3
         err = capsys.readouterr().err
         assert where in err and "internal error" not in err
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_malformed_input_exits_3_naming_it(self, tmp_path, capsys, case):
+        command, config, files, extra, named = MALFORMED[case]
+        path = tmp_path / "bad.ini"
+        path.write_text(config)
+        argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), *extra]
+        for flag, text in files.items():
+            (tmp_path / flag[2:]).write_text(text)
+            argv += [flag, str(tmp_path / flag[2:])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an oversubscribed bus also collides
+            rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 3 and named in err and "internal error" not in err, err

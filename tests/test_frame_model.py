@@ -1,5 +1,6 @@
 """Frame length, stuffing and wire-time arithmetic."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -211,7 +212,8 @@ class TestFrameSpec:
     def test_valid(self):
         FrameSpec(CanId(0x10), 10_000.0, 500.0, 64)
 
-    @pytest.mark.parametrize("period,offset", [(0, 0), (-1, 0), (100, 100), (100, -1)])
+    @pytest.mark.parametrize("period,offset", [(0, 0), (-1, 0), (100, 100), (100, -1),
+                                               (0.05, 0), (10000.05, 0), (math.inf, 0)])
     def test_invalid(self, period, offset):
         with pytest.raises(FrameModelError):
             FrameSpec(CanId(0x10), period, offset, 64)

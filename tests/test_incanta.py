@@ -245,7 +245,7 @@ def receiver_traces(draw):
         xi = covert_delay(cfg.key, counter, can_id, payload, cfg.level_bits)
         t = t0 + PERIODS[can_id] * (counter - c0) + xi - xi0 \
             + draw(st.sampled_from([0.0, 0.5, -2.5, 5.0, 7.25, 0.1, -4.9, 2.3]))
-        frames.append(TimedFrame(can_id, counter, t, t, draw(st.sampled_from([0.0, 108.0, 131.5])),
+        frames.append(TimedFrame(can_id, counter, t, draw(st.sampled_from([0.0, 108.0, 131.5])),
                                  payload, draw(st.booleans())))
         last[can_id] = (counter, t, xi)
     trace = Trace(frames)

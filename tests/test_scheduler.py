@@ -44,6 +44,16 @@ def brute_force_best_q(periods, slots, horizon):
     return min(qs), max(qs)
 
 
+class TestHyperperiod:
+    def test_lcm_on_the_tenth_grid(self):
+        assert hyperperiod_us([10 * MS, 0.3]) == 30 * MS  # 0.3 * 10 is not exactly 3
+
+    @pytest.mark.parametrize("periods", [[10000.05, 20 * MS], [0.05], [0.0]])
+    def test_off_grid_or_zero_period_rejected(self, periods):
+        with pytest.raises(ValueError, match="period"):
+            hyperperiod_us(periods)
+
+
 class TestTimestamps:
     def test_single_entry(self):
         s = make_schedule([10 * MS], [0.0], horizon=35 * MS)

@@ -1,15 +1,18 @@
 """File formats: native trace CSV, candump import, schedules, configs."""
 
 import io
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from canto.bus_sim import BusConfig, NodeConfig, simulate
+from canto.bus_sim import BusConfig, NodeConfig, OversubscribedBusError, simulate
 from canto.clock_model import ClockModel
 from canto.frame_model import CanId, FrameSpec
 from canto.scheduler import Schedule, hyperperiod_us
-from canto.trace_io import (TraceFormatError, export_trace, parse_experiment_config,
-                            parse_trace, read_schedule, write_schedule, write_trace)
+from canto.trace_io import (TRACE_HEADER, TraceFormatError, export_trace,
+                            parse_experiment_config, parse_trace, read_schedule,
+                            write_schedule, write_trace)
 
 MS = 1000.0
 
@@ -126,6 +129,12 @@ class TestScheduleFile:
         with pytest.raises(TraceFormatError, match="line 1"):
             read_schedule(path)
 
+    def test_period_off_the_tenth_grid_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("010 10000.05 156.25 64\n")
+        with pytest.raises(TraceFormatError, match="line 1: period 10000.05 us is off"):
+            read_schedule(path)
+
 
 MINIMAL = """
 [bus]
@@ -191,3 +200,137 @@ frames = 0x10:10000:8:2000
         sched = Schedule((FrameSpec(CanId(0x10), 10 * MS, 2500.0, 64),), 10 * MS)
         bus = cfg.to_bus_config(sched)
         assert bus.nodes[0].frames[0].offset_us == 2500.0
+
+
+# Fuzzing: each key draws from a pool whose first value is valid and whose
+# others are boundary or malformed (or, now and then, free text), so many
+# documents get past the section checks. Every valid period divides 20 ms,
+# which keeps hyperperiods short.
+_POOLS = {
+    "duration_us": ["40000", "15000", "inf", "nan"],
+    "bitrate": ["500000", "10000", "0", "1e3"],
+    "seed": ["7", "-1"],
+    "stuffing": ["payload", "none", "sampled", "bogus"],
+    "payload_mode": ["counter", "random", "zero", "bogus"],
+    "key_hex": ["000102030405060708090A0B0C0D0E0F", "00", "zz"],
+    "level_bits": ["8", "4", "40"],
+    "tolerance_us": ["5", "0", "nan", "-1"],
+    "frames_required": ["6", "1", "0"],
+    "algorithm": ["gcd", "binary", "random", "greedy-ml", "magic"],
+    "ifs_us": ["600", "15000", "0"],
+    "grid_step_us": ["100", "0.05", "-1"],
+    "iterations": ["10", "0"],
+    "skew_ppm": ["2", "nan", "1e5"],
+    "tick_ns": ["10", "0"],
+    "jitter": ["steps", "none", "gaussian:1", "uniform:inf", "gaussian:-1", "steps:0.6,1,1"],
+    "covert": ["true", "false", "maybe"],
+}
+
+
+def _mostly_first(pool, text=False):
+    """The valid first value half the time, else any value (or free text)."""
+    others = [st.sampled_from(pool[1:])]
+    if text:
+        others.append(st.text(st.characters(blacklist_characters="\r\n"), max_size=6))
+    return st.integers(0, 5).flatmap(lambda k: st.just(pool[0]) if k < 3
+                                     else st.one_of(*others))
+
+
+_FRAME_TOKENS = st.builds(
+    lambda i, p, n, o: f"{i}:{p}:{n}" + (f":{o}" if o is not None else ""),
+    st.sampled_from(["0x10", "11", "12", "7FF", "800", "1FFFFFFF", "20000000"]),
+    _mostly_first(["10000", "1000", "20000", "0.05", "10000.05", "0", "9" * 400]),
+    _mostly_first(["8", "0", "2", "4", "9"]),
+    _mostly_first([None, "0", "156.25", "500", "20000"]))
+# per section: required keys, optional keys
+_SECTIONS = {
+    "bus": (["duration_us"], ["bitrate", "seed", "stuffing", "payload_mode"]),
+    "covert": (["key_hex"], ["level_bits", "tolerance_us", "frames_required"]),
+    "allocator": (["algorithm"], ["ifs_us", "grid_step_us", "iterations", "seed"]),
+    "node.a": ([], ["skew_ppm", "tick_ns", "jitter", "covert"]),
+    "node.b": ([], ["skew_ppm", "tick_ns", "jitter", "covert"]),
+}
+
+
+@st.composite
+def config_documents(draw):
+    lines = []
+    for section, (required, optional) in _SECTIONS.items():
+        if section not in ("bus", "node.a") and not draw(st.booleans()):
+            continue
+        lines.append(f"[{section}]")
+        if section.startswith("node."):
+            tokens = st.lists(_FRAME_TOKENS, min_size=section == "node.a", max_size=3)
+            lines.append("frames = " + " ".join(draw(tokens)))
+        for key in required + draw(st.lists(st.sampled_from(optional), max_size=3,
+                                            unique=True)):
+            lines.append(f"{key} = {draw(_mostly_first(_POOLS[key], text=True))}")
+    return "\n".join(lines) + "\n"
+
+
+class TestConfigFuzz:
+    @given(config_documents())
+    @settings(max_examples=400, deadline=None)
+    def test_only_format_errors_escape(self, text):
+        try:
+            cfg = parse_experiment_config(text)
+        except TraceFormatError:
+            return
+        bus = cfg.to_bus_config()
+        releases = sum(cfg.duration_us / f.period_us for f in cfg.frame_specs())
+        if releases <= 2000:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # collision-free or not
+                try:
+                    simulate(bus)
+                except OversubscribedBusError:
+                    pass
+
+    @given(st.text(max_size=200).map(lambda t: "[bus]\n" + t + "\n"))
+    @settings(max_examples=200, deadline=None)
+    def test_free_text_only_format_errors(self, text):
+        with pytest.raises(TraceFormatError):
+            parse_experiment_config(text)
+
+
+_TRACE_FIELDS = (
+    st.one_of(st.integers(-5, 10**7).map(str), st.just("9" * 400), st.text(max_size=3)),
+    st.one_of(st.sampled_from(["100", "0x7FF", "800", "1FFFFFFF", "20000000"]),
+              st.text(max_size=3)),
+    st.one_of(st.integers(-2, 2**64 + 2).map(str), st.sampled_from([str(2**32 - 1),
+                                                                      str(2**32)])),
+    st.one_of(st.binary(max_size=10).map(bytes.hex), st.text(max_size=3)),
+    st.sampled_from(["0", "1", "2", "x", ""]),
+)
+_CANDUMP_LINES = st.builds(
+    lambda s, f, i, d: f"({s}.{f}) can0 {i}#{d}",
+    st.one_of(st.integers(0, 10**6).map(str), st.just("9" * 400)),
+    st.sampled_from(["000001", "5", "1234567"]),
+    st.sampled_from(["100", "7FF", "1FFFFFFF", "20000000", "XYZ"]),
+    st.binary(max_size=10).map(bytes.hex))
+
+
+class TestTraceFuzz:
+    @given(st.lists(st.one_of(st.tuples(*_TRACE_FIELDS).map(",".join),
+                              st.lists(_TRACE_FIELDS[0], max_size=6).map(",".join)),
+                    max_size=6),
+           st.sampled_from([None, 500_000]))
+    @settings(max_examples=400, deadline=None)
+    def test_native_only_format_errors_escape(self, lines, bitrate):
+        self._parse(TRACE_HEADER + "\n" + "\n".join(lines), "native_csv", bitrate)
+
+    @given(st.lists(st.one_of(_CANDUMP_LINES, st.text(max_size=20)), max_size=6),
+           st.sampled_from([None, 500_000]))
+    @settings(max_examples=200, deadline=None)
+    def test_candump_only_format_errors_escape(self, lines, bitrate):
+        self._parse("\n".join(lines), "candump_log", bitrate)
+
+    @staticmethod
+    def _parse(text, fmt, bitrate):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # non-monotone timestamps
+            try:
+                trace = parse_trace(io.StringIO(text), fmt, bitrate)
+            except TraceFormatError:
+                return
+        assert all(0 <= f.counter < 2**32 for f in trace.frames)
