@@ -1,0 +1,71 @@
+"""Golden digests: the paper artifacts are byte-identical across commits.
+
+Each command below runs in process and every file it writes is hashed;
+`golden.sha256` holds the expected digests. A change that shifts an
+artifact on purpose rewrites that file with
+
+    PYTHONPATH=src python tests/test_golden.py
+
+and names each changed artifact and the reason.
+"""
+
+import hashlib
+import sys
+import tempfile
+import warnings
+from pathlib import Path
+
+from canto.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden.sha256"
+PAPER = str(ROOT / "configs" / "paper_vector.ini")
+CAPACITY = str(ROOT / "configs" / "capacity_scenario.ini")
+ALGORITHMS = ("binary", "random", "greedy", "greedy-ml", "gcd")
+
+
+def _commands(tmp: Path) -> dict[str, list[str]]:
+    """Output directory name -> argv; later commands read earlier outputs."""
+    trace = str(tmp / "capacity_simulate" / "trace.csv")
+    commands = {"paper_run": ["run", "--config", PAPER, "--check"],
+                "capacity_simulate": ["simulate", "--config", CAPACITY]}
+    for name, extra in (("capacity_verify", []),
+                        ("capacity_verify_no_compensate", ["--no-compensate"]),
+                        ("capacity_verify_rho3", ["--rho", "3"])):
+        commands[name] = ["verify", "--config", CAPACITY, "--trace", trace, *extra]
+    commands["capacity_capacity"] = ["capacity", "--config", CAPACITY, "--trace", trace]
+    for alg in ALGORITHMS:
+        commands[f"allocate_{alg}"] = ["allocate", "--config", PAPER, "--algorithm", alg]
+    return commands
+
+
+def digests(tmp: Path) -> dict[str, str]:
+    """Run every command into its own directory under `tmp`; sha256 per output file."""
+    out = {}
+    for name, argv in _commands(tmp).items():
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # sparse channel-matrix rows
+            rc = main([*argv, "--out", str(tmp / name)])
+        assert rc == 0, f"{name}: exit {rc}"
+        for path in sorted((tmp / name).iterdir()):
+            out[f"{name}/{path.name}"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return out
+
+
+def read_golden() -> dict[str, str]:
+    pairs = (line.split() for line in GOLDEN.read_text().splitlines() if line.strip())
+    return {name: digest for digest, name in pairs}
+
+
+def test_artifacts_match_golden_digests(tmp_path):
+    got, want = digests(tmp_path), read_golden()
+    assert sorted(got) == sorted(want)
+    changed = [name for name in want if got[name] != want[name]]
+    assert not changed, f"artifacts differ from {GOLDEN.name}: {changed}"
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        lines = [f"{d}  {name}\n" for name, d in sorted(digests(Path(tmp)).items())]
+    GOLDEN.write_text("".join(lines))
+    print(f"wrote {len(lines)} digests to {GOLDEN}", file=sys.stderr)
