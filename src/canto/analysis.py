@@ -32,7 +32,7 @@ def _genuine_pairs(trace: Trace, covert: CovertConfig | None, periods_us: dict[C
                    compensate: bool) -> tuple[Decoded, np.ndarray]:
     """Decode; mark the scored frames that are genuine with a genuine reference."""
     decoded = decode(trace, covert, periods_us, compensate)
-    genuine = np.fromiter((f.genuine for f in trace.frames), bool, len(trace))
+    genuine = trace.genuine
     return decoded, ~np.isnan(decoded.error_us) & genuine & genuine[decoded.ref]
 
 
@@ -90,18 +90,20 @@ def blahut_arimoto(matrix: np.ndarray, tolerance: float = 1e-9,
         raise CapacityError("channel matrix rows must be probability distributions")
     m = p.shape[0]
     r = np.full(m, 1.0 / m)
-    log_p = np.where(p > 0, np.log(np.maximum(p, 1e-300)), 0.0)
+    # sum of p log p per input symbol, with 0 log 0 = 0
+    plogp = np.sum(p * np.where(p > 0, np.log(np.maximum(p, 1e-300)), 0.0), axis=1)
     ln2 = math.log(2.0)
     for iteration in range(1, max_iterations + 1):
         q_y = r @ p
         # D(p(y|x) || q(y)) per input symbol
-        div = np.sum(np.where(p > 0, p * (log_p - np.log(np.maximum(q_y, 1e-300))), 0.0), axis=1)
-        lower = math.log(float(np.sum(r * np.exp(div))))
+        div = plogp - p @ np.log(np.maximum(q_y, 1e-300))
+        weighted = r * np.exp(div)
+        total = float(np.sum(weighted))
+        lower = math.log(total)
         upper = float(np.max(div))
         if upper - lower < tolerance * ln2:
             return lower / ln2, iteration
-        r = r * np.exp(div)
-        r /= r.sum()
+        r = weighted / total
     raise CapacityError(f"no convergence to {tolerance} bits within {max_iterations} iterations "
                         f"(bound gap {(upper - lower) / ln2:.3g} bits)")
 

@@ -87,7 +87,7 @@ class BusConfig:
 
 @dataclass(frozen=True)
 class TimedFrame:
-    """One frame occurrence: the start of its transmission on the bus."""
+    """One frame occurrence as a row: the start of its transmission on the bus."""
 
     id: CanId
     counter: int
@@ -101,19 +101,52 @@ class TimedFrame:
         return self.bus_time_us + self.tx_time_us
 
 
-@dataclass
+@dataclass(eq=False)
 class Trace:
-    frames: list[TimedFrame]
+    """A time-ordered trace, stored as one column per frame field.
+
+    Frame i has identifier `ids[id_index[i]]`, `counter[i]`, transmission
+    start `bus_time_us[i]` and wire time `tx_time_us[i]` (0 when unknown),
+    `payloads[i]` and `genuine[i]`.
+    """
+
+    ids: tuple[CanId, ...]
+    id_index: np.ndarray  # int64
+    counter: np.ndarray  # int64
+    bus_time_us: np.ndarray
+    tx_time_us: np.ndarray
+    payloads: list[bytes]
+    genuine: np.ndarray  # bool
     duration_us: float = 0.0
 
-    def __iter__(self):
-        return iter(self.frames)
+    @classmethod
+    def from_frames(cls, rows, duration_us: float = 0.0) -> "Trace":
+        """A trace of the given rows, in their order."""
+        rows = list(rows)
+        index: dict[CanId, int] = {}
+        id_index = np.array([index.setdefault(f.id, len(index)) for f in rows], dtype=np.int64)
+        return cls(tuple(index), id_index, np.array([f.counter for f in rows], dtype=np.int64),
+                   np.array([f.bus_time_us for f in rows], dtype=np.float64),
+                   np.array([f.tx_time_us for f in rows], dtype=np.float64),
+                   [f.payload for f in rows], np.array([f.genuine for f in rows], dtype=bool),
+                   duration_us)
 
     def __len__(self):
-        return len(self.frames)
+        return len(self.bus_time_us)
 
-    def by_id(self, can_id: CanId) -> list[TimedFrame]:
-        return [f for f in self.frames if f.id == can_id]
+    @property
+    def frames(self) -> list[TimedFrame]:
+        """The rows, built on each read; for tests and hand-sized traces."""
+        return [TimedFrame(self.ids[k], c, t, tx, p, g) for k, c, t, tx, p, g in zip(
+            self.id_index.tolist(), self.counter.tolist(), self.bus_time_us.tolist(),
+            self.tx_time_us.tolist(), self.payloads, self.genuine.tolist())]
+
+    def take(self, rows) -> "Trace":
+        """The frames at the given positions (or boolean mask), in that order."""
+        rows = np.arange(len(self))[rows]
+        return Trace(self.ids, self.id_index[rows], self.counter[rows], self.bus_time_us[rows],
+                     self.tx_time_us[rows], [self.payloads[i] for i in rows.tolist()],
+                     self.genuine[rows], self.duration_us)
 
 
 def _payload_template(spec: FrameSpec) -> bytes:
@@ -137,12 +170,14 @@ def simulate(config: BusConfig) -> Trace:
         warnings.warn("schedule is not collision-free; covert verification will degrade",
                       stacklevel=2)
 
-    # (ready_us, arbitration key, seq, id, counter, tx, payload) per
-    # release; a TimedFrame is built only when the frame wins the bus.
+    # (ready_us, arbitration key, seq, id position in specs, counter, tx,
+    # payload) per release
     releases: list[tuple] = []
     seq = 0
+    id_pos = -1
     for node_idx, node in enumerate(config.nodes):
         for frame_idx, spec in enumerate(node.frames):
+            id_pos += 1
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence((config.seed, node_idx, frame_idx))))
             template = _payload_template(spec)
@@ -176,13 +211,13 @@ def simulate(config: BusConfig) -> Trace:
                     tx = transmission_time_us(frame_bits + stuff, config.bitrate_bps)
                 else:
                     tx = nominal_tx
-                releases.append((ready, key, seq, spec.id, counter, tx, payload))
+                releases.append((ready, key, seq, id_pos, counter, tx, payload))
                 seq += 1
                 k += 1
 
     heapq.heapify(releases)
     waiting: list[tuple] = []  # (arbitration key, seq, release)
-    out: list[TimedFrame] = []
+    id_index, counters, starts, txs, payloads = [], [], [], [], []
     queue_limit = 4 * len(specs) + 16
     t = 0.0
     while releases or waiting:
@@ -196,11 +231,18 @@ def simulate(config: BusConfig) -> Trace:
             raise OversubscribedBusError(
                 f"transmission queue exceeded {queue_limit} pending frames "
                 f"(theoretical busload {_theoretical_busload(config):.0f}%)")
-        ready, _, _, can_id, counter, tx, payload = heapq.heappop(waiting)[2]
+        ready, _, _, pos, counter, tx, payload = heapq.heappop(waiting)[2]
         start = max(t, ready)
-        out.append(TimedFrame(can_id, counter, start, tx, payload))
+        id_index.append(pos)
+        counters.append(counter)
+        starts.append(start)
+        txs.append(tx)
+        payloads.append(payload)
         t = start + tx
-    return Trace(out, config.duration_us)
+    return Trace(tuple(f.id for f in specs), np.array(id_index, dtype=np.int64),
+                 np.array(counters, dtype=np.int64), np.array(starts, dtype=np.float64),
+                 np.array(txs, dtype=np.float64), payloads, np.ones(len(starts), dtype=bool),
+                 config.duration_us)
 
 
 def busload(trace: Trace, bitrate_bps: int | None = None) -> float:
@@ -209,12 +251,14 @@ def busload(trace: Trace, bitrate_bps: int | None = None) -> float:
     Traces parsed without wire times fall back to recomputing them from
     each frame's bit pattern at the given bitrate.
     """
-    if not trace.frames:
+    if not len(trace):
         raise ValueError("empty trace")
-    duration = trace.duration_us or trace.frames[-1].end_time_us
-    total = sum(f.tx_time_us for f in trace.frames)
+    tx = trace.tx_time_us
+    duration = trace.duration_us or float(trace.bus_time_us[-1] + tx[-1])
+    total = sum(tx.tolist())
     if total == 0.0 and bitrate_bps:
-        total = sum(frame_wire_time_us(f.id, f.payload, bitrate_bps) for f in trace.frames)
+        total = sum(frame_wire_time_us(trace.ids[k], p, bitrate_bps)
+                    for k, p in zip(trace.id_index.tolist(), trace.payloads))
     return 100.0 * total / duration
 
 
@@ -234,25 +278,20 @@ def inject_adversary(trace: Trace, can_id: CanId, period_us: float,
         raise ValueError(f"unknown strategy {strategy!r}")
     if strategy == "fixed_offset" and offset_us is None:
         raise ValueError("fixed_offset strategy needs offset_us")
-    if not any(f.id == can_id for f in trace.frames):
+    rows = np.flatnonzero(trace.id_index == trace.ids.index(can_id)) \
+        if can_id in trace.ids else []
+    if not len(rows):
         raise ValueError(f"id {can_id} does not appear in the trace")
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xADD))))
-    out: list[TimedFrame] = []
-    last_time: float | None = None
-    last_counter: int | None = None
-    for fr in trace.frames:
-        if fr.id != can_id:
-            out.append(fr)
-            continue
-        if last_time is None:
-            out.append(fr)
-        else:
-            delta = fr.counter - last_counter
-            draw = float(rng.uniform(0, 1 << level_bits)) if strategy == "random_in_window" \
-                else float(offset_us)
-            t = last_time + period_us * delta + draw
-            out.append(replace(fr, bus_time_us=t, genuine=False))
-        last_time = out[-1].bus_time_us
-        last_counter = fr.counter
-    out.sort(key=lambda f: (f.bus_time_us, f.id.arbitration_key()))
-    return Trace(out, trace.duration_us)
+    times = trace.bus_time_us.copy()
+    genuine = trace.genuine.copy()
+    counters = trace.counter[rows].tolist()
+    for j in range(1, len(rows)):
+        draw = float(rng.uniform(0, 1 << level_bits)) if strategy == "random_in_window" \
+            else float(offset_us)
+        times[rows[j]] = times[rows[j - 1]] + period_us * (counters[j] - counters[j - 1]) + draw
+        genuine[rows[j]] = False
+    by_priority = sorted(trace.ids)
+    rank = np.array([by_priority.index(i) for i in trace.ids], dtype=np.int64)
+    forged = replace(trace, bus_time_us=times, genuine=genuine)
+    return forged.take(np.lexsort((rank[trace.id_index], times)))

@@ -65,11 +65,19 @@ def write_manifest(out: Path, command: str, seed: int, inputs: dict[str, Path]) 
 
 def _resolve_seed(args, config) -> int:
     if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("CANTO_SEED")
-    if env is not None:
-        return int(env)
-    return config.seed
+        seed, where = args.seed, "--seed"
+    elif os.environ.get("CANTO_SEED") is not None:
+        where = "$CANTO_SEED"
+        try:
+            seed = int(os.environ["CANTO_SEED"])
+        except ValueError:
+            raise TraceFormatError(f"{where}: {os.environ['CANTO_SEED']!r} is not an "
+                                   "integer") from None
+    else:
+        return config.seed
+    if seed < 0:
+        raise TraceFormatError(f"{where}: seed {seed} must be nonnegative")
+    return seed
 
 
 def _allocate(where: str, specs, algorithm: str, **options) -> Schedule:
@@ -144,24 +152,31 @@ def cmd_simulate(args) -> int:
 # ---------------------------------------------------------------- verify
 
 def _trace_inputs(args, needs: str):
-    """Config, seed, parsed trace and per-ID periods for a trace command."""
+    """Config, seed, parsed trace and per-ID periods for a trace command.
+
+    Wire times are rebuilt only for `--no-compensate`, the one reader.
+    """
     config = trace_io.parse_experiment_config(args.config)
     if config.covert is None:
         raise TraceFormatError(f"{needs} needs a [covert] section")
     seed = _resolve_seed(args, config)
-    sched = _schedule_from(args, config, seed)
-    trace = trace_io.parse_trace(args.trace, bitrate_bps=config.bitrate_bps)
-    return config, seed, trace, {f.id: f.period_us for f in sched.frames}
+    bus = config.to_bus_config(_schedule_from(args, config, seed))
+    trace = trace_io.parse_trace(args.trace, bitrate_bps=config.bitrate_bps
+                                 if args.no_compensate else None)
+    return config, seed, trace, {f.id: f.period_us for f in bus.frame_specs()}
 
 
 def _write_verdicts(trace, decoded, path: Path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("bus_time_us,id_hex,counter,error_us,verdict\n")
-        for fr, t, err, ok in zip(trace.frames, decoded.time_us.tolist(),
-                                  decoded.error_us.tolist(), decoded.accepted.tolist()):
+        texts = [str(i) for i in trace.ids]
+        # np.rint rounds half to even, as round() does
+        tenths = np.rint(decoded.time_us * 10).astype(np.int64).tolist()
+        for t, k, c, err, ok in zip(tenths, trace.id_index.tolist(), trace.counter.tolist(),
+                                    decoded.error_us.tolist(), decoded.accepted.tolist()):
             err = "" if math.isnan(err) else f"{err:.4f}"
             word = "accept" if ok else "intrusion"
-            fh.write(f"{round(t * 10)},{fr.id},{fr.counter},{err},{word}\n")
+            fh.write(f"{t},{texts[k]},{c},{err},{word}\n")
 
 
 def cmd_verify(args) -> int:
@@ -302,9 +317,7 @@ def cmd_report(args) -> int:
 
     trace_path = indir / "trace.csv"
     if trace_path.exists():
-        trace = trace_io.parse_trace(trace_path)
-        times = np.asarray([f.bus_time_us for f in trace.frames])
-        gaps = np.diff(times) / 1000.0
+        gaps = np.diff(trace_io.parse_trace(trace_path).bus_time_us) / 1000.0
         starts, counts = analysis.histogram(gaps, 0.05)
         with open(out / "fig_interframe_histogram.csv", "w", newline="\n") as fh:
             fh.write("bin_start_ms,count\n")

@@ -220,20 +220,23 @@ def decode(trace: Trace, covert: CovertConfig | None, periods_us: dict[CanId, fl
     variation stays in. With `covert` None every covert delay is 0 and
     frames are judged at `CovertConfig`'s default tolerance and window.
     """
-    frames = trace.frames
-    n = len(frames)
-    first_seen: dict[CanId, int] = {}
-    id_index = np.fromiter((first_seen.setdefault(f.id, len(first_seen)) for f in frames),
-                           np.int64, n)
-    for can_id in first_seen:
+    n = len(trace)
+    # renumber the IDs in order of first appearance
+    present, first = np.unique(trace.id_index, return_index=True)
+    order = present[np.argsort(first)]
+    renumber = np.empty(len(trace.ids), dtype=np.int64)
+    renumber[order] = np.arange(len(order))
+    ids = tuple(trace.ids[k] for k in order.tolist())
+    id_index = renumber[trace.id_index]
+    for can_id in ids:
         if can_id not in periods_us:
             raise KeyError(f"unknown id {can_id} (not in the schedule)")
-    period = np.array([periods_us[i] for i in first_seen], dtype=np.float64)[id_index]
-    counter = np.fromiter((f.counter for f in frames), np.int64, n)
-    time_us = np.fromiter((f.bus_time_us if compensate else f.end_time_us for f in frames),
-                          np.float64, n)
-    xi = np.fromiter((covert_delay(covert.key, f.counter, f.id, f.payload, covert.level_bits)
-                      if covert else 0 for f in frames), np.int64, n)
+    period = np.array([periods_us[i] for i in ids], dtype=np.float64)[id_index]
+    counter = trace.counter
+    time_us = trace.bus_time_us if compensate else trace.bus_time_us + trace.tx_time_us
+    xi = np.array([covert_delay(covert.key, c, trace.ids[k], p, covert.level_bits)
+                   for c, k, p in zip(counter.tolist(), trace.id_index.tolist(), trace.payloads)]
+                  if covert else np.zeros(n), dtype=np.int64)
     judged = covert or CovertConfig  # the class attributes hold the defaults
 
     ref = np.full(n, -1, dtype=np.int64)
@@ -259,9 +262,9 @@ def decode(trace: Trace, covert: CovertConfig | None, periods_us: dict[CanId, fl
 
     need = judged.frames_required
     window = np.full(n, -1, dtype=np.int8)
-    for k in range(len(first_seen)):
+    for k in range(len(ids)):
         rows = np.flatnonzero(id_index == k)
         rejects = np.concatenate(([0], np.cumsum(~accepted[rows])))
         window[rows[need - 1:]] = rejects[need:] == rejects[:-need]
-    return Decoded(tuple(first_seen), id_index, time_us, xi, ref, error_us, symbol, reason,
+    return Decoded(ids, id_index, time_us, xi, ref, error_us, symbol, reason,
                    accepted, window)

@@ -17,7 +17,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from canto.bus_sim import BusConfig, NodeConfig, TimedFrame, Trace
+import numpy as np
+
+from canto.bus_sim import BusConfig, NodeConfig, Trace
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec, frame_wire_time_us
 from canto.incanta import CovertConfig, counter_from_payload
@@ -37,37 +39,76 @@ def export_trace(trace: Trace, path) -> None:
 
 def write_trace(trace: Trace, fh) -> None:
     fh.write(TRACE_HEADER + "\n")
-    for fr in trace.frames:
-        fh.write(f"{round(fr.bus_time_us * 10)},{fr.id},{fr.counter},"
-                 f"{fr.payload.hex().upper()},{int(fr.genuine)}\n")
+    texts = [str(i) for i in trace.ids]
+    # np.rint rounds half to even, as round() does
+    tenths = np.rint(trace.bus_time_us * 10).astype(np.int64).tolist()
+    fh.writelines(f"{t},{texts[k]},{c},{p.hex().upper()},{g}\n" for t, k, c, p, g in zip(
+        tenths, trace.id_index.tolist(), trace.counter.tolist(), trace.payloads,
+        trace.genuine.astype(np.int64).tolist()))
 
 
 def parse_trace(source, fmt: str = "native_csv", bitrate_bps: int | None = None) -> Trace:
     """Read a trace from a path or text stream.
 
-    With a bitrate, wire times are reconstructed from each frame's bit
-    pattern; otherwise they are left at zero and timestamps are used
-    as recorded.
+    With a bitrate, wire times are rebuilt from each frame's bit pattern;
+    otherwise they are zero and timestamps are used as recorded.
     """
     if isinstance(source, (str, Path)):
         with open(source, "r") as fh:
             return parse_trace(fh, fmt, bitrate_bps)
     if fmt == "native_csv":
-        frames = _parse_native(source, bitrate_bps)
+        trace = _parse_native(source).trace(bitrate_bps)
     elif fmt == "candump_log":
-        frames = _parse_candump(source, bitrate_bps)
+        trace = _parse_candump(source).trace(bitrate_bps)
     else:
         raise TraceFormatError(f"unknown trace format {fmt!r}")
-    if any(frames[i].bus_time_us > frames[i + 1].bus_time_us for i in range(len(frames) - 1)):
+    if np.any(trace.bus_time_us[:-1] > trace.bus_time_us[1:]):
         warnings.warn("non-monotone timestamps in trace; applying stable sort", stacklevel=2)
-        frames.sort(key=lambda f: f.bus_time_us)
-    duration = frames[-1].end_time_us if frames else 0.0
-    return Trace(frames, duration)
+        trace = trace.take(np.argsort(trace.bus_time_us, kind="stable"))
+    if len(trace):
+        trace.duration_us = float(trace.bus_time_us[-1] + trace.tx_time_us[-1])
+    return trace
 
 
-def _parse_native(fh, bitrate_bps) -> list[TimedFrame]:
-    frames = []
-    ids: dict[str, CanId] = {}  # each distinct id text is parsed once
+class _Columns:
+    """Per-frame column lists as a trace is read, each id parsed once."""
+
+    def __init__(self):
+        self.ids: dict[CanId, int] = {}
+        self.by_text: dict[str, int] = {}
+        self.id_index, self.counter, self.times, self.payloads, self.genuine = \
+            [], [], [], [], []
+
+    def id_position(self, text: str) -> int:
+        pos = self.by_text.get(text)
+        if pos is None:
+            can_id = CanId.parse(text)
+            pos = self.by_text[text] = self.ids.setdefault(can_id, len(self.ids))
+        return pos
+
+    def add(self, pos: int, counter: int, time_us: float, payload: bytes,
+            genuine: bool) -> None:
+        if len(payload) > 8:
+            raise ValueError(f"payload of {len(payload)} bytes exceeds the 8 of a CAN frame")
+        self.id_index.append(pos)
+        self.counter.append(counter)
+        self.times.append(time_us)
+        self.payloads.append(payload)
+        self.genuine.append(genuine)
+
+    def trace(self, bitrate_bps: int | None) -> Trace:
+        ids = tuple(self.ids)
+        tx = [frame_wire_time_us(ids[k], p, bitrate_bps)
+              for k, p in zip(self.id_index, self.payloads)] if bitrate_bps else \
+            np.zeros(len(self.times))
+        return Trace(ids, np.array(self.id_index, dtype=np.int64),
+                     np.array(self.counter, dtype=np.int64),
+                     np.array(self.times, dtype=np.float64), np.array(tx, dtype=np.float64),
+                     self.payloads, np.array(self.genuine, dtype=bool))
+
+
+def _parse_native(fh):
+    cols = _Columns()
     for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line or (lineno == 1 and line == TRACE_HEADER):
@@ -77,27 +118,23 @@ def _parse_native(fh, bitrate_bps) -> list[TimedFrame]:
             raise TraceFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
             tenths = int(parts[0])
-            can_id = ids.get(parts[1])
-            if can_id is None:
-                can_id = ids[parts[1]] = CanId.parse(parts[1])
+            pos = cols.id_position(parts[1])
             counter = int(parts[2])
             if not 0 <= counter <= 0xFFFFFFFF:  # the MAC input holds it in 4 bytes
                 raise ValueError(f"counter {counter} outside 0..2^32-1")
             payload = bytes.fromhex(parts[3])
             genuine = bool(int(parts[4]))
-            t = tenths / 10.0
-            tx = frame_wire_time_us(can_id, payload, bitrate_bps) if bitrate_bps else 0.0
+            cols.add(pos, counter, tenths / 10.0, payload, genuine)
         except (ValueError, OverflowError) as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
-        frames.append(TimedFrame(can_id, counter, t, tx, payload, genuine))
-    return frames
+    return cols
 
 
 _CANDUMP_RE = re.compile(r"^\((\d+)\.(\d{1,6})\)\s+(\S+)\s+([0-9A-Fa-f]+)#([0-9A-Fa-f]*)$")
 
 
-def _parse_candump(fh, bitrate_bps) -> list[TimedFrame]:
-    frames = []
+def _parse_candump(fh):
+    cols = _Columns()
     for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line:
@@ -108,14 +145,13 @@ def _parse_candump(fh, bitrate_bps) -> list[TimedFrame]:
         secs, frac, _iface, id_hex, data_hex = m.groups()
         try:
             t = float(int(secs) * 1_000_000 + int(frac.ljust(6, "0")))
-            can_id = CanId.parse(id_hex)
+            pos = cols.id_position(id_hex)
             payload = bytes.fromhex(data_hex)
-            tx = frame_wire_time_us(can_id, payload, bitrate_bps) if bitrate_bps else 0.0
+            counter = counter_from_payload(payload) if len(payload) >= 4 else 0
+            cols.add(pos, counter, t, payload, True)
         except (ValueError, OverflowError) as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
-        counter = counter_from_payload(payload) if len(payload) >= 4 else 0
-        frames.append(TimedFrame(can_id, counter, t, tx, payload, True))
-    return frames
+    return cols
 
 
 def write_schedule(schedule: Schedule, path) -> None:
@@ -156,15 +192,25 @@ class ExperimentConfig(BusConfig):
 
     def to_bus_config(self, schedule: Schedule | None = None,
                       seed: int | None = None) -> BusConfig:
-        """This config with the schedule's offsets and, if given, another seed."""
+        """This config with the schedule's offsets and, if given, another seed.
+
+        The schedule must give every configured ID its configured period and
+        payload, and an offset inside that period.
+        """
         nodes = self.nodes
         if schedule is not None:
-            offsets = {f.id: f.offset_us for f in schedule.frames}
-            misfits = [str(f.id) for f in self.frame_specs()
-                       if not 0 <= offsets.get(f.id, -1) < f.period_us]
+            scheduled = {f.id: f for f in schedule.frames}
+            misfits = [str(f.id) for f in self.frame_specs() if f.id not in scheduled]
             if misfits:
                 raise TraceFormatError(f"schedule gives ids {misfits} no offset in their period")
-            nodes = tuple(replace(n, frames=tuple(replace(f, offset_us=offsets[f.id])
+            for f in self.frame_specs():
+                s = scheduled[f.id]  # its offset lies inside its own period
+                if (s.period_us, s.payload_bits) != (f.period_us, f.payload_bits):
+                    raise TraceFormatError(
+                        f"schedule gives id {f.id} period {s.period_us:g} us and "
+                        f"{s.payload_bits} payload bits, the config {f.period_us:g} us and "
+                        f"{f.payload_bits}")
+            nodes = tuple(replace(n, frames=tuple(replace(f, offset_us=scheduled[f.id].offset_us)
                                                   for f in n.frames)) for n in nodes)
         return replace(self, nodes=nodes, seed=self.seed if seed is None else seed)
 

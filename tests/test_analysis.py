@@ -28,7 +28,42 @@ def banded_matrix(n, width):
     return m
 
 
+def reference_blahut_arimoto(p, tolerance):
+    """The elementwise form of the iteration: the divergence as a masked sum
+    over the whole matrix in every step."""
+    m = p.shape[0]
+    r = np.full(m, 1.0 / m)
+    log_p = np.where(p > 0, np.log(np.maximum(p, 1e-300)), 0.0)
+    for iteration in range(1, 100_001):
+        q_y = r @ p
+        div = np.sum(np.where(p > 0, p * (log_p - np.log(np.maximum(q_y, 1e-300))), 0.0),
+                     axis=1)
+        lower = math.log(float(np.sum(r * np.exp(div))))
+        if float(np.max(div)) - lower < tolerance * math.log(2.0):
+            return lower / math.log(2.0), iteration
+        r = r * np.exp(div)
+        r /= r.sum()
+    raise AssertionError("reference did not converge")
+
+
 class TestBlahutArimoto:
+    def test_matches_elementwise_reference(self):
+        # the matrix form sums in another order, so the capacity may move by
+        # a few ulps; the iteration count must not move
+        rng = np.random.default_rng(3)
+        cases = [(banded_matrix(64, w), 1e-4) for w in (3, 5, 11)]
+        cases += [(rng.dirichlet(np.full(n, 0.3), size=n), 1e-7) for n in (2, 7, 40)]
+        for m, tolerance in cases:
+            want, want_iters = reference_blahut_arimoto(m, tolerance)
+            got, iters = blahut_arimoto(m, tolerance=tolerance, max_iterations=100_000)
+            assert iters == want_iters
+            assert abs(got - want) <= 4 * math.ulp(want)
+
+    def test_noiseless_channels_are_exact(self):
+        assert blahut_arimoto(np.eye(256), tolerance=1e-9) == (8.0, 1)
+        assert blahut_arimoto(np.eye(25), tolerance=1e-9) == (math.log2(25), 1)
+        assert blahut_arimoto(np.full((2, 2), 0.5)) == (0.0, 1)
+
     def test_identity_256_is_8_bits(self):
         capacity, iters = blahut_arimoto(np.eye(256), tolerance=1e-9)
         assert abs(capacity - 8.0) < 1e-6
@@ -180,7 +215,8 @@ class TestGenuinePairing:
         trace, cov, periods = run_covert(Jitter.none(), 30_000 * MS)
         forged = inject_adversary(trace, CanId(0x100), 10 * MS, seed=1)
         assert not any(f.genuine for f in forged.frames[1000:1100])
-        mixed = Trace(trace.frames[:1000] + forged.frames[1000:1100] + trace.frames[1100:])
+        mixed = Trace.from_frames(trace.frames[:1000] + forged.frames[1000:1100]
+                                  + trace.frames[1100:])
         devs = deviation_series(mixed, periods, cov)[CanId(0x100)]
         assert len(devs) == len(trace) - 1 - 101
         assert np.all(devs == 0.0)

@@ -22,6 +22,11 @@ def node(name, frames, clock=None, covert=None):
     return NodeConfig(name, clock or ClockModel(), tuple(frames), covert)
 
 
+def frames_of(trace, can_id):
+    """The rows of one ID, through a column filter."""
+    return trace.take(trace.id_index == trace.ids.index(can_id)).frames
+
+
 def config(nodes, duration_us, **kw):
     kw.setdefault("stuffing", "none")
     return BusConfig(tuple(nodes), duration_us, **kw)
@@ -49,7 +54,7 @@ class TestSimulateBasics:
         cfg = config([node("a", specs)], 200 * MS)
         trace = simulate(cfg)
         for spec in specs:
-            assert len(trace.by_id(spec.id)) == 20
+            assert len(frames_of(trace, spec.id)) == 20
 
     def test_no_bus_overlap(self):
         specs = [FrameSpec(CanId(0x10 + i), 10 * MS) for i in range(6)]  # all collide at 0
@@ -132,7 +137,8 @@ class TestBusload:
 
     def test_recomputes_wire_times_for_bare_traces(self):
         trace = simulate(config([node("a", [FrameSpec(CanId(0x10), 500 * MS)])], 1000 * MS))
-        bare = Trace([replace(f, tx_time_us=0.0) for f in trace.frames], trace.duration_us)
+        bare = Trace.from_frames([replace(f, tx_time_us=0.0) for f in trace.frames],
+                                 trace.duration_us)
         assert busload(bare) == 0.0
         # recomputation includes payload stuffing the stuffing="none" sim skipped
         assert busload(bare, 500_000) == pytest.approx(busload(trace), rel=0.15)
@@ -196,7 +202,7 @@ class TestCovertSending:
         from canto.incanta import covert_delay
         trace, cov, periods = covert_trace(duration_us=100 * MS)
         for can_id, period in periods.items():
-            frames = trace.by_id(can_id)
+            frames = frames_of(trace, can_id)
             for a, b in zip(frames, frames[1:]):
                 xi_a = covert_delay(cov.key, a.counter, can_id, a.payload, cov.level_bits)
                 xi_b = covert_delay(cov.key, b.counter, can_id, b.payload, cov.level_bits)
@@ -205,13 +211,13 @@ class TestCovertSending:
     def test_counters_increase_per_id(self):
         trace, _, periods = covert_trace()
         for can_id in periods:
-            counters = [f.counter for f in trace.by_id(can_id)]
+            counters = [f.counter for f in frames_of(trace, can_id)]
             assert counters == list(range(1, len(counters) + 1))
 
     def test_interarrival_spread_covers_delay_window(self):
         trace, _, periods = covert_trace(duration_us=1000 * MS)
         for can_id in periods:
-            deltas = np.diff([f.bus_time_us for f in trace.by_id(can_id)])
+            deltas = np.diff([f.bus_time_us for f in frames_of(trace, can_id)])
             spread = deltas - 10 * MS
             assert spread.max() <= 256 and spread.min() >= -256
             assert spread.max() - spread.min() > 128  # covert delays really vary
@@ -221,9 +227,9 @@ class TestInjectAdversary:
     def test_fixed_offset_matching_covert_delta_is_accepted(self):
         trace, cov, periods = covert_trace(duration_us=30 * MS)
         target = CanId(0x100)
-        own = trace.by_id(target)[:2]
+        own = frames_of(trace, target)[:2]
         delta = (own[1].bus_time_us - own[0].bus_time_us) - 10 * MS
-        short = Trace(own, trace.duration_us)
+        short = Trace.from_frames(own, trace.duration_us)
         forged = inject_adversary(short, target, 10 * MS, "fixed_offset", offset_us=delta)
         verifier = Verifier(cov, periods)
         verdicts = [verifier.verify(f.id, f.counter, f.payload, f.bus_time_us)
@@ -250,4 +256,4 @@ class TestInjectAdversary:
         trace, _, _ = covert_trace(duration_us=30 * MS)
         forged = inject_adversary(trace, CanId(0x100), 10 * MS, seed=1)
         tagged = [f for f in forged.frames if not f.genuine]
-        assert len(tagged) == len(trace.by_id(CanId(0x100))) - 1
+        assert len(tagged) == len(frames_of(trace, CanId(0x100))) - 1

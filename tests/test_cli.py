@@ -62,8 +62,9 @@ def small(old, new):
     return SMALL.replace(old, new)
 
 
-# malformed or degenerate input, by name: (command, config text, files by flag,
-# more arguments, what the exit-3 message must name)
+# malformed or degenerate input, by name: (global options and command, config
+# text, files by flag or environment variables by $NAME, more arguments, what
+# the exit-3 message must name)
 MALFORMED = {
     "duration-short": ("simulate", small("400000", "15000"), {}, [],
                        "[bus]: duration_us 15000"),
@@ -102,6 +103,16 @@ MALFORMED = {
     "payload-9-bytes": ("verify", SMALL, {"--trace": TRACE_HEADER
                                           + "\n100000,100,1,202122230000000101,1\n"},
                         [], "line 2: payload"),
+    "seed-flag-negative": ("--seed -1 simulate", SMALL, {}, [], "--seed: seed -1"),
+    "seed-env-not-integer": ("simulate", SMALL, {"$CANTO_SEED": "abc"}, [],
+                             "$CANTO_SEED: 'abc'"),
+    "schedule-other-period": ("simulate", SMALL,
+                              {"--schedule": "100 20000 0 64\n101 10000 0 64\n102 20000 0 64\n"},
+                              [], "schedule gives id 100 period 20000 us"),
+    "schedule-other-payload": ("verify", SMALL,
+                               {"--schedule": "100 10000 0 64\n101 10000 0 32\n102 20000 0 64\n",
+                                "--trace": TRACE_HEADER + "\n"},
+                               [], "schedule gives id 101 period 10000 us and 32 payload bits"),
 }
 
 
@@ -333,12 +344,15 @@ class TestInputErrors:
         assert where in err and "internal error" not in err
 
     @pytest.mark.parametrize("case", MALFORMED)
-    def test_malformed_input_exits_3_naming_it(self, tmp_path, capsys, case):
+    def test_malformed_input_exits_3_naming_it(self, tmp_path, capsys, monkeypatch, case):
         command, config, files, extra, named = MALFORMED[case]
         path = tmp_path / "bad.ini"
         path.write_text(config)
-        argv = [command, "--config", str(path), "--out", str(tmp_path / "out"), *extra]
+        argv = [*command.split(), "--config", str(path), "--out", str(tmp_path / "out"), *extra]
         for flag, text in files.items():
+            if flag.startswith("$"):  # an environment variable
+                monkeypatch.setenv(flag[1:], text)
+                continue
             (tmp_path / flag[2:]).write_text(text)
             argv += [flag, str(tmp_path / flag[2:])]
         with warnings.catch_warnings():

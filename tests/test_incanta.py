@@ -248,7 +248,7 @@ def receiver_traces(draw):
         frames.append(TimedFrame(can_id, counter, t, draw(st.sampled_from([0.0, 108.0, 131.5])),
                                  payload, draw(st.booleans())))
         last[can_id] = (counter, t, xi)
-    trace = Trace(frames)
+    trace = Trace.from_frames(frames)
     if frames and draw(st.booleans()):
         target = frames[0].id
         trace = inject_adversary(trace, target, PERIODS[target], seed=draw(st.integers(0, 9)),

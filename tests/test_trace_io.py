@@ -3,12 +3,14 @@
 import io
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canto.bus_sim import BusConfig, NodeConfig, OversubscribedBusError, simulate
+from canto.bus_sim import BusConfig, NodeConfig, OversubscribedBusError, Trace, simulate
 from canto.clock_model import ClockModel
-from canto.frame_model import CanId, FrameSpec
+from canto.frame_model import CanId, FrameSpec, frame_wire_time_us
+from canto.incanta import counter_from_payload
 from canto.scheduler import Schedule, hyperperiod_us
 from canto.trace_io import (TRACE_HEADER, TraceFormatError, export_trace,
                             parse_experiment_config, parse_trace, read_schedule,
@@ -98,6 +100,69 @@ class TestCandump:
     def test_unknown_format(self):
         with pytest.raises(TraceFormatError):
             parse_trace(io.StringIO(""), fmt="blf")
+
+
+_ROUND_TRIP_IDS = [CanId(0x0), CanId(0x100), CanId(0x7FF), CanId(0x800, extended=True),
+                   CanId(0x1FFFFFFF, extended=True)]
+
+
+@st.composite
+def columnar_traces(draw, step_tenths=1):
+    """Column-built traces, times non-decreasing on a grid of `step_tenths` x 0.1 us."""
+    ids = tuple(draw(st.lists(st.sampled_from(_ROUND_TRIP_IDS), min_size=1, unique=True)))
+    n = draw(st.integers(0, 12))
+    rows = st.lists(st.integers(0, len(ids) - 1), min_size=n, max_size=n)
+    steps = st.lists(st.integers(0, 10**12), min_size=n, max_size=n)
+    tenths = np.array(sorted(draw(steps)), dtype=np.int64) * step_tenths
+    return Trace(ids, np.array(draw(rows), dtype=np.int64),
+                 np.array(draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)),
+                          dtype=np.int64),
+                 tenths / 10.0, np.zeros(n),
+                 draw(st.lists(st.binary(max_size=8), min_size=n, max_size=n)),
+                 np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool))
+
+
+def columns(trace):
+    """Every column of a trace, ids resolved per frame, with each array's dtype."""
+    return ([trace.ids[k] for k in trace.id_index.tolist()], trace.counter.tolist(),
+            trace.bus_time_us.tolist(), trace.payloads, trace.genuine.tolist(),
+            [a.dtype for a in (trace.id_index, trace.counter, trace.bus_time_us, trace.tx_time_us,
+                       trace.genuine)])
+
+
+def native_text(trace) -> str:
+    out = io.StringIO()
+    write_trace(trace, out)
+    return out.getvalue()
+
+
+def check_wire_times(text, fmt, bitrate):
+    trace = parse_trace(io.StringIO(text), fmt, bitrate)
+    want = [frame_wire_time_us(trace.ids[k], p, bitrate) if bitrate else 0.0
+            for k, p in zip(trace.id_index.tolist(), trace.payloads)]
+    assert trace.tx_time_us.tolist() == want
+
+
+class TestColumnarRoundTrip:
+    @given(columnar_traces(), st.sampled_from([None, 125_000, 500_000]))
+    @settings(max_examples=200, deadline=None)
+    def test_native(self, trace, bitrate):
+        text = native_text(trace)
+        assert columns(parse_trace(io.StringIO(text))) == columns(trace)
+        check_wire_times(text, "native_csv", bitrate)
+
+    @given(columnar_traces(step_tenths=10), st.sampled_from([None, 125_000, 500_000]))
+    @settings(max_examples=200, deadline=None)
+    def test_candump(self, trace, bitrate):
+        micros = np.rint(trace.bus_time_us).astype(np.int64).tolist()
+        text = "".join(f"({t // 10**6}.{t % 10**6:06d}) can0 {trace.ids[k]}#{p.hex()}\n"
+                       for t, k, p in zip(micros, trace.id_index.tolist(), trace.payloads))
+        parsed = parse_trace(io.StringIO(text), "candump_log")
+        rows, _, times, payloads, _, dtypes = columns(trace)
+        counters = [counter_from_payload(p) if len(p) >= 4 else 0 for p in payloads]
+        assert columns(parsed) == (rows, counters, times, payloads, [True] * len(rows), dtypes)
+        assert columns(parse_trace(io.StringIO(native_text(parsed)))) == columns(parsed)
+        check_wire_times(text, "candump_log", bitrate)
 
 
 class TestScheduleFile:
