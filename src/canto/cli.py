@@ -160,10 +160,11 @@ def _trace_inputs(args, needs: str):
     if config.covert is None:
         raise TraceFormatError(f"{needs} needs a [covert] section")
     seed = _resolve_seed(args, config)
-    bus = config.to_bus_config(_schedule_from(args, config, seed))
+    sched = _schedule_from(args, config, seed)
+    config.to_bus_config(sched)  # rejects a schedule that disagrees with the config
     trace = trace_io.parse_trace(args.trace, bitrate_bps=config.bitrate_bps
                                  if args.no_compensate else None)
-    return config, seed, trace, {f.id: f.period_us for f in bus.frame_specs()}
+    return config, seed, trace, {f.id: f.period_us for f in sched.frames}
 
 
 def _write_verdicts(trace, decoded, path: Path) -> None:
