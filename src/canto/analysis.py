@@ -2,8 +2,8 @@
 
 Turns traces into per-ID deviation series and empirical channel matrices
 (sent covert delay vs. decoded delay), both views over `incanta.decode`;
-scores blind adversaries by Monte Carlo; computes channel capacity via
-the Blahut-Arimoto iteration; and bins histograms.
+scores blind adversaries exactly and by Monte Carlo; computes channel
+capacity via the Blahut-Arimoto iteration; and bins histograms.
 """
 
 from __future__ import annotations
@@ -129,6 +129,28 @@ def mc_adversary_rate(tolerance_us: float, level_bits: int = 8, frames: int = 1,
         hits += int(np.count_nonzero(ok.all(axis=1)))
         done += n
     return hits / trials
+
+
+def exact_adversary_rate(tolerance_us: float, level_bits: int = 8, frames: int = 1) -> float:
+    """Exact pass rate of `mc_adversary_rate`'s trial.
+
+    With W = 2^l, a genuine delay xi passes the guesses in
+    [max(xi - rho, 0), min(xi + rho, W)], that is 2*rho less the parts
+    clipped at either edge. The clipped parts are sum_j max(rho - j, 0)
+    over j = 0..W-1 and j = 1..W, so in closed form the rate is
+    (rho*(2W - 2n - 1) + n*(n + 1)) / W^2 with n = ceil(rho) - 1 and rho
+    capped at W. For integer rho <= W this is 2*rho/W - (rho/W)^2. A
+    window of `frames` frames passes with that rate to the power `frames`.
+    """
+    if not tolerance_us >= 0:  # NaN fails too
+        raise ValueError(f"tolerance must be nonnegative, got {tolerance_us}")
+    if frames < 1:
+        raise ValueError(f"frames must be >= 1, got {frames}")
+    window = 1 << level_bits
+    rho = min(tolerance_us, window)
+    n = max(math.ceil(rho) - 1, 0)
+    per_frame = (rho * (2 * window - 2 * n - 1) + n * (n + 1)) / window / window
+    return per_frame ** frames
 
 
 def histogram(series, bin_width: float) -> tuple[np.ndarray, np.ndarray]:

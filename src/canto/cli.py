@@ -212,27 +212,35 @@ def cmd_verify(args) -> int:
 
 # ---------------------------------------------------------------- attack
 
-def _write_attack(out: Path, rhos, frame_counts, level: int, trials: int, seed: int) -> dict:
-    """Write attack.csv and return its Monte Carlo rates by (rho, frames)."""
-    rates = {}
+def _write_attack(out: Path, column: str, rates, level: int) -> None:
+    """Write attack.csv: one row per ((rho, frames), adversary rate) pair,
+    the rate under `column`, then the paper's unclipped (2*rho/2^l)^k."""
     with open(out / "attack.csv", "w", newline="\n") as fh:
-        fh.write("rho_us,frames,adv_rate_mc,adv_rate_analytic\n")
-        for rho in rhos:
-            for k in frame_counts:
-                mc = rates[rho, k] = analysis.mc_adversary_rate(
-                    rho, level, k, trials, derive_seed(seed, f"attack:{rho}:{k}"))
-                fh.write(f"{rho:g},{k},{mc:.8g},{adversary_advantage(rho, level, k):.8g}\n")
-    return rates
+        fh.write(f"rho_us,frames,{column},adv_rate_analytic\n")
+        for (rho, k), rate in rates:
+            fh.write(f"{rho:g},{k},{rate:.8g},{adversary_advantage(rho, level, k):.8g}\n")
 
 
 def cmd_attack(args) -> int:
     config = trace_io.parse_experiment_config(args.config)
     if config.covert is None:
         raise TraceFormatError("attack scoring needs a [covert] section")
+    level = config.covert.level_bits
+    for rho in args.rho:
+        if not 0 <= 2 * rho < 1 << level:  # NaN fails too
+            raise TraceFormatError(f"--rho {rho:g}: the tolerance must be nonnegative and "
+                                   f"under half the delay alphabet (2^{level} us)")
+    for flag, values in (("--frames", args.frames), ("--trials", [args.trials])):
+        for value in values:
+            if value < 1:
+                raise TraceFormatError(f"{flag} {value}: must be >= 1")
     seed = _resolve_seed(args, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_attack(out, args.rho, args.frames, config.covert.level_bits, args.trials, seed)
+    rates = [((rho, k), analysis.mc_adversary_rate(rho, level, k, args.trials,
+                                                   derive_seed(seed, f"attack:{rho}:{k}")))
+             for rho in args.rho for k in args.frames]
+    _write_attack(out, "adv_rate_mc", rates, level)
     write_manifest(out, "attack", seed, {"config": Path(args.config)})
     print(f"attack rates for rho={args.rho} frames={args.frames} "
           f"({args.trials} trials each) -> {out / 'attack.csv'}")
@@ -273,9 +281,13 @@ def _read_verify_errors(path: Path) -> np.ndarray:
     return np.asarray(errors)
 
 
-def cmd_report(args) -> int:
-    indir = Path(args.indir)
-    out = Path(args.out)
+def _report(indir: Path, out: Path, covert, bin_width: float) -> None:
+    """Tables and figure CSVs from verify/attack outputs, at the covert
+    channel's level and tolerance."""
+    level, tolerance = covert.level_bits, covert.tolerance_us
+    if 2 * tolerance >= covert.window_us:
+        raise TraceFormatError(f"[covert] tolerance_us {tolerance:g}: the acceptance window "
+                               f"covers the whole delay alphabet (2^{level} us)")
     verdicts = indir / "verdicts.csv"
     attack = indir / "attack.csv"
     missing = [str(p) for p in (verdicts, attack) if not p.exists()]
@@ -286,31 +298,31 @@ def cmd_report(args) -> int:
     errors = _read_verify_errors(verdicts)
     if errors.size == 0:
         raise TraceFormatError(f"{verdicts}: no scored frames")
-    adv_mc: dict[tuple[float, int], float] = {}
+    adv: dict[tuple[float, int], float] = {}
     with open(attack) as fh:
         next(fh)
         for line in fh:
-            rho, k, mc, _an = line.split(",")
-            adv_mc[(float(rho), int(k))] = float(mc)
+            rho, k, rate, _an = line.split(",")
+            adv[(float(rho), int(k))] = float(rate)
 
     with open(out / "success_table.csv", "w", newline="\n") as fh:
         fh.write("rho_us,frames,ecu_rate,adv_rate\n")
         for rho in RHO_SET:
             p = float(np.mean(np.abs(errors) <= rho))
             for k in FRAME_SET:
-                adv = adv_mc.get((rho, k), adversary_advantage(rho, 8, k))
-                fh.write(f"{rho:g},{k},{ecu_success(p, k):.8g},{adv:.8g}\n")
+                rate = adv[rho, k] if (rho, k) in adv else adversary_advantage(rho, level, k)
+                fh.write(f"{rho:g},{k},{ecu_success(p, k):.8g},{rate:.8g}\n")
 
     crossing = None
     with open(out / "fig_adversary_success.csv", "w", newline="\n") as fh:
-        fh.write("frames,adv_rate_rho5,autosar_24bit\n")
+        fh.write(f"frames,adv_rate_rho{tolerance:g},autosar_24bit\n")
         for k in range(1, 9):
-            rate = adversary_advantage(5.0, 8, k)
+            rate = adversary_advantage(tolerance, level, k)
             if crossing is None and rate < AUTOSAR_LEVEL:
                 crossing = k
             fh.write(f"{k},{rate:.8g},{AUTOSAR_LEVEL:.8g}\n")
 
-    starts, counts = analysis.histogram(errors, args.bin_width)
+    starts, counts = analysis.histogram(errors, bin_width)
     with open(out / "fig_deviation_histogram.csv", "w", newline="\n") as fh:
         fh.write("bin_start_us,count\n")
         for s, c in zip(starts, counts):
@@ -332,6 +344,13 @@ def cmd_report(args) -> int:
     summary = f"autosar_crossing_frames={crossing}\nscored_frames={errors.size}\n"
     (out / "report_summary.txt").write_text(summary)
     print(summary, end="")
+
+
+def cmd_report(args) -> int:
+    config = trace_io.parse_experiment_config(args.config)
+    if config.covert is None:
+        raise TraceFormatError("report needs a [covert] section")
+    _report(Path(args.indir), Path(args.out), config.covert, args.bin_width)
     return 0
 
 
@@ -368,11 +387,12 @@ def cmd_run(args) -> int:
 
             stage = "attack"
             level = config.covert.level_bits
-            adv_mc = _write_attack(out, RHO_SET, FRAME_SET, level, args.trials, seed)
+            adv = {(rho, k): analysis.exact_adversary_rate(rho, level, k)
+                   for rho in RHO_SET for k in FRAME_SET}
+            _write_attack(out, "adv_rate_exact", adv.items(), level)
 
             stage = "report"
-            ns = argparse.Namespace(indir=str(out), out=str(out), bin_width=args.bin_width)
-            cmd_report(ns)
+            _report(out, out, config.covert, args.bin_width)
 
         if args.check:
             stage = "check"
@@ -383,9 +403,9 @@ def cmd_run(args) -> int:
                 accept = float(np.mean(np.abs(errors) <= rho))
                 _check(accept == 1.0,
                        f"genuine acceptance at rho={rho} is {100 * accept:.3f}% (want 100%)")
-                mc = adv_mc[5.0, 1]
-                _check(abs(mc - 0.039) < 0.0011,
-                       f"adversary rate at rho=5 is {100 * mc:.3f}% (want 3.9 +- 0.1)")
+                rate = adv[5.0, 1]
+                _check(abs(rate - 0.039) < 0.0011,
+                       f"adversary rate at rho=5 is {100 * rate:.3f}% (want 3.9 +- 0.1)")
                 ks = [k for k in range(1, 9)
                       if adversary_advantage(5.0, level, k) < AUTOSAR_LEVEL]
                 _check(ks and ks[0] == 6, f"AUTOSAR crossing at k={ks[:1]} (want 6)")
@@ -452,6 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("report", help="tables and figure CSVs from verify/attack outputs")
+    p.add_argument("--config", required=True)
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--bin-width", type=float, default=1.0)
     p.add_argument("--out", default="out")
@@ -460,7 +481,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full pipeline: allocate, simulate, verify, attack, report")
     p.add_argument("--config", required=True)
     p.add_argument("--schedule", default=None)
-    p.add_argument("--trials", type=int, default=200_000)
     p.add_argument("--bin-width", type=float, default=1.0)
     p.add_argument("--check", action="store_true",
                    help="exit 1 unless the paper-vector thresholds hold")

@@ -323,8 +323,7 @@ def test_criterion_8_pipeline_determinism(tmp_path):
     """Identical config and seed give byte-identical trace and reports."""
     dirs = [tmp_path / "r1", tmp_path / "r2"]
     for out in dirs:
-        rc = main(["run", "--config", "configs/paper_vector.ini", "--out", str(out),
-                   "--trials", "100000"])
+        rc = main(["run", "--config", "configs/paper_vector.ini", "--out", str(out)])
         assert rc == 0
     names = ["trace.csv", "schedule.txt", "verdicts.csv", "attack.csv",
              "success_table.csv", "fig_adversary_success.csv",

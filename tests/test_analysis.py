@@ -1,13 +1,15 @@
 """Deviation series, channel matrices, capacity, success tables, histograms."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from canto.analysis import (CapacityError, blahut_arimoto, deviation_series,
-                            extract_channel_matrix, histogram, mc_adversary_rate)
+                            exact_adversary_rate, extract_channel_matrix, histogram,
+                            mc_adversary_rate)
 from canto.bus_sim import BusConfig, NodeConfig, Trace, inject_adversary, simulate
 from canto.cli import main
 from canto.clock_model import ClockModel, Jitter
@@ -259,7 +261,10 @@ class TestSuccessTable:
             + "".join(f"{i},100,{i},{e},accept\n" for i, e in enumerate(errors, 2)))
         (indir / "attack.csv").write_text(
             "rho_us,frames,adv_rate_mc,adv_rate_analytic\n5,1,0.04,0.0390625\n")
-        return main(["report", "--in", str(indir), "--out", str(tmp_path / "rep")])
+        config = tmp_path / "small.ini"
+        config.write_text(SMALL_RUN)
+        return main(["report", "--config", str(config), "--in", str(indir),
+                     "--out", str(tmp_path / "rep")])
 
     def test_ecu_rates_power_per_window(self, tmp_path):
         assert self.report(tmp_path, ["0.0000"] * 90 + ["3.5000"] * 10) == 0
@@ -273,8 +278,7 @@ class TestSuccessTable:
         config = tmp_path / "small.ini"
         config.write_text(SMALL_RUN)
         out = tmp_path / "run"
-        assert main(["run", "--config", str(config), "--out", str(out),
-                     "--trials", "200000"]) == 0
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
         errors = np.abs([float(r[3]) for r in read_rows(out / "verdicts.csv") if r[3]])
         mc = {(r, k): a for r, k, a, _ in read_rows(out / "attack.csv")}
         table = read_rows(out / "success_table.csv")
@@ -293,3 +297,48 @@ class TestSuccessTable:
         a = mc_adversary_rate(5.0, 8, 2, 50_000, seed=9)
         b = mc_adversary_rate(5.0, 8, 2, 50_000, seed=9)
         assert a == b
+
+
+def covered_rate(rho, level_bits):
+    """The blind adversary's per-frame pass rate, summed exactly over every
+    integer delay xi: the guess passes on [max(xi - rho, 0), min(xi + rho, W)]."""
+    window = 1 << level_bits
+    rho = Fraction(rho)
+    covered = sum(min(xi + rho, window) - max(xi - rho, 0) for xi in range(window))
+    return covered / window / window
+
+
+@st.composite
+def tolerance_and_level(draw):
+    level = draw(st.integers(1, 10))
+    return draw(st.floats(0, 2.0 ** level)), level
+
+
+class TestExactAdversaryRate:
+    @given(tolerance_and_level(), st.integers(1, 8))
+    def test_matches_per_delay_sum(self, rho_level, frames):
+        rho, level = rho_level
+        want = float(covered_rate(rho, level)) ** frames
+        assert exact_adversary_rate(rho, level, frames) == pytest.approx(want, rel=1e-12,
+                                                                        abs=1e-300)
+
+    def test_integer_tolerance_is_exact_fraction(self):
+        for level in range(1, 11):
+            window = 1 << level
+            for rho in range(window // 2 + 1):
+                want = Fraction(2 * rho, window) - Fraction(rho, window) ** 2
+                assert Fraction(exact_adversary_rate(float(rho), level)) == want
+                assert covered_rate(rho, level) == want
+        assert exact_adversary_rate(5.0, 8) == 2535 / 65536
+
+    @pytest.mark.parametrize("rho", [2.0, 3.0, 4.0, 5.0])
+    def test_within_3_sigma_of_monte_carlo(self, rho):
+        trials = 2_000_000
+        p = exact_adversary_rate(rho, 8)
+        mc = mc_adversary_rate(rho, 8, 1, trials, seed=101)
+        assert abs(mc - p) <= 3 * math.sqrt(p * (1 - p) / trials)
+
+    @pytest.mark.parametrize("rho,frames", [(-1.0, 1), (float("nan"), 1), (5.0, 0)])
+    def test_rejects_negative_tolerance_and_empty_window(self, rho, frames):
+        with pytest.raises(ValueError):
+            exact_adversary_rate(rho, 8, frames)

@@ -113,6 +113,12 @@ MALFORMED = {
                                {"--schedule": "100 10000 0 64\n101 10000 0 32\n102 20000 0 64\n",
                                 "--trace": TRACE_HEADER + "\n"},
                                [], "schedule gives id 101 period 10000 us and 32 payload bits"),
+    "attack-rho-whole-alphabet": ("attack", SMALL, {}, ["--rho", "200"], "--rho 200"),
+    "attack-rho-negative": ("attack", SMALL, {}, ["--rho", "-1"], "--rho -1"),
+    "attack-frames-0": ("attack", SMALL, {}, ["--frames", "0"], "--frames 0"),
+    "attack-trials-0": ("attack", SMALL, {}, ["--trials", "0"], "--trials 0"),
+    "report-tolerance-whole-alphabet": ("run", small("tolerance_us = 5", "tolerance_us = 128"),
+                                        {}, [], "[covert] tolerance_us 128"),
 }
 
 
@@ -188,7 +194,7 @@ class TestPipeline:
 
     def test_run_check_passes(self, small_config, tmp_path):
         rc = main(["run", "--config", str(small_config), "--out", str(tmp_path / "run"),
-                   "--trials", "400000", "--check"])
+                   "--check"])
         assert rc == 0
         assert (tmp_path / "run" / "success_table.csv").exists()
         report = (tmp_path / "run" / "report_summary.txt").read_text()
@@ -197,8 +203,7 @@ class TestPipeline:
     def test_determinism_byte_identical(self, small_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for out in (a, b):
-            assert main(["run", "--config", str(small_config), "--out", str(out),
-                         "--trials", "50000"]) == 0
+            assert main(["run", "--config", str(small_config), "--out", str(out)]) == 0
         for name in ("trace.csv", "verdicts.csv", "attack.csv", "success_table.csv",
                      "schedule.txt", "fig_adversary_success.csv",
                      "fig_deviation_histogram.csv", "manifest.json"):
@@ -206,19 +211,41 @@ class TestPipeline:
 
     def test_seed_changes_trace_not_tables(self, small_config, tmp_path):
         a, b = tmp_path / "s1", tmp_path / "s2"
-        main(["--seed", "11", "run", "--config", str(small_config), "--out", str(a),
-              "--trials", "50000"])
-        main(["--seed", "12", "run", "--config", str(small_config), "--out", str(b),
-              "--trials", "50000"])
+        main(["--seed", "11", "run", "--config", str(small_config), "--out", str(a)])
+        main(["--seed", "12", "run", "--config", str(small_config), "--out", str(b)])
         assert (a / "trace.csv").read_bytes() != (b / "trace.csv").read_bytes()
         for line_a, line_b in zip((a / "success_table.csv").read_text().splitlines()[1:],
                                   (b / "success_table.csv").read_text().splitlines()[1:]):
             rho_a, k_a, ecu_a, adv_a = line_a.split(",")
             rho_b, k_b, ecu_b, adv_b = line_b.split(",")
             assert (rho_a, k_a) == (rho_b, k_b)
+            assert adv_a == adv_b  # the exact rate does not depend on the seed
             if k_a == "1":  # ~100 scored frames: 3 sigma binomial on the base rate
                 assert float(ecu_a) == pytest.approx(float(ecu_b), abs=0.12)
-                assert float(adv_a) == pytest.approx(float(adv_b), abs=0.005)
+
+    @pytest.mark.parametrize("seed", [8, 31, 33])
+    def test_run_check_passes_where_monte_carlo_missed_its_band(self, tmp_path, seed):
+        rc = main(["--seed", str(seed), "run", "--config", PAPER, "--out", str(tmp_path),
+                   "--check"])
+        assert rc == 0
+
+    def test_report_follows_level_bits(self, tmp_path):
+        config = tmp_path / "level10.ini"
+        config.write_text(small("level_bits = 8", "level_bits = 10"))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+        assert "autosar_crossing_frames=4" in (out / "report_summary.txt").read_text()
+        for path, crossing in ((config, 4), (PAPER, 6)):
+            rep = tmp_path / f"rep{crossing}"
+            assert main(["report", "--config", str(path), "--in", str(out),
+                         "--out", str(rep)]) == 0
+            summary = (rep / "report_summary.txt").read_text()
+            assert f"autosar_crossing_frames={crossing}" in summary
+        config.write_text(small("tolerance_us = 5", "tolerance_us = 2.5"))
+        assert main(["report", "--config", str(config), "--in", str(out),
+                     "--out", str(out)]) == 0
+        header = (out / "fig_adversary_success.csv").read_text().splitlines()[0]
+        assert header == "frames,adv_rate_rho2.5,autosar_24bit"
 
     def test_corrupted_schedule_is_simulate_stage_error(self, small_config, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -245,6 +272,17 @@ class TestAttackAndCapacity:
         row = (out / "attack.csv").read_text().splitlines()[1].split(",")
         assert float(row[2]) == pytest.approx(0.0387, abs=0.002)
         assert float(row[3]) == pytest.approx(10 / 256)
+
+    def test_run_writes_exact_rates_and_attack_monte_carlo(self, small_config, tmp_path):
+        run, atk = tmp_path / "run", tmp_path / "atk"
+        assert main(["run", "--config", str(small_config), "--out", str(run)]) == 0
+        assert main(["attack", "--config", str(small_config), "--rho", "5", "--frames", "1",
+                     "--trials", "1000", "--out", str(atk)]) == 0
+        header, *rows = (run / "attack.csv").read_text().splitlines()
+        assert header == "rho_us,frames,adv_rate_exact,adv_rate_analytic"
+        assert "5,1,0.03868103,0.0390625" in rows
+        header = (atk / "attack.csv").read_text().splitlines()[0]
+        assert header == "rho_us,frames,adv_rate_mc,adv_rate_analytic"
 
     def test_capacity_on_clean_trace(self, tmp_path):
         config = tmp_path / "cap.ini"
@@ -274,7 +312,8 @@ class TestAttackAndCapacity:
 
 class TestReportErrors:
     def test_missing_inputs_listed(self, tmp_path, capsys):
-        rc = main(["report", "--in", str(tmp_path), "--out", str(tmp_path / "rep")])
+        rc = main(["report", "--config", PAPER, "--in", str(tmp_path),
+                   "--out", str(tmp_path / "rep")])
         assert rc == 3
         err = capsys.readouterr().err
         assert "verdicts.csv" in err and "attack.csv" in err
