@@ -28,7 +28,7 @@ MIN_SAMPLES_PER_SYMBOL = 100
 SMOOTHING = 1e-9
 
 
-def _genuine_pairs(trace: Trace, covert: CovertConfig | None, periods_us: dict[CanId, float],
+def _genuine_pairs(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
                    compensate: bool) -> tuple[Decoded, np.ndarray]:
     """Decode; mark the scored frames that are genuine with a genuine reference."""
     decoded = decode(trace, covert, periods_us, compensate)
@@ -36,14 +36,12 @@ def _genuine_pairs(trace: Trace, covert: CovertConfig | None, periods_us: dict[C
     return decoded, ~np.isnan(decoded.error_us) & genuine & genuine[decoded.ref]
 
 
-def deviation_series(trace: Trace, periods_us: dict[CanId, float],
-                     covert: CovertConfig | None = None,
+def deviation_series(trace: Trace, periods_us: dict[CanId, float], covert: CovertConfig,
                      compensate_frame_length: bool = True) -> dict[CanId, np.ndarray]:
     """Observed minus expected inter-arrival per genuine same-ID pair.
 
     The expected spacing is the frame period (scaled by any counter gap)
-    plus, when a covert configuration is given, the difference of the two
-    covert delays.
+    plus the difference of the two covert delays.
     """
     decoded, pairs = _genuine_pairs(trace, covert, periods_us, compensate_frame_length)
     return {can_id: decoded.error_us[pairs & (decoded.id_index == k)]
@@ -156,7 +154,7 @@ def exact_adversary_rate(tolerance_us: float, level_bits: int = 8, frames: int =
 def histogram(series, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
     """Counts over half-open bins of the given width, aligned to multiples
     of the width. Returns (bin start values, counts)."""
-    if bin_width <= 0:
+    if not bin_width > 0:  # NaN fails too
         raise ValueError("bin width must be positive")
     x = np.asarray(series, dtype=np.float64)
     if x.size == 0:

@@ -4,9 +4,9 @@ Every cyclic frame is released at k*period + offset (+ covert delay) on
 its sender's local clock, mapped to bus time through that node's skewed
 and quantized oscillator. Whenever the bus is idle the pending frame
 with the lowest identifier transmits for its full wire time, including
-sampled or payload-derived stuff bits; arbitration is non-destructive so
-losers simply wait. Identical configuration and seed reproduce the trace
-byte for byte.
+the stuff bits of its actual payload (or none, with `stuffing = none`);
+arbitration is non-destructive so losers simply wait. Identical
+configuration and seed reproduce the trace byte for byte.
 """
 
 from __future__ import annotations
@@ -20,14 +20,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from canto.clock_model import ClockModel
-from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_max_stuff_bits,
-                               frame_wire_time_us, transmission_time_us)
+from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_wire_time_us,
+                               transmission_time_us)
 from canto.incanta import CovertConfig, covert_delay, embed_counter
 from canto.scheduler import Schedule, check_complete, hyperperiod_us
 
 
-STUFFING_MODES = ("none", "sampled", "payload")
-PAYLOAD_MODES = ("counter", "random", "zero")
+STUFFING_MODES = ("none", "payload")
 
 
 class OversubscribedBusError(RuntimeError):
@@ -57,8 +56,7 @@ class BusConfig:
     duration_us: float
     bitrate_bps: int = 500_000
     seed: int = 0
-    stuffing: str = "payload"  # none | sampled | payload
-    payload_mode: str = "counter"  # counter | random | zero
+    stuffing: str = "payload"  # none | payload
 
     def __post_init__(self):
         specs = self.frame_specs()
@@ -78,8 +76,6 @@ class BusConfig:
             raise ValueError(f"seed {self.seed} must be nonnegative")
         if self.stuffing not in STUFFING_MODES:
             raise ValueError(f"stuffing {self.stuffing!r} is not one of {STUFFING_MODES}")
-        if self.payload_mode not in PAYLOAD_MODES:
-            raise ValueError(f"payload_mode {self.payload_mode!r} is not one of {PAYLOAD_MODES}")
 
     def frame_specs(self) -> list[FrameSpec]:
         return [f for n in self.nodes for f in n.frames]
@@ -181,9 +177,8 @@ def simulate(config: BusConfig) -> Trace:
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence((config.seed, node_idx, frame_idx))))
             template = _payload_template(spec)
-            nbytes = spec.payload_bits // 8
-            frame_bits = frame_bit_length(spec.payload_bits, spec.id.kind)
-            nominal_tx = transmission_time_us(frame_bits, config.bitrate_bps)
+            nominal_tx = transmission_time_us(frame_bit_length(spec.payload_bits, spec.id.kind),
+                                              config.bitrate_bps)
             key = spec.id.arbitration_key()
             counter = 0
             k = 0
@@ -192,25 +187,14 @@ def simulate(config: BusConfig) -> Trace:
                 if base >= config.duration_us:
                     break
                 counter += 1
-                if config.payload_mode == "random":
-                    payload = rng.bytes(nbytes)
-                elif config.payload_mode == "zero":
-                    payload = bytes(nbytes)
-                else:
-                    payload = template
-                xi = 0
+                payload, xi = template, 0
                 if node.covert is not None:
-                    payload = embed_counter(payload, counter)
+                    payload = embed_counter(template, counter)
                     xi = covert_delay(node.covert.key, counter, spec.id, payload,
                                       node.covert.level_bits)
                 ready = node.clock.local_to_bus_time(base + xi, rng)
-                if config.stuffing == "payload":
-                    tx = frame_wire_time_us(spec.id, payload, config.bitrate_bps)
-                elif config.stuffing == "sampled":
-                    stuff = int(rng.integers(0, frame_max_stuff_bits(spec.payload_bits) + 1))
-                    tx = transmission_time_us(frame_bits + stuff, config.bitrate_bps)
-                else:
-                    tx = nominal_tx
+                tx = frame_wire_time_us(spec.id, payload, config.bitrate_bps) \
+                    if config.stuffing == "payload" else nominal_tx
                 releases.append((ready, key, seq, id_pos, counter, tx, payload))
                 seq += 1
                 k += 1
@@ -245,21 +229,14 @@ def simulate(config: BusConfig) -> Trace:
                  config.duration_us)
 
 
-def busload(trace: Trace, bitrate_bps: int | None = None) -> float:
-    """Occupied fraction of the bus over the trace duration, in percent.
-
-    Traces parsed without wire times fall back to recomputing them from
-    each frame's bit pattern at the given bitrate.
-    """
+def busload(trace: Trace) -> float:
+    """Occupied fraction of the bus over the trace duration, in percent,
+    from the wire times the simulator recorded."""
     if not len(trace):
         raise ValueError("empty trace")
     tx = trace.tx_time_us
     duration = trace.duration_us or float(trace.bus_time_us[-1] + tx[-1])
-    total = sum(tx.tolist())
-    if total == 0.0 and bitrate_bps:
-        total = sum(frame_wire_time_us(trace.ids[k], p, bitrate_bps)
-                    for k, p in zip(trace.id_index.tolist(), trace.payloads))
-    return 100.0 * total / duration
+    return 100.0 * sum(tx.tolist()) / duration
 
 
 def inject_adversary(trace: Trace, can_id: CanId, period_us: float,

@@ -32,6 +32,8 @@ INPUT_ERRORS = (OSError, TraceFormatError, bus_sim.OversubscribedBusError)
 RHO_SET = (2.0, 3.0, 4.0, 5.0)
 FRAME_SET = (1, 2, 3, 4, 6)
 AUTOSAR_LEVEL = 2.0 ** -24
+# the fewest delay bits whose alphabet is wider than every window of RHO_SET
+MIN_LEVEL_BITS = int(2 * max(RHO_SET)).bit_length()
 
 
 class CheckFailure(Exception):
@@ -78,6 +80,11 @@ def _resolve_seed(args, config) -> int:
     if seed < 0:
         raise TraceFormatError(f"{where}: seed {seed} must be nonnegative")
     return seed
+
+
+def _require_positive(flag: str, value: float) -> None:
+    if not 0 < value < math.inf:  # NaN fails too
+        raise TraceFormatError(f"{flag} {value:g}: must be positive and finite")
 
 
 def _allocate(where: str, specs, algorithm: str, **options) -> Schedule:
@@ -181,7 +188,7 @@ def _write_verdicts(trace, decoded, path: Path) -> None:
 
 
 def cmd_verify(args) -> int:
-    if args.rho is not None and args.rho < 0:
+    if args.rho is not None and not args.rho >= 0:  # NaN fails too
         raise TraceFormatError(f"--rho must be nonnegative, got {args.rho:g}")
     config, seed, trace, periods = _trace_inputs(args, "verification")
     covert = config.covert if args.rho is None else replace(config.covert, tolerance_us=args.rho)
@@ -250,6 +257,7 @@ def cmd_attack(args) -> int:
 # ---------------------------------------------------------------- capacity
 
 def cmd_capacity(args) -> int:
+    _require_positive("--tolerance", args.tolerance)
     config, seed, trace, periods = _trace_inputs(args, "capacity extraction")
     try:
         matrix = analysis.extract_channel_matrix(trace, config.covert, periods,
@@ -281,13 +289,22 @@ def _read_verify_errors(path: Path) -> np.ndarray:
     return np.asarray(errors)
 
 
+def _check_report_covert(covert) -> None:
+    """The success table and the 2^-24 crossing need every tolerance they
+    score to leave part of the delay alphabet outside its window."""
+    if covert.level_bits < MIN_LEVEL_BITS:
+        raise TraceFormatError(
+            f"[covert] level_bits {covert.level_bits}: the success table's tolerances up to "
+            f"{max(RHO_SET):g} us need level_bits >= {MIN_LEVEL_BITS}")
+    if 2 * covert.tolerance_us >= covert.window_us:
+        raise TraceFormatError(f"[covert] tolerance_us {covert.tolerance_us:g}: the acceptance "
+                               f"window covers the whole delay alphabet (2^{covert.level_bits} us)")
+
+
 def _report(indir: Path, out: Path, covert, bin_width: float) -> None:
     """Tables and figure CSVs from verify/attack outputs, at the covert
-    channel's level and tolerance."""
+    channel's level and tolerance, which `_check_report_covert` accepted."""
     level, tolerance = covert.level_bits, covert.tolerance_us
-    if 2 * tolerance >= covert.window_us:
-        raise TraceFormatError(f"[covert] tolerance_us {tolerance:g}: the acceptance window "
-                               f"covers the whole delay alphabet (2^{level} us)")
     verdicts = indir / "verdicts.csv"
     attack = indir / "attack.csv"
     missing = [str(p) for p in (verdicts, attack) if not p.exists()]
@@ -347,9 +364,11 @@ def _report(indir: Path, out: Path, covert, bin_width: float) -> None:
 
 
 def cmd_report(args) -> int:
+    _require_positive("--bin-width", args.bin_width)
     config = trace_io.parse_experiment_config(args.config)
     if config.covert is None:
         raise TraceFormatError("report needs a [covert] section")
+    _check_report_covert(config.covert)
     _report(Path(args.indir), Path(args.out), config.covert, args.bin_width)
     return 0
 
@@ -362,12 +381,15 @@ def _check(condition: bool, message: str) -> None:
 
 
 def cmd_run(args) -> int:
+    _require_positive("--bin-width", args.bin_width)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     stage = "configure"
     try:
         config = trace_io.parse_experiment_config(args.config)
         seed = _resolve_seed(args, config)
+        if config.covert is not None:
+            _check_report_covert(config.covert)
 
         stage = "simulate" if args.schedule else "allocate"
         sched = _schedule_from(args, config, seed)

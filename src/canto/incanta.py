@@ -89,12 +89,6 @@ def embed_counter(payload: bytes, counter: int) -> bytes:
     return payload[:-4] + (counter & 0xFFFFFFFF).to_bytes(4, "big")
 
 
-def counter_from_payload(payload: bytes) -> int:
-    if len(payload) < 4:
-        raise ValueError("payload too short to carry a 4-byte counter")
-    return int.from_bytes(payload[-4:], "big")
-
-
 def adversary_advantage(tolerance_us: float, level_bits: int, frames: int = 1) -> float:
     """Chance that blindly timed frames pass verification.
 
@@ -211,14 +205,13 @@ class Decoded:
     window: np.ndarray      # -1 before frames_required verdicts, else 0 or 1
 
 
-def decode(trace: Trace, covert: CovertConfig | None, periods_us: dict[CanId, float],
+def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
            compensate: bool = True) -> Decoded:
     """Every frame of a trace through `Verifier`'s receiver rule at once.
 
     Each covert delay is computed once. With `compensate` a frame arrives
     at its start on the bus, otherwise at its end, so stuff-bit length
-    variation stays in. With `covert` None every covert delay is 0 and
-    frames are judged at `CovertConfig`'s default tolerance and window.
+    variation stays in.
     """
     n = len(trace)
     # renumber the IDs in order of first appearance
@@ -235,9 +228,8 @@ def decode(trace: Trace, covert: CovertConfig | None, periods_us: dict[CanId, fl
     counter = trace.counter
     time_us = trace.bus_time_us if compensate else trace.bus_time_us + trace.tx_time_us
     xi = np.array([covert_delay(covert.key, c, trace.ids[k], p, covert.level_bits)
-                   for c, k, p in zip(counter.tolist(), trace.id_index.tolist(), trace.payloads)]
-                  if covert else np.zeros(n), dtype=np.int64)
-    judged = covert or CovertConfig  # the class attributes hold the defaults
+                   for c, k, p in zip(counter.tolist(), trace.id_index.tolist(), trace.payloads)],
+                  dtype=np.int64)
 
     ref = np.full(n, -1, dtype=np.int64)
     last: dict[int, int] = {}
@@ -256,11 +248,11 @@ def decode(trace: Trace, covert: CovertConfig | None, periods_us: dict[CanId, fl
     # symbol is not error + xi, so that .5 ties round the same way
     error_us[s] = gap - (period[s] * steps + xi[s] - xi[r])
     symbol[s] = np.rint(gap - period[s] * steps + xi[r])
-    ok = np.abs(error_us) <= judged.tolerance_us
+    ok = np.abs(error_us) <= covert.tolerance_us
     reason = np.select([ref < 0, replay, ok], ["first", "replay", ""], "timing")
     accepted = (ref < 0) | ok
 
-    need = judged.frames_required
+    need = covert.frames_required
     window = np.full(n, -1, dtype=np.int8)
     for k in range(len(ids)):
         rows = np.flatnonzero(id_index == k)

@@ -189,7 +189,7 @@ def allocate_randomized(periods_us: Sequence[float], max_iterations: int = 100,
         if q < best_q:
             best_q, best = q, perm
     if best is None:
-        raise IncompleteScheduleError("no sampled permutation was collision-free")
+        raise IncompleteScheduleError("no random permutation was collision-free")
     return [float(x) for x in best]
 
 

@@ -1,8 +1,8 @@
 """Trace and configuration file formats.
 
-Native traces are CSV with timestamps stored as integer tenths of a
-microsecond so files are bit-exact across platforms; candump-style logs
-`(ts) iface id#payload` are accepted as an import path. Experiment
+Traces are CSV with timestamps stored as integer tenths of a
+microsecond so files are bit-exact across platforms; wire times are not
+stored and are rebuilt on request from each frame's bits. Experiment
 configurations are INI documents with [bus], optional [covert] and
 [allocator] sections and one [node.NAME] section per ECU. Schedules are
 line-oriented text: `id_hex period_us offset_us payload_bits`.
@@ -22,7 +22,7 @@ import numpy as np
 from canto.bus_sim import BusConfig, NodeConfig, Trace
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec, frame_wire_time_us
-from canto.incanta import CovertConfig, counter_from_payload
+from canto.incanta import CovertConfig
 from canto.scheduler import Schedule, hyperperiod_us
 
 TRACE_HEADER = "bus_time_us,id_hex,counter,payload_hex,genuine"
@@ -47,7 +47,7 @@ def write_trace(trace: Trace, fh) -> None:
         trace.genuine.astype(np.int64).tolist()))
 
 
-def parse_trace(source, fmt: str = "native_csv", bitrate_bps: int | None = None) -> Trace:
+def parse_trace(source, bitrate_bps: int | None = None) -> Trace:
     """Read a trace from a path or text stream.
 
     With a bitrate, wire times are rebuilt from each frame's bit pattern;
@@ -55,13 +55,8 @@ def parse_trace(source, fmt: str = "native_csv", bitrate_bps: int | None = None)
     """
     if isinstance(source, (str, Path)):
         with open(source, "r") as fh:
-            return parse_trace(fh, fmt, bitrate_bps)
-    if fmt == "native_csv":
-        trace = _parse_native(source).trace(bitrate_bps)
-    elif fmt == "candump_log":
-        trace = _parse_candump(source).trace(bitrate_bps)
-    else:
-        raise TraceFormatError(f"unknown trace format {fmt!r}")
+            return parse_trace(fh, bitrate_bps)
+    trace = _parse_native(source, bitrate_bps)
     if np.any(trace.bus_time_us[:-1] > trace.bus_time_us[1:]):
         warnings.warn("non-monotone timestamps in trace; applying stable sort", stacklevel=2)
         trace = trace.take(np.argsort(trace.bus_time_us, kind="stable"))
@@ -70,45 +65,11 @@ def parse_trace(source, fmt: str = "native_csv", bitrate_bps: int | None = None)
     return trace
 
 
-class _Columns:
-    """Per-frame column lists as a trace is read, each id parsed once."""
-
-    def __init__(self):
-        self.ids: dict[CanId, int] = {}
-        self.by_text: dict[str, int] = {}
-        self.id_index, self.counter, self.times, self.payloads, self.genuine = \
-            [], [], [], [], []
-
-    def id_position(self, text: str) -> int:
-        pos = self.by_text.get(text)
-        if pos is None:
-            can_id = CanId.parse(text)
-            pos = self.by_text[text] = self.ids.setdefault(can_id, len(self.ids))
-        return pos
-
-    def add(self, pos: int, counter: int, time_us: float, payload: bytes,
-            genuine: bool) -> None:
-        if len(payload) > 8:
-            raise ValueError(f"payload of {len(payload)} bytes exceeds the 8 of a CAN frame")
-        self.id_index.append(pos)
-        self.counter.append(counter)
-        self.times.append(time_us)
-        self.payloads.append(payload)
-        self.genuine.append(genuine)
-
-    def trace(self, bitrate_bps: int | None) -> Trace:
-        ids = tuple(self.ids)
-        tx = [frame_wire_time_us(ids[k], p, bitrate_bps)
-              for k, p in zip(self.id_index, self.payloads)] if bitrate_bps else \
-            np.zeros(len(self.times))
-        return Trace(ids, np.array(self.id_index, dtype=np.int64),
-                     np.array(self.counter, dtype=np.int64),
-                     np.array(self.times, dtype=np.float64), np.array(tx, dtype=np.float64),
-                     self.payloads, np.array(self.genuine, dtype=bool))
-
-
-def _parse_native(fh):
-    cols = _Columns()
+def _parse_native(fh, bitrate_bps: int | None) -> Trace:
+    """The trace's columns, read line by line, each id text parsed once."""
+    position: dict[CanId, int] = {}
+    by_text: dict[str, int] = {}
+    id_index, counters, times, payloads, genuine = [], [], [], [], []
     for lineno, line in enumerate(fh, 1):
         line = line.strip()
         if not line or (lineno == 1 and line == TRACE_HEADER):
@@ -117,41 +78,31 @@ def _parse_native(fh):
         if len(parts) != 5:
             raise TraceFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            tenths = int(parts[0])
-            pos = cols.id_position(parts[1])
+            time_us = int(parts[0]) / 10.0
+            pos = by_text.get(parts[1])
+            if pos is None:
+                pos = by_text[parts[1]] = position.setdefault(CanId.parse(parts[1]),
+                                                             len(position))
             counter = int(parts[2])
             if not 0 <= counter <= 0xFFFFFFFF:  # the MAC input holds it in 4 bytes
                 raise ValueError(f"counter {counter} outside 0..2^32-1")
             payload = bytes.fromhex(parts[3])
-            genuine = bool(int(parts[4]))
-            cols.add(pos, counter, tenths / 10.0, payload, genuine)
+            if len(payload) > 8:
+                raise ValueError(f"payload of {len(payload)} bytes exceeds the 8 of a CAN frame")
+            is_genuine = bool(int(parts[4]))
         except (ValueError, OverflowError) as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
-    return cols
-
-
-_CANDUMP_RE = re.compile(r"^\((\d+)\.(\d{1,6})\)\s+(\S+)\s+([0-9A-Fa-f]+)#([0-9A-Fa-f]*)$")
-
-
-def _parse_candump(fh):
-    cols = _Columns()
-    for lineno, line in enumerate(fh, 1):
-        line = line.strip()
-        if not line:
-            continue
-        m = _CANDUMP_RE.match(line)
-        if not m:
-            raise TraceFormatError(f"line {lineno}: not a candump record: {line!r}")
-        secs, frac, _iface, id_hex, data_hex = m.groups()
-        try:
-            t = float(int(secs) * 1_000_000 + int(frac.ljust(6, "0")))
-            pos = cols.id_position(id_hex)
-            payload = bytes.fromhex(data_hex)
-            counter = counter_from_payload(payload) if len(payload) >= 4 else 0
-            cols.add(pos, counter, t, payload, True)
-        except (ValueError, OverflowError) as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from exc
-    return cols
+        id_index.append(pos)
+        counters.append(counter)
+        times.append(time_us)
+        payloads.append(payload)
+        genuine.append(is_genuine)
+    ids = tuple(position)
+    tx = [frame_wire_time_us(ids[k], p, bitrate_bps) for k, p in zip(id_index, payloads)] \
+        if bitrate_bps else np.zeros(len(times))
+    return Trace(ids, np.array(id_index, dtype=np.int64), np.array(counters, dtype=np.int64),
+                 np.array(times, dtype=np.float64), np.array(tx, dtype=np.float64), payloads,
+                 np.array(genuine, dtype=bool))
 
 
 def write_schedule(schedule: Schedule, path) -> None:
@@ -215,7 +166,7 @@ class ExperimentConfig(BusConfig):
         return replace(self, nodes=nodes, seed=self.seed if seed is None else seed)
 
 
-_BUS_KEYS = {"bitrate", "duration_us", "seed", "stuffing", "payload_mode"}
+_BUS_KEYS = {"bitrate", "duration_us", "seed", "stuffing"}
 _COVERT_KEYS = {"key_hex", "level_bits", "tolerance_us", "frames_required"}
 _ALLOC_KEYS = {"algorithm", "ifs_us", "grid_step_us", "iterations", "seed"}
 _NODE_KEYS = {"skew_ppm", "tick_ns", "jitter", "covert", "frames"}
@@ -339,5 +290,4 @@ def parse_experiment_config(source) -> ExperimentConfig:
             bitrate_bps=_get(bus, "bitrate", bus.getint, 500_000),
             seed=_get(bus, "seed", bus.getint, 0),
             stuffing=bus.get("stuffing", "payload"),
-            payload_mode=bus.get("payload_mode", "counter"),
             covert=covert, allocator=allocator)

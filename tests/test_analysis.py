@@ -1,6 +1,7 @@
 """Deviation series, channel matrices, capacity, success tables, histograms."""
 
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -141,13 +142,12 @@ class TestHistogram:
             histogram([1.0], 0.0)
 
 
-def run_covert(jitter, duration_us, seed=3, stuffing="none", payload_mode="counter",
-               skew_ppm=0.0):
+def run_covert(jitter, duration_us, seed=3, stuffing="none", skew_ppm=0.0):
     cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
     spec = FrameSpec(CanId(0x100), 10 * MS, 0.0, 64)
     clock = ClockModel(skew_ppm=skew_ppm, jitter=jitter)
     cfg = BusConfig((NodeConfig("ecu", clock, (spec,), cov),), duration_us,
-                    seed=seed, stuffing=stuffing, payload_mode=payload_mode)
+                    seed=seed, stuffing=stuffing)
     return simulate(cfg), cov, {spec.id: spec.period_us}
 
 
@@ -163,9 +163,11 @@ class TestDeviationSeries:
             deviation_series(trace, {CanId(0x7): 10 * MS}, cov)
 
     def test_without_covert_config_sees_delay_spread(self):
-        trace, _, periods = run_covert(Jitter.none(), 300 * MS)
-        devs = deviation_series(trace, periods, covert=None)[CanId(0x100)]
-        assert np.max(np.abs(devs)) > 50.0  # raw covert delays look like jitter
+        """A receiver without the sender's key decodes with another one."""
+        trace, cov, periods = run_covert(Jitter.none(), 300 * MS)
+        wrong = replace(cov, key=bytes(range(1, 17)))
+        devs = deviation_series(trace, periods, wrong)[CanId(0x100)]
+        assert np.max(np.abs(devs)) > 50.0  # delays from another key look like jitter
 
     def test_stuffing_variation_stays_within_ten_us(self):
         trace, cov, periods = run_covert(Jitter.none(), 2000 * MS, stuffing="payload")

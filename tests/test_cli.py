@@ -62,6 +62,10 @@ def small(old, new):
     return SMALL.replace(old, new)
 
 
+LEVEL_BITS_3 = small("level_bits = 8", "level_bits = 3").replace("tolerance_us = 5",
+                                                                 "tolerance_us = 1")
+
+
 # malformed or degenerate input, by name: (global options and command, config
 # text, files by flag or environment variables by $NAME, more arguments, what
 # the exit-3 message must name)
@@ -119,6 +123,23 @@ MALFORMED = {
     "attack-trials-0": ("attack", SMALL, {}, ["--trials", "0"], "--trials 0"),
     "report-tolerance-whole-alphabet": ("run", small("tolerance_us = 5", "tolerance_us = 128"),
                                         {}, [], "[covert] tolerance_us 128"),
+    # the success table scores tolerances up to 5 us, which need 2^4 delay levels
+    "run-level-bits-3": ("run", LEVEL_BITS_3, {}, [], "[covert] level_bits 3"),
+    "report-level-bits-3": ("report", LEVEL_BITS_3, {"--in": ""}, [], "level_bits >= 4"),
+    "run-bin-width-0": ("run", SMALL, {}, ["--bin-width", "0"], "--bin-width 0"),
+    "run-bin-width-nan": ("run", SMALL, {}, ["--bin-width", "nan"], "--bin-width nan"),
+    "report-bin-width-0": ("report", SMALL, {"--in": ""}, ["--bin-width", "0"],
+                           "--bin-width 0"),
+    "report-bin-width-nan": ("report", SMALL, {"--in": ""}, ["--bin-width", "nan"],
+                             "--bin-width nan"),
+    "verify-rho-nan": ("verify", SMALL, {"--trace": TRACE_HEADER + "\n"}, ["--rho", "nan"],
+                       "--rho must be nonnegative, got nan"),
+    "capacity-tolerance-0": ("capacity", SMALL, {"--trace": TRACE_HEADER + "\n"},
+                             ["--tolerance", "0"], "--tolerance 0"),
+    "capacity-tolerance-negative": ("capacity", SMALL, {"--trace": TRACE_HEADER + "\n"},
+                                    ["--tolerance", "-1"], "--tolerance -1"),
+    "capacity-tolerance-nan": ("capacity", SMALL, {"--trace": TRACE_HEADER + "\n"},
+                               ["--tolerance", "nan"], "--tolerance nan"),
 }
 
 
@@ -373,6 +394,8 @@ class TestInputErrors:
         ("key_hex = 000102030405060708090A0B0C0D0E0F", "key_hex = 0001zz", "[covert] key_hex"),
         ("jitter = steps", "jitter = uniform:x", "[node.one] jitter"),
         ("seed = 3", "seed = 3\nstuffing = bogus", "[bus]: stuffing"),
+        ("seed = 3", "seed = 3\nstuffing = sampled", "[bus]: stuffing 'sampled'"),
+        ("seed = 3", "seed = 3\npayload_mode = random", "[bus]: unknown keys ['payload_mode']"),
     ])
     def test_bad_config_value_names_key(self, tmp_path, capsys, line, value, where):
         config = tmp_path / "bad.ini"

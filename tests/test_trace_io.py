@@ -1,4 +1,4 @@
-"""File formats: native trace CSV, candump import, schedules, configs."""
+"""File formats: trace CSV, schedules, configs."""
 
 import io
 import warnings
@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 from canto.bus_sim import BusConfig, NodeConfig, OversubscribedBusError, Trace, simulate
 from canto.clock_model import ClockModel
 from canto.frame_model import CanId, FrameSpec, frame_wire_time_us
-from canto.incanta import counter_from_payload
 from canto.scheduler import Schedule, hyperperiod_us
 from canto.trace_io import (TRACE_HEADER, TraceFormatError, export_trace,
                             parse_experiment_config, parse_trace, read_schedule,
@@ -65,55 +64,18 @@ class TestNativeFormat:
         assert parsed.frames[0].tx_time_us >= 222.0
 
 
-class TestCandump:
-    def test_spec_line(self):
-        trace = parse_trace(io.StringIO("(1.234567) can0 123#1122334455667788\n"),
-                            fmt="candump_log")
-        fr = trace.frames[0]
-        assert fr.bus_time_us == 1_234_567.0
-        assert fr.id == CanId(0x123)
-        assert fr.payload == bytes.fromhex("1122334455667788")
-
-    def test_counter_extracted_from_payload(self):
-        trace = parse_trace(io.StringIO("(0.010000) can0 100#000000000000002A\n"),
-                            fmt="candump_log")
-        assert trace.frames[0].counter == 42
-
-    def test_extended_id(self):
-        trace = parse_trace(io.StringIO("(0.000001) can0 1FFFFFFF#\n"), fmt="candump_log")
-        assert trace.frames[0].id.extended
-
-    def test_canonicalization_idempotent(self):
-        text = "(0.000100) can0 123#DEAD\n(0.000200) can0 456#BEEF\n"
-        first = parse_trace(io.StringIO(text), fmt="candump_log")
-        a = io.StringIO()
-        write_trace(first, a)
-        second = parse_trace(io.StringIO(a.getvalue()))
-        b = io.StringIO()
-        write_trace(second, b)
-        assert a.getvalue() == b.getvalue()
-
-    def test_malformed(self):
-        with pytest.raises(TraceFormatError, match="line 1"):
-            parse_trace(io.StringIO("garbage\n"), fmt="candump_log")
-
-    def test_unknown_format(self):
-        with pytest.raises(TraceFormatError):
-            parse_trace(io.StringIO(""), fmt="blf")
-
-
 _ROUND_TRIP_IDS = [CanId(0x0), CanId(0x100), CanId(0x7FF), CanId(0x800, extended=True),
                    CanId(0x1FFFFFFF, extended=True)]
 
 
 @st.composite
-def columnar_traces(draw, step_tenths=1):
-    """Column-built traces, times non-decreasing on a grid of `step_tenths` x 0.1 us."""
+def columnar_traces(draw):
+    """Column-built traces, times non-decreasing on the 0.1 us grid."""
     ids = tuple(draw(st.lists(st.sampled_from(_ROUND_TRIP_IDS), min_size=1, unique=True)))
     n = draw(st.integers(0, 12))
     rows = st.lists(st.integers(0, len(ids) - 1), min_size=n, max_size=n)
     steps = st.lists(st.integers(0, 10**12), min_size=n, max_size=n)
-    tenths = np.array(sorted(draw(steps)), dtype=np.int64) * step_tenths
+    tenths = np.array(sorted(draw(steps)), dtype=np.int64)
     return Trace(ids, np.array(draw(rows), dtype=np.int64),
                  np.array(draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)),
                           dtype=np.int64),
@@ -130,39 +92,17 @@ def columns(trace):
                        trace.genuine)])
 
 
-def native_text(trace) -> str:
-    out = io.StringIO()
-    write_trace(trace, out)
-    return out.getvalue()
-
-
-def check_wire_times(text, fmt, bitrate):
-    trace = parse_trace(io.StringIO(text), fmt, bitrate)
-    want = [frame_wire_time_us(trace.ids[k], p, bitrate) if bitrate else 0.0
-            for k, p in zip(trace.id_index.tolist(), trace.payloads)]
-    assert trace.tx_time_us.tolist() == want
-
-
 class TestColumnarRoundTrip:
     @given(columnar_traces(), st.sampled_from([None, 125_000, 500_000]))
     @settings(max_examples=200, deadline=None)
     def test_native(self, trace, bitrate):
-        text = native_text(trace)
-        assert columns(parse_trace(io.StringIO(text))) == columns(trace)
-        check_wire_times(text, "native_csv", bitrate)
-
-    @given(columnar_traces(step_tenths=10), st.sampled_from([None, 125_000, 500_000]))
-    @settings(max_examples=200, deadline=None)
-    def test_candump(self, trace, bitrate):
-        micros = np.rint(trace.bus_time_us).astype(np.int64).tolist()
-        text = "".join(f"({t // 10**6}.{t % 10**6:06d}) can0 {trace.ids[k]}#{p.hex()}\n"
-                       for t, k, p in zip(micros, trace.id_index.tolist(), trace.payloads))
-        parsed = parse_trace(io.StringIO(text), "candump_log")
-        rows, _, times, payloads, _, dtypes = columns(trace)
-        counters = [counter_from_payload(p) if len(p) >= 4 else 0 for p in payloads]
-        assert columns(parsed) == (rows, counters, times, payloads, [True] * len(rows), dtypes)
-        assert columns(parse_trace(io.StringIO(native_text(parsed)))) == columns(parsed)
-        check_wire_times(text, "candump_log", bitrate)
+        out = io.StringIO()
+        write_trace(trace, out)
+        assert columns(parse_trace(io.StringIO(out.getvalue()))) == columns(trace)
+        parsed = parse_trace(io.StringIO(out.getvalue()), bitrate)
+        want = [frame_wire_time_us(parsed.ids[k], p, bitrate) if bitrate else 0.0
+                for k, p in zip(parsed.id_index.tolist(), parsed.payloads)]
+        assert parsed.tx_time_us.tolist() == want
 
 
 class TestScheduleFile:
@@ -269,14 +209,15 @@ frames = 0x10:10000:8:2000
 
 # Fuzzing: each key draws from a pool whose first value is valid and whose
 # others are boundary or malformed (or, now and then, free text), so many
-# documents get past the section checks. Every valid period divides 20 ms,
+# documents get past the section checks. payload_mode is no longer a key,
+# so any value of it must be rejected. Every valid period divides 20 ms,
 # which keeps hyperperiods short.
 _POOLS = {
     "duration_us": ["40000", "15000", "inf", "nan"],
     "bitrate": ["500000", "10000", "0", "1e3"],
     "seed": ["7", "-1"],
     "stuffing": ["payload", "none", "sampled", "bogus"],
-    "payload_mode": ["counter", "random", "zero", "bogus"],
+    "payload_mode": ["counter", "random"],
     "key_hex": ["000102030405060708090A0B0C0D0E0F", "00", "zz"],
     "level_bits": ["8", "4", "40"],
     "tolerance_us": ["5", "0", "nan", "-1"],
@@ -367,12 +308,6 @@ _TRACE_FIELDS = (
     st.one_of(st.binary(max_size=10).map(bytes.hex), st.text(max_size=3)),
     st.sampled_from(["0", "1", "2", "x", ""]),
 )
-_CANDUMP_LINES = st.builds(
-    lambda s, f, i, d: f"({s}.{f}) can0 {i}#{d}",
-    st.one_of(st.integers(0, 10**6).map(str), st.just("9" * 400)),
-    st.sampled_from(["000001", "5", "1234567"]),
-    st.sampled_from(["100", "7FF", "1FFFFFFF", "20000000", "XYZ"]),
-    st.binary(max_size=10).map(bytes.hex))
 
 
 class TestTraceFuzz:
@@ -382,20 +317,11 @@ class TestTraceFuzz:
            st.sampled_from([None, 500_000]))
     @settings(max_examples=400, deadline=None)
     def test_native_only_format_errors_escape(self, lines, bitrate):
-        self._parse(TRACE_HEADER + "\n" + "\n".join(lines), "native_csv", bitrate)
-
-    @given(st.lists(st.one_of(_CANDUMP_LINES, st.text(max_size=20)), max_size=6),
-           st.sampled_from([None, 500_000]))
-    @settings(max_examples=200, deadline=None)
-    def test_candump_only_format_errors_escape(self, lines, bitrate):
-        self._parse("\n".join(lines), "candump_log", bitrate)
-
-    @staticmethod
-    def _parse(text, fmt, bitrate):
+        text = TRACE_HEADER + "\n" + "\n".join(lines)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # non-monotone timestamps
             try:
-                trace = parse_trace(io.StringIO(text), fmt, bitrate)
+                trace = parse_trace(io.StringIO(text), bitrate)
             except TraceFormatError:
                 return
         assert all(0 <= f.counter < 2**32 for f in trace.frames)
