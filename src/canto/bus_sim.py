@@ -23,7 +23,7 @@ from canto.clock_model import ClockModel
 from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_wire_time_us,
                                transmission_time_us)
 from canto.incanta import CovertConfig, covert_delay, embed_counter
-from canto.scheduler import Schedule, check_complete, hyperperiod_us
+from canto.scheduler import Schedule, check_complete
 
 
 STUFFING_MODES = ("none", "payload")
@@ -161,8 +161,7 @@ def _theoretical_busload(config: BusConfig) -> float:
 def simulate(config: BusConfig) -> Trace:
     """Run the bus and return the time-ordered trace of transmissions."""
     specs = config.frame_specs()
-    sched = Schedule(tuple(specs), hyperperiod_us([f.period_us for f in specs]))
-    if not check_complete(sched):
+    if not check_complete(Schedule(tuple(specs))):
         warnings.warn("schedule is not collision-free; covert verification will degrade",
                       stacklevel=2)
 

@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 import canto
-from canto import analysis, bus_sim, scheduler, trace_io
+from canto import analysis, bus_sim, trace_io
 from canto.incanta import adversary_advantage, decode, ecu_success
-from canto.scheduler import ALLOCATORS, Schedule, build_schedule, schedule_quality
+from canto.scheduler import ALLOCATORS, Schedule, build_schedule, check_complete, schedule_quality
 from canto.trace_io import TraceFormatError
 
 # malformed or degenerate input: exit 3 with the message, never 4
@@ -106,8 +106,7 @@ def _schedule_from(args, config, seed: int) -> Schedule:
         if "iterations" in opts:
             opts["max_iterations"] = opts.pop("iterations")
         return _allocate(where, specs, algorithm, seed=opts.pop("seed", seed), **opts)
-    return Schedule(tuple(specs),
-                    scheduler.hyperperiod_us([f.period_us for f in specs]))
+    return Schedule(tuple(specs))
 
 
 # ---------------------------------------------------------------- allocate
@@ -396,7 +395,6 @@ def cmd_run(args) -> int:
         trace_io.write_schedule(sched, out / "schedule.txt")
 
         stage = "simulate"
-        quality = schedule_quality(sched)
         bus = config.to_bus_config(sched, seed=seed)
         trace = bus_sim.simulate(bus)
         trace_io.export_trace(trace, out / "trace.csv")
@@ -418,7 +416,7 @@ def cmd_run(args) -> int:
 
         if args.check:
             stage = "check"
-            _check(quality.complete, "allocated schedule is not collision-free")
+            _check(check_complete(sched), "allocated schedule is not collision-free")
             _check(config.covert is not None, "--check needs a covert channel to score")
             if config.covert is not None:
                 rho = config.covert.tolerance_us

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import inspect
 import math
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -38,10 +37,14 @@ class OversubscribedError(ValueError):
 
 @dataclass(frozen=True)
 class Schedule:
-    """A complete allocation: frame specs with offsets plus the evaluation window."""
+    """An allocation: frame specs with their offsets."""
 
     frames: tuple[FrameSpec, ...]
-    horizon_us: float
+
+    @property
+    def horizon_us(self) -> float:
+        """The evaluation window: the hyperperiod of the frame periods."""
+        return hyperperiod_us([f.period_us for f in self.frames])
 
 
 @dataclass(frozen=True)
@@ -71,10 +74,10 @@ def _instants(pairs: Sequence[tuple[float, float]], horizon_us: float) -> np.nda
     return out
 
 
-def timestamps(schedule: Schedule, horizon_us: float | None = None) -> np.ndarray:
-    """Sorted multiset of theoretical transmission instants within the horizon."""
-    horizon = schedule.horizon_us if horizon_us is None else horizon_us
-    return _instants([(f.period_us, f.offset_us) for f in schedule.frames], horizon)
+def timestamps(schedule: Schedule) -> np.ndarray:
+    """Sorted multiset of theoretical transmission instants in one hyperperiod."""
+    return _instants([(f.period_us, f.offset_us) for f in schedule.frames],
+                     schedule.horizon_us)
 
 
 def q_factor(ts: np.ndarray) -> float:
@@ -100,8 +103,6 @@ def _q_cyclic(ts: np.ndarray, horizon_us: float) -> float:
     are ranked on the cyclic gap set; a collision yields infinity.
     """
     n = len(ts)
-    if n == 0:
-        return 0.0
     gaps = np.empty(n)
     gaps[:-1] = np.diff(ts)
     gaps[-1] = horizon_us - ts[-1] + ts[0]
@@ -110,28 +111,22 @@ def _q_cyclic(ts: np.ndarray, horizon_us: float) -> float:
     return float(np.sum(1000.0 / gaps) / n)
 
 
-def check_complete(schedule: Schedule, horizon_us: float | None = None) -> bool:
-    """True iff no two theoretical timestamps coincide within the horizon.
-
-    A horizon shorter than the hyperperiod only gives a partial check and
-    is flagged with a warning.
-    """
-    horizon = schedule.horizon_us if horizon_us is None else horizon_us
-    full = hyperperiod_us([f.period_us for f in schedule.frames])
-    if horizon < full:
-        warnings.warn(f"horizon {horizon} us below hyperperiod {full} us: "
-                      "completeness check is partial", stacklevel=2)
-    ts = timestamps(schedule, horizon)
-    return bool(np.all(np.diff(ts) > 0))
-
-
 def schedule_quality(schedule: Schedule) -> ScheduleQuality:
+    """q and the extreme gaps over one hyperperiod. The schedule is complete
+    iff no two instants coincide, so one instant per hyperperiod is complete,
+    with q and both gaps 0."""
     ts = timestamps(schedule)
     gaps = np.diff(ts)
-    complete = len(gaps) > 0 and bool(np.all(gaps > 0))
-    if not complete:
-        return ScheduleQuality(math.inf, 0.0, float(gaps.max(initial=0.0)), False)
+    if not np.all(gaps > 0):
+        return ScheduleQuality(math.inf, 0.0, float(gaps.max()), False)
+    if len(ts) < 2:
+        return ScheduleQuality(0.0, 0.0, 0.0, True)
     return ScheduleQuality(q_factor(ts), float(gaps.min()), float(gaps.max()), True)
+
+
+def check_complete(schedule: Schedule) -> bool:
+    """True iff no two theoretical instants in one hyperperiod coincide."""
+    return schedule_quality(schedule).complete
 
 
 def _sorted_order(periods_us: Sequence[float]) -> list[int]:
@@ -193,32 +188,41 @@ def allocate_randomized(periods_us: Sequence[float], max_iterations: int = 100,
     return [float(x) for x in best]
 
 
+def _greedy(periods_us: Sequence[float], candidates) -> list[float]:
+    """Place the periods in ascending order, each at the offset among
+    `candidates(period, placed)` with the lowest cyclic q, where `placed` holds
+    the (period, offset) pairs so far; ties go to the earliest candidate."""
+    horizon = hyperperiod_us(periods_us)
+    offsets = [0.0] * len(periods_us)
+    placed: list[tuple[float, float]] = []
+    for idx in _sorted_order(periods_us):
+        period = periods_us[idx]
+        best_q, best_slot = math.inf, None
+        for s in candidates(period, placed):
+            q = _q_cyclic(_instants(placed + [(period, s)], horizon), horizon)
+            if q < best_q - 1e-12:
+                best_q, best_slot = q, s
+        if best_slot is None:
+            raise OversubscribedError(f"no collision-free offset for period {period}")
+        offsets[idx] = best_slot
+        placed.append((period, best_slot))
+    return offsets
+
+
 def allocate_greedy(periods_us: Sequence[float]) -> list[float]:
-    """Assign periods in ascending order, each taking the unused grid
-    offset that minimizes the incremental q; ties go to the smallest offset."""
+    """Greedy over the even grid {0, e, 2e, ...}, e = min(period)/n, each
+    grid offset used at most once (all of them lie below every period)."""
     n = len(periods_us)
     if n == 0:
         raise ValueError("empty period vector")
     e = min(periods_us) / n
     slots = [i * e for i in range(n)]
-    horizon = hyperperiod_us(periods_us)
-    offsets = [0.0] * n
-    placed: list[tuple[float, float]] = []
-    for idx in _sorted_order(periods_us):
-        period = periods_us[idx]
-        best_q, best_slot = math.inf, None
-        for s in slots:
-            if s >= period:
-                continue
-            q = _q_cyclic(_instants(placed + [(period, s)], horizon), horizon)
-            if q < best_q - 1e-12:
-                best_q, best_slot = q, s
-        if best_slot is None:
-            raise OversubscribedError(f"no usable offset for period {period}")
-        offsets[idx] = best_slot
-        placed.append((period, best_slot))
-        slots.remove(best_slot)
-    return offsets
+
+    def unused(period, placed):
+        taken = {o for _, o in placed}
+        return [s for s in slots if s not in taken]
+
+    return _greedy(periods_us, unused)
 
 
 def _collides(p1_tenths: int, o1_tenths: int, p2_tenths: int, o2_tenths: int) -> bool:
@@ -241,35 +245,19 @@ def allocate_greedy_multilayer(periods_us: Sequence[float],
         # derived default, snapped down to the representable 0.1 us grid
         e_tenths = max(1, int(min(periods_us) * 10) // n)
     else:
-        if grid_step_us <= 0:
-            raise ValueError("grid step must be positive")
+        if not 0 < grid_step_us < math.inf:  # NaN fails too
+            raise ValueError("grid step must be positive and finite")
         e_tenths = round(grid_step_us * 10)
         if e_tenths <= 0 or abs(e_tenths - grid_step_us * 10) > 1e-9:
             raise ValueError("grid step must sit on the 0.1 us grid")
-    e = e_tenths / 10.0
-    horizon = hyperperiod_us(periods_us)
-    offsets = [0.0] * n
-    placed: list[tuple[float, float]] = []
-    placed_tenths: list[tuple[int, int]] = []
-    for idx in _sorted_order(periods_us):
-        period = periods_us[idx]
-        p_tenths = period_tenths(period)
-        best_q, best_slot = math.inf, None
-        for k in range(int(p_tenths // e_tenths)):
-            o_tenths = k * e_tenths
-            if any(_collides(p_tenths, o_tenths, p2, o2) for p2, o2 in placed_tenths):
-                continue
-            s = o_tenths / 10.0
-            q = _q_cyclic(_instants(placed + [(period, s)], horizon), horizon)
-            if q < best_q - 1e-12:
-                best_q, best_slot = q, s
-        if best_slot is None:
-            raise OversubscribedError(
-                f"no collision-free grid offset for period {period} at step {e}")
-        offsets[idx] = best_slot
-        placed.append((period, best_slot))
-        placed_tenths.append((p_tenths, round(best_slot * 10)))
-    return offsets
+
+    def candidates(period, placed):
+        p = period_tenths(period)
+        taken = [(period_tenths(p2), round(o2 * 10)) for p2, o2 in placed]
+        return [k * e_tenths / 10.0 for k in range(p // e_tenths)
+                if not any(_collides(p, k * e_tenths, *t) for t in taken)]
+
+    return _greedy(periods_us, candidates)
 
 
 def allocate_gcd(periods_us: Sequence[float], ifs_us: float = 500.0) -> list[float]:
@@ -280,8 +268,8 @@ def allocate_gcd(periods_us: Sequence[float], ifs_us: float = 500.0) -> list[flo
     claims every (D/G)-th window of one row, starting at a free window;
     its offset is row*ifs_us + start_window*G.
     """
-    if ifs_us <= 0:
-        raise ValueError("minimum spacing must be positive")
+    if not 0 < ifs_us < math.inf:  # NaN fails too
+        raise ValueError("minimum spacing must be positive and finite")
     if not periods_us:
         raise ValueError("empty period vector")
     ints = [period_tenths(p) for p in periods_us]
@@ -348,10 +336,4 @@ def build_schedule(specs: Sequence[FrameSpec], algorithm: str, *, ifs_us: float 
     offsets = allocate(periods, **{k: v for k, v in options.items() if k in accepted})
     frames = tuple(FrameSpec(f.id, f.period_us, off, f.payload_bits)
                    for f, off in zip(specs, offsets))
-    schedule = Schedule(frames, hyperperiod_us(periods))
-    # binary/randomized place offsets inside the fastest period only, which
-    # cannot always de-collide vectors whose pairwise gcds are smaller
-    if not check_complete(schedule):
-        warnings.warn(f"{algorithm} allocation left coincident timestamps for this "
-                      "period vector", stacklevel=2)
-    return schedule
+    return Schedule(frames)

@@ -23,7 +23,7 @@ from canto.bus_sim import BusConfig, NodeConfig, Trace
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec, frame_wire_time_us
 from canto.incanta import CovertConfig
-from canto.scheduler import Schedule, hyperperiod_us
+from canto.scheduler import Schedule
 
 TRACE_HEADER = "bus_time_us,id_hex,counter,payload_hex,genuine"
 
@@ -129,7 +129,7 @@ def read_schedule(path) -> Schedule:
                 raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
     if not frames:
         raise TraceFormatError(f"{path}: empty schedule")
-    return Schedule(tuple(frames), hyperperiod_us([f.period_us for f in frames]))
+    return Schedule(tuple(frames))
 
 
 @dataclass(frozen=True)

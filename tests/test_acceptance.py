@@ -195,7 +195,7 @@ def test_criterion_2_completeness(allocations):
     """Every allocator output is collision-free over the 100 ms hyperperiod."""
     out, _ = allocations
     for algorithm, (sched, quality) in out.items():
-        assert check_complete(sched, horizon_us=100 * MS), f"{algorithm} incomplete"
+        assert check_complete(sched), f"{algorithm} incomplete"
         assert quality.complete
     print("ACCEPTANCE 2 (completeness): PASS")
 

@@ -9,6 +9,7 @@ from canto.cli import main
 from canto.trace_io import TRACE_HEADER
 
 PAPER = "configs/paper_vector.ini"
+CAPACITY = "configs/capacity_scenario.ini"
 
 SMALL = """
 [bus]
@@ -100,6 +101,16 @@ MALFORMED = {
                        "--grid 0.05"),
     "allocator-ifs": ("run", small("ifs_us = 600", "ifs_us = 15000"), {}, [],
                       "[allocator] algorithm = gcd, ifs_us = 15000"),
+    "gcd-ifs-inf": ("allocate", SMALL, {}, ["--algorithm", "gcd", "--ifs", "inf"],
+                    "--ifs inf: minimum spacing must be positive and finite"),
+    "gcd-ifs-nan": ("allocate", SMALL, {}, ["--algorithm", "gcd", "--ifs", "nan"],
+                    "--ifs nan: minimum spacing must be positive and finite"),
+    "greedy-ml-grid-inf": ("allocate", SMALL, {}, ["--algorithm", "greedy-ml", "--grid", "inf"],
+                           "--grid inf: grid step must be positive and finite"),
+    "greedy-ml-grid-nan": ("allocate", SMALL, {}, ["--algorithm", "greedy-ml", "--grid", "nan"],
+                           "--grid nan: grid step must be positive and finite"),
+    "allocator-ifs-inf": ("simulate", small("ifs_us = 600", "ifs_us = inf"), {}, [],
+                          "ifs_us = inf: minimum spacing must be positive and finite"),
     "counter-2^64+1": ("verify", SMALL, {"--trace": TRACE_HEADER
                                          + "\n100000,100,1,2021222300000001,1\n"
                                          + f"200000,100,{2**64 + 1},2021222300000002,1\n"},
@@ -171,6 +182,12 @@ class TestAllocate:
         q = float(row[2])
         assert abs(q - 1.86) / 1.86 < 0.15
 
+    def test_one_frame_schedule_is_complete(self, tmp_path):
+        out = tmp_path / "alloc"
+        assert main(["allocate", "--config", CAPACITY, "--algorithm", "gcd",
+                     "--out", str(out)]) == 0
+        assert (out / "allocation_report.csv").read_text().splitlines()[1] == "gcd,1,0.0000,0,0"
+
     def test_unknown_algorithm_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["allocate", "--config", PAPER, "--algorithm", "magic",
@@ -220,6 +237,9 @@ class TestPipeline:
         assert (tmp_path / "run" / "success_table.csv").exists()
         report = (tmp_path / "run" / "report_summary.txt").read_text()
         assert "autosar_crossing_frames=6" in report
+
+    def test_run_check_passes_on_one_frame_schedule(self, tmp_path):
+        assert main(["run", "--config", CAPACITY, "--out", str(tmp_path), "--check"]) == 0
 
     def test_determinism_byte_identical(self, small_config, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"

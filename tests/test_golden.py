@@ -36,6 +36,9 @@ def _commands(tmp: Path) -> dict[str, list[str]]:
     commands["capacity_capacity"] = ["capacity", "--config", CAPACITY, "--trace", trace]
     for alg in ALGORITHMS:
         commands[f"allocate_{alg}"] = ["allocate", "--config", PAPER, "--algorithm", alg]
+    # greedy-ml on a second candidate grid: the derived default is 250 us
+    commands["allocate_greedy-ml_grid500"] = ["allocate", "--config", PAPER,
+                                              "--algorithm", "greedy-ml", "--grid", "500"]
     return commands
 
 

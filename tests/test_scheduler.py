@@ -9,19 +9,18 @@ from hypothesis import given, settings, strategies as st
 
 from canto.frame_model import CanId, FrameSpec
 from canto.scheduler import (IncompleteScheduleError, OversubscribedError, Schedule,
-                             allocate_binary_symmetric, allocate_gcd, allocate_greedy,
-                             allocate_greedy_multilayer, allocate_randomized,
-                             build_schedule, check_complete, hyperperiod_us, q_factor,
-                             schedule_quality, timestamps)
+                             ScheduleQuality, allocate_binary_symmetric, allocate_gcd,
+                             allocate_greedy, allocate_greedy_multilayer,
+                             allocate_randomized, build_schedule, check_complete,
+                             hyperperiod_us, q_factor, schedule_quality, timestamps)
 
 MS = 1000.0
 PAPER_VECTOR = [10 * MS] * 6 + [20 * MS] * 8 + [50 * MS] * 12 + [100 * MS] * 14
 
 
-def make_schedule(periods, offsets, horizon=None):
-    frames = tuple(FrameSpec(CanId(0x100 + i), p, o)
-                   for i, (p, o) in enumerate(zip(periods, offsets)))
-    return Schedule(frames, hyperperiod_us(periods) if horizon is None else horizon)
+def make_schedule(periods, offsets):
+    return Schedule(tuple(FrameSpec(CanId(0x100 + i), p, o)
+                          for i, (p, o) in enumerate(zip(periods, offsets))))
 
 
 def cyclic_q(ts, horizon):
@@ -56,15 +55,15 @@ class TestHyperperiod:
 
 class TestTimestamps:
     def test_single_entry(self):
-        s = make_schedule([10 * MS], [0.0], horizon=35 * MS)
-        assert list(timestamps(s)) == [0.0, 10 * MS, 20 * MS, 30 * MS]
+        s = make_schedule([10 * MS], [0.0])
+        assert list(timestamps(s)) == [0.0]  # one hyperperiod
 
     def test_two_entries_interleave(self):
-        s = make_schedule([10 * MS, 10 * MS], [0.0, 5 * MS], horizon=20 * MS)
-        assert list(timestamps(s)) == [0.0, 5 * MS, 10 * MS, 15 * MS]
+        s = make_schedule([10 * MS, 10 * MS], [0.0, 5 * MS])
+        assert list(timestamps(s)) == [0.0, 5 * MS]
 
     def test_all_zero_offsets_coincide_forty_fold(self):
-        s = make_schedule(PAPER_VECTOR, [0.0] * 40, horizon=100 * MS)
+        s = make_schedule(PAPER_VECTOR, [0.0] * 40)
         ts = timestamps(s)
         assert np.count_nonzero(ts == 0.0) == 40
         assert len(ts) == 6 * 10 + 8 * 5 + 12 * 2 + 14 * 1
@@ -114,7 +113,7 @@ class TestGreedy:
 
     def test_matches_exhaustive_on_two(self):
         offs = allocate_greedy([10 * MS, 20 * MS])
-        ts = timestamps(make_schedule([10 * MS, 20 * MS], offs), 20 * MS)
+        ts = timestamps(make_schedule([10 * MS, 20 * MS], offs))
         best, _ = brute_force_best_q([10 * MS, 20 * MS], [0.0, 5 * MS], 20 * MS)
         assert cyclic_q(ts, 20 * MS) == pytest.approx(best)
 
@@ -196,6 +195,54 @@ class TestGreedyMultilayer:
             allocate_greedy_multilayer([10 * MS, 10 * MS, 10 * MS], grid_step_us=5 * MS)
 
 
+# Offsets recorded from the separate greedy and greedy-ml placement loops,
+# before they were merged; None marks an OversubscribedError. Columns:
+# periods (ms), greedy, greedy-ml at the derived grid, greedy-ml at 500 us.
+PINNED_OFFSETS = [
+    ([10, 10, 20],
+     [0.0, 3333.3333333333335, 6666.666666666667],
+     [0.0, 6666.6, 3333.3],
+     [0.0, 5000.0, 2500.0]),
+    ([10, 12.5, 15],
+     [0.0, 3333.3333333333335, 6666.666666666667],
+     [0.0, 6666.6, 3333.3],
+     [0.0, 1000.0, 2500.0]),
+    ([12.5, 15, 20, 25, 50],
+     None,
+     None,
+     [0.0, 1000.0, 3500.0, 19500.0, 8500.0]),
+    ([10, 20, 20, 50, 100, 100],
+     [0.0, 5000.0, 1666.6666666666667, 6666.666666666667, 3333.3333333333335, 8333.333333333334],
+     [0.0, 4999.8, 14999.4, 48331.4, 88329.8, 78330.2],
+     [0.0, 5000.0, 15000.0, 2500.0, 7500.0, 12500.0]),
+    ([7.5, 10, 15, 15, 30],
+     [0.0, 1500.0, 4500.0, 3000.0, 6000.0],
+     [0.0, 1500.0, 4500.0, 10500.0, 16500.0],
+     [0.0, 1000.0, 3500.0, 12500.0, 25000.0]),
+    ([10, 15, 15, 15],
+     None,
+     [0.0, 2500.0, 7500.0, 12500.0],
+     [0.0, 2500.0, 7500.0, 12500.0]),
+]
+GREEDY_VARIANTS = {
+    "greedy": allocate_greedy,
+    "greedy-ml": allocate_greedy_multilayer,
+    "greedy-ml-500": lambda periods: allocate_greedy_multilayer(periods, grid_step_us=500.0),
+}
+
+
+@pytest.mark.parametrize("variant", list(GREEDY_VARIANTS))
+@pytest.mark.parametrize("row", PINNED_OFFSETS, ids=lambda row: "-".join(map(str, row[0])))
+def test_greedy_offsets_pinned(variant, row):
+    periods = [p * MS for p in row[0]]
+    want = row[1 + list(GREEDY_VARIANTS).index(variant)]
+    if want is None:
+        with pytest.raises(OversubscribedError):
+            GREEDY_VARIANTS[variant](periods)
+    else:
+        assert GREEDY_VARIANTS[variant](periods) == want
+
+
 class TestGcd:
     def test_hand_trace(self):
         assert allocate_gcd([10 * MS, 20 * MS], ifs_us=500.0) == [0.0, 500.0]
@@ -232,10 +279,24 @@ class TestCheckComplete:
     def test_colliding_pair(self):
         assert not check_complete(make_schedule([10 * MS, 20 * MS], [0.0, 0.0]))
 
-    def test_short_horizon_warns(self):
-        s = make_schedule([10 * MS, 20 * MS], [0.0, 5 * MS])
-        with pytest.warns(UserWarning, match="partial"):
-            check_complete(s, horizon_us=15 * MS)
+    def test_one_instant_is_complete(self):
+        s = make_schedule([10 * MS], [2.5 * MS])
+        assert check_complete(s)
+        assert schedule_quality(s) == ScheduleQuality(0.0, 0.0, 0.0, True)
+
+    @given(st.lists(st.tuples(st.sampled_from([5.0, 10.0, 12.5, 15.0, 20.0]),
+                              st.integers(0, 49)), min_size=1, max_size=5))
+    @settings(max_examples=50, deadline=None)
+    def test_one_rule_for_both(self, frames):
+        # offsets on a 0.25 ms grid below each period, so collisions are common
+        periods = [p * MS for p, _ in frames]
+        offsets = [k * 250.0 % p for p, (_, k) in zip(periods, frames)]
+        s = make_schedule(periods, offsets)
+        # oracle: two frames collide iff their offsets agree modulo the gcd of their periods
+        tenths = [(round(p * 10), round(o * 10)) for p, o in zip(periods, offsets)]
+        distinct = all((o1 - o2) % math.gcd(p1, p2)
+                       for (p1, o1), (p2, o2) in itertools.combinations(tenths, 2))
+        assert check_complete(s) == schedule_quality(s).complete == distinct
 
 
 ALGORITHMS = ["binary", "random", "greedy", "greedy-ml", "gcd"]
@@ -253,11 +314,10 @@ class TestAllAllocators:
         with pytest.raises(ValueError):
             build_schedule([FrameSpec(CanId(1), 10 * MS)], "simulated-annealing")
 
-    def test_colliding_output_warns(self):
+    def test_colliding_output_is_incomplete(self):
         # gcd(10, 15) = 5 ms: binary's in-window offsets cannot de-collide
         specs = [FrameSpec(CanId(1), 10 * MS), FrameSpec(CanId(2), 15 * MS)]
-        with pytest.warns(UserWarning, match="coincident"):
-            build_schedule(specs, "binary")
+        assert schedule_quality(build_schedule(specs, "binary")).complete is False
 
     @given(extra=st.lists(st.sampled_from([10 * MS, 20 * MS, 50 * MS, 100 * MS]),
                           min_size=0, max_size=7))

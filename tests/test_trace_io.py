@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from canto.bus_sim import BusConfig, NodeConfig, OversubscribedBusError, Trace, simulate
 from canto.clock_model import ClockModel
 from canto.frame_model import CanId, FrameSpec, frame_wire_time_us
-from canto.scheduler import Schedule, hyperperiod_us
+from canto.scheduler import Schedule
 from canto.trace_io import (TRACE_HEADER, TraceFormatError, export_trace,
                             parse_experiment_config, parse_trace, read_schedule,
                             write_schedule, write_trace)
@@ -109,7 +109,7 @@ class TestScheduleFile:
     def test_round_trip(self, tmp_path):
         frames = (FrameSpec(CanId(0x10), 10 * MS, 156.25, 64),
                   FrameSpec(CanId(0x1FFFFFFF, extended=True), 20 * MS, 500.0, 32))
-        sched = Schedule(frames, hyperperiod_us([10 * MS, 20 * MS]))
+        sched = Schedule(frames)
         path = tmp_path / "s.txt"
         write_schedule(sched, path)
         back = read_schedule(path)
@@ -117,7 +117,7 @@ class TestScheduleFile:
 
     def test_large_offsets_keep_precision(self, tmp_path):
         frames = (FrameSpec(CanId(0x10), 1_000_000.0, 999_999.75, 64),)
-        sched = Schedule(frames, 1_000_000.0)
+        sched = Schedule(frames)
         path = tmp_path / "s.txt"
         write_schedule(sched, path)
         assert read_schedule(path).frames[0].offset_us == 999_999.75
@@ -202,7 +202,7 @@ frames = 0x10:10000:8:2000
 
     def test_schedule_override_applies_offsets(self):
         cfg = parse_experiment_config(MINIMAL)
-        sched = Schedule((FrameSpec(CanId(0x10), 10 * MS, 2500.0, 64),), 10 * MS)
+        sched = Schedule((FrameSpec(CanId(0x10), 10 * MS, 2500.0, 64),))
         bus = cfg.to_bus_config(sched)
         assert bus.nodes[0].frames[0].offset_us == 2500.0
 
