@@ -23,12 +23,40 @@ PAPER = str(ROOT / "configs" / "paper_vector.ini")
 CAPACITY = str(ROOT / "configs" / "capacity_scenario.ini")
 ALGORITHMS = ("binary", "random", "greedy", "greedy-ml", "gcd")
 
+# Neither shipped config makes frames contend: here several IDs share an
+# offset, so the simulator arbitrates, under gaussian jitter, skewed
+# clocks and payload stuffing, with and without the covert channel.
+CONTENDED = """\
+[bus]
+bitrate = 125000
+duration_us = 1000000
+seed = 7
+stuffing = payload
+
+[covert]
+key_hex = 000102030405060708090A0B0C0D0E0F
+
+[node.engine]
+skew_ppm = 40
+jitter = gaussian:3
+frames = 0x100:10000:8:0 0x101:10000:8:0 0x102:20000:8:0 0x103:20000:4:0
+
+[node.brakes]
+skew_ppm = -25
+jitter = gaussian:1.5
+covert = false
+frames = 0x0F0:10000:8:0 0x120:5000:2:250 0x121:10000:8:250
+"""
+
 
 def _commands(tmp: Path) -> dict[str, list[str]]:
     """Output directory name -> argv; later commands read earlier outputs."""
     trace = str(tmp / "capacity_simulate" / "trace.csv")
+    contended = tmp / "contended_bus.ini"
+    contended.write_text(CONTENDED)
     commands = {"paper_run": ["run", "--config", PAPER, "--check"],
-                "capacity_simulate": ["simulate", "--config", CAPACITY]}
+                "capacity_simulate": ["simulate", "--config", CAPACITY],
+                "contended_simulate": ["simulate", "--config", str(contended)]}
     for name, extra in (("capacity_verify", []),
                         ("capacity_verify_no_compensate", ["--no-compensate"]),
                         ("capacity_verify_rho3", ["--rho", "3"])):
