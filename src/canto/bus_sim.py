@@ -158,73 +158,104 @@ def _theoretical_busload(config: BusConfig) -> float:
     return 100.0 * load
 
 
-def simulate(config: BusConfig) -> Trace:
-    """Run the bus and return the time-ordered trace of transmissions."""
-    specs = config.frame_specs()
-    if not check_complete(Schedule(tuple(specs))):
-        warnings.warn("schedule is not collision-free; covert verification will degrade",
-                      stacklevel=2)
+def _releases(config: BusConfig):
+    """Every release, stream after stream: (ready time on the bus, wire time,
+    position of the ID in `frame_specs()`, counter) as arrays, and the payloads.
 
-    # (ready_us, arbitration key, seq, id position in specs, counter, tx,
-    # payload) per release
-    releases: list[tuple] = []
-    seq = 0
+    A (node, frame) stream is released at k*period + offset (+ covert delay)
+    below the duration, on the node's clock, with jitter from the stream's
+    own generator.
+    """
+    ready, tx, pos, counters, payloads = [], [], [], [], []
     id_pos = -1
     for node_idx, node in enumerate(config.nodes):
         for frame_idx, spec in enumerate(node.frames):
             id_pos += 1
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence((config.seed, node_idx, frame_idx))))
+            # one k past the estimate; the mask keeps the releases below the duration
+            k = np.arange(math.ceil((config.duration_us - spec.offset_us) / spec.period_us) + 1)
+            base = k * spec.period_us + spec.offset_us
+            base = base[base < config.duration_us]
+            counter = np.arange(1, len(base) + 1, dtype=np.int64)
             template = _payload_template(spec)
-            nominal_tx = transmission_time_us(frame_bit_length(spec.payload_bits, spec.id.kind),
-                                              config.bitrate_bps)
-            key = spec.id.arbitration_key()
-            counter = 0
-            k = 0
-            while True:
-                base = k * spec.period_us + spec.offset_us
-                if base >= config.duration_us:
-                    break
-                counter += 1
-                payload, xi = template, 0
-                if node.covert is not None:
-                    payload = embed_counter(template, counter)
-                    xi = covert_delay(node.covert.key, counter, spec.id, payload,
-                                      node.covert.level_bits)
-                ready = node.clock.local_to_bus_time(base + xi, rng)
-                tx = frame_wire_time_us(spec.id, payload, config.bitrate_bps) \
-                    if config.stuffing == "payload" else nominal_tx
-                releases.append((ready, key, seq, id_pos, counter, tx, payload))
-                seq += 1
-                k += 1
+            sent, local = [template] * len(base), base
+            if node.covert is not None:
+                sent = [embed_counter(template, c) for c in counter.tolist()]
+                xi = [covert_delay(node.covert.key, c, spec.id, payload, node.covert.level_bits)
+                      for c, payload in zip(counter.tolist(), sent)]
+                local = base + np.array(xi, dtype=np.int64)
+            ready.append(node.clock.bus_times(local, rng))
+            if config.stuffing == "payload":
+                tx.append([frame_wire_time_us(spec.id, payload, config.bitrate_bps)
+                           for payload in sent])
+            else:
+                bits = frame_bit_length(spec.payload_bits, spec.id.kind)
+                tx.append(np.full(len(base), transmission_time_us(bits, config.bitrate_bps)))
+            pos.append(np.full(len(base), id_pos, dtype=np.int64))
+            counters.append(counter)
+            payloads += sent
+    return (np.concatenate(ready), np.concatenate(tx), np.concatenate(pos),
+            np.concatenate(counters), payloads)
 
-    heapq.heapify(releases)
-    waiting: list[tuple] = []  # (arbitration key, seq, release)
-    id_index, counters, starts, txs, payloads = [], [], [], [], []
+
+def simulate(config: BusConfig) -> Trace:
+    """Run the bus and return the time-ordered trace of transmissions.
+
+    Releases are sorted by (ready time, arbitration rank, release order). A
+    release that is ready once the one before it has ended, where that one
+    started at its own ready time, starts at its ready time too; runs of
+    such releases are taken as whole slices. From the first release that
+    overlaps the one before it, the arbitration heap runs until its waiting
+    queue drains.
+    """
+    specs = config.frame_specs()
+    if not check_complete(Schedule(tuple(specs))):
+        warnings.warn("schedule is not collision-free; covert verification will degrade",
+                      stacklevel=2)
+    ready, tx, pos, counter, payloads = _releases(config)
+    by_priority = sorted(f.id for f in specs)
+    rank = np.array([by_priority.index(f.id) for f in specs], dtype=np.int64)[pos]
+    order = np.lexsort((np.arange(len(ready)), rank, ready))
+    ready, tx, rank = ready[order], tx[order], rank[order]
+
+    n = len(ready)
+    # the releases whose predecessor in `order` has not ended by their ready time
+    overlapped = np.append(np.flatnonzero(ready[1:] < ready[:-1] + tx[:-1]) + 1, n)
+    ready_l, tx_l, rank_l, seq_l = ready.tolist(), tx.tolist(), rank.tolist(), order.tolist()
     queue_limit = 4 * len(specs) + 16
-    t = 0.0
-    while releases or waiting:
-        while releases and releases[0][0] <= t:
-            release = heapq.heappop(releases)
-            heapq.heappush(waiting, (release[1], release[2], release))
-        if not waiting:
-            t = releases[0][0]
+    rows, starts = [], []
+    t, i = 0.0, 0
+    while i < n:
+        if ready_l[i] >= t:  # the bus is free: a run starting at its ready times
+            j = int(overlapped[np.searchsorted(overlapped, i, side="right")])
+            rows.append(np.arange(i, j))
+            starts.append(ready[i:j])
+            t, i = ready_l[j - 1] + tx_l[j - 1], j
             continue
-        if len(waiting) > queue_limit:
-            raise OversubscribedBusError(
-                f"transmission queue exceeded {queue_limit} pending frames "
-                f"(theoretical busload {_theoretical_busload(config):.0f}%)")
-        ready, _, _, pos, counter, tx, payload = heapq.heappop(waiting)[2]
-        start = max(t, ready)
-        id_index.append(pos)
-        counters.append(counter)
-        starts.append(start)
-        txs.append(tx)
-        payloads.append(payload)
-        t = start + tx
-    return Trace(tuple(f.id for f in specs), np.array(id_index, dtype=np.int64),
-                 np.array(counters, dtype=np.int64), np.array(starts, dtype=np.float64),
-                 np.array(txs, dtype=np.float64), payloads, np.ones(len(starts), dtype=bool),
+        waiting: list[tuple] = []  # (arbitration rank, release order, row)
+        heap_rows, heap_starts = [], []
+        while True:
+            while i < n and ready_l[i] <= t:
+                heapq.heappush(waiting, (rank_l[i], seq_l[i], i))
+                i += 1
+            if not waiting:
+                break
+            if len(waiting) > queue_limit:
+                raise OversubscribedBusError(
+                    f"transmission queue exceeded {queue_limit} pending frames "
+                    f"(theoretical busload {_theoretical_busload(config):.0f}%)")
+            row = heapq.heappop(waiting)[2]
+            start = max(t, ready_l[row])
+            heap_rows.append(row)
+            heap_starts.append(start)
+            t = start + tx_l[row]
+        rows.append(np.array(heap_rows, dtype=np.int64))
+        starts.append(np.array(heap_starts, dtype=np.float64))
+    rows = np.concatenate(rows)
+    sent = order[rows]
+    return Trace(tuple(f.id for f in specs), pos[sent], counter[sent], np.concatenate(starts),
+                 tx[rows], [payloads[k] for k in sent.tolist()], np.ones(n, dtype=bool),
                  config.duration_us)
 
 

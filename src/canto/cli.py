@@ -111,17 +111,23 @@ def _schedule_from(args, config, seed: int) -> Schedule:
 
 # ---------------------------------------------------------------- allocate
 
-# the flag that tunes each allocator, named when the allocator refuses
-_TUNING_FLAG = {"gcd": "ifs", "greedy-ml": "grid", "random": "iterations"}
+# the flag that tunes each allocator and the `build_schedule` option it sets
+_TUNING_FLAG = {"gcd": ("ifs", "ifs_us"), "greedy-ml": ("grid", "grid_step_us"),
+                "random": ("iterations", "max_iterations")}
 
 
 def cmd_allocate(args) -> int:
     config = trace_io.parse_experiment_config(args.config)
     seed = _resolve_seed(args, config)
-    flag = _TUNING_FLAG.get(args.algorithm)
-    where = f"--algorithm {args.algorithm}" + (f" --{flag} {getattr(args, flag)}" if flag else "")
-    sched = _allocate(where, config.frame_specs(), args.algorithm, ifs_us=args.ifs,
-                      grid_step_us=args.grid, max_iterations=args.iterations, seed=seed)
+    flag, option = _TUNING_FLAG.get(args.algorithm, (None, None))
+    for other, _ in _TUNING_FLAG.values():
+        if other != flag and getattr(args, other) is not None:
+            raise TraceFormatError(f"--{other} {getattr(args, other):g}: --algorithm "
+                                   f"{args.algorithm} does not take --{other}")
+    value = getattr(args, flag) if flag else None
+    options = {} if value is None else {option: value}
+    where = f"--algorithm {args.algorithm}" + (f" --{flag} {value}" if options else "")
+    sched = _allocate(where, config.frame_specs(), args.algorithm, seed=seed, **options)
     quality = schedule_quality(sched)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -451,9 +457,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("allocate", help="compute offsets for a period vector")
     p.add_argument("--config", required=True)
     p.add_argument("--algorithm", required=True, choices=sorted(ALLOCATORS))
-    p.add_argument("--ifs", type=float, default=500.0, help="gcd minimum spacing, us")
-    p.add_argument("--grid", type=float, default=None, help="greedy-ml grid step, us")
-    p.add_argument("--iterations", type=int, default=100, help="randomized iterations")
+    p.add_argument("--ifs", type=float, default=None, help="gcd minimum spacing, us (500)")
+    p.add_argument("--grid", type=float, default=None,
+                   help="greedy-ml grid step, us (derived from the periods)")
+    p.add_argument("--iterations", type=int, default=None, help="randomized iterations (100)")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_allocate)
 

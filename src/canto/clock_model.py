@@ -76,15 +76,22 @@ class Jitter:
         raise ValueError(f"unknown jitter spec {text!r}")
 
     def draw(self, rng: np.random.Generator) -> float:
+        return float(self.draws(rng, 1)[0])
+
+    def draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """`n` draws in order; numpy's array draws equal as many scalar ones bit for bit."""
         if self.kind == "none":
-            return 0.0
+            return np.zeros(n)
         if self.kind == "uniform":
-            return float(rng.uniform(-self.half_width_us, self.half_width_us))
+            return rng.uniform(-self.half_width_us, self.half_width_us, n)
         if self.kind == "gaussian":
-            return float(rng.normal(0.0, self.sigma_us))
-        u = rng.random()
-        level = -self.step_us if u < self.prob else self.step_us if u < 2 * self.prob else 0.0
-        return level + float(rng.uniform(-self.spread_us / 2, self.spread_us / 2))
+            return rng.normal(0.0, self.sigma_us, n)
+        # each draw takes two doubles: one picks the step, the next smears it
+        u, d = rng.random(2 * n).reshape(n, 2).T
+        level = np.where(u < self.prob, -self.step_us,
+                         np.where(u < 2 * self.prob, self.step_us, 0.0))
+        low, high = -self.spread_us / 2, self.spread_us / 2
+        return level + (low + (high - low) * d)
 
     @property
     def bound_us(self) -> float:
@@ -114,14 +121,18 @@ class ClockModel:
             raise ValueError("skew beyond +-10000 ppm is not an oscillator model")
 
     def local_to_bus_time(self, t_local_us: float, rng: np.random.Generator | None = None) -> float:
-        if t_local_us < 0:
+        return float(self.bus_times([t_local_us], rng)[0])
+
+    def bus_times(self, t_local_us, rng: np.random.Generator | None = None) -> np.ndarray:
+        """Bus times of a sequence of local times, one jitter draw each, in order."""
+        local = np.asarray(t_local_us, dtype=np.float64)
+        if (local < 0).any():
             raise ValueError("local time must be nonnegative")
         tick_us = self.tick_ns / 1000.0
-        skewed = t_local_us * (1.0 + self.skew_ppm * 1e-6)
-        quantized = math.floor(skewed / tick_us) * tick_us
+        quantized = np.floor(local * (1.0 + self.skew_ppm * 1e-6) / tick_us) * tick_us
         if rng is None or self.jitter.kind == "none":
             return quantized
-        return quantized + self.jitter.draw(rng)
+        return quantized + self.jitter.draws(rng, local.size)
 
 
 def reference_slope(inter_arrivals_us, kind: str, ideal_delta_us: float | None = None,

@@ -1,16 +1,20 @@
 """Bus simulation: arbitration, occupancy, determinism, adversary injection."""
 
+import heapq
 import io
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from canto.bus_sim import (BusConfig, NodeConfig, OversubscribedBusError, Trace, busload,
-                           inject_adversary, simulate)
+from canto.bus_sim import (BusConfig, NodeConfig, OversubscribedBusError, Trace, _payload_template,
+                           _theoretical_busload, busload, inject_adversary, simulate)
 from canto.clock_model import ClockModel, Jitter
-from canto.frame_model import CanId, FrameSpec, transmission_time_us
-from canto.incanta import CovertConfig, Verifier
-from canto.scheduler import allocate_gcd
+from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_wire_time_us,
+                               transmission_time_us)
+from canto.incanta import CovertConfig, Verifier, covert_delay, embed_counter
+from canto.scheduler import Schedule, allocate_gcd, check_complete
 from canto.trace_io import write_trace
 
 MS = 1000.0
@@ -162,6 +166,135 @@ class TestOversubscription:
         with pytest.warns(UserWarning):
             with pytest.raises(OversubscribedBusError, match="busload"):
                 simulate(cfg)
+
+
+def reference_simulate(config: BusConfig) -> Trace:
+    """The simulator as it was before it computed releases as arrays: every
+    release, one scalar clock conversion at a time, through the arbitration
+    heap. `simulate` is held to it."""
+    specs = config.frame_specs()
+    if not check_complete(Schedule(tuple(specs))):
+        warnings.warn("schedule is not collision-free; covert verification will degrade",
+                      stacklevel=2)
+
+    # (ready_us, arbitration key, seq, id position in specs, counter, tx,
+    # payload) per release
+    releases: list[tuple] = []
+    seq = 0
+    id_pos = -1
+    for node_idx, node in enumerate(config.nodes):
+        for frame_idx, spec in enumerate(node.frames):
+            id_pos += 1
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence((config.seed, node_idx, frame_idx))))
+            template = _payload_template(spec)
+            nominal_tx = transmission_time_us(frame_bit_length(spec.payload_bits, spec.id.kind),
+                                              config.bitrate_bps)
+            key = spec.id.arbitration_key()
+            counter = 0
+            k = 0
+            while True:
+                base = k * spec.period_us + spec.offset_us
+                if base >= config.duration_us:
+                    break
+                counter += 1
+                payload, xi = template, 0
+                if node.covert is not None:
+                    payload = embed_counter(template, counter)
+                    xi = covert_delay(node.covert.key, counter, spec.id, payload,
+                                      node.covert.level_bits)
+                ready = node.clock.local_to_bus_time(base + xi, rng)
+                tx = frame_wire_time_us(spec.id, payload, config.bitrate_bps) \
+                    if config.stuffing == "payload" else nominal_tx
+                releases.append((ready, key, seq, id_pos, counter, tx, payload))
+                seq += 1
+                k += 1
+
+    heapq.heapify(releases)
+    waiting: list[tuple] = []  # (arbitration key, seq, release)
+    id_index, counters, starts, txs, payloads = [], [], [], [], []
+    queue_limit = 4 * len(specs) + 16
+    t = 0.0
+    while releases or waiting:
+        while releases and releases[0][0] <= t:
+            release = heapq.heappop(releases)
+            heapq.heappush(waiting, (release[1], release[2], release))
+        if not waiting:
+            t = releases[0][0]
+            continue
+        if len(waiting) > queue_limit:
+            raise OversubscribedBusError(
+                f"transmission queue exceeded {queue_limit} pending frames "
+                f"(theoretical busload {_theoretical_busload(config):.0f}%)")
+        ready, _, _, pos, counter, tx, payload = heapq.heappop(waiting)[2]
+        start = max(t, ready)
+        id_index.append(pos)
+        counters.append(counter)
+        starts.append(start)
+        txs.append(tx)
+        payloads.append(payload)
+        t = start + tx
+    return Trace(tuple(f.id for f in specs), np.array(id_index, dtype=np.int64),
+                 np.array(counters, dtype=np.int64), np.array(starts, dtype=np.float64),
+                 np.array(txs, dtype=np.float64), payloads, np.ones(len(starts), dtype=bool),
+                 config.duration_us)
+
+
+JITTERS = st.one_of(
+    st.just(Jitter.none()),
+    st.floats(0.0, 5.0).map(Jitter.uniform),
+    st.floats(0.0, 5.0).map(Jitter.gaussian),
+    st.builds(Jitter.steps, st.floats(0.0, 0.5), st.floats(0.0, 5.0), st.floats(0.0, 2.0)))
+
+
+@st.composite
+def contended_buses(draw):
+    """1-6 IDs on up to three nodes, few distinct offsets so frames contend,
+    periods near the wire time of a frame so some buses overflow."""
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(st.integers(0, 0x7FF), min_size=n, max_size=n, unique=True))
+    ids = [CanId(v << 18 | 5, extended=True) if draw(st.booleans()) else CanId(v)
+           for v in values]
+    owner = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    covert = CovertConfig(KEY, level_bits=draw(st.sampled_from([2, 8, 12])))
+    nodes = []
+    for node_idx in sorted(set(owner)):
+        sends_covert = draw(st.booleans())
+        frames = [FrameSpec(can_id, draw(st.sampled_from([1000.0, 2000.0, 2500.0, 5000.0])),
+                            draw(st.sampled_from([0.0, 150.0, 487.3])),
+                            8 * draw(st.sampled_from([4, 8] if sends_covert else [0, 2, 4, 8])))
+                  for can_id, o in zip(ids, owner) if o == node_idx]
+        clock = ClockModel(skew_ppm=draw(st.sampled_from([0.0, 45.0, -62.5, 333.3])),
+                           tick_ns=draw(st.sampled_from([10, 100])), jitter=draw(JITTERS))
+        nodes.append(NodeConfig(f"n{node_idx}", clock, tuple(frames),
+                                covert if sends_covert else None))
+    slowest = max(f.period_us for nd in nodes for f in nd.frames)
+    return BusConfig(tuple(nodes), 2 * slowest + draw(st.sampled_from([0.0, 3333.3, 20000.0])),
+                     bitrate_bps=draw(st.sampled_from([50_000, 125_000, 500_000])),
+                     seed=draw(st.integers(0, 2**16)),
+                     stuffing=draw(st.sampled_from(["none", "payload"])))
+
+
+def simulate_or_overflow(simulator, cfg):
+    try:
+        return simulator(cfg)
+    except OversubscribedBusError:
+        return None
+
+
+class TestMatchesReleaseLoop:
+    @pytest.mark.filterwarnings("ignore:schedule is not collision-free")
+    @settings(max_examples=300, deadline=None)
+    @given(contended_buses())
+    def test_simulate_equals_per_release_heap(self, cfg):
+        want = simulate_or_overflow(reference_simulate, cfg)
+        got = simulate_or_overflow(simulate, cfg)
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.ids == want.ids
+            for column in ("id_index", "counter", "bus_time_us", "tx_time_us"):
+                assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
+            assert got.payloads == want.payloads
 
 
 def covert_trace(duration_us=400 * MS, jitter=None, seed=3):

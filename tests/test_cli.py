@@ -109,6 +109,10 @@ MALFORMED = {
                            "--grid inf: grid step must be positive and finite"),
     "greedy-ml-grid-nan": ("allocate", SMALL, {}, ["--algorithm", "greedy-ml", "--grid", "nan"],
                            "--grid nan: grid step must be positive and finite"),
+    "gcd-takes-no-grid": ("allocate", SMALL, {}, ["--algorithm", "gcd", "--grid", "nan"],
+                          "--grid nan: --algorithm gcd does not take --grid"),
+    "binary-takes-no-ifs": ("allocate", SMALL, {}, ["--algorithm", "binary", "--ifs", "-5"],
+                            "--ifs -5: --algorithm binary does not take --ifs"),
     "allocator-ifs-inf": ("simulate", small("ifs_us = 600", "ifs_us = inf"), {}, [],
                           "ifs_us = inf: minimum spacing must be positive and finite"),
     "counter-2^64+1": ("verify", SMALL, {"--trace": TRACE_HEADER
@@ -165,8 +169,9 @@ class TestAllocate:
     @pytest.mark.parametrize("algorithm,min_ms", [("gcd", 0.5), ("binary", 0.15625)])
     def test_report_row(self, tmp_path, capsys, algorithm, min_ms):
         out = tmp_path / "alloc"
-        rc = main(["allocate", "--config", PAPER, "--algorithm", algorithm,
-                   "--ifs", "500", "--out", str(out)])
+        ifs = ["--ifs", "500"] if algorithm == "gcd" else []  # binary takes no --ifs
+        rc = main(["allocate", "--config", PAPER, "--algorithm", algorithm, *ifs,
+                   "--out", str(out)])
         assert rc == 0
         header, row = (out / "allocation_report.csv").read_text().splitlines()
         fields = row.split(",")

@@ -1,5 +1,7 @@
 """Oscillator model, reference clocks, and forced-delay classification."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -55,6 +57,55 @@ class TestJitter:
         for spec in (Jitter.uniform(2.0), Jitter.steps()):
             draws = [spec.draw(rng) for _ in range(2000)]
             assert max(abs(d) for d in draws) <= spec.bound_us
+
+
+def scalar_draw(jitter, rng):
+    """One draw as scalar numpy calls, the way the simulator drew before it drew arrays."""
+    if jitter.kind == "none":
+        return 0.0
+    if jitter.kind == "uniform":
+        return float(rng.uniform(-jitter.half_width_us, jitter.half_width_us))
+    if jitter.kind == "gaussian":
+        return float(rng.normal(0.0, jitter.sigma_us))
+    u = rng.random()
+    level = -jitter.step_us if u < jitter.prob else jitter.step_us if u < 2 * jitter.prob else 0.0
+    return level + float(rng.uniform(-jitter.spread_us / 2, jitter.spread_us / 2))
+
+
+def stream(seed=11):
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 2, 3))))
+
+
+JITTERS = [Jitter.none(), Jitter.uniform(2.5), Jitter.gaussian(3.0), Jitter.steps(),
+           Jitter.steps(0.3, 1.5, 0.25)]
+
+
+class TestArrayDraws:
+    @pytest.mark.parametrize("jitter", JITTERS, ids=lambda j: j.kind)
+    def test_array_equals_scalar_draws_bit_for_bit(self, jitter):
+        n = 5000
+        rng = stream()
+        want = np.array([scalar_draw(jitter, rng) for _ in range(n)])
+        rng = stream()
+        viewed = np.array([jitter.draw(rng) for _ in range(n)])
+        assert jitter.draws(stream(), n).tobytes() == want.tobytes() == viewed.tobytes()
+
+    @pytest.mark.parametrize("jitter", JITTERS, ids=lambda j: j.kind)
+    def test_bus_times_equal_scalar_conversions(self, jitter):
+        clock = ClockModel(skew_ppm=-37.5, jitter=jitter)
+        local = (np.arange(400) * 1234.5678 + 0.005).tolist()
+        tick_us = clock.tick_ns / 1000.0
+        rng = stream()
+        want = np.array([math.floor(t * (1.0 + clock.skew_ppm * 1e-6) / tick_us) * tick_us
+                         + scalar_draw(jitter, rng) for t in local])
+        rng = stream()
+        viewed = np.array([clock.local_to_bus_time(t, rng) for t in local])
+        got = clock.bus_times(local, stream())
+        assert got.tobytes() == want.tobytes() == viewed.tobytes()
+
+    def test_negative_local_time_rejected_on_array_path(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            ClockModel().bus_times(np.array([5.0, -1.0, 7.0]))
 
 
 class TestReferenceSlope:
