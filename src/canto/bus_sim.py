@@ -2,11 +2,13 @@
 
 Every cyclic frame is released at k*period + offset (+ covert delay) on
 its sender's local clock, mapped to bus time through that node's skewed
-and quantized oscillator. Whenever the bus is idle the pending frame
-with the lowest identifier transmits for its full wire time, including
-the stuff bits of its actual payload (or none, with `stuffing = none`);
-arbitration is non-destructive so losers simply wait. Identical
-configuration and seed reproduce the trace byte for byte.
+and quantized oscillator; each (node, frame) stream is computed as
+arrays. Whenever the bus is idle the pending frame with the lowest
+identifier transmits for its full wire time, including the stuff bits of
+its actual payload (or none, with `stuffing = none`); arbitration is
+non-destructive so losers simply wait. Only releases that overlap go
+through the arbitration heap. Identical configuration and seed reproduce
+the trace byte for byte.
 """
 
 from __future__ import annotations
@@ -181,9 +183,10 @@ def _releases(config: BusConfig):
             template = _payload_template(spec)
             sent, local = [template] * len(base), base
             if node.covert is not None:
-                sent = [embed_counter(template, c) for c in counter.tolist()]
+                counts = counter.tolist()
+                sent = [embed_counter(template, c) for c in counts]
                 xi = [covert_delay(node.covert.key, c, spec.id, payload, node.covert.level_bits)
-                      for c, payload in zip(counter.tolist(), sent)]
+                      for c, payload in zip(counts, sent)]
                 local = base + np.array(xi, dtype=np.int64)
             ready.append(node.clock.bus_times(local, rng))
             if config.stuffing == "payload":
@@ -222,22 +225,21 @@ def simulate(config: BusConfig) -> Trace:
     n = len(ready)
     # the releases whose predecessor in `order` has not ended by their ready time
     overlapped = np.append(np.flatnonzero(ready[1:] < ready[:-1] + tx[:-1]) + 1, n)
-    ready_l, tx_l, rank_l, seq_l = ready.tolist(), tx.tolist(), rank.tolist(), order.tolist()
     queue_limit = 4 * len(specs) + 16
     rows, starts = [], []
     t, i = 0.0, 0
     while i < n:
-        if ready_l[i] >= t:  # the bus is free: a run starting at its ready times
+        if ready[i] >= t:  # the bus is free: a run starting at its ready times
             j = int(overlapped[np.searchsorted(overlapped, i, side="right")])
             rows.append(np.arange(i, j))
             starts.append(ready[i:j])
-            t, i = ready_l[j - 1] + tx_l[j - 1], j
+            t, i = ready[j - 1] + tx[j - 1], j
             continue
         waiting: list[tuple] = []  # (arbitration rank, release order, row)
         heap_rows, heap_starts = [], []
         while True:
-            while i < n and ready_l[i] <= t:
-                heapq.heappush(waiting, (rank_l[i], seq_l[i], i))
+            while i < n and ready[i] <= t:
+                heapq.heappush(waiting, (rank[i], order[i], i))
                 i += 1
             if not waiting:
                 break
@@ -246,17 +248,17 @@ def simulate(config: BusConfig) -> Trace:
                     f"transmission queue exceeded {queue_limit} pending frames "
                     f"(theoretical busload {_theoretical_busload(config):.0f}%)")
             row = heapq.heappop(waiting)[2]
-            start = max(t, ready_l[row])
+            start = max(t, ready[row])
             heap_rows.append(row)
             heap_starts.append(start)
-            t = start + tx_l[row]
+            t = start + tx[row]
         rows.append(np.array(heap_rows, dtype=np.int64))
         starts.append(np.array(heap_starts, dtype=np.float64))
     rows = np.concatenate(rows)
-    sent = order[rows]
-    return Trace(tuple(f.id for f in specs), pos[sent], counter[sent], np.concatenate(starts),
-                 tx[rows], [payloads[k] for k in sent.tolist()], np.ones(n, dtype=bool),
-                 config.duration_us)
+    release = order[rows]  # in release order, each transmitted frame's place
+    return Trace(tuple(f.id for f in specs), pos[release], counter[release],
+                 np.concatenate(starts), tx[rows], [payloads[k] for k in release.tolist()],
+                 np.ones(n, dtype=bool), config.duration_us)
 
 
 def busload(trace: Trace) -> float:
