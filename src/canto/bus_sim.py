@@ -255,7 +255,7 @@ def simulate(config: BusConfig) -> Trace:
         rows.append(np.array(heap_rows, dtype=np.int64))
         starts.append(np.array(heap_starts, dtype=np.float64))
     rows = np.concatenate(rows)
-    release = order[rows]  # in release order, each transmitted frame's place
+    release = order[rows]  # each transmitted frame's index among the releases
     return Trace(tuple(f.id for f in specs), pos[release], counter[release],
                  np.concatenate(starts), tx[rows], [payloads[k] for k in release.tolist()],
                  np.ones(n, dtype=bool), config.duration_us)
