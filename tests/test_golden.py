@@ -62,6 +62,9 @@ def _commands(tmp: Path) -> dict[str, list[str]]:
                         ("capacity_verify_rho3", ["--rho", "3"])):
         commands[name] = ["verify", "--config", CAPACITY, "--trace", trace, *extra]
     commands["capacity_capacity"] = ["capacity", "--config", CAPACITY, "--trace", trace]
+    # the receiver over 2-, 4- and 8-byte payloads, the covert-off node's included
+    commands["contended_verify"] = ["verify", "--config", str(contended), "--trace",
+                                    str(tmp / "contended_simulate" / "trace.csv")]
     for alg in ALGORITHMS:
         commands[f"allocate_{alg}"] = ["allocate", "--config", PAPER, "--algorithm", alg]
     # greedy-ml on a second candidate grid: the derived default is 250 us
