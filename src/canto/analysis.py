@@ -60,12 +60,14 @@ def extract_channel_matrix(trace: Trace, covert: CovertConfig,
     """
     decoded, pairs = _genuine_pairs(trace, covert, periods_us, compensate_frame_length)
     size = covert.window_us
+    sent = decoded.xi[pairs]
+    # every row needs a sample; checked before the size^2 counts are allocated
+    if len(sent) < size or len(np.unique(sent)) < size:
+        raise ValueError("no samples for some delay symbols; trace too short")
     symbol = np.clip(decoded.symbol[pairs], 0, size - 1).astype(np.int64)
-    counts = np.bincount(decoded.xi[pairs] * size + symbol, minlength=size * size)
+    counts = np.bincount(sent * size + symbol, minlength=size * size)
     counts = counts.reshape(size, size).astype(np.float64)
     row_totals = counts.sum(axis=1)
-    if np.any(row_totals == 0):
-        raise ValueError("no samples for some delay symbols; trace too short")
     if row_totals.min() < MIN_SAMPLES_PER_SYMBOL:
         warnings.warn(f"sparse channel matrix: thinnest row has {int(row_totals.min())} "
                       f"samples (< {MIN_SAMPLES_PER_SYMBOL}); rows are smoothed", stacklevel=2)

@@ -24,7 +24,7 @@ import numpy as np
 from canto.clock_model import ClockModel
 from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_wire_time_us,
                                transmission_time_us)
-from canto.incanta import CovertConfig, covert_delay, embed_counter
+from canto.incanta import CovertConfig, covert_delays, embed_counters
 from canto.scheduler import Schedule, check_complete
 
 
@@ -183,11 +183,9 @@ def _releases(config: BusConfig):
             template = _payload_template(spec)
             sent, local = [template] * len(base), base
             if node.covert is not None:
-                counts = counter.tolist()
-                sent = [embed_counter(template, c) for c in counts]
-                xi = [covert_delay(node.covert.key, c, spec.id, payload, node.covert.level_bits)
-                      for c, payload in zip(counts, sent)]
-                local = base + np.array(xi, dtype=np.int64)
+                sent = embed_counters(template, counter)
+                local = base + covert_delays(node.covert.key, counter, spec.id.value, sent,
+                                             node.covert.level_bits)
             ready.append(node.clock.bus_times(local, rng))
             if config.stuffing == "payload":
                 tx.append([frame_wire_time_us(spec.id, payload, config.bitrate_bps)

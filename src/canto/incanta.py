@@ -67,26 +67,58 @@ def _hmac_pads(key: bytes):
     return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
 
 
+def covert_delays(key: bytes, counters, id_values, payloads, level_bits: int = 8) -> np.ndarray:
+    """Covert delays of a batch of frames in microseconds, as int64.
+
+    Frame i's delay is the low `level_bits` bits of the HMAC-SHA256 tag over
+    mac_input(counters[i], id, payloads[i]), the id's value being
+    `id_values[i]` (or `id_values`, one value for the batch). The tag equals
+    hmac.new(key, msg, sha256): the pad states are kept per key and the
+    8-byte counter and id heads are built in numpy, so each frame hashes only
+    its message and its inner digest. A counter outside 0..2^32-1 raises
+    OverflowError, as the 4-byte field cannot hold it.
+    """
+    counters = np.asarray(counters, dtype=np.int64)
+    if len(counters) != len(payloads):
+        raise ValueError(f"{len(counters)} counters for {len(payloads)} payloads")
+    if len(counters) and not (counters.min() >= 0 and counters.max() <= 0xFFFFFFFF):
+        raise OverflowError("counter outside 0..2^32-1 does not fit the MAC input's 4 bytes")
+    heads = np.empty((len(counters), 2), dtype=">u4")
+    heads[:, 0] = counters
+    heads[:, 1] = id_values
+    heads = heads.tobytes()
+    inner_copy, outer_copy = (pad.copy for pad in _hmac_pads(key))
+    tags = bytearray()  # the low 4 bytes of each tag
+    for at, payload in zip(range(0, len(heads), 8), payloads):
+        inner = inner_copy()
+        inner.update(heads[at:at + 8] + payload)
+        outer = outer_copy()
+        outer.update(inner.digest())
+        tags += outer.digest()[-4:]
+    return np.frombuffer(tags, dtype=">u4").astype(np.int64) & ((1 << level_bits) - 1)
+
+
 def covert_delay(key: bytes, counter: int, can_id: CanId, payload: bytes,
                  level_bits: int = 8) -> int:
-    """Covert delay in microseconds: low `level_bits` bits of the HMAC-SHA256 tag.
+    """One frame's covert delay: `covert_delays` on a batch of one."""
+    return int(covert_delays(key, [counter], can_id.value, [payload], level_bits)[0])
 
-    The tag equals hmac.new(key, msg, sha256); the pad states are kept per
-    key so a call hashes only the message and the inner digest.
-    """
-    inner_pad, outer_pad = _hmac_pads(key)
-    inner = inner_pad.copy()
-    inner.update(mac_input(counter, can_id, payload))
-    outer = outer_pad.copy()
-    outer.update(inner.digest())
-    return int.from_bytes(outer.digest(), "big") & ((1 << level_bits) - 1)
+
+def embed_counters(payload: bytes, counters) -> list[bytes]:
+    """A copy of the payload per counter, with the counter written into its
+    low 4 bytes (big-endian), built as one array."""
+    if len(payload) < 4:
+        raise ValueError("payload too short to carry a 4-byte counter")
+    counters = np.asarray(counters, dtype=np.int64) & 0xFFFFFFFF
+    rows = np.tile(np.frombuffer(payload, dtype=np.uint8), (len(counters), 1))
+    rows[:, -4:] = counters.astype(">u4").view(np.uint8).reshape(-1, 4)
+    flat, width = rows.tobytes(), len(payload)
+    return [flat[at:at + width] for at in range(0, len(flat), width)]
 
 
 def embed_counter(payload: bytes, counter: int) -> bytes:
     """Write the counter into the low 4 payload bytes (big-endian)."""
-    if len(payload) < 4:
-        raise ValueError("payload too short to carry a 4-byte counter")
-    return payload[:-4] + (counter & 0xFFFFFFFF).to_bytes(4, "big")
+    return embed_counters(payload, [counter & 0xFFFFFFFF])[0]
 
 
 def adversary_advantage(tolerance_us: float, level_bits: int, frames: int = 1) -> float:
@@ -227,9 +259,8 @@ def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
     period = np.array([periods_us[i] for i in ids], dtype=np.float64)[id_index]
     counter = trace.counter
     time_us = trace.bus_time_us if compensate else trace.bus_time_us + trace.tx_time_us
-    xi = np.array([covert_delay(covert.key, c, trace.ids[k], p, covert.level_bits)
-                   for c, k, p in zip(counter.tolist(), trace.id_index.tolist(), trace.payloads)],
-                  dtype=np.int64)
+    id_values = np.array([i.value for i in trace.ids], dtype=np.int64)[trace.id_index]
+    xi = covert_delays(covert.key, counter, id_values, trace.payloads, covert.level_bits)
 
     ref = np.full(n, -1, dtype=np.int64)
     last: dict[int, int] = {}

@@ -48,7 +48,7 @@ def write_trace(trace: Trace, fh) -> None:
 
 
 def parse_trace(source, bitrate_bps: int | None = None) -> Trace:
-    """Read a trace from a path or text stream.
+    """Read a trace from a path or a seekable text stream.
 
     With a bitrate, wire times are rebuilt from each frame's bit pattern;
     otherwise they are zero and timestamps are used as recorded.
@@ -65,44 +65,116 @@ def parse_trace(source, bitrate_bps: int | None = None) -> Trace:
     return trace
 
 
+# one character wider than the longest valid text ("0x1FFFFFFF", 8 bytes in
+# hex), so that a longer field fills its width and is rejected, not cut short
+_ID_WIDTH = len("0x1FFFFFFF") + 1
+_PAYLOAD_WIDTH = 2 * 8 + 1
+_FIELDS = TRACE_HEADER.split(",")
+_ROW = np.dtype(list(zip(_FIELDS, ["i8", f"S{_ID_WIDTH}", "i8", f"S{_PAYLOAD_WIDTH}", "i8"])))
+
+
+# numpy's reader takes 0x1C-0x1F around a number for whitespace, which int()
+# does not; a fixed-width field drops a trailing NUL; and numpy 2.4.6's reader
+# crashed (segmentation fault) on U+9C6CA. Lines holding one are rejected.
+def _foreign(text: str) -> bool:
+    return not text.isascii() or any(c in text for c in "\0\x1c\x1d\x1e\x1f")
+
+
+def _load_rows(fh, skipped: list[int], max_rows: int | None = None):
+    """The data lines' fields, read by numpy's C reader, and the line it failed
+    on as (line, 0, message), or None. The numbers of the header and the
+    whitespace-only lines, which are skipped, go to `skipped`."""
+    at = 0
+
+    def lines():
+        nonlocal at
+        for chunk in iter(lambda: fh.readlines(1 << 16), []):
+            suspect = _foreign("".join(chunk))  # one scan per chunk of lines
+            for line in chunk:
+                at += 1
+                if line.isspace() or at == 1 and line.strip() == TRACE_HEADER:
+                    skipped.append(at)
+                elif suspect and _foreign(line):
+                    raise ValueError("a character outside ASCII text (NUL, 0x1C-0x1F or "
+                                     "non-ASCII)")
+                else:
+                    yield line
+
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            return np.loadtxt(lines(), dtype=_ROW, delimiter=",", comments=None, ndmin=1,
+                              max_rows=max_rows), None
+    except ValueError as exc:
+        # numpy numbers rows its own way; the line is the one last handed to it
+        message = re.sub(r" at row \d+(, column \d+)?\.?|;.*", "", str(exc))
+        column = re.search(r"column (\d+)", str(exc))
+        if column:
+            message = f"{_FIELDS[int(column.group(1)) - 1]}: {message}"
+        return None, (at, 0, message)
+
+
 def _parse_native(fh, bitrate_bps: int | None) -> Trace:
-    """The trace's columns, read line by line, each id text parsed once."""
+    """The trace's columns, read by numpy's C reader, each id text parsed once.
+
+    Of several bad lines the first is named, as a line-by-line reader would;
+    so when the reader fails, the lines before are read again and checked.
+    """
+    skipped: list[int] = []
+    rows, failed = _load_rows(fh, skipped)
+    errors = [failed] if failed else []  # (line, check, message)
+    if failed:
+        rows_before = failed[0] - 1 - len(skipped)
+        fh.seek(0)
+        skipped.clear()
+        rows, _ = _load_rows(fh, skipped, rows_before)
+    # skipped line j comes after after[j] - 1 data lines
+    after = np.asarray(skipped, dtype=np.int64) - np.arange(len(skipped))
+
+    def file_line(row) -> int:
+        """The row's number in the file: the row plus the skipped lines before it."""
+        return int(row) + 1 + int(np.searchsorted(after, row + 1, side="right"))
+
+    texts, first, inverse = np.unique(rows["id_hex"], return_index=True, return_inverse=True)
     position: dict[CanId, int] = {}
-    by_text: dict[str, int] = {}
-    id_index, counters, times, payloads, genuine = [], [], [], [], []
-    for lineno, line in enumerate(fh, 1):
-        line = line.strip()
-        if not line or (lineno == 1 and line == TRACE_HEADER):
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise TraceFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
+    code = np.empty(len(texts), dtype=np.int64)
+    for k in np.argsort(first).tolist():  # in order of first appearance
+        text = texts[k].decode()
         try:
-            time_us = int(parts[0]) / 10.0
-            pos = by_text.get(parts[1])
-            if pos is None:
-                pos = by_text[parts[1]] = position.setdefault(CanId.parse(parts[1]),
-                                                             len(position))
-            counter = int(parts[2])
-            if not 0 <= counter <= 0xFFFFFFFF:  # the MAC input holds it in 4 bytes
-                raise ValueError(f"counter {counter} outside 0..2^32-1")
-            payload = bytes.fromhex(parts[3])
-            if len(payload) > 8:
-                raise ValueError(f"payload of {len(payload)} bytes exceeds the 8 of a CAN frame")
-            is_genuine = bool(int(parts[4]))
-        except (ValueError, OverflowError) as exc:
-            raise TraceFormatError(f"line {lineno}: {exc}") from exc
-        id_index.append(pos)
-        counters.append(counter)
-        times.append(time_us)
-        payloads.append(payload)
-        genuine.append(is_genuine)
+            if len(text) == _ID_WIDTH:
+                raise ValueError(f"id {text!r} has over {_ID_WIDTH - 1} characters")
+            code[k] = position.setdefault(CanId.parse(text), len(position))
+        except ValueError as exc:
+            errors.append((file_line(first[k]), 1, str(exc)))
+            break
+    counter = rows["counter"]
+    bad = np.flatnonzero((counter < 0) | (counter > 0xFFFFFFFF))  # the MAC input's 4 bytes
+    if len(bad):
+        errors.append((file_line(bad[0]), 2, f"counter {counter[bad[0]]} outside 0..2^32-1"))
+    hex_texts = rows["payload_hex"]
+    bad = np.flatnonzero(np.char.str_len(hex_texts) == _PAYLOAD_WIDTH)
+    if len(bad):
+        errors.append((file_line(bad[0]), 3, f"payload of over {_PAYLOAD_WIDTH - 1} characters "
+                       "exceeds the 8 bytes of a CAN frame"))
+    try:
+        payloads = list(map(bytes.fromhex, hex_texts.astype(f"U{_PAYLOAD_WIDTH}").tolist()))
+    except ValueError:
+        for row, text in enumerate(hex_texts.tolist()):
+            try:
+                bytes.fromhex(text.decode())
+            except ValueError as exc:
+                errors.append((file_line(row), 4, str(exc)))
+                break
+    if errors:
+        at, _, message = min(errors)
+        raise TraceFormatError(f"line {at}: {message}")
+
     ids = tuple(position)
-    tx = [frame_wire_time_us(ids[k], p, bitrate_bps) for k, p in zip(id_index, payloads)] \
-        if bitrate_bps else np.zeros(len(times))
-    return Trace(ids, np.array(id_index, dtype=np.int64), np.array(counters, dtype=np.int64),
-                 np.array(times, dtype=np.float64), np.array(tx, dtype=np.float64), payloads,
-                 np.array(genuine, dtype=bool))
+    id_index = code[inverse]
+    tx = [frame_wire_time_us(ids[k], p, bitrate_bps) for k, p in zip(id_index.tolist(), payloads)] \
+        if bitrate_bps else np.zeros(len(rows))
+    return Trace(ids, id_index, counter.copy(), rows["bus_time_us"] / 10.0,
+                 np.array(tx, dtype=np.float64), payloads, rows["genuine"] != 0)
 
 
 def write_schedule(schedule: Schedule, path) -> None:

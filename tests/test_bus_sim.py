@@ -326,6 +326,15 @@ class TestCovertSending:
                 xi_b = covert_delay(cov.key, b.counter, can_id, b.payload, cov.level_bits)
                 assert b.bus_time_us - a.bus_time_us == period + xi_b - xi_a
 
+    def test_payloads_carry_counters_at_every_length(self):
+        cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
+        specs = [FrameSpec(CanId(0x100 + n), 10 * MS, 600.0 * n, 8 * n) for n in range(4, 9)]
+        trace = simulate(config([node("ecu", specs, covert=cov)], 100 * MS))
+        assert len(trace) == 50
+        for f in trace.frames:
+            spec = specs[f.id.value - 0x104]
+            assert f.payload == embed_counter(_payload_template(spec), f.counter)
+
     def test_counters_increase_per_id(self):
         trace, _, periods = covert_trace()
         for can_id in periods:

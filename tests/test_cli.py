@@ -119,6 +119,10 @@ MALFORMED = {
                                          + "\n100000,100,1,2021222300000001,1\n"
                                          + f"200000,100,{2**64 + 1},2021222300000002,1\n"},
                        [], "line 3: counter"),
+    "capacity-level-bits-20": ("capacity", small("level_bits = 8", "level_bits = 20"),
+                               {"--trace": TRACE_HEADER + "\n100000,100,1,2021222300000001,1\n"
+                                + "200000,100,2,2021222300000002,1\n"},
+                               [], "trace too short"),
     "payload-9-bytes": ("verify", SMALL, {"--trace": TRACE_HEADER
                                           + "\n100000,100,1,202122230000000101,1\n"},
                         [], "line 2: payload"),

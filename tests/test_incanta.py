@@ -10,8 +10,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from canto.bus_sim import TimedFrame, Trace, inject_adversary
 from canto.frame_model import CanId
-from canto.incanta import (CovertConfig, Verifier, adversary_advantage, covert_delay, decode,
-                           ecu_success, embed_counter, mac_input)
+from canto.incanta import (CovertConfig, Verifier, adversary_advantage, covert_delay,
+                           covert_delays, decode, ecu_success, embed_counter, embed_counters,
+                           mac_input)
 
 KEY = bytes(range(16))
 ID = CanId(0x100)
@@ -75,6 +76,47 @@ class TestCovertDelay:
         assert 0.993 <= changed / trials <= 0.999
 
 
+_CAN_IDS = st.one_of(st.integers(0, 0x7FF).map(CanId),
+                    st.integers(0, 2**29 - 1).map(lambda v: CanId(v, extended=True)))
+
+
+@st.composite
+def mac_batches(draw):
+    """Counters, standard and extended ids mixed, and 0-8 byte payloads."""
+    n = draw(st.integers(0, 12))
+    return (draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)),
+            draw(st.lists(_CAN_IDS, min_size=n, max_size=n)),
+            draw(st.lists(st.binary(max_size=8), min_size=n, max_size=n)))
+
+
+class TestCovertDelays:
+    @given(key=st.integers(1, 100).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
+           batch=mac_batches(), level_bits=st.integers(1, 32))
+    @example(key=KEY, batch=([], [], []), level_bits=8)
+    def test_batch_matches_stdlib_hmac_per_frame(self, key, batch, level_bits):
+        counters, ids, payloads = batch
+        got = covert_delays(key, counters, [i.value for i in ids], payloads, level_bits)
+        want = [int.from_bytes(hmac.new(key, mac_input(c, i, p), hashlib.sha256).digest(), "big")
+                & ((1 << level_bits) - 1) for c, i, p in zip(counters, ids, payloads)]
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    def test_one_id_value_for_the_batch(self):
+        payloads = [PAYLOAD, bytes(4)]
+        assert covert_delays(KEY, [1, 2], ID.value, payloads, 12).tolist() == \
+            [covert_delay(KEY, c, ID, p, 12) for c, p in zip([1, 2], payloads)]
+
+    @pytest.mark.parametrize("counter", [-1, 2**32])
+    def test_counter_outside_four_bytes_raises(self, counter):
+        with pytest.raises(OverflowError):
+            covert_delays(KEY, [1, counter], [ID.value] * 2, [PAYLOAD] * 2)
+        with pytest.raises(OverflowError):
+            covert_delay(KEY, counter, ID, PAYLOAD)
+
+    def test_lengths_must_match(self):
+        with pytest.raises(ValueError, match="2 counters for 1 payloads"):
+            covert_delays(KEY, [1, 2], ID.value, [PAYLOAD])
+
+
 class TestAdvantageMath:
     def test_table_values(self):
         assert adversary_advantage(2, 8) == 4 / 256
@@ -106,6 +148,15 @@ class TestCounterTransport:
     def test_too_short(self):
         with pytest.raises(ValueError):
             embed_counter(b"ab", 1)
+        with pytest.raises(ValueError):
+            embed_counters(b"abc", [1])
+
+    @given(payload=st.binary(min_size=4, max_size=8),
+           counters=st.lists(st.integers(0, 2**32 - 1), max_size=8))
+    def test_batch_matches_bytes(self, payload, counters):
+        want = [payload[:-4] + c.to_bytes(4, "big") for c in counters]
+        assert embed_counters(payload, counters) == want
+        assert [embed_counter(payload, c) for c in counters] == want
 
 
 def config(**kw):

@@ -1,6 +1,7 @@
 """File formats: trace CSV, schedules, configs."""
 
 import io
+import re
 import warnings
 
 import numpy as np
@@ -11,7 +12,7 @@ from canto.bus_sim import BusConfig, NodeConfig, OversubscribedBusError, Trace, 
 from canto.clock_model import ClockModel
 from canto.frame_model import CanId, FrameSpec, frame_wire_time_us
 from canto.scheduler import Schedule
-from canto.trace_io import (TRACE_HEADER, TraceFormatError, export_trace,
+from canto.trace_io import (TRACE_HEADER, TraceFormatError, _parse_native, export_trace,
                             parse_experiment_config, parse_trace, read_schedule,
                             write_schedule, write_trace)
 
@@ -325,3 +326,146 @@ class TestTraceFuzz:
             except TraceFormatError:
                 return
         assert all(0 <= f.counter < 2**32 for f in trace.frames)
+
+
+def _line_reader(fh, bitrate_bps: int | None) -> Trace:
+    """The trace's columns, read line by line, each id text parsed once."""
+    position: dict[CanId, int] = {}
+    by_text: dict[str, int] = {}
+    id_index, counters, times, payloads, genuine = [], [], [], [], []
+    for lineno, line in enumerate(fh, 1):
+        line = line.strip()
+        if not line or (lineno == 1 and line == TRACE_HEADER):
+            continue
+        parts = line.split(",")
+        if len(parts) != 5:
+            raise TraceFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
+        try:
+            time_us = int(parts[0]) / 10.0
+            pos = by_text.get(parts[1])
+            if pos is None:
+                pos = by_text[parts[1]] = position.setdefault(CanId.parse(parts[1]),
+                                                             len(position))
+            counter = int(parts[2])
+            if not 0 <= counter <= 0xFFFFFFFF:  # the MAC input holds it in 4 bytes
+                raise ValueError(f"counter {counter} outside 0..2^32-1")
+            payload = bytes.fromhex(parts[3])
+            if len(payload) > 8:
+                raise ValueError(f"payload of {len(payload)} bytes exceeds the 8 of a CAN frame")
+            is_genuine = bool(int(parts[4]))
+        except (ValueError, OverflowError) as exc:
+            raise TraceFormatError(f"line {lineno}: {exc}") from exc
+        id_index.append(pos)
+        counters.append(counter)
+        times.append(time_us)
+        payloads.append(payload)
+        genuine.append(is_genuine)
+    ids = tuple(position)
+    tx = [frame_wire_time_us(ids[k], p, bitrate_bps) for k, p in zip(id_index, payloads)] \
+        if bitrate_bps else np.zeros(len(times))
+    return Trace(ids, np.array(id_index, dtype=np.int64), np.array(counters, dtype=np.int64),
+                 np.array(times, dtype=np.float64), np.array(tx, dtype=np.float64), payloads,
+                 np.array(genuine, dtype=bool))
+
+
+def _int_beyond_int64(text: str) -> bool:
+    try:
+        return not -2**63 <= int(text) < 2**63
+    except ValueError:
+        return False
+
+
+# Data lines the line-by-line reader accepts and numpy's reader rejects, by
+# name; each test is on a line and its fields as that reader splits them.
+KNOWN_DIFFERENCES = {
+    "underscore in a number (int() reads 1_000)": lambda line, f: any(
+        "_" in x for x in f[:3] + f[4:]),
+    "non-ASCII character": lambda line, f: not line.isascii(),
+    "0x1C-0x1F at a line's ends or around an id (str.strip takes them for whitespace)":
+        lambda line, f: any(c in line for c in "\x1c\x1d\x1e\x1f"),
+    "time or genuine integer beyond int64": lambda line, f: any(
+        map(_int_beyond_int64, f[::4])),
+    "id text over 10 characters": lambda line, f: len(f[1]) > 10,
+    "payload text over 16 characters": lambda line, f: len(f[3]) > 16,
+    "carriage return inside a line": lambda line, f: "\r" in line.strip(),
+}
+
+
+def known_differences(text: str) -> list[str]:
+    lines = [(line, line.strip().split(",")) for line in io.StringIO(text)
+             if line.strip() != TRACE_HEADER]
+    return [name for name, test in KNOWN_DIFFERENCES.items()
+            if any(len(f) == 5 and test(line, f) for line, f in lines)]
+
+
+def _outcome(reader, text, bitrate):
+    """The columns, ids, id positions and wire times read, or the line named."""
+    try:
+        trace = reader(io.StringIO(text), bitrate)
+    except TraceFormatError as exc:
+        return re.match(r"line \d+", str(exc)).group()
+    return (columns(trace), trace.ids, trace.id_index.tolist(), trace.tx_time_us.tolist())
+
+
+_BLANKS = st.lists(st.sampled_from(["", " ", "\t", " \x0c ", "\u3000"]), max_size=2)
+
+
+@st.composite
+def with_blanks(draw, lines):
+    """The lines with blank and whitespace-only lines drawn before and after each."""
+    out = []
+    for line in draw(lines) + [None]:
+        out += draw(_BLANKS) + ([] if line is None else [line])
+    return "\n".join(out) + draw(st.sampled_from(["", "\n"]))
+
+
+def _exported(trace):
+    out = io.StringIO()
+    write_trace(trace, out)
+    return out.getvalue().splitlines()
+
+
+_FUZZ_LINES = st.lists(st.one_of(st.tuples(*_TRACE_FIELDS).map(",".join),
+                                 st.lists(_TRACE_FIELDS[0], max_size=6).map(",".join)),
+                       max_size=6).map(lambda lines: [TRACE_HEADER] + lines)
+
+
+class TestReaderMatchesLineReader:
+    """numpy's reader against the line-by-line one it replaced: equal columns
+    and ids, or the same line named, on all but the known differences."""
+
+    def check(self, text, bitrate):
+        new = _outcome(_parse_native, text, bitrate)
+        if not isinstance(new, str):  # what numpy's reader accepts, both accept alike
+            assert _outcome(_line_reader, text, bitrate) == new
+            return
+        differences = known_differences(text)
+        if not differences:
+            assert _outcome(_line_reader, text, bitrate) == new
+
+    @given(with_blanks(columnar_traces().map(_exported)), st.sampled_from([None, 500_000]))
+    @settings(max_examples=200, deadline=None)
+    def test_exported_traces(self, text, bitrate):
+        assert not known_differences(text)
+        self.check(text, bitrate)
+
+    @given(with_blanks(_FUZZ_LINES), st.sampled_from([None, 500_000]))
+    @settings(max_examples=1000, deadline=None)
+    def test_fuzz_alphabet(self, text, bitrate):
+        self.check(text, bitrate)
+
+    @pytest.mark.parametrize("name,line", [
+        ("underscore in a number (int() reads 1_000)", "1_000,100,1,00,1"),
+        ("non-ASCII character", "\u0661,100,1,00,1"),
+        ("0x1C-0x1F at a line's ends or around an id (str.strip takes them for whitespace)",
+         "10,100\x1c,1,00,1"),
+        ("time or genuine integer beyond int64", f"{2**63},100,1,00,1"),
+        ("id text over 10 characters", "10,00000000100,1,00,1"),
+        ("payload text over 16 characters", "10,100,1,00 00 00 00 00 00 00 00,1"),
+        ("carriage return inside a line", "10,100\r,1,00,1"),
+    ])
+    def test_known_difference(self, name, line):
+        text = f"{TRACE_HEADER}\n{line}\n"
+        assert known_differences(text) == [name]
+        assert not isinstance(_outcome(_line_reader, text, None), str)
+        assert _outcome(_parse_native, text, None) == "line 2"
