@@ -183,13 +183,17 @@ def _write_verdicts(trace, decoded, path: Path) -> None:
     with open(path, "w", newline="\n") as fh:
         fh.write("bus_time_us,id_hex,counter,error_us,verdict\n")
         texts = [str(i) for i in trace.ids]
-        # np.rint rounds half to even, as round() does
-        tenths = np.rint(decoded.time_us * 10).astype(np.int64).tolist()
-        for t, k, c, err, ok in zip(tenths, trace.id_index.tolist(), trace.counter.tolist(),
-                                    decoded.error_us.tolist(), decoded.accepted.tolist()):
-            err = "" if math.isnan(err) else f"{err:.4f}"
-            word = "accept" if ok else "intrusion"
-            fh.write(f"{t},{texts[k]},{c},{err},{word}\n")
+        for lo in range(0, len(trace), 4096):  # few number objects alive at a time
+            rows = slice(lo, lo + 4096)
+            # np.rint rounds half to even, as round() does
+            tenths = np.rint(decoded.time_us[rows] * 10).astype(np.int64).tolist()
+            for t, k, c, err, ok in zip(tenths, trace.id_index[rows].tolist(),
+                                        trace.counter[rows].tolist(),
+                                        decoded.error_us[rows].tolist(),
+                                        decoded.accepted[rows].tolist()):
+                err = "" if math.isnan(err) else f"{err:.4f}"
+                word = "accept" if ok else "intrusion"
+                fh.write(f"{t},{texts[k]},{c},{err},{word}\n")
 
 
 def cmd_verify(args) -> int:

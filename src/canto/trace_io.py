@@ -156,10 +156,10 @@ def _parse_native(fh, bitrate_bps: int | None) -> Trace:
     if len(bad):
         errors.append((file_line(bad[0]), 3, f"payload of over {_PAYLOAD_WIDTH - 1} characters "
                        "exceeds the 8 bytes of a CAN frame"))
-    try:
-        payloads = list(map(bytes.fromhex, hex_texts.astype(f"U{_PAYLOAD_WIDTH}").tolist()))
+    try:  # one text at a time, so no list of them is interleaved with the payloads
+        payloads = list(map(bytes.fromhex, map(bytes.decode, hex_texts)))
     except ValueError:
-        for row, text in enumerate(hex_texts.tolist()):
+        for row, text in enumerate(hex_texts):
             try:
                 bytes.fromhex(text.decode())
             except ValueError as exc:
