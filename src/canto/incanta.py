@@ -79,8 +79,6 @@ def covert_delays(key: bytes, counters, id_values, payloads, level_bits: int = 8
     OverflowError, as the 4-byte field cannot hold it.
     """
     counters = np.asarray(counters, dtype=np.int64)
-    if len(counters) != len(payloads):
-        raise ValueError(f"{len(counters)} counters for {len(payloads)} payloads")
     if len(counters) and not (counters.min() >= 0 and counters.max() <= 0xFFFFFFFF):
         raise OverflowError("counter outside 0..2^32-1 does not fit the MAC input's 4 bytes")
     heads = np.empty((len(counters), 2), dtype=">u4")

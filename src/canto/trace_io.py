@@ -105,6 +105,8 @@ def _load_rows(fh, skipped: list[int], max_rows: int | None = None):
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             return np.loadtxt(lines(), dtype=_ROW, delimiter=",", comments=None, ndmin=1,
                               max_rows=max_rows), None
+    except UnicodeDecodeError as exc:  # raised reading the file, on no line numpy saw
+        raise TraceFormatError(f"not text in the file's encoding: {exc}") from exc
     except ValueError as exc:
         # numpy numbers rows its own way; the line is the one last handed to it
         message = re.sub(r" at row \d+(, column \d+)?\.?|;.*", "", str(exc))
@@ -152,7 +154,7 @@ def _parse_native(fh, bitrate_bps: int | None) -> Trace:
     if len(bad):
         errors.append((file_line(bad[0]), 2, f"counter {counter[bad[0]]} outside 0..2^32-1"))
     hex_texts = rows["payload_hex"]
-    bad = np.flatnonzero(np.char.str_len(hex_texts) == _PAYLOAD_WIDTH)
+    bad = np.flatnonzero(hex_texts.astype(f"S{_PAYLOAD_WIDTH - 1}") != hex_texts)  # filled
     if len(bad):
         errors.append((file_line(bad[0]), 3, f"payload of over {_PAYLOAD_WIDTH - 1} characters "
                        "exceeds the 8 bytes of a CAN frame"))

@@ -112,10 +112,6 @@ class TestCovertDelays:
         with pytest.raises(OverflowError):
             covert_delay(KEY, counter, ID, PAYLOAD)
 
-    def test_lengths_must_match(self):
-        with pytest.raises(ValueError, match="2 counters for 1 payloads"):
-            covert_delays(KEY, [1, 2], ID.value, [PAYLOAD])
-
 
 class TestAdvantageMath:
     def test_table_values(self):

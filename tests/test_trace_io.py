@@ -49,6 +49,21 @@ class TestNativeFormat:
         with pytest.raises(TraceFormatError, match="line 2"):
             parse_trace(io.StringIO(bad))
 
+    # a NUL the fixed-width id field would drop, a separator numpy takes for
+    # whitespace, a character numpy 2.4.6's reader crashed on
+    @pytest.mark.parametrize("line", ["200000,100\0,2,00,1", "200000\x1f,100,2,00,1",
+                                      "200000,100,2,00,\U0009C6CA"])
+    def test_foreign_characters_rejected(self, line):
+        text = f"{TRACE_HEADER}\n100000,100,1,00,1\n\n{line}\n"
+        with pytest.raises(TraceFormatError, match="line 4"):
+            parse_trace(io.StringIO(text))
+
+    def test_undecodable_file_is_format_error(self, tmp_path):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(TRACE_HEADER.encode() + b"\n100000,1\xe900,1,00,1\n")
+        with pytest.raises(TraceFormatError, match="encoding"):
+            parse_trace(path)
+
     def test_non_monotone_warns_and_sorts(self):
         text = ("bus_time_us,id_hex,counter,payload_hex,genuine\n"
                 "200,010,2,00,1\n100,010,1,00,1\n")
@@ -328,6 +343,7 @@ class TestTraceFuzz:
         assert all(0 <= f.counter < 2**32 for f in trace.frames)
 
 
+# The line-by-line reader that numpy's reader replaced, kept verbatim as the oracle.
 def _line_reader(fh, bitrate_bps: int | None) -> Trace:
     """The trace's columns, read line by line, each id text parsed once."""
     position: dict[CanId, int] = {}
@@ -439,8 +455,7 @@ class TestReaderMatchesLineReader:
         if not isinstance(new, str):  # what numpy's reader accepts, both accept alike
             assert _outcome(_line_reader, text, bitrate) == new
             return
-        differences = known_differences(text)
-        if not differences:
+        if not known_differences(text):
             assert _outcome(_line_reader, text, bitrate) == new
 
     @given(with_blanks(columnar_traces().map(_exported)), st.sampled_from([None, 500_000]))
@@ -450,7 +465,7 @@ class TestReaderMatchesLineReader:
         self.check(text, bitrate)
 
     @given(with_blanks(_FUZZ_LINES), st.sampled_from([None, 500_000]))
-    @settings(max_examples=1000, deadline=None)
+    @settings(max_examples=500, deadline=None)
     def test_fuzz_alphabet(self, text, bitrate):
         self.check(text, bitrate)
 
@@ -463,7 +478,7 @@ class TestReaderMatchesLineReader:
         ("id text over 10 characters", "10,00000000100,1,00,1"),
         ("payload text over 16 characters", "10,100,1,00 00 00 00 00 00 00 00,1"),
         ("carriage return inside a line", "10,100\r,1,00,1"),
-    ])
+    ], ids=["underscore", "non-ascii", "0x1c", "beyond-int64", "long-id", "long-payload", "cr"])
     def test_known_difference(self, name, line):
         text = f"{TRACE_HEADER}\n{line}\n"
         assert known_differences(text) == [name]
