@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from canto.clock_model import ClockModel
-from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_wire_time_us,
+from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_wire_times_us,
                                transmission_time_us)
 from canto.incanta import CovertConfig, covert_delays, embed_counters
 from canto.scheduler import Schedule, check_complete
@@ -188,8 +188,8 @@ def _releases(config: BusConfig):
                                              node.covert.level_bits)
             ready.append(node.clock.bus_times(local, rng))
             if config.stuffing == "payload":
-                tx.append([frame_wire_time_us(spec.id, payload, config.bitrate_bps)
-                           for payload in sent])
+                rows = np.frombuffer(b"".join(sent), np.uint8).reshape(len(sent), len(template))
+                tx.append(frame_wire_times_us(spec.id, rows, config.bitrate_bps))
             else:
                 bits = frame_bit_length(spec.payload_bits, spec.id.kind)
                 tx.append(np.full(len(base), transmission_time_us(bits, config.bitrate_bps)))

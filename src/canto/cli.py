@@ -310,9 +310,9 @@ def _check_report_covert(covert) -> None:
                                f"window covers the whole delay alphabet (2^{covert.level_bits} us)")
 
 
-def _report(indir: Path, out: Path, covert, bin_width: float) -> None:
-    """Tables and figure CSVs from verify/attack outputs, at the covert
-    channel's level and tolerance, which `_check_report_covert` accepted."""
+def _report(indir: Path, out: Path, covert, bin_width: float, bus_times) -> None:
+    """Tables and figure CSVs from verify/attack outputs and bus times (None: no
+    trace), at the covert level and tolerance `_check_report_covert` accepted."""
     level, tolerance = covert.level_bits, covert.tolerance_us
     verdicts = indir / "verdicts.csv"
     attack = indir / "attack.csv"
@@ -354,9 +354,8 @@ def _report(indir: Path, out: Path, covert, bin_width: float) -> None:
         for s, c in zip(starts, counts):
             fh.write(f"{s:.6g},{int(c)}\n")
 
-    trace_path = indir / "trace.csv"
-    if trace_path.exists():
-        gaps = np.diff(trace_io.parse_trace(trace_path).bus_time_us) / 1000.0
+    if bus_times is not None:
+        gaps = np.diff(bus_times) / 1000.0
         starts, counts = analysis.histogram(gaps, 0.05)
         with open(out / "fig_interframe_histogram.csv", "w", newline="\n") as fh:
             fh.write("bin_start_ms,count\n")
@@ -378,7 +377,9 @@ def cmd_report(args) -> int:
     if config.covert is None:
         raise TraceFormatError("report needs a [covert] section")
     _check_report_covert(config.covert)
-    _report(Path(args.indir), Path(args.out), config.covert, args.bin_width)
+    trace_path = Path(args.indir) / "trace.csv"
+    bus_times = trace_io.parse_trace(trace_path).bus_time_us if trace_path.exists() else None
+    _report(Path(args.indir), Path(args.out), config.covert, args.bin_width, bus_times)
     return 0
 
 
@@ -422,7 +423,8 @@ def cmd_run(args) -> int:
             _write_attack(out, "adv_rate_exact", adv.items(), level)
 
             stage = "report"
-            _report(out, out, config.covert, args.bin_width)
+            _report(out, out, config.covert, args.bin_width,
+                    np.rint(trace.bus_time_us * 10) / 10.0)  # the tenths of trace.csv
 
         if args.check:
             stage = "check"

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 from functools import cache, lru_cache, total_ordering
 from typing import Iterable
 
+import numpy as np
+
 CRC_BITS = 15
 IFS_BITS = 3
 
@@ -147,12 +149,6 @@ def transmission_time_us(bits: int, bitrate_bps: int) -> float:
     return float(tenths) / 10.0
 
 
-def frame_wire_time_us(can_id: CanId, payload: bytes, bitrate_bps: int) -> float:
-    """Wire time of a concrete data frame: field-sum length plus its stuff bits."""
-    bits = frame_bit_length(len(payload) * 8, can_id.kind) + frame_stuff_bits(can_id, payload)
-    return transmission_time_us(bits, bitrate_bps)
-
-
 def _stuff_walk(bits: Iterable[int], run_bit: int | None = None,
                 run_len: int = 0) -> tuple[int, int | None, int]:
     """Stuff bits inserted into `bits`, continuing from a run of `run_len`
@@ -185,12 +181,12 @@ def _pack(count: int, run_bit: int, run_len: int) -> int:
 
 
 @cache
-def _byte_table() -> list[int]:
+def _byte_table() -> np.ndarray:
     """Packed (stuff count, run state after) for every (run state, byte),
     indexed state << 8 | byte; built on first use."""
-    return [_pack(*_stuff_walk([(byte >> (7 - i)) & 1 for i in range(8)],
-                               state >> 2, (state & 3) + 1))
-            for state in range(8) for byte in range(256)]
+    return np.array([_pack(*_stuff_walk([(byte >> (7 - i)) & 1 for i in range(8)],
+                                        state >> 2, (state & 3) + 1))
+                     for state in range(8) for byte in range(256)], dtype=np.int64)
 
 
 @lru_cache(maxsize=4096)
@@ -209,19 +205,35 @@ def _header_entry(value: int, extended: bool, dlc: int) -> int:
     return _pack(*_stuff_walk(bits))
 
 
-def frame_stuff_bits(can_id: CanId, payload: bytes) -> int:
-    """Stuff bits of a concrete frame, from its header and payload pattern.
-
-    Table-driven: the header's count and final run state are cached per
-    (identifier, DLC), then each payload byte is one lookup in a table
-    indexed by (run bit, run length 1..4, byte). The CRC field is still
-    excluded (its value is out of scope here), so this undercounts a real
-    frame by the CRC region's stuffing.
-    """
-    entry = _header_entry(can_id.value, can_id.extended, len(payload))
-    count = entry >> 3
-    table = _byte_table()
-    for byte in payload:
-        entry = table[(entry & 7) << 8 | byte]
+def _stuff_counts(can_id: CanId, rows: np.ndarray) -> np.ndarray:
+    """Stuff bits of frames of one identifier whose payloads are the rows of an
+    (n, L) uint8 array: the header's cached count and run state, then one table
+    lookup per byte column. The CRC is excluded, so a real frame has more."""
+    entry = _header_entry(can_id.value, can_id.extended, rows.shape[1])
+    count, state = np.full((2, len(rows)), [[entry >> 3], [entry & 7]], dtype=np.int64)
+    for column in rows.T:
+        entry = _byte_table()[state << 8 | column]
         count += entry >> 3
+        state = entry & 7
     return count
+
+
+def frame_stuff_bits(can_id: CanId, payload: bytes) -> int:
+    """Stuff bits of one concrete frame, from its header and payload pattern."""
+    return int(_stuff_counts(can_id, np.frombuffer(payload, dtype=np.uint8)[None])[0])
+
+
+def frame_wire_times_us(can_id: CanId, rows: np.ndarray, bitrate_bps: int) -> np.ndarray:
+    """Wire times of frames of one identifier whose payloads are the rows of an
+    (n, L) uint8 array: field-sum length plus each frame's stuff bits, each
+    distinct total priced once by `transmission_time_us`."""
+    bits = frame_bit_length(rows.shape[1] * 8, can_id.kind)
+    stuff = _stuff_counts(can_id, rows)
+    return np.array([transmission_time_us(bits + s, bitrate_bps)
+                     for s in range(stuff.max(initial=0) + 1)])[stuff]
+
+
+def frame_wire_time_us(can_id: CanId, payload: bytes, bitrate_bps: int) -> float:
+    """Wire time of one concrete data frame: field-sum length plus its stuff bits."""
+    rows = np.frombuffer(payload, dtype=np.uint8)[None]
+    return float(frame_wire_times_us(can_id, rows, bitrate_bps)[0])

@@ -235,6 +235,9 @@ class Decoded:
     window: np.ndarray      # -1 before frames_required verdicts, else 0 or 1
 
 
+_REASONS = np.array(["", "first", "replay", "timing"])  # decode's reason, by code
+
+
 def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
            compensate: bool = True) -> Decoded:
     """Every frame of a trace through `Verifier`'s receiver rule at once.
@@ -260,15 +263,7 @@ def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
     id_values = np.array([i.value for i in trace.ids], dtype=np.int64)[trace.id_index]
     xi = covert_delays(covert.key, counter, id_values, trace.payloads, covert.level_bits)
 
-    ref = np.full(n, -1, dtype=np.int64)
-    last: dict[int, int] = {}
-    counters = counter.tolist()
-    for i, k in enumerate(id_index.tolist()):
-        ref[i] = j = last.get(k, -1)
-        if j < 0 or counters[i] > counters[j]:
-            last[k] = i
-    replay = (ref >= 0) & (counter <= counter[ref])
-
+    ref, replay = _references(id_index, counter)
     s = np.flatnonzero((ref >= 0) & ~replay)
     r = ref[s]
     gap, steps = time_us[s] - time_us[r], counter[s] - counter[r]
@@ -277,15 +272,37 @@ def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
     # symbol is not error + xi, so that .5 ties round the same way
     error_us[s] = gap - (period[s] * steps + xi[s] - xi[r])
     symbol[s] = np.rint(gap - period[s] * steps + xi[r])
+    del s, r, gap, steps
     ok = np.abs(error_us) <= covert.tolerance_us
-    reason = np.select([ref < 0, replay, ok], ["first", "replay", ""], "timing")
     accepted = (ref < 0) | ok
-
-    need = covert.frames_required
-    window = np.full(n, -1, dtype=np.int8)
-    for k in range(len(ids)):
-        rows = np.flatnonzero(id_index == k)
-        rejects = np.concatenate(([0], np.cumsum(~accepted[rows])))
-        window[rows[need - 1:]] = rejects[need:] == rejects[:-need]
-    return Decoded(ids, id_index, time_us, xi, ref, error_us, symbol, reason,
+    window = _windows(id_index, accepted, covert.frames_required)
+    code = np.select([ref < 0, replay, ok], [1, 2, 0], 3).astype(np.uint8)
+    return Decoded(ids, id_index, time_us, xi, ref, error_us, symbol, _REASONS[code],
                    accepted, window)
+
+
+def _references(id_index: np.ndarray, counter: np.ndarray):
+    """Each frame's reference (the first earlier frame of its ID with the highest
+    counter so far, -1 for none) and replay flag (counter not above the reference's).
+    The key packs ID position (< 2^30) << 32 | counter (< 2^32, as `covert_delays`
+    checks), so its running maximum over the frames grouped by ID restarts per ID."""
+    order = np.argsort(id_index, kind="stable")
+    key = id_index[order] << 32 | counter[order]
+    rises = np.diff(np.maximum.accumulate(key), prepend=-1) > 0
+    holder = order[np.maximum.accumulate(np.where(rises, np.arange(len(key)), 0))]
+    ref, replay = np.empty_like(order), np.empty_like(rises)
+    ref[order] = np.where(np.diff(key >> 32, prepend=-1) != 0, -1, np.roll(holder, 1))
+    replay[order] = ~rises
+    return ref, replay
+
+
+def _windows(id_index: np.ndarray, accepted: np.ndarray, need: int) -> np.ndarray:
+    """1 where a frame and the need - 1 frames of its ID before it were all
+    accepted, else 0; -1 before its ID has need verdicts."""
+    order = np.argsort(id_index, kind="stable")
+    ids = id_index[order]  # sorted, so equal ends mean one ID throughout
+    full = np.flatnonzero(ids[need - 1:] == ids[:max(len(ids) - need + 1, 0)]) + need - 1
+    rejects = np.concatenate(([0], np.cumsum(~accepted[order])))
+    window = np.full(len(order), -1, dtype=np.int8)
+    window[order[full]] = rejects[full + 1] == rejects[full + 1 - need]
+    return window

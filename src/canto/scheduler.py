@@ -273,41 +273,32 @@ def allocate_gcd(periods_us: Sequence[float], ifs_us: float = 500.0) -> list[flo
     if not periods_us:
         raise ValueError("empty period vector")
     ints = [period_tenths(p) for p in periods_us]
-    g = 0
-    lcm_v = 1
-    for v in ints:
-        g = math.gcd(g, v)
-        lcm_v = math.lcm(lcm_v, v)
+    g, lcm_v = math.gcd(*ints), math.lcm(*ints)
     ncols = lcm_v // g
     nrows = int(min(ints) // round(ifs_us * 10))
     if nrows < 1:
         raise OversubscribedError(f"spacing {ifs_us} us exceeds the fastest period")
-    free = [[True] * ncols for _ in range(nrows)]
+    if nrows * ncols > 1 << 24:  # refused before a byte of the matrix is allocated
+        raise OversubscribedError(
+            f"occupancy matrix of {nrows} x {ncols} cells exceeds {1 << 24}: the periods' "
+            f"lcm {lcm_v / 10:.15g} us is {ncols} times their gcd {g / 10:.15g} us")
+    free = np.ones((nrows, ncols), dtype=bool)
+    row_tenths = np.rint(np.arange(nrows) * ifs_us * 10).astype(np.int64)
     offsets = [0.0] * len(periods_us)
     for idx, p_tenths in enumerate(ints):
         step = p_tenths // g
-        count = lcm_v // p_tenths
-        placed = False
-        for j in range(nrows):
-            row = free[j]
-            for start in range(min(step, ncols)):
-                cells = range(start, start + count * step, step)
-                offset_tenths = round(j * ifs_us * 10) + start * g
-                if offset_tenths >= p_tenths:
-                    break  # larger starts only grow the offset
-                if all(row[c] for c in cells):
-                    for c in cells:
-                        row[c] = False
-                    offsets[idx] = offset_tenths / 10.0
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
-            usage = sum(1 for r in free for c in r if not c) / (nrows * ncols)
+        # (row, start) fits when all its cells are free and its offset is below the period
+        fits = free.reshape(nrows, -1, step).all(axis=1)
+        fits &= np.arange(step) * g < p_tenths - row_tenths[:, None]
+        first = int(np.argmax(fits))  # row-major, the order rows then starts were tried
+        if not fits.flat[first]:
+            usage = np.count_nonzero(~free) / free.size
             raise OversubscribedError(
                 f"occupancy matrix exhausted at period {periods_us[idx]} us "
                 f"(matrix {usage:.0%} full; reduce --ifs or the frame count)")
+        row, start = divmod(first, step)
+        free[row, start::step] = False
+        offsets[idx] = (int(row_tenths[row]) + start * g) / 10.0
     return offsets
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from canto.bus_sim import BusConfig, NodeConfig, Trace
 from canto.clock_model import ClockModel, Jitter
-from canto.frame_model import CanId, FrameSpec, frame_wire_time_us
+from canto.frame_model import CanId, FrameSpec, frame_wire_times_us
 from canto.incanta import CovertConfig
 from canto.scheduler import Schedule
 
@@ -173,10 +173,18 @@ def _parse_native(fh, bitrate_bps: int | None) -> Trace:
 
     ids = tuple(position)
     id_index = code[inverse]
-    tx = [frame_wire_time_us(ids[k], p, bitrate_bps) for k, p in zip(id_index.tolist(), payloads)] \
-        if bitrate_bps else np.zeros(len(rows))
-    return Trace(ids, id_index, counter.copy(), rows["bus_time_us"] / 10.0,
-                 np.array(tx, dtype=np.float64), payloads, rows["genuine"] != 0)
+    tx = np.zeros(len(rows))
+    if bitrate_bps and len(rows):  # priced per (ID, payload length) group
+        width = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
+        flat, start = np.frombuffer(b"".join(payloads), dtype=np.uint8), np.cumsum(width) - width
+        group = id_index * 9 + width
+        order = np.argsort(group, kind="stable")
+        for sel in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
+            k, size = divmod(int(group[sel[0]]), 9)
+            tx[sel] = frame_wire_times_us(ids[k], flat[start[sel, None] + np.arange(size)],
+                                          bitrate_bps)
+    return Trace(ids, id_index, counter.copy(), rows["bus_time_us"] / 10.0, tx, payloads,
+                 rows["genuine"] != 0)
 
 
 def write_schedule(schedule: Schedule, path) -> None:

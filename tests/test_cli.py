@@ -101,6 +101,11 @@ MALFORMED = {
                        "--grid 0.05"),
     "allocator-ifs": ("run", small("ifs_us = 600", "ifs_us = 15000"), {}, [],
                       "[allocator] algorithm = gcd, ifs_us = 15000"),
+    # 2*10^10 columns of 0.1 us: refused before the matrix is allocated
+    "gcd-matrix-huge": ("allocate", small("0x100:10000:8 0x101:10000:8",
+                                          "0x100:9999.9:8 0x101:10000:8"),
+                        {}, ["--algorithm", "gcd"],
+                        "lcm 1999980000 us is 19999800000 times their gcd 0.1 us"),
     "gcd-ifs-inf": ("allocate", SMALL, {}, ["--algorithm", "gcd", "--ifs", "inf"],
                     "--ifs inf: minimum spacing must be positive and finite"),
     "gcd-ifs-nan": ("allocate", SMALL, {}, ["--algorithm", "gcd", "--ifs", "nan"],
@@ -258,6 +263,15 @@ class TestPipeline:
                      "schedule.txt", "fig_adversary_success.csv",
                      "fig_deviation_histogram.csv", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_report_rewrites_the_run_reports_byte_for_byte(self, tmp_path):
+        run, rep = tmp_path / "run", tmp_path / "rep"
+        assert main(["run", "--config", PAPER, "--out", str(run)]) == 0
+        assert main(["report", "--config", PAPER, "--in", str(run), "--out", str(rep)]) == 0
+        for name in ("success_table.csv", "fig_adversary_success.csv",
+                     "fig_deviation_histogram.csv", "fig_interframe_histogram.csv",
+                     "report_summary.txt"):
+            assert (rep / name).read_bytes() == (run / name).read_bytes(), name
 
     def test_seed_changes_trace_not_tables(self, small_config, tmp_path):
         a, b = tmp_path / "s1", tmp_path / "s2"

@@ -3,12 +3,14 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canto.frame_model import (CanId, FrameModelError, FrameSpec, count_stuff_bits,
                                frame_bit_length, frame_max_stuff_bits, frame_stuff_bits,
-                               frame_wire_time_us, max_stuff_bits, transmission_time_us)
+                               frame_wire_time_us, frame_wire_times_us, max_stuff_bits,
+                               transmission_time_us)
 
 # Independent field-sum oracle: SOF, arbitration, control, data, CRC,
 # CRC delimiter, ACK slot, ACK delimiter, EOF, IFS.
@@ -206,6 +208,44 @@ class TestRealStuffing:
     def test_alternating_payload_stuffs_little(self):
         n = frame_stuff_bits(CanId(0x555), bytes([0xAA] * 8))
         assert n <= 2
+
+
+# bytes with long runs of equal bits, and any byte
+payload_bytes = st.one_of(st.sampled_from([0x00, 0xFF, 0x0F, 0xF0, 0x80, 0x01]),
+                          st.integers(0, 255))
+
+
+class TestWireTimeBatches:
+    @settings(max_examples=300, deadline=None)
+    @given(can_id=ids, width=st.integers(0, 8), n=st.integers(0, 12), data=st.data(),
+           # 160 kbit/s and 800 kbit/s put an odd bit count on a .05 us tie
+           rate=st.one_of(st.sampled_from([160_000, 800_000, 125_000, 500_000, 1_000_000]),
+                          st.integers(1, 2_000_000)))
+    def test_rows_match_bit_list_and_fraction_oracles(self, can_id, width, n, data, rate):
+        payloads = data.draw(st.lists(st.lists(payload_bytes, min_size=width, max_size=width)
+                                      .map(bytes), min_size=n, max_size=n))
+        rows = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(n, width)
+        want = []
+        for p in payloads:
+            bits = oracle_length(8 * width, can_id.kind, True) \
+                + count_stuff_bits(frame_bit_pattern(can_id, p))
+            want.append(float(round(Fraction(bits * 10_000_000, rate))) / 10.0)
+        got = frame_wire_times_us(can_id, rows, rate)
+        assert got.shape == (n,) and got.tolist() == want
+
+    def test_ties_round_to_even_per_row(self):
+        # at 800 kbit/s a bit lasts 12.5 tenths of a us, so an odd bit count ties
+        rows = np.array([[0x00] * 8, [0x55] * 8, [0xFF] * 8, [0x0F] * 8], dtype=np.uint8)
+        bits = [frame_bit_length(64) + frame_stuff_bits(CanId(0x555), bytes(r)) for r in rows]
+        assert any(b % 2 for b in bits)
+        assert frame_wire_times_us(CanId(0x555), rows, 800_000).tolist() == \
+            [float(round(Fraction(b * 10_000_000, 800_000))) / 10.0 for b in bits]
+
+    def test_rejects_what_the_scalar_rejects(self):
+        with pytest.raises(FrameModelError):
+            frame_wire_times_us(CanId(1), np.zeros((2, 9), dtype=np.uint8), 500_000)
+        with pytest.raises(FrameModelError):
+            frame_wire_times_us(CanId(1), np.zeros((0, 8), dtype=np.uint8), 0)
 
 
 class TestFrameSpec:

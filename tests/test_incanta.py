@@ -305,16 +305,48 @@ def receiver_traces(draw):
     return cfg, trace
 
 
+@st.composite
+def single_id_runs(draw):
+    """One ID's run of up to 200 frames, built from a drawn seed: counters from
+    0, 2^31 or just below 2^32 stepping by -2..3 (capped at 2^32 - 1, where they
+    repeat), the covert spacing plus an offset, windows of up to 8 frames."""
+    cfg = config(level_bits=draw(st.integers(2, 8)),
+                 tolerance_us=draw(st.sampled_from([0.0, 2.5, 5.0])),
+                 frames_required=draw(st.integers(1, 8)))
+    can_id = draw(st.sampled_from(list(PERIODS)))
+    low = draw(st.sampled_from([0, 2**31, 2**32 - 60]))
+    n = draw(st.integers(0, 200))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    counters = np.clip(low + np.cumsum(rng.choice([-2, -1, 0, 1, 1, 1, 1, 2, 3], n)),
+                       0, 2**32 - 1)
+    payloads = embed_counters(bytes(rng.integers(0, 256, 8, dtype=np.uint8)), counters)
+    xi = covert_delays(cfg.key, counters, can_id.value, payloads, cfg.level_bits)
+    noise = rng.choice([0.0, 0.0, 0.0, 0.5, -2.5, 5.0, 7.25, 0.1, -4.9, 2.3], n)
+    times = 123_456_789.1 + PERIODS[can_id] * (counters - low) + xi + np.cumsum(noise)
+    trace = Trace((can_id,), np.zeros(n, dtype=np.int64), counters, times,
+                  rng.choice([0.0, 108.0, 131.5], n), payloads, rng.random(n) < 0.5)
+    return cfg, trace
+
+
 class TestDecode:
     @settings(max_examples=300, deadline=None)
     @given(receiver_traces(), st.booleans(), st.sampled_from([None, 0.0, 1.0, 4.0]))
     def test_matches_frame_by_frame_verifier(self, case, compensate, rho):
-        cfg, trace = case
+        self.check_against_verifier(*case, compensate, rho)
+
+    @settings(max_examples=300, deadline=None)
+    @given(single_id_runs(), st.booleans(), st.sampled_from([None, 0.0, 1.0, 4.0]))
+    def test_long_single_id_runs_match_verifier(self, case, compensate, rho):
+        self.check_against_verifier(*case, compensate, rho)
+
+    @staticmethod
+    def check_against_verifier(cfg, trace, compensate, rho):
         decoded = decode(trace, cfg if rho is None else replace(cfg, tolerance_us=rho),
                          PERIODS, compensate)
         verifier = Verifier(cfg, PERIODS)
-        arrivals = [f.bus_time_us if compensate else f.end_time_us for f in trace.frames]
-        for i, (f, t) in enumerate(zip(trace.frames, arrivals)):
+        frames = trace.frames
+        arrivals = [f.bus_time_us if compensate else f.end_time_us for f in frames]
+        for i, (f, t) in enumerate(zip(frames, arrivals)):
             v = verifier.verify(f.id, f.counter, f.payload, t, rho)
             assert (decoded.accepted[i], decoded.reason[i]) == (v.accepted, v.reason)
             assert decoded.window[i] == (-1 if v.window_authenticated is None
@@ -324,7 +356,7 @@ class TestDecode:
                 continue
             assert decoded.error_us[i] == v.error_us
             j = decoded.ref[i]
-            ref = trace.frames[j]
+            ref = frames[j]
             xi_ref = covert_delay(cfg.key, ref.counter, ref.id, ref.payload, cfg.level_bits)
             assert decoded.symbol[i] == round(
                 (t - arrivals[j]) - PERIODS[f.id] * (f.counter - ref.counter) + xi_ref)

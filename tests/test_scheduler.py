@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canto.frame_model import CanId, FrameSpec
+from canto.frame_model import CanId, FrameSpec, period_tenths
 from canto.scheduler import (IncompleteScheduleError, OversubscribedError, Schedule,
                              ScheduleQuality, allocate_binary_symmetric, allocate_gcd,
                              allocate_greedy, allocate_greedy_multilayer,
@@ -270,6 +270,82 @@ class TestGcd:
     def test_rejects_oversized_spacing(self):
         with pytest.raises(OversubscribedError):
             allocate_gcd([10 * MS], ifs_us=20 * MS)
+
+
+def oracle_allocate_gcd(periods_us, ifs_us=500.0):
+    """The gcd allocator as a loop over lists of cells, one cell at a time."""
+    if not 0 < ifs_us < math.inf:  # NaN fails too
+        raise ValueError("minimum spacing must be positive and finite")
+    if not periods_us:
+        raise ValueError("empty period vector")
+    ints = [period_tenths(p) for p in periods_us]
+    g = 0
+    lcm_v = 1
+    for v in ints:
+        g = math.gcd(g, v)
+        lcm_v = math.lcm(lcm_v, v)
+    ncols = lcm_v // g
+    nrows = int(min(ints) // round(ifs_us * 10))
+    if nrows < 1:
+        raise OversubscribedError(f"spacing {ifs_us} us exceeds the fastest period")
+    free = [[True] * ncols for _ in range(nrows)]
+    offsets = [0.0] * len(periods_us)
+    for idx, p_tenths in enumerate(ints):
+        step = p_tenths // g
+        count = lcm_v // p_tenths
+        placed = False
+        for j in range(nrows):
+            row = free[j]
+            for start in range(min(step, ncols)):
+                cells = range(start, start + count * step, step)
+                offset_tenths = round(j * ifs_us * 10) + start * g
+                if offset_tenths >= p_tenths:
+                    break  # larger starts only grow the offset
+                if all(row[c] for c in cells):
+                    for c in cells:
+                        row[c] = False
+                    offsets[idx] = offset_tenths / 10.0
+                    placed = True
+                    break
+            if placed:
+                break
+        if not placed:
+            usage = sum(1 for r in free for c in r if not c) / (nrows * ncols)
+            raise OversubscribedError(
+                f"occupancy matrix exhausted at period {periods_us[idx]} us "
+                f"(matrix {usage:.0%} full; reduce --ifs or the frame count)")
+    return offsets
+
+
+@st.composite
+def gcd_cases(draw):
+    """Periods on the 0.1 us grid whose lcm/gcd stays small, and a spacing
+    from a fiftieth of the fastest period to past it."""
+    unit = draw(st.sampled_from([1, 3, 7, 25, 100, 999, 5000]))  # tenths
+    periods = draw(st.lists(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 10, 12, 20]).map(
+        lambda m: unit * m / 10), min_size=1, max_size=30))
+    return periods, min(periods) * draw(st.floats(0.02, 1.2))
+
+
+class TestGcdAgainstCellLoop:
+    @settings(max_examples=300, deadline=None)
+    @given(gcd_cases())
+    def test_same_offsets_or_same_refusal(self, case):
+        periods, ifs_us = case
+        try:
+            want = oracle_allocate_gcd(periods, ifs_us)
+        # a spacing that rounds to 0 tenths divides by zero in both
+        except (OversubscribedError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)) as got:
+                allocate_gcd(periods, ifs_us)
+            assert str(got.value) == str(exc)
+        else:
+            assert allocate_gcd(periods, ifs_us) == want
+
+    def test_huge_matrix_is_refused_before_it_is_built(self):
+        # lcm 99999900 tenths over gcd 1: 10^8 columns in 19 rows
+        with pytest.raises(OversubscribedError, match="lcm 999990000 us .* gcd 0.1 us"):
+            allocate_gcd([9999.9, 10000.0], ifs_us=500.0)
 
 
 class TestCheckComplete:
