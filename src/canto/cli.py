@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -87,47 +88,51 @@ def _require_positive(flag: str, value: float) -> None:
         raise TraceFormatError(f"{flag} {value:g}: must be positive and finite")
 
 
-def _allocate(where: str, specs, algorithm: str, **options) -> Schedule:
-    """`build_schedule`, with an allocator's refusal named by `where`."""
-    try:
-        return build_schedule(specs, algorithm, **options)
-    except ValueError as exc:
-        raise TraceFormatError(f"{where}: {exc}") from exc
+# `allocate`'s tuning flags and the option, also an `[allocator]` key, each sets
+_FLAGS = {"ifs": "ifs_us", "grid": "grid_step_us", "iterations": "iterations"}
 
 
 def _schedule_from(args, config, seed: int) -> Schedule:
+    """The `--schedule` file, else an allocation, else the config's offsets. The
+    allocator takes `[allocator]`'s keys when that section names it, overridden
+    by `allocate`'s flags; an option its signature does not take exits 3."""
     if getattr(args, "schedule", None):
         return trace_io.read_schedule(args.schedule)
-    specs = config.frame_specs()
-    if config.allocator:
-        opts = dict(config.allocator)
-        where = "[allocator] " + ", ".join(f"{k} = {v}" for k, v in opts.items())
-        algorithm = opts.pop("algorithm")
-        if "iterations" in opts:
-            opts["max_iterations"] = opts.pop("iterations")
-        return _allocate(where, specs, algorithm, seed=opts.pop("seed", seed), **opts)
-    return Schedule(tuple(specs))
+    section = config.allocator
+    algorithm = getattr(args, "algorithm", None) or section.get("algorithm")
+    if algorithm is None:
+        return Schedule(tuple(config.frame_specs()))
+    where, given = [], {}  # given: option -> (value, how it was given, its name)
+    if section.get("algorithm") == algorithm:
+        where.append("[allocator] " + ", ".join(f"{k} = {v}" for k, v in section.items()))
+        given = {k: (v, f"[allocator] {k} = {v}", k) for k, v in section.items()
+                 if k != "algorithm"}
+    if algorithm not in ALLOCATORS:
+        raise TraceFormatError(f"[allocator] algorithm = {algorithm}: unknown algorithm")
+    chooser = f"algorithm {algorithm}"
+    if hasattr(args, "algorithm"):  # allocate, whose flags override the section
+        chooser = "--" + chooser
+        flags = {key: (getattr(args, flag), f"--{flag} {getattr(args, flag):g}", f"--{flag}")
+                 for flag, key in _FLAGS.items() if getattr(args, flag) is not None}
+        where.append(" ".join([chooser, *(text for _, text, _ in flags.values())]))
+        given.update(flags)
+    accepted = inspect.signature(ALLOCATORS[algorithm]).parameters
+    for key, (_, text, name) in given.items():
+        if key not in accepted:
+            raise TraceFormatError(f"{text}: {chooser} does not take {name}")
+    options = {"seed": seed, **{key: value for key, (value, _, _) in given.items()}}
+    try:
+        return build_schedule(config.frame_specs(), algorithm, **options)
+    except ValueError as exc:
+        raise TraceFormatError(f"{'; '.join(where)}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- allocate
 
-# the flag that tunes each allocator and the `build_schedule` option it sets
-_TUNING_FLAG = {"gcd": ("ifs", "ifs_us"), "greedy-ml": ("grid", "grid_step_us"),
-                "random": ("iterations", "max_iterations")}
-
-
 def cmd_allocate(args) -> int:
     config = trace_io.parse_experiment_config(args.config)
     seed = _resolve_seed(args, config)
-    flag, option = _TUNING_FLAG.get(args.algorithm, (None, None))
-    for other, _ in _TUNING_FLAG.values():
-        if other != flag and getattr(args, other) is not None:
-            raise TraceFormatError(f"--{other} {getattr(args, other):g}: --algorithm "
-                                   f"{args.algorithm} does not take --{other}")
-    value = getattr(args, flag) if flag else None
-    options = {} if value is None else {option: value}
-    where = f"--algorithm {args.algorithm}" + (f" --{flag} {value}" if options else "")
-    sched = _allocate(where, config.frame_specs(), args.algorithm, seed=seed, **options)
+    sched = _schedule_from(args, config, seed)
     quality = schedule_quality(sched)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -166,17 +171,16 @@ def cmd_simulate(args) -> int:
 def _trace_inputs(args, needs: str):
     """Config, seed, parsed trace and per-ID periods for a trace command.
 
-    Wire times are rebuilt only for `--no-compensate`, the one reader.
+    The periods are the config's: a receiver needs no offsets. Wire times are
+    rebuilt only for `--no-compensate`, the one reader.
     """
     config = trace_io.parse_experiment_config(args.config)
     if config.covert is None:
         raise TraceFormatError(f"{needs} needs a [covert] section")
     seed = _resolve_seed(args, config)
-    sched = _schedule_from(args, config, seed)
-    config.to_bus_config(sched)  # rejects a schedule that disagrees with the config
     trace = trace_io.parse_trace(args.trace, bitrate_bps=config.bitrate_bps
                                  if args.no_compensate else None)
-    return config, seed, trace, {f.id: f.period_us for f in sched.frames}
+    return config, seed, trace, {f.id: f.period_us for f in config.frame_specs()}
 
 
 def _write_verdicts(trace, decoded, path: Path) -> None:
@@ -463,10 +467,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("allocate", help="compute offsets for a period vector")
     p.add_argument("--config", required=True)
     p.add_argument("--algorithm", required=True, choices=sorted(ALLOCATORS))
-    p.add_argument("--ifs", type=float, default=None, help="gcd minimum spacing, us (500)")
-    p.add_argument("--grid", type=float, default=None,
-                   help="greedy-ml grid step, us (derived from the periods)")
-    p.add_argument("--iterations", type=int, default=None, help="randomized iterations (100)")
+    p.add_argument("--ifs", type=float, default=None, help="gcd minimum spacing, us")
+    p.add_argument("--grid", type=float, default=None, help="greedy-ml grid step, us")
+    p.add_argument("--iterations", type=int, default=None, help="randomized iterations")
     p.add_argument("--out", default="out")
     p.set_defaults(func=cmd_allocate)
 
@@ -479,7 +482,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="covert-verify a trace")
     p.add_argument("--config", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--schedule", default=None)
     p.add_argument("--rho", type=float, default=None, help="tolerance override, us")
     p.add_argument("--no-compensate", action="store_true",
                    help="verify on raw end-of-frame times (no frame-length compensation)")
@@ -497,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("capacity", help="channel matrix and Blahut-Arimoto capacity")
     p.add_argument("--config", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--schedule", default=None)
     p.add_argument("--tolerance", type=float, default=1e-4,
                    help="capacity bound gap, bits")
     p.add_argument("--no-compensate", action="store_true")

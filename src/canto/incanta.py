@@ -186,7 +186,7 @@ class Verifier:
     def verify(self, can_id: CanId, counter: int, payload: bytes, time_us: float,
                tolerance_us: float | None = None) -> Verdict:
         if can_id not in self.periods_us:
-            raise KeyError(f"unknown id {can_id} (not in the schedule)")
+            raise KeyError(f"unknown id {can_id} (not in the config)")
         rho = self.config.tolerance_us if tolerance_us is None else tolerance_us
         xi = covert_delay(self.config.key, counter, can_id, payload, self.config.level_bits)
         state = self._states.get(can_id)
@@ -256,7 +256,7 @@ def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
     id_index = renumber[trace.id_index]
     for can_id in ids:
         if can_id not in periods_us:
-            raise KeyError(f"unknown id {can_id} (not in the schedule)")
+            raise KeyError(f"unknown id {can_id} (not in the config)")
     period = np.array([periods_us[i] for i in ids], dtype=np.float64)[id_index]
     counter = trace.counter
     time_us = trace.bus_time_us if compensate else trace.bus_time_us + trace.tx_time_us

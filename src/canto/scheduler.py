@@ -159,7 +159,7 @@ def allocate_binary_symmetric(periods_us: Sequence[float]) -> list[float]:
     return offsets
 
 
-def allocate_randomized(periods_us: Sequence[float], max_iterations: int = 100,
+def allocate_randomized(periods_us: Sequence[float], iterations: int = 100,
                         seed: int = 0) -> list[float]:
     """Best-of-N random assignment of the evenly spaced offset grid.
 
@@ -167,8 +167,8 @@ def allocate_randomized(periods_us: Sequence[float], max_iterations: int = 100,
     iteration; the permutation with the lowest complete-schedule q wins.
     Deterministic for a fixed seed.
     """
-    if max_iterations < 1:
-        raise ValueError("max_iterations must be >= 1")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
     n = len(periods_us)
     if n == 0:
         raise ValueError("empty period vector")
@@ -178,7 +178,7 @@ def allocate_randomized(periods_us: Sequence[float], max_iterations: int = 100,
     rng = np.random.Generator(np.random.PCG64(seed))
     best_q = math.inf
     best: np.ndarray | None = None
-    for _ in range(max_iterations):
+    for _ in range(iterations):
         perm = rng.permutation(slots)
         q = _q_cyclic(_instants(list(zip(periods_us, perm)), horizon), horizon)
         if q < best_q:
@@ -272,10 +272,13 @@ def allocate_gcd(periods_us: Sequence[float], ifs_us: float = 500.0) -> list[flo
         raise ValueError("minimum spacing must be positive and finite")
     if not periods_us:
         raise ValueError("empty period vector")
+    ifs_tenths = round(ifs_us * 10)
+    if ifs_tenths < 1:
+        raise ValueError(f"minimum spacing {ifs_us:g} us rounds to 0 on the 0.1 us grid")
     ints = [period_tenths(p) for p in periods_us]
     g, lcm_v = math.gcd(*ints), math.lcm(*ints)
     ncols = lcm_v // g
-    nrows = int(min(ints) // round(ifs_us * 10))
+    nrows = min(ints) // ifs_tenths
     if nrows < 1:
         raise OversubscribedError(f"spacing {ifs_us} us exceeds the fastest period")
     if nrows * ncols > 1 << 24:  # refused before a byte of the matrix is allocated
@@ -311,17 +314,13 @@ ALLOCATORS = {
 }
 
 
-def build_schedule(specs: Sequence[FrameSpec], algorithm: str, *, ifs_us: float = 500.0,
-                   grid_step_us: float | None = None, max_iterations: int = 100,
-                   seed: int = 0) -> Schedule:
-    """Run one allocator over the specs' periods and attach the offsets."""
+def build_schedule(specs: Sequence[FrameSpec], algorithm: str, **options) -> Schedule:
+    """Run one allocator over the specs' periods and attach the offsets. The
+    allocator takes the `options` its signature names and its own defaults."""
     try:
         allocate = ALLOCATORS[algorithm]
     except KeyError:
         raise ValueError(f"unknown allocation algorithm {algorithm!r}") from None
-    # each allocator takes the subset of these options named in its signature
-    options = {"ifs_us": ifs_us, "grid_step_us": grid_step_us,
-               "max_iterations": max_iterations, "seed": seed}
     accepted = inspect.signature(allocate).parameters
     periods = [f.period_us for f in specs]
     offsets = allocate(periods, **{k: v for k, v in options.items() if k in accepted})

@@ -78,7 +78,7 @@ def allocations():
     start = time.perf_counter()
     out = {}
     for algorithm in TABLE:
-        sched = build_schedule(specs, algorithm, ifs_us=IFS_US, max_iterations=100,
+        sched = build_schedule(specs, algorithm, ifs_us=IFS_US, iterations=100,
                                seed=RANDOM_SEED)
         out[algorithm] = (sched, schedule_quality(sched))
     elapsed = time.perf_counter() - start

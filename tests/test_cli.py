@@ -1,10 +1,12 @@
 """CLI subcommands, exit codes, and pipeline determinism."""
 
+import hashlib
 import json
 import warnings
 
 import pytest
 
+from canto import scheduler
 from canto.cli import main
 from canto.trace_io import TRACE_HEADER
 
@@ -120,6 +122,19 @@ MALFORMED = {
                             "--ifs -5: --algorithm binary does not take --ifs"),
     "allocator-ifs-inf": ("simulate", small("ifs_us = 600", "ifs_us = inf"), {}, [],
                           "ifs_us = inf: minimum spacing must be positive and finite"),
+    # a spacing under 0.05 us rounds to no tenths of a us
+    "gcd-ifs-0.04": ("allocate", SMALL, {}, ["--algorithm", "gcd", "--ifs", "0.04"],
+                     "--ifs 0.04: minimum spacing 0.04 us rounds to 0"),
+    "allocator-ifs-0.04": ("run", small("ifs_us = 600", "ifs_us = 0.04"), {}, [],
+                           "ifs_us = 0.04: minimum spacing 0.04 us rounds to 0"),
+    # an [allocator] key the section's algorithm does not take
+    "binary-takes-no-ifs_us": ("run", small("algorithm = gcd", "algorithm = binary"), {}, [],
+                               "[allocator] ifs_us = 600"),
+    "greedy-ml-takes-no-iterations": ("simulate", small("algorithm = gcd\nifs_us = 600",
+                                                        "algorithm = greedy-ml\niterations = 7"),
+                                      {}, [], "[allocator] iterations = 7"),
+    "gcd-takes-no-seed": ("simulate", small("ifs_us = 600", "ifs_us = 600\nseed = 9"), {}, [],
+                          "[allocator] seed = 9"),
     "counter-2^64+1": ("verify", SMALL, {"--trace": TRACE_HEADER
                                          + "\n100000,100,1,2021222300000001,1\n"
                                          + f"200000,100,{2**64 + 1},2021222300000002,1\n"},
@@ -137,9 +152,8 @@ MALFORMED = {
     "schedule-other-period": ("simulate", SMALL,
                               {"--schedule": "100 20000 0 64\n101 10000 0 64\n102 20000 0 64\n"},
                               [], "schedule gives id 100 period 20000 us"),
-    "schedule-other-payload": ("verify", SMALL,
-                               {"--schedule": "100 10000 0 64\n101 10000 0 32\n102 20000 0 64\n",
-                                "--trace": TRACE_HEADER + "\n"},
+    "schedule-other-payload": ("simulate", SMALL,
+                               {"--schedule": "100 10000 0 64\n101 10000 0 32\n102 20000 0 64\n"},
                                [], "schedule gives id 101 period 10000 us and 32 payload bits"),
     "attack-rho-whole-alphabet": ("attack", SMALL, {}, ["--rho", "200"], "--rho 200"),
     "attack-rho-negative": ("attack", SMALL, {}, ["--rho", "-1"], "--rho -1"),
@@ -202,6 +216,21 @@ class TestAllocate:
                      "--out", str(out)]) == 0
         assert (out / "allocation_report.csv").read_text().splitlines()[1] == "gcd,1,0.0000,0,0"
 
+    def test_gcd_takes_the_configs_spacing_as_run_does(self, small_config, tmp_path):
+        alloc, run = tmp_path / "alloc", tmp_path / "run"
+        assert main(["allocate", "--config", str(small_config), "--algorithm", "gcd",
+                     "--out", str(alloc)]) == 0
+        assert main(["run", "--config", str(small_config), "--out", str(run)]) == 0
+        assert (alloc / "schedule.txt").read_bytes() == (run / "schedule.txt").read_bytes()
+
+    def test_flag_overrides_the_configs_spacing(self, tmp_path):
+        out = tmp_path / "alloc"
+        assert main(["allocate", "--config", PAPER, "--algorithm", "gcd", "--ifs", "500",
+                     "--out", str(out)]) == 0
+        # the paper vector's gcd schedule at 500 us, not at its [allocator] ifs_us = 600
+        assert hashlib.sha256((out / "schedule.txt").read_bytes()).hexdigest() == (
+            "8ef67e91990f12a31c7f5058e82f89128c4703f5ca3c334a10bbe81f0a5ce4cf")
+
     def test_unknown_algorithm_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["allocate", "--config", PAPER, "--algorithm", "magic",
@@ -225,10 +254,33 @@ class TestPipeline:
         assert main(["simulate", "--config", str(small_config), "--out", str(out)]) == 0
         assert main(["verify", "--config", str(small_config),
                      "--trace", str(out / "trace.csv"),
-                     "--schedule", str(out / "schedule.txt"),
                      "--out", str(tmp_path / "ver")]) == 0
         summary = (tmp_path / "ver" / "verify_summary.txt").read_text()
         assert "accept_rate_percent=100.0000" in summary
+
+    def test_receivers_take_periods_from_the_config(self, small_config, tmp_path,
+                                                    monkeypatch, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(small_config), "--out", str(sim)]) == 0
+        assert main(["verify", "--config", str(small_config), "--trace", str(sim / "trace.csv"),
+                     "--out", str(tmp_path / "gcd")]) == 0
+        greedy = tmp_path / "greedy.ini"
+        greedy.write_text(small("algorithm = gcd\nifs_us = 600", "algorithm = greedy-ml"))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a receiver ran the allocator")
+
+        monkeypatch.setitem(scheduler.ALLOCATORS, "greedy-ml", refuse)
+        assert main(["verify", "--config", str(greedy), "--trace", str(sim / "trace.csv"),
+                     "--out", str(tmp_path / "greedy")]) == 0
+        verdicts = (tmp_path / "gcd" / "verdicts.csv").read_bytes()
+        assert (tmp_path / "greedy" / "verdicts.csv").read_bytes() == verdicts
+        capsys.readouterr()
+        # refusing the short trace (exit 3), not the allocator's AssertionError (exit 4),
+        # shows that no allocator ran
+        assert main(["capacity", "--config", str(greedy), "--trace", str(sim / "trace.csv"),
+                     "--out", str(tmp_path / "cap")]) == 3
+        assert "trace too short" in capsys.readouterr().err
 
     def test_uncompensated_verify_sees_stuffing_noise(self, small_config, tmp_path):
         out = tmp_path / "sim"
@@ -236,8 +288,7 @@ class TestPipeline:
         rates = {}
         for flag, name in (([], "comp"), (["--no-compensate"], "raw")):
             main(["verify", "--config", str(small_config),
-                  "--trace", str(out / "trace.csv"),
-                  "--schedule", str(out / "schedule.txt"), *flag,
+                  "--trace", str(out / "trace.csv"), *flag,
                   "--out", str(tmp_path / name)])
             text = (tmp_path / name / "verify_summary.txt").read_text()
             rates[name] = float(text.splitlines()[2].split("=")[1])
@@ -355,7 +406,6 @@ class TestAttackAndCapacity:
         main(["simulate", "--config", str(config), "--out", str(sim)])
         rc = main(["capacity", "--config", str(config),
                    "--trace", str(sim / "trace.csv"),
-                   "--schedule", str(sim / "schedule.txt"),
                    "--out", str(tmp_path / "cap")])
         assert rc == 0
         report = (tmp_path / "cap" / "capacity_report.txt").read_text()
@@ -367,7 +417,6 @@ class TestAttackAndCapacity:
         main(["simulate", "--config", str(small_config), "--out", str(sim)])
         rc = main(["capacity", "--config", str(small_config),
                    "--trace", str(sim / "trace.csv"),
-                   "--schedule", str(sim / "schedule.txt"),
                    "--out", str(tmp_path / "cap")])
         assert rc == 3
         err = capsys.readouterr().err

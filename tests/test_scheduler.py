@@ -278,6 +278,8 @@ def oracle_allocate_gcd(periods_us, ifs_us=500.0):
         raise ValueError("minimum spacing must be positive and finite")
     if not periods_us:
         raise ValueError("empty period vector")
+    if round(ifs_us * 10) < 1:
+        raise ValueError(f"minimum spacing {ifs_us:g} us rounds to 0 on the 0.1 us grid")
     ints = [period_tenths(p) for p in periods_us]
     g = 0
     lcm_v = 1
@@ -334,8 +336,7 @@ class TestGcdAgainstCellLoop:
         periods, ifs_us = case
         try:
             want = oracle_allocate_gcd(periods, ifs_us)
-        # a spacing that rounds to 0 tenths divides by zero in both
-        except (OversubscribedError, ZeroDivisionError) as exc:
+        except ValueError as exc:  # OversubscribedError, or a spacing under 0.05 us
             with pytest.raises(type(exc)) as got:
                 allocate_gcd(periods, ifs_us)
             assert str(got.value) == str(exc)
@@ -403,6 +404,6 @@ class TestAllAllocators:
         periods = [10 * MS] + extra
         specs = [FrameSpec(CanId(0x100 + i), p) for i, p in enumerate(periods)]
         for algorithm in ALGORITHMS:
-            sched = build_schedule(specs, algorithm, ifs_us=500.0, max_iterations=20)
+            sched = build_schedule(specs, algorithm, ifs_us=500.0, iterations=20)
             assert all(0 <= f.offset_us < f.period_us for f in sched.frames)
             assert check_complete(sched)
