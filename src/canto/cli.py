@@ -183,23 +183,6 @@ def _trace_inputs(args, needs: str):
     return config, seed, trace, {f.id: f.period_us for f in config.frame_specs()}
 
 
-def _write_verdicts(trace, decoded, path: Path) -> None:
-    with open(path, "w", newline="\n") as fh:
-        fh.write("bus_time_us,id_hex,counter,error_us,verdict\n")
-        texts = [str(i) for i in trace.ids]
-        for lo in range(0, len(trace), 4096):  # few number objects alive at a time
-            rows = slice(lo, lo + 4096)
-            # np.rint rounds half to even, as round() does
-            tenths = np.rint(decoded.time_us[rows] * 10).astype(np.int64).tolist()
-            for t, k, c, err, ok in zip(tenths, trace.id_index[rows].tolist(),
-                                        trace.counter[rows].tolist(),
-                                        decoded.error_us[rows].tolist(),
-                                        decoded.accepted[rows].tolist()):
-                err = "" if math.isnan(err) else f"{err:.4f}"
-                word = "accept" if ok else "intrusion"
-                fh.write(f"{t},{texts[k]},{c},{err},{word}\n")
-
-
 def cmd_verify(args) -> int:
     if args.rho is not None and not args.rho >= 0:  # NaN fails too
         raise TraceFormatError(f"--rho must be nonnegative, got {args.rho:g}")
@@ -217,7 +200,7 @@ def cmd_verify(args) -> int:
                                f"{covert.frames_required} for a window)")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    _write_verdicts(trace, decoded, out / "verdicts.csv")
+    trace_io.write_verdicts(trace, decoded, out / "verdicts.csv")
     rate = 100.0 * np.count_nonzero(decoded.accepted[scored]) / np.count_nonzero(scored)
     auth = 100.0 * np.count_nonzero(windows) / windows.size
     summary = (f"frames={len(trace)}\nscored={np.count_nonzero(scored)}\n"
@@ -291,17 +274,6 @@ def cmd_capacity(args) -> int:
 
 # ---------------------------------------------------------------- report
 
-def _read_verify_errors(path: Path) -> np.ndarray:
-    errors = []
-    with open(path) as fh:
-        next(fh)
-        for line in fh:
-            parts = line.rstrip("\n").split(",")
-            if parts[3]:
-                errors.append(float(parts[3]))
-    return np.asarray(errors)
-
-
 def _check_report_covert(covert) -> None:
     """The success table and the 2^-24 crossing need every tolerance they
     score to leave part of the delay alphabet outside its window."""
@@ -314,22 +286,15 @@ def _check_report_covert(covert) -> None:
                                f"window covers the whole delay alphabet (2^{covert.level_bits} us)")
 
 
-def _report(indir: Path, out: Path, covert, bin_width: float, bus_times) -> None:
-    """Tables and figure CSVs from verify/attack outputs and bus times (None: no
-    trace), at the covert level and tolerance `_check_report_covert` accepted."""
+def _report(indir: Path, out: Path, covert, bin_width: float, bus_times, errors) -> None:
+    """Tables and figure CSVs from attack.csv, bus times (None: no trace) and the
+    scored errors as verdicts.csv holds them; `covert` passed `_check_report_covert`."""
     level, tolerance = covert.level_bits, covert.tolerance_us
-    verdicts = indir / "verdicts.csv"
-    attack = indir / "attack.csv"
-    missing = [str(p) for p in (verdicts, attack) if not p.exists()]
-    if missing:
-        raise FileNotFoundError(f"missing report inputs: {', '.join(missing)}")
-    out.mkdir(parents=True, exist_ok=True)
-
-    errors = _read_verify_errors(verdicts)
     if errors.size == 0:
-        raise TraceFormatError(f"{verdicts}: no scored frames")
+        raise TraceFormatError(f"{indir / 'verdicts.csv'}: no scored frames")
+    out.mkdir(parents=True, exist_ok=True)
     adv: dict[tuple[float, int], float] = {}
-    with open(attack) as fh:
+    with open(indir / "attack.csv") as fh:
         next(fh)
         for line in fh:
             rho, k, rate, _an = line.split(",")
@@ -381,9 +346,16 @@ def cmd_report(args) -> int:
     if config.covert is None:
         raise TraceFormatError("report needs a [covert] section")
     _check_report_covert(config.covert)
-    trace_path = Path(args.indir) / "trace.csv"
+    indir = Path(args.indir)
+    verdicts, attack, trace_path = (indir / f for f in ("verdicts.csv", "attack.csv", "trace.csv"))
+    missing = [str(p) for p in (verdicts, attack) if not p.exists()]
+    if missing:
+        raise FileNotFoundError(f"missing report inputs: {', '.join(missing)}")
     bus_times = trace_io.parse_trace(trace_path).bus_time_us if trace_path.exists() else None
-    _report(Path(args.indir), Path(args.out), config.covert, args.bin_width, bus_times)
+    with open(verdicts) as fh:
+        next(fh)
+        errors = np.array([float(e) for e in (line.split(",")[3] for line in fh) if e])
+    _report(indir, Path(args.out), config.covert, args.bin_width, bus_times, errors)
     return 0
 
 
@@ -417,7 +389,7 @@ def cmd_run(args) -> int:
         stage = "verify"
         if config.covert is not None:
             decoded = decode(trace, config.covert, {f.id: f.period_us for f in sched.frames})
-            _write_verdicts(trace, decoded, out / "verdicts.csv")
+            trace_io.write_verdicts(trace, decoded, out / "verdicts.csv")
             errors = decoded.error_us[~np.isnan(decoded.error_us)]
 
             stage = "attack"
@@ -428,7 +400,8 @@ def cmd_run(args) -> int:
 
             stage = "report"
             _report(out, out, config.covert, args.bin_width,
-                    np.rint(trace.bus_time_us * 10) / 10.0)  # the tenths of trace.csv
+                    np.rint(trace.bus_time_us * 10) / 10.0,  # the tenths of trace.csv
+                    np.array([float(f"{e:.4f}") for e in errors.tolist()]))  # as in the file
 
         if args.check:
             stage = "check"

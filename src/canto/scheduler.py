@@ -315,12 +315,16 @@ ALLOCATORS = {
 
 
 def build_schedule(specs: Sequence[FrameSpec], algorithm: str, **options) -> Schedule:
-    """Run one allocator over the specs' periods and attach the offsets. The
-    allocator takes the `options` its signature names and its own defaults."""
+    """Run one allocator over the specs' periods and attach the offsets. It takes
+    the `options` its signature names; one that no allocator takes is an error."""
     try:
         allocate = ALLOCATORS[algorithm]
     except KeyError:
         raise ValueError(f"unknown allocation algorithm {algorithm!r}") from None
+    unknown = set(options).difference(*(list(inspect.signature(fn).parameters)[1:]
+                                        for fn in ALLOCATORS.values()))  # after the periods
+    if unknown:
+        raise ValueError(f"no allocator takes the options {sorted(unknown)}")
     accepted = inspect.signature(allocate).parameters
     periods = [f.period_us for f in specs]
     offsets = allocate(periods, **{k: v for k, v in options.items() if k in accepted})

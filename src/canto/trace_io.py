@@ -13,6 +13,7 @@ from __future__ import annotations
 import configparser
 import re
 import warnings
+from binascii import hexlify
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -32,19 +33,98 @@ class TraceFormatError(ValueError):
     """Malformed trace or configuration input."""
 
 
+# Both CSV files are written _BLOCK rows at a time, as numpy records of NUL-padded
+# fixed-width byte fields; a block's text is its records' bytes without the NULs.
+_BLOCK = 1024
+VERDICT_HEADER = "bus_time_us,id_hex,counter,error_us,verdict"
+
+
+def _digit_groups() -> np.ndarray:
+    """"0000" to "9999" as 4 ASCII bytes (uint32), then without leading zeros."""
+    number, tables = np.arange(10000), np.empty((2, 10000, 4), dtype=np.uint8)
+    for j, place in enumerate((1000, 100, 10, 1)):  # int64: numpy loops canto already runs
+        tables[0, :, j] = number // place % 10 + ord("0")
+        tables[1, :, j] = np.where(number >= place, tables[0, :, j], 0)
+    return tables.view(np.uint32).ravel()
+
+
+_GROUPS = _digit_groups()  # built at import, so that no writer call holds its temporaries
+
+
+def _decimal(values: np.ndarray) -> tuple:
+    """int64 values as a sign byte, right-aligned 4-byte digit groups and a "0" for 0."""
+    mag = np.abs(values).astype(np.uint64)  # also for -2^63, whose abs wraps to 2^63 unsigned
+    zero = (mag == 0) * np.uint8(ord("0"))
+    groups = np.empty((len(mag), (len(str(int(mag.max()))) + 3) // 4), dtype=np.uint32)
+    for g in range(groups.shape[1] - 1, -1, -1):
+        mag, rest = np.divmod(mag, 10000)  # a group with no digits above has no leading zeros
+        groups[:, g] = _GROUPS.take(rest + (mag == 0) * np.uint64(10000))
+    return (values < 0) * np.uint8(ord("-")), groups.view(f"V{4 * groups.shape[1]}").ravel(), zero
+
+
+def _hex_parts(payloads: list[bytes]) -> tuple:
+    """Each payload in upper-case hex, or no part if all are empty."""
+    sizes = 2 * np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
+    chars = np.frombuffer(hexlify(b"".join(payloads)).upper(), dtype=np.uint8)
+    width = int(sizes.max())
+    if sizes.min() < width:  # else the texts fill the rows
+        text, chars = chars, np.zeros((len(payloads), width), dtype=np.uint8)
+        chars[np.arange(width) < sizes[:, None]] = text
+    return (chars.reshape(len(payloads), -1).view(f"V{width}").ravel(),) if width else ()
+
+
+def _fixed4_parts(values: np.ndarray) -> tuple:
+    """Floats as f"{v:.4f}" writes them, NaN as no text: from x = |v| * 1e4
+    rounded half to even, unless x is 2^40 or more or lies within x * 2^-52
+    (twice the product's rounding error) of a tie, when `format` writes them."""
+    x = np.abs(np.where(np.abs(values) < 2.0**40 / 1e4, values, np.nan)) * 1e4
+    if np.any((np.abs(x - np.floor(x) - 0.5) <= x * 2.0**-52) | np.isnan(x) & ~np.isnan(values)):
+        return (np.array(["" if v != v else format(v, ".4f") for v in values.tolist()], "S"),)
+    shown = ~np.isnan(x)
+    q = np.rint(np.where(shown, x, 0.0)).astype(np.uint64)
+    _, whole, zero = _decimal(q // 10000)
+    fraction = _GROUPS.take(np.where(shown, q % 10000, 10000))  # 10000: 0 with no digits
+    return ((np.signbit(values) & shown) * np.uint8(ord("-")), whole, zero * shown,
+            shown * np.uint8(ord(".")), fraction.view("V4"))
+
+
+def _write_frames(fh, header: str, trace: Trace, time_us: np.ndarray, more) -> None:
+    """Write `header`, then per frame its time in tenths of a microsecond, its
+    id text, its counter and the fields `more(rows)` gives for a block. A field
+    is a tuple of parts: arrays of one fixed-width item per row, or a byte."""
+    fh.write(header + "\n")
+    ids = np.array([str(i) for i in trace.ids], dtype="S")
+    comma, newline = np.uint8(ord(",")), np.uint8(ord("\n"))
+    for lo in range(0, len(trace), _BLOCK):
+        rows = slice(lo, lo + _BLOCK)
+        tenths = np.rint(time_us[rows] * 10).astype(np.int64)  # half to even, as round()
+        fields = (_decimal(tenths), (ids.take(trace.id_index[rows]),),
+                  _decimal(trace.counter[rows]), *more(rows))
+        parts = [part for field in fields for part in (*field, comma)][:-1] + [newline]
+        records = np.zeros(len(tenths), dtype=[(f"f{k}", p.dtype) for k, p in enumerate(parts)])
+        for k, part in enumerate(parts):
+            records[f"f{k}"] = part
+        chars = records.view(np.uint8)
+        fh.write(chars[chars != 0].tobytes().decode())
+        del fields, parts, records, chars  # before the next block's are made
+
+
 def export_trace(trace: Trace, path) -> None:
     with open(path, "w", newline="\n") as fh:
         write_trace(trace, fh)
 
 
 def write_trace(trace: Trace, fh) -> None:
-    fh.write(TRACE_HEADER + "\n")
-    texts = [str(i) for i in trace.ids]
-    # np.rint rounds half to even, as round() does
-    tenths = np.rint(trace.bus_time_us * 10).astype(np.int64).tolist()
-    fh.writelines(f"{t},{texts[k]},{c},{p.hex().upper()},{g}\n" for t, k, c, p, g in zip(
-        tenths, trace.id_index.tolist(), trace.counter.tolist(), trace.payloads,
-        trace.genuine.astype(np.int64).tolist()))
+    _write_frames(fh, TRACE_HEADER, trace, trace.bus_time_us, lambda rows: (
+        _hex_parts(trace.payloads[rows]), (trace.genuine[rows] + np.uint8(ord("0")),)))
+
+
+def write_verdicts(trace: Trace, decoded, path) -> None:
+    """verdicts.csv: each frame of `trace` with `decode`'s time, error and verdict."""
+    words = np.array(["intrusion", "accept"], dtype="S")
+    with open(path, "w", newline="\n") as fh:
+        _write_frames(fh, VERDICT_HEADER, trace, decoded.time_us, lambda rows: (
+            _fixed4_parts(decoded.error_us[rows]), (words.take(decoded.accepted[rows]),)))
 
 
 def parse_trace(source, bitrate_bps: int | None = None) -> Trace:
@@ -80,16 +160,22 @@ def _foreign(text: str) -> bool:
     return not text.isascii() or any(c in text for c in "\0\x1c\x1d\x1e\x1f")
 
 
-def _load_rows(fh, skipped: list[int], max_rows: int | None = None):
+def _load_rows(fh, skipped: list[int], max_rows: int | None = None, line_by_line=False):
     """The data lines' fields, read by numpy's C reader, and the line it failed
     on as (line, 0, message), or None. The numbers of the header and the
-    whitespace-only lines, which are skipped, go to `skipped`."""
-    at = 0
+    whitespace-only lines, which are skipped, go to `skipped`. Unless
+    `line_by_line`, a chunk of lines after the first that holds neither goes to
+    numpy whole; if numpy then fails, the lines are read again one at a time."""
+    at, whole = 0, False  # whole: a chunk went to numpy whole
 
     def lines():
-        nonlocal at
+        nonlocal at, whole
         for chunk in iter(lambda: fh.readlines(1 << 16), []):
             suspect = _foreign("".join(chunk))  # one scan per chunk of lines
+            if not (line_by_line or suspect or at == 0 or any(map(str.isspace, chunk))):
+                whole, at = True, at + len(chunk)
+                yield from chunk
+                continue
             for line in chunk:
                 at += 1
                 if line.isspace() or at == 1 and line.strip() == TRACE_HEADER:
@@ -108,6 +194,10 @@ def _load_rows(fh, skipped: list[int], max_rows: int | None = None):
     except UnicodeDecodeError as exc:  # raised reading the file, on no line numpy saw
         raise TraceFormatError(f"not text in the file's encoding: {exc}") from exc
     except ValueError as exc:
+        if whole:
+            fh.seek(0)
+            skipped.clear()
+            return _load_rows(fh, skipped, max_rows, line_by_line=True)
         # numpy numbers rows its own way; the line is the one last handed to it
         message = re.sub(r" at row \d+(, column \d+)?\.?|;.*", "", str(exc))
         column = re.search(r"column (\d+)", str(exc))

@@ -391,6 +391,19 @@ class TestAllAllocators:
         with pytest.raises(ValueError):
             build_schedule([FrameSpec(CanId(1), 10 * MS)], "simulated-annealing")
 
+    def test_option_no_allocator_takes_is_rejected(self):
+        specs = [FrameSpec(CanId(1), 10 * MS), FrameSpec(CanId(2), 20 * MS)]
+        with pytest.raises(ValueError, match="max_iterations"):
+            build_schedule(specs, "random", max_iterations=20)
+        with pytest.raises(ValueError, match="periods_us"):
+            build_schedule(specs, "gcd", periods_us=[1.0])
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_option_another_allocator_takes_is_ignored(self, algorithm):
+        # the benchmark's allocator table hands every allocator both
+        specs = [FrameSpec(CanId(1), 10 * MS), FrameSpec(CanId(2), 20 * MS)]
+        assert check_complete(build_schedule(specs, algorithm, ifs_us=500.0, seed=3))
+
     def test_colliding_output_is_incomplete(self):
         # gcd(10, 15) = 5 ms: binary's in-window offsets cannot de-collide
         specs = [FrameSpec(CanId(1), 10 * MS), FrameSpec(CanId(2), 15 * MS)]

@@ -1,8 +1,11 @@
 """File formats: trace CSV, schedules, configs."""
 
 import io
+import math
 import re
 import warnings
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from canto.frame_model import CanId, FrameSpec, frame_wire_time_us
 from canto.scheduler import Schedule
 from canto.trace_io import (TRACE_HEADER, TraceFormatError, _parse_native, export_trace,
                             parse_experiment_config, parse_trace, read_schedule,
-                            write_schedule, write_trace)
+                            write_schedule, write_trace, write_verdicts)
 
 MS = 1000.0
 
@@ -78,6 +81,26 @@ class TestNativeFormat:
         out.seek(0)
         parsed = parse_trace(out, bitrate_bps=500_000)
         assert parsed.frames[0].tx_time_us >= 222.0
+
+
+class TestReaderPastFirstChunk:
+    """A bad line past the reader's first 64 KiB chunk, where whole chunks go
+    to numpy, is named as the line-by-line path names it."""
+
+    BAD = {"non-number": "1x,100,7,00,1", "few-fields": "10,100,7",
+           "many-fields": "10,100,7,00,1,1", "unit-separator": "10\x1f,100,7,00,1"}
+
+    @pytest.mark.parametrize("blank", ["before", "after", "none"])
+    @pytest.mark.parametrize("bad", sorted(BAD))
+    def test_line_named(self, bad, blank):
+        lines = [TRACE_HEADER] + [f"{10 * k},100,{k},0011223344556677,1" for k in range(6000)]
+        lines[4000] = self.BAD[bad]
+        if blank != "none":
+            lines.insert(4000 if blank == "before" else 4001, " \t")
+        at = lines.index(self.BAD[bad]) + 1
+        assert sum(map(len, lines[:at])) > 1 << 16  # past the first chunk
+        with pytest.raises(TraceFormatError, match=f"^line {at}:"):
+            parse_trace(io.StringIO("\n".join(lines) + "\n"))
 
 
 _ROUND_TRIP_IDS = [CanId(0x0), CanId(0x100), CanId(0x7FF), CanId(0x800, extended=True),
@@ -484,3 +507,103 @@ class TestReaderMatchesLineReader:
         assert known_differences(text) == [name]
         assert not isinstance(_outcome(_line_reader, text, None), str)
         assert _outcome(_parse_native, text, None) == "line 2"
+
+
+# The row-at-a-time writers that the block writers replaced, kept verbatim as oracles.
+def _row_write_trace(trace: Trace, fh) -> None:
+    fh.write(TRACE_HEADER + "\n")
+    texts = [str(i) for i in trace.ids]
+    # np.rint rounds half to even, as round() does
+    tenths = np.rint(trace.bus_time_us * 10).astype(np.int64).tolist()
+    fh.writelines(f"{t},{texts[k]},{c},{p.hex().upper()},{g}\n" for t, k, c, p, g in zip(
+        tenths, trace.id_index.tolist(), trace.counter.tolist(), trace.payloads,
+        trace.genuine.astype(np.int64).tolist()))
+
+
+def _row_write_verdicts(trace, decoded, path: Path) -> None:
+    with open(path, "w", newline="\n") as fh:
+        fh.write("bus_time_us,id_hex,counter,error_us,verdict\n")
+        texts = [str(i) for i in trace.ids]
+        for lo in range(0, len(trace), 4096):  # few number objects alive at a time
+            rows = slice(lo, lo + 4096)
+            # np.rint rounds half to even, as round() does
+            tenths = np.rint(decoded.time_us[rows] * 10).astype(np.int64).tolist()
+            for t, k, c, err, ok in zip(tenths, trace.id_index[rows].tolist(),
+                                        trace.counter[rows].tolist(),
+                                        decoded.error_us[rows].tolist(),
+                                        decoded.accepted[rows].tolist()):
+                err = "" if math.isnan(err) else f"{err:.4f}"
+                word = "accept" if ok else "intrusion"
+                fh.write(f"{t},{texts[k]},{c},{err},{word}\n")
+
+
+_TENTHS = st.one_of(st.integers(0, 10**13),
+                    st.sampled_from([10**k + d for k in range(14) for d in (-1, 0)]))
+# exact binary ties of the fourth decimal, values next to a tie, next to 2^40 / 1e4
+# (where the kernel stops trusting its product) and at the ends of the float range
+_ERRORS = st.one_of(
+    st.floats(-300.0, 300.0), st.floats(allow_nan=True, allow_infinity=True),
+    st.integers(-10**6, 10**6).map(lambda k: k / 1e4 + 0.5e-4),
+    st.sampled_from([math.nan, 0.0, -0.0, -1e-5, 1e-5, 0.03125, -0.03125, 0.00015, 2.675,
+                     1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf,
+                     -math.inf, *(np.nextafter(2.0**40 / 1e4, d) for d in (0, math.inf)),
+                     2.0**40 / 1e4, 2.0**53, -2.0**63])).map(float)
+_LENGTHS = st.sampled_from([None, 1025, 2100])
+
+
+@st.composite
+def frame_columns(draw):
+    """A trace and its verdict columns, drawn as up to 12 rows and, for some,
+    repeated past the writers' block of rows."""
+    ids = tuple(draw(st.lists(st.sampled_from(_ROUND_TRIP_IDS), min_size=1, unique=True)))
+    n = draw(st.integers(0, 12))
+    length = draw(_LENGTHS) if n else None
+
+    def column(elements, dtype=None):
+        values = draw(st.lists(elements, min_size=n, max_size=n))
+        return np.resize(np.array(values, dtype=dtype), length or n)
+
+    tenths = column(_TENTHS, np.int64)
+    trace = Trace(ids, column(st.integers(0, len(ids) - 1), np.int64),
+                  column(st.one_of(st.integers(0, 2**32 - 1), st.integers(-2**63, 2**63 - 1)),
+                         np.int64),
+                  tenths / 10.0, np.zeros(len(tenths)), [], column(st.booleans(), bool))
+    payloads = draw(st.lists(st.binary(max_size=8), min_size=n, max_size=n))
+    trace.payloads = (payloads * (len(tenths) // max(n, 1) + 1))[:len(tenths)]
+    decoded = SimpleNamespace(time_us=column(st.one_of(
+        st.floats(-1e12, 1e12), _TENTHS.map(lambda t: -t / 10.0))),
+        error_us=column(_ERRORS), accepted=column(st.booleans(), bool))
+    return trace, decoded
+
+
+class TestBlockWriters:
+    """The block writers against the row-at-a-time ones they replaced."""
+
+    @given(frame_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_trace_bytes_identical(self, columns):
+        trace, _ = columns
+        want, got = io.StringIO(), io.StringIO()
+        _row_write_trace(trace, want)
+        write_trace(trace, got)
+        assert got.getvalue() == want.getvalue()
+
+    @given(frame_columns())
+    @settings(max_examples=150, deadline=None)
+    def test_verdicts_bytes_identical(self, tmp_path_factory, columns):
+        trace, decoded = columns
+        out = tmp_path_factory.mktemp("verdicts")
+        _row_write_verdicts(trace, decoded, out / "want.csv")
+        write_verdicts(trace, decoded, out / "got.csv")
+        assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
+
+    def test_empty_trace_writes_the_header(self, tmp_path):
+        trace = Trace((), np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0),
+                      [], np.zeros(0, bool))
+        out = io.StringIO()
+        write_trace(trace, out)
+        assert out.getvalue() == TRACE_HEADER + "\n"
+        nothing = SimpleNamespace(time_us=np.zeros(0), error_us=np.zeros(0),
+                                  accepted=np.zeros(0, bool))
+        write_verdicts(trace, nothing, tmp_path / "v.csv")
+        assert (tmp_path / "v.csv").read_text() == "bus_time_us,id_hex,counter,error_us,verdict\n"
