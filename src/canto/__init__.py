@@ -9,7 +9,7 @@ from canto.frame_model import CanId, FrameSpec, frame_bit_length, max_stuff_bits
 from canto.scheduler import Schedule, ScheduleQuality
 from canto.clock_model import ClockModel, Jitter
 from canto.incanta import CovertConfig, Verifier, covert_delay, adversary_advantage, ecu_success
-from canto.bus_sim import BusConfig, NodeConfig, TimedFrame, Trace, simulate, busload
+from canto.bus_sim import BusConfig, NodeConfig, Trace, simulate, busload
 from canto.analysis import blahut_arimoto
 
 __version__ = "0.1.0"
@@ -19,7 +19,7 @@ __all__ = [
     "Schedule", "ScheduleQuality",
     "ClockModel", "Jitter",
     "CovertConfig", "Verifier", "covert_delay", "adversary_advantage", "ecu_success",
-    "BusConfig", "NodeConfig", "TimedFrame", "Trace", "simulate", "busload",
+    "BusConfig", "NodeConfig", "Trace", "simulate", "busload",
     "blahut_arimoto",
     "__version__",
 ]

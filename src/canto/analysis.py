@@ -26,6 +26,7 @@ class CapacityError(RuntimeError):
 # so that later logarithms stay finite
 MIN_SAMPLES_PER_SYMBOL = 100
 SMOOTHING = 1e-9
+MAX_BINS = 1 << 24  # the cells the gcd allocator's occupancy matrix may have
 
 
 def _genuine_pairs(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
@@ -155,14 +156,18 @@ def exact_adversary_rate(tolerance_us: float, level_bits: int = 8, frames: int =
 
 def histogram(series, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
     """Counts over half-open bins of the given width, aligned to multiples
-    of the width. Returns (bin start values, counts)."""
+    of the width. Returns (bin start values, counts); more than MAX_BINS
+    bins raise ValueError before any is counted."""
     if not bin_width > 0:  # NaN fails too
         raise ValueError("bin width must be positive")
     x = np.asarray(series, dtype=np.float64)
     if x.size == 0:
         return np.empty(0), np.empty(0, dtype=np.int64)
-    lo = math.floor(x.min() / bin_width)
-    idx = np.floor(x / bin_width).astype(np.int64) - lo
-    counts = np.bincount(idx)
+    # bin numbers stay floats: the first may lie beyond int64, and relative
+    # to it each is an exact integer below MAX_BINS
+    lo, hi = np.floor(x.min() / bin_width), np.floor(x.max() / bin_width)
+    if not hi - lo < MAX_BINS:  # inf and NaN fail too
+        raise ValueError(f"{hi - lo + 1:.3g} bins of width {bin_width:g} exceed {MAX_BINS}")
+    counts = np.bincount((np.floor(x / bin_width) - lo).astype(np.int64))
     starts = (lo + np.arange(len(counts))) * bin_width
     return starts, counts

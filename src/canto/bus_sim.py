@@ -83,22 +83,6 @@ class BusConfig:
         return [f for n in self.nodes for f in n.frames]
 
 
-@dataclass(frozen=True)
-class TimedFrame:
-    """One frame occurrence as a row: the start of its transmission on the bus."""
-
-    id: CanId
-    counter: int
-    bus_time_us: float
-    tx_time_us: float
-    payload: bytes
-    genuine: bool = True
-
-    @property
-    def end_time_us(self) -> float:
-        return self.bus_time_us + self.tx_time_us
-
-
 @dataclass(eq=False)
 class Trace:
     """A time-ordered trace, stored as one column per frame field.
@@ -117,27 +101,8 @@ class Trace:
     genuine: np.ndarray  # bool
     duration_us: float = 0.0
 
-    @classmethod
-    def from_frames(cls, rows, duration_us: float = 0.0) -> "Trace":
-        """A trace of the given rows, in their order."""
-        rows = list(rows)
-        index: dict[CanId, int] = {}
-        id_index = np.array([index.setdefault(f.id, len(index)) for f in rows], dtype=np.int64)
-        return cls(tuple(index), id_index, np.array([f.counter for f in rows], dtype=np.int64),
-                   np.array([f.bus_time_us for f in rows], dtype=np.float64),
-                   np.array([f.tx_time_us for f in rows], dtype=np.float64),
-                   [f.payload for f in rows], np.array([f.genuine for f in rows], dtype=bool),
-                   duration_us)
-
     def __len__(self):
         return len(self.bus_time_us)
-
-    @property
-    def frames(self) -> list[TimedFrame]:
-        """The rows, built on each read; for tests and hand-sized traces."""
-        return [TimedFrame(self.ids[k], c, t, tx, p, g) for k, c, t, tx, p, g in zip(
-            self.id_index.tolist(), self.counter.tolist(), self.bus_time_us.tolist(),
-            self.tx_time_us.tolist(), self.payloads, self.genuine.tolist())]
 
     def take(self, rows) -> "Trace":
         """The frames at the given positions (or boolean mask), in that order."""

@@ -260,7 +260,10 @@ def cmd_capacity(args) -> int:
                                                  compensate_frame_length=not args.no_compensate)
     except (KeyError, ValueError) as exc:
         raise TraceFormatError(f"{args.trace}: {exc.args[0]}") from exc
-    capacity, iterations = analysis.blahut_arimoto(matrix, tolerance=args.tolerance)
+    try:
+        capacity, iterations = analysis.blahut_arimoto(matrix, tolerance=args.tolerance)
+    except analysis.CapacityError as exc:
+        raise TraceFormatError(f"--tolerance {args.tolerance:g}: {exc}") from exc
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report = (f"capacity_bits={capacity:.6f}\niterations={iterations}\n"
@@ -286,19 +289,26 @@ def _check_report_covert(covert) -> None:
                                f"window covers the whole delay alphabet (2^{covert.level_bits} us)")
 
 
-def _report(indir: Path, out: Path, covert, bin_width: float, bus_times, errors) -> None:
-    """Tables and figure CSVs from attack.csv, bus times (None: no trace) and the
-    scored errors as verdicts.csv holds them; `covert` passed `_check_report_covert`."""
+def _histogram(values, width: float, what: str):
+    """`analysis.histogram`; too many bins exit 3, naming `what`."""
+    try:
+        return analysis.histogram(values, width)
+    except ValueError as exc:
+        raise TraceFormatError(f"{what}: {exc}") from exc
+
+
+def _report(indir: Path, out: Path, covert, bin_width: float, bus_times, errors,
+            adv: dict[tuple[float, int], float]) -> None:
+    """Tables and figure CSVs from the adversary rates by (rho, frames), bus
+    times (None: no trace) and the scored errors as verdicts.csv holds them;
+    `covert` passed `_check_report_covert`."""
     level, tolerance = covert.level_bits, covert.tolerance_us
     if errors.size == 0:
         raise TraceFormatError(f"{indir / 'verdicts.csv'}: no scored frames")
+    deviations = _histogram(errors, bin_width, f"--bin-width {bin_width:g}")
+    gaps = None if bus_times is None else _histogram(
+        np.diff(bus_times) / 1000.0, 0.05, f"{indir / 'trace.csv'}: inter-frame gaps")
     out.mkdir(parents=True, exist_ok=True)
-    adv: dict[tuple[float, int], float] = {}
-    with open(indir / "attack.csv") as fh:
-        next(fh)
-        for line in fh:
-            rho, k, rate, _an = line.split(",")
-            adv[(float(rho), int(k))] = float(rate)
 
     with open(out / "success_table.csv", "w", newline="\n") as fh:
         fh.write("rho_us,frames,ecu_rate,adv_rate\n")
@@ -317,19 +327,12 @@ def _report(indir: Path, out: Path, covert, bin_width: float, bus_times, errors)
                 crossing = k
             fh.write(f"{k},{rate:.8g},{AUTOSAR_LEVEL:.8g}\n")
 
-    starts, counts = analysis.histogram(errors, bin_width)
-    with open(out / "fig_deviation_histogram.csv", "w", newline="\n") as fh:
-        fh.write("bin_start_us,count\n")
-        for s, c in zip(starts, counts):
-            fh.write(f"{s:.6g},{int(c)}\n")
-
-    if bus_times is not None:
-        gaps = np.diff(bus_times) / 1000.0
-        starts, counts = analysis.histogram(gaps, 0.05)
-        with open(out / "fig_interframe_histogram.csv", "w", newline="\n") as fh:
-            fh.write("bin_start_ms,count\n")
-            for s, c in zip(starts, counts):
-                fh.write(f"{s:.6g},{int(c)}\n")
+    for name, unit, histogram in (("deviation", "us", deviations), ("interframe", "ms", gaps)):
+        if histogram is not None:
+            with open(out / f"fig_{name}_histogram.csv", "w", newline="\n") as fh:
+                fh.write(f"bin_start_{unit},count\n")
+                for s, c in zip(*histogram):
+                    fh.write(f"{s:.6g},{int(c)}\n")
 
     capacity_src = indir / "capacity_report.txt"
     if capacity_src.exists():
@@ -338,6 +341,24 @@ def _report(indir: Path, out: Path, covert, bin_width: float, bus_times, errors)
     summary = f"autosar_crossing_frames={crossing}\nscored_frames={errors.size}\n"
     (out / "report_summary.txt").write_text(summary)
     print(summary, end="")
+
+
+def _read_csv(path: Path, width: int, convert) -> list:
+    """`convert(fields)` for each line after the header of a CSV file whose
+    lines have `width` fields; a bad line exits 3, naming the file and line."""
+    rows = []
+    with open(path) as fh:
+        if not fh.readline():
+            raise TraceFormatError(f"{path}: empty, with no header line")
+        for lineno, line in enumerate(fh, 2):
+            fields = line.rstrip("\n").split(",")
+            try:
+                if len(fields) != width:
+                    raise ValueError(f"expected {width} fields, got {len(fields)}")
+                rows.append(convert(fields))
+            except ValueError as exc:
+                raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
+    return rows
 
 
 def cmd_report(args) -> int:
@@ -352,10 +373,10 @@ def cmd_report(args) -> int:
     if missing:
         raise FileNotFoundError(f"missing report inputs: {', '.join(missing)}")
     bus_times = trace_io.parse_trace(trace_path).bus_time_us if trace_path.exists() else None
-    with open(verdicts) as fh:
-        next(fh)
-        errors = np.array([float(e) for e in (line.split(",")[3] for line in fh) if e])
-    _report(indir, Path(args.out), config.covert, args.bin_width, bus_times, errors)
+    errors = np.array([e for e in _read_csv(verdicts, 5, lambda f: float(f[3]) if f[3] else None)
+                       if e is not None])  # None: an unscored frame, its error_us empty
+    adv = dict(_read_csv(attack, 4, lambda f: ((float(f[0]), int(f[1])), float(f[2]))))
+    _report(indir, Path(args.out), config.covert, args.bin_width, bus_times, errors, adv)
     return 0
 
 
@@ -401,23 +422,23 @@ def cmd_run(args) -> int:
             stage = "report"
             _report(out, out, config.covert, args.bin_width,
                     np.rint(trace.bus_time_us * 10) / 10.0,  # the tenths of trace.csv
-                    np.array([float(f"{e:.4f}") for e in errors.tolist()]))  # as in the file
+                    np.array([float(f"{e:.4f}") for e in errors.tolist()]),  # as in the file
+                    adv)
 
         if args.check:
             stage = "check"
             _check(check_complete(sched), "allocated schedule is not collision-free")
             _check(config.covert is not None, "--check needs a covert channel to score")
-            if config.covert is not None:
-                rho = config.covert.tolerance_us
-                accept = float(np.mean(np.abs(errors) <= rho))
-                _check(accept == 1.0,
-                       f"genuine acceptance at rho={rho} is {100 * accept:.3f}% (want 100%)")
-                rate = adv[5.0, 1]
-                _check(abs(rate - 0.039) < 0.0011,
-                       f"adversary rate at rho=5 is {100 * rate:.3f}% (want 3.9 +- 0.1)")
-                ks = [k for k in range(1, 9)
-                      if adversary_advantage(5.0, level, k) < AUTOSAR_LEVEL]
-                _check(ks and ks[0] == 6, f"AUTOSAR crossing at k={ks[:1]} (want 6)")
+            rho = config.covert.tolerance_us
+            accept = float(np.mean(np.abs(errors) <= rho))
+            _check(accept == 1.0,
+                   f"genuine acceptance at rho={rho} is {100 * accept:.3f}% (want 100%)")
+            rate = adv[5.0, 1]
+            _check(abs(rate - 0.039) < 0.0011,
+                   f"adversary rate at rho=5 is {100 * rate:.3f}% (want 3.9 +- 0.1)")
+            ks = [k for k in range(1, 9)
+                  if adversary_advantage(5.0, level, k) < AUTOSAR_LEVEL]
+            _check(ks and ks[0] == 6, f"AUTOSAR crossing at k={ks[:1]} (want 6)")
         write_manifest(out, "run", seed, {"config": Path(args.config)})
     except CheckFailure:
         raise

@@ -43,40 +43,21 @@ class Jitter:
             raise ValueError("jitter widths must be finite and nonnegative")
 
     @classmethod
-    def none(cls) -> "Jitter":
-        return cls("none")
-
-    @classmethod
-    def uniform(cls, half_width_us: float) -> "Jitter":
-        return cls("uniform", half_width_us=half_width_us)
-
-    @classmethod
-    def gaussian(cls, sigma_us: float) -> "Jitter":
-        return cls("gaussian", sigma_us=sigma_us)
-
-    @classmethod
-    def steps(cls, prob: float = 0.028, step_us: float = 2.0, spread_us: float = 0.7) -> "Jitter":
-        return cls("steps", prob=prob, step_us=step_us, spread_us=spread_us)
-
-    @classmethod
     def parse(cls, text: str) -> "Jitter":
         """Parse "none", "uniform:A", "gaussian:S" or "steps[:p,step,spread]"."""
         head, _, args = text.strip().partition(":")
         if head == "none":
-            return cls.none()
+            return cls()
         if head == "uniform":
-            return cls.uniform(float(args))
+            return cls(head, half_width_us=float(args))
         if head == "gaussian":
-            return cls.gaussian(float(args))
+            return cls(head, sigma_us=float(args))
         if head == "steps":
             if not args:
-                return cls.steps()
+                return cls(head)
             p, step, spread = (float(x) for x in args.split(","))
-            return cls.steps(p, step, spread)
+            return cls(head, prob=p, step_us=step, spread_us=spread)
         raise ValueError(f"unknown jitter spec {text!r}")
-
-    def draw(self, rng: np.random.Generator) -> float:
-        return float(self.draws(rng, 1)[0])
 
     def draws(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """`n` draws in order; numpy's array draws equal as many scalar ones bit for bit."""
@@ -112,7 +93,7 @@ class ClockModel:
 
     skew_ppm: float = 0.0
     tick_ns: int = 10
-    jitter: Jitter = Jitter.none()
+    jitter: Jitter = Jitter()
 
     def __post_init__(self):
         if self.tick_ns <= 0:

@@ -152,7 +152,9 @@ def transmission_time_us(bits: int, bitrate_bps: int) -> float:
 def _stuff_walk(bits: Iterable[int], run_bit: int | None = None,
                 run_len: int = 0) -> tuple[int, int | None, int]:
     """Stuff bits inserted into `bits`, continuing from a run of `run_len`
-    copies of `run_bit`; returns (count, run_bit, run_len) at the end."""
+    copies of `run_bit`; returns (count, run_bit, run_len) at the end. After
+    five identical bits one opposite bit is inserted, and it takes part in
+    the runs that follow."""
     count = 0
     for b in bits:
         if b == run_bit:
@@ -163,15 +165,6 @@ def _stuff_walk(bits: Iterable[int], run_bit: int | None = None,
             count += 1
             run_bit, run_len = 1 - b, 1  # the inserted opposite bit
     return count, run_bit, run_len
-
-
-def count_stuff_bits(bits: Iterable[int]) -> int:
-    """Apply the real stuffing rule to a bit pattern.
-
-    After five consecutive identical bits one opposite bit is inserted;
-    inserted bits take part in subsequent runs.
-    """
-    return _stuff_walk(bits)[0]
 
 
 # A run state packs the current bit and run length 1..4 as bit << 2 | (len - 1);
@@ -231,9 +224,3 @@ def frame_wire_times_us(can_id: CanId, rows: np.ndarray, bitrate_bps: int) -> np
     stuff = _stuff_counts(can_id, rows)
     return np.array([transmission_time_us(bits + s, bitrate_bps)
                      for s in range(stuff.max(initial=0) + 1)])[stuff]
-
-
-def frame_wire_time_us(can_id: CanId, payload: bytes, bitrate_bps: int) -> float:
-    """Wire time of one concrete data frame: field-sum length plus its stuff bits."""
-    rows = np.frombuffer(payload, dtype=np.uint8)[None]
-    return float(frame_wire_times_us(can_id, rows, bitrate_bps)[0])

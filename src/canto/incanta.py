@@ -114,11 +114,6 @@ def embed_counters(payload: bytes, counters) -> list[bytes]:
     return [flat[at:at + width] for at in range(0, len(flat), width)]
 
 
-def embed_counter(payload: bytes, counter: int) -> bytes:
-    """Write the counter into the low 4 payload bytes (big-endian)."""
-    return embed_counters(payload, [counter & 0xFFFFFFFF])[0]
-
-
 def adversary_advantage(tolerance_us: float, level_bits: int, frames: int = 1) -> float:
     """Chance that blindly timed frames pass verification.
 

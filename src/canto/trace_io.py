@@ -338,19 +338,33 @@ class ExperimentConfig(BusConfig):
         return replace(self, nodes=nodes, seed=self.seed if seed is None else seed)
 
 
-_BUS_KEYS = {"bitrate", "duration_us", "seed", "stuffing"}
-_COVERT_KEYS = {"key_hex", "level_bits", "tolerance_us", "frames_required"}
-_ALLOC_KEYS = {"algorithm", "ifs_us", "grid_step_us", "iterations", "seed"}
-_NODE_KEYS = {"skew_ppm", "tick_ns", "jitter", "covert", "frames"}
+# Per section, each key the file may give -> (the field it sets, its converter).
+# A key the file leaves out is not passed, so the field keeps its dataclass default.
+_BUS_KEYS = {"duration_us": ("duration_us", float), "bitrate": ("bitrate_bps", int),
+             "seed": ("seed", int), "stuffing": ("stuffing", str)}
+_COVERT_KEYS = {"key_hex": ("key", bytes.fromhex), "level_bits": ("level_bits", int),
+                "tolerance_us": ("tolerance_us", float),
+                "frames_required": ("frames_required", int)}
+_ALLOC_KEYS = {"algorithm": ("algorithm", str), "ifs_us": ("ifs_us", float),
+               "grid_step_us": ("grid_step_us", float), "iterations": ("iterations", int),
+               "seed": ("seed", int)}
+_CLOCK_KEYS = {"skew_ppm": ("skew_ppm", float), "tick_ns": ("tick_ns", int),
+               "jitter": ("jitter", Jitter.parse)}
+_NODE_KEYS = {*_CLOCK_KEYS, "covert", "frames"}
 
 _FRAME_RE = re.compile(r"^(0x[0-9A-Fa-f]+|[0-9A-Fa-f]+):(\d+(?:\.\d+)?):(\d+)"
                        r"(?::(\d+(?:\.\d+)?))?$")
 
 
-def _reject_unknown(section: str, keys, allowed) -> None:
-    unknown = set(keys) - allowed
+def _checked(sec, allowed, required: str):
+    """The section, after checking that it gives no key outside `allowed` and gives
+    `required`."""
+    unknown = set(sec.keys()).difference(allowed)
     if unknown:
-        raise TraceFormatError(f"[{section}]: unknown keys {sorted(unknown)}")
+        raise TraceFormatError(f"[{sec.name}]: unknown keys {sorted(unknown)}")
+    if required not in sec:
+        raise TraceFormatError(f"[{sec.name}]: missing required key {required}")
+    return sec
 
 
 @contextmanager
@@ -365,10 +379,15 @@ def _naming(section: str, key: str | None = None):
         raise TraceFormatError(f"{where}: {exc}") from exc
 
 
-def _get(sec, key: str, getter, default):
-    """`getter(key, default)` on a section, with a bad value named."""
-    with _naming(sec.name, key):
-        return getter(key, default)
+def _fields(sec, keys: dict) -> dict:
+    """The fields that the section's keys in `keys` set, each value converted
+    and a bad one named."""
+    fields = {}
+    for key, (name, convert) in keys.items():
+        if key in sec:
+            with _naming(sec.name, key):
+                fields[name] = convert(sec[key])
+    return fields
 
 
 def parse_experiment_config(source) -> ExperimentConfig:
@@ -386,36 +405,17 @@ def parse_experiment_config(source) -> ExperimentConfig:
 
     if "bus" not in cp:
         raise TraceFormatError("missing [bus] section")
-    bus = cp["bus"]
-    _reject_unknown("bus", bus.keys(), _BUS_KEYS)
-    if "duration_us" not in bus:
-        raise TraceFormatError("[bus]: missing required key duration_us")
+    bus = _checked(cp["bus"], _BUS_KEYS, "duration_us")
 
     covert = None
     if "covert" in cp:
-        sec = cp["covert"]
-        _reject_unknown("covert", sec.keys(), _COVERT_KEYS)
-        if "key_hex" not in sec:
-            raise TraceFormatError("[covert]: missing required key key_hex")
-        with _naming("covert", "key_hex"):
-            key = bytes.fromhex(sec["key_hex"])
-        level_bits = _get(sec, "level_bits", sec.getint, 8)
-        tolerance_us = _get(sec, "tolerance_us", sec.getfloat, 5.0)
-        frames_required = _get(sec, "frames_required", sec.getint, 6)
+        sec = _checked(cp["covert"], _COVERT_KEYS, "key_hex")
         with _naming("covert"):  # range checks name their own key
-            covert = CovertConfig(key, level_bits, tolerance_us, frames_required)
+            covert = CovertConfig(**_fields(sec, _COVERT_KEYS))
 
     allocator: dict = {}
     if "allocator" in cp:
-        sec = cp["allocator"]
-        _reject_unknown("allocator", sec.keys(), _ALLOC_KEYS)
-        if "algorithm" not in sec:
-            raise TraceFormatError("[allocator]: missing required key algorithm")
-        allocator = {"algorithm": sec["algorithm"]}
-        for key, getter in (("ifs_us", sec.getfloat), ("grid_step_us", sec.getfloat),
-                            ("iterations", sec.getint), ("seed", sec.getint)):
-            if key in sec:
-                allocator[key] = _get(sec, key, getter, None)
+        allocator = _fields(_checked(cp["allocator"], _ALLOC_KEYS, "algorithm"), _ALLOC_KEYS)
 
     nodes: list[NodeConfig] = []
     offsets_given = False
@@ -424,14 +424,8 @@ def parse_experiment_config(source) -> ExperimentConfig:
             if section in ("bus", "covert", "allocator"):
                 continue
             raise TraceFormatError(f"unknown section [{section}]")
-        sec = cp[section]
-        _reject_unknown(section, sec.keys(), _NODE_KEYS)
-        if "frames" not in sec:
-            raise TraceFormatError(f"[{section}]: missing required key frames")
-        skew_ppm = _get(sec, "skew_ppm", sec.getfloat, 0.0)
-        tick_ns = _get(sec, "tick_ns", sec.getint, 10)
-        with _naming(section, "jitter"):
-            jitter = Jitter.parse(sec.get("jitter", "none"))
+        sec = _checked(cp[section], _NODE_KEYS, "frames")
+        clock_fields = _fields(sec, _CLOCK_KEYS)
         frames = []
         for token in sec["frames"].split():
             m = _FRAME_RE.match(token)
@@ -442,12 +436,13 @@ def parse_experiment_config(source) -> ExperimentConfig:
             with _naming(section, f"frames {token}"):
                 frames.append(FrameSpec(CanId.parse(m.group(1)), float(m.group(2)),
                                         float(m.group(4) or 0), int(m.group(3)) * 8))
-        enabled = _get(sec, "covert", sec.getboolean, covert is not None)
+        with _naming(section, "covert"):
+            enabled = sec.getboolean("covert", covert is not None)
         if enabled and covert is None:
             raise TraceFormatError(f"[{section}] covert: the node enables the covert "
                                    "channel but [covert] is missing")
         with _naming(section):
-            clock = ClockModel(skew_ppm=skew_ppm, tick_ns=tick_ns, jitter=jitter)
+            clock = ClockModel(**clock_fields)
             nodes.append(NodeConfig(section[len("node."):], clock, tuple(frames),
                                     covert if enabled else None))
     if not nodes:
@@ -455,11 +450,7 @@ def parse_experiment_config(source) -> ExperimentConfig:
     if allocator and offsets_given:
         raise TraceFormatError("offsets given both manually and via [allocator]")
 
+    fields = _fields(bus, _BUS_KEYS)
     with _naming("bus"):  # BusConfig's checks name their own key or ids
-        return ExperimentConfig(
-            nodes=tuple(nodes),
-            duration_us=_get(bus, "duration_us", bus.getfloat, None),
-            bitrate_bps=_get(bus, "bitrate", bus.getint, 500_000),
-            seed=_get(bus, "seed", bus.getint, 0),
-            stuffing=bus.get("stuffing", "payload"),
-            covert=covert, allocator=allocator)
+        return ExperimentConfig(nodes=tuple(nodes), covert=covert, allocator=allocator,
+                                **fields)

@@ -236,7 +236,7 @@ def calibrated_deviations():
     cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
     specs = tuple(FrameSpec(CanId(0x100 + i), p, o, 64)
                   for i, (p, o) in enumerate(zip(periods, offsets)))
-    clock = ClockModel(jitter=Jitter.steps())
+    clock = ClockModel(jitter=Jitter("steps"))
     cfg = BusConfig((NodeConfig("ecu", clock, specs, cov),), 170_000 * MS,
                     seed=77, stuffing="payload")
     trace = simulate(cfg)
@@ -273,7 +273,7 @@ def test_criterion_5_capacity():
 
     cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
     spec = FrameSpec(CanId(0x100), 10 * MS, 0.0, 64)
-    clock = ClockModel(jitter=Jitter.uniform(2.5))
+    clock = ClockModel(jitter=Jitter("uniform", half_width_us=2.5))
     cfg = BusConfig((NodeConfig("ecu", clock, (spec,), cov),), 2_500_000 * MS,
                     seed=5, stuffing="none")
     trace = simulate(cfg)
@@ -311,7 +311,7 @@ def test_criterion_7_skew_model():
     for trial in range(140):
         ticks = DEFAULT_TICK_CLASSES[trial % 7]
         period = forced_delay_ticks(100 * MS, ticks, 10)
-        noisy = ClockModel(jitter=Jitter.uniform(2.0))
+        noisy = ClockModel(jitter=Jitter("uniform", half_width_us=2.0))
         rec = np.diff([noisy.local_to_bus_time(k * period, rng) for k in range(51)])
         hits += classify_forced_delay(rec, 100 * MS) == ticks
         trials += 1

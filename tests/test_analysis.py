@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from canto.analysis import (CapacityError, blahut_arimoto, deviation_series,
+from canto.analysis import (MAX_BINS, CapacityError, blahut_arimoto, deviation_series,
                             exact_adversary_rate, extract_channel_matrix, histogram,
                             mc_adversary_rate)
-from canto.bus_sim import BusConfig, NodeConfig, Trace, inject_adversary, simulate
+from canto.bus_sim import BusConfig, NodeConfig, inject_adversary, simulate
 from canto.cli import main
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec
@@ -141,6 +141,14 @@ class TestHistogram:
         with pytest.raises(ValueError):
             histogram([1.0], 0.0)
 
+    def test_refuses_more_than_max_bins(self):
+        with pytest.raises(ValueError, match=f"exceed {MAX_BINS}"):
+            histogram([0.0, float(MAX_BINS)], 1.0)
+
+    def test_one_bin_numbered_beyond_int64(self):
+        starts, counts = histogram([0.5, 0.5], 1e-300)
+        assert list(counts) == [2] and starts[0] == math.floor(0.5 / 1e-300) * 1e-300
+
 
 def run_covert(jitter, duration_us, seed=3, stuffing="none", skew_ppm=0.0):
     cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
@@ -153,34 +161,34 @@ def run_covert(jitter, duration_us, seed=3, stuffing="none", skew_ppm=0.0):
 
 class TestDeviationSeries:
     def test_zero_jitter_is_exactly_zero(self):
-        trace, cov, periods = run_covert(Jitter.none(), 300 * MS)
+        trace, cov, periods = run_covert(Jitter(), 300 * MS)
         devs = deviation_series(trace, periods, cov)
         assert np.all(devs[CanId(0x100)] == 0.0)
 
     def test_unknown_id_raises(self):
-        trace, cov, _ = run_covert(Jitter.none(), 300 * MS)
+        trace, cov, _ = run_covert(Jitter(), 300 * MS)
         with pytest.raises(KeyError):
             deviation_series(trace, {CanId(0x7): 10 * MS}, cov)
 
     def test_without_covert_config_sees_delay_spread(self):
         """A receiver without the sender's key decodes with another one."""
-        trace, cov, periods = run_covert(Jitter.none(), 300 * MS)
+        trace, cov, periods = run_covert(Jitter(), 300 * MS)
         wrong = replace(cov, key=bytes(range(1, 17)))
         devs = deviation_series(trace, periods, wrong)[CanId(0x100)]
         assert np.max(np.abs(devs)) > 50.0  # delays from another key look like jitter
 
     def test_stuffing_variation_stays_within_ten_us(self):
-        trace, cov, periods = run_covert(Jitter.none(), 2000 * MS, stuffing="payload")
+        trace, cov, periods = run_covert(Jitter(), 2000 * MS, stuffing="payload")
         devs = deviation_series(trace, periods, cov, compensate_frame_length=False)
         assert 0.0 < np.max(np.abs(devs[CanId(0x100)])) <= 10.0
 
     def test_compensation_removes_stuffing_noise(self):
-        trace, cov, periods = run_covert(Jitter.none(), 2000 * MS, stuffing="payload")
+        trace, cov, periods = run_covert(Jitter(), 2000 * MS, stuffing="payload")
         devs = deviation_series(trace, periods, cov, compensate_frame_length=True)
         assert np.all(devs[CanId(0x100)] == 0.0)
 
     def test_calibrated_steps_jitter_matches_envelope(self):
-        trace, cov, periods = run_covert(Jitter.steps(), 60_000 * MS)
+        trace, cov, periods = run_covert(Jitter("steps"), 60_000 * MS)
         devs = deviation_series(trace, periods, cov)[CanId(0x100)]
         lo, hi = devs.min(), devs.max()
         assert -4.62 - 1.0 <= lo <= -4.62 + 1.0
@@ -189,14 +197,14 @@ class TestDeviationSeries:
 
 class TestChannelMatrix:
     def test_zero_jitter_gives_identity(self):
-        trace, cov, periods = run_covert(Jitter.none(), 30_000 * MS)
+        trace, cov, periods = run_covert(Jitter(), 30_000 * MS)
         with pytest.warns(UserWarning, match="sparse"):
             m = extract_channel_matrix(trace, cov, periods)
         assert np.all(np.abs(m.sum(axis=1) - 1.0) < 1e-9)
         assert np.trace(m) == pytest.approx(256.0, abs=1e-3)
 
     def test_uniform_jitter_bands_rows(self):
-        trace, cov, periods = run_covert(Jitter.uniform(1.0), 60_000 * MS)
+        trace, cov, periods = run_covert(Jitter("uniform", half_width_us=1.0), 60_000 * MS)
         with pytest.warns(UserWarning, match="sparse"):
             m = extract_channel_matrix(trace, cov, periods)
         for x in range(1, 255):
@@ -205,7 +213,7 @@ class TestChannelMatrix:
             assert np.all(np.abs(support - x) <= 2)
 
     def test_row_sums(self):
-        trace, cov, periods = run_covert(Jitter.uniform(2.0), 30_000 * MS)
+        trace, cov, periods = run_covert(Jitter("uniform", half_width_us=2.0), 30_000 * MS)
         with pytest.warns(UserWarning, match="sparse"):
             m = extract_channel_matrix(trace, cov, periods)
         assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
@@ -216,11 +224,14 @@ class TestGenuinePairing:
         # frames 1000..1099 forged, the rest genuine; with no jitter every
         # genuine pair deviates by exactly 0 and decodes to its sent delay,
         # while a pair with a forged end sits off by the adversary's draws
-        trace, cov, periods = run_covert(Jitter.none(), 30_000 * MS)
+        trace, cov, periods = run_covert(Jitter(), 30_000 * MS)
         forged = inject_adversary(trace, CanId(0x100), 10 * MS, seed=1)
-        assert not any(f.genuine for f in forged.frames[1000:1100])
-        mixed = Trace.from_frames(trace.frames[:1000] + forged.frames[1000:1100]
-                                  + trace.frames[1100:])
+        window = slice(1000, 1100)
+        assert not forged.genuine[window].any()
+        assert forged.counter.tolist() == trace.counter.tolist()  # one ID keeps its order
+        times, genuine = trace.bus_time_us.copy(), trace.genuine.copy()
+        times[window], genuine[window] = forged.bus_time_us[window], forged.genuine[window]
+        mixed = replace(trace, bus_time_us=times, genuine=genuine)
         devs = deviation_series(mixed, periods, cov)[CanId(0x100)]
         assert len(devs) == len(trace) - 1 - 101
         assert np.all(devs == 0.0)

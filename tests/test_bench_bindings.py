@@ -9,6 +9,7 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import canto
 from canto import cli, scheduler, trace_io
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -34,6 +35,10 @@ def test_every_traced_name_resolves():
         if fn is None:
             absent.append(f"{module_name}.{attr} ({span})")
     assert not absent, f"traced names that no longer resolve: {absent}"
+
+
+def test_every_exported_name_resolves():
+    assert [name for name in canto.__all__ if not hasattr(canto, name)] == []
 
 
 def test_allocators_are_plain_functions():

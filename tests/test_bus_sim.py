@@ -11,9 +11,9 @@ from hypothesis import given, settings, strategies as st
 from canto.bus_sim import (BusConfig, NodeConfig, OversubscribedBusError, Trace, _payload_template,
                            _theoretical_busload, busload, inject_adversary, simulate)
 from canto.clock_model import ClockModel, Jitter
-from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_wire_time_us,
+from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_wire_times_us,
                                transmission_time_us)
-from canto.incanta import CovertConfig, Verifier, covert_delay, embed_counter
+from canto.incanta import CovertConfig, Verifier, covert_delay, covert_delays, embed_counters
 from canto.scheduler import Schedule, allocate_gcd, check_complete
 from canto.trace_io import write_trace
 
@@ -26,8 +26,20 @@ def node(name, frames, clock=None, covert=None):
 
 
 def frames_of(trace, can_id):
-    """The rows of one ID, through a column filter."""
-    return trace.take(trace.id_index == trace.ids.index(can_id)).frames
+    """The frames of one ID, as a trace."""
+    return trace.take(trace.id_index == trace.ids.index(can_id))
+
+
+def ids_of(trace):
+    """Each frame's identifier, in trace order."""
+    return [trace.ids[k] for k in trace.id_index.tolist()]
+
+
+def verify_frames(cov, periods, trace):
+    """The streaming Verifier's verdict on each frame of a trace, in order."""
+    verifier = Verifier(cov, periods)
+    return [verifier.verify(i, c, p, t) for i, c, p, t in zip(
+        ids_of(trace), trace.counter.tolist(), trace.payloads, trace.bus_time_us.tolist())]
 
 
 def config(nodes, duration_us, **kw):
@@ -39,18 +51,15 @@ class TestSimulateBasics:
     def test_single_frame_exact_period(self):
         cfg = config([node("a", [FrameSpec(CanId(0x10), 10 * MS)])], 100 * MS)
         trace = simulate(cfg)
-        times = [f.bus_time_us for f in trace.frames]
-        assert times == [k * 10 * MS for k in range(10)]
+        assert trace.bus_time_us.tolist() == [k * 10 * MS for k in range(10)]
 
     @pytest.mark.filterwarnings("ignore:schedule is not collision-free")
     def test_two_frames_arbitrate_by_id(self):
         frames = [FrameSpec(CanId(0x20), 50 * MS), FrameSpec(CanId(0x10), 50 * MS)]
         cfg = config([node("a", frames)], 100 * MS)
         trace = simulate(cfg)
-        first, second = trace.frames[0], trace.frames[1]
-        assert first.id == CanId(0x10) and first.bus_time_us == 0.0
-        assert second.id == CanId(0x20)
-        assert second.bus_time_us == transmission_time_us(111, 500_000)
+        assert ids_of(trace)[:2] == [CanId(0x10), CanId(0x20)]
+        assert trace.bus_time_us[:2].tolist() == [0.0, transmission_time_us(111, 500_000)]
 
     def test_conservation(self):
         specs = [FrameSpec(CanId(0x10 + i), 10 * MS, 500.0 * i) for i in range(4)]
@@ -64,8 +73,8 @@ class TestSimulateBasics:
         cfg = config([node("a", specs)], 50 * MS)
         with pytest.warns(UserWarning, match="collision"):
             trace = simulate(cfg)
-        for a, b in zip(trace.frames, trace.frames[1:]):
-            assert b.bus_time_us >= a.bus_time_us + a.tx_time_us - 1e-9
+        ends = trace.bus_time_us[:-1] + trace.tx_time_us[:-1]
+        assert np.all(trace.bus_time_us[1:] >= ends - 1e-9)
 
     def test_lowest_id_wins_when_simultaneous(self):
         specs = [FrameSpec(CanId(0x30), 10 * MS), FrameSpec(CanId(0x21), 10 * MS),
@@ -73,7 +82,7 @@ class TestSimulateBasics:
         cfg = config([node("a", [s]) for s, _ in zip(specs, range(3))], 30 * MS)
         with pytest.warns(UserWarning):
             trace = simulate(cfg)
-        burst = [f.id.value for f in trace.frames[:3]]
+        burst = [i.value for i in ids_of(trace)[:3]]
         assert burst == sorted(burst)
 
     @pytest.mark.filterwarnings("ignore:schedule is not collision-free")
@@ -82,7 +91,7 @@ class TestSimulateBasics:
         std = FrameSpec(CanId(0x10), 50 * MS)
         cfg = config([node("a", [ext]), node("b", [std])], 100 * MS)
         trace = simulate(cfg)
-        assert trace.frames[0].id == std.id and trace.frames[1].id == ext.id
+        assert ids_of(trace)[:2] == [std.id, ext.id]
 
     def test_duration_invariant(self):
         with pytest.raises(ValueError, match="two periods"):
@@ -102,27 +111,29 @@ class TestDeterminism:
 
     def test_same_seed_byte_identical(self):
         specs = [FrameSpec(CanId(0x10 + i), 10 * MS, i * 1250.0) for i in range(4)]
-        mk = lambda: config([node("a", specs, ClockModel(skew_ppm=30, jitter=Jitter.uniform(2)),
+        mk = lambda: config([node("a", specs, ClockModel(skew_ppm=30, jitter=Jitter("uniform", half_width_us=2)),
                                   CovertConfig(KEY))], 100 * MS, seed=5, stuffing="payload")
         assert self._render(mk()) == self._render(mk())
 
     def test_different_seed_differs(self):
         specs = [FrameSpec(CanId(0x10), 10 * MS)]
-        a = config([node("a", specs, ClockModel(jitter=Jitter.uniform(2)))], 100 * MS, seed=1)
-        b = config([node("a", specs, ClockModel(jitter=Jitter.uniform(2)))], 100 * MS, seed=2)
+        clock = ClockModel(jitter=Jitter("uniform", half_width_us=2))
+        a = config([node("a", specs, clock)], 100 * MS, seed=1)
+        b = config([node("a", specs, clock)], 100 * MS, seed=2)
         assert self._render(a) != self._render(b)
 
 
 class TestStuffingModes:
     def test_none_gives_nominal_time(self):
         cfg = config([node("a", [FrameSpec(CanId(0x10), 10 * MS)])], 50 * MS)
-        assert {f.tx_time_us for f in simulate(cfg).frames} == {222.0}
+        assert set(simulate(cfg).tx_time_us.tolist()) == {222.0}
 
     def test_payload_mode_is_deterministic_per_payload(self):
         cfg = config([node("a", [FrameSpec(CanId(0x10), 10 * MS)])], 50 * MS,
                      stuffing="payload")
-        times = {f.payload: f.tx_time_us for f in simulate(cfg).frames}
-        again = {f.payload: f.tx_time_us for f in simulate(cfg).frames}
+        trace, again = simulate(cfg), simulate(cfg)
+        times = dict(zip(trace.payloads, trace.tx_time_us.tolist()))
+        again = dict(zip(again.payloads, again.tx_time_us.tolist()))
         assert times == again
         assert all(t >= 222.0 for t in times.values())
 
@@ -154,7 +165,7 @@ class TestPaperVectorTraffic:
         assert 30.0 <= busload(paper_trace) <= 45.0
 
     def test_interframe_delays_concentrate_at_gcd_spacings(self, paper_trace):
-        gaps = np.diff([f.bus_time_us for f in paper_trace.frames]) / MS
+        gaps = np.diff(paper_trace.bus_time_us) / MS
         near = np.abs(gaps[:, None] - np.array([0.5, 1.0])).min(axis=1) < 0.05
         assert np.mean(near) > 0.85  # bulk at 0.5/1.0 ms, rare window-end idle gaps
 
@@ -200,11 +211,12 @@ def reference_simulate(config: BusConfig) -> Trace:
                 counter += 1
                 payload, xi = template, 0
                 if node.covert is not None:
-                    payload = embed_counter(template, counter)
+                    payload = embed_counters(template, [counter])[0]
                     xi = covert_delay(node.covert.key, counter, spec.id, payload,
                                       node.covert.level_bits)
                 ready = node.clock.local_to_bus_time(base + xi, rng)
-                tx = frame_wire_time_us(spec.id, payload, config.bitrate_bps) \
+                row = np.frombuffer(payload, dtype=np.uint8)[None]
+                tx = frame_wire_times_us(spec.id, row, config.bitrate_bps)[0] \
                     if config.stuffing == "payload" else nominal_tx
                 releases.append((ready, key, seq, id_pos, counter, tx, payload))
                 seq += 1
@@ -241,10 +253,11 @@ def reference_simulate(config: BusConfig) -> Trace:
 
 
 JITTERS = st.one_of(
-    st.just(Jitter.none()),
-    st.floats(0.0, 5.0).map(Jitter.uniform),
-    st.floats(0.0, 5.0).map(Jitter.gaussian),
-    st.builds(Jitter.steps, st.floats(0.0, 0.5), st.floats(0.0, 5.0), st.floats(0.0, 2.0)))
+    st.just(Jitter()),
+    st.builds(Jitter, st.just("uniform"), half_width_us=st.floats(0.0, 5.0)),
+    st.builds(Jitter, st.just("gaussian"), sigma_us=st.floats(0.0, 5.0)),
+    st.builds(Jitter, st.just("steps"), prob=st.floats(0.0, 0.5), step_us=st.floats(0.0, 5.0),
+              spread_us=st.floats(0.0, 2.0)))
 
 
 @st.composite
@@ -302,7 +315,7 @@ def covert_trace(duration_us=400 * MS, jitter=None, seed=3):
     periods = [10 * MS, 10 * MS]
     offsets = allocate_gcd(periods, ifs_us=600.0)
     specs = [FrameSpec(CanId(0x100 + i), p, o) for i, (p, o) in enumerate(zip(periods, offsets))]
-    clock = ClockModel(jitter=jitter or Jitter.none())
+    clock = ClockModel(jitter=jitter or Jitter())
     cfg = config([node("ecu", specs, clock, cov)], duration_us, seed=seed)
     return simulate(cfg), cov, {s.id: s.period_us for s in specs}
 
@@ -310,41 +323,36 @@ def covert_trace(duration_us=400 * MS, jitter=None, seed=3):
 class TestCovertSending:
     def test_send_times_embed_covert_delays(self):
         trace, cov, periods = covert_trace()
-        verifier = Verifier(cov, periods)
-        verdicts = [verifier.verify(f.id, f.counter, f.payload, f.bus_time_us)
-                    for f in trace.frames]
+        verdicts = verify_frames(cov, periods, trace)
         scored = [v for v in verdicts if v.reason != "first"]
         assert scored and all(v.accepted for v in scored)
 
     def test_intersend_delta_is_period_plus_covert_difference(self):
-        from canto.incanta import covert_delay
         trace, cov, periods = covert_trace(duration_us=100 * MS)
         for can_id, period in periods.items():
-            frames = frames_of(trace, can_id)
-            for a, b in zip(frames, frames[1:]):
-                xi_a = covert_delay(cov.key, a.counter, can_id, a.payload, cov.level_bits)
-                xi_b = covert_delay(cov.key, b.counter, can_id, b.payload, cov.level_bits)
-                assert b.bus_time_us - a.bus_time_us == period + xi_b - xi_a
+            own = frames_of(trace, can_id)
+            xi = covert_delays(cov.key, own.counter, can_id.value, own.payloads, cov.level_bits)
+            assert np.diff(own.bus_time_us).tolist() == (period + np.diff(xi)).tolist()
 
     def test_payloads_carry_counters_at_every_length(self):
         cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
         specs = [FrameSpec(CanId(0x100 + n), 10 * MS, 600.0 * n, 8 * n) for n in range(4, 9)]
         trace = simulate(config([node("ecu", specs, covert=cov)], 100 * MS))
         assert len(trace) == 50
-        for f in trace.frames:
-            spec = specs[f.id.value - 0x104]
-            assert f.payload == embed_counter(_payload_template(spec), f.counter)
+        for can_id, counter, payload in zip(ids_of(trace), trace.counter.tolist(), trace.payloads):
+            spec = specs[can_id.value - 0x104]
+            assert payload == embed_counters(_payload_template(spec), [counter])[0]
 
     def test_counters_increase_per_id(self):
         trace, _, periods = covert_trace()
         for can_id in periods:
-            counters = [f.counter for f in frames_of(trace, can_id)]
+            counters = frames_of(trace, can_id).counter.tolist()
             assert counters == list(range(1, len(counters) + 1))
 
     def test_interarrival_spread_covers_delay_window(self):
         trace, _, periods = covert_trace(duration_us=1000 * MS)
         for can_id in periods:
-            deltas = np.diff([f.bus_time_us for f in frames_of(trace, can_id)])
+            deltas = np.diff(frames_of(trace, can_id).bus_time_us)
             spread = deltas - 10 * MS
             assert spread.max() <= 256 and spread.min() >= -256
             assert spread.max() - spread.min() > 128  # covert delays really vary
@@ -354,22 +362,17 @@ class TestInjectAdversary:
     def test_fixed_offset_matching_covert_delta_is_accepted(self):
         trace, cov, periods = covert_trace(duration_us=30 * MS)
         target = CanId(0x100)
-        own = frames_of(trace, target)[:2]
-        delta = (own[1].bus_time_us - own[0].bus_time_us) - 10 * MS
-        short = Trace.from_frames(own, trace.duration_us)
+        short = frames_of(trace, target).take(slice(0, 2))
+        delta = (short.bus_time_us[1] - short.bus_time_us[0]) - 10 * MS
         forged = inject_adversary(short, target, 10 * MS, "fixed_offset", offset_us=delta)
-        verifier = Verifier(cov, periods)
-        verdicts = [verifier.verify(f.id, f.counter, f.payload, f.bus_time_us)
-                    for f in forged.frames if f.id == target]
-        assert verdicts[1].accepted and not forged.frames[-1].genuine
+        verdicts = verify_frames(cov, periods, forged)
+        assert verdicts[1].accepted and not forged.genuine[-1]
 
     def test_random_window_rate_near_analytic(self):
         trace, cov, periods = covert_trace(duration_us=3000 * MS)
         target = CanId(0x100)
         forged = inject_adversary(trace, target, 10 * MS, "random_in_window", seed=9)
-        verifier = Verifier(cov, periods)
-        verdicts = [verifier.verify(f.id, f.counter, f.payload, f.bus_time_us)
-                    for f in forged.frames if f.id == target]
+        verdicts = verify_frames(cov, periods, frames_of(forged, target))
         scored = [v for v in verdicts if v.reason != "first"]
         rate = sum(v.accepted for v in scored) / len(scored)
         assert 0.0 <= rate <= 0.15  # ~3.9% expected, few hundred samples
@@ -382,5 +385,4 @@ class TestInjectAdversary:
     def test_tagging(self):
         trace, _, _ = covert_trace(duration_us=30 * MS)
         forged = inject_adversary(trace, CanId(0x100), 10 * MS, seed=1)
-        tagged = [f for f in forged.frames if not f.genuine]
-        assert len(tagged) == len(frames_of(trace, CanId(0x100))) - 1
+        assert np.count_nonzero(~forged.genuine) == len(frames_of(trace, CanId(0x100))) - 1

@@ -8,7 +8,7 @@ import pytest
 
 from canto import scheduler
 from canto.cli import main
-from canto.trace_io import TRACE_HEADER
+from canto.trace_io import TRACE_HEADER, VERDICT_HEADER
 
 PAPER = "configs/paper_vector.ini"
 CAPACITY = "configs/capacity_scenario.ini"
@@ -170,6 +170,9 @@ MALFORMED = {
                            "--bin-width 0"),
     "report-bin-width-nan": ("report", SMALL, {"--in": ""}, ["--bin-width", "nan"],
                              "--bin-width nan"),
+    # about 10^301 bins of the deviation histogram, refused before any is counted
+    "run-bin-width-1e-300": ("run", SMALL, {}, ["--bin-width", "1e-300"],
+                             "report: --bin-width 1e-300: "),
     "verify-rho-nan": ("verify", SMALL, {"--trace": TRACE_HEADER + "\n"}, ["--rho", "nan"],
                        "--rho must be nonnegative, got nan"),
     "capacity-tolerance-0": ("capacity", SMALL, {"--trace": TRACE_HEADER + "\n"},
@@ -178,6 +181,30 @@ MALFORMED = {
                                     ["--tolerance", "-1"], "--tolerance -1"),
     "capacity-tolerance-nan": ("capacity", SMALL, {"--trace": TRACE_HEADER + "\n"},
                                ["--tolerance", "nan"], "--tolerance nan"),
+}
+
+
+# a run directory's inputs to `report`; a MALFORMED_REPORT case adds or replaces one
+REPORT_INPUTS = {
+    "verdicts.csv": VERDICT_HEADER + "\n100000,100,1,,accept\n110005,100,2,0.5000,accept\n"
+                    "119997,100,3,-0.2500,accept\n",
+    "attack.csv": "rho_us,frames,adv_rate_exact,adv_rate_analytic\n5,1,0.0386,0.0390625\n",
+}
+# by name: (file, its text, more arguments, what the exit-3 message must name)
+MALFORMED_REPORT = {
+    "verdicts-one-field": ("verdicts.csv", VERDICT_HEADER + "\nabc\n", [],
+                           "verdicts.csv: line 2: expected 5 fields, got 1"),
+    "verdicts-error-zz": ("verdicts.csv", VERDICT_HEADER + "\n100000,100,1,zz,accept\n", [],
+                          "verdicts.csv: line 2: could not convert string to float: 'zz'"),
+    "attack-two-fields": ("attack.csv", "rho_us,frames,adv_rate_exact,adv_rate_analytic\n5,1\n",
+                          [], "attack.csv: line 2: expected 4 fields, got 2"),
+    "attack-empty": ("attack.csv", "", [], "attack.csv: empty, with no header line"),
+    "bin-width-1e-300": (None, None, ["--bin-width", "1e-300"],
+                         "--bin-width 1e-300: 7.5e+299 bins of width 1e-300 exceed 16777216"),
+    # gaps of 1 us and 1000 s: 2 * 10^7 inter-frame bins of 0.05 ms
+    "trace-gap-1000-s": ("trace.csv", TRACE_HEADER + "\n0,100,1,00,1\n10,100,2,00,1\n"
+                         "10000000010,100,3,00,1\n",
+                         [], "trace.csv: inter-frame gaps: 2e+07 bins of width 0.05"),
 }
 
 
@@ -496,6 +523,30 @@ class TestInputErrors:
         assert rc == 3
         err = capsys.readouterr().err
         assert where in err and "internal error" not in err
+
+    @pytest.mark.parametrize("case", MALFORMED_REPORT)
+    def test_malformed_report_input_exits_3_naming_it(self, small_config, tmp_path, capsys,
+                                                      case):
+        name, text, extra, named = MALFORMED_REPORT[case]
+        run = tmp_path / "run"
+        run.mkdir()
+        for file, content in REPORT_INPUTS.items():
+            (run / file).write_text(content)
+        if name is not None:
+            (run / name).write_text(text)
+        rc = main(["report", "--config", str(small_config), "--in", str(run),
+                   "--out", str(tmp_path / "rep"), *extra])
+        err = capsys.readouterr().err
+        assert rc == 3 and named in err and "internal error" not in err, err
+
+    @pytest.mark.filterwarnings("ignore:sparse channel matrix")
+    def test_capacity_tolerance_out_of_reach_exits_3(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", CAPACITY, "--out", str(sim)]) == 0
+        rc = main(["capacity", "--config", CAPACITY, "--trace", str(sim / "trace.csv"),
+                   "--tolerance", "1e-14", "--out", str(tmp_path / "cap")])
+        err = capsys.readouterr().err
+        assert rc == 3 and "--tolerance 1e-14: no convergence" in err and "bound gap" in err, err
 
     @pytest.mark.parametrize("case", MALFORMED)
     def test_malformed_input_exits_3_naming_it(self, tmp_path, capsys, monkeypatch, case):

@@ -54,9 +54,8 @@ class TestJitter:
 
     def test_draws_respect_bound(self):
         rng = np.random.default_rng(0)
-        for spec in (Jitter.uniform(2.0), Jitter.steps()):
-            draws = [spec.draw(rng) for _ in range(2000)]
-            assert max(abs(d) for d in draws) <= spec.bound_us
+        for spec in (Jitter("uniform", half_width_us=2.0), Jitter("steps")):
+            assert np.abs(spec.draws(rng, 2000)).max() <= spec.bound_us
 
 
 def scalar_draw(jitter, rng):
@@ -76,8 +75,8 @@ def stream(seed=11):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 2, 3))))
 
 
-JITTERS = [Jitter.none(), Jitter.uniform(2.5), Jitter.gaussian(3.0), Jitter.steps(),
-           Jitter.steps(0.3, 1.5, 0.25)]
+JITTERS = [Jitter(), Jitter("uniform", half_width_us=2.5), Jitter("gaussian", sigma_us=3.0),
+           Jitter("steps"), Jitter("steps", prob=0.3, step_us=1.5, spread_us=0.25)]
 
 
 class TestArrayDraws:
@@ -86,9 +85,7 @@ class TestArrayDraws:
         n = 5000
         rng = stream()
         want = np.array([scalar_draw(jitter, rng) for _ in range(n)])
-        rng = stream()
-        viewed = np.array([jitter.draw(rng) for _ in range(n)])
-        assert jitter.draws(stream(), n).tobytes() == want.tobytes() == viewed.tobytes()
+        assert jitter.draws(stream(), n).tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("jitter", JITTERS, ids=lambda j: j.kind)
     def test_bus_times_equal_scalar_conversions(self, jitter):
@@ -205,7 +202,7 @@ class TestForcedDelay:
         for trial in range(100):
             ticks = DEFAULT_TICK_CLASSES[trial % len(DEFAULT_TICK_CLASSES)]
             period = forced_delay_ticks(100 * MS, ticks, 10)
-            clock = ClockModel(jitter=Jitter.uniform(2.0))
+            clock = ClockModel(jitter=Jitter("uniform", half_width_us=2.0))
             rec = make_recording(clock, period, 50, rng)
             hits += classify_forced_delay(rec, 100 * MS) == ticks
             trials += 1

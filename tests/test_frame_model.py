@@ -7,10 +7,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canto.frame_model import (CanId, FrameModelError, FrameSpec, count_stuff_bits,
+from canto.frame_model import (CanId, FrameModelError, FrameSpec, _stuff_walk,
                                frame_bit_length, frame_max_stuff_bits, frame_stuff_bits,
-                               frame_wire_time_us, frame_wire_times_us, max_stuff_bits,
-                               transmission_time_us)
+                               frame_wire_times_us, max_stuff_bits, transmission_time_us)
 
 # Independent field-sum oracle: SOF, arbitration, control, data, CRC,
 # CRC delimiter, ACK slot, ACK delimiter, EOF, IFS.
@@ -179,11 +178,11 @@ class TestRealStuffing:
         ([1] * 5 + [0] * 5, 2),  # inserted bits join the following run
     ])
     def test_small_patterns(self, pattern, expect):
-        assert count_stuff_bits(pattern) == expect
+        assert _stuff_walk(pattern)[0] == expect
 
     @given(st.lists(st.integers(0, 1), min_size=0, max_size=200))
     def test_matches_insertion_oracle(self, bits):
-        assert count_stuff_bits(bits) == oracle_stuff_count(bits)
+        assert _stuff_walk(bits)[0] == oracle_stuff_count(bits)
 
     @given(can_id=ids, payload=st.binary(max_size=8))
     # runs that start in the header and carry through every payload byte
@@ -192,13 +191,12 @@ class TestRealStuffing:
     @example(can_id=CanId(0x1FFFFFFF, extended=True), payload=b"\x0f" * 7)
     def test_frame_table_matches_bit_list(self, can_id, payload):
         assert frame_stuff_bits(can_id, payload) == \
-            count_stuff_bits(frame_bit_pattern(can_id, payload))
+            _stuff_walk(frame_bit_pattern(can_id, payload))[0]
 
     def test_wire_time_adds_stuff_bits_to_field_sum(self):
-        payload = bytes(8)
-        bits = frame_bit_length(64) + frame_stuff_bits(CanId(0), payload)
-        assert frame_wire_time_us(CanId(0), payload, 500_000) == \
-            transmission_time_us(bits, 500_000)
+        bits = frame_bit_length(64) + frame_stuff_bits(CanId(0), bytes(8))
+        assert frame_wire_times_us(CanId(0), np.zeros((1, 8), dtype=np.uint8), 500_000) \
+            .tolist() == [transmission_time_us(bits, 500_000)]
 
     def test_zero_payload_frame_stuffs_header_runs(self):
         # id 0 gives a long dominant run through SOF+ID+RTR+IDE+r0
@@ -228,7 +226,7 @@ class TestWireTimeBatches:
         want = []
         for p in payloads:
             bits = oracle_length(8 * width, can_id.kind, True) \
-                + count_stuff_bits(frame_bit_pattern(can_id, p))
+                + _stuff_walk(frame_bit_pattern(can_id, p))[0]
             want.append(float(round(Fraction(bits * 10_000_000, rate))) / 10.0)
         got = frame_wire_times_us(can_id, rows, rate)
         assert got.shape == (n,) and got.tolist() == want

@@ -8,11 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canto.bus_sim import TimedFrame, Trace, inject_adversary
+from canto.bus_sim import Trace, inject_adversary
 from canto.frame_model import CanId
 from canto.incanta import (CovertConfig, Verifier, adversary_advantage, covert_delay,
-                           covert_delays, decode, ecu_success, embed_counter, embed_counters,
-                           mac_input)
+                           covert_delays, decode, ecu_success, embed_counters, mac_input)
 
 KEY = bytes(range(16))
 ID = CanId(0x100)
@@ -137,13 +136,11 @@ class TestAdvantageMath:
 
 class TestCounterTransport:
     def test_round_trip(self):
-        payload = embed_counter(bytes(range(8)), 0xDEADBEEF)
+        payload = embed_counters(bytes(range(8)), [0xDEADBEEF])[0]
         assert payload[:4] == bytes(range(4))
         assert int.from_bytes(payload[-4:], "big") == 0xDEADBEEF
 
     def test_too_short(self):
-        with pytest.raises(ValueError):
-            embed_counter(b"ab", 1)
         with pytest.raises(ValueError):
             embed_counters(b"abc", [1])
 
@@ -152,7 +149,6 @@ class TestCounterTransport:
     def test_batch_matches_bytes(self, payload, counters):
         want = [payload[:-4] + c.to_bytes(4, "big") for c in counters]
         assert embed_counters(payload, counters) == want
-        assert [embed_counter(payload, c) for c in counters] == want
 
 
 def config(**kw):
@@ -166,7 +162,7 @@ def genuine_times(cfg, period_us, n, start=1000.0):
     t_prev = start
     xi_prev = 0
     for k in range(1, n + 1):
-        payload = embed_counter(bytes(8), k)
+        payload = embed_counters(bytes(8), [k])[0]
         xi = covert_delay(cfg.key, k, ID, payload, cfg.level_bits)
         t = (start + xi) if k == 1 else (t_prev + period_us + xi - xi_prev)
         times.append((k, payload, t))
@@ -285,21 +281,28 @@ def receiver_traces(draw):
                  tolerance_us=draw(st.sampled_from([0.0, 2.5, 5.0])),
                  frames_required=draw(st.integers(1, 4)))
     start = draw(st.sampled_from([0.0, 123_456_789.1, 3_700_000_000.3]))
-    frames, last = [], {}
+    ids = tuple(PERIODS)
+    id_index, counters, times, tx, payloads, genuine, last = [], [], [], [], [], [], {}
     for _ in range(draw(st.integers(0, 40))):
-        can_id = draw(st.sampled_from(list(PERIODS)))
+        can_id = draw(st.sampled_from(ids))
         c0, t0, xi0 = last.get(can_id, (0, start, 0))
         counter = max(0, c0 + draw(st.integers(-2, 3)))
-        payload = embed_counter(draw(st.binary(min_size=8, max_size=8)), counter)
+        payload = embed_counters(draw(st.binary(min_size=8, max_size=8)), [counter])[0]
         xi = covert_delay(cfg.key, counter, can_id, payload, cfg.level_bits)
         t = t0 + PERIODS[can_id] * (counter - c0) + xi - xi0 \
             + draw(st.sampled_from([0.0, 0.5, -2.5, 5.0, 7.25, 0.1, -4.9, 2.3]))
-        frames.append(TimedFrame(can_id, counter, t, draw(st.sampled_from([0.0, 108.0, 131.5])),
-                                 payload, draw(st.booleans())))
+        id_index.append(ids.index(can_id))
+        counters.append(counter)
+        times.append(t)
+        tx.append(draw(st.sampled_from([0.0, 108.0, 131.5])))
+        payloads.append(payload)
+        genuine.append(draw(st.booleans()))
         last[can_id] = (counter, t, xi)
-    trace = Trace.from_frames(frames)
-    if frames and draw(st.booleans()):
-        target = frames[0].id
+    trace = Trace(ids, np.array(id_index, dtype=np.int64), np.array(counters, dtype=np.int64),
+                  np.array(times, dtype=np.float64), np.array(tx, dtype=np.float64), payloads,
+                  np.array(genuine, dtype=bool))
+    if id_index and draw(st.booleans()):
+        target = ids[id_index[0]]
         trace = inject_adversary(trace, target, PERIODS[target], seed=draw(st.integers(0, 9)),
                                  level_bits=cfg.level_bits)
     return cfg, trace
@@ -344,10 +347,13 @@ class TestDecode:
         decoded = decode(trace, cfg if rho is None else replace(cfg, tolerance_us=rho),
                          PERIODS, compensate)
         verifier = Verifier(cfg, PERIODS)
-        frames = trace.frames
-        arrivals = [f.bus_time_us if compensate else f.end_time_us for f in frames]
-        for i, (f, t) in enumerate(zip(frames, arrivals)):
-            v = verifier.verify(f.id, f.counter, f.payload, t, rho)
+        ids = [trace.ids[k] for k in trace.id_index.tolist()]
+        counters = trace.counter.tolist()
+        arrivals = (trace.bus_time_us if compensate
+                    else trace.bus_time_us + trace.tx_time_us).tolist()
+        for i, (can_id, counter, payload, t) in enumerate(zip(ids, counters, trace.payloads,
+                                                               arrivals)):
+            v = verifier.verify(can_id, counter, payload, t, rho)
             assert (decoded.accepted[i], decoded.reason[i]) == (v.accepted, v.reason)
             assert decoded.window[i] == (-1 if v.window_authenticated is None
                                          else v.window_authenticated)
@@ -356,7 +362,6 @@ class TestDecode:
                 continue
             assert decoded.error_us[i] == v.error_us
             j = decoded.ref[i]
-            ref = frames[j]
-            xi_ref = covert_delay(cfg.key, ref.counter, ref.id, ref.payload, cfg.level_bits)
+            xi_ref = covert_delay(cfg.key, counters[j], ids[j], trace.payloads[j], cfg.level_bits)
             assert decoded.symbol[i] == round(
-                (t - arrivals[j]) - PERIODS[f.id] * (f.counter - ref.counter) + xi_ref)
+                (t - arrivals[j]) - PERIODS[can_id] * (counter - counters[j]) + xi_ref)

@@ -1,5 +1,6 @@
 """File formats: trace CSV, schedules, configs."""
 
+import dataclasses
 import io
 import math
 import re
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from canto.bus_sim import BusConfig, NodeConfig, OversubscribedBusError, Trace, simulate
 from canto.clock_model import ClockModel
-from canto.frame_model import CanId, FrameSpec, frame_wire_time_us
+from canto.frame_model import CanId, FrameSpec, frame_wire_times_us
+from canto.incanta import CovertConfig
 from canto.scheduler import Schedule
 from canto.trace_io import (TRACE_HEADER, TraceFormatError, _parse_native, export_trace,
                             parse_experiment_config, parse_trace, read_schedule,
@@ -41,11 +43,10 @@ class TestNativeFormat:
     def test_spec_line(self):
         line = "bus_time_us,id_hex,counter,payload_hex,genuine\n10000,0x10,1,DEADBEEF00000001,1\n"
         trace = parse_trace(io.StringIO(line))
-        fr = trace.frames[0]
-        assert fr.id == CanId(0x10)
-        assert fr.bus_time_us == 1000.0  # stored as tenths of a microsecond
-        assert fr.counter == 1 and fr.genuine
-        assert fr.payload == bytes.fromhex("DEADBEEF00000001")
+        assert trace.ids == (CanId(0x10),) and trace.id_index.tolist() == [0]
+        assert trace.bus_time_us.tolist() == [1000.0]  # stored as tenths of a microsecond
+        assert trace.counter.tolist() == [1] and trace.genuine.tolist() == [True]
+        assert trace.payloads == [bytes.fromhex("DEADBEEF00000001")]
 
     def test_malformed_line_reports_number(self):
         bad = "bus_time_us,id_hex,counter,payload_hex,genuine\n10,0x10,1\n"
@@ -72,7 +73,7 @@ class TestNativeFormat:
                 "200,010,2,00,1\n100,010,1,00,1\n")
         with pytest.warns(UserWarning, match="non-monotone"):
             trace = parse_trace(io.StringIO(text))
-        assert [f.counter for f in trace.frames] == [1, 2]
+        assert trace.counter.tolist() == [1, 2]
 
     def test_tx_time_reconstructed_with_bitrate(self):
         trace = small_trace()
@@ -80,7 +81,7 @@ class TestNativeFormat:
         write_trace(trace, out)
         out.seek(0)
         parsed = parse_trace(out, bitrate_bps=500_000)
-        assert parsed.frames[0].tx_time_us >= 222.0
+        assert parsed.tx_time_us[0] >= 222.0
 
 
 class TestReaderPastFirstChunk:
@@ -139,7 +140,8 @@ class TestColumnarRoundTrip:
         write_trace(trace, out)
         assert columns(parse_trace(io.StringIO(out.getvalue()))) == columns(trace)
         parsed = parse_trace(io.StringIO(out.getvalue()), bitrate)
-        want = [frame_wire_time_us(parsed.ids[k], p, bitrate) if bitrate else 0.0
+        want = [frame_wire_times_us(parsed.ids[k], np.frombuffer(p, dtype=np.uint8)[None],
+                                    bitrate)[0] if bitrate else 0.0
                 for k, p in zip(parsed.id_index.tolist(), parsed.payloads)]
         assert parsed.tx_time_us.tolist() == want
 
@@ -193,7 +195,17 @@ class TestExperimentConfig:
     def test_minimal_parses_and_simulates(self):
         cfg = parse_experiment_config(MINIMAL)
         trace = simulate(cfg.to_bus_config())
-        assert len(trace.frames) == 5
+        assert len(trace) == 5
+
+    def test_keys_left_out_take_the_dataclass_defaults(self):
+        key = bytes(range(16))
+        cfg = parse_experiment_config(MINIMAL + f"\n[covert]\nkey_hex = {key.hex()}\n")
+        assert cfg.covert == CovertConfig(key)
+        assert [n.clock for n in cfg.nodes] == [ClockModel()]
+        defaults = {f.name: f.default for f in dataclasses.fields(BusConfig)
+                    if f.default is not dataclasses.MISSING}
+        assert defaults.keys() == {"bitrate_bps", "seed", "stuffing"}
+        assert {name: getattr(cfg, name) for name in defaults} == defaults
 
     def test_paper_vector_ships_forty_frames(self):
         cfg = parse_experiment_config("configs/paper_vector.ini")
@@ -363,10 +375,11 @@ class TestTraceFuzz:
                 trace = parse_trace(io.StringIO(text), bitrate)
             except TraceFormatError:
                 return
-        assert all(0 <= f.counter < 2**32 for f in trace.frames)
+        assert np.all((trace.counter >= 0) & (trace.counter < 2**32))
 
 
-# The line-by-line reader that numpy's reader replaced, kept verbatim as the oracle.
+# The line-by-line reader that numpy's reader replaced, kept as the oracle; it prices
+# each frame's wire time alone, as a batch of one.
 def _line_reader(fh, bitrate_bps: int | None) -> Trace:
     """The trace's columns, read line by line, each id text parsed once."""
     position: dict[CanId, int] = {}
@@ -400,8 +413,8 @@ def _line_reader(fh, bitrate_bps: int | None) -> Trace:
         payloads.append(payload)
         genuine.append(is_genuine)
     ids = tuple(position)
-    tx = [frame_wire_time_us(ids[k], p, bitrate_bps) for k, p in zip(id_index, payloads)] \
-        if bitrate_bps else np.zeros(len(times))
+    tx = [frame_wire_times_us(ids[k], np.frombuffer(p, dtype=np.uint8)[None], bitrate_bps)[0]
+          for k, p in zip(id_index, payloads)] if bitrate_bps else np.zeros(len(times))
     return Trace(ids, np.array(id_index, dtype=np.int64), np.array(counters, dtype=np.int64),
                  np.array(times, dtype=np.float64), np.array(tx, dtype=np.float64), payloads,
                  np.array(genuine, dtype=bool))
