@@ -89,7 +89,8 @@ class Trace:
 
     Frame i has identifier `ids[id_index[i]]`, `counter[i]`, transmission
     start `bus_time_us[i]` and wire time `tx_time_us[i]` (0 when unknown),
-    `payloads[i]` and `genuine[i]`.
+    the first `payload_len[i]` bytes of row i of `payloads` as its payload,
+    and `genuine[i]`.
     """
 
     ids: tuple[CanId, ...]
@@ -97,7 +98,8 @@ class Trace:
     counter: np.ndarray  # int64
     bus_time_us: np.ndarray
     tx_time_us: np.ndarray
-    payloads: list[bytes]
+    payloads: np.ndarray  # (n, 8) uint8, zero past each frame's payload
+    payload_len: np.ndarray  # int64
     genuine: np.ndarray  # bool
     duration_us: float = 0.0
 
@@ -108,13 +110,8 @@ class Trace:
         """The frames at the given positions (or boolean mask), in that order."""
         rows = np.arange(len(self))[rows]
         return Trace(self.ids, self.id_index[rows], self.counter[rows], self.bus_time_us[rows],
-                     self.tx_time_us[rows], [self.payloads[i] for i in rows.tolist()],
+                     self.tx_time_us[rows], self.payloads[rows], self.payload_len[rows],
                      self.genuine[rows], self.duration_us)
-
-
-def _payload_template(spec: FrameSpec) -> bytes:
-    n = spec.payload_bits // 8
-    return bytes(((spec.id.value >> 3) + i) & 0xFF for i in range(n))
 
 
 def _theoretical_busload(config: BusConfig) -> float:
@@ -126,43 +123,42 @@ def _theoretical_busload(config: BusConfig) -> float:
 
 
 def _releases(config: BusConfig):
-    """Every release, stream after stream: (ready time on the bus, wire time,
-    position of the ID in `frame_specs()`, counter) as arrays, and the payloads.
-
-    A (node, frame) stream is released at k*period + offset (+ covert delay)
-    below the duration, on the node's clock, with jitter from the stream's
-    own generator.
-    """
-    ready, tx, pos, counters, payloads = [], [], [], [], []
-    id_pos = -1
+    """Every release, stream after stream, as arrays: ready time on the bus, wire
+    time, position of the ID in `frame_specs()`, counter, payload rows and
+    lengths. A (node, frame) stream is released at k*period + offset (+ covert
+    delay) below the duration, on the node's clock, with jitter from its own
+    generator; its payload counts up from id >> 3 and, with the covert channel
+    on, carries the counter in its last 4 bytes."""
+    specs = config.frame_specs()
+    base, jitter, streams, distinct = [], [], [], {}  # distinct: covert config -> number
     for node_idx, node in enumerate(config.nodes):
         for frame_idx, spec in enumerate(node.frames):
-            id_pos += 1
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence((config.seed, node_idx, frame_idx))))
             # one k past the estimate; the mask keeps the releases below the duration
             k = np.arange(math.ceil((config.duration_us - spec.offset_us) / spec.period_us) + 1)
-            base = k * spec.period_us + spec.offset_us
-            base = base[base < config.duration_us]
-            counter = np.arange(1, len(base) + 1, dtype=np.int64)
-            template = _payload_template(spec)
-            sent, local = [template] * len(base), base
-            if node.covert is not None:
-                sent = embed_counters(template, counter)
-                local = base + covert_delays(node.covert.key, counter, spec.id.value, sent,
-                                             node.covert.level_bits)
-            ready.append(node.clock.bus_times(local, rng))
-            if config.stuffing == "payload":
-                rows = np.frombuffer(b"".join(sent), np.uint8).reshape(len(sent), len(template))
-                tx.append(frame_wire_times_us(spec.id, rows, config.bitrate_bps))
-            else:
-                bits = frame_bit_length(spec.payload_bits, spec.id.kind)
-                tx.append(np.full(len(base), transmission_time_us(bits, config.bitrate_bps)))
-            pos.append(np.full(len(base), id_pos, dtype=np.int64))
-            counters.append(counter)
-            payloads += sent
-    return (np.concatenate(ready), np.concatenate(tx), np.concatenate(pos),
-            np.concatenate(counters), payloads)
+            times = k * spec.period_us + spec.offset_us
+            base.append(times[times < config.duration_us])
+            jitter.append(node.clock.jitter.draws(rng, len(base[-1])))
+            streams.append((node.clock.skew_ppm, node.clock.tick_ns, -1 if node.covert is None
+                            else distinct.setdefault(node.covert, len(distinct))))
+    counts = np.array([len(b) for b in base])
+    skew_ppm, tick_ns, sender = np.repeat(np.array(streams), counts, axis=0).T
+    pos = np.repeat(np.arange(len(specs)), counts)
+    counter = np.arange(1, len(pos) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
+    id_values, lengths = np.array([(f.id.value, f.payload_bits // 8) for f in specs]).T
+    rows = ((id_values[:, None] >> 3) + np.arange(8) & 0xFF) * (np.arange(8) < lengths[:, None])
+    rows, lengths, local = rows.astype(np.uint8)[pos], lengths[pos], np.concatenate(base)
+    for k, covert in enumerate(distinct):
+        own = sender == k
+        rows[own] = embed_counters(rows[own], lengths[own], counter[own])
+        local[own] += covert_delays(covert.key, counter[own], id_values[pos[own]], rows[own],
+                                    lengths[own], covert.level_bits)
+    tick_us = tick_ns / 1000.0  # ClockModel.bus_times, each row on its stream's clock
+    ready = np.floor(local * (1.0 + skew_ppm * 1e-6) / tick_us) * tick_us + np.concatenate(jitter)
+    tx = frame_wire_times_us(tuple(f.id for f in specs), pos, rows, lengths,
+                             config.bitrate_bps, config.stuffing == "payload")
+    return ready, tx, pos, counter, rows, lengths
 
 
 def simulate(config: BusConfig) -> Trace:
@@ -179,9 +175,9 @@ def simulate(config: BusConfig) -> Trace:
     if not check_complete(Schedule(tuple(specs))):
         warnings.warn("schedule is not collision-free; covert verification will degrade",
                       stacklevel=2)
-    ready, tx, pos, counter, payloads = _releases(config)
-    by_priority = sorted(f.id for f in specs)
-    rank = np.array([by_priority.index(f.id) for f in specs], dtype=np.int64)[pos]
+    ready, tx, pos, counter, payloads, lengths = _releases(config)
+    by_priority = {can_id: r for r, can_id in enumerate(sorted(f.id for f in specs))}
+    rank = np.array([by_priority[f.id] for f in specs], dtype=np.int64)[pos]
     order = np.lexsort((np.arange(len(ready)), rank, ready))
     ready, tx, rank = ready[order], tx[order], rank[order]
 
@@ -220,7 +216,7 @@ def simulate(config: BusConfig) -> Trace:
     rows = np.concatenate(rows)
     release = order[rows]  # each transmitted frame's index among the releases
     return Trace(tuple(f.id for f in specs), pos[release], counter[release],
-                 np.concatenate(starts), tx[rows], [payloads[k] for k in release.tolist()],
+                 np.concatenate(starts), tx[rows], payloads[release], lengths[release],
                  np.ones(n, dtype=bool), config.duration_us)
 
 

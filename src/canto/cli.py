@@ -42,9 +42,7 @@ class CheckFailure(Exception):
 
 
 class StageError(Exception):
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"{stage}: {cause}")
-        self.stage = stage
+    """A `run` stage failed; the message names the stage, the cause is chained."""
 
 
 def derive_seed(base: int, label: str) -> int:
@@ -52,16 +50,13 @@ def derive_seed(base: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def write_manifest(out: Path, command: str, seed: int, inputs: dict[str, Path]) -> None:
     manifest = {
         "command": command,
         "seed": seed,
         "version": canto.__version__,
-        "inputs": {name: _sha256(p) for name, p in sorted(inputs.items())},
+        "inputs": {name: hashlib.sha256(p.read_bytes()).hexdigest()
+                   for name, p in sorted(inputs.items())},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -422,7 +417,7 @@ def cmd_run(args) -> int:
             stage = "report"
             _report(out, out, config.covert, args.bin_width,
                     np.rint(trace.bus_time_us * 10) / 10.0,  # the tenths of trace.csv
-                    np.array([float(f"{e:.4f}") for e in errors.tolist()]),  # as in the file
+                    trace_io.rounded4(errors),  # as in the file
                     adv)
 
         if args.check:
@@ -443,7 +438,7 @@ def cmd_run(args) -> int:
     except CheckFailure:
         raise
     except Exception as exc:
-        raise StageError(stage, exc) from exc
+        raise StageError(f"{stage}: {exc}") from exc
     print(f"pipeline complete -> {out}")
     return 0
 
@@ -458,62 +453,47 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the run seed (falls back to $CANTO_SEED, then config)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("allocate", help="compute offsets for a period vector")
-    p.add_argument("--config", required=True)
+    def command(name, func, help_text):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        p.add_argument("--out", default="out")
+        p.set_defaults(func=func)
+        return p
+
+    p = command("allocate", cmd_allocate, "compute offsets for a period vector")
     p.add_argument("--algorithm", required=True, choices=sorted(ALLOCATORS))
     p.add_argument("--ifs", type=float, default=None, help="gcd minimum spacing, us")
     p.add_argument("--grid", type=float, default=None, help="greedy-ml grid step, us")
     p.add_argument("--iterations", type=int, default=None, help="randomized iterations")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_allocate)
 
-    p = sub.add_parser("simulate", help="run the bus and export a trace")
-    p.add_argument("--config", required=True)
+    p = command("simulate", cmd_simulate, "run the bus and export a trace")
     p.add_argument("--schedule", default=None)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="covert-verify a trace")
-    p.add_argument("--config", required=True)
+    p = command("verify", cmd_verify, "covert-verify a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--rho", type=float, default=None, help="tolerance override, us")
     p.add_argument("--no-compensate", action="store_true",
                    help="verify on raw end-of-frame times (no frame-length compensation)")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("attack", help="Monte Carlo adversary acceptance rates")
-    p.add_argument("--config", required=True)
+    p = command("attack", cmd_attack, "Monte Carlo adversary acceptance rates")
     p.add_argument("--rho", type=float, nargs="+", default=list(RHO_SET))
     p.add_argument("--frames", type=int, nargs="+", default=list(FRAME_SET))
     p.add_argument("--trials", type=int, default=1_000_000)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_attack)
 
-    p = sub.add_parser("capacity", help="channel matrix and Blahut-Arimoto capacity")
-    p.add_argument("--config", required=True)
+    p = command("capacity", cmd_capacity, "channel matrix and Blahut-Arimoto capacity")
     p.add_argument("--trace", required=True)
-    p.add_argument("--tolerance", type=float, default=1e-4,
-                   help="capacity bound gap, bits")
+    p.add_argument("--tolerance", type=float, default=1e-4, help="capacity bound gap, bits")
     p.add_argument("--no-compensate", action="store_true")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_capacity)
 
-    p = sub.add_parser("report", help="tables and figure CSVs from verify/attack outputs")
-    p.add_argument("--config", required=True)
+    p = command("report", cmd_report, "tables and figure CSVs from verify/attack outputs")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--bin-width", type=float, default=1.0)
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_report)
 
-    p = sub.add_parser("run", help="full pipeline: allocate, simulate, verify, attack, report")
-    p.add_argument("--config", required=True)
+    p = command("run", cmd_run, "full pipeline: allocate, simulate, verify, attack, report")
     p.add_argument("--schedule", default=None)
     p.add_argument("--bin-width", type=float, default=1.0)
     p.add_argument("--check", action="store_true",
                    help="exit 1 unless the paper-vector thresholds hold")
-    p.add_argument("--out", default="out")
-    p.set_defaults(func=cmd_run)
     return parser
 
 

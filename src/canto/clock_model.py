@@ -45,8 +45,8 @@ class Jitter:
     @classmethod
     def parse(cls, text: str) -> "Jitter":
         """Parse "none", "uniform:A", "gaussian:S" or "steps[:p,step,spread]"."""
-        head, _, args = text.strip().partition(":")
-        if head == "none":
+        head, colon, args = text.strip().partition(":")
+        if head == "none" and not colon:
             return cls()
         if head == "uniform":
             return cls(head, half_width_us=float(args))

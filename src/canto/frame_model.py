@@ -198,14 +198,14 @@ def _header_entry(value: int, extended: bool, dlc: int) -> int:
     return _pack(*_stuff_walk(bits))
 
 
-def _stuff_counts(can_id: CanId, rows: np.ndarray) -> np.ndarray:
-    """Stuff bits of frames of one identifier whose payloads are the rows of an
-    (n, L) uint8 array: the header's cached count and run state, then one table
-    lookup per byte column. The CRC is excluded, so a real frame has more."""
-    entry = _header_entry(can_id.value, can_id.extended, rows.shape[1])
-    count, state = np.full((2, len(rows)), [[entry >> 3], [entry & 7]], dtype=np.int64)
-    for column in rows.T:
-        entry = _byte_table()[state << 8 | column]
+def _stuff_counts(entries: np.ndarray, rows: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Stuff bits of frames whose payloads are the first lengths[i] bytes of the
+    rows of an (n, L) uint8 array, each walk starting from its header's packed
+    entry: a table lookup per byte column. The CRC is excluded."""
+    count, state = entries >> 3, entries & 7
+    for j in range(int(lengths.max(initial=0))):
+        # past its length a row's entry is its bare state, which counts no bits
+        entry = np.where(j < lengths, _byte_table()[state << 8 | rows[:, j]], state)
         count += entry >> 3
         state = entry & 7
     return count
@@ -213,14 +213,26 @@ def _stuff_counts(can_id: CanId, rows: np.ndarray) -> np.ndarray:
 
 def frame_stuff_bits(can_id: CanId, payload: bytes) -> int:
     """Stuff bits of one concrete frame, from its header and payload pattern."""
-    return int(_stuff_counts(can_id, np.frombuffer(payload, dtype=np.uint8)[None])[0])
+    entry = _header_entry(can_id.value, can_id.extended, len(payload))
+    return int(_stuff_counts(np.array([entry]), np.frombuffer(payload, dtype=np.uint8)[None],
+                             np.array([len(payload)]))[0])
 
 
-def frame_wire_times_us(can_id: CanId, rows: np.ndarray, bitrate_bps: int) -> np.ndarray:
-    """Wire times of frames of one identifier whose payloads are the rows of an
-    (n, L) uint8 array: field-sum length plus each frame's stuff bits, each
-    distinct total priced once by `transmission_time_us`."""
-    bits = frame_bit_length(rows.shape[1] * 8, can_id.kind)
-    stuff = _stuff_counts(can_id, rows)
-    return np.array([transmission_time_us(bits + s, bitrate_bps)
-                     for s in range(stuff.max(initial=0) + 1)])[stuff]
+def frame_wire_times_us(ids, id_index: np.ndarray, rows: np.ndarray, lengths: np.ndarray,
+                        bitrate_bps: int, stuffed: bool = True) -> np.ndarray:
+    """Wire times of frames, frame i of identifier ids[id_index[i]] with the first
+    lengths[i] bytes of row i of an (n, L) uint8 array as its payload: field-sum
+    length plus, if `stuffed`, its stuff bits, each distinct total priced once."""
+    if bitrate_bps <= 0:  # also with no frames to price
+        raise FrameModelError("bitrate must be positive")
+    pair = id_index << 4 | lengths
+    fixed, entries = np.zeros((2, pair.max(initial=0) + 1), dtype=np.int64)
+    for p in np.flatnonzero(np.bincount(pair)).tolist():  # each (ID, length) once
+        can_id, size = ids[p >> 4], p & 15
+        fixed[p] = frame_bit_length(8 * size, can_id.kind)
+        entries[p] = _header_entry(can_id.value, can_id.extended, size)
+    bits = fixed[pair] + (_stuff_counts(entries[pair], rows, lengths) if stuffed else 0)
+    price = np.zeros(bits.max(initial=0) + 1)
+    for b in np.flatnonzero(np.bincount(bits)).tolist():  # each distinct total once
+        price[b] = transmission_time_us(b, bitrate_bps)
+    return price[bits]

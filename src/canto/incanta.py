@@ -67,29 +67,29 @@ def _hmac_pads(key: bytes):
     return hashlib.sha256(key.translate(_IPAD)), hashlib.sha256(key.translate(_OPAD))
 
 
-def covert_delays(key: bytes, counters, id_values, payloads, level_bits: int = 8) -> np.ndarray:
-    """Covert delays of a batch of frames in microseconds, as int64.
-
-    Frame i's delay is the low `level_bits` bits of the HMAC-SHA256 tag over
-    mac_input(counters[i], id, payloads[i]), the id's value being
-    `id_values[i]` (or `id_values`, one value for the batch). The tag equals
-    hmac.new(key, msg, sha256): the pad states are kept per key and the
-    8-byte counter and id heads are built in numpy, so each frame hashes only
-    its message and its inner digest. A counter outside 0..2^32-1 raises
-    OverflowError, as the 4-byte field cannot hold it.
+def covert_delays(key: bytes, counters, id_values, payloads: np.ndarray, lengths,
+                  level_bits: int = 8) -> np.ndarray:
+    """Covert delays of a batch of frames in microseconds, as int64: frame i's is
+    the low `level_bits` bits of the HMAC-SHA256 tag over mac_input(counters[i],
+    id, payload), its id's value `id_values[i]` and its payload the first
+    lengths[i] bytes of row i of the uint8 matrix `payloads` (a scalar
+    `id_values` or `lengths` holds for every frame). The tag equals
+    hmac.new(key, msg, sha256): the pad states are kept per key and each frame
+    hashes a view of its row of one message matrix, then its inner digest. A
+    counter outside 0..2^32-1 raises OverflowError, as 4 bytes cannot hold it.
     """
     counters = np.asarray(counters, dtype=np.int64)
     if len(counters) and not (counters.min() >= 0 and counters.max() <= 0xFFFFFFFF):
         raise OverflowError("counter outside 0..2^32-1 does not fit the MAC input's 4 bytes")
-    heads = np.empty((len(counters), 2), dtype=">u4")
-    heads[:, 0] = counters
-    heads[:, 1] = id_values
-    heads = heads.tobytes()
+    heads = np.stack(np.broadcast_arrays(counters, id_values), axis=1).astype(">u4")
+    messages = np.hstack([heads.view(np.uint8), payloads])
+    sizes = (8 + np.broadcast_to(lengths, len(messages))).tolist()  # 8..16: cached ints
+    buffer = memoryview(messages.tobytes())
     inner_copy, outer_copy = (pad.copy for pad in _hmac_pads(key))
     tags = bytearray()  # the low 4 bytes of each tag
-    for at, payload in zip(range(0, len(heads), 8), payloads):
+    for start, size in zip(range(0, messages.size, messages.shape[1]), sizes):
         inner = inner_copy()
-        inner.update(heads[at:at + 8] + payload)
+        inner.update(buffer[start:start + size])
         outer = outer_copy()
         outer.update(inner.digest())
         tags += outer.digest()[-4:]
@@ -99,19 +99,20 @@ def covert_delays(key: bytes, counters, id_values, payloads, level_bits: int = 8
 def covert_delay(key: bytes, counter: int, can_id: CanId, payload: bytes,
                  level_bits: int = 8) -> int:
     """One frame's covert delay: `covert_delays` on a batch of one."""
-    return int(covert_delays(key, [counter], can_id.value, [payload], level_bits)[0])
+    return int(covert_delays(key, [counter], can_id.value,
+                             np.frombuffer(payload, dtype=np.uint8)[None], len(payload),
+                             level_bits)[0])
 
 
-def embed_counters(payload: bytes, counters) -> list[bytes]:
-    """A copy of the payload per counter, with the counter written into its
-    low 4 bytes (big-endian), built as one array."""
-    if len(payload) < 4:
+def embed_counters(payloads: np.ndarray, lengths: np.ndarray, counters) -> np.ndarray:
+    """A copy of the uint8 payload rows with counters[i] written, big-endian, into
+    the last 4 of the first lengths[i] bytes of row i."""
+    if len(lengths) and lengths.min() < 4:
         raise ValueError("payload too short to carry a 4-byte counter")
-    counters = np.asarray(counters, dtype=np.int64) & 0xFFFFFFFF
-    rows = np.tile(np.frombuffer(payload, dtype=np.uint8), (len(counters), 1))
-    rows[:, -4:] = counters.astype(">u4").view(np.uint8).reshape(-1, 4)
-    flat, width = rows.tobytes(), len(payload)
-    return [flat[at:at + width] for at in range(0, len(flat), width)]
+    rows, counters = payloads.copy(), np.asarray(counters, dtype=np.int64) & 0xFFFFFFFF
+    rows[np.arange(len(rows))[:, None], lengths[:, None] + np.arange(-4, 0)] = \
+        counters.astype(">u4").view(np.uint8).reshape(-1, 4)
+    return rows
 
 
 def adversary_advantage(tolerance_us: float, level_bits: int, frames: int = 1) -> float:
@@ -256,7 +257,8 @@ def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
     counter = trace.counter
     time_us = trace.bus_time_us if compensate else trace.bus_time_us + trace.tx_time_us
     id_values = np.array([i.value for i in trace.ids], dtype=np.int64)[trace.id_index]
-    xi = covert_delays(covert.key, counter, id_values, trace.payloads, covert.level_bits)
+    xi = covert_delays(covert.key, counter, id_values, trace.payloads, trace.payload_len,
+                       covert.level_bits)
 
     ref, replay = _references(id_index, counter)
     s = np.flatnonzero((ref >= 0) & ~replay)

@@ -62,26 +62,38 @@ def _decimal(values: np.ndarray) -> tuple:
     return (values < 0) * np.uint8(ord("-")), groups.view(f"V{4 * groups.shape[1]}").ravel(), zero
 
 
-def _hex_parts(payloads: list[bytes]) -> tuple:
-    """Each payload in upper-case hex, or no part if all are empty."""
-    sizes = 2 * np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
-    chars = np.frombuffer(hexlify(b"".join(payloads)).upper(), dtype=np.uint8)
-    width = int(sizes.max())
-    if sizes.min() < width:  # else the texts fill the rows
-        text, chars = chars, np.zeros((len(payloads), width), dtype=np.uint8)
-        chars[np.arange(width) < sizes[:, None]] = text
-    return (chars.reshape(len(payloads), -1).view(f"V{width}").ravel(),) if width else ()
+_HEX = np.frombuffer(hexlify(bytes(range(256))).upper(), dtype=np.uint16)  # byte -> 2 digits
+# hex digit -> its value, NUL (past a text's end) -> 0, any other byte -> 16
+_NIBBLE = np.full(256, 16, dtype=np.uint8)
+_NIBBLE[list(b"0123456789abcdefABCDEF\0")] = [*range(16), *range(10, 16), 0]
+
+
+def _hex_parts(rows: np.ndarray, lengths: np.ndarray) -> tuple:
+    """Each payload in upper-case hex, NUL past its length."""
+    chars = _HEX.take(rows).view(np.uint8)
+    chars *= np.arange(16) < 2 * lengths[:, None]
+    return (chars.view("V16").ravel(),)
+
+
+def rounded4(values: np.ndarray) -> np.ndarray:
+    """Each value as float(f"{v:.4f}") reads it back: x = |v| * 1e4 rounded half
+    to even and divided back, unless x is 2^40 or more or lies within x * 2^-52
+    (twice the product's rounding error) of a tie, when `format` rounds v."""
+    x = np.abs(np.where(np.abs(values) < 2.0**40 / 1e4, values, np.nan)) * 1e4
+    guarded = (np.abs(x - np.floor(x) - 0.5) <= x * 2.0**-52) | np.isnan(x) & ~np.isnan(values)
+    out = np.copysign(np.rint(x) / 1e4, values)
+    out[guarded] = [float(format(v, ".4f")) for v in values[guarded].tolist()]
+    return out
 
 
 def _fixed4_parts(values: np.ndarray) -> tuple:
-    """Floats as f"{v:.4f}" writes them, NaN as no text: from x = |v| * 1e4
-    rounded half to even, unless x is 2^40 or more or lies within x * 2^-52
-    (twice the product's rounding error) of a tie, when `format` writes them."""
-    x = np.abs(np.where(np.abs(values) < 2.0**40 / 1e4, values, np.nan)) * 1e4
-    if np.any((np.abs(x - np.floor(x) - 0.5) <= x * 2.0**-52) | np.isnan(x) & ~np.isnan(values)):
+    """Floats as f"{v:.4f}" writes them, NaN as no text: the digits of `rounded4`'s
+    values, unless one is 2^40 / 1e4 or more, when `format` writes them all."""
+    rounded = rounded4(values)
+    if np.any(np.abs(rounded) >= 2.0**40 / 1e4):  # inf too
         return (np.array(["" if v != v else format(v, ".4f") for v in values.tolist()], "S"),)
-    shown = ~np.isnan(x)
-    q = np.rint(np.where(shown, x, 0.0)).astype(np.uint64)
+    shown = ~np.isnan(rounded)
+    q = np.rint(np.abs(np.where(shown, rounded, 0.0)) * 1e4).astype(np.uint64)
     _, whole, zero = _decimal(q // 10000)
     fraction = _GROUPS.take(np.where(shown, q % 10000, 10000))  # 10000: 0 with no digits
     return ((np.signbit(values) & shown) * np.uint8(ord("-")), whole, zero * shown,
@@ -116,7 +128,8 @@ def export_trace(trace: Trace, path) -> None:
 
 def write_trace(trace: Trace, fh) -> None:
     _write_frames(fh, TRACE_HEADER, trace, trace.bus_time_us, lambda rows: (
-        _hex_parts(trace.payloads[rows]), (trace.genuine[rows] + np.uint8(ord("0")),)))
+        _hex_parts(trace.payloads[rows], trace.payload_len[rows]),
+        (trace.genuine[rows] + np.uint8(ord("0")),)))
 
 
 def write_verdicts(trace: Trace, decoded, path) -> None:
@@ -248,33 +261,28 @@ def _parse_native(fh, bitrate_bps: int | None) -> Trace:
     if len(bad):
         errors.append((file_line(bad[0]), 3, f"payload of over {_PAYLOAD_WIDTH - 1} characters "
                        "exceeds the 8 bytes of a CAN frame"))
-    try:  # one text at a time, so no list of them is interleaved with the payloads
-        payloads = list(map(bytes.fromhex, map(bytes.decode, hex_texts)))
-    except ValueError:
-        for row, text in enumerate(hex_texts):
-            try:
-                bytes.fromhex(text.decode())
-            except ValueError as exc:
-                errors.append((file_line(row), 4, str(exc)))
-                break
+    # a text of hex digit pairs is decoded in numpy, any other by bytes.fromhex
+    chars = np.ascontiguousarray(hex_texts).view(np.uint8).reshape(-1, _PAYLOAD_WIDTH)
+    size, nibbles = np.count_nonzero(chars, axis=1), _NIBBLE[chars]  # no text holds a NUL
+    payloads, lengths = nibbles[:, 0:16:2] << 4 | nibbles[:, 1:16:2], size // 2
+    for row in np.flatnonzero((nibbles == 16).any(axis=1) | (size % 2 == 1)).tolist():
+        try:
+            payload = bytes.fromhex(hex_texts[row].decode())
+        except ValueError as exc:
+            errors.append((file_line(row), 4, str(exc)))
+            break
+        payloads[row], lengths[row] = np.frombuffer(payload.ljust(8, b"\0")[:8], np.uint8), \
+            len(payload)
     if errors:
         at, _, message = min(errors)
         raise TraceFormatError(f"line {at}: {message}")
 
     ids = tuple(position)
     id_index = code[inverse]
-    tx = np.zeros(len(rows))
-    if bitrate_bps and len(rows):  # priced per (ID, payload length) group
-        width = np.fromiter(map(len, payloads), dtype=np.int64, count=len(payloads))
-        flat, start = np.frombuffer(b"".join(payloads), dtype=np.uint8), np.cumsum(width) - width
-        group = id_index * 9 + width
-        order = np.argsort(group, kind="stable")
-        for sel in np.split(order, np.flatnonzero(np.diff(group[order])) + 1):
-            k, size = divmod(int(group[sel[0]]), 9)
-            tx[sel] = frame_wire_times_us(ids[k], flat[start[sel, None] + np.arange(size)],
-                                          bitrate_bps)
+    tx = frame_wire_times_us(ids, id_index, payloads, lengths, bitrate_bps) \
+        if bitrate_bps else np.zeros(len(rows))
     return Trace(ids, id_index, counter.copy(), rows["bus_time_us"] / 10.0, tx, payloads,
-                 rows["genuine"] != 0)
+                 lengths, rows["genuine"] != 0)
 
 
 def write_schedule(schedule: Schedule, path) -> None:

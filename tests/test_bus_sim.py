@@ -1,21 +1,25 @@
 """Bus simulation: arbitration, occupancy, determinism, adversary injection."""
 
+import hashlib
 import heapq
+import hmac
 import io
+import math
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canto.bus_sim import (BusConfig, NodeConfig, OversubscribedBusError, Trace, _payload_template,
+from canto.bus_sim import (BusConfig, NodeConfig, OversubscribedBusError, Trace, _releases,
                            _theoretical_busload, busload, inject_adversary, simulate)
 from canto.clock_model import ClockModel, Jitter
-from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_wire_times_us,
+from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_stuff_bits,
                                transmission_time_us)
-from canto.incanta import CovertConfig, Verifier, covert_delay, covert_delays, embed_counters
+from canto.incanta import CovertConfig, Verifier, covert_delay, covert_delays
 from canto.scheduler import Schedule, allocate_gcd, check_complete
 from canto.trace_io import write_trace
+from payload_rows import payload_columns, payload_list
 
 MS = 1000.0
 KEY = bytes(range(16))
@@ -35,11 +39,42 @@ def ids_of(trace):
     return [trace.ids[k] for k in trace.id_index.tolist()]
 
 
+def payloads_of(trace):
+    """Each frame's payload, in trace order."""
+    return payload_list(trace.payloads, trace.payload_len)
+
+
 def verify_frames(cov, periods, trace):
     """The streaming Verifier's verdict on each frame of a trace, in order."""
     verifier = Verifier(cov, periods)
     return [verifier.verify(i, c, p, t) for i, c, p, t in zip(
-        ids_of(trace), trace.counter.tolist(), trace.payloads, trace.bus_time_us.tolist())]
+        ids_of(trace), trace.counter.tolist(), payloads_of(trace), trace.bus_time_us.tolist())]
+
+
+def payload_template(spec: FrameSpec) -> bytes:
+    n = spec.payload_bits // 8
+    return bytes(((spec.id.value >> 3) + i) & 0xFF for i in range(n))
+
+
+def with_counter(template: bytes, counter: int) -> bytes:
+    """The template with the counter in its low 4 bytes, big-endian."""
+    return template[:-4] + (counter & 0xFFFFFFFF).to_bytes(4, "big")
+
+
+def hmac_delays(key, counters, id_value, payloads, level_bits):
+    """Covert delays frame by frame through the stdlib's hmac."""
+    return np.array([int.from_bytes(hmac.new(key, int(c).to_bytes(4, "big")
+                                             + id_value.to_bytes(4, "big") + p,
+                                             hashlib.sha256).digest(), "big")
+                     & ((1 << level_bits) - 1) for c, p in zip(counters, payloads)],
+                    dtype=np.int64)
+
+
+def wire_times(can_id, payloads, bitrate_bps):
+    """Each payload's wire time, its stuff bits counted one frame at a time."""
+    return np.array([transmission_time_us(frame_bit_length(8 * len(p), can_id.kind)
+                                          + frame_stuff_bits(can_id, p), bitrate_bps)
+                     for p in payloads])
 
 
 def config(nodes, duration_us, **kw):
@@ -132,8 +167,8 @@ class TestStuffingModes:
         cfg = config([node("a", [FrameSpec(CanId(0x10), 10 * MS)])], 50 * MS,
                      stuffing="payload")
         trace, again = simulate(cfg), simulate(cfg)
-        times = dict(zip(trace.payloads, trace.tx_time_us.tolist()))
-        again = dict(zip(again.payloads, again.tx_time_us.tolist()))
+        times = dict(zip(payloads_of(trace), trace.tx_time_us.tolist()))
+        again = dict(zip(payloads_of(again), again.tx_time_us.tolist()))
         assert times == again
         assert all(t >= 222.0 for t in times.values())
 
@@ -198,7 +233,7 @@ def reference_simulate(config: BusConfig) -> Trace:
             id_pos += 1
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence((config.seed, node_idx, frame_idx))))
-            template = _payload_template(spec)
+            template = payload_template(spec)
             nominal_tx = transmission_time_us(frame_bit_length(spec.payload_bits, spec.id.kind),
                                               config.bitrate_bps)
             key = spec.id.arbitration_key()
@@ -211,12 +246,11 @@ def reference_simulate(config: BusConfig) -> Trace:
                 counter += 1
                 payload, xi = template, 0
                 if node.covert is not None:
-                    payload = embed_counters(template, [counter])[0]
+                    payload = with_counter(template, counter)
                     xi = covert_delay(node.covert.key, counter, spec.id, payload,
                                       node.covert.level_bits)
                 ready = node.clock.local_to_bus_time(base + xi, rng)
-                row = np.frombuffer(payload, dtype=np.uint8)[None]
-                tx = frame_wire_times_us(spec.id, row, config.bitrate_bps)[0] \
+                tx = wire_times(spec.id, [payload], config.bitrate_bps)[0] \
                     if config.stuffing == "payload" else nominal_tx
                 releases.append((ready, key, seq, id_pos, counter, tx, payload))
                 seq += 1
@@ -248,8 +282,8 @@ def reference_simulate(config: BusConfig) -> Trace:
         t = start + tx
     return Trace(tuple(f.id for f in specs), np.array(id_index, dtype=np.int64),
                  np.array(counters, dtype=np.int64), np.array(starts, dtype=np.float64),
-                 np.array(txs, dtype=np.float64), payloads, np.ones(len(starts), dtype=bool),
-                 config.duration_us)
+                 np.array(txs, dtype=np.float64), *payload_columns(payloads),
+                 np.ones(len(starts), dtype=bool), config.duration_us)
 
 
 JITTERS = st.one_of(
@@ -288,6 +322,83 @@ def contended_buses(draw):
                      stuffing=draw(st.sampled_from(["none", "payload"])))
 
 
+def per_stream_releases(config: BusConfig):
+    """The releases as they were built one (node, frame) stream at a time, with
+    the payloads as a list, copied from the simulator before it batched the
+    bus; only its kernels are the one-frame-at-a-time oracles above.
+    `_releases` is held to it."""
+    ready, tx, pos, counters, payloads = [], [], [], [], []
+    id_pos = -1
+    for node_idx, node in enumerate(config.nodes):
+        for frame_idx, spec in enumerate(node.frames):
+            id_pos += 1
+            rng = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence((config.seed, node_idx, frame_idx))))
+            # one k past the estimate; the mask keeps the releases below the duration
+            k = np.arange(math.ceil((config.duration_us - spec.offset_us) / spec.period_us) + 1)
+            base = k * spec.period_us + spec.offset_us
+            base = base[base < config.duration_us]
+            counter = np.arange(1, len(base) + 1, dtype=np.int64)
+            template = payload_template(spec)
+            sent, local = [template] * len(base), base
+            if node.covert is not None:
+                sent = [with_counter(template, c) for c in counter.tolist()]
+                local = base + hmac_delays(node.covert.key, counter, spec.id.value, sent,
+                                           node.covert.level_bits)
+            ready.append(node.clock.bus_times(local, rng))
+            if config.stuffing == "payload":
+                tx.append(wire_times(spec.id, sent, config.bitrate_bps))
+            else:
+                bits = frame_bit_length(spec.payload_bits, spec.id.kind)
+                tx.append(np.full(len(base), transmission_time_us(bits, config.bitrate_bps)))
+            pos.append(np.full(len(base), id_pos, dtype=np.int64))
+            counters.append(counter)
+            payloads += sent
+    return (np.concatenate(ready), np.concatenate(tx), np.concatenate(pos),
+            np.concatenate(counters), payloads)
+
+
+@st.composite
+def release_buses(draw):
+    """1-6 streams on up to three nodes: standard and extended IDs, 0-8 byte
+    payloads (4-8 on a covert node), each node sending under one of two covert
+    configs or none, every jitter kind, either stuffing mode."""
+    n = draw(st.integers(1, 6))
+    values = draw(st.lists(st.integers(0, 0x7FF), min_size=n, max_size=n, unique=True))
+    ids = [CanId(v << 18 | draw(st.integers(0, 0x3FFFF)), extended=True)
+           if draw(st.booleans()) else CanId(v) for v in values]
+    owner = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    coverts = [CovertConfig(KEY, level_bits=draw(st.sampled_from([2, 8, 12]))),
+               CovertConfig(bytes(range(32, 64)), level_bits=draw(st.integers(1, 16)))]
+    nodes = []
+    for node_idx in sorted(set(owner)):
+        covert = draw(st.sampled_from([None, *coverts]))
+        frames = [FrameSpec(can_id, draw(st.sampled_from([1000.0, 2500.0, 5000.0, 7777.7])),
+                            draw(st.sampled_from([0.0, 150.0, 487.3])),
+                            8 * draw(st.integers(0 if covert is None else 4, 8)))
+                  for can_id, o in zip(ids, owner) if o == node_idx]
+        clock = ClockModel(skew_ppm=draw(st.sampled_from([0.0, 45.0, -62.5, 333.3])),
+                           tick_ns=draw(st.sampled_from([10, 100])), jitter=draw(JITTERS))
+        nodes.append(NodeConfig(f"n{node_idx}", clock, tuple(frames), covert))
+    slowest = max(f.period_us for nd in nodes for f in nd.frames)
+    return BusConfig(tuple(nodes), 2 * slowest + draw(st.sampled_from([0.0, 3333.3, 20000.0])),
+                     bitrate_bps=draw(st.sampled_from([50_000, 125_000, 500_000])),
+                     seed=draw(st.integers(0, 2**16)),
+                     stuffing=draw(st.sampled_from(["none", "payload"])))
+
+
+class TestBatchedReleases:
+    @settings(max_examples=300, deadline=None)
+    @given(release_buses())
+    def test_equal_the_per_stream_loop(self, cfg):
+        *columns, rows, lengths = _releases(cfg)
+        *want, payloads = per_stream_releases(cfg)
+        for name, got, expected in zip(("ready", "tx", "pos", "counter"), columns, want):
+            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        assert payload_list(rows, lengths) == payloads
+        assert rows.dtype == np.uint8 and not rows[np.arange(8) >= lengths[:, None]].any()
+
+
 def simulate_or_overflow(simulator, cfg):
     try:
         return simulator(cfg)
@@ -305,9 +416,9 @@ class TestMatchesReleaseLoop:
         assert (got is None) == (want is None)
         if want is not None:
             assert got.ids == want.ids
-            for column in ("id_index", "counter", "bus_time_us", "tx_time_us"):
+            for column in ("id_index", "counter", "bus_time_us", "tx_time_us", "payloads",
+                           "payload_len"):
                 assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
-            assert got.payloads == want.payloads
 
 
 def covert_trace(duration_us=400 * MS, jitter=None, seed=3):
@@ -331,7 +442,8 @@ class TestCovertSending:
         trace, cov, periods = covert_trace(duration_us=100 * MS)
         for can_id, period in periods.items():
             own = frames_of(trace, can_id)
-            xi = covert_delays(cov.key, own.counter, can_id.value, own.payloads, cov.level_bits)
+            xi = covert_delays(cov.key, own.counter, can_id.value, own.payloads, own.payload_len,
+                               cov.level_bits)
             assert np.diff(own.bus_time_us).tolist() == (period + np.diff(xi)).tolist()
 
     def test_payloads_carry_counters_at_every_length(self):
@@ -339,9 +451,10 @@ class TestCovertSending:
         specs = [FrameSpec(CanId(0x100 + n), 10 * MS, 600.0 * n, 8 * n) for n in range(4, 9)]
         trace = simulate(config([node("ecu", specs, covert=cov)], 100 * MS))
         assert len(trace) == 50
-        for can_id, counter, payload in zip(ids_of(trace), trace.counter.tolist(), trace.payloads):
+        for can_id, counter, payload in zip(ids_of(trace), trace.counter.tolist(),
+                                            payloads_of(trace)):
             spec = specs[can_id.value - 0x104]
-            assert payload == embed_counters(_payload_template(spec), [counter])[0]
+            assert payload == with_counter(payload_template(spec), counter)
 
     def test_counters_increase_per_id(self):
         trace, _, periods = covert_trace()

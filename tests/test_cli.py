@@ -86,6 +86,8 @@ MALFORMED = {
                  "[node.one]: skew"),
     "jitter-inf": ("simulate", small("jitter = steps", "jitter = uniform:inf"), {}, [],
                    "[node.one] jitter"),
+    "jitter-none-arg": ("simulate", small("jitter = steps", "jitter = none:3"), {}, [],
+                        "[node.one] jitter: unknown jitter spec 'none:3'"),
     "bitrate-0": ("simulate", small("bitrate = 500000", "bitrate = 0"), {}, [],
                   "[bus]: bitrate"),
     "seed-negative": ("simulate", small("seed = 3", "seed = -1"), {}, [], "[bus]: seed"),

@@ -195,7 +195,8 @@ class TestRealStuffing:
 
     def test_wire_time_adds_stuff_bits_to_field_sum(self):
         bits = frame_bit_length(64) + frame_stuff_bits(CanId(0), bytes(8))
-        assert frame_wire_times_us(CanId(0), np.zeros((1, 8), dtype=np.uint8), 500_000) \
+        assert frame_wire_times_us((CanId(0),), np.zeros(1, dtype=np.int64),
+                                   np.zeros((1, 8), dtype=np.uint8), np.array([8]), 500_000) \
             .tolist() == [transmission_time_us(bits, 500_000)]
 
     def test_zero_payload_frame_stuffs_header_runs(self):
@@ -215,20 +216,28 @@ payload_bytes = st.one_of(st.sampled_from([0x00, 0xFF, 0x0F, 0xF0, 0x80, 0x01]),
 
 class TestWireTimeBatches:
     @settings(max_examples=300, deadline=None)
-    @given(can_id=ids, width=st.integers(0, 8), n=st.integers(0, 12), data=st.data(),
+    @given(can_ids=st.lists(ids, min_size=1, max_size=3, unique=True), n=st.integers(0, 12),
+           data=st.data(), stuffed=st.booleans(), wide=st.booleans(),
            # 160 kbit/s and 800 kbit/s put an odd bit count on a .05 us tie
            rate=st.one_of(st.sampled_from([160_000, 800_000, 125_000, 500_000, 1_000_000]),
                           st.integers(1, 2_000_000)))
-    def test_rows_match_bit_list_and_fraction_oracles(self, can_id, width, n, data, rate):
-        payloads = data.draw(st.lists(st.lists(payload_bytes, min_size=width, max_size=width)
-                                      .map(bytes), min_size=n, max_size=n))
-        rows = np.frombuffer(b"".join(payloads), dtype=np.uint8).reshape(n, width)
+    def test_rows_match_bit_list_and_fraction_oracles(self, can_ids, n, data, stuffed, wide,
+                                                      rate):
+        """Frames of several IDs and payload lengths in one batch, the bytes past a
+        frame's length drawn too (they must not count)."""
+        which = data.draw(st.lists(st.integers(0, len(can_ids) - 1), min_size=n, max_size=n))
+        lengths = data.draw(st.lists(st.integers(0, 8), min_size=n, max_size=n))
+        rows = np.array(data.draw(st.lists(st.lists(payload_bytes, min_size=9, max_size=9),
+                                           min_size=n, max_size=n)), dtype=np.uint8)
+        rows = rows.reshape(n, 9)[:, :9 if wide else 8]
         want = []
-        for p in payloads:
-            bits = oracle_length(8 * width, can_id.kind, True) \
-                + _stuff_walk(frame_bit_pattern(can_id, p))[0]
+        for k, size, row in zip(which, lengths, rows):
+            bits = oracle_length(8 * size, can_ids[k].kind, True)
+            if stuffed:
+                bits += _stuff_walk(frame_bit_pattern(can_ids[k], bytes(row[:size])))[0]
             want.append(float(round(Fraction(bits * 10_000_000, rate))) / 10.0)
-        got = frame_wire_times_us(can_id, rows, rate)
+        got = frame_wire_times_us(tuple(can_ids), np.array(which, dtype=np.int64), rows,
+                                  np.array(lengths, dtype=np.int64), rate, stuffed)
         assert got.shape == (n,) and got.tolist() == want
 
     def test_ties_round_to_even_per_row(self):
@@ -236,14 +245,17 @@ class TestWireTimeBatches:
         rows = np.array([[0x00] * 8, [0x55] * 8, [0xFF] * 8, [0x0F] * 8], dtype=np.uint8)
         bits = [frame_bit_length(64) + frame_stuff_bits(CanId(0x555), bytes(r)) for r in rows]
         assert any(b % 2 for b in bits)
-        assert frame_wire_times_us(CanId(0x555), rows, 800_000).tolist() == \
+        assert frame_wire_times_us((CanId(0x555),), np.zeros(4, dtype=np.int64), rows,
+                                   np.full(4, 8), 800_000).tolist() == \
             [float(round(Fraction(b * 10_000_000, 800_000))) / 10.0 for b in bits]
 
     def test_rejects_what_the_scalar_rejects(self):
         with pytest.raises(FrameModelError):
-            frame_wire_times_us(CanId(1), np.zeros((2, 9), dtype=np.uint8), 500_000)
+            frame_wire_times_us((CanId(1),), np.zeros(2, dtype=np.int64),
+                                np.zeros((2, 9), dtype=np.uint8), np.full(2, 9), 500_000)
         with pytest.raises(FrameModelError):
-            frame_wire_times_us(CanId(1), np.zeros((0, 8), dtype=np.uint8), 0)
+            frame_wire_times_us((CanId(1),), np.zeros(0, dtype=np.int64),
+                                np.zeros((0, 8), dtype=np.uint8), np.zeros(0, dtype=np.int64), 0)
 
 
 class TestFrameSpec:

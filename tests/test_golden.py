@@ -49,14 +49,43 @@ frames = 0x0F0:10000:8:0 0x120:5000:2:250 0x121:10000:8:250
 """
 
 
+# No shipped config simulates this bus: an extended-ID stream, a 0-byte plain
+# frame, 5- and 6-byte covert frames and payload stuffing.
+MIXED = """\
+[bus]
+bitrate = 250000
+duration_us = 400000
+seed = 11
+stuffing = payload
+
+[covert]
+key_hex = 0F0E0D0C0B0A090807060504030201000F0E0D0C
+level_bits = 10
+tolerance_us = 6
+
+[node.gateway]
+skew_ppm = -15
+jitter = steps
+frames = 18FEF100:10000:8:0 0x200:20000:5:1500 0x201:10000:6:3000
+
+[node.body]
+jitter = uniform:1.5
+covert = false
+frames = 0x080:5000:0:700 0x300:20000:3:4100 0x0C1:10000:6:1500
+"""
+
+
 def _commands(tmp: Path) -> dict[str, list[str]]:
     """Output directory name -> argv; later commands read earlier outputs."""
     trace = str(tmp / "capacity_simulate" / "trace.csv")
     contended = tmp / "contended_bus.ini"
     contended.write_text(CONTENDED)
+    mixed = tmp / "mixed_bus.ini"
+    mixed.write_text(MIXED)
     commands = {"paper_run": ["run", "--config", PAPER, "--check"],
                 "capacity_simulate": ["simulate", "--config", CAPACITY],
-                "contended_simulate": ["simulate", "--config", str(contended)]}
+                "contended_simulate": ["simulate", "--config", str(contended)],
+                "mixed_simulate": ["simulate", "--config", str(mixed)]}
     for name, extra in (("capacity_verify", []),
                         ("capacity_verify_no_compensate", ["--no-compensate"]),
                         ("capacity_verify_rho3", ["--rho", "3"])):
@@ -65,6 +94,8 @@ def _commands(tmp: Path) -> dict[str, list[str]]:
     # the receiver over 2-, 4- and 8-byte payloads, the covert-off node's included
     commands["contended_verify"] = ["verify", "--config", str(contended), "--trace",
                                     str(tmp / "contended_simulate" / "trace.csv")]
+    commands["mixed_verify"] = ["verify", "--config", str(mixed), "--trace",
+                                str(tmp / "mixed_simulate" / "trace.csv")]
     for alg in ALGORITHMS:
         commands[f"allocate_{alg}"] = ["allocate", "--config", PAPER, "--algorithm", alg]
     # greedy-ml on a second candidate grid: the derived default is 250 us

@@ -12,6 +12,7 @@ from canto.bus_sim import Trace, inject_adversary
 from canto.frame_model import CanId
 from canto.incanta import (CovertConfig, Verifier, adversary_advantage, covert_delay,
                            covert_delays, decode, ecu_success, embed_counters, mac_input)
+from payload_rows import payload_columns, payload_list
 
 KEY = bytes(range(16))
 ID = CanId(0x100)
@@ -93,21 +94,27 @@ class TestCovertDelays:
            batch=mac_batches(), level_bits=st.integers(1, 32))
     @example(key=KEY, batch=([], [], []), level_bits=8)
     def test_batch_matches_stdlib_hmac_per_frame(self, key, batch, level_bits):
-        counters, ids, payloads = batch
-        got = covert_delays(key, counters, [i.value for i in ids], payloads, level_bits)
+        counters, ids, payloads = batch  # mixed lengths in one matrix
+        got = covert_delays(key, counters, [i.value for i in ids], *payload_columns(payloads),
+                            level_bits)
         want = [int.from_bytes(hmac.new(key, mac_input(c, i, p), hashlib.sha256).digest(), "big")
                 & ((1 << level_bits) - 1) for c, i, p in zip(counters, ids, payloads)]
         assert got.dtype == np.int64 and got.tolist() == want
 
     def test_one_id_value_for_the_batch(self):
         payloads = [PAYLOAD, bytes(4)]
-        assert covert_delays(KEY, [1, 2], ID.value, payloads, 12).tolist() == \
+        assert covert_delays(KEY, [1, 2], ID.value, *payload_columns(payloads), 12).tolist() == \
             [covert_delay(KEY, c, ID, p, 12) for c, p in zip([1, 2], payloads)]
+
+    def test_one_length_for_the_batch(self):
+        rows, _ = payload_columns([PAYLOAD, bytes(range(8))])
+        assert covert_delays(KEY, [1, 2], ID.value, rows, 5, 12).tolist() == \
+            [covert_delay(KEY, c, ID, bytes(r[:5]), 12) for c, r in zip([1, 2], rows)]
 
     @pytest.mark.parametrize("counter", [-1, 2**32])
     def test_counter_outside_four_bytes_raises(self, counter):
         with pytest.raises(OverflowError):
-            covert_delays(KEY, [1, counter], [ID.value] * 2, [PAYLOAD] * 2)
+            covert_delays(KEY, [1, counter], [ID.value] * 2, *payload_columns([PAYLOAD] * 2))
         with pytest.raises(OverflowError):
             covert_delay(KEY, counter, ID, PAYLOAD)
 
@@ -134,21 +141,31 @@ class TestAdvantageMath:
             ecu_success(1.2, 2)
 
 
+def embed(payload: bytes, counters) -> list[bytes]:
+    """`embed_counters` on one payload per counter, as a list."""
+    rows, lengths = payload_columns([payload] * len(counters))
+    return payload_list(embed_counters(rows, lengths, counters), lengths)
+
+
 class TestCounterTransport:
     def test_round_trip(self):
-        payload = embed_counters(bytes(range(8)), [0xDEADBEEF])[0]
+        payload = embed(bytes(range(8)), [0xDEADBEEF])[0]
         assert payload[:4] == bytes(range(4))
         assert int.from_bytes(payload[-4:], "big") == 0xDEADBEEF
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            embed_counters(b"abc", [1])
+            embed(b"abc", [1])
 
-    @given(payload=st.binary(min_size=4, max_size=8),
-           counters=st.lists(st.integers(0, 2**32 - 1), max_size=8))
-    def test_batch_matches_bytes(self, payload, counters):
-        want = [payload[:-4] + c.to_bytes(4, "big") for c in counters]
-        assert embed_counters(payload, counters) == want
+    @given(payloads=st.lists(st.binary(min_size=4, max_size=8), max_size=8), data=st.data())
+    def test_batch_matches_bytes(self, payloads, data):
+        counters = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(payloads),
+                                      max_size=len(payloads)))
+        rows, lengths = payload_columns(payloads)
+        got = embed_counters(rows, lengths, counters)
+        assert payload_list(got, lengths) == \
+            [p[:-4] + c.to_bytes(4, "big") for p, c in zip(payloads, counters)]
+        assert not got[np.arange(8) >= lengths[:, None]].any()
 
 
 def config(**kw):
@@ -162,7 +179,7 @@ def genuine_times(cfg, period_us, n, start=1000.0):
     t_prev = start
     xi_prev = 0
     for k in range(1, n + 1):
-        payload = embed_counters(bytes(8), [k])[0]
+        payload = embed(bytes(8), [k])[0]
         xi = covert_delay(cfg.key, k, ID, payload, cfg.level_bits)
         t = (start + xi) if k == 1 else (t_prev + period_us + xi - xi_prev)
         times.append((k, payload, t))
@@ -287,7 +304,7 @@ def receiver_traces(draw):
         can_id = draw(st.sampled_from(ids))
         c0, t0, xi0 = last.get(can_id, (0, start, 0))
         counter = max(0, c0 + draw(st.integers(-2, 3)))
-        payload = embed_counters(draw(st.binary(min_size=8, max_size=8)), [counter])[0]
+        payload = embed(draw(st.binary(min_size=8, max_size=8)), [counter])[0]
         xi = covert_delay(cfg.key, counter, can_id, payload, cfg.level_bits)
         t = t0 + PERIODS[can_id] * (counter - c0) + xi - xi0 \
             + draw(st.sampled_from([0.0, 0.5, -2.5, 5.0, 7.25, 0.1, -4.9, 2.3]))
@@ -299,8 +316,8 @@ def receiver_traces(draw):
         genuine.append(draw(st.booleans()))
         last[can_id] = (counter, t, xi)
     trace = Trace(ids, np.array(id_index, dtype=np.int64), np.array(counters, dtype=np.int64),
-                  np.array(times, dtype=np.float64), np.array(tx, dtype=np.float64), payloads,
-                  np.array(genuine, dtype=bool))
+                  np.array(times, dtype=np.float64), np.array(tx, dtype=np.float64),
+                  *payload_columns(payloads), np.array(genuine, dtype=bool))
     if id_index and draw(st.booleans()):
         target = ids[id_index[0]]
         trace = inject_adversary(trace, target, PERIODS[target], seed=draw(st.integers(0, 9)),
@@ -322,12 +339,13 @@ def single_id_runs(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     counters = np.clip(low + np.cumsum(rng.choice([-2, -1, 0, 1, 1, 1, 1, 2, 3], n)),
                        0, 2**32 - 1)
-    payloads = embed_counters(bytes(rng.integers(0, 256, 8, dtype=np.uint8)), counters)
-    xi = covert_delays(cfg.key, counters, can_id.value, payloads, cfg.level_bits)
+    payloads, lengths = payload_columns([bytes(rng.integers(0, 256, 8, dtype=np.uint8))] * n)
+    payloads = embed_counters(payloads, lengths, counters)
+    xi = covert_delays(cfg.key, counters, can_id.value, payloads, lengths, cfg.level_bits)
     noise = rng.choice([0.0, 0.0, 0.0, 0.5, -2.5, 5.0, 7.25, 0.1, -4.9, 2.3], n)
     times = 123_456_789.1 + PERIODS[can_id] * (counters - low) + xi + np.cumsum(noise)
     trace = Trace((can_id,), np.zeros(n, dtype=np.int64), counters, times,
-                  rng.choice([0.0, 108.0, 131.5], n), payloads, rng.random(n) < 0.5)
+                  rng.choice([0.0, 108.0, 131.5], n), payloads, lengths, rng.random(n) < 0.5)
     return cfg, trace
 
 
@@ -351,7 +369,8 @@ class TestDecode:
         counters = trace.counter.tolist()
         arrivals = (trace.bus_time_us if compensate
                     else trace.bus_time_us + trace.tx_time_us).tolist()
-        for i, (can_id, counter, payload, t) in enumerate(zip(ids, counters, trace.payloads,
+        payloads = payload_list(trace.payloads, trace.payload_len)
+        for i, (can_id, counter, payload, t) in enumerate(zip(ids, counters, payloads,
                                                                arrivals)):
             v = verifier.verify(can_id, counter, payload, t, rho)
             assert (decoded.accepted[i], decoded.reason[i]) == (v.accepted, v.reason)
@@ -362,6 +381,6 @@ class TestDecode:
                 continue
             assert decoded.error_us[i] == v.error_us
             j = decoded.ref[i]
-            xi_ref = covert_delay(cfg.key, counters[j], ids[j], trace.payloads[j], cfg.level_bits)
+            xi_ref = covert_delay(cfg.key, counters[j], ids[j], payloads[j], cfg.level_bits)
             assert decoded.symbol[i] == round(
                 (t - arrivals[j]) - PERIODS[can_id] * (counter - counters[j]) + xi_ref)

@@ -14,14 +14,22 @@ from hypothesis import given, settings, strategies as st
 
 from canto.bus_sim import BusConfig, NodeConfig, OversubscribedBusError, Trace, simulate
 from canto.clock_model import ClockModel
-from canto.frame_model import CanId, FrameSpec, frame_wire_times_us
+from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_stuff_bits,
+                               transmission_time_us)
 from canto.incanta import CovertConfig
 from canto.scheduler import Schedule
 from canto.trace_io import (TRACE_HEADER, TraceFormatError, _parse_native, export_trace,
                             parse_experiment_config, parse_trace, read_schedule,
-                            write_schedule, write_trace, write_verdicts)
+                            rounded4, write_schedule, write_trace, write_verdicts)
+from payload_rows import payload_columns, payload_list
 
 MS = 1000.0
+
+
+def wire_time(can_id, payload, bitrate_bps):
+    """One frame's wire time, its stuff bits counted alone."""
+    return transmission_time_us(frame_bit_length(8 * len(payload), can_id.kind)
+                                + frame_stuff_bits(can_id, payload), bitrate_bps)
 
 
 def small_trace():
@@ -46,7 +54,8 @@ class TestNativeFormat:
         assert trace.ids == (CanId(0x10),) and trace.id_index.tolist() == [0]
         assert trace.bus_time_us.tolist() == [1000.0]  # stored as tenths of a microsecond
         assert trace.counter.tolist() == [1] and trace.genuine.tolist() == [True]
-        assert trace.payloads == [bytes.fromhex("DEADBEEF00000001")]
+        assert trace.payloads.tolist() == [list(bytes.fromhex("DEADBEEF00000001"))]
+        assert trace.payload_len.tolist() == [8]
 
     def test_malformed_line_reports_number(self):
         bad = "bus_time_us,id_hex,counter,payload_hex,genuine\n10,0x10,1\n"
@@ -82,6 +91,31 @@ class TestNativeFormat:
         out.seek(0)
         parsed = parse_trace(out, bitrate_bps=500_000)
         assert parsed.tx_time_us[0] >= 222.0
+
+
+class TestPayloadText:
+    """The payload texts the reader takes, as the writer gives them back, and
+    the messages naming the ones it refuses."""
+
+    @pytest.mark.parametrize("text,written", [
+        ("deadbeef0a", "DEADBEEF0A"), ("aBcD", "ABCD"), ("00 11", "0011"), ("", ""),
+        ("0123456789abcdef", "0123456789ABCDEF")])
+    def test_taken(self, text, written):
+        out = io.StringIO()
+        write_trace(parse_trace(io.StringIO(f"{TRACE_HEADER}\n10,100,1,{text},1\n")), out)
+        assert out.getvalue() == f"{TRACE_HEADER}\n10,100,1,{written},1\n"
+
+    @pytest.mark.parametrize("text,message", [
+        ("ABC", "non-hexadecimal number found in fromhex() arg at position 3"),
+        ("00G1", "non-hexadecimal number found in fromhex() arg at position 2"),
+        ("0 0", "non-hexadecimal number found in fromhex() arg at position 1"),
+        ("0" * 17, "payload of over 16 characters exceeds the 8 bytes of a CAN frame"),
+        ("0" * 18, "payload of over 16 characters exceeds the 8 bytes of a CAN frame")],
+        ids=["odd-length", "non-hex", "split-pair", "17-characters", "18-characters"])
+    def test_refused(self, text, message):
+        lines = f"{TRACE_HEADER}\n10,100,1,00,1\n20,100,2,{text},1\n30,100,3,zz,1\n"
+        with pytest.raises(TraceFormatError, match=f"^line 3: {re.escape(message)}$"):
+            parse_trace(io.StringIO(lines))
 
 
 class TestReaderPastFirstChunk:
@@ -120,16 +154,17 @@ def columnar_traces(draw):
                  np.array(draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)),
                           dtype=np.int64),
                  tenths / 10.0, np.zeros(n),
-                 draw(st.lists(st.binary(max_size=8), min_size=n, max_size=n)),
+                 *payload_columns(draw(st.lists(st.binary(max_size=8), min_size=n, max_size=n))),
                  np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool))
 
 
 def columns(trace):
     """Every column of a trace, ids resolved per frame, with each array's dtype."""
     return ([trace.ids[k] for k in trace.id_index.tolist()], trace.counter.tolist(),
-            trace.bus_time_us.tolist(), trace.payloads, trace.genuine.tolist(),
+            trace.bus_time_us.tolist(), trace.payloads.tolist(), trace.payload_len.tolist(),
+            trace.genuine.tolist(),
             [a.dtype for a in (trace.id_index, trace.counter, trace.bus_time_us, trace.tx_time_us,
-                       trace.genuine)])
+                       trace.payloads, trace.payload_len, trace.genuine)])
 
 
 class TestColumnarRoundTrip:
@@ -140,9 +175,9 @@ class TestColumnarRoundTrip:
         write_trace(trace, out)
         assert columns(parse_trace(io.StringIO(out.getvalue()))) == columns(trace)
         parsed = parse_trace(io.StringIO(out.getvalue()), bitrate)
-        want = [frame_wire_times_us(parsed.ids[k], np.frombuffer(p, dtype=np.uint8)[None],
-                                    bitrate)[0] if bitrate else 0.0
-                for k, p in zip(parsed.id_index.tolist(), parsed.payloads)]
+        want = [wire_time(parsed.ids[k], p, bitrate) if bitrate else 0.0
+                for k, p in zip(parsed.id_index.tolist(),
+                                payload_list(parsed.payloads, parsed.payload_len))]
         assert parsed.tx_time_us.tolist() == want
 
 
@@ -413,11 +448,11 @@ def _line_reader(fh, bitrate_bps: int | None) -> Trace:
         payloads.append(payload)
         genuine.append(is_genuine)
     ids = tuple(position)
-    tx = [frame_wire_times_us(ids[k], np.frombuffer(p, dtype=np.uint8)[None], bitrate_bps)[0]
-          for k, p in zip(id_index, payloads)] if bitrate_bps else np.zeros(len(times))
+    tx = [wire_time(ids[k], p, bitrate_bps) for k, p in zip(id_index, payloads)] \
+        if bitrate_bps else np.zeros(len(times))
     return Trace(ids, np.array(id_index, dtype=np.int64), np.array(counters, dtype=np.int64),
-                 np.array(times, dtype=np.float64), np.array(tx, dtype=np.float64), payloads,
-                 np.array(genuine, dtype=bool))
+                 np.array(times, dtype=np.float64), np.array(tx, dtype=np.float64),
+                 *payload_columns(payloads), np.array(genuine, dtype=bool))
 
 
 def _int_beyond_int64(text: str) -> bool:
@@ -529,8 +564,8 @@ def _row_write_trace(trace: Trace, fh) -> None:
     # np.rint rounds half to even, as round() does
     tenths = np.rint(trace.bus_time_us * 10).astype(np.int64).tolist()
     fh.writelines(f"{t},{texts[k]},{c},{p.hex().upper()},{g}\n" for t, k, c, p, g in zip(
-        tenths, trace.id_index.tolist(), trace.counter.tolist(), trace.payloads,
-        trace.genuine.astype(np.int64).tolist()))
+        tenths, trace.id_index.tolist(), trace.counter.tolist(),
+        payload_list(trace.payloads, trace.payload_len), trace.genuine.astype(np.int64).tolist()))
 
 
 def _row_write_verdicts(trace, decoded, path: Path) -> None:
@@ -580,9 +615,11 @@ def frame_columns(draw):
     trace = Trace(ids, column(st.integers(0, len(ids) - 1), np.int64),
                   column(st.one_of(st.integers(0, 2**32 - 1), st.integers(-2**63, 2**63 - 1)),
                          np.int64),
-                  tenths / 10.0, np.zeros(len(tenths)), [], column(st.booleans(), bool))
-    payloads = draw(st.lists(st.binary(max_size=8), min_size=n, max_size=n))
-    trace.payloads = (payloads * (len(tenths) // max(n, 1) + 1))[:len(tenths)]
+                  tenths / 10.0, np.zeros(len(tenths)),
+                  *payload_columns(draw(st.lists(st.binary(max_size=8), min_size=n,
+                                                 max_size=n))), column(st.booleans(), bool))
+    trace.payloads = np.resize(trace.payloads, (len(tenths), 8))
+    trace.payload_len = np.resize(trace.payload_len, len(tenths))
     decoded = SimpleNamespace(time_us=column(st.one_of(
         st.floats(-1e12, 1e12), _TENTHS.map(lambda t: -t / 10.0))),
         error_us=column(_ERRORS), accepted=column(st.booleans(), bool))
@@ -612,7 +649,7 @@ class TestBlockWriters:
 
     def test_empty_trace_writes_the_header(self, tmp_path):
         trace = Trace((), np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0),
-                      [], np.zeros(0, bool))
+                      *payload_columns([]), np.zeros(0, bool))
         out = io.StringIO()
         write_trace(trace, out)
         assert out.getvalue() == TRACE_HEADER + "\n"
@@ -620,3 +657,17 @@ class TestBlockWriters:
                                   accepted=np.zeros(0, bool))
         write_verdicts(trace, nothing, tmp_path / "v.csv")
         assert (tmp_path / "v.csv").read_text() == "bus_time_us,id_hex,counter,error_us,verdict\n"
+
+
+class TestRounded4:
+    @given(st.lists(_ERRORS, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_reads_back_the_written_text(self, values):
+        """Bit for bit, ties, -0, the guarded range and NaN included."""
+        values = np.array(values, dtype=np.float64)
+        want = np.array([float(f"{v:.4f}") for v in values.tolist()], dtype=np.float64)
+        got = rounded4(values)
+        assert got.dtype == np.float64
+        shown = ~np.isnan(values)
+        assert np.isnan(got).tolist() == (~shown).tolist()
+        assert got[shown].tobytes() == want[shown].tobytes()  # -0.0 too
