@@ -50,13 +50,14 @@ def derive_seed(base: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def write_manifest(out: Path, command: str, seed: int, inputs: dict[str, Path]) -> None:
+def write_manifest(out: Path, command: str, seed: int,
+                   inputs: dict[str, str | Path | None]) -> None:
     manifest = {
         "command": command,
         "seed": seed,
         "version": canto.__version__,
-        "inputs": {name: hashlib.sha256(p.read_bytes()).hexdigest()
-                   for name, p in sorted(inputs.items())},
+        "inputs": {name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
+                   for name, p in sorted(inputs.items()) if p is not None},
     }
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
@@ -137,7 +138,7 @@ def cmd_allocate(args) -> int:
         f"{args.algorithm},{int(quality.complete)},{quality.q_per_ms:.4f},"
         f"{quality.min_ifs_us / 1000:.6g},{quality.max_ifs_us / 1000:.6g}\n")
     (out / "allocation_report.csv").write_text(report)
-    write_manifest(out, "allocate", seed, {"config": Path(args.config)})
+    write_manifest(out, "allocate", seed, {"config": args.config})
     print(report, end="")
     return 0
 
@@ -156,7 +157,7 @@ def cmd_simulate(args) -> int:
     trace_io.export_trace(trace, out / "trace.csv")
     trace_io.write_schedule(sched, out / "schedule.txt")
     (out / "busload.txt").write_text(f"busload_percent={busload:.3f}\nframes={len(trace)}\n")
-    write_manifest(out, "simulate", seed, {"config": Path(args.config)})
+    write_manifest(out, "simulate", seed, {"config": args.config, "schedule": args.schedule})
     print(f"{len(trace)} frames, busload {busload:.1f}%")
     return 0
 
@@ -202,8 +203,7 @@ def cmd_verify(args) -> int:
                f"accept_rate_percent={rate:.4f}\n"
                f"window_auth_rate_percent={auth:.4f}\n")
     (out / "verify_summary.txt").write_text(summary)
-    write_manifest(out, "verify", seed,
-                   {"config": Path(args.config), "trace": Path(args.trace)})
+    write_manifest(out, "verify", seed, {"config": args.config, "trace": args.trace})
     print(summary, end="")
     return 0
 
@@ -239,7 +239,7 @@ def cmd_attack(args) -> int:
                                                    derive_seed(seed, f"attack:{rho}:{k}")))
              for rho in args.rho for k in args.frames]
     _write_attack(out, "adv_rate_mc", rates, level)
-    write_manifest(out, "attack", seed, {"config": Path(args.config)})
+    write_manifest(out, "attack", seed, {"config": args.config})
     print(f"attack rates for rho={args.rho} frames={args.frames} "
           f"({args.trials} trials each) -> {out / 'attack.csv'}")
     return 0
@@ -264,8 +264,7 @@ def cmd_capacity(args) -> int:
     report = (f"capacity_bits={capacity:.6f}\niterations={iterations}\n"
               f"alphabet={matrix.shape[0]}\ntolerance_bits={args.tolerance:g}\n")
     (out / "capacity_report.txt").write_text(report)
-    write_manifest(out, "capacity", seed,
-                   {"config": Path(args.config), "trace": Path(args.trace)})
+    write_manifest(out, "capacity", seed, {"config": args.config, "trace": args.trace})
     print(report, end="")
     return 0
 
@@ -372,6 +371,10 @@ def cmd_report(args) -> int:
                        if e is not None])  # None: an unscored frame, its error_us empty
     adv = dict(_read_csv(attack, 4, lambda f: ((float(f[0]), int(f[1])), float(f[2]))))
     _report(indir, Path(args.out), config.covert, args.bin_width, bus_times, errors, adv)
+    inputs = {p.name: p for p in (verdicts, attack, trace_path, indir / "capacity_report.txt")
+              if p.exists()}
+    write_manifest(Path(args.out), "report", _resolve_seed(args, config),
+                   {"config": args.config, **inputs})
     return 0
 
 
@@ -434,7 +437,7 @@ def cmd_run(args) -> int:
             ks = [k for k in range(1, 9)
                   if adversary_advantage(5.0, level, k) < AUTOSAR_LEVEL]
             _check(ks and ks[0] == 6, f"AUTOSAR crossing at k={ks[:1]} (want 6)")
-        write_manifest(out, "run", seed, {"config": Path(args.config)})
+        write_manifest(out, "run", seed, {"config": args.config, "schedule": args.schedule})
     except CheckFailure:
         raise
     except Exception as exc:

@@ -56,6 +56,7 @@ def mac_input(counter: int, can_id: CanId, payload: bytes) -> bytes:
 
 _IPAD = bytes(x ^ 0x36 for x in range(256))
 _OPAD = bytes(x ^ 0x5C for x in range(256))
+_HASH_BLOCK = 1024  # frames hashed per block: bounds the live message and tag bytes
 
 
 @lru_cache(maxsize=64)
@@ -74,34 +75,42 @@ def covert_delays(key: bytes, counters, id_values, payloads: np.ndarray, lengths
     id, payload), its id's value `id_values[i]` and its payload the first
     lengths[i] bytes of row i of the uint8 matrix `payloads` (a scalar
     `id_values` or `lengths` holds for every frame). The tag equals
-    hmac.new(key, msg, sha256): the pad states are kept per key and each frame
-    hashes a view of its row of one message matrix, then its inner digest. A
-    counter outside 0..2^32-1 raises OverflowError, as 4 bytes cannot hold it.
+    hmac.new(key, msg, sha256): the pad states are kept per key; numpy makes each
+    block of message rows one `bytes` per frame (a `V` dtype keeps trailing zero
+    bytes), cut to length only in blocks with a short row, and each block's tags
+    are joined once. A counter outside 0..2^32-1 raises OverflowError, as 4
+    bytes cannot hold it.
     """
     counters = np.asarray(counters, dtype=np.int64)
     if len(counters) and not (counters.min() >= 0 and counters.max() <= 0xFFFFFFFF):
         raise OverflowError("counter outside 0..2^32-1 does not fit the MAC input's 4 bytes")
     heads = np.stack(np.broadcast_arrays(counters, id_values), axis=1).astype(">u4")
     messages = np.hstack([heads.view(np.uint8), payloads])
-    sizes = (8 + np.broadcast_to(lengths, len(messages))).tolist()  # 8..16: cached ints
-    buffer = memoryview(messages.tobytes())
+    n, width = messages.shape
+    texts, sizes = messages.view(f"V{width}").ravel(), 8 + np.broadcast_to(lengths, n)
     inner_copy, outer_copy = (pad.copy for pad in _hmac_pads(key))
-    tags = bytearray()  # the low 4 bytes of each tag
-    for start, size in zip(range(0, messages.size, messages.shape[1]), sizes):
-        inner = inner_copy()
-        inner.update(buffer[start:start + size])
-        outer = outer_copy()
-        outer.update(inner.digest())
-        tags += outer.digest()[-4:]
-    return np.frombuffer(tags, dtype=">u4").astype(np.int64) & ((1 << level_bits) - 1)
+    delays = np.empty(n, dtype=np.int64)
+    for rows in (slice(lo, lo + _HASH_BLOCK) for lo in range(0, n, _HASH_BLOCK)):
+        block = texts[rows].tolist()
+        if sizes[rows].min() < width:
+            block = [text[:size] for text, size in zip(block, sizes[rows].tolist())]
+        tags = []
+        append = tags.append
+        for text in block:
+            inner = inner_copy()
+            inner.update(text)
+            outer = outer_copy()
+            outer.update(inner.digest())
+            append(outer.digest())
+        delays[rows] = np.frombuffer(b"".join(tags), dtype=">u4")[7::8]
+    return delays & ((1 << level_bits) - 1)
 
 
 def covert_delay(key: bytes, counter: int, can_id: CanId, payload: bytes,
                  level_bits: int = 8) -> int:
     """One frame's covert delay: `covert_delays` on a batch of one."""
-    return int(covert_delays(key, [counter], can_id.value,
-                             np.frombuffer(payload, dtype=np.uint8)[None], len(payload),
-                             level_bits)[0])
+    row = np.frombuffer(payload, dtype=np.uint8)[None]
+    return int(covert_delays(key, [counter], can_id.value, row, len(payload), level_bits)[0])
 
 
 def embed_counters(payloads: np.ndarray, lengths: np.ndarray, counters) -> np.ndarray:

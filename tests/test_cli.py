@@ -210,6 +210,10 @@ MALFORMED_REPORT = {
 }
 
 
+def sha256_of(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "small.ini"
@@ -405,6 +409,41 @@ class TestPipeline:
         main(["simulate", "--config", str(small_config), "--out", str(out)])
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["seed"] == 77
+
+    @pytest.mark.parametrize("command", ["simulate", "run"])
+    def test_schedule_file_is_a_manifest_input(self, small_config, tmp_path, command):
+        alloc = tmp_path / "alloc"
+        assert main(["allocate", "--config", str(small_config), "--algorithm", "gcd",
+                     "--out", str(alloc)]) == 0
+        schedule = alloc / "schedule.txt"
+        for out, extra in ((tmp_path / "with", ["--schedule", str(schedule)]),
+                           (tmp_path / "without", [])):
+            assert main([command, "--config", str(small_config), *extra,
+                         "--out", str(out)]) == 0
+            inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+            want = {"config": sha256_of(small_config)}
+            if extra:
+                want["schedule"] = sha256_of(schedule)
+            assert inputs == want
+
+    def test_report_writes_a_manifest(self, small_config, tmp_path):
+        run, rep = tmp_path / "run", tmp_path / "rep"
+        assert main(["run", "--config", str(small_config), "--out", str(run)]) == 0
+        names = ["verdicts.csv", "attack.csv", "trace.csv"]
+        for extra in ([], ["capacity_report.txt"]):
+            if extra:
+                (run / "capacity_report.txt").write_text("capacity_bits=4.900000\n")
+            assert main(["--seed", "5", "report", "--config", str(small_config),
+                         "--in", str(run), "--out", str(rep)]) == 0
+            manifest = json.loads((rep / "manifest.json").read_text())
+            assert (manifest["command"], manifest["seed"]) == ("report", 5)
+            assert manifest["inputs"] == {"config": sha256_of(small_config),
+                                          **{n: sha256_of(run / n) for n in names + extra}}
+        (run / "trace.csv").unlink()  # the one optional input the report reads
+        assert main(["report", "--config", str(small_config), "--in", str(run),
+                     "--out", str(rep)]) == 0
+        inputs = json.loads((rep / "manifest.json").read_text())["inputs"]
+        assert sorted(inputs) == ["attack.csv", "capacity_report.txt", "config", "verdicts.csv"]
 
 
 class TestAttackAndCapacity:

@@ -2,6 +2,7 @@
 
 import hashlib
 import hmac
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -10,8 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from canto.bus_sim import Trace, inject_adversary
 from canto.frame_model import CanId
-from canto.incanta import (CovertConfig, Verifier, adversary_advantage, covert_delay,
-                           covert_delays, decode, ecu_success, embed_counters, mac_input)
+from canto.incanta import (_HASH_BLOCK, CovertConfig, Verifier, adversary_advantage,
+                           covert_delay, covert_delays, decode, ecu_success, embed_counters,
+                           mac_input)
 from payload_rows import payload_columns, payload_list
 
 KEY = bytes(range(16))
@@ -89,10 +91,27 @@ def mac_batches(draw):
             draw(st.lists(st.binary(max_size=8), min_size=n, max_size=n)))
 
 
+def seam_batch(lengths):
+    """Counters, ids and payloads of len(lengths) frames whose counters, ids and
+    payloads end in 0x00 bytes (trailing zeros that an `S` dtype would strip)."""
+    n = len(lengths)
+    return ([i << 8 for i in range(n)],
+            [CanId(0x700) if i % 2 else CanId(0x1FFFFF00, extended=True) for i in range(n)],
+            [bytes([i % 251 + 1] * (k - 1) + [0])[:k] for i, k in enumerate(lengths)])
+
+
+_SEAM = _HASH_BLOCK + 3  # one full block and three frames past its seam
+
+
 class TestCovertDelays:
     @given(key=st.integers(1, 100).flatmap(lambda n: st.binary(min_size=n, max_size=n)),
            batch=mac_batches(), level_bits=st.integers(1, 32))
     @example(key=KEY, batch=([], [], []), level_bits=8)
+    # across a block seam: every payload 8 bytes; 0-8 byte lengths on both sides;
+    # a first block with no short row and short rows past the seam
+    @example(key=KEY, batch=seam_batch([8] * _SEAM), level_bits=32)
+    @example(key=KEY, batch=seam_batch([i % 9 for i in range(_SEAM)]), level_bits=32)
+    @example(key=KEY, batch=seam_batch([8] * _HASH_BLOCK + [0, 3, 7]), level_bits=32)
     def test_batch_matches_stdlib_hmac_per_frame(self, key, batch, level_bits):
         counters, ids, payloads = batch  # mixed lengths in one matrix
         got = covert_delays(key, counters, [i.value for i in ids], *payload_columns(payloads),
@@ -110,6 +129,21 @@ class TestCovertDelays:
         rows, _ = payload_columns([PAYLOAD, bytes(range(8))])
         assert covert_delays(KEY, [1, 2], ID.value, rows, 5, 12).tolist() == \
             [covert_delay(KEY, c, ID, bytes(r[:5]), 12) for c, r in zip([1, 2], rows)]
+
+    def test_peak_memory_is_bounded_by_the_block(self):
+        # 64000 eight-byte frames peak at 3.0 MiB in blocks of 1024; one block of
+        # all of them keeps 64000 messages and tags live and peaks at 17 MiB
+        n = 64000
+        payloads = np.random.default_rng(3).integers(0, 256, (n, 8), dtype=np.uint8)
+        counters, lengths = np.arange(n), np.full(n, 8)
+        covert_delays(KEY, counters[:1], ID.value, payloads[:1], lengths[:1])  # pad states
+        tracemalloc.start()
+        try:
+            covert_delays(KEY, counters, ID.value, payloads, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("counter", [-1, 2**32])
     def test_counter_outside_four_bytes_raises(self, counter):
