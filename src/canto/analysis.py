@@ -27,6 +27,9 @@ class CapacityError(RuntimeError):
 MIN_SAMPLES_PER_SYMBOL = 100
 SMOOTHING = 1e-9
 MAX_BINS = 1 << 24  # the cells the gcd allocator's occupancy matrix may have
+# Blahut-Arimoto's step grows x1.1 while the lower bound rises, up to 8, else
+# restarts at 1; it shrinks no mass by over e^-30, so none underflows at once
+STEP_GROWTH, MAX_STEP, MIN_EXPONENT = 1.1, 8.0, -30.0
 
 
 def _genuine_pairs(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
@@ -80,9 +83,10 @@ def blahut_arimoto(matrix: np.ndarray, tolerance: float = 1e-9,
                    max_iterations: int = 10_000) -> tuple[float, int]:
     """Capacity of a discrete memoryless channel, in bits per use.
 
-    Alternates the classic input-distribution update and stops when the
-    capacity upper/lower bound gap drops below `tolerance` bits. Returns
-    (capacity, iterations used).
+    Sets the input distribution r to r * exp(mu * (D - max D)) / Z, D being
+    each input's divergence, with Matz and Duhamel's over-relaxed mu (ITW 2004;
+    mu = 1 is the classic step) until Arimoto's bounds, which hold for any r,
+    are under `tolerance` bits apart. Returns (capacity, iterations used).
     """
     p = np.asarray(matrix, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] < 1:
@@ -94,17 +98,18 @@ def blahut_arimoto(matrix: np.ndarray, tolerance: float = 1e-9,
     # sum of p log p per input symbol, with 0 log 0 = 0
     plogp = np.sum(p * np.where(p > 0, np.log(np.maximum(p, 1e-300)), 0.0), axis=1)
     ln2 = math.log(2.0)
+    step, last = 1.0, -math.inf
     for iteration in range(1, max_iterations + 1):
         q_y = r @ p
         # D(p(y|x) || q(y)) per input symbol
         div = plogp - p @ np.log(np.maximum(q_y, 1e-300))
-        weighted = r * np.exp(div)
-        total = float(np.sum(weighted))
-        lower = math.log(total)
+        lower = math.log(float(np.sum(r * np.exp(div))))
         upper = float(np.max(div))
         if upper - lower < tolerance * ln2:
             return lower / ln2, iteration
-        r = weighted / total
+        step, last = (min(step * STEP_GROWTH, MAX_STEP) if lower >= last else 1.0), lower
+        weighted = r * np.exp(np.maximum(step * (div - upper), MIN_EXPONENT))
+        r = weighted / np.sum(weighted)
     raise CapacityError(f"no convergence to {tolerance} bits within {max_iterations} iterations "
                         f"(bound gap {(upper - lower) / ln2:.3g} bits)")
 

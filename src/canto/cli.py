@@ -10,6 +10,7 @@ seed alone. Exit codes: 0 success, 1 check failure, 2 usage, 3 I/O,
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import inspect
 import json
@@ -362,6 +363,9 @@ def cmd_report(args) -> int:
         raise TraceFormatError("report needs a [covert] section")
     _check_report_covert(config.covert)
     indir = Path(args.indir)
+    if Path(args.out).resolve() == indir.resolve():
+        raise TraceFormatError(f"--out and --in are both {indir}: the report would replace "
+                               "the manifest of the command that wrote its inputs")
     verdicts, attack, trace_path = (indir / f for f in ("verdicts.csv", "attack.csv", "trace.csv"))
     missing = [str(p) for p in (verdicts, attack) if not p.exists()]
     if missing:
@@ -448,6 +452,12 @@ def cmd_run(args) -> int:
 
 # ---------------------------------------------------------------- main
 
+# `main` dispatches here, not through its parser (built once): a rebound command runs
+COMMANDS = {"allocate": cmd_allocate, "simulate": cmd_simulate, "verify": cmd_verify,
+            "attack": cmd_attack, "capacity": cmd_capacity, "report": cmd_report, "run": cmd_run}
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="canto",
@@ -456,43 +466,42 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the run seed (falls back to $CANTO_SEED, then config)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help_text):
+    def command(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True)
         p.add_argument("--out", default="out")
-        p.set_defaults(func=func)
         return p
 
-    p = command("allocate", cmd_allocate, "compute offsets for a period vector")
+    p = command("allocate", "compute offsets for a period vector")
     p.add_argument("--algorithm", required=True, choices=sorted(ALLOCATORS))
     p.add_argument("--ifs", type=float, default=None, help="gcd minimum spacing, us")
     p.add_argument("--grid", type=float, default=None, help="greedy-ml grid step, us")
     p.add_argument("--iterations", type=int, default=None, help="randomized iterations")
 
-    p = command("simulate", cmd_simulate, "run the bus and export a trace")
+    p = command("simulate", "run the bus and export a trace")
     p.add_argument("--schedule", default=None)
 
-    p = command("verify", cmd_verify, "covert-verify a trace")
+    p = command("verify", "covert-verify a trace")
     p.add_argument("--trace", required=True)
     p.add_argument("--rho", type=float, default=None, help="tolerance override, us")
     p.add_argument("--no-compensate", action="store_true",
                    help="verify on raw end-of-frame times (no frame-length compensation)")
 
-    p = command("attack", cmd_attack, "Monte Carlo adversary acceptance rates")
+    p = command("attack", "Monte Carlo adversary acceptance rates")
     p.add_argument("--rho", type=float, nargs="+", default=list(RHO_SET))
     p.add_argument("--frames", type=int, nargs="+", default=list(FRAME_SET))
     p.add_argument("--trials", type=int, default=1_000_000)
 
-    p = command("capacity", cmd_capacity, "channel matrix and Blahut-Arimoto capacity")
+    p = command("capacity", "channel matrix and Blahut-Arimoto capacity")
     p.add_argument("--trace", required=True)
     p.add_argument("--tolerance", type=float, default=1e-4, help="capacity bound gap, bits")
     p.add_argument("--no-compensate", action="store_true")
 
-    p = command("report", cmd_report, "tables and figure CSVs from verify/attack outputs")
+    p = command("report", "tables and figure CSVs from verify/attack outputs")
     p.add_argument("--in", dest="indir", required=True)
     p.add_argument("--bin-width", type=float, default=1.0)
 
-    p = command("run", cmd_run, "full pipeline: allocate, simulate, verify, attack, report")
+    p = command("run", "full pipeline: allocate, simulate, verify, attack, report")
     p.add_argument("--schedule", default=None)
     p.add_argument("--bin-width", type=float, default=1.0)
     p.add_argument("--check", action="store_true",
@@ -503,7 +512,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return COMMANDS[args.command](args)
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

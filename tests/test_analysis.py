@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from canto.analysis import (MAX_BINS, CapacityError, blahut_arimoto, deviation_series,
                             exact_adversary_rate, extract_channel_matrix, histogram,
@@ -49,18 +49,55 @@ def reference_blahut_arimoto(p, tolerance):
     raise AssertionError("reference did not converge")
 
 
+def assert_capacity(m, tolerance):
+    """The solver converges, within `tolerance` bits of the capacity C, in no
+    more iterations than the classic update. The reference run at a tenth of
+    the tolerance puts C in [want, want + tolerance / 10]; a tighter oracle is
+    out of reach, since on the banded channels the classic gap is still 5e-8
+    bits after 100000 iterations."""
+    got, iters = blahut_arimoto(m, tolerance=tolerance, max_iterations=100_000)
+    want, _ = reference_blahut_arimoto(m, tolerance / 10)
+    assert want - tolerance <= got <= want + tolerance / 10
+    return iters
+
+
+def stochastic_matrices(max_size=32):
+    """Square row-stochastic matrices from small integer weights, so exact
+    zeros, repeated rows and rows mixing other rows all come up."""
+    return st.integers(2, max_size).flatmap(lambda n: st.lists(
+        st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any),
+        min_size=n, max_size=n)).map(
+            lambda rows: np.array(rows, dtype=np.float64)
+            / np.sum(rows, axis=1, keepdims=True))
+
+
 class TestBlahutArimoto:
     def test_matches_elementwise_reference(self):
-        # the matrix form sums in another order, so the capacity may move by
-        # a few ulps; the iteration count must not move
         rng = np.random.default_rng(3)
         cases = [(banded_matrix(64, w), 1e-4) for w in (3, 5, 11)]
         cases += [(rng.dirichlet(np.full(n, 0.3), size=n), 1e-7) for n in (2, 7, 40)]
         for m, tolerance in cases:
-            want, want_iters = reference_blahut_arimoto(m, tolerance)
-            got, iters = blahut_arimoto(m, tolerance=tolerance, max_iterations=100_000)
-            assert iters == want_iters
-            assert abs(got - want) <= 4 * math.ulp(want)
+            _, want_iters = reference_blahut_arimoto(m, tolerance)
+            assert assert_capacity(m, tolerance) <= want_iters
+
+    @settings(max_examples=40, deadline=None)
+    @given(stochastic_matrices())
+    def test_random_channels_converge(self, m):
+        assert_capacity(m, 1e-6)
+
+    def test_mixture_input_gets_no_mass(self):
+        # row 3 mixes rows 0 and 1, so its optimal mass is 0 and its share
+        # decays toward 0 without stalling the upper bound
+        rows = np.random.default_rng(4).dirichlet(np.full(6, 0.5), size=3)
+        m = np.vstack([rows, 0.3 * rows[0] + 0.7 * rows[1]])
+        assert_capacity(m, 1e-7)
+
+    def test_steep_step_keeps_every_input(self):
+        # inputs 0 and 1 differ only in output 1; unclipped, the growing step
+        # drives every mass to 0 within 22 iterations and the bounds to NaN
+        m = np.array([[0, 0, 1, 0, 0], [0, 0.025, 0.975, 0, 0], [0, 0, 0, 0, 1],
+                      [1, 0, 0, 0, 0], [1, 0, 0, 0, 0]], dtype=np.float64)
+        assert_capacity(m, 1e-6)
 
     def test_noiseless_channels_are_exact(self):
         assert blahut_arimoto(np.eye(256), tolerance=1e-9) == (8.0, 1)

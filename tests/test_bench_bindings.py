@@ -66,3 +66,24 @@ def test_export_hook_reads_the_written_file(tmp_path):
     finally:
         module.rebind(wrapper, original)
     assert tracer.facts[-1]["trace_bytes"] == (tmp_path / "trace.csv").stat().st_size > 0
+
+
+def test_rebound_command_runs_after_the_parser_is_built(tmp_path):
+    # main builds its parser once; the tracer rebinds cli.cmd_* after the
+    # untraced passes, so main must dispatch through the rebound name
+    module = _tracer()
+    config = str(CONFIGS / "paper_vector.ini")
+    sim = tmp_path / "sim"
+    assert cli.main(["simulate", "--config", config, "--out", str(sim)]) == 0
+    tracer = module.Tracer()
+    tracer.begin_pass()
+    original = cli.cmd_verify
+    wrapper = tracer.wrap("cli.verify", original)
+    module.rebind(original, wrapper)
+    try:
+        assert cli.main(["verify", "--config", config, "--trace", str(sim / "trace.csv"),
+                         "--out", str(tmp_path / "ver")]) == 0
+    finally:
+        module.rebind(wrapper, original)
+    tracer.end_pass()
+    assert tracer.reduce()[-1]["tree"][("cli.verify", "")][0] == 1

@@ -7,7 +7,7 @@ import warnings
 import pytest
 
 from canto import scheduler
-from canto.cli import main
+from canto.cli import FRAME_SET, RHO_SET, build_parser, main
 from canto.trace_io import TRACE_HEADER, VERDICT_HEADER
 
 PAPER = "configs/paper_vector.ini"
@@ -390,9 +390,10 @@ class TestPipeline:
             summary = (rep / "report_summary.txt").read_text()
             assert f"autosar_crossing_frames={crossing}" in summary
         config.write_text(small("tolerance_us = 5", "tolerance_us = 2.5"))
+        rep = tmp_path / "rep2.5"
         assert main(["report", "--config", str(config), "--in", str(out),
-                     "--out", str(out)]) == 0
-        header = (out / "fig_adversary_success.csv").read_text().splitlines()[0]
+                     "--out", str(rep)]) == 0
+        header = (rep / "fig_adversary_success.csv").read_text().splitlines()[0]
         assert header == "frames,adv_rate_rho2.5,autosar_24bit"
 
     def test_corrupted_schedule_is_simulate_stage_error(self, small_config, tmp_path, capsys):
@@ -456,6 +457,15 @@ class TestAttackAndCapacity:
         assert float(row[2]) == pytest.approx(0.0387, abs=0.002)
         assert float(row[3]) == pytest.approx(10 / 256)
 
+    def test_attack_leaves_the_parser_defaults(self, small_config, tmp_path):
+        # main builds its parser once, so a command that mutated args.rho or
+        # args.frames would change the defaults of every later call
+        for _ in range(2):
+            assert main(["attack", "--config", str(small_config), "--trials", "10",
+                         "--out", str(tmp_path)]) == 0
+        args = build_parser().parse_args(["attack", "--config", str(small_config)])
+        assert (args.rho, args.frames) == (list(RHO_SET), list(FRAME_SET))
+
     def test_run_writes_exact_rates_and_attack_monte_carlo(self, small_config, tmp_path):
         run, atk = tmp_path / "run", tmp_path / "atk"
         assert main(["run", "--config", str(small_config), "--out", str(run)]) == 0
@@ -498,6 +508,17 @@ class TestReportErrors:
         assert rc == 3
         err = capsys.readouterr().err
         assert "verdicts.csv" in err and "attack.csv" in err
+
+    def test_report_keeps_the_run_manifest(self, small_config, tmp_path, capsys):
+        run = tmp_path / "run"
+        assert main(["run", "--config", str(small_config), "--out", str(run)]) == 0
+        manifest = (run / "manifest.json").read_bytes()
+        rc = main(["report", "--config", str(small_config), "--in", str(run),
+                   "--out", str(run / "." / ".." / "run")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert "--out" in err and "--in" in err
+        assert (run / "manifest.json").read_bytes() == manifest
 
     def test_missing_config_is_io_error(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "none.ini"),
