@@ -1,9 +1,9 @@
 """Post-hoc trace analytics for the covert timing channel.
 
-Turns traces into per-ID deviation series and empirical channel matrices
-(sent covert delay vs. decoded delay), both views over `incanta.decode`;
-scores blind adversaries exactly and by Monte Carlo; computes channel
-capacity via the Blahut-Arimoto iteration; and bins histograms.
+Reads a trace and its `incanta.Decoded` as per-ID deviation series and
+empirical channel matrices (sent covert delay vs. decoded delay); scores
+blind adversaries exactly and by Monte Carlo; computes channel capacity via
+the Blahut-Arimoto iteration; and bins histograms.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from canto.bus_sim import Trace
 from canto.frame_model import CanId
-from canto.incanta import CovertConfig, Decoded, decode
+from canto.incanta import Decoded
 
 
 class CapacityError(RuntimeError):
@@ -32,38 +32,34 @@ MAX_BINS = 1 << 24  # the cells the gcd allocator's occupancy matrix may have
 STEP_GROWTH, MAX_STEP, MIN_EXPONENT = 1.1, 8.0, -30.0
 
 
-def _genuine_pairs(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
-                   compensate: bool) -> tuple[Decoded, np.ndarray]:
-    """Decode; mark the scored frames that are genuine with a genuine reference."""
-    decoded = decode(trace, covert, periods_us, compensate)
-    genuine = trace.genuine
-    return decoded, ~np.isnan(decoded.error_us) & genuine & genuine[decoded.ref]
+def _genuine_pairs(trace: Trace, decoded: Decoded) -> np.ndarray:
+    """The scored frames that are genuine with a genuine reference."""
+    return ~np.isnan(decoded.error_us) & trace.genuine & trace.genuine[decoded.ref]
 
 
-def deviation_series(trace: Trace, periods_us: dict[CanId, float], covert: CovertConfig,
-                     compensate_frame_length: bool = True) -> dict[CanId, np.ndarray]:
-    """Observed minus expected inter-arrival per genuine same-ID pair.
+def deviation_series(trace: Trace, decoded: Decoded) -> dict[CanId, np.ndarray]:
+    """Observed minus expected inter-arrival per genuine same-ID pair, for
+    each ID the trace lists.
 
     The expected spacing is the frame period (scaled by any counter gap)
     plus the difference of the two covert delays.
     """
-    decoded, pairs = _genuine_pairs(trace, covert, periods_us, compensate_frame_length)
-    return {can_id: decoded.error_us[pairs & (decoded.id_index == k)]
-            for k, can_id in enumerate(decoded.ids)}
+    pairs = _genuine_pairs(trace, decoded)
+    return {can_id: decoded.error_us[pairs & (trace.id_index == k)]
+            for k, can_id in enumerate(trace.ids)}
 
 
-def extract_channel_matrix(trace: Trace, covert: CovertConfig,
-                           periods_us: dict[CanId, float],
-                           compensate_frame_length: bool = True) -> np.ndarray:
-    """Empirical row-stochastic matrix P[decoded | sent] over the delay alphabet.
+def extract_channel_matrix(trace: Trace, decoded: Decoded, level_bits: int) -> np.ndarray:
+    """Empirical row-stochastic matrix P[decoded | sent] over the 2^level_bits
+    delay alphabet.
 
     Each genuine pair's decoded symbol (observed inter-arrival - period +
     previous delay, to the nearest microsecond, clamped to [0, 2^l)) is
     counted against the sent delay. Sparse rows are flagged and the whole
     matrix gets a tiny additive smoothing.
     """
-    decoded, pairs = _genuine_pairs(trace, covert, periods_us, compensate_frame_length)
-    size = covert.window_us
+    pairs = _genuine_pairs(trace, decoded)
+    size = 1 << level_bits
     sent = decoded.xi[pairs]
     # every row needs a sample; checked before the size^2 counts are allocated
     if len(sent) < size or len(np.unique(sent)) < size:
@@ -98,20 +94,21 @@ def blahut_arimoto(matrix: np.ndarray, tolerance: float = 1e-9,
     # sum of p log p per input symbol, with 0 log 0 = 0
     plogp = np.sum(p * np.where(p > 0, np.log(np.maximum(p, 1e-300)), 0.0), axis=1)
     ln2 = math.log(2.0)
-    step, last = 1.0, -math.inf
+    step, last, gap = 1.0, -math.inf, math.inf  # gap: the smallest bound gap yet
     for iteration in range(1, max_iterations + 1):
         q_y = r @ p
         # D(p(y|x) || q(y)) per input symbol
         div = plogp - p @ np.log(np.maximum(q_y, 1e-300))
         lower = math.log(float(np.sum(r * np.exp(div))))
         upper = float(np.max(div))
-        if upper - lower < tolerance * ln2:
+        gap = min(gap, upper - lower)  # below tolerance only if this iteration's is
+        if gap < tolerance * ln2:
             return lower / ln2, iteration
         step, last = (min(step * STEP_GROWTH, MAX_STEP) if lower >= last else 1.0), lower
         weighted = r * np.exp(np.maximum(step * (div - upper), MIN_EXPONENT))
         r = weighted / np.sum(weighted)
     raise CapacityError(f"no convergence to {tolerance} bits within {max_iterations} iterations "
-                        f"(bound gap {(upper - lower) / ln2:.3g} bits)")
+                        f"(smallest bound gap {gap / ln2:.3g} bits)")
 
 
 def mc_adversary_rate(tolerance_us: float, level_bits: int = 8, frames: int = 1,

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from canto.clock_model import ClockModel
+from canto.clock_model import ClockModel, oscillator_times
 from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_wire_times_us,
                                transmission_time_us)
 from canto.incanta import CovertConfig, covert_delays, embed_counters
@@ -154,8 +154,7 @@ def _releases(config: BusConfig):
         rows[own] = embed_counters(rows[own], lengths[own], counter[own])
         local[own] += covert_delays(covert.key, counter[own], id_values[pos[own]], rows[own],
                                     lengths[own], covert.level_bits)
-    tick_us = tick_ns / 1000.0  # ClockModel.bus_times, each row on its stream's clock
-    ready = np.floor(local * (1.0 + skew_ppm * 1e-6) / tick_us) * tick_us + np.concatenate(jitter)
+    ready = oscillator_times(local, skew_ppm, tick_ns) + np.concatenate(jitter)
     tx = frame_wire_times_us(tuple(f.id for f in specs), pos, rows, lengths,
                              config.bitrate_bps, config.stuffing == "payload")
     return ready, tx, pos, counter, rows, lengths

@@ -165,30 +165,34 @@ def cmd_simulate(args) -> int:
 
 # ---------------------------------------------------------------- verify
 
-def _trace_inputs(args, needs: str):
-    """Config, seed, parsed trace and per-ID periods for a trace command.
+def _periods(config) -> dict:
+    """Each configured ID's period: a receiver knows these, not the offsets."""
+    return {f.id: f.period_us for f in config.frame_specs()}
 
-    The periods are the config's: a receiver needs no offsets. Wire times are
-    rebuilt only for `--no-compensate`, the one reader.
-    """
+
+def _trace_inputs(args, needs: str):
+    """The receiver front end of `verify` and `capacity`: seed, covert config with
+    any `--rho`, parsed trace and its `decode`. `--no-compensate` has the reader
+    rebuild wire times and the decoder take frame ends as arrivals."""
+    rho = getattr(args, "rho", None)
+    if rho is not None and not rho >= 0:  # NaN fails too
+        raise TraceFormatError(f"--rho must be nonnegative, got {rho:g}")
     config = trace_io.parse_experiment_config(args.config)
     if config.covert is None:
         raise TraceFormatError(f"{needs} needs a [covert] section")
     seed = _resolve_seed(args, config)
+    covert = config.covert if rho is None else replace(config.covert, tolerance_us=rho)
     trace = trace_io.parse_trace(args.trace, bitrate_bps=config.bitrate_bps
                                  if args.no_compensate else None)
-    return config, seed, trace, {f.id: f.period_us for f in config.frame_specs()}
+    try:
+        decoded = decode(trace, covert, _periods(config), compensate=not args.no_compensate)
+    except KeyError as exc:
+        raise TraceFormatError(f"{args.trace}: {exc.args[0]}") from exc
+    return seed, covert, trace, decoded
 
 
 def cmd_verify(args) -> int:
-    if args.rho is not None and not args.rho >= 0:  # NaN fails too
-        raise TraceFormatError(f"--rho must be nonnegative, got {args.rho:g}")
-    config, seed, trace, periods = _trace_inputs(args, "verification")
-    covert = config.covert if args.rho is None else replace(config.covert, tolerance_us=args.rho)
-    try:
-        decoded = decode(trace, covert, periods, compensate=not args.no_compensate)
-    except KeyError as exc:
-        raise TraceFormatError(f"{args.trace}: {exc.args[0]}") from exc
+    seed, covert, trace, decoded = _trace_inputs(args, "verification")
     scored = decoded.reason != "first"
     windows = decoded.window[decoded.window >= 0]
     if not scored.any() or not windows.size:
@@ -250,11 +254,10 @@ def cmd_attack(args) -> int:
 
 def cmd_capacity(args) -> int:
     _require_positive("--tolerance", args.tolerance)
-    config, seed, trace, periods = _trace_inputs(args, "capacity extraction")
+    seed, covert, trace, decoded = _trace_inputs(args, "capacity extraction")
     try:
-        matrix = analysis.extract_channel_matrix(trace, config.covert, periods,
-                                                 compensate_frame_length=not args.no_compensate)
-    except (KeyError, ValueError) as exc:
+        matrix = analysis.extract_channel_matrix(trace, decoded, covert.level_bits)
+    except ValueError as exc:
         raise TraceFormatError(f"{args.trace}: {exc.args[0]}") from exc
     try:
         capacity, iterations = analysis.blahut_arimoto(matrix, tolerance=args.tolerance)
@@ -411,7 +414,7 @@ def cmd_run(args) -> int:
 
         stage = "verify"
         if config.covert is not None:
-            decoded = decode(trace, config.covert, {f.id: f.period_us for f in sched.frames})
+            decoded = decode(trace, config.covert, _periods(config))
             trace_io.write_verdicts(trace, decoded, out / "verdicts.csv")
             errors = decoded.error_us[~np.isnan(decoded.error_us)]
 

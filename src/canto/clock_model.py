@@ -86,6 +86,13 @@ class Jitter:
         return math.inf
 
 
+def oscillator_times(local_us, skew_ppm, tick_ns) -> np.ndarray:
+    """floor(local * (1 + skew_ppm * 1e-6) / tick) * tick: local times on skewed
+    oscillators, floored to their ticks; skew and tick are per row or scalars."""
+    tick_us = tick_ns / 1000.0
+    return np.floor(local_us * (1.0 + skew_ppm * 1e-6) / tick_us) * tick_us
+
+
 @dataclass(frozen=True)
 class ClockModel:
     """Skewed, quantized oscillator: bus time = local * (1 + skew) floored
@@ -109,8 +116,7 @@ class ClockModel:
         local = np.asarray(t_local_us, dtype=np.float64)
         if (local < 0).any():
             raise ValueError("local time must be nonnegative")
-        tick_us = self.tick_ns / 1000.0
-        quantized = np.floor(local * (1.0 + self.skew_ppm * 1e-6) / tick_us) * tick_us
+        quantized = oscillator_times(local, self.skew_ppm, self.tick_ns)
         if rng is None or self.jitter.kind == "none":
             return quantized
         return quantized + self.jitter.draws(rng, local.size)

@@ -228,8 +228,6 @@ class Decoded:
     covert delay, unclamped) are NaN unless `reason` is "" or "timing".
     """
 
-    ids: tuple[CanId, ...]  # in order of first appearance
-    id_index: np.ndarray    # each frame's position in `ids`
     time_us: np.ndarray
     xi: np.ndarray
     ref: np.ndarray         # last earlier non-replay frame of the same ID, or -1
@@ -251,25 +249,20 @@ def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
     at its start on the bus, otherwise at its end, so stuff-bit length
     variation stays in.
     """
-    n = len(trace)
-    # renumber the IDs in order of first appearance
-    present, first = np.unique(trace.id_index, return_index=True)
-    order = present[np.argsort(first)]
-    renumber = np.empty(len(trace.ids), dtype=np.int64)
-    renumber[order] = np.arange(len(order))
-    ids = tuple(trace.ids[k] for k in order.tolist())
-    id_index = renumber[trace.id_index]
-    for can_id in ids:
-        if can_id not in periods_us:
-            raise KeyError(f"unknown id {can_id} (not in the config)")
-    period = np.array([periods_us[i] for i in ids], dtype=np.float64)[id_index]
+    n, id_index = len(trace), trace.id_index
+    by_id = np.argsort(id_index, kind="stable")  # the one sort by ID
+    grouped = id_index[by_id]  # each ID's first frame heads its group
+    for k in id_index[np.sort(by_id[np.diff(grouped, prepend=-1) != 0])].tolist():
+        if trace.ids[k] not in periods_us:
+            raise KeyError(f"unknown id {trace.ids[k]} (not in the config)")
+    period = np.array([periods_us.get(i, np.nan) for i in trace.ids], dtype=np.float64)[id_index]
     counter = trace.counter
     time_us = trace.bus_time_us if compensate else trace.bus_time_us + trace.tx_time_us
-    id_values = np.array([i.value for i in trace.ids], dtype=np.int64)[trace.id_index]
+    id_values = np.array([i.value for i in trace.ids], dtype=np.int64)[id_index]
     xi = covert_delays(covert.key, counter, id_values, trace.payloads, trace.payload_len,
                        covert.level_bits)
 
-    ref, replay = _references(id_index, counter)
+    ref, replay = _references(by_id, grouped, counter)
     s = np.flatnonzero((ref >= 0) & ~replay)
     r = ref[s]
     gap, steps = time_us[s] - time_us[r], counter[s] - counter[r]
@@ -281,32 +274,30 @@ def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
     del s, r, gap, steps
     ok = np.abs(error_us) <= covert.tolerance_us
     accepted = (ref < 0) | ok
-    window = _windows(id_index, accepted, covert.frames_required)
+    window = _windows(by_id, grouped, accepted, covert.frames_required)
     code = np.select([ref < 0, replay, ok], [1, 2, 0], 3).astype(np.uint8)
-    return Decoded(ids, id_index, time_us, xi, ref, error_us, symbol, _REASONS[code],
-                   accepted, window)
+    return Decoded(time_us, xi, ref, error_us, symbol, _REASONS[code], accepted, window)
 
 
-def _references(id_index: np.ndarray, counter: np.ndarray):
+def _references(order: np.ndarray, ids: np.ndarray, counter: np.ndarray):
     """Each frame's reference (the first earlier frame of its ID with the highest
-    counter so far, -1 for none) and replay flag (counter not above the reference's).
-    The key packs ID position (< 2^30) << 32 | counter (< 2^32, as `covert_delays`
-    checks), so its running maximum over the frames grouped by ID restarts per ID."""
-    order = np.argsort(id_index, kind="stable")
-    key = id_index[order] << 32 | counter[order]
+    counter so far, -1 for none) and replay flag (counter not above the reference's);
+    `order` sorts the frames stably by ID position, `ids` in that order. The key
+    packs ID position (< 2^30) << 32 | counter (< 2^32, as `covert_delays` checks),
+    so its running maximum over the frames grouped by ID restarts per ID."""
+    key = ids << 32 | counter[order]
     rises = np.diff(np.maximum.accumulate(key), prepend=-1) > 0
     holder = order[np.maximum.accumulate(np.where(rises, np.arange(len(key)), 0))]
     ref, replay = np.empty_like(order), np.empty_like(rises)
-    ref[order] = np.where(np.diff(key >> 32, prepend=-1) != 0, -1, np.roll(holder, 1))
+    ref[order] = np.where(np.diff(ids, prepend=-1) != 0, -1, np.roll(holder, 1))
     replay[order] = ~rises
     return ref, replay
 
 
-def _windows(id_index: np.ndarray, accepted: np.ndarray, need: int) -> np.ndarray:
+def _windows(order: np.ndarray, ids: np.ndarray, accepted: np.ndarray, need: int) -> np.ndarray:
     """1 where a frame and the need - 1 frames of its ID before it were all
-    accepted, else 0; -1 before its ID has need verdicts."""
-    order = np.argsort(id_index, kind="stable")
-    ids = id_index[order]  # sorted, so equal ends mean one ID throughout
+    accepted, else 0; -1 before its ID has need verdicts. `order` and `ids` as
+    in `_references`: sorted, so equal ends mean one ID throughout."""
     full = np.flatnonzero(ids[need - 1:] == ids[:max(len(ids) - need + 1, 0)]) + need - 1
     rejects = np.concatenate(([0], np.cumsum(~accepted[order])))
     window = np.full(len(order), -1, dtype=np.int8)

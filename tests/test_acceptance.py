@@ -23,7 +23,7 @@ from canto.clock_model import (DEFAULT_TICK_CLASSES, ClockModel, Jitter,
                                classify_forced_delay, cumulative_offset,
                                forced_delay_ticks)
 from canto.frame_model import CanId, FrameSpec, frame_bit_length, frame_max_stuff_bits
-from canto.incanta import CovertConfig, adversary_advantage
+from canto.incanta import CovertConfig, adversary_advantage, decode
 from canto.scheduler import (Schedule, build_schedule, check_complete, hyperperiod_us,
                              schedule_quality)
 
@@ -240,7 +240,7 @@ def calibrated_deviations():
     cfg = BusConfig((NodeConfig("ecu", clock, specs, cov),), 170_000 * MS,
                     seed=77, stuffing="payload")
     trace = simulate(cfg)
-    devs = deviation_series(trace, {s.id: s.period_us for s in specs}, cov)
+    devs = deviation_series(trace, decode(trace, cov, {s.id: s.period_us for s in specs}))
     return np.concatenate(list(devs.values()))
 
 
@@ -277,7 +277,8 @@ def test_criterion_5_capacity():
     cfg = BusConfig((NodeConfig("ecu", clock, (spec,), cov),), 2_500_000 * MS,
                     seed=5, stuffing="none")
     trace = simulate(cfg)
-    matrix = extract_channel_matrix(trace, cov, {spec.id: spec.period_us})
+    matrix = extract_channel_matrix(trace, decode(trace, cov, {spec.id: spec.period_us}),
+                                    cov.level_bits)
     c_noise, iters = blahut_arimoto(matrix, tolerance=1e-4)
     elapsed = time.perf_counter() - start
     assert abs(c_noise - 4.9) <= 0.3, f"noisy-channel capacity {c_noise:.3f} bits"

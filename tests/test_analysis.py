@@ -1,6 +1,7 @@
 """Deviation series, channel matrices, capacity, success tables, histograms."""
 
 import math
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from canto.bus_sim import BusConfig, NodeConfig, inject_adversary, simulate
 from canto.cli import main
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec
-from canto.incanta import CovertConfig
+from canto.incanta import CovertConfig, decode
 
 MS = 1000.0
 KEY = bytes(range(16))
@@ -152,6 +153,22 @@ class TestBlahutArimoto:
         with pytest.raises(CapacityError, match="convergence"):
             blahut_arimoto(banded_matrix(64, 5), tolerance=1e-15, max_iterations=3)
 
+    def test_non_convergence_gives_the_smallest_gap(self):
+        # under the adaptive step the gap swings: on this channel the last of
+        # 300 iterations leaves 0.0112 bits, while 7.2e-4 bits were reached
+        m = banded_matrix(64, 3)
+        m[[0, -1]] = m[[0, -1]] > 0
+        m /= m.sum(axis=1, keepdims=True)  # edge rows: two outputs, even odds
+
+        def reported_gap(iterations):
+            with pytest.raises(CapacityError) as exc:
+                blahut_arimoto(m, tolerance=1e-12, max_iterations=iterations)
+            return float(re.search(r"smallest bound gap (\S+) bits", str(exc.value))[1])
+
+        gap = reported_gap(300)
+        assert gap == pytest.approx(7.2e-4, rel=0.01)
+        assert gap <= reported_gap(150)
+
 
 class TestHistogram:
     def test_all_equal(self):
@@ -199,34 +216,34 @@ def run_covert(jitter, duration_us, seed=3, stuffing="none", skew_ppm=0.0):
 class TestDeviationSeries:
     def test_zero_jitter_is_exactly_zero(self):
         trace, cov, periods = run_covert(Jitter(), 300 * MS)
-        devs = deviation_series(trace, periods, cov)
+        devs = deviation_series(trace, decode(trace, cov, periods))
         assert np.all(devs[CanId(0x100)] == 0.0)
 
     def test_unknown_id_raises(self):
         trace, cov, _ = run_covert(Jitter(), 300 * MS)
         with pytest.raises(KeyError):
-            deviation_series(trace, {CanId(0x7): 10 * MS}, cov)
+            decode(trace, cov, {CanId(0x7): 10 * MS})
 
     def test_without_covert_config_sees_delay_spread(self):
         """A receiver without the sender's key decodes with another one."""
         trace, cov, periods = run_covert(Jitter(), 300 * MS)
         wrong = replace(cov, key=bytes(range(1, 17)))
-        devs = deviation_series(trace, periods, wrong)[CanId(0x100)]
+        devs = deviation_series(trace, decode(trace, wrong, periods))[CanId(0x100)]
         assert np.max(np.abs(devs)) > 50.0  # delays from another key look like jitter
 
     def test_stuffing_variation_stays_within_ten_us(self):
         trace, cov, periods = run_covert(Jitter(), 2000 * MS, stuffing="payload")
-        devs = deviation_series(trace, periods, cov, compensate_frame_length=False)
+        devs = deviation_series(trace, decode(trace, cov, periods, compensate=False))
         assert 0.0 < np.max(np.abs(devs[CanId(0x100)])) <= 10.0
 
     def test_compensation_removes_stuffing_noise(self):
         trace, cov, periods = run_covert(Jitter(), 2000 * MS, stuffing="payload")
-        devs = deviation_series(trace, periods, cov, compensate_frame_length=True)
+        devs = deviation_series(trace, decode(trace, cov, periods, compensate=True))
         assert np.all(devs[CanId(0x100)] == 0.0)
 
     def test_calibrated_steps_jitter_matches_envelope(self):
         trace, cov, periods = run_covert(Jitter("steps"), 60_000 * MS)
-        devs = deviation_series(trace, periods, cov)[CanId(0x100)]
+        devs = deviation_series(trace, decode(trace, cov, periods))[CanId(0x100)]
         lo, hi = devs.min(), devs.max()
         assert -4.62 - 1.0 <= lo <= -4.62 + 1.0
         assert 4.87 - 1.0 <= hi <= 4.87 + 1.0
@@ -236,14 +253,14 @@ class TestChannelMatrix:
     def test_zero_jitter_gives_identity(self):
         trace, cov, periods = run_covert(Jitter(), 30_000 * MS)
         with pytest.warns(UserWarning, match="sparse"):
-            m = extract_channel_matrix(trace, cov, periods)
+            m = extract_channel_matrix(trace, decode(trace, cov, periods), cov.level_bits)
         assert np.all(np.abs(m.sum(axis=1) - 1.0) < 1e-9)
         assert np.trace(m) == pytest.approx(256.0, abs=1e-3)
 
     def test_uniform_jitter_bands_rows(self):
         trace, cov, periods = run_covert(Jitter("uniform", half_width_us=1.0), 60_000 * MS)
         with pytest.warns(UserWarning, match="sparse"):
-            m = extract_channel_matrix(trace, cov, periods)
+            m = extract_channel_matrix(trace, decode(trace, cov, periods), cov.level_bits)
         for x in range(1, 255):
             support = np.flatnonzero(m[x] > 1e-6)
             assert support.size <= 5
@@ -252,7 +269,7 @@ class TestChannelMatrix:
     def test_row_sums(self):
         trace, cov, periods = run_covert(Jitter("uniform", half_width_us=2.0), 30_000 * MS)
         with pytest.warns(UserWarning, match="sparse"):
-            m = extract_channel_matrix(trace, cov, periods)
+            m = extract_channel_matrix(trace, decode(trace, cov, periods), cov.level_bits)
         assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
 
@@ -269,11 +286,11 @@ class TestGenuinePairing:
         times, genuine = trace.bus_time_us.copy(), trace.genuine.copy()
         times[window], genuine[window] = forged.bus_time_us[window], forged.genuine[window]
         mixed = replace(trace, bus_time_us=times, genuine=genuine)
-        devs = deviation_series(mixed, periods, cov)[CanId(0x100)]
+        devs = deviation_series(mixed, decode(mixed, cov, periods))[CanId(0x100)]
         assert len(devs) == len(trace) - 1 - 101
         assert np.all(devs == 0.0)
         with pytest.warns(UserWarning, match="sparse"):
-            m = extract_channel_matrix(mixed, cov, periods)
+            m = extract_channel_matrix(mixed, decode(mixed, cov, periods), cov.level_bits)
         assert np.all(m[~np.eye(256, dtype=bool)] < 1e-6)
 
 

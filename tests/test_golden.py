@@ -82,15 +82,24 @@ def _commands(tmp: Path) -> dict[str, list[str]]:
     contended.write_text(CONTENDED)
     mixed = tmp / "mixed_bus.ini"
     mixed.write_text(MIXED)
+    # the capacity scenario with stuffing on, so that --no-compensate has
+    # frame-length variation to leave in the channel matrix
+    stuffed = tmp / "stuffed_capacity.ini"
+    stuffed.write_text(Path(CAPACITY).read_text().replace("stuffing = none",
+                                                           "stuffing = payload"))
     commands = {"paper_run": ["run", "--config", PAPER, "--check"],
                 "capacity_simulate": ["simulate", "--config", CAPACITY],
                 "contended_simulate": ["simulate", "--config", str(contended)],
-                "mixed_simulate": ["simulate", "--config", str(mixed)]}
+                "mixed_simulate": ["simulate", "--config", str(mixed)],
+                "stuffed_simulate": ["simulate", "--config", str(stuffed)]}
     for name, extra in (("capacity_verify", []),
                         ("capacity_verify_no_compensate", ["--no-compensate"]),
                         ("capacity_verify_rho3", ["--rho", "3"])):
         commands[name] = ["verify", "--config", CAPACITY, "--trace", trace, *extra]
     commands["capacity_capacity"] = ["capacity", "--config", CAPACITY, "--trace", trace]
+    commands["stuffed_capacity_no_compensate"] = [
+        "capacity", "--config", str(stuffed), "--trace",
+        str(tmp / "stuffed_simulate" / "trace.csv"), "--no-compensate"]
     # the receiver over 2-, 4- and 8-byte payloads, the covert-off node's included
     commands["contended_verify"] = ["verify", "--config", str(contended), "--trace",
                                     str(tmp / "contended_simulate" / "trace.csv")]

@@ -418,3 +418,24 @@ class TestDecode:
             xi_ref = covert_delay(cfg.key, counters[j], ids[j], payloads[j], cfg.level_bits)
             assert decoded.symbol[i] == round(
                 (t - arrivals[j]) - PERIODS[can_id] * (counter - counters[j]) + xi_ref)
+
+    @staticmethod
+    def frames_of(ids, id_index):
+        """A trace of the given ID positions, 1 ms apart, counters 1.. in order."""
+        n = len(id_index)
+        payloads, lengths = payload_columns([PAYLOAD] * n)
+        return Trace(ids, np.array(id_index, dtype=np.int64), np.arange(1, n + 1),
+                     1000.0 * np.arange(n), np.zeros(n), payloads, lengths, np.ones(n, dtype=bool))
+
+    def test_unknown_id_named_by_first_appearance(self):
+        a, b = CanId(0x0A0), CanId(0x0B0)  # neither has a period
+        trace = self.frames_of((b, a), [1, 0, 1])  # listed B, A; A is on the bus first
+        with pytest.raises(KeyError) as exc:
+            decode(trace, config(), PERIODS)
+        assert exc.value.args[0] == f"unknown id {a} (not in the config)"
+
+    def test_listed_id_without_frames_needs_no_period(self):
+        trace = self.frames_of((CanId(0x0A0), ID, CanId(0x101)), [1, 2, 1, 2])
+        decoded = decode(trace, config(), PERIODS)
+        assert decoded.reason.tolist() == ["first", "first", "timing", "timing"]
+        assert decoded.ref.tolist() == [-1, -1, 0, 1]
