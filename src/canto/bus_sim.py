@@ -82,6 +82,11 @@ class BusConfig:
     def frame_specs(self) -> list[FrameSpec]:
         return [f for n in self.nodes for f in n.frames]
 
+    def wire_times_us(self, ids, id_index, rows, lengths) -> np.ndarray:
+        """`frame_wire_times_us` on this bus: its bitrate, stuff bits iff `payload`."""
+        return frame_wire_times_us(ids, id_index, rows, lengths, self.bitrate_bps,
+                                   self.stuffing == "payload")
+
 
 @dataclass(eq=False)
 class Trace:
@@ -155,8 +160,7 @@ def _releases(config: BusConfig):
         local[own] += covert_delays(covert.key, counter[own], id_values[pos[own]], rows[own],
                                     lengths[own], covert.level_bits)
     ready = oscillator_times(local, skew_ppm, tick_ns) + np.concatenate(jitter)
-    tx = frame_wire_times_us(tuple(f.id for f in specs), pos, rows, lengths,
-                             config.bitrate_bps, config.stuffing == "payload")
+    tx = config.wire_times_us(tuple(f.id for f in specs), pos, rows, lengths)
     return ready, tx, pos, counter, rows, lengths
 
 

@@ -24,6 +24,7 @@ import numpy as np
 
 import canto
 from canto import analysis, bus_sim, trace_io
+from canto.frame_model import frame_wire_times_us
 from canto.incanta import adversary_advantage, decode, ecu_success
 from canto.scheduler import ALLOCATORS, Schedule, build_schedule, check_complete, schedule_quality
 from canto.trace_io import TraceFormatError
@@ -172,8 +173,9 @@ def _periods(config) -> dict:
 
 def _trace_inputs(args, needs: str):
     """The receiver front end of `verify` and `capacity`: seed, covert config with
-    any `--rho`, parsed trace and its `decode`. `--no-compensate` has the reader
-    rebuild wire times and the decoder take frame ends as arrivals."""
+    any `--rho`, parsed trace and its `decode`. Under `--no-compensate` the
+    frames are priced (the file stores no wire times) and the decoder takes
+    frame ends as arrivals."""
     rho = getattr(args, "rho", None)
     if rho is not None and not rho >= 0:  # NaN fails too
         raise TraceFormatError(f"--rho must be nonnegative, got {rho:g}")
@@ -182,8 +184,10 @@ def _trace_inputs(args, needs: str):
         raise TraceFormatError(f"{needs} needs a [covert] section")
     seed = _resolve_seed(args, config)
     covert = config.covert if rho is None else replace(config.covert, tolerance_us=rho)
-    trace = trace_io.parse_trace(args.trace, bitrate_bps=config.bitrate_bps
-                                 if args.no_compensate else None)
+    trace = trace_io.parse_trace(args.trace)
+    if args.no_compensate:
+        trace.tx_time_us = frame_wire_times_us(trace.ids, trace.id_index, trace.payloads,
+                                               trace.payload_len, config.bitrate_bps)
     try:
         decoded = decode(trace, covert, _periods(config), compensate=not args.no_compensate)
     except KeyError as exc:

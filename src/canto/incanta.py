@@ -188,11 +188,9 @@ class Verifier:
         self.periods_us = dict(periods_us)
         self._states: dict[CanId, _IdState] = {}
 
-    def verify(self, can_id: CanId, counter: int, payload: bytes, time_us: float,
-               tolerance_us: float | None = None) -> Verdict:
+    def verify(self, can_id: CanId, counter: int, payload: bytes, time_us: float) -> Verdict:
         if can_id not in self.periods_us:
             raise KeyError(f"unknown id {can_id} (not in the config)")
-        rho = self.config.tolerance_us if tolerance_us is None else tolerance_us
         xi = covert_delay(self.config.key, counter, can_id, payload, self.config.level_bits)
         state = self._states.get(can_id)
         if state is None:
@@ -206,7 +204,7 @@ class Verifier:
             expected = self.periods_us[can_id] * (counter - state.counter) \
                 + xi - state.last_xi
             error = (time_us - state.last_time_us) - expected
-            ok = abs(error) <= rho
+            ok = abs(error) <= self.config.tolerance_us
             verdict = Verdict(can_id, counter, time_us, ok, error,
                               "" if ok else "timing")
             state.counter = counter

@@ -2,10 +2,10 @@
 
 Traces are CSV with timestamps stored as integer tenths of a
 microsecond so files are bit-exact across platforms; wire times are not
-stored and are rebuilt on request from each frame's bits. Experiment
-configurations are INI documents with [bus], optional [covert] and
-[allocator] sections and one [node.NAME] section per ECU. Schedules are
-line-oriented text: `id_hex period_us offset_us payload_bits`.
+stored, so a trace read back has none (`BusConfig.wire_times_us` prices
+frames). Experiment configurations are INI documents with [bus], optional
+[covert] and [allocator] sections and one [node.NAME] section per ECU.
+Schedules are line-oriented text: `id_hex period_us offset_us payload_bits`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from canto.bus_sim import BusConfig, NodeConfig, Trace
 from canto.clock_model import ClockModel, Jitter
-from canto.frame_model import CanId, FrameSpec, frame_wire_times_us
+from canto.frame_model import CanId, FrameSpec
 from canto.incanta import CovertConfig
 from canto.scheduler import Schedule
 
@@ -140,21 +140,16 @@ def write_verdicts(trace: Trace, decoded, path) -> None:
             _fixed4_parts(decoded.error_us[rows]), (words.take(decoded.accepted[rows]),)))
 
 
-def parse_trace(source, bitrate_bps: int | None = None) -> Trace:
-    """Read a trace from a path or a seekable text stream.
-
-    With a bitrate, wire times are rebuilt from each frame's bit pattern;
-    otherwise they are zero and timestamps are used as recorded.
-    """
+def parse_trace(source) -> Trace:
+    """Read a trace from a path or a seekable text stream. The file stores no
+    wire times, so they are zero: pricing a frame needs the bus's config."""
     if isinstance(source, (str, Path)):
         with open(source, "r") as fh:
-            return parse_trace(fh, bitrate_bps)
-    trace = _parse_native(source, bitrate_bps)
+            return parse_trace(fh)
+    trace = _parse_native(source)
     if np.any(trace.bus_time_us[:-1] > trace.bus_time_us[1:]):
         warnings.warn("non-monotone timestamps in trace; applying stable sort", stacklevel=2)
         trace = trace.take(np.argsort(trace.bus_time_us, kind="stable"))
-    if len(trace):
-        trace.duration_us = float(trace.bus_time_us[-1] + trace.tx_time_us[-1])
     return trace
 
 
@@ -219,7 +214,7 @@ def _load_rows(fh, skipped: list[int], max_rows: int | None = None, line_by_line
         return None, (at, 0, message)
 
 
-def _parse_native(fh, bitrate_bps: int | None) -> Trace:
+def _parse_native(fh) -> Trace:
     """The trace's columns, read by numpy's C reader, each id text parsed once.
 
     Of several bad lines the first is named, as a line-by-line reader would;
@@ -277,12 +272,8 @@ def _parse_native(fh, bitrate_bps: int | None) -> Trace:
         at, _, message = min(errors)
         raise TraceFormatError(f"line {at}: {message}")
 
-    ids = tuple(position)
-    id_index = code[inverse]
-    tx = frame_wire_times_us(ids, id_index, payloads, lengths, bitrate_bps) \
-        if bitrate_bps else np.zeros(len(rows))
-    return Trace(ids, id_index, counter.copy(), rows["bus_time_us"] / 10.0, tx, payloads,
-                 lengths, rows["genuine"] != 0)
+    return Trace(tuple(position), code[inverse], counter.copy(), rows["bus_time_us"] / 10.0,
+                 np.zeros(len(rows)), payloads, lengths, rows["genuine"] != 0)
 
 
 def write_schedule(schedule: Schedule, path) -> None:

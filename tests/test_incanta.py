@@ -288,8 +288,8 @@ class TestVerifier:
         noisy = [(k, p, t + rng.uniform(-4, 4)) for k, p, t in rows]
         accepted_at = {}
         for rho in (0.0, 1.0, 2.0, 4.0, 8.0):
-            v = Verifier(cfg, {ID: 10_000.0})
-            accepted_at[rho] = {k for k, p, t in noisy if v.verify(ID, k, p, t, rho).accepted}
+            v = Verifier(replace(cfg, tolerance_us=rho), {ID: 10_000.0})
+            accepted_at[rho] = {k for k, p, t in noisy if v.verify(ID, k, p, t).accepted}
         rhos = sorted(accepted_at)
         for lo, hi in zip(rhos, rhos[1:]):
             assert accepted_at[lo] <= accepted_at[hi]
@@ -396,8 +396,8 @@ class TestDecode:
 
     @staticmethod
     def check_against_verifier(cfg, trace, compensate, rho):
-        decoded = decode(trace, cfg if rho is None else replace(cfg, tolerance_us=rho),
-                         PERIODS, compensate)
+        cfg = cfg if rho is None else replace(cfg, tolerance_us=rho)
+        decoded = decode(trace, cfg, PERIODS, compensate)
         verifier = Verifier(cfg, PERIODS)
         ids = [trace.ids[k] for k in trace.id_index.tolist()]
         counters = trace.counter.tolist()
@@ -406,7 +406,7 @@ class TestDecode:
         payloads = payload_list(trace.payloads, trace.payload_len)
         for i, (can_id, counter, payload, t) in enumerate(zip(ids, counters, payloads,
                                                                arrivals)):
-            v = verifier.verify(can_id, counter, payload, t, rho)
+            v = verifier.verify(can_id, counter, payload, t)
             assert (decoded.accepted[i], decoded.reason[i]) == (v.accepted, v.reason)
             assert decoded.window[i] == (-1 if v.window_authenticated is None
                                          else v.window_authenticated)

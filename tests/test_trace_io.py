@@ -14,8 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from canto.bus_sim import BusConfig, NodeConfig, OversubscribedBusError, Trace, simulate
 from canto.clock_model import ClockModel
-from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_stuff_bits,
-                               transmission_time_us)
+from canto.frame_model import CanId, FrameSpec
 from canto.incanta import CovertConfig
 from canto.scheduler import Schedule
 from canto.trace_io import (TRACE_HEADER, TraceFormatError, _parse_native, export_trace,
@@ -24,12 +23,6 @@ from canto.trace_io import (TRACE_HEADER, TraceFormatError, _parse_native, expor
 from payload_rows import payload_columns, payload_list
 
 MS = 1000.0
-
-
-def wire_time(can_id, payload, bitrate_bps):
-    """One frame's wire time, its stuff bits counted alone."""
-    return transmission_time_us(frame_bit_length(8 * len(payload), can_id.kind)
-                                + frame_stuff_bits(can_id, payload), bitrate_bps)
 
 
 def small_trace():
@@ -56,6 +49,7 @@ class TestNativeFormat:
         assert trace.counter.tolist() == [1] and trace.genuine.tolist() == [True]
         assert trace.payloads.tolist() == [list(bytes.fromhex("DEADBEEF00000001"))]
         assert trace.payload_len.tolist() == [8]
+        assert trace.tx_time_us.tolist() == [0.0]  # the file stores no wire times
 
     def test_malformed_line_reports_number(self):
         bad = "bus_time_us,id_hex,counter,payload_hex,genuine\n10,0x10,1\n"
@@ -83,14 +77,6 @@ class TestNativeFormat:
         with pytest.warns(UserWarning, match="non-monotone"):
             trace = parse_trace(io.StringIO(text))
         assert trace.counter.tolist() == [1, 2]
-
-    def test_tx_time_reconstructed_with_bitrate(self):
-        trace = small_trace()
-        out = io.StringIO()
-        write_trace(trace, out)
-        out.seek(0)
-        parsed = parse_trace(out, bitrate_bps=500_000)
-        assert parsed.tx_time_us[0] >= 222.0
 
 
 class TestPayloadText:
@@ -168,17 +154,14 @@ def columns(trace):
 
 
 class TestColumnarRoundTrip:
-    @given(columnar_traces(), st.sampled_from([None, 125_000, 500_000]))
+    @given(columnar_traces())
     @settings(max_examples=200, deadline=None)
-    def test_native(self, trace, bitrate):
+    def test_native(self, trace):
         out = io.StringIO()
         write_trace(trace, out)
-        assert columns(parse_trace(io.StringIO(out.getvalue()))) == columns(trace)
-        parsed = parse_trace(io.StringIO(out.getvalue()), bitrate)
-        want = [wire_time(parsed.ids[k], p, bitrate) if bitrate else 0.0
-                for k, p in zip(parsed.id_index.tolist(),
-                                payload_list(parsed.payloads, parsed.payload_len))]
-        assert parsed.tx_time_us.tolist() == want
+        parsed = parse_trace(io.StringIO(out.getvalue()))
+        assert columns(parsed) == columns(trace)
+        assert parsed.tx_time_us.tolist() == [0.0] * len(trace)
 
 
 class TestScheduleFile:
@@ -399,23 +382,21 @@ _TRACE_FIELDS = (
 class TestTraceFuzz:
     @given(st.lists(st.one_of(st.tuples(*_TRACE_FIELDS).map(",".join),
                               st.lists(_TRACE_FIELDS[0], max_size=6).map(",".join)),
-                    max_size=6),
-           st.sampled_from([None, 500_000]))
+                    max_size=6))
     @settings(max_examples=400, deadline=None)
-    def test_native_only_format_errors_escape(self, lines, bitrate):
+    def test_native_only_format_errors_escape(self, lines):
         text = TRACE_HEADER + "\n" + "\n".join(lines)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # non-monotone timestamps
             try:
-                trace = parse_trace(io.StringIO(text), bitrate)
+                trace = parse_trace(io.StringIO(text))
             except TraceFormatError:
                 return
         assert np.all((trace.counter >= 0) & (trace.counter < 2**32))
 
 
-# The line-by-line reader that numpy's reader replaced, kept as the oracle; it prices
-# each frame's wire time alone, as a batch of one.
-def _line_reader(fh, bitrate_bps: int | None) -> Trace:
+# The line-by-line reader that numpy's reader replaced, kept as the oracle.
+def _line_reader(fh) -> Trace:
     """The trace's columns, read line by line, each id text parsed once."""
     position: dict[CanId, int] = {}
     by_text: dict[str, int] = {}
@@ -447,11 +428,9 @@ def _line_reader(fh, bitrate_bps: int | None) -> Trace:
         times.append(time_us)
         payloads.append(payload)
         genuine.append(is_genuine)
-    ids = tuple(position)
-    tx = [wire_time(ids[k], p, bitrate_bps) for k, p in zip(id_index, payloads)] \
-        if bitrate_bps else np.zeros(len(times))
-    return Trace(ids, np.array(id_index, dtype=np.int64), np.array(counters, dtype=np.int64),
-                 np.array(times, dtype=np.float64), np.array(tx, dtype=np.float64),
+    return Trace(tuple(position), np.array(id_index, dtype=np.int64),
+                 np.array(counters, dtype=np.int64), np.array(times, dtype=np.float64),
+                 np.zeros(len(times)),
                  *payload_columns(payloads), np.array(genuine, dtype=bool))
 
 
@@ -485,10 +464,10 @@ def known_differences(text: str) -> list[str]:
             if any(len(f) == 5 and test(line, f) for line, f in lines)]
 
 
-def _outcome(reader, text, bitrate):
+def _outcome(reader, text):
     """The columns, ids, id positions and wire times read, or the line named."""
     try:
-        trace = reader(io.StringIO(text), bitrate)
+        trace = reader(io.StringIO(text))
     except TraceFormatError as exc:
         return re.match(r"line \d+", str(exc)).group()
     return (columns(trace), trace.ids, trace.id_index.tolist(), trace.tx_time_us.tolist())
@@ -521,24 +500,24 @@ class TestReaderMatchesLineReader:
     """numpy's reader against the line-by-line one it replaced: equal columns
     and ids, or the same line named, on all but the known differences."""
 
-    def check(self, text, bitrate):
-        new = _outcome(_parse_native, text, bitrate)
+    def check(self, text):
+        new = _outcome(_parse_native, text)
         if not isinstance(new, str):  # what numpy's reader accepts, both accept alike
-            assert _outcome(_line_reader, text, bitrate) == new
+            assert _outcome(_line_reader, text) == new
             return
         if not known_differences(text):
-            assert _outcome(_line_reader, text, bitrate) == new
+            assert _outcome(_line_reader, text) == new
 
-    @given(with_blanks(columnar_traces().map(_exported)), st.sampled_from([None, 500_000]))
+    @given(with_blanks(columnar_traces().map(_exported)))
     @settings(max_examples=200, deadline=None)
-    def test_exported_traces(self, text, bitrate):
+    def test_exported_traces(self, text):
         assert not known_differences(text)
-        self.check(text, bitrate)
+        self.check(text)
 
-    @given(with_blanks(_FUZZ_LINES), st.sampled_from([None, 500_000]))
+    @given(with_blanks(_FUZZ_LINES))
     @settings(max_examples=500, deadline=None)
-    def test_fuzz_alphabet(self, text, bitrate):
-        self.check(text, bitrate)
+    def test_fuzz_alphabet(self, text):
+        self.check(text)
 
     @pytest.mark.parametrize("name,line", [
         ("underscore in a number (int() reads 1_000)", "1_000,100,1,00,1"),
@@ -553,8 +532,8 @@ class TestReaderMatchesLineReader:
     def test_known_difference(self, name, line):
         text = f"{TRACE_HEADER}\n{line}\n"
         assert known_differences(text) == [name]
-        assert not isinstance(_outcome(_line_reader, text, None), str)
-        assert _outcome(_parse_native, text, None) == "line 2"
+        assert not isinstance(_outcome(_line_reader, text), str)
+        assert _outcome(_parse_native, text) == "line 2"
 
 
 # The row-at-a-time writers that the block writers replaced, kept verbatim as oracles.
