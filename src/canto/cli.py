@@ -24,7 +24,6 @@ import numpy as np
 
 import canto
 from canto import analysis, bus_sim, trace_io
-from canto.frame_model import frame_wire_times_us
 from canto.incanta import adversary_advantage, decode, ecu_success
 from canto.scheduler import ALLOCATORS, Schedule, build_schedule, check_complete, schedule_quality
 from canto.trace_io import TraceFormatError
@@ -186,8 +185,8 @@ def _trace_inputs(args, needs: str):
     covert = config.covert if rho is None else replace(config.covert, tolerance_us=rho)
     trace = trace_io.parse_trace(args.trace)
     if args.no_compensate:
-        trace.tx_time_us = frame_wire_times_us(trace.ids, trace.id_index, trace.payloads,
-                                               trace.payload_len, config.bitrate_bps)
+        trace.tx_time_us = config.wire_times_us(trace.ids, trace.id_index, trace.payloads,
+                                                trace.payload_len)
     try:
         decoded = decode(trace, covert, _periods(config), compensate=not args.no_compensate)
     except KeyError as exc:

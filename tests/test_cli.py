@@ -490,6 +490,23 @@ class TestAttackAndCapacity:
         value = float(report.splitlines()[0].split("=")[1])
         assert 4.0 <= value <= 8.0
 
+    @pytest.mark.filterwarnings("ignore:sparse channel matrix")
+    def test_no_compensate_follows_the_bus_stuffing(self, tmp_path, capsys):
+        # with `stuffing = none` every frame of the capacity scenario is 222 us on
+        # the wire, so frame ends keep the spacing of frame starts
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", CAPACITY, "--out", str(sim)]) == 0
+        printed = {}
+        for command in ("verify", "capacity"):
+            for flag in ([], ["--no-compensate"]):
+                capsys.readouterr()
+                assert main([command, "--config", CAPACITY, "--trace", str(sim / "trace.csv"),
+                             *flag, "--out", str(tmp_path / "out")]) == 0
+                printed[command, bool(flag)] = capsys.readouterr().out
+        assert "accept_rate_percent=100.0000\nwindow_auth_rate_percent=100.0000\n" \
+            in printed["verify", True]
+        assert printed["capacity", True] == printed["capacity", False]
+
     def test_capacity_rejects_short_trace(self, small_config, tmp_path, capsys):
         sim = tmp_path / "sim"
         main(["simulate", "--config", str(small_config), "--out", str(sim)])
