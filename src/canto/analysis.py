@@ -30,6 +30,7 @@ MAX_BINS = 1 << 24  # the cells the gcd allocator's occupancy matrix may have
 # Blahut-Arimoto's step grows x1.1 while the lower bound rises, up to 8, else
 # restarts at 1; it shrinks no mass by over e^-30, so none underflows at once
 STEP_GROWTH, MAX_STEP, MIN_EXPONENT = 1.1, 8.0, -30.0
+MC_DRAWS = 4_000_000  # draws per Monte Carlo chunk, which holds whole windows only
 
 
 def _genuine_pairs(trace: Trace, decoded: Decoded) -> np.ndarray:
@@ -122,7 +123,7 @@ def mc_adversary_rate(tolerance_us: float, level_bits: int = 8, frames: int = 1,
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xA77))))
     window = 1 << level_bits
     hits = 0
-    chunk = max(1, min(trials, 4_000_000 // max(frames, 1)))
+    chunk = max(1, min(trials, MC_DRAWS // max(frames, 1)))
     done = 0
     while done < trials:
         n = min(chunk, trials - done)

@@ -25,11 +25,12 @@ import numpy as np
 import canto
 from canto import analysis, bus_sim, trace_io
 from canto.incanta import adversary_advantage, decode, ecu_success
-from canto.scheduler import ALLOCATORS, Schedule, build_schedule, check_complete, schedule_quality
+from canto.scheduler import (ALLOCATORS, OversubscribedError, Schedule, build_schedule,
+                             check_complete, schedule_quality)
 from canto.trace_io import TraceFormatError
 
 # malformed or degenerate input: exit 3 with the message, never 4
-INPUT_ERRORS = (OSError, TraceFormatError, bus_sim.OversubscribedBusError)
+INPUT_ERRORS = (OSError, TraceFormatError, bus_sim.OversubscribedBusError, OversubscribedError)
 
 RHO_SET = (2.0, 3.0, 4.0, 5.0)
 FRAME_SET = (1, 2, 3, 4, 6)
@@ -240,6 +241,8 @@ def cmd_attack(args) -> int:
         for value in values:
             if value < 1:
                 raise TraceFormatError(f"{flag} {value}: must be >= 1")
+            if flag == "--frames" and value > analysis.MC_DRAWS:  # a window fills a chunk
+                raise TraceFormatError(f"{flag} {value}: must be <= {analysis.MC_DRAWS}")
     seed = _resolve_seed(args, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)

@@ -32,7 +32,7 @@ class IncompleteScheduleError(ValueError):
 
 
 class OversubscribedError(ValueError):
-    """The requested spacing cannot accommodate all frames."""
+    """The requested spacing or evaluation budget cannot accommodate all frames."""
 
 
 @dataclass(frozen=True)
@@ -55,21 +55,24 @@ class ScheduleQuality:
     complete: bool
 
 
+# the most instants one schedule evaluation lists, and cells a gcd occupancy matrix has
+MAX_INSTANTS = 1 << 24
+
+
 def hyperperiod_us(periods_us: Sequence[float]) -> float:
     """Least common multiple of the periods, on a 0.1 us grid."""
     return math.lcm(*(period_tenths(p) for p in periods_us)) / 10.0
 
 
 def _instants(pairs: Sequence[tuple[float, float]], horizon_us: float) -> np.ndarray:
-    """All k*period + offset below the horizon, ascending."""
-    chunks = []
-    for period, offset in pairs:
-        n = int(math.ceil((horizon_us - offset) / period - 1e-12))
-        if n > 0:
-            chunks.append(offset + period * np.arange(n, dtype=np.float64))
-    if not chunks:
-        return np.empty(0, dtype=np.float64)
-    out = np.concatenate(chunks)
+    """All k*period + offset below the horizon, ascending; over MAX_INSTANTS of
+    them are refused before any is listed."""
+    counts = [max(math.ceil((horizon_us - offset) / period - 1e-12), 0) for period, offset in pairs]
+    if sum(counts) > MAX_INSTANTS:
+        raise OversubscribedError(f"one hyperperiod holds {sum(counts)} instants, over "
+                                  f"{MAX_INSTANTS}: the periods' lcm is {horizon_us:.15g} us")
+    out = np.concatenate([np.empty(0), *(offset + period * np.arange(n, dtype=np.float64)
+                                         for (period, offset), n in zip(pairs, counts))])
     out.sort()
     return out
 
@@ -281,9 +284,9 @@ def allocate_gcd(periods_us: Sequence[float], ifs_us: float = 500.0) -> list[flo
     nrows = min(ints) // ifs_tenths
     if nrows < 1:
         raise OversubscribedError(f"spacing {ifs_us} us exceeds the fastest period")
-    if nrows * ncols > 1 << 24:  # refused before a byte of the matrix is allocated
+    if nrows * ncols > MAX_INSTANTS:  # refused before a byte of the matrix is allocated
         raise OversubscribedError(
-            f"occupancy matrix of {nrows} x {ncols} cells exceeds {1 << 24}: the periods' "
+            f"occupancy matrix of {nrows} x {ncols} cells exceeds {MAX_INSTANTS}: the periods' "
             f"lcm {lcm_v / 10:.15g} us is {ncols} times their gcd {g / 10:.15g} us")
     free = np.ones((nrows, ncols), dtype=bool)
     row_tenths = np.rint(np.arange(nrows) * ifs_us * 10).astype(np.int64)

@@ -8,6 +8,7 @@ import pytest
 
 from canto import scheduler
 from canto.cli import FRAME_SET, RHO_SET, build_parser, main
+from canto.scheduler import ALLOCATORS
 from canto.trace_io import TRACE_HEADER, VERDICT_HEADER
 
 PAPER = "configs/paper_vector.ini"
@@ -59,6 +60,18 @@ duration_us = 20000
 [node.a]
 frames = 0x10:1000:8 0x11:1000:8 0x12:1000:8
 """
+
+# six periods whose lcm, about 1.0e29 us, holds about 6e25 instants: numpy refuses
+# to list them without allocating, so no case that reads this comes near memory
+LONG_HYPERPERIOD = """
+[bus]
+duration_us = 40000
+
+[node.one]
+frames = 0x100:10000.1:8 0x101:10000.3:8 0x102:10000.7:8 0x103:10000.9:8 0x104:10001.1:8
+    0x105:10001.3:8
+"""
+
 
 def small(old, new):
     assert old in SMALL
@@ -161,6 +174,16 @@ MALFORMED = {
     "attack-rho-negative": ("attack", SMALL, {}, ["--rho", "-1"], "--rho -1"),
     "attack-frames-0": ("attack", SMALL, {}, ["--frames", "0"], "--frames 0"),
     "attack-trials-0": ("attack", SMALL, {}, ["--trials", "0"], "--trials 0"),
+    # past 4 000 000 frames a Monte Carlo chunk is one trial, an array as wide as a window
+    "attack-frames-4000001": ("attack", SMALL, {}, ["--frames", "4000001", "--trials", "1"],
+                              "--frames 4000001: must be <= 4000000"),
+    "attack-frames-2^62": ("attack", SMALL, {}, ["--frames", str(2**62), "--trials", "1"],
+                           f"--frames {2**62}"),
+    **{"-".join(["hyperperiod", command, *extra[1:]]): (
+        command, LONG_HYPERPERIOD, {}, extra,
+        "lcm 1.00044007530628e+29 us" if "gcd" in extra else "lcm is 1.00044007530628e+29 us")
+       for command, extra in [("simulate", []), ("run", []),
+                              *(("allocate", ["--algorithm", alg]) for alg in sorted(ALLOCATORS))]},
     "report-tolerance-whole-alphabet": ("run", small("tolerance_us = 5", "tolerance_us = 128"),
                                         {}, [], "[covert] tolerance_us 128"),
     # the success table scores tolerances up to 5 us, which need 2^4 delay levels

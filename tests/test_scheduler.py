@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from canto import scheduler
 from canto.frame_model import CanId, FrameSpec, period_tenths
 from canto.scheduler import (IncompleteScheduleError, OversubscribedError, Schedule,
                              ScheduleQuality, allocate_binary_symmetric, allocate_gcd,
@@ -67,6 +68,21 @@ class TestTimestamps:
         ts = timestamps(s)
         assert np.count_nonzero(ts == 0.0) == 40
         assert len(ts) == 6 * 10 + 8 * 5 + 12 * 2 + 14 * 1
+
+    def test_listed_up_to_the_budget(self, monkeypatch):
+        s = make_schedule(PAPER_VECTOR, [0.0] * 40)  # 138 instants, as above
+        monkeypatch.setattr(scheduler, "MAX_INSTANTS", 138)
+        assert len(timestamps(s)) == 138
+        monkeypatch.setattr(scheduler, "MAX_INSTANTS", 137)
+        with pytest.raises(OversubscribedError,
+                           match="138 instants, over 137: the periods' lcm is 100000 us"):
+            timestamps(s)
+
+    def test_long_hyperperiod_refused_before_listing(self):
+        # an lcm of about 1.0e29 us: numpy refuses an arange that long without allocating
+        s = make_schedule([10000.1, 10000.3, 10000.7, 10000.9, 10001.1, 10001.3], [0.0] * 6)
+        with pytest.raises(OversubscribedError, match=r"lcm is 1\.00044007530628e\+29 us"):
+            schedule_quality(s)
 
 
 class TestQFactor:
