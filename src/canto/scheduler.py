@@ -26,6 +26,9 @@ import numpy as np
 
 from canto.frame_model import FrameSpec, period_tenths
 
+# the most instants one schedule evaluation lists, and cells a gcd occupancy matrix has
+MAX_INSTANTS = 1 << 24
+
 
 class IncompleteScheduleError(ValueError):
     """Two frames share a theoretical timestamp (reciprocal gap is infinite)."""
@@ -53,10 +56,6 @@ class ScheduleQuality:
     min_ifs_us: float
     max_ifs_us: float
     complete: bool
-
-
-# the most instants one schedule evaluation lists, and cells a gcd occupancy matrix has
-MAX_INSTANTS = 1 << 24
 
 
 def hyperperiod_us(periods_us: Sequence[float]) -> float:

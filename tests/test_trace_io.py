@@ -430,8 +430,7 @@ def _line_reader(fh) -> Trace:
         genuine.append(is_genuine)
     return Trace(tuple(position), np.array(id_index, dtype=np.int64),
                  np.array(counters, dtype=np.int64), np.array(times, dtype=np.float64),
-                 np.zeros(len(times)),
-                 *payload_columns(payloads), np.array(genuine, dtype=bool))
+                 np.zeros(len(times)), *payload_columns(payloads), np.array(genuine, dtype=bool))
 
 
 def _int_beyond_int64(text: str) -> bool:
