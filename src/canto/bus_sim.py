@@ -25,7 +25,7 @@ from canto.clock_model import ClockModel, oscillator_times
 from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_wire_times_us,
                                transmission_time_us)
 from canto.incanta import CovertConfig, covert_delays, embed_counters
-from canto.scheduler import Schedule, check_complete
+from canto.scheduler import MAX_INSTANTS, Schedule, check_complete
 
 
 STUFFING_MODES = ("none", "payload")
@@ -72,6 +72,10 @@ class BusConfig:
         if not 2 * slowest <= self.duration_us < math.inf:
             raise ValueError(f"duration_us {self.duration_us:g} must be finite and cover "
                              f"two periods of the slowest frame ({slowest:g} us)")
+        releases = sum(math.ceil((self.duration_us - f.offset_us) / f.period_us) for f in specs)
+        if releases > MAX_INSTANTS:
+            raise ValueError(f"duration_us {self.duration_us:g} releases {releases:.6g} frames, "
+                             f"over {MAX_INSTANTS}")
         if self.bitrate_bps <= 0:
             raise ValueError(f"bitrate {self.bitrate_bps} must be positive")
         if self.seed < 0:

@@ -15,9 +15,7 @@ import hashlib
 import inspect
 import json
 import math
-import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -65,20 +63,12 @@ def write_manifest(out: Path, command: str, seed: int,
 
 
 def _resolve_seed(args, config) -> int:
-    if getattr(args, "seed", None) is not None:
-        seed, where = args.seed, "--seed"
-    elif os.environ.get("CANTO_SEED") is not None:
-        where = "$CANTO_SEED"
-        try:
-            seed = int(os.environ["CANTO_SEED"])
-        except ValueError:
-            raise TraceFormatError(f"{where}: {os.environ['CANTO_SEED']!r} is not an "
-                                   "integer") from None
-    else:
+    """`--seed`, else the config's `[bus] seed`."""
+    if args.seed is None:
         return config.seed
-    if seed < 0:
-        raise TraceFormatError(f"{where}: seed {seed} must be nonnegative")
-    return seed
+    if args.seed < 0:
+        raise TraceFormatError(f"--seed: seed {args.seed} must be nonnegative")
+    return args.seed
 
 
 def _require_positive(flag: str, value: float) -> None:
@@ -86,43 +76,31 @@ def _require_positive(flag: str, value: float) -> None:
         raise TraceFormatError(f"{flag} {value:g}: must be positive and finite")
 
 
-# `allocate`'s tuning flags and the option, also an `[allocator]` key, each sets
-_FLAGS = {"ifs": "ifs_us", "grid": "grid_step_us", "iterations": "iterations"}
-
-
 def _schedule_from(args, config, seed: int) -> Schedule:
-    """The `--schedule` file, else an allocation, else the config's offsets. The
-    allocator takes `[allocator]`'s keys when that section names it, overridden
-    by `allocate`'s flags; an option its signature does not take exits 3."""
+    """The `--schedule` file, else the allocator (`allocate --algorithm`, else
+    `[allocator] algorithm`) with `[allocator]`'s keys when that section names
+    it, else the config's offsets. A key the allocator does not take exits 3."""
     if getattr(args, "schedule", None):
         return trace_io.read_schedule(args.schedule)
     section = config.allocator
     algorithm = getattr(args, "algorithm", None) or section.get("algorithm")
     if algorithm is None:
         return Schedule(tuple(config.frame_specs()))
-    where, given = [], {}  # given: option -> (value, how it was given, its name)
-    if section.get("algorithm") == algorithm:
-        where.append("[allocator] " + ", ".join(f"{k} = {v}" for k, v in section.items()))
-        given = {k: (v, f"[allocator] {k} = {v}", k) for k, v in section.items()
-                 if k != "algorithm"}
     if algorithm not in ALLOCATORS:
         raise TraceFormatError(f"[allocator] algorithm = {algorithm}: unknown algorithm")
-    chooser = f"algorithm {algorithm}"
-    if hasattr(args, "algorithm"):  # allocate, whose flags override the section
-        chooser = "--" + chooser
-        flags = {key: (getattr(args, flag), f"--{flag} {getattr(args, flag):g}", f"--{flag}")
-                 for flag, key in _FLAGS.items() if getattr(args, flag) is not None}
-        where.append(" ".join([chooser, *(text for _, text, _ in flags.values())]))
-        given.update(flags)
+    options, where = {}, f"--algorithm {algorithm}"
+    if section.get("algorithm") == algorithm:
+        options = {k: v for k, v in section.items() if k != "algorithm"}
+        where = "[allocator] " + ", ".join(f"{k} = {v}" for k, v in section.items())
     accepted = inspect.signature(ALLOCATORS[algorithm]).parameters
-    for key, (_, text, name) in given.items():
+    for key, value in options.items():
         if key not in accepted:
-            raise TraceFormatError(f"{text}: {chooser} does not take {name}")
-    options = {"seed": seed, **{key: value for key, (value, _, _) in given.items()}}
+            raise TraceFormatError(f"[allocator] {key} = {value}: algorithm {algorithm} "
+                                   f"does not take {key}")
     try:
-        return build_schedule(config.frame_specs(), algorithm, **options)
+        return build_schedule(config.frame_specs(), algorithm, seed=seed, **options)
     except ValueError as exc:
-        raise TraceFormatError(f"{'; '.join(where)}: {exc}") from exc
+        raise TraceFormatError(f"{where}: {exc}") from exc
 
 
 # ---------------------------------------------------------------- allocate
@@ -172,27 +150,23 @@ def _periods(config) -> dict:
 
 
 def _trace_inputs(args, needs: str):
-    """The receiver front end of `verify` and `capacity`: seed, covert config with
-    any `--rho`, parsed trace and its `decode`. Under `--no-compensate` the
+    """The receiver front end of `verify` and `capacity`: seed, the config's
+    `[covert]`, parsed trace and its `decode`. Under `--no-compensate` the
     frames are priced (the file stores no wire times) and the decoder takes
     frame ends as arrivals."""
-    rho = getattr(args, "rho", None)
-    if rho is not None and not rho >= 0:  # NaN fails too
-        raise TraceFormatError(f"--rho must be nonnegative, got {rho:g}")
     config = trace_io.parse_experiment_config(args.config)
     if config.covert is None:
         raise TraceFormatError(f"{needs} needs a [covert] section")
     seed = _resolve_seed(args, config)
-    covert = config.covert if rho is None else replace(config.covert, tolerance_us=rho)
     trace = trace_io.parse_trace(args.trace)
     if args.no_compensate:
         trace.tx_time_us = config.wire_times_us(trace.ids, trace.id_index, trace.payloads,
                                                 trace.payload_len)
     try:
-        decoded = decode(trace, covert, _periods(config), compensate=not args.no_compensate)
+        decoded = decode(trace, config.covert, _periods(config), compensate=not args.no_compensate)
     except KeyError as exc:
         raise TraceFormatError(f"{args.trace}: {exc.args[0]}") from exc
-    return seed, covert, trace, decoded
+    return seed, config.covert, trace, decoded
 
 
 def cmd_verify(args) -> int:
@@ -368,6 +342,7 @@ def _read_csv(path: Path, width: int, convert) -> list:
 def cmd_report(args) -> int:
     _require_positive("--bin-width", args.bin_width)
     config = trace_io.parse_experiment_config(args.config)
+    seed = _resolve_seed(args, config)
     if config.covert is None:
         raise TraceFormatError("report needs a [covert] section")
     _check_report_covert(config.covert)
@@ -386,8 +361,7 @@ def cmd_report(args) -> int:
     _report(indir, Path(args.out), config.covert, args.bin_width, bus_times, errors, adv)
     inputs = {p.name: p for p in (verdicts, attack, trace_path, indir / "capacity_report.txt")
               if p.exists()}
-    write_manifest(Path(args.out), "report", _resolve_seed(args, config),
-                   {"config": args.config, **inputs})
+    write_manifest(Path(args.out), "report", seed, {"config": args.config, **inputs})
     return 0
 
 
@@ -472,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="canto",
         description="CAN frame-scheduling and time-covert authentication laboratory")
     parser.add_argument("--seed", type=int, default=None,
-                        help="override the run seed (falls back to $CANTO_SEED, then config)")
+                        help="the run seed (default: the config's [bus] seed)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def command(name, help_text):
@@ -483,16 +457,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("allocate", "compute offsets for a period vector")
     p.add_argument("--algorithm", required=True, choices=sorted(ALLOCATORS))
-    p.add_argument("--ifs", type=float, default=None, help="gcd minimum spacing, us")
-    p.add_argument("--grid", type=float, default=None, help="greedy-ml grid step, us")
-    p.add_argument("--iterations", type=int, default=None, help="randomized iterations")
 
     p = command("simulate", "run the bus and export a trace")
     p.add_argument("--schedule", default=None)
 
     p = command("verify", "covert-verify a trace")
     p.add_argument("--trace", required=True)
-    p.add_argument("--rho", type=float, default=None, help="tolerance override, us")
     p.add_argument("--no-compensate", action="store_true",
                    help="verify on raw end-of-frame times (no frame-length compensation)")
 

@@ -44,11 +44,6 @@ class Schedule:
 
     frames: tuple[FrameSpec, ...]
 
-    @property
-    def horizon_us(self) -> float:
-        """The evaluation window: the hyperperiod of the frame periods."""
-        return hyperperiod_us([f.period_us for f in self.frames])
-
 
 @dataclass(frozen=True)
 class ScheduleQuality:
@@ -58,18 +53,25 @@ class ScheduleQuality:
     complete: bool
 
 
-def hyperperiod_us(periods_us: Sequence[float]) -> float:
-    """Least common multiple of the periods, on a 0.1 us grid."""
-    return math.lcm(*(period_tenths(p) for p in periods_us)) / 10.0
+def hyperperiod_tenths(periods_us: Sequence[float]) -> int:
+    """Least common multiple of the periods in tenths of a us, as an int: no
+    float holds the lcm of many long periods."""
+    return math.lcm(*(period_tenths(p) for p in periods_us))
 
 
-def _instants(pairs: Sequence[tuple[float, float]], horizon_us: float) -> np.ndarray:
-    """All k*period + offset below the horizon, ascending; over MAX_INSTANTS of
-    them are refused before any is listed."""
-    counts = [max(math.ceil((horizon_us - offset) / period - 1e-12), 0) for period, offset in pairs]
+def _g15(number: int, divisor: int = 1) -> str:
+    """number / divisor as '.15g' writes a float, also past the largest float."""
+    from decimal import Decimal  # imported on these error paths only: it costs 0.4 MB
+    return format(Decimal(number) / divisor, ".15g")
+
+
+def _instants(pairs: Sequence[tuple[float, float]], lcm_tenths: int) -> np.ndarray:
+    """All k*period + offset in one hyperperiod, ascending: lcm // period for each
+    pair, whose offset lies in [0, period). Over MAX_INSTANTS are refused first."""
+    counts = [lcm_tenths // period_tenths(period) for period, _ in pairs]
     if sum(counts) > MAX_INSTANTS:
-        raise OversubscribedError(f"one hyperperiod holds {sum(counts)} instants, over "
-                                  f"{MAX_INSTANTS}: the periods' lcm is {horizon_us:.15g} us")
+        raise OversubscribedError(f"one hyperperiod holds {_g15(sum(counts))} instants, over "
+                                  f"{MAX_INSTANTS}: the periods' lcm is {_g15(lcm_tenths, 10)} us")
     out = np.concatenate([np.empty(0), *(offset + period * np.arange(n, dtype=np.float64)
                                          for (period, offset), n in zip(pairs, counts))])
     out.sort()
@@ -79,7 +81,7 @@ def _instants(pairs: Sequence[tuple[float, float]], horizon_us: float) -> np.nda
 def timestamps(schedule: Schedule) -> np.ndarray:
     """Sorted multiset of theoretical transmission instants in one hyperperiod."""
     return _instants([(f.period_us, f.offset_us) for f in schedule.frames],
-                     schedule.horizon_us)
+                     hyperperiod_tenths([f.period_us for f in schedule.frames]))
 
 
 def q_factor(ts: np.ndarray) -> float:
@@ -98,7 +100,7 @@ def q_factor(ts: np.ndarray) -> float:
     return float(np.sum(1000.0 / gaps) / len(ts))
 
 
-def _q_cyclic(ts: np.ndarray, horizon_us: float) -> float:
+def _q_cyclic(ts: np.ndarray, lcm_tenths: int) -> float:
     """Allocator-internal objective: q with the wrap-around gap included.
 
     Periodic schedules have no distinguished origin, so candidate offsets
@@ -107,7 +109,7 @@ def _q_cyclic(ts: np.ndarray, horizon_us: float) -> float:
     n = len(ts)
     gaps = np.empty(n)
     gaps[:-1] = np.diff(ts)
-    gaps[-1] = horizon_us - ts[-1] + ts[0]
+    gaps[-1] = lcm_tenths / 10 - ts[-1] + ts[0]
     if np.any(gaps <= 0):
         return math.inf
     return float(np.sum(1000.0 / gaps) / n)
@@ -176,13 +178,13 @@ def allocate_randomized(periods_us: Sequence[float], iterations: int = 100,
         raise ValueError("empty period vector")
     e = min(periods_us) / n
     slots = np.arange(n, dtype=np.float64) * e
-    horizon = hyperperiod_us(periods_us)
+    lcm = hyperperiod_tenths(periods_us)
     rng = np.random.Generator(np.random.PCG64(seed))
     best_q = math.inf
     best: np.ndarray | None = None
     for _ in range(iterations):
         perm = rng.permutation(slots)
-        q = _q_cyclic(_instants(list(zip(periods_us, perm)), horizon), horizon)
+        q = _q_cyclic(_instants(list(zip(periods_us, perm)), lcm), lcm)
         if q < best_q:
             best_q, best = q, perm
     if best is None:
@@ -194,14 +196,14 @@ def _greedy(periods_us: Sequence[float], candidates) -> list[float]:
     """Place the periods in ascending order, each at the offset among
     `candidates(period, placed)` with the lowest cyclic q, where `placed` holds
     the (period, offset) pairs so far; ties go to the earliest candidate."""
-    horizon = hyperperiod_us(periods_us)
+    lcm = hyperperiod_tenths(periods_us)
     offsets = [0.0] * len(periods_us)
     placed: list[tuple[float, float]] = []
     for idx in _sorted_order(periods_us):
         period = periods_us[idx]
         best_q, best_slot = math.inf, None
         for s in candidates(period, placed):
-            q = _q_cyclic(_instants(placed + [(period, s)], horizon), horizon)
+            q = _q_cyclic(_instants(placed + [(period, s)], lcm), lcm)
             if q < best_q - 1e-12:
                 best_q, best_slot = q, s
         if best_slot is None:
@@ -285,8 +287,9 @@ def allocate_gcd(periods_us: Sequence[float], ifs_us: float = 500.0) -> list[flo
         raise OversubscribedError(f"spacing {ifs_us} us exceeds the fastest period")
     if nrows * ncols > MAX_INSTANTS:  # refused before a byte of the matrix is allocated
         raise OversubscribedError(
-            f"occupancy matrix of {nrows} x {ncols} cells exceeds {MAX_INSTANTS}: the periods' "
-            f"lcm {lcm_v / 10:.15g} us is {ncols} times their gcd {g / 10:.15g} us")
+            f"occupancy matrix of {nrows} x {_g15(ncols)} cells exceeds {MAX_INSTANTS}: the "
+            f"periods' lcm {_g15(lcm_v, 10)} us is {_g15(ncols)} times their gcd "
+            f"{g / 10:.15g} us")
     free = np.ones((nrows, ncols), dtype=bool)
     row_tenths = np.rint(np.arange(nrows) * ifs_us * 10).astype(np.int64)
     offsets = [0.0] * len(periods_us)
@@ -300,7 +303,7 @@ def allocate_gcd(periods_us: Sequence[float], ifs_us: float = 500.0) -> list[flo
             usage = np.count_nonzero(~free) / free.size
             raise OversubscribedError(
                 f"occupancy matrix exhausted at period {periods_us[idx]} us "
-                f"(matrix {usage:.0%} full; reduce --ifs or the frame count)")
+                f"(matrix {usage:.0%} full; reduce ifs_us or the frame count)")
         row, start = divmod(first, step)
         free[row, start::step] = False
         offsets[idx] = (int(row_tenths[row]) + start * g) / 10.0

@@ -345,8 +345,7 @@ _COVERT_KEYS = {"key_hex": ("key", bytes.fromhex), "level_bits": ("level_bits", 
                 "tolerance_us": ("tolerance_us", float),
                 "frames_required": ("frames_required", int)}
 _ALLOC_KEYS = {"algorithm": ("algorithm", str), "ifs_us": ("ifs_us", float),
-               "grid_step_us": ("grid_step_us", float), "iterations": ("iterations", int),
-               "seed": ("seed", int)}
+               "grid_step_us": ("grid_step_us", float), "iterations": ("iterations", int)}
 _CLOCK_KEYS = {"skew_ppm": ("skew_ppm", float), "tick_ns": ("tick_ns", int),
                "jitter": ("jitter", Jitter.parse)}
 _NODE_KEYS = {*_CLOCK_KEYS, "covert", "frames"}

@@ -24,8 +24,7 @@ from canto.clock_model import (DEFAULT_TICK_CLASSES, ClockModel, Jitter,
                                forced_delay_ticks)
 from canto.frame_model import CanId, FrameSpec, frame_bit_length, frame_max_stuff_bits
 from canto.incanta import CovertConfig, adversary_advantage, decode
-from canto.scheduler import (Schedule, build_schedule, check_complete, hyperperiod_us,
-                             schedule_quality)
+from canto.scheduler import Schedule, build_schedule, check_complete, schedule_quality
 
 MS = 1000.0
 KEY = bytes(range(16))

@@ -2,15 +2,21 @@
 
 import hashlib
 import json
+import math
+import re
+import shlex
 import warnings
+from decimal import Decimal
+from pathlib import Path
 
 import pytest
 
 from canto import scheduler
-from canto.cli import FRAME_SET, RHO_SET, build_parser, main
+from canto.cli import COMMANDS, FRAME_SET, RHO_SET, build_parser, main
 from canto.scheduler import ALLOCATORS
 from canto.trace_io import TRACE_HEADER, VERDICT_HEADER
 
+ROOT = Path(__file__).resolve().parent.parent
 PAPER = "configs/paper_vector.ini"
 CAPACITY = "configs/capacity_scenario.ini"
 
@@ -73,9 +79,31 @@ frames = 0x100:10000.1:8 0x101:10000.3:8 0x102:10000.7:8 0x103:10000.9:8 0x104:1
 """
 
 
+def primes_above(n: int, count: int) -> list[int]:
+    found = []
+    while len(found) < count:
+        n += 1
+        if all(n % d for d in range(2, math.isqrt(n) + 1)):
+            found.append(n)
+    return found
+
+
+# 64 periods, the first 64 primes above 100000 tenths of a us: their lcm, about
+# 1e320 tenths, is past the largest float
+PRIMES_64 = primes_above(100000, 64)
+HYPERPERIOD_64 = "[bus]\nduration_us = 40000\n\n[node.one]\nframes = " + " ".join(
+    f"0x{0x100 + k:X}:{p / 10}:8" for k, p in enumerate(PRIMES_64)) + "\n"
+LCM_64 = format(Decimal(math.prod(PRIMES_64)) / 10, ".15g")
+
+
 def small(old, new):
     assert old in SMALL
     return SMALL.replace(old, new)
+
+
+def allocator(keys):
+    """SMALL with `keys` as its [allocator] section."""
+    return small("algorithm = gcd\nifs_us = 600", keys)
 
 
 LEVEL_BITS_3 = small("level_bits = 8", "level_bits = 3").replace("tolerance_us = 5",
@@ -83,12 +111,14 @@ LEVEL_BITS_3 = small("level_bits = 8", "level_bits = 3").replace("tolerance_us =
 
 
 # malformed or degenerate input, by name: (global options and command, config
-# text, files by flag or environment variables by $NAME, more arguments, what
-# the exit-3 message must name)
+# text, files by flag, more arguments, what the exit-3 message must name)
 MALFORMED = {
     "duration-short": ("simulate", small("400000", "15000"), {}, [],
                        "[bus]: duration_us 15000"),
     "duration-inf": ("simulate", small("400000", "inf"), {}, [], "[bus]: duration_us inf"),
+    # about 10^21 releases of one 10 ms frame: numpy refuses them without allocating
+    "duration-1e25": ("simulate", CAPACITY_SCENARIO.replace("400000000", "1e25"), {}, [],
+                      "[bus]: duration_us 1e+25 releases 1e+21 frames, over 16777216"),
     "covert-2-byte-payload": ("simulate", small("0x102:20000:8", "0x102:20000:2"), {}, [],
                               "[node.one]: frames"),
     "period-0.05": ("simulate", small("0x102:20000:8", "0x102:0.05:8"), {}, [],
@@ -113,9 +143,10 @@ MALFORMED = {
     "oversubscribed": ("simulate", OVERSUBSCRIBED, {}, [], "busload 3330%"),
     "schedule-missing-ids": ("simulate", SMALL, {"--schedule": "100 10000 0 64\n"}, [],
                              "['101', '102']"),
-    "gcd-ifs": ("allocate", SMALL, {}, ["--algorithm", "gcd", "--ifs", "5000"], "--ifs 5000"),
-    "greedy-ml-grid": ("allocate", SMALL, {}, ["--algorithm", "greedy-ml", "--grid", "0.05"],
-                       "--grid 0.05"),
+    "gcd-ifs": ("allocate", small("ifs_us = 600", "ifs_us = 5000"), {}, ["--algorithm", "gcd"],
+                "[allocator] algorithm = gcd, ifs_us = 5000"),
+    "greedy-ml-grid": ("allocate", allocator("algorithm = greedy-ml\ngrid_step_us = 0.05"), {},
+                       ["--algorithm", "greedy-ml"], "grid_step_us = 0.05: grid step must sit"),
     "allocator-ifs": ("run", small("ifs_us = 600", "ifs_us = 15000"), {}, [],
                       "[allocator] algorithm = gcd, ifs_us = 15000"),
     # 2*10^10 columns of 0.1 us: refused before the matrix is allocated
@@ -123,33 +154,39 @@ MALFORMED = {
                                           "0x100:9999.9:8 0x101:10000:8"),
                         {}, ["--algorithm", "gcd"],
                         "lcm 1999980000 us is 19999800000 times their gcd 0.1 us"),
-    "gcd-ifs-inf": ("allocate", SMALL, {}, ["--algorithm", "gcd", "--ifs", "inf"],
-                    "--ifs inf: minimum spacing must be positive and finite"),
-    "gcd-ifs-nan": ("allocate", SMALL, {}, ["--algorithm", "gcd", "--ifs", "nan"],
-                    "--ifs nan: minimum spacing must be positive and finite"),
-    "greedy-ml-grid-inf": ("allocate", SMALL, {}, ["--algorithm", "greedy-ml", "--grid", "inf"],
-                           "--grid inf: grid step must be positive and finite"),
-    "greedy-ml-grid-nan": ("allocate", SMALL, {}, ["--algorithm", "greedy-ml", "--grid", "nan"],
-                           "--grid nan: grid step must be positive and finite"),
-    "gcd-takes-no-grid": ("allocate", SMALL, {}, ["--algorithm", "gcd", "--grid", "nan"],
-                          "--grid nan: --algorithm gcd does not take --grid"),
-    "binary-takes-no-ifs": ("allocate", SMALL, {}, ["--algorithm", "binary", "--ifs", "-5"],
-                            "--ifs -5: --algorithm binary does not take --ifs"),
+    "gcd-ifs-inf": ("allocate", small("ifs_us = 600", "ifs_us = inf"), {}, ["--algorithm", "gcd"],
+                    "ifs_us = inf: minimum spacing must be positive and finite"),
+    "gcd-ifs-nan": ("allocate", small("ifs_us = 600", "ifs_us = nan"), {}, ["--algorithm", "gcd"],
+                    "ifs_us = nan: minimum spacing must be positive and finite"),
+    "greedy-ml-grid-inf": ("allocate", allocator("algorithm = greedy-ml\ngrid_step_us = inf"), {},
+                           ["--algorithm", "greedy-ml"],
+                           "grid_step_us = inf: grid step must be positive and finite"),
+    "greedy-ml-grid-nan": ("allocate", allocator("algorithm = greedy-ml\ngrid_step_us = nan"), {},
+                           ["--algorithm", "greedy-ml"],
+                           "grid_step_us = nan: grid step must be positive and finite"),
+    "gcd-takes-no-grid": ("allocate", small("ifs_us = 600", "ifs_us = 600\ngrid_step_us = nan"),
+                          {}, ["--algorithm", "gcd"],
+                          "[allocator] grid_step_us = nan: algorithm gcd does not take "
+                          "grid_step_us"),
+    "binary-takes-no-ifs": ("allocate", allocator("algorithm = binary\nifs_us = -5"), {},
+                            ["--algorithm", "binary"],
+                            "[allocator] ifs_us = -5.0: algorithm binary does not take ifs_us"),
     "allocator-ifs-inf": ("simulate", small("ifs_us = 600", "ifs_us = inf"), {}, [],
                           "ifs_us = inf: minimum spacing must be positive and finite"),
     # a spacing under 0.05 us rounds to no tenths of a us
-    "gcd-ifs-0.04": ("allocate", SMALL, {}, ["--algorithm", "gcd", "--ifs", "0.04"],
-                     "--ifs 0.04: minimum spacing 0.04 us rounds to 0"),
+    "gcd-ifs-0.04": ("allocate", small("ifs_us = 600", "ifs_us = 0.04"), {},
+                     ["--algorithm", "gcd"], "ifs_us = 0.04: minimum spacing 0.04 us rounds to 0"),
     "allocator-ifs-0.04": ("run", small("ifs_us = 600", "ifs_us = 0.04"), {}, [],
                            "ifs_us = 0.04: minimum spacing 0.04 us rounds to 0"),
     # an [allocator] key the section's algorithm does not take
     "binary-takes-no-ifs_us": ("run", small("algorithm = gcd", "algorithm = binary"), {}, [],
                                "[allocator] ifs_us = 600"),
-    "greedy-ml-takes-no-iterations": ("simulate", small("algorithm = gcd\nifs_us = 600",
-                                                        "algorithm = greedy-ml\niterations = 7"),
-                                      {}, [], "[allocator] iterations = 7"),
+    "greedy-ml-takes-no-iterations": ("simulate",
+                                      allocator("algorithm = greedy-ml\niterations = 7"), {}, [],
+                                      "[allocator] iterations = 7"),
+    # the run seed has one override, `--seed`, which the manifest records
     "gcd-takes-no-seed": ("simulate", small("ifs_us = 600", "ifs_us = 600\nseed = 9"), {}, [],
-                          "[allocator] seed = 9"),
+                          "[allocator]: unknown keys ['seed']"),
     "counter-2^64+1": ("verify", SMALL, {"--trace": TRACE_HEADER
                                          + "\n100000,100,1,2021222300000001,1\n"
                                          + f"200000,100,{2**64 + 1},2021222300000002,1\n"},
@@ -162,8 +199,6 @@ MALFORMED = {
                                           + "\n100000,100,1,202122230000000101,1\n"},
                         [], "line 2: payload"),
     "seed-flag-negative": ("--seed -1 simulate", SMALL, {}, [], "--seed: seed -1"),
-    "seed-env-not-integer": ("simulate", SMALL, {"$CANTO_SEED": "abc"}, [],
-                             "$CANTO_SEED: 'abc'"),
     "schedule-other-period": ("simulate", SMALL,
                               {"--schedule": "100 20000 0 64\n101 10000 0 64\n102 20000 0 64\n"},
                               [], "schedule gives id 100 period 20000 us"),
@@ -179,9 +214,10 @@ MALFORMED = {
                               "--frames 4000001: must be <= 4000000"),
     "attack-frames-2^62": ("attack", SMALL, {}, ["--frames", str(2**62), "--trials", "1"],
                            f"--frames {2**62}"),
-    **{"-".join(["hyperperiod", command, *extra[1:]]): (
-        command, LONG_HYPERPERIOD, {}, extra,
-        "lcm 1.00044007530628e+29 us" if "gcd" in extra else "lcm is 1.00044007530628e+29 us")
+    **{"-".join([name, command, *extra[1:]]): (
+        command, config, {}, extra, f"lcm {lcm} us" if "gcd" in extra else f"lcm is {lcm} us")
+       for name, config, lcm in (("hyperperiod", LONG_HYPERPERIOD, "1.00044007530628e+29"),
+                                 ("hyperperiod-64", HYPERPERIOD_64, LCM_64))
        for command, extra in [("simulate", []), ("run", []),
                               *(("allocate", ["--algorithm", alg]) for alg in sorted(ALLOCATORS))]},
     "report-tolerance-whole-alphabet": ("run", small("tolerance_us = 5", "tolerance_us = 128"),
@@ -198,8 +234,9 @@ MALFORMED = {
     # about 10^301 bins of the deviation histogram, refused before any is counted
     "run-bin-width-1e-300": ("run", SMALL, {}, ["--bin-width", "1e-300"],
                              "report: --bin-width 1e-300: "),
-    "verify-rho-nan": ("verify", SMALL, {"--trace": TRACE_HEADER + "\n"}, ["--rho", "nan"],
-                       "--rho must be nonnegative, got nan"),
+    "verify-rho-nan": ("verify", small("tolerance_us = 5", "tolerance_us = nan"),
+                       {"--trace": TRACE_HEADER + "\n"}, [],
+                       "[covert]: tolerance must be nonnegative"),
     "capacity-tolerance-0": ("capacity", SMALL, {"--trace": TRACE_HEADER + "\n"},
                              ["--tolerance", "0"], "--tolerance 0"),
     "capacity-tolerance-negative": ("capacity", SMALL, {"--trace": TRACE_HEADER + "\n"},
@@ -237,6 +274,13 @@ def sha256_of(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def readme_commands() -> list[list[str]]:
+    """The arguments of each `canto ...` line in README.md's sh blocks."""
+    blocks = re.findall(r"^```sh\n(.*?)^```", (ROOT / "README.md").read_text(), re.M | re.S)
+    return [shlex.split(line, comments=True)[1:] for block in blocks
+            for line in block.splitlines() if line.startswith("canto ")]
+
+
 @pytest.fixture
 def small_config(tmp_path):
     path = tmp_path / "small.ini"
@@ -244,12 +288,19 @@ def small_config(tmp_path):
     return path
 
 
+@pytest.fixture
+def paper_ifs_500(tmp_path):
+    """The paper vector with the gcd spacing at 500 us, not its shipped 600 us."""
+    path = tmp_path / "paper_ifs_500.ini"
+    path.write_text(Path(PAPER).read_text().replace("ifs_us = 600", "ifs_us = 500"))
+    return path
+
+
 class TestAllocate:
     @pytest.mark.parametrize("algorithm,min_ms", [("gcd", 0.5), ("binary", 0.15625)])
-    def test_report_row(self, tmp_path, capsys, algorithm, min_ms):
+    def test_report_row(self, tmp_path, paper_ifs_500, algorithm, min_ms):
         out = tmp_path / "alloc"
-        ifs = ["--ifs", "500"] if algorithm == "gcd" else []  # binary takes no --ifs
-        rc = main(["allocate", "--config", PAPER, "--algorithm", algorithm, *ifs,
+        rc = main(["allocate", "--config", str(paper_ifs_500), "--algorithm", algorithm,
                    "--out", str(out)])
         assert rc == 0
         header, row = (out / "allocation_report.csv").read_text().splitlines()
@@ -258,9 +309,9 @@ class TestAllocate:
         assert float(fields[3]) == pytest.approx(min_ms, abs=1e-6)
         assert (out / "schedule.txt").exists() and (out / "manifest.json").exists()
 
-    def test_gcd_matches_comparison_row(self, tmp_path):
+    def test_gcd_matches_comparison_row(self, tmp_path, paper_ifs_500):
         out = tmp_path / "alloc"
-        main(["allocate", "--config", PAPER, "--algorithm", "gcd", "--ifs", "500",
+        main(["allocate", "--config", str(paper_ifs_500), "--algorithm", "gcd",
               "--out", str(out)])
         row = (out / "allocation_report.csv").read_text().splitlines()[1].split(",")
         q = float(row[2])
@@ -279,13 +330,34 @@ class TestAllocate:
         assert main(["run", "--config", str(small_config), "--out", str(run)]) == 0
         assert (alloc / "schedule.txt").read_bytes() == (run / "schedule.txt").read_bytes()
 
-    def test_flag_overrides_the_configs_spacing(self, tmp_path):
+    def test_flag_overrides_the_configs_spacing(self, tmp_path, paper_ifs_500):
         out = tmp_path / "alloc"
-        assert main(["allocate", "--config", PAPER, "--algorithm", "gcd", "--ifs", "500",
+        assert main(["allocate", "--config", str(paper_ifs_500), "--algorithm", "gcd",
                      "--out", str(out)]) == 0
-        # the paper vector's gcd schedule at 500 us, not at its [allocator] ifs_us = 600
+        # the paper vector's gcd schedule at 500 us, not at its shipped ifs_us = 600
         assert hashlib.sha256((out / "schedule.txt").read_bytes()).hexdigest() == (
             "8ef67e91990f12a31c7f5058e82f89128c4703f5ca3c334a10bbe81f0a5ce4cf")
+
+    @pytest.mark.parametrize("argv", [
+        ["allocate", "--algorithm", "gcd", "--ifs", "500"],
+        ["allocate", "--algorithm", "greedy-ml", "--grid", "500"],
+        ["allocate", "--algorithm", "random", "--iterations", "20"],
+        ["verify", "--trace", "trace.csv", "--rho", "3"],
+    ])
+    def test_config_keys_have_no_flags(self, tmp_path, argv):
+        # [allocator] ifs_us, grid_step_us, iterations and [covert] tolerance_us
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--config", PAPER, "--out", str(tmp_path)])
+        assert exc.value.code == 2
+
+    def test_readme_commands_parse(self):
+        commands = readme_commands()
+        assert {argv[0] for argv in commands} == set(COMMANDS)
+        for argv in commands:
+            try:
+                build_parser().parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README.md: canto {shlex.join(argv)} does not parse")
 
     def test_unknown_algorithm_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -297,7 +369,7 @@ class TestAllocate:
 class TestPipeline:
     def test_randomized_allocator_options_from_config(self, tmp_path):
         text = SMALL.replace("algorithm = gcd\nifs_us = 600",
-                             "algorithm = random\niterations = 20\nseed = 4")
+                             "algorithm = random\niterations = 20")
         config = tmp_path / "rand.ini"
         config.write_text(text)
         out = tmp_path / "sim"
@@ -427,13 +499,6 @@ class TestPipeline:
         assert rc == 3
         assert "simulate:" in capsys.readouterr().err
 
-    def test_env_seed_fallback(self, small_config, tmp_path, monkeypatch):
-        monkeypatch.setenv("CANTO_SEED", "77")
-        out = tmp_path / "env"
-        main(["simulate", "--config", str(small_config), "--out", str(out)])
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["seed"] == 77
-
     @pytest.mark.parametrize("command", ["simulate", "run"])
     def test_schedule_file_is_a_manifest_input(self, small_config, tmp_path, command):
         alloc = tmp_path / "alloc"
@@ -560,6 +625,16 @@ class TestReportErrors:
         assert "--out" in err and "--in" in err
         assert (run / "manifest.json").read_bytes() == manifest
 
+    def test_report_checks_the_seed_before_it_writes(self, small_config, tmp_path, capsys):
+        run, rep = tmp_path / "run", tmp_path / "rep"
+        run.mkdir()
+        for file, content in REPORT_INPUTS.items():
+            (run / file).write_text(content)
+        assert main(["--seed", "-1", "report", "--config", str(small_config), "--in", str(run),
+                     "--out", str(rep)]) == 3
+        assert "--seed: seed -1 must be nonnegative" in capsys.readouterr().err
+        assert not rep.exists()
+
     def test_missing_config_is_io_error(self, tmp_path):
         rc = main(["simulate", "--config", str(tmp_path / "none.ini"),
                    "--out", str(tmp_path)])
@@ -605,10 +680,12 @@ class TestInputErrors:
     def test_negative_rho_is_rejected(self, small_config, tmp_path, capsys):
         sim = tmp_path / "sim"
         main(["simulate", "--config", str(small_config), "--out", str(sim)])
-        rc = main(["verify", "--config", str(small_config), "--trace", str(sim / "trace.csv"),
-                   "--rho", "-1", "--out", str(tmp_path / "ver")])
+        config = tmp_path / "rho-1.ini"
+        config.write_text(small("tolerance_us = 5", "tolerance_us = -1"))
+        rc = main(["verify", "--config", str(config), "--trace", str(sim / "trace.csv"),
+                   "--out", str(tmp_path / "ver")])
         assert rc == 3
-        assert "--rho must be nonnegative" in capsys.readouterr().err
+        assert "[covert]: tolerance must be nonnegative" in capsys.readouterr().err
 
     @pytest.mark.parametrize("line,value,where", [
         ("level_bits = 8", "level_bits = 40", "[covert]: level_bits"),
@@ -651,15 +728,12 @@ class TestInputErrors:
         assert rc == 3 and "--tolerance 1e-14: no convergence" in err and "bound gap" in err, err
 
     @pytest.mark.parametrize("case", MALFORMED)
-    def test_malformed_input_exits_3_naming_it(self, tmp_path, capsys, monkeypatch, case):
+    def test_malformed_input_exits_3_naming_it(self, tmp_path, capsys, case):
         command, config, files, extra, named = MALFORMED[case]
         path = tmp_path / "bad.ini"
         path.write_text(config)
         argv = [*command.split(), "--config", str(path), "--out", str(tmp_path / "out"), *extra]
         for flag, text in files.items():
-            if flag.startswith("$"):  # an environment variable
-                monkeypatch.setenv(flag[1:], text)
-                continue
             (tmp_path / flag[2:]).write_text(text)
             argv += [flag, str(tmp_path / flag[2:])]
         with warnings.catch_warnings():

@@ -87,15 +87,22 @@ def _commands(tmp: Path) -> dict[str, list[str]]:
     stuffed = tmp / "stuffed_capacity.ini"
     stuffed.write_text(Path(CAPACITY).read_text().replace("stuffing = none",
                                                            "stuffing = payload"))
+    # the capacity scenario's receiver at a 3 us tolerance
+    rho3 = tmp / "capacity_rho3.ini"
+    rho3.write_text(Path(CAPACITY).read_text().replace("tolerance_us = 5", "tolerance_us = 3"))
+    # greedy-ml on a second candidate grid: the derived default is 250 us
+    grid500 = tmp / "paper_greedy-ml_grid500.ini"
+    grid500.write_text(Path(PAPER).read_text().replace(
+        "algorithm = gcd\nifs_us = 600", "algorithm = greedy-ml\ngrid_step_us = 500"))
     commands = {"paper_run": ["run", "--config", PAPER, "--check"],
                 "capacity_simulate": ["simulate", "--config", CAPACITY],
                 "contended_simulate": ["simulate", "--config", str(contended)],
                 "mixed_simulate": ["simulate", "--config", str(mixed)],
                 "stuffed_simulate": ["simulate", "--config", str(stuffed)]}
-    for name, extra in (("capacity_verify", []),
-                        ("capacity_verify_no_compensate", ["--no-compensate"]),
-                        ("capacity_verify_rho3", ["--rho", "3"])):
-        commands[name] = ["verify", "--config", CAPACITY, "--trace", trace, *extra]
+    for name, config, extra in (("capacity_verify", CAPACITY, []),
+                                ("capacity_verify_no_compensate", CAPACITY, ["--no-compensate"]),
+                                ("capacity_verify_rho3", str(rho3), [])):
+        commands[name] = ["verify", "--config", config, "--trace", trace, *extra]
     commands["capacity_capacity"] = ["capacity", "--config", CAPACITY, "--trace", trace]
     commands["stuffed_capacity_no_compensate"] = [
         "capacity", "--config", str(stuffed), "--trace",
@@ -107,9 +114,8 @@ def _commands(tmp: Path) -> dict[str, list[str]]:
                                 str(tmp / "mixed_simulate" / "trace.csv")]
     for alg in ALGORITHMS:
         commands[f"allocate_{alg}"] = ["allocate", "--config", PAPER, "--algorithm", alg]
-    # greedy-ml on a second candidate grid: the derived default is 250 us
-    commands["allocate_greedy-ml_grid500"] = ["allocate", "--config", PAPER,
-                                              "--algorithm", "greedy-ml", "--grid", "500"]
+    commands["allocate_greedy-ml_grid500"] = ["allocate", "--config", str(grid500),
+                                              "--algorithm", "greedy-ml"]
     return commands
 
 

@@ -13,7 +13,7 @@ from canto.scheduler import (IncompleteScheduleError, OversubscribedError, Sched
                              ScheduleQuality, allocate_binary_symmetric, allocate_gcd,
                              allocate_greedy, allocate_greedy_multilayer,
                              allocate_randomized, build_schedule, check_complete,
-                             hyperperiod_us, q_factor, schedule_quality, timestamps)
+                             hyperperiod_tenths, q_factor, schedule_quality, timestamps)
 
 MS = 1000.0
 PAPER_VECTOR = [10 * MS] * 6 + [20 * MS] * 8 + [50 * MS] * 12 + [100 * MS] * 14
@@ -46,12 +46,12 @@ def brute_force_best_q(periods, slots, horizon):
 
 class TestHyperperiod:
     def test_lcm_on_the_tenth_grid(self):
-        assert hyperperiod_us([10 * MS, 0.3]) == 30 * MS  # 0.3 * 10 is not exactly 3
+        assert hyperperiod_tenths([10 * MS, 0.3]) == 300_000  # 0.3 * 10 is not exactly 3
 
     @pytest.mark.parametrize("periods", [[10000.05, 20 * MS], [0.05], [0.0]])
     def test_off_grid_or_zero_period_rejected(self, periods):
         with pytest.raises(ValueError, match="period"):
-            hyperperiod_us(periods)
+            hyperperiod_tenths(periods)
 
 
 class TestTimestamps:
@@ -144,7 +144,7 @@ class TestGreedy:
         n = len(periods)
         e = min(periods) / n
         slots = [i * e for i in range(n)]
-        horizon = hyperperiod_us(periods)
+        horizon = hyperperiod_tenths(periods) / 10
         best, worst = brute_force_best_q(periods, slots, horizon)
         offs = allocate_greedy(periods)
         q = cyclic_q(timestamps(make_schedule(periods, offs)), horizon)
@@ -331,7 +331,7 @@ def oracle_allocate_gcd(periods_us, ifs_us=500.0):
             usage = sum(1 for r in free for c in r if not c) / (nrows * ncols)
             raise OversubscribedError(
                 f"occupancy matrix exhausted at period {periods_us[idx]} us "
-                f"(matrix {usage:.0%} full; reduce --ifs or the frame count)")
+                f"(matrix {usage:.0%} full; reduce ifs_us or the frame count)")
     return offsets
 
 
