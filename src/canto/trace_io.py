@@ -16,6 +16,7 @@ import warnings
 from binascii import hexlify
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -161,119 +162,91 @@ _FIELDS = TRACE_HEADER.split(",")
 _ROW = np.dtype(list(zip(_FIELDS, ["i8", f"S{_ID_WIDTH}", "i8", f"S{_PAYLOAD_WIDTH}", "i8"])))
 
 
-# numpy's reader takes 0x1C-0x1F around a number for whitespace, which int()
-# does not; a fixed-width field drops a trailing NUL; and numpy 2.4.6's reader
-# crashed (segmentation fault) on U+9C6CA. Lines holding one are rejected.
-def _foreign(text: str) -> bool:
-    return not text.isascii() or any(c in text for c in "\0\x1c\x1d\x1e\x1f")
-
-
-def _load_rows(fh, skipped: list[int], max_rows: int | None = None, line_by_line=False):
-    """The data lines' fields, read by numpy's C reader, and the line it failed
-    on as (line, 0, message), or None. The numbers of the header and the
-    whitespace-only lines, which are skipped, go to `skipped`. Unless
-    `line_by_line`, a chunk of lines after the first that holds neither goes to
-    numpy whole; if numpy then fails, the lines are read again one at a time."""
-    at, whole = 0, False  # whole: a chunk went to numpy whole
+def _columns(chunks) -> Trace:
+    """The trace in `chunks` (lists of data lines), read by numpy's C reader,
+    each id text parsed once; a ValueError names the first check refused."""
 
     def lines():
-        nonlocal at, whole
-        for chunk in iter(lambda: fh.readlines(1 << 16), []):
-            suspect = _foreign("".join(chunk))  # one scan per chunk of lines
-            if not (line_by_line or suspect or at == 0 or any(map(str.isspace, chunk))):
-                whole, at = True, at + len(chunk)
-                yield from chunk
-                continue
-            for line in chunk:
-                at += 1
-                if line.isspace() or at == 1 and line.strip() == TRACE_HEADER:
-                    skipped.append(at)
-                elif suspect and _foreign(line):
-                    raise ValueError("a character outside ASCII text (NUL, 0x1C-0x1F or "
-                                     "non-ASCII)")
-                else:
-                    yield line
+        for chunk in chunks:
+            text = "".join(chunk)  # one scan per chunk of lines
+            # numpy's reader takes 0x1C-0x1F around a number for whitespace, which int()
+            # does not; a fixed-width field drops a trailing NUL; and numpy 2.4.6's reader
+            # crashed (segmentation fault) on U+9C6CA. Lines holding one are rejected.
+            if not text.isascii() or any(c in text for c in "\0\x1c\x1d\x1e\x1f"):
+                raise ValueError("a character outside ASCII text (NUL, 0x1C-0x1F or non-ASCII)")
+            yield from chunk
 
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            return np.loadtxt(lines(), dtype=_ROW, delimiter=",", comments=None, ndmin=1,
-                              max_rows=max_rows), None
-    except UnicodeDecodeError as exc:  # raised reading the file, on no line numpy saw
-        raise TraceFormatError(f"not text in the file's encoding: {exc}") from exc
-    except ValueError as exc:
-        if whole:
-            fh.seek(0)
-            skipped.clear()
-            return _load_rows(fh, skipped, max_rows, line_by_line=True)
-        # numpy numbers rows its own way; the line is the one last handed to it
-        message = re.sub(r" at row \d+(, column \d+)?\.?|;.*", "", str(exc))
+            rows = np.loadtxt(lines(), dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:  # numpy numbers rows its own way; the caller names the line
         column = re.search(r"column (\d+)", str(exc))
-        if column:
-            message = f"{_FIELDS[int(column.group(1)) - 1]}: {message}"
-        return None, (at, 0, message)
-
-
-def _parse_native(fh) -> Trace:
-    """The trace's columns, read by numpy's C reader, each id text parsed once.
-
-    Of several bad lines the first is named, as a line-by-line reader would;
-    so when the reader fails, the lines before are read again and checked.
-    """
-    skipped: list[int] = []
-    rows, failed = _load_rows(fh, skipped)
-    errors = [failed] if failed else []  # (line, check, message)
-    if failed:
-        rows_before = failed[0] - 1 - len(skipped)
-        fh.seek(0)
-        skipped.clear()
-        rows, _ = _load_rows(fh, skipped, rows_before)
-    # skipped line j comes after after[j] - 1 data lines
-    after = np.asarray(skipped, dtype=np.int64) - np.arange(len(skipped))
-
-    def file_line(row) -> int:
-        """The row's number in the file: the row plus the skipped lines before it."""
-        return int(row) + 1 + int(np.searchsorted(after, row + 1, side="right"))
+        why = re.sub(r" at row \d+(, column \d+)?\.?|;.*", "", str(exc))
+        raise ValueError(f"{_FIELDS[int(column[1]) - 1]}: {why}" if column else why) from exc
 
     texts, first, inverse = np.unique(rows["id_hex"], return_index=True, return_inverse=True)
     position: dict[CanId, int] = {}
     code = np.empty(len(texts), dtype=np.int64)
     for k in np.argsort(first).tolist():  # in order of first appearance
         text = texts[k].decode()
-        try:
-            if len(text) == _ID_WIDTH:
-                raise ValueError(f"id {text!r} has over {_ID_WIDTH - 1} characters")
-            code[k] = position.setdefault(CanId.parse(text), len(position))
-        except ValueError as exc:
-            errors.append((file_line(first[k]), 1, str(exc)))
-            break
+        if len(text) == _ID_WIDTH:
+            raise ValueError(f"id {text!r} has over {_ID_WIDTH - 1} characters")
+        code[k] = position.setdefault(CanId.parse(text), len(position))
     counter = rows["counter"]
     bad = np.flatnonzero((counter < 0) | (counter > 0xFFFFFFFF))  # the MAC input's 4 bytes
     if len(bad):
-        errors.append((file_line(bad[0]), 2, f"counter {counter[bad[0]]} outside 0..2^32-1"))
+        raise ValueError(f"counter {counter[bad[0]]} outside 0..2^32-1")
     hex_texts = rows["payload_hex"]
-    bad = np.flatnonzero(hex_texts.astype(f"S{_PAYLOAD_WIDTH - 1}") != hex_texts)  # filled
-    if len(bad):
-        errors.append((file_line(bad[0]), 3, f"payload of over {_PAYLOAD_WIDTH - 1} characters "
-                       "exceeds the 8 bytes of a CAN frame"))
+    if np.any(hex_texts.astype(f"S{_PAYLOAD_WIDTH - 1}") != hex_texts):  # filled
+        raise ValueError(f"payload of over {_PAYLOAD_WIDTH - 1} characters exceeds the 8 bytes "
+                         "of a CAN frame")
     # a text of hex digit pairs is decoded in numpy, any other by bytes.fromhex
     chars = np.ascontiguousarray(hex_texts).view(np.uint8).reshape(-1, _PAYLOAD_WIDTH)
     size, nibbles = np.count_nonzero(chars, axis=1), _NIBBLE[chars]  # no text holds a NUL
     payloads, lengths = nibbles[:, 0:16:2] << 4 | nibbles[:, 1:16:2], size // 2
     for row in np.flatnonzero((nibbles == 16).any(axis=1) | (size % 2 == 1)).tolist():
-        try:
-            payload = bytes.fromhex(hex_texts[row].decode())
-        except ValueError as exc:
-            errors.append((file_line(row), 4, str(exc)))
-            break
-        payloads[row], lengths[row] = np.frombuffer(payload.ljust(8, b"\0")[:8], np.uint8), \
-            len(payload)
-    if errors:
-        at, _, message = min(errors)
-        raise TraceFormatError(f"line {at}: {message}")
-
+        payload = bytes.fromhex(hex_texts[row].decode())  # of at most 8 bytes, as 16 characters
+        payloads[row], lengths[row] = np.frombuffer(payload.ljust(8, b"\0"), np.uint8), len(payload)
     return Trace(tuple(position), code[inverse], counter.copy(), rows["bus_time_us"] / 10.0,
                  np.zeros(len(rows)), payloads, lengths, rows["genuine"] != 0)
+
+
+def _data(line: str, at: int) -> bool:
+    """Whether file line `at` holds data: it is not blank, nor line 1's header."""
+    text = line.strip()
+    return text != "" and (at > 1 or text != TRACE_HEADER)
+
+
+def _refusal(numbered, size: int = _BLOCK) -> tuple[int, str]:
+    """The first of the (line number, line) pairs whose line `_columns` refuses,
+    and why: judged in blocks of `size` lines, then the refused block's one by one."""
+    while block := list(islice(numbered, size)):
+        try:
+            _columns([[line for _, line in block]])
+        except ValueError as exc:
+            return (block[0][0], str(exc)) if size == 1 else _refusal(iter(block), 1)
+
+
+def _parse_native(fh) -> Trace:
+    """The trace read by `_columns` from chunks of about 64 KiB of lines; if
+    it is refused, the file is read again to name the first refused line."""
+
+    def chunks():
+        head = fh.readline()
+        yield [head] if _data(head, 1) else []
+        for chunk in iter(lambda: fh.readlines(1 << 16), []):
+            yield [line for line in chunk if not line.isspace()]
+
+    try:
+        try:
+            return _columns(chunks())
+        except ValueError:  # a decode error too, met again unless a line before is refused
+            fh.seek(0)
+            at, why = _refusal((n, line) for n, line in enumerate(fh, 1) if _data(line, n))
+    except UnicodeDecodeError as exc:  # raised reading the file, on no line judged
+        raise TraceFormatError(f"not text in the file's encoding: {exc}") from exc
+    raise TraceFormatError(f"line {at}: {why}")
 
 
 def write_schedule(schedule: Schedule, path) -> None:

@@ -16,6 +16,7 @@ from canto.bus_sim import BusConfig, NodeConfig, OversubscribedBusError, Trace, 
 from canto.clock_model import ClockModel
 from canto.frame_model import CanId, FrameSpec
 from canto.incanta import CovertConfig
+from canto import trace_io
 from canto.scheduler import Schedule
 from canto.trace_io import (TRACE_HEADER, TraceFormatError, _parse_native, export_trace,
                             parse_experiment_config, parse_trace, read_schedule,
@@ -122,6 +123,45 @@ class TestReaderPastFirstChunk:
         assert sum(map(len, lines[:at])) > 1 << 16  # past the first chunk
         with pytest.raises(TraceFormatError, match=f"^line {at}:"):
             parse_trace(io.StringIO("\n".join(lines) + "\n"))
+
+    def test_earlier_column_check_named_before_later_unreadable_line(self):
+        """numpy's reader stops at the non-number on line 5002; the counter out
+        of range on line 4002, which only a column check refuses, comes first."""
+        lines = [TRACE_HEADER] + [f"{10 * k},100,{k},0011223344556677,1" for k in range(6000)]
+        lines[4001] = f"40010,100,{2**32},0011223344556677,1"
+        lines[5001] = self.BAD["non-number"]
+        assert sum(map(len, lines[:4002])) > 1 << 16  # past the first chunk
+        with pytest.raises(TraceFormatError, match=r"^line 4002: counter 4294967296 outside"):
+            parse_trace(io.StringIO("\n".join(lines) + "\n"))
+
+    # bytes that are not UTF-8 after a refused line, where reading the file
+    # again to name that line can meet them first
+    @pytest.mark.parametrize("undecodable", [3942, 4127, 5000])
+    def test_undecodable_bytes_after_a_refused_line(self, tmp_path, undecodable):
+        lines = [TRACE_HEADER] + [f"{10 * k},0x100,{k},0011223344556677,1" for k in range(6000)]
+        lines[3201] = self.BAD["non-number"]
+        path = tmp_path / "mixed.csv"
+        path.write_bytes(b"\n".join(line.encode() for line in lines[:undecodable])
+                         + b"\n1,1\xe9,1,00,1\n" + "\n".join(lines[undecodable + 1:]).encode())
+        with pytest.raises(TraceFormatError, match="^(line 3202: |not text in the file)"):
+            parse_trace(path)
+
+
+def test_clean_trace_is_read_once(monkeypatch):
+    """A file that every check takes never reaches the search for a refused line."""
+    ids = (CanId(0x100), CanId(0x7FF), CanId(0x1FFFFFFF, extended=True))
+    n = 6000
+    payloads = [bytes(range(k % 9)) for k in range(n)]
+    trace = Trace(ids, np.arange(n) % 3, np.arange(n, dtype=np.int64),
+                  np.arange(n) * 125.5, np.zeros(n), *payload_columns(payloads),
+                  np.arange(n) % 4 != 0)
+    text = "\n".join(_exported(trace)) + "\n"
+
+    def refuse(numbered, size=None):
+        raise AssertionError("a clean file was read again")
+
+    monkeypatch.setattr(trace_io, "_refusal", refuse)
+    assert columns(parse_trace(io.StringIO(text))) == columns(trace)
 
 
 _ROUND_TRIP_IDS = [CanId(0x0), CanId(0x100), CanId(0x7FF), CanId(0x800, extended=True),
