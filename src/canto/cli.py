@@ -375,13 +375,13 @@ def _check(condition: bool, message: str) -> None:
 def cmd_run(args) -> int:
     _require_positive("--bin-width", args.bin_width)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     stage = "configure"
     try:
         config = trace_io.parse_experiment_config(args.config)
         seed = _resolve_seed(args, config)
         if config.covert is not None:
             _check_report_covert(config.covert)
+        out.mkdir(parents=True, exist_ok=True)  # once the config and seed are taken
 
         stage = "simulate" if args.schedule else "allocate"
         sched = _schedule_from(args, config, seed)

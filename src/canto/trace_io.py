@@ -257,18 +257,20 @@ def write_schedule(schedule: Schedule, path) -> None:
 
 
 def read_schedule(path) -> Schedule:
-    frames = []
+    frames, line_of = [], {}
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
             parts = line.split()
-            if len(parts) != 4:
-                raise TraceFormatError(f"{path}: line {lineno}: expected 4 fields")
+            if not parts or parts[0].startswith("#"):
+                continue
             try:
+                if len(parts) != 4:
+                    raise ValueError("expected 4 fields")
                 frames.append(FrameSpec(CanId.parse(parts[0]), float(parts[1]),
                                         float(parts[2]), int(parts[3])))
+                first = line_of.setdefault(frames[-1].id, lineno)
+                if first != lineno:
+                    raise ValueError(f"id {frames[-1].id} is also on line {first}")
             except ValueError as exc:
                 raise TraceFormatError(f"{path}: line {lineno}: {exc}") from exc
     if not frames:
@@ -289,16 +291,18 @@ class ExperimentConfig(BusConfig):
                       seed: int | None = None) -> BusConfig:
         """This config with the schedule's offsets and, if given, another seed.
 
-        The schedule must give every configured ID its configured period and
-        payload, and an offset inside that period.
+        The schedule must give every configured ID, and no other, its configured
+        period and payload, and an offset inside that period.
         """
         nodes = self.nodes
         if schedule is not None:
             scheduled = {f.id: f for f in schedule.frames}
-            misfits = [str(f.id) for f in self.frame_specs() if f.id not in scheduled]
-            if misfits:
-                raise TraceFormatError(f"schedule gives ids {misfits} no offset in their period")
-            for f in self.frame_specs():
+            configured = {f.id: f for f in self.frame_specs()}
+            for ids, what in ((configured.keys() - scheduled.keys(), "no offset in their period"),
+                              (scheduled.keys() - configured.keys(), "that the config lacks")):
+                if ids:
+                    raise TraceFormatError(f"schedule gives ids {sorted(map(str, ids))} {what}")
+            for f in configured.values():
                 s = scheduled[f.id]  # its offset lies inside its own period
                 if (s.period_us, s.payload_bits) != (f.period_us, f.payload_bits):
                     raise TraceFormatError(
@@ -421,7 +425,6 @@ def parse_experiment_config(source) -> ExperimentConfig:
     if allocator and offsets_given:
         raise TraceFormatError("offsets given both manually and via [allocator]")
 
-    fields = _fields(bus, _BUS_KEYS)
     with _naming("bus"):  # BusConfig's checks name their own key or ids
         return ExperimentConfig(nodes=tuple(nodes), covert=covert, allocator=allocator,
-                                **fields)
+                                **_fields(bus, _BUS_KEYS))

@@ -205,6 +205,23 @@ MALFORMED = {
     "schedule-other-payload": ("simulate", SMALL,
                                {"--schedule": "100 10000 0 64\n101 10000 0 32\n102 20000 0 64\n"},
                                [], "schedule gives id 101 period 10000 us and 32 payload bits"),
+    # a schedule file that lists an ID twice, or an ID the config lacks
+    "schedule-repeated-id": ("simulate", SMALL, {"--schedule": "100 10000 5000 64\n"
+                                                 "101 10000 0 64\n100 10000 0 64\n"
+                                                 "102 20000 0 64\n"},
+                             [], "schedule: line 3: id 100 is also on line 1"),
+    "run-schedule-repeated-id": ("run", SMALL, {"--schedule": "100 10000 0 64\n"
+                                                "101 10000 0 64\n102 20000 0 64\n"
+                                                "# again\n101 10000 5000 64\n"},
+                                 [], "schedule: line 5: id 101 is also on line 2"),
+    "schedule-unknown-id": ("simulate", SMALL, {"--schedule": "100 10000 0 64\n"
+                                                "101 10000 0 64\n102 20000 0 64\n"
+                                                "7FF 10000 0 64\n"},
+                            [], "schedule gives ids ['7FF'] that the config lacks"),
+    "run-schedule-unknown-ids": ("run", SMALL, {"--schedule": "100 10000 0 64\n"
+                                                "101 10000 0 64\n102 20000 0 64\n"
+                                                "7FF 10000 0 64\n1FFFFFFF 10000 0 64\n"},
+                                 ["--check"], "ids ['1FFFFFFF', '7FF'] that the config lacks"),
     "attack-rho-whole-alphabet": ("attack", SMALL, {}, ["--rho", "200"], "--rho 200"),
     "attack-rho-negative": ("attack", SMALL, {}, ["--rho", "-1"], "--rho -1"),
     "attack-frames-0": ("attack", SMALL, {}, ["--frames", "0"], "--frames 0"),
@@ -642,6 +659,17 @@ class TestReportErrors:
 
 
 class TestInputErrors:
+    @pytest.mark.parametrize("options,config", [
+        (["--seed", "-1"], SMALL), ([], "[bus]\nduration_us = 400000\n"), ([], LEVEL_BITS_3)],
+        ids=["negative-seed", "no-nodes", "level-bits-3"])
+    def test_run_refused_at_configure_makes_no_directory(self, tmp_path, capsys, options,
+                                                         config):
+        path = tmp_path / "run.ini"
+        path.write_text(config)
+        rc = main([*options, "run", "--config", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 3 and "error: configure: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_verify_without_scored_frames_is_format_error(self, small_config, tmp_path,
                                                           capsys):
         trace = tmp_path / "one_frame.csv"
