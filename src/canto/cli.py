@@ -1,9 +1,9 @@
 """Experiment driver: allocate schedules, simulate the bus, verify covert
 authentication, score adversaries, and emit tables and plot data.
 
-Every subcommand writes a manifest (config hash, seed, version) next to
-its outputs so any artifact can be re-derived from configuration and
-seed alone. Exit codes: 0 success, 1 check failure, 2 usage, 3 I/O,
+Every subcommand writes a manifest (input hashes, seed, version and its
+other arguments) next to its outputs so any artifact can be re-derived
+from configuration, seed and arguments. Exit codes: 0 success, 1 check failure, 2 usage, 3 I/O,
 4 internal error.
 """
 
@@ -50,10 +50,12 @@ def derive_seed(base: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-def write_manifest(out: Path, command: str, seed: int,
-                   inputs: dict[str, str | Path | None]) -> None:
+def write_manifest(out: Path, args, seed: int, inputs: dict[str, str | Path | None]) -> None:
     manifest = {
-        "command": command,
+        "command": args.command,
+        # every other argument but the seed and the paths, whose inputs are hashed
+        "arguments": {k: v for k, v in vars(args).items() if k not in (
+            "command", "seed", "config", "out", "schedule", "trace", "indir")},
         "seed": seed,
         "version": canto.__version__,
         "inputs": {name: hashlib.sha256(Path(p).read_bytes()).hexdigest()
@@ -118,7 +120,7 @@ def cmd_allocate(args) -> int:
         f"{args.algorithm},{int(quality.complete)},{quality.q_per_ms:.4f},"
         f"{quality.min_ifs_us / 1000:.6g},{quality.max_ifs_us / 1000:.6g}\n")
     (out / "allocation_report.csv").write_text(report)
-    write_manifest(out, "allocate", seed, {"config": args.config})
+    write_manifest(out, args, seed, {"config": args.config})
     print(report, end="")
     return 0
 
@@ -137,7 +139,7 @@ def cmd_simulate(args) -> int:
     trace_io.export_trace(trace, out / "trace.csv")
     trace_io.write_schedule(sched, out / "schedule.txt")
     (out / "busload.txt").write_text(f"busload_percent={busload:.3f}\nframes={len(trace)}\n")
-    write_manifest(out, "simulate", seed, {"config": args.config, "schedule": args.schedule})
+    write_manifest(out, args, seed, {"config": args.config, "schedule": args.schedule})
     print(f"{len(trace)} frames, busload {busload:.1f}%")
     return 0
 
@@ -186,7 +188,7 @@ def cmd_verify(args) -> int:
                f"accept_rate_percent={rate:.4f}\n"
                f"window_auth_rate_percent={auth:.4f}\n")
     (out / "verify_summary.txt").write_text(summary)
-    write_manifest(out, "verify", seed, {"config": args.config, "trace": args.trace})
+    write_manifest(out, args, seed, {"config": args.config, "trace": args.trace})
     print(summary, end="")
     return 0
 
@@ -224,7 +226,7 @@ def cmd_attack(args) -> int:
                                                    derive_seed(seed, f"attack:{rho}:{k}")))
              for rho in args.rho for k in args.frames]
     _write_attack(out, "adv_rate_mc", rates, level)
-    write_manifest(out, "attack", seed, {"config": args.config})
+    write_manifest(out, args, seed, {"config": args.config})
     print(f"attack rates for rho={args.rho} frames={args.frames} "
           f"({args.trials} trials each) -> {out / 'attack.csv'}")
     return 0
@@ -248,7 +250,7 @@ def cmd_capacity(args) -> int:
     report = (f"capacity_bits={capacity:.6f}\niterations={iterations}\n"
               f"alphabet={matrix.shape[0]}\ntolerance_bits={args.tolerance:g}\n")
     (out / "capacity_report.txt").write_text(report)
-    write_manifest(out, "capacity", seed, {"config": args.config, "trace": args.trace})
+    write_manifest(out, args, seed, {"config": args.config, "trace": args.trace})
     print(report, end="")
     return 0
 
@@ -361,7 +363,7 @@ def cmd_report(args) -> int:
     _report(indir, Path(args.out), config.covert, args.bin_width, bus_times, errors, adv)
     inputs = {p.name: p for p in (verdicts, attack, trace_path, indir / "capacity_report.txt")
               if p.exists()}
-    write_manifest(Path(args.out), "report", seed, {"config": args.config, **inputs})
+    write_manifest(Path(args.out), args, seed, {"config": args.config, **inputs})
     return 0
 
 
@@ -424,7 +426,7 @@ def cmd_run(args) -> int:
             ks = [k for k in range(1, 9)
                   if adversary_advantage(5.0, level, k) < AUTOSAR_LEVEL]
             _check(ks and ks[0] == 6, f"AUTOSAR crossing at k={ks[:1]} (want 6)")
-        write_manifest(out, "run", seed, {"config": args.config, "schedule": args.schedule})
+        write_manifest(out, args, seed, {"config": args.config, "schedule": args.schedule})
     except CheckFailure:
         raise
     except Exception as exc:

@@ -551,6 +551,26 @@ class TestPipeline:
         inputs = json.loads((rep / "manifest.json").read_text())["inputs"]
         assert sorted(inputs) == ["attack.csv", "capacity_report.txt", "config", "verdicts.csv"]
 
+    def test_manifest_records_the_arguments(self, small_config, tmp_path):
+        """Runs that differ only in an argument write different manifests; paths
+        and the seed stay out of the arguments recorded."""
+        manifests = {}
+        trace = tmp_path / "sim" / "trace.csv"
+        argvs = {"sim": ["simulate"], "gcd": ["allocate", "--algorithm", "gcd"],
+                 "binary": ["allocate", "--algorithm", "binary"],
+                 "verify": ["verify", "--trace", str(trace)],
+                 "raw": ["verify", "--trace", str(trace), "--no-compensate"]}
+        for name, argv in argvs.items():
+            assert main(["--seed", "4", *argv, "--config", str(small_config),
+                         "--out", str(tmp_path / name)]) == 0
+            manifests[name] = json.loads((tmp_path / name / "manifest.json").read_text())
+        assert manifests["sim"]["arguments"] == {}
+        assert manifests["gcd"]["arguments"] == {"algorithm": "gcd"}
+        assert manifests["binary"]["arguments"] == {"algorithm": "binary"}
+        assert manifests["verify"]["arguments"] == {"no_compensate": False}
+        assert manifests["raw"]["arguments"] == {"no_compensate": True}
+        assert all(m["seed"] == 4 for m in manifests.values())
+
 
 class TestAttackAndCapacity:
     def test_attack_rates(self, small_config, tmp_path):
