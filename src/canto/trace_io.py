@@ -220,12 +220,13 @@ def _data(line: str, at: int) -> bool:
 
 def _refusal(numbered, size: int = _BLOCK) -> tuple[int, str]:
     """The first of the (line number, line) pairs whose line `_columns` refuses,
-    and why: judged in blocks of `size` lines, then the refused block's one by one."""
+    and why: judged in blocks of `size` lines, then the first refused block in
+    blocks 32 times smaller, down to single lines."""
     while block := list(islice(numbered, size)):
         try:
             _columns([[line for _, line in block]])
         except ValueError as exc:
-            return (block[0][0], str(exc)) if size == 1 else _refusal(iter(block), 1)
+            return (block[0][0], str(exc)) if size == 1 else _refusal(iter(block), size // 32 or 1)
 
 
 def _parse_native(fh) -> Trace:
@@ -233,8 +234,7 @@ def _parse_native(fh) -> Trace:
     it is refused, the file is read again to name the first refused line."""
 
     def chunks():
-        head = fh.readline()
-        yield [head] if _data(head, 1) else []
+        yield [line for line in [fh.readline()] if _data(line, 1)]
         for chunk in iter(lambda: fh.readlines(1 << 16), []):
             yield [line for line in chunk if not line.isspace()]
 
