@@ -3,8 +3,8 @@ authentication, score adversaries, and emit tables and plot data.
 
 Every subcommand writes a manifest (input hashes, seed, version and its
 other arguments) next to its outputs so any artifact can be re-derived
-from configuration, seed and arguments. Exit codes: 0 success, 1 check failure, 2 usage, 3 I/O,
-4 internal error.
+from configuration, seed and arguments. Exit codes: 0 success, 1 check
+failure, 2 usage, 3 I/O, 4 internal error.
 """
 
 from __future__ import annotations
