@@ -383,34 +383,38 @@ def cmd_run(args) -> int:
         seed = _resolve_seed(args, config)
         if config.covert is not None:
             _check_report_covert(config.covert)
-        out.mkdir(parents=True, exist_ok=True)  # once the config and seed are taken
+        writes = []  # (stage, writer), run after the report, which refuses before it writes
 
         stage = "simulate" if args.schedule else "allocate"
         sched = _schedule_from(args, config, seed)
-        trace_io.write_schedule(sched, out / "schedule.txt")
+        writes.append((stage, lambda: trace_io.write_schedule(sched, out / "schedule.txt")))
 
         stage = "simulate"
         bus = config.to_bus_config(sched, seed=seed)
         trace = bus_sim.simulate(bus)
-        trace_io.export_trace(trace, out / "trace.csv")
+        writes.append((stage, lambda: trace_io.export_trace(trace, out / "trace.csv")))
 
         stage = "verify"
         if config.covert is not None:
             decoded = decode(trace, config.covert, _periods(config))
-            trace_io.write_verdicts(trace, decoded, out / "verdicts.csv")
+            writes.append((stage, lambda: trace_io.write_verdicts(trace, decoded,
+                                                                  out / "verdicts.csv")))
             errors = decoded.error_us[~np.isnan(decoded.error_us)]
 
             stage = "attack"
             level = config.covert.level_bits
             adv = {(rho, k): analysis.exact_adversary_rate(rho, level, k)
                    for rho in RHO_SET for k in FRAME_SET}
-            _write_attack(out, "adv_rate_exact", adv.items(), level)
+            writes.append((stage, lambda: _write_attack(out, "adv_rate_exact", adv.items(), level)))
 
             stage = "report"
             _report(out, out, config.covert, args.bin_width,
                     np.rint(trace.bus_time_us * 10) / 10.0,  # the tenths of trace.csv
                     trace_io.rounded4(errors),  # as in the file
                     adv)
+        out.mkdir(parents=True, exist_ok=True)
+        for stage, write in writes:
+            write()
 
         if args.check:
             stage = "check"

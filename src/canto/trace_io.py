@@ -16,7 +16,7 @@ import warnings
 from binascii import hexlify
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -36,7 +36,7 @@ class TraceFormatError(ValueError):
 
 # Both CSV files are written _BLOCK rows at a time, as numpy records of NUL-padded
 # fixed-width byte fields; a block's text is its records' bytes without the NULs.
-_BLOCK = 1024
+_BLOCK = 4096
 VERDICT_HEADER = "bus_time_us,id_hex,counter,error_us,verdict"
 
 
@@ -64,9 +64,9 @@ def _decimal(values: np.ndarray) -> tuple:
 
 
 _HEX = np.frombuffer(hexlify(bytes(range(256))).upper(), dtype=np.uint16)  # byte -> 2 digits
-# hex digit -> its value, NUL (past a text's end) -> 0, any other byte -> 16
-_NIBBLE = np.full(256, 16, dtype=np.uint8)
-_NIBBLE[list(b"0123456789abcdefABCDEF\0")] = [*range(16), *range(10, 16), 0]
+# a bytes.translate table: hex digit -> its value, NUL (past a text's end) -> 0, any other -> 16
+_NIBBLE = bytes(int(chr(c), 16) if chr(c) in "0123456789abcdefABCDEF" else 16 * (c > 0)
+                for c in range(256))
 
 
 def _hex_parts(rows: np.ndarray, lengths: np.ndarray) -> tuple:
@@ -117,9 +117,8 @@ def _write_frames(fh, header: str, trace: Trace, time_us: np.ndarray, more) -> N
         records = np.zeros(len(tenths), dtype=[(f"f{k}", p.dtype) for k, p in enumerate(parts)])
         for k, part in enumerate(parts):
             records[f"f{k}"] = part
-        chars = records.view(np.uint8)
-        fh.write(chars[chars != 0].tobytes().decode())
-        del fields, parts, records, chars  # before the next block's are made
+        fh.write(records.tobytes().translate(None, b"\0").decode())
+        del fields, parts, records  # before the next block's are made
 
 
 def export_trace(trace: Trace, path) -> None:
@@ -163,23 +162,28 @@ _ROW = np.dtype(list(zip(_FIELDS, ["i8", f"S{_ID_WIDTH}", "i8", f"S{_PAYLOAD_WID
 
 
 def _columns(chunks) -> Trace:
-    """The trace in `chunks` (lists of data lines), read by numpy's C reader,
-    each id text parsed once; a ValueError names the first check refused."""
+    """The trace in `chunks` (lists of lines, no header), read by numpy's C
+    reader, each id text parsed once; a ValueError names the first check refused."""
 
-    def lines():
+    def checked():
         for chunk in chunks:
             text = "".join(chunk)  # one scan per chunk of lines
+            # only such a chunk can hold a whitespace-only line; numpy skips empty ones
+            if not text.isascii() or any(c in text for c in " \t\r\x0b\x0c\x1c\x1d\x1e\x1f"):
+                chunk = [line for line in chunk if not line.isspace()]
+                text = "".join(chunk)
             # numpy's reader takes 0x1C-0x1F around a number for whitespace, which int()
             # does not; a fixed-width field drops a trailing NUL; and numpy 2.4.6's reader
             # crashed (segmentation fault) on U+9C6CA. Lines holding one are rejected.
             if not text.isascii() or any(c in text for c in "\0\x1c\x1d\x1e\x1f"):
                 raise ValueError("a character outside ASCII text (NUL, 0x1C-0x1F or non-ASCII)")
-            yield from chunk
+            yield chunk
 
     try:
         with warnings.catch_warnings():
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            rows = np.loadtxt(lines(), dtype=_ROW, delimiter=",", comments=None, ndmin=1)
+            rows = np.loadtxt(chain.from_iterable(checked()), dtype=_ROW, delimiter=",",
+                              comments=None, ndmin=1)
     except ValueError as exc:  # numpy numbers rows its own way; the caller names the line
         column = re.search(r"column (\d+)", str(exc))
         why = re.sub(r" at row \d+(, column \d+)?\.?|;.*", "", str(exc))
@@ -198,14 +202,17 @@ def _columns(chunks) -> Trace:
     if len(bad):
         raise ValueError(f"counter {counter[bad[0]]} outside 0..2^32-1")
     hex_texts = rows["payload_hex"]
-    if np.any(hex_texts.astype(f"S{_PAYLOAD_WIDTH - 1}") != hex_texts):  # filled
+    size = np.char.str_len(hex_texts)  # no text holds a NUL
+    if np.any(size == _PAYLOAD_WIDTH):  # filled
         raise ValueError(f"payload of over {_PAYLOAD_WIDTH - 1} characters exceeds the 8 bytes "
                          "of a CAN frame")
-    # a text of hex digit pairs is decoded in numpy, any other by bytes.fromhex
-    chars = np.ascontiguousarray(hex_texts).view(np.uint8).reshape(-1, _PAYLOAD_WIDTH)
-    size, nibbles = np.count_nonzero(chars, axis=1), _NIBBLE[chars]  # no text holds a NUL
+    # a text of hex digit pairs is decoded by table, any other by bytes.fromhex
+    nibbles = np.frombuffer(hex_texts.tobytes().translate(_NIBBLE), np.uint8)
+    nibbles = nibbles.reshape(-1, _PAYLOAD_WIDTH)
     payloads, lengths = nibbles[:, 0:16:2] << 4 | nibbles[:, 1:16:2], size // 2
-    for row in np.flatnonzero((nibbles == 16).any(axis=1) | (size % 2 == 1)).tolist():
+    words = nibbles[:, :16].view(np.uint64)  # bit 4 of a byte is set for 16 alone
+    odd = ((words[:, 0] | words[:, 1]) & np.uint64(0x1010101010101010) != 0) | (size % 2 == 1)
+    for row in np.flatnonzero(odd).tolist():
         payload = bytes.fromhex(hex_texts[row].decode())  # of at most 8 bytes, as 16 characters
         payloads[row], lengths[row] = np.frombuffer(payload.ljust(8, b"\0"), np.uint8), len(payload)
     return Trace(tuple(position), code[inverse], counter.copy(), rows["bus_time_us"] / 10.0,
@@ -218,7 +225,7 @@ def _data(line: str, at: int) -> bool:
     return text != "" and (at > 1 or text != TRACE_HEADER)
 
 
-def _refusal(numbered, size: int = _BLOCK) -> tuple[int, str]:
+def _refusal(numbered, size: int = 1024) -> tuple[int, str]:
     """The first of the (line number, line) pairs whose line `_columns` refuses,
     and why: judged in blocks of `size` lines, then the first refused block in
     blocks 32 times smaller, down to single lines."""
@@ -235,13 +242,16 @@ def _parse_native(fh) -> Trace:
 
     def chunks():
         yield [line for line in [fh.readline()] if _data(line, 1)]
-        for chunk in iter(lambda: fh.readlines(1 << 16), []):
-            yield [line for line in chunk if not line.isspace()]
+        yield from iter(lambda: fh.readlines(1 << 16), [])
 
     try:
         try:
             return _columns(chunks())
-        except ValueError:  # a decode error too, met again unless a line before is refused
+        except UnicodeDecodeError:
+            raise
+        except ValueError:  # the rest is decoded first: a byte that is not text always wins
+            for _ in iter(lambda: fh.read(1 << 16), ""):
+                pass
             fh.seek(0)
             at, why = _refusal((n, line) for n, line in enumerate(fh, 1) if _data(line, n))
     except UnicodeDecodeError as exc:  # raised reading the file, on no line judged

@@ -448,6 +448,17 @@ class TestPipeline:
         report = (tmp_path / "run" / "report_summary.txt").read_text()
         assert "autosar_crossing_frames=6" in report
 
+    def test_run_failing_its_check_writes_every_output(self, tmp_path, capsys):
+        config = tmp_path / "narrow.ini"
+        config.write_text(small("tolerance_us = 5", "tolerance_us = 0.5"))
+        out = tmp_path / "run"
+        assert main(["run", "--config", str(config), "--out", str(out), "--check"]) == 1
+        assert "genuine acceptance at rho=0.5" in capsys.readouterr().err
+        assert {p.name for p in out.iterdir()} == {
+            "schedule.txt", "trace.csv", "verdicts.csv", "attack.csv", "success_table.csv",
+            "fig_adversary_success.csv", "fig_deviation_histogram.csv",
+            "fig_interframe_histogram.csv", "report_summary.txt"}  # no manifest
+
     def test_run_check_passes_on_one_frame_schedule(self, tmp_path):
         assert main(["run", "--config", CAPACITY, "--out", str(tmp_path), "--check"]) == 0
 
@@ -689,6 +700,14 @@ class TestInputErrors:
         rc = main([*options, "run", "--config", str(path), "--out", str(tmp_path / "out")])
         assert rc == 3 and "error: configure: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_run_refused_at_report_writes_nothing(self, small_config, tmp_path, capsys):
+        """The report refuses its input before the run writes its first file."""
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(small_config), "--bin-width", "1e-300",
+                   "--out", str(out)])
+        assert rc == 3 and "error: report: --bin-width 1e-300: " in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verify_without_scored_frames_is_format_error(self, small_config, tmp_path,
                                                           capsys):
