@@ -116,6 +116,9 @@ def _commands(tmp: Path) -> dict[str, list[str]]:
         commands[f"allocate_{alg}"] = ["allocate", "--config", PAPER, "--algorithm", alg]
     commands["allocate_greedy-ml_grid500"] = ["allocate", "--config", str(grid500),
                                               "--algorithm", "greedy-ml"]
+    commands["paper_attack"] = ["attack", "--config", PAPER, "--trials", "20000"]
+    # the report over the run's outputs: success table, figures and summary again
+    commands["paper_report"] = ["report", "--config", PAPER, "--in", str(tmp / "paper_run")]
     return commands
 
 
