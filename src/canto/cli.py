@@ -1,10 +1,10 @@
 """Experiment driver: allocate schedules, simulate the bus, verify covert
 authentication, score adversaries, and emit tables and plot data.
 
-Every subcommand writes a manifest (input hashes, seed, version and its
-other arguments) next to its outputs so any artifact can be re-derived
-from configuration, seed and arguments. Exit codes: 0 success, 1 check
-failure, 2 usage, 3 I/O, 4 internal error.
+Every subcommand is a list of stages run by `_execute`, which then writes
+its outputs and a manifest (input hashes, seed, version and its other
+arguments) so any artifact can be re-derived from configuration, seed and
+arguments. Exit codes: 0 success, 1 check failure, 2 usage, 3 I/O, 4 internal error.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -42,7 +43,7 @@ class CheckFailure(Exception):
 
 
 class StageError(Exception):
-    """A `run` stage failed; the message names the stage, the cause is chained."""
+    """A command failed; the cause is chained, and in `run` the message names the stage."""
 
 
 def derive_seed(base: int, label: str) -> int:
@@ -64,150 +65,170 @@ def write_manifest(out: Path, args, seed: int, inputs: dict[str, str | Path | No
     (out / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def _resolve_seed(args, config) -> int:
-    """`--seed`, else the config's `[bus] seed`."""
-    if args.seed is None:
-        return config.seed
-    if args.seed < 0:
-        raise TraceFormatError(f"--seed: seed {args.seed} must be nonnegative")
-    return args.seed
+# ---------------------------------------------------------------- runner
+
+def _execute(args, stages, needs=None, check_config=None) -> int:
+    """Run one command. Refuse a bad `--tolerance` or `--bin-width`; parse
+    `--config`, check it (`needs` names what needs its `[covert]`, then
+    `check_config`) and resolve the seed; then run `stages`, (name, stage)
+    pairs, on one context of `args`, `config`, `seed`, `stdout` and earlier
+    results. A stage writes nothing: it returns its results and its files
+    (name: text, or a writer of the path). Only after the last stage or a
+    `CheckFailure` are `--out` and the files made, so no command writes before
+    its last refusal; then the manifest (not after a failed check) and
+    `stdout`. An error is a `StageError` naming its stage, if it has a name."""
+    for flag in ("tolerance", "bin_width"):
+        if not 0 < getattr(args, flag, 1.0) < math.inf:  # NaN fails too
+            raise TraceFormatError(f"--{flag.replace('_', '-')} {getattr(args, flag):g}: "
+                                   "must be positive and finite")
+    name, files, failure = stages[0][0], [], None
+    try:
+        config = trace_io.parse_experiment_config(args.config)
+        if needs is not None and config.covert is None:
+            raise TraceFormatError(f"{needs} needs a [covert] section")
+        if check_config is not None:
+            check_config(args, config)
+        if args.seed is not None and args.seed < 0:
+            raise TraceFormatError(f"--seed: seed {args.seed} must be nonnegative")
+        ctx = SimpleNamespace(args=args, config=config, stdout="", inputs={},
+                              seed=config.seed if args.seed is None else args.seed)
+        try:
+            for name, stage in stages:
+                results, stage_files = stage(ctx)
+                vars(ctx).update(results)
+                files += [(name, *file) for file in stage_files.items()]
+        except CheckFailure as exc:  # the files are still written
+            failure = exc
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
+        for name, file, content in files:
+            if callable(content):
+                content(out / file)
+            else:
+                (out / file).write_text(content, newline="\n")
+        if failure is None:
+            write_manifest(out, args, ctx.seed, {**ctx.inputs, **{
+                k: getattr(args, k, None) for k in ("config", "schedule", "trace")}})
+    except Exception as exc:
+        raise StageError(f"{name}: {exc}" if name else str(exc)) from exc
+    print(ctx.stdout, end="")
+    if failure is not None:
+        raise failure
+    return 0
 
 
-def _require_positive(flag: str, value: float) -> None:
-    if not 0 < value < math.inf:  # NaN fails too
-        raise TraceFormatError(f"{flag} {value:g}: must be positive and finite")
+def _command(*stages, needs=None, check_config=None):
+    """A command of unnamed `stages`."""
+    return lambda args: _execute(args, [("", stage) for stage in stages], needs, check_config)
 
 
-def _schedule_from(args, config, seed: int) -> Schedule:
+def _if_covert(stage):
+    """`stage` under a config with a covert channel, else a stage that does nothing."""
+    return lambda ctx: stage(ctx) if ctx.config.covert is not None else ({}, {})
+
+
+# ---------------------------------------------------------------- stages
+
+def _schedule(ctx):
     """The `--schedule` file, else the allocator (`allocate --algorithm`, else
     `[allocator] algorithm`) with `[allocator]`'s keys when that section names
     it, else the config's offsets. A key the allocator does not take exits 3."""
-    if getattr(args, "schedule", None):
-        return trace_io.read_schedule(args.schedule)
-    section = config.allocator
+    args, config, section = ctx.args, ctx.config, ctx.config.allocator
     algorithm = getattr(args, "algorithm", None) or section.get("algorithm")
-    if algorithm is None:
-        return Schedule(tuple(config.frame_specs()))
-    if algorithm not in ALLOCATORS:
+    if getattr(args, "schedule", None):
+        sched = trace_io.read_schedule(args.schedule)
+    elif algorithm is None:
+        sched = Schedule(tuple(config.frame_specs()))
+    elif algorithm not in ALLOCATORS:
         raise TraceFormatError(f"[allocator] algorithm = {algorithm}: unknown algorithm")
-    options, where = {}, f"--algorithm {algorithm}"
-    if section.get("algorithm") == algorithm:
-        options = {k: v for k, v in section.items() if k != "algorithm"}
-        where = "[allocator] " + ", ".join(f"{k} = {v}" for k, v in section.items())
-    accepted = inspect.signature(ALLOCATORS[algorithm]).parameters
-    for key, value in options.items():
-        if key not in accepted:
-            raise TraceFormatError(f"[allocator] {key} = {value}: algorithm {algorithm} "
-                                   f"does not take {key}")
-    try:
-        return build_schedule(config.frame_specs(), algorithm, seed=seed, **options)
-    except ValueError as exc:
-        raise TraceFormatError(f"{where}: {exc}") from exc
+    else:
+        options, where = {}, f"--algorithm {algorithm}"
+        if section.get("algorithm") == algorithm:
+            options = {k: v for k, v in section.items() if k != "algorithm"}
+            where = "[allocator] " + ", ".join(f"{k} = {v}" for k, v in section.items())
+        accepted = inspect.signature(ALLOCATORS[algorithm]).parameters
+        for key, value in options.items():
+            if key not in accepted:
+                raise TraceFormatError(f"[allocator] {key} = {value}: algorithm {algorithm} "
+                                       f"does not take {key}")
+        try:
+            sched = build_schedule(config.frame_specs(), algorithm, seed=ctx.seed, **options)
+        except ValueError as exc:
+            raise TraceFormatError(f"{where}: {exc}") from exc
+    return {"schedule": sched}, {"schedule.txt": functools.partial(trace_io.write_schedule, sched)}
 
 
-# ---------------------------------------------------------------- allocate
-
-def cmd_allocate(args) -> int:
-    config = trace_io.parse_experiment_config(args.config)
-    seed = _resolve_seed(args, config)
-    sched = _schedule_from(args, config, seed)
-    quality = schedule_quality(sched)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_io.write_schedule(sched, out / "schedule.txt")
-    report = (
-        "algorithm,complete,q_factor,min_ifs_ms,max_ifs_ms\n"
-        f"{args.algorithm},{int(quality.complete)},{quality.q_per_ms:.4f},"
-        f"{quality.min_ifs_us / 1000:.6g},{quality.max_ifs_us / 1000:.6g}\n")
-    (out / "allocation_report.csv").write_text(report)
-    write_manifest(out, args, seed, {"config": args.config})
-    print(report, end="")
-    return 0
+def _allocation_report(ctx):
+    quality = schedule_quality(ctx.schedule)
+    report = ("algorithm,complete,q_factor,min_ifs_ms,max_ifs_ms\n"
+              f"{ctx.args.algorithm},{int(quality.complete)},{quality.q_per_ms:.4f},"
+              f"{quality.min_ifs_us / 1000:.6g},{quality.max_ifs_us / 1000:.6g}\n")
+    return {"stdout": report}, {"allocation_report.csv": report}
 
 
-# ---------------------------------------------------------------- simulate
-
-def cmd_simulate(args) -> int:
-    config = trace_io.parse_experiment_config(args.config)
-    seed = _resolve_seed(args, config)
-    sched = _schedule_from(args, config, seed)
-    bus = config.to_bus_config(sched, seed=seed)
-    trace = bus_sim.simulate(bus)
-    busload = bus_sim.busload(trace)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_io.export_trace(trace, out / "trace.csv")
-    trace_io.write_schedule(sched, out / "schedule.txt")
-    (out / "busload.txt").write_text(f"busload_percent={busload:.3f}\nframes={len(trace)}\n")
-    write_manifest(out, args, seed, {"config": args.config, "schedule": args.schedule})
-    print(f"{len(trace)} frames, busload {busload:.1f}%")
-    return 0
+def _simulate(ctx):
+    trace = bus_sim.simulate(ctx.config.to_bus_config(ctx.schedule, seed=ctx.seed))
+    return {"trace": trace}, {"trace.csv": functools.partial(trace_io.export_trace, trace)}
 
 
-# ---------------------------------------------------------------- verify
+def _busload(ctx):
+    frames, busload = len(ctx.trace), bus_sim.busload(ctx.trace)
+    return ({"stdout": f"{frames} frames, busload {busload:.1f}%\n"},
+            {"busload.txt": f"busload_percent={busload:.3f}\nframes={frames}\n"})
 
-def _periods(config) -> dict:
-    """Each configured ID's period: a receiver knows these, not the offsets."""
-    return {f.id: f.period_us for f in config.frame_specs()}
 
-
-def _trace_inputs(args, needs: str):
-    """The receiver front end of `verify` and `capacity`: seed, the config's
-    `[covert]`, parsed trace and its `decode`. Under `--no-compensate` the
-    frames are priced (the file stores no wire times) and the decoder takes
-    frame ends as arrivals."""
-    config = trace_io.parse_experiment_config(args.config)
-    if config.covert is None:
-        raise TraceFormatError(f"{needs} needs a [covert] section")
-    seed = _resolve_seed(args, config)
+def _decoded(ctx):
+    """The receiver front end of `verify` and `capacity`: the parsed trace and
+    its `decode`. Under `--no-compensate` the frames are priced (the file
+    stores no wire times) and the decoder takes frame ends as arrivals."""
+    args, config = ctx.args, ctx.config
     trace = trace_io.parse_trace(args.trace)
     if args.no_compensate:
         trace.tx_time_us = config.wire_times_us(trace.ids, trace.id_index, trace.payloads,
                                                 trace.payload_len)
+    periods = {f.id: f.period_us for f in config.frame_specs()}  # not the offsets
     try:
-        decoded = decode(trace, config.covert, _periods(config), compensate=not args.no_compensate)
+        decoded = decode(trace, config.covert, periods, compensate=not args.no_compensate)
     except KeyError as exc:
         raise TraceFormatError(f"{args.trace}: {exc.args[0]}") from exc
-    return seed, config.covert, trace, decoded
+    return {"trace": trace, "decoded": decoded}, {}
 
 
-def cmd_verify(args) -> int:
-    seed, covert, trace, decoded = _trace_inputs(args, "verification")
+def _verify_summary(ctx):
+    trace, decoded = ctx.trace, ctx.decoded
     scored = decoded.reason != "first"
     windows = decoded.window[decoded.window >= 0]
     if not scored.any() or not windows.size:
-        raise TraceFormatError(f"{args.trace}: no scored frames or no window verdict (an ID "
-                               "needs two frames to be scored and frames_required="
-                               f"{covert.frames_required} for a window)")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trace_io.write_verdicts(trace, decoded, out / "verdicts.csv")
+        raise TraceFormatError(f"{ctx.args.trace}: no scored frames or no window verdict (an "
+                               "ID needs two frames to be scored and frames_required="
+                               f"{ctx.config.covert.frames_required} for a window)")
     rate = 100.0 * np.count_nonzero(decoded.accepted[scored]) / np.count_nonzero(scored)
     auth = 100.0 * np.count_nonzero(windows) / windows.size
     summary = (f"frames={len(trace)}\nscored={np.count_nonzero(scored)}\n"
-               f"accept_rate_percent={rate:.4f}\n"
-               f"window_auth_rate_percent={auth:.4f}\n")
-    (out / "verify_summary.txt").write_text(summary)
-    write_manifest(out, args, seed, {"config": args.config, "trace": args.trace})
-    print(summary, end="")
-    return 0
+               f"accept_rate_percent={rate:.4f}\nwindow_auth_rate_percent={auth:.4f}\n")
+    return {"stdout": summary}, {
+        "verdicts.csv": functools.partial(trace_io.write_verdicts, trace, decoded),
+        "verify_summary.txt": summary}
 
 
-# ---------------------------------------------------------------- attack
-
-def _write_attack(out: Path, column: str, rates, level: int) -> None:
-    """Write attack.csv: one row per ((rho, frames), adversary rate) pair,
-    the rate under `column`, then the paper's unclipped (2*rho/2^l)^k."""
-    with open(out / "attack.csv", "w", newline="\n") as fh:
-        fh.write(f"rho_us,frames,{column},adv_rate_analytic\n")
-        for (rho, k), rate in rates:
-            fh.write(f"{rho:g},{k},{rate:.8g},{adversary_advantage(rho, level, k):.8g}\n")
+def _verify_run(ctx):
+    decoded = decode(ctx.trace, ctx.config.covert,
+                     {f.id: f.period_us for f in ctx.config.frame_specs()})
+    return ({"decoded": decoded,  # the report reads errors and times as the files hold them
+             "errors": trace_io.rounded4(decoded.error_us[~np.isnan(decoded.error_us)]),
+             "bus_times": np.rint(ctx.trace.bus_time_us * 10) / 10.0},
+            {"verdicts.csv": functools.partial(trace_io.write_verdicts, ctx.trace, decoded)})
 
 
-def cmd_attack(args) -> int:
-    config = trace_io.parse_experiment_config(args.config)
-    if config.covert is None:
-        raise TraceFormatError("attack scoring needs a [covert] section")
+def _attack_csv(column: str, rates, level: int) -> str:
+    """attack.csv: one row per ((rho, frames), adversary rate) pair, the rate
+    under `column`, then the paper's unclipped (2*rho/2^l)^k."""
+    return f"rho_us,frames,{column},adv_rate_analytic\n" + "".join(
+        f"{rho:g},{k},{rate:.8g},{adversary_advantage(rho, level, k):.8g}\n"
+        for (rho, k), rate in rates)
+
+
+def _check_attack_flags(args, config) -> None:
     level = config.covert.level_bits
     for rho in args.rho:
         if not 0 <= 2 * rho < 1 << level:  # NaN fails too
@@ -219,47 +240,47 @@ def cmd_attack(args) -> int:
                 raise TraceFormatError(f"{flag} {value}: must be >= 1")
             if flag == "--frames" and value > analysis.MC_DRAWS:  # a window fills a chunk
                 raise TraceFormatError(f"{flag} {value}: must be <= {analysis.MC_DRAWS}")
-    seed = _resolve_seed(args, config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+
+
+def _mc_rates(ctx):
+    args, level = ctx.args, ctx.config.covert.level_bits
     rates = [((rho, k), analysis.mc_adversary_rate(rho, level, k, args.trials,
-                                                   derive_seed(seed, f"attack:{rho}:{k}")))
+                                                   derive_seed(ctx.seed, f"attack:{rho}:{k}")))
              for rho in args.rho for k in args.frames]
-    _write_attack(out, "adv_rate_mc", rates, level)
-    write_manifest(out, args, seed, {"config": args.config})
-    print(f"attack rates for rho={args.rho} frames={args.frames} "
-          f"({args.trials} trials each) -> {out / 'attack.csv'}")
-    return 0
+    return ({"stdout": f"attack rates for rho={args.rho} frames={args.frames} "
+                       f"({args.trials} trials each) -> {Path(args.out) / 'attack.csv'}\n"},
+            {"attack.csv": _attack_csv("adv_rate_mc", rates, level)})
 
 
-# ---------------------------------------------------------------- capacity
+def _exact_rates(ctx):
+    level = ctx.config.covert.level_bits
+    adv = {(rho, k): analysis.exact_adversary_rate(rho, level, k)
+           for rho in RHO_SET for k in FRAME_SET}
+    return {"adv": adv}, {"attack.csv": _attack_csv("adv_rate_exact", adv.items(), level)}
 
-def cmd_capacity(args) -> int:
-    _require_positive("--tolerance", args.tolerance)
-    seed, covert, trace, decoded = _trace_inputs(args, "capacity extraction")
+
+def _capacity(ctx):
+    tolerance = ctx.args.tolerance
     try:
-        matrix = analysis.extract_channel_matrix(trace, decoded, covert.level_bits)
+        matrix = analysis.extract_channel_matrix(ctx.trace, ctx.decoded,
+                                                 ctx.config.covert.level_bits)
     except ValueError as exc:
-        raise TraceFormatError(f"{args.trace}: {exc.args[0]}") from exc
+        raise TraceFormatError(f"{ctx.args.trace}: {exc.args[0]}") from exc
     try:
-        capacity, iterations = analysis.blahut_arimoto(matrix, tolerance=args.tolerance)
+        capacity, iterations = analysis.blahut_arimoto(matrix, tolerance=tolerance)
     except analysis.CapacityError as exc:
-        raise TraceFormatError(f"--tolerance {args.tolerance:g}: {exc}") from exc
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+        raise TraceFormatError(f"--tolerance {tolerance:g}: {exc}") from exc
     report = (f"capacity_bits={capacity:.6f}\niterations={iterations}\n"
-              f"alphabet={matrix.shape[0]}\ntolerance_bits={args.tolerance:g}\n")
-    (out / "capacity_report.txt").write_text(report)
-    write_manifest(out, args, seed, {"config": args.config, "trace": args.trace})
-    print(report, end="")
-    return 0
+              f"alphabet={matrix.shape[0]}\ntolerance_bits={tolerance:g}\n")
+    return {"stdout": report}, {"capacity_report.txt": report}
 
 
-# ---------------------------------------------------------------- report
-
-def _check_report_covert(covert) -> None:
+def _check_report_covert(ctx):
     """The success table and the 2^-24 crossing need every tolerance they
     score to leave part of the delay alphabet outside its window."""
+    covert = ctx.config.covert
+    if covert is None:
+        raise TraceFormatError("report needs a [covert] section")
     if covert.level_bits < MIN_LEVEL_BITS:
         raise TraceFormatError(
             f"[covert] level_bits {covert.level_bits}: the success table's tolerances up to "
@@ -267,60 +288,7 @@ def _check_report_covert(covert) -> None:
     if 2 * covert.tolerance_us >= covert.window_us:
         raise TraceFormatError(f"[covert] tolerance_us {covert.tolerance_us:g}: the acceptance "
                                f"window covers the whole delay alphabet (2^{covert.level_bits} us)")
-
-
-def _histogram(values, width: float, what: str):
-    """`analysis.histogram`; too many bins exit 3, naming `what`."""
-    try:
-        return analysis.histogram(values, width)
-    except ValueError as exc:
-        raise TraceFormatError(f"{what}: {exc}") from exc
-
-
-def _report(indir: Path, out: Path, covert, bin_width: float, bus_times, errors,
-            adv: dict[tuple[float, int], float]) -> None:
-    """Tables and figure CSVs from the adversary rates by (rho, frames), bus
-    times (None: no trace) and the scored errors as verdicts.csv holds them;
-    `covert` passed `_check_report_covert`."""
-    level, tolerance = covert.level_bits, covert.tolerance_us
-    if errors.size == 0:
-        raise TraceFormatError(f"{indir / 'verdicts.csv'}: no scored frames")
-    deviations = _histogram(errors, bin_width, f"--bin-width {bin_width:g}")
-    gaps = None if bus_times is None else _histogram(
-        np.diff(bus_times) / 1000.0, 0.05, f"{indir / 'trace.csv'}: inter-frame gaps")
-    out.mkdir(parents=True, exist_ok=True)
-
-    with open(out / "success_table.csv", "w", newline="\n") as fh:
-        fh.write("rho_us,frames,ecu_rate,adv_rate\n")
-        for rho in RHO_SET:
-            p = float(np.mean(np.abs(errors) <= rho))
-            for k in FRAME_SET:
-                rate = adv[rho, k] if (rho, k) in adv else adversary_advantage(rho, level, k)
-                fh.write(f"{rho:g},{k},{ecu_success(p, k):.8g},{rate:.8g}\n")
-
-    crossing = None
-    with open(out / "fig_adversary_success.csv", "w", newline="\n") as fh:
-        fh.write(f"frames,adv_rate_rho{tolerance:g},autosar_24bit\n")
-        for k in range(1, 9):
-            rate = adversary_advantage(tolerance, level, k)
-            if crossing is None and rate < AUTOSAR_LEVEL:
-                crossing = k
-            fh.write(f"{k},{rate:.8g},{AUTOSAR_LEVEL:.8g}\n")
-
-    for name, unit, histogram in (("deviation", "us", deviations), ("interframe", "ms", gaps)):
-        if histogram is not None:
-            with open(out / f"fig_{name}_histogram.csv", "w", newline="\n") as fh:
-                fh.write(f"bin_start_{unit},count\n")
-                for s, c in zip(*histogram):
-                    fh.write(f"{s:.6g},{int(c)}\n")
-
-    capacity_src = indir / "capacity_report.txt"
-    if capacity_src.exists():
-        (out / "capacity_report.txt").write_text(capacity_src.read_text())
-
-    summary = f"autosar_crossing_frames={crossing}\nscored_frames={errors.size}\n"
-    (out / "report_summary.txt").write_text(summary)
-    print(summary, end="")
+    return {}, {}
 
 
 def _read_csv(path: Path, width: int, convert) -> list:
@@ -341,105 +309,106 @@ def _read_csv(path: Path, width: int, convert) -> list:
     return rows
 
 
-def cmd_report(args) -> int:
-    _require_positive("--bin-width", args.bin_width)
-    config = trace_io.parse_experiment_config(args.config)
-    seed = _resolve_seed(args, config)
-    if config.covert is None:
-        raise TraceFormatError("report needs a [covert] section")
-    _check_report_covert(config.covert)
-    indir = Path(args.indir)
-    if Path(args.out).resolve() == indir.resolve():
+def _report_inputs(ctx):
+    """`report`'s inputs in `--in`; a capacity_report.txt there is copied."""
+    indir = Path(ctx.args.indir)
+    if Path(ctx.args.out).resolve() == indir.resolve():
         raise TraceFormatError(f"--out and --in are both {indir}: the report would replace "
                                "the manifest of the command that wrote its inputs")
-    verdicts, attack, trace_path = (indir / f for f in ("verdicts.csv", "attack.csv", "trace.csv"))
+    verdicts, attack, trace, capacity = (indir / f for f in (
+        "verdicts.csv", "attack.csv", "trace.csv", "capacity_report.txt"))
     missing = [str(p) for p in (verdicts, attack) if not p.exists()]
     if missing:
         raise FileNotFoundError(f"missing report inputs: {', '.join(missing)}")
-    bus_times = trace_io.parse_trace(trace_path).bus_time_us if trace_path.exists() else None
+    bus_times = trace_io.parse_trace(trace).bus_time_us if trace.exists() else None
     errors = np.array([e for e in _read_csv(verdicts, 5, lambda f: float(f[3]) if f[3] else None)
                        if e is not None])  # None: an unscored frame, its error_us empty
     adv = dict(_read_csv(attack, 4, lambda f: ((float(f[0]), int(f[1])), float(f[2]))))
-    _report(indir, Path(args.out), config.covert, args.bin_width, bus_times, errors, adv)
-    inputs = {p.name: p for p in (verdicts, attack, trace_path, indir / "capacity_report.txt")
-              if p.exists()}
-    write_manifest(Path(args.out), args, seed, {"config": args.config, **inputs})
-    return 0
+    inputs = {p.name: p for p in (verdicts, attack, trace, capacity) if p.exists()}
+    return ({"bus_times": bus_times, "errors": errors, "adv": adv, "inputs": inputs},
+            {capacity.name: capacity.read_text()} if capacity.exists() else {})
 
 
-# ---------------------------------------------------------------- run
+def _histogram(values, width: float, unit: str, what: str):
+    """A writer of `analysis.histogram`'s CSV; too many bins exit 3, naming `what`."""
+    try:
+        starts, counts = analysis.histogram(values, width)
+    except ValueError as exc:
+        raise TraceFormatError(f"{what}: {exc}") from exc
 
-def _check(condition: bool, message: str) -> None:
-    if not condition:
-        raise CheckFailure(message)
+    def write(path: Path) -> None:
+        with open(path, "w", newline="\n") as fh:
+            fh.write(f"bin_start_{unit},count\n")
+            for s, c in zip(starts, counts):
+                fh.write(f"{s:.6g},{int(c)}\n")
+    return write
+
+
+def _report(ctx):
+    """The report stage of `report` and `run`: tables and figure CSVs from the
+    adversary rates by (rho, frames) `adv`, the bus times `bus_times` (None:
+    no trace) and the scored `errors` as verdicts.csv holds them."""
+    errors, adv, width = ctx.errors, ctx.adv, ctx.args.bin_width
+    indir = Path(getattr(ctx.args, "indir", ctx.args.out))  # `run` reads its own outputs
+    level, tolerance = ctx.config.covert.level_bits, ctx.config.covert.tolerance_us
+    if errors.size == 0:
+        raise TraceFormatError(f"{indir / 'verdicts.csv'}: no scored frames")
+    files = {"fig_deviation_histogram.csv": _histogram(errors, width, "us",
+                                                       f"--bin-width {width:g}")}
+    if ctx.bus_times is not None:
+        files["fig_interframe_histogram.csv"] = _histogram(
+            np.diff(ctx.bus_times) / 1000.0, 0.05, "ms", f"{indir / 'trace.csv'}: inter-frame gaps")
+    table = "rho_us,frames,ecu_rate,adv_rate\n"
+    for rho in RHO_SET:
+        p = float(np.mean(np.abs(errors) <= rho))
+        for k in FRAME_SET:
+            rate = adv[rho, k] if (rho, k) in adv else adversary_advantage(rho, level, k)
+            table += f"{rho:g},{k},{ecu_success(p, k):.8g},{rate:.8g}\n"
+    rates = [adversary_advantage(tolerance, level, k) for k in range(1, 9)]
+    crossing = next((k for k, rate in enumerate(rates, 1) if rate < AUTOSAR_LEVEL), None)
+    summary = f"autosar_crossing_frames={crossing}\nscored_frames={errors.size}\n"
+    return {"stdout": summary}, {
+        **files, "success_table.csv": table, "report_summary.txt": summary,
+        "fig_adversary_success.csv": f"frames,adv_rate_rho{tolerance:g},autosar_24bit\n"
+        + "".join(f"{k},{rate:.8g},{AUTOSAR_LEVEL:.8g}\n" for k, rate in enumerate(rates, 1))}
+
+
+def _check_run(ctx):
+    """Under `--check`, the paper-vector thresholds; a miss exits 1."""
+    def check(condition: bool, message: str) -> None:
+        if not condition:
+            raise CheckFailure(message)
+    if ctx.args.check:
+        check(check_complete(ctx.schedule), "allocated schedule is not collision-free")
+        check(ctx.config.covert is not None, "--check needs a covert channel to score")
+        rho, level = ctx.config.covert.tolerance_us, ctx.config.covert.level_bits
+        errors, rate = ctx.decoded.error_us, ctx.adv[5.0, 1]
+        accept = float(np.mean(np.abs(errors[~np.isnan(errors)]) <= rho))
+        check(accept == 1.0, f"genuine acceptance at rho={rho} is {100 * accept:.3f}% (want 100%)")
+        check(abs(rate - 0.039) < 0.0011,
+              f"adversary rate at rho=5 is {100 * rate:.3f}% (want 3.9 +- 0.1)")
+        ks = [k for k in range(1, 9) if adversary_advantage(5.0, level, k) < AUTOSAR_LEVEL]
+        check(ks and ks[0] == 6, f"AUTOSAR crossing at k={ks[:1]} (want 6)")
+    return {"stdout": f"{ctx.stdout}pipeline complete -> {Path(ctx.args.out)}\n"}, {}
+
+
+# ---------------------------------------------------------------- commands
+
+cmd_allocate = _command(_schedule, _allocation_report)
+cmd_simulate = _command(_schedule, _simulate, _busload)
+cmd_verify = _command(_decoded, _verify_summary, needs="verification")
+cmd_attack = _command(_mc_rates, needs="attack scoring", check_config=_check_attack_flags)
+cmd_capacity = _command(_decoded, _capacity, needs="capacity extraction")
+cmd_report = _command(_check_report_covert, _report_inputs, _report)
 
 
 def cmd_run(args) -> int:
-    _require_positive("--bin-width", args.bin_width)
-    out = Path(args.out)
-    stage = "configure"
-    try:
-        config = trace_io.parse_experiment_config(args.config)
-        seed = _resolve_seed(args, config)
-        if config.covert is not None:
-            _check_report_covert(config.covert)
-        writes = []  # (stage, writer), run after the report, which refuses before it writes
+    return _execute(args, [
+        ("configure", _if_covert(_check_report_covert)),
+        ("simulate" if args.schedule else "allocate", _schedule), ("simulate", _simulate),
+        ("verify", _if_covert(_verify_run)), ("attack", _if_covert(_exact_rates)),
+        ("report", _if_covert(_report)), ("check", _check_run)])
 
-        stage = "simulate" if args.schedule else "allocate"
-        sched = _schedule_from(args, config, seed)
-        writes.append((stage, lambda: trace_io.write_schedule(sched, out / "schedule.txt")))
-
-        stage = "simulate"
-        bus = config.to_bus_config(sched, seed=seed)
-        trace = bus_sim.simulate(bus)
-        writes.append((stage, lambda: trace_io.export_trace(trace, out / "trace.csv")))
-
-        stage = "verify"
-        if config.covert is not None:
-            decoded = decode(trace, config.covert, _periods(config))
-            writes.append((stage, lambda: trace_io.write_verdicts(trace, decoded,
-                                                                  out / "verdicts.csv")))
-            errors = decoded.error_us[~np.isnan(decoded.error_us)]
-
-            stage = "attack"
-            level = config.covert.level_bits
-            adv = {(rho, k): analysis.exact_adversary_rate(rho, level, k)
-                   for rho in RHO_SET for k in FRAME_SET}
-            writes.append((stage, lambda: _write_attack(out, "adv_rate_exact", adv.items(), level)))
-
-            stage = "report"
-            _report(out, out, config.covert, args.bin_width,
-                    np.rint(trace.bus_time_us * 10) / 10.0,  # the tenths of trace.csv
-                    trace_io.rounded4(errors),  # as in the file
-                    adv)
-        out.mkdir(parents=True, exist_ok=True)
-        for stage, write in writes:
-            write()
-
-        if args.check:
-            stage = "check"
-            _check(check_complete(sched), "allocated schedule is not collision-free")
-            _check(config.covert is not None, "--check needs a covert channel to score")
-            rho = config.covert.tolerance_us
-            accept = float(np.mean(np.abs(errors) <= rho))
-            _check(accept == 1.0,
-                   f"genuine acceptance at rho={rho} is {100 * accept:.3f}% (want 100%)")
-            rate = adv[5.0, 1]
-            _check(abs(rate - 0.039) < 0.0011,
-                   f"adversary rate at rho=5 is {100 * rate:.3f}% (want 3.9 +- 0.1)")
-            ks = [k for k in range(1, 9)
-                  if adversary_advantage(5.0, level, k) < AUTOSAR_LEVEL]
-            _check(ks and ks[0] == 6, f"AUTOSAR crossing at k={ks[:1]} (want 6)")
-        write_manifest(out, args, seed, {"config": args.config, "schedule": args.schedule})
-    except CheckFailure:
-        raise
-    except Exception as exc:
-        raise StageError(f"{stage}: {exc}") from exc
-    print(f"pipeline complete -> {out}")
-    return 0
-
-
-# ---------------------------------------------------------------- main
 
 # `main` dispatches here, not through its parser (built once): a rebound command runs
 COMMANDS = {"allocate": cmd_allocate, "simulate": cmd_simulate, "verify": cmd_verify,
@@ -501,16 +470,10 @@ def main(argv=None) -> int:
     except CheckFailure as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
-    except INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except StageError as exc:
-        if isinstance(exc.__cause__, INPUT_ERRORS):
+    except Exception as exc:  # a stage's error is judged by its cause
+        if isinstance(exc.__cause__ if isinstance(exc, StageError) else exc, INPUT_ERRORS):
             print(f"error: {exc}", file=sys.stderr)
             return 3
-        print(f"internal error: {exc}", file=sys.stderr)
-        return 4
-    except Exception as exc:  # pragma: no cover - defensive
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
 
