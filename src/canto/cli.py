@@ -309,6 +309,14 @@ def _read_csv(path: Path, width: int, convert) -> list:
     return rows
 
 
+def _number(text: str, what: str, low: float = -math.inf, high: float = math.inf) -> float:
+    """`text` as a finite number from `low` to `high`, else a ValueError: it is not `what`."""
+    value = float(text)
+    if not (math.isfinite(value) and low <= value <= high):
+        raise ValueError(f"{text} is not {what}")
+    return value
+
+
 def _report_inputs(ctx):
     """`report`'s inputs in `--in`; a capacity_report.txt there is copied."""
     indir = Path(ctx.args.indir)
@@ -321,9 +329,11 @@ def _report_inputs(ctx):
     if missing:
         raise FileNotFoundError(f"missing report inputs: {', '.join(missing)}")
     bus_times = trace_io.parse_trace(trace).bus_time_us if trace.exists() else None
-    errors = np.array([e for e in _read_csv(verdicts, 5, lambda f: float(f[3]) if f[3] else None)
-                       if e is not None])  # None: an unscored frame, its error_us empty
-    adv = dict(_read_csv(attack, 4, lambda f: ((float(f[0]), int(f[1])), float(f[2]))))
+    errors = np.array([e for e in _read_csv(
+        verdicts, 5, lambda f: _number(f[3], "a finite error_us") if f[3] else None)
+        if e is not None])  # None: an unscored frame, its error_us empty
+    adv = dict(_read_csv(attack, 4, lambda f: ((float(f[0]), int(f[1])), _number(
+        f[2], "an adversary rate in [0, 1]", 0, 1))))
     inputs = {p.name: p for p in (verdicts, attack, trace, capacity) if p.exists()}
     return ({"bus_times": bus_times, "errors": errors, "adv": adv, "inputs": inputs},
             {capacity.name: capacity.read_text()} if capacity.exists() else {})

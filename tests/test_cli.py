@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and pipeline determinism."""
 
+import argparse
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from canto import scheduler
+from canto import cli, scheduler
 from canto.cli import COMMANDS, FRAME_SET, RHO_SET, build_parser, main
 from canto.scheduler import ALLOCATORS
 from canto.trace_io import TRACE_HEADER, VERDICT_HEADER
@@ -280,6 +281,16 @@ MALFORMED_REPORT = {
     "attack-empty": ("attack.csv", "", [], "attack.csv: empty, with no header line"),
     "bin-width-1e-300": (None, None, ["--bin-width", "1e-300"],
                          "--bin-width 1e-300: 7.5e+299 bins of width 1e-300 exceed 16777216"),
+    # an error that is not finite would be binned as nan or inf bins of --bin-width
+    **{f"verdicts-error-{text}": ("verdicts.csv",
+                                  VERDICT_HEADER + f"\n100000,100,1,{text},accept\n", [],
+                                  f"verdicts.csv: line 2: {text} is not a finite error_us")
+       for text in ("nan", "inf")},
+    # a rate that is not a probability would be written to success_table.csv
+    **{f"attack-rate-{text}": ("attack.csv", "rho_us,frames,adv_rate_exact,adv_rate_analytic\n"
+                               f"5,1,0.0386,0.0390625\n5,2,{text},0.00152588\n", [],
+                               f"attack.csv: line 3: {text} is not an adversary rate in [0, 1]")
+       for text in ("nan", "inf", "-0.5", "2")},
     # gaps of 1 us and 1000 s: 2 * 10^7 inter-frame bins of 0.05 ms
     "trace-gap-1000-s": ("trace.csv", TRACE_HEADER + "\n0,100,1,00,1\n10,100,2,00,1\n"
                          "10000000010,100,3,00,1\n",
@@ -375,6 +386,14 @@ class TestAllocate:
                 build_parser().parse_args(argv)
             except SystemExit:
                 pytest.fail(f"README.md: canto {shlex.join(argv)} does not parse")
+
+    def test_commands_are_the_parsers_subcommands(self):
+        # `main` dispatches through COMMANDS and the benchmark's tracer rebinds
+        # cli.cmd_<name>: both must reach the same function for every subcommand
+        subcommands = next(action.choices for action in build_parser()._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        assert sorted(COMMANDS) == sorted(subcommands)
+        assert all(COMMANDS[name] is getattr(cli, f"cmd_{name}") for name in COMMANDS)
 
     def test_unknown_algorithm_is_usage_error(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -784,6 +803,7 @@ class TestInputErrors:
                    "--out", str(tmp_path / "rep"), *extra])
         err = capsys.readouterr().err
         assert rc == 3 and named in err and "internal error" not in err, err
+        assert not (tmp_path / "rep").exists()
 
     @pytest.mark.filterwarnings("ignore:sparse channel matrix")
     def test_capacity_tolerance_out_of_reach_exits_3(self, tmp_path, capsys):
@@ -808,3 +828,4 @@ class TestInputErrors:
             rc = main(argv)
         err = capsys.readouterr().err
         assert rc == 3 and named in err and "internal error" not in err, err
+        assert not (tmp_path / "out").exists()
