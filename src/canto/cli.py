@@ -160,9 +160,10 @@ def _schedule(ctx):
 
 def _allocation_report(ctx):
     quality = schedule_quality(ctx.schedule)
-    report = ("algorithm,complete,q_factor,min_ifs_ms,max_ifs_ms\n"
-              f"{ctx.args.algorithm},{int(quality.complete)},{quality.q_per_ms:.4f},"
-              f"{quality.min_ifs_us / 1000:.6g},{quality.max_ifs_us / 1000:.6g}\n")
+    report = (
+        "algorithm,complete,q_factor,min_ifs_ms,max_ifs_ms\n"
+        f"{ctx.args.algorithm},{int(quality.complete)},{quality.q_per_ms:.4f},"
+        f"{quality.min_ifs_us / 1000:.6g},{quality.max_ifs_us / 1000:.6g}\n")
     return {"stdout": report}, {"allocation_report.csv": report}
 
 
@@ -177,6 +178,11 @@ def _busload(ctx):
             {"busload.txt": f"busload_percent={busload:.3f}\nframes={frames}\n"})
 
 
+def _periods(config) -> dict:
+    """Each configured ID's period: a receiver knows these, not the offsets."""
+    return {f.id: f.period_us for f in config.frame_specs()}
+
+
 def _decoded(ctx):
     """The receiver front end of `verify` and `capacity`: the parsed trace and
     its `decode`. Under `--no-compensate` the frames are priced (the file
@@ -186,9 +192,8 @@ def _decoded(ctx):
     if args.no_compensate:
         trace.tx_time_us = config.wire_times_us(trace.ids, trace.id_index, trace.payloads,
                                                 trace.payload_len)
-    periods = {f.id: f.period_us for f in config.frame_specs()}  # not the offsets
     try:
-        decoded = decode(trace, config.covert, periods, compensate=not args.no_compensate)
+        decoded = decode(trace, config.covert, _periods(config), compensate=not args.no_compensate)
     except KeyError as exc:
         raise TraceFormatError(f"{args.trace}: {exc.args[0]}") from exc
     return {"trace": trace, "decoded": decoded}, {}
@@ -205,15 +210,15 @@ def _verify_summary(ctx):
     rate = 100.0 * np.count_nonzero(decoded.accepted[scored]) / np.count_nonzero(scored)
     auth = 100.0 * np.count_nonzero(windows) / windows.size
     summary = (f"frames={len(trace)}\nscored={np.count_nonzero(scored)}\n"
-               f"accept_rate_percent={rate:.4f}\nwindow_auth_rate_percent={auth:.4f}\n")
+               f"accept_rate_percent={rate:.4f}\n"
+               f"window_auth_rate_percent={auth:.4f}\n")
     return {"stdout": summary}, {
         "verdicts.csv": functools.partial(trace_io.write_verdicts, trace, decoded),
         "verify_summary.txt": summary}
 
 
 def _verify_run(ctx):
-    decoded = decode(ctx.trace, ctx.config.covert,
-                     {f.id: f.period_us for f in ctx.config.frame_specs()})
+    decoded = decode(ctx.trace, ctx.config.covert, _periods(ctx.config))
     return ({"decoded": decoded,  # the report reads errors and times as the files hold them
              "errors": trace_io.rounded4(decoded.error_us[~np.isnan(decoded.error_us)]),
              "bus_times": np.rint(ctx.trace.bus_time_us * 10) / 10.0},
@@ -349,8 +354,7 @@ def _histogram(values, width: float, unit: str, what: str):
     def write(path: Path) -> None:
         with open(path, "w", newline="\n") as fh:
             fh.write(f"bin_start_{unit},count\n")
-            for s, c in zip(starts, counts):
-                fh.write(f"{s:.6g},{int(c)}\n")
+            fh.writelines(f"{s:.6g},{int(c)}\n" for s, c in zip(starts, counts))
     return write
 
 
@@ -481,7 +485,8 @@ def main(argv=None) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # a stage's error is judged by its cause
-        if isinstance(exc.__cause__ if isinstance(exc, StageError) else exc, INPUT_ERRORS):
+        cause = exc.__cause__ if isinstance(exc, StageError) else exc
+        if isinstance(cause, INPUT_ERRORS):
             print(f"error: {exc}", file=sys.stderr)
             return 3
         print(f"internal error: {exc}", file=sys.stderr)
