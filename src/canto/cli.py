@@ -118,7 +118,7 @@ def _execute(args, stages, needs=None, check_config=None) -> int:
 
 
 def _command(*stages, needs=None, check_config=None):
-    """A command of unnamed `stages`."""
+    """A standalone command: `_execute` over `stages`, whose errors name no stage."""
     return lambda args: _execute(args, [("", stage) for stage in stages], needs, check_config)
 
 
