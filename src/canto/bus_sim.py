@@ -17,14 +17,14 @@ import heapq
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from canto.clock_model import ClockModel, oscillator_times
 from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_wire_times_us,
                                transmission_time_us)
-from canto.incanta import CovertConfig, covert_delays, embed_counters
+from canto.incanta import CovertConfig, covert_delays, embed_counters, mac_fingerprint
 from canto.scheduler import MAX_INSTANTS, Schedule, check_complete
 
 
@@ -100,6 +100,12 @@ class Trace:
     start `bus_time_us[i]` and wire time `tx_time_us[i]` (0 when unknown),
     the first `payload_len[i]` bytes of row i of `payloads` as its payload,
     and `genuine[i]`.
+
+    `simulate` sets `sent` to what its sender hashed, so that `decode` need
+    not hash it again: the covert configs, each frame's k << 32 | covert
+    delay under the k-th of them (-1 for a plain sender's frame), and the
+    `mac_fingerprint` of the trace then. `replace`, `take` and the trace
+    files do not carry it.
     """
 
     ids: tuple[CanId, ...]
@@ -111,6 +117,7 @@ class Trace:
     payload_len: np.ndarray  # int64
     genuine: np.ndarray  # bool
     duration_us: float = 0.0
+    sent: tuple | None = field(default=None, init=False, repr=False)
 
     def __len__(self):
         return len(self.bus_time_us)
@@ -134,7 +141,8 @@ def _theoretical_busload(config: BusConfig) -> float:
 def _releases(config: BusConfig):
     """Every release, stream after stream, as arrays: ready time on the bus, wire
     time, position of the ID in `frame_specs()`, counter, payload rows and
-    lengths. A (node, frame) stream is released at k*period + offset (+ covert
+    lengths, and the covert configs with each release's `Trace.sent` delay
+    column. A (node, frame) stream is released at k*period + offset (+ covert
     delay) below the duration, on the node's clock, with jitter from its own
     generator; its payload counts up from id >> 3 and, with the covert channel
     on, carries the counter in its last 4 bytes."""
@@ -158,14 +166,17 @@ def _releases(config: BusConfig):
     id_values, lengths = np.array([(f.id.value, f.payload_bits // 8) for f in specs]).T
     rows = ((id_values[:, None] >> 3) + np.arange(8) & 0xFF) * (np.arange(8) < lengths[:, None])
     rows, lengths, local = rows.astype(np.uint8)[pos], lengths[pos], np.concatenate(base)
+    sent = np.full(len(pos), -1)
     for k, covert in enumerate(distinct):
         own = sender == k
         rows[own] = embed_counters(rows[own], lengths[own], counter[own])
-        local[own] += covert_delays(covert.key, counter[own], id_values[pos[own]], rows[own],
-                                    lengths[own], covert.level_bits)
+        xi = covert_delays(covert.key, counter[own], id_values[pos[own]], rows[own],
+                           lengths[own], covert.level_bits)
+        local[own] += xi
+        sent[own] = k << 32 | xi
     ready = oscillator_times(local, skew_ppm, tick_ns) + np.concatenate(jitter)
     tx = config.wire_times_us(tuple(f.id for f in specs), pos, rows, lengths)
-    return ready, tx, pos, counter, rows, lengths
+    return ready, tx, pos, counter, rows, lengths, (tuple(distinct), sent)
 
 
 def simulate(config: BusConfig) -> Trace:
@@ -182,7 +193,7 @@ def simulate(config: BusConfig) -> Trace:
     if not check_complete(Schedule(tuple(specs))):
         warnings.warn("schedule is not collision-free; covert verification will degrade",
                       stacklevel=2)
-    ready, tx, pos, counter, payloads, lengths = _releases(config)
+    ready, tx, pos, counter, payloads, lengths, (configs, sent) = _releases(config)
     by_priority = {can_id: r for r, can_id in enumerate(sorted(f.id for f in specs))}
     rank = np.array([by_priority[f.id] for f in specs], dtype=np.int64)[pos]
     order = np.lexsort((np.arange(len(ready)), rank, ready))
@@ -222,9 +233,12 @@ def simulate(config: BusConfig) -> Trace:
         starts.append(np.array(heap_starts, dtype=np.float64))
     rows = np.concatenate(rows)
     release = order[rows]  # each transmitted frame's index among the releases
-    return Trace(tuple(f.id for f in specs), pos[release], counter[release],
-                 np.concatenate(starts), tx[rows], payloads[release], lengths[release],
-                 np.ones(n, dtype=bool), config.duration_us)
+    trace = Trace(tuple(f.id for f in specs), pos[release], counter[release],
+                  np.concatenate(starts), tx[rows], payloads[release], lengths[release],
+                  np.ones(n, dtype=bool), config.duration_us)
+    if configs:
+        trace.sent = (configs, sent[release], mac_fingerprint(trace))
+    return trace
 
 
 def busload(trace: Trace) -> float:

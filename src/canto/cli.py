@@ -322,6 +322,15 @@ def _number(text: str, what: str, low: float = -math.inf, high: float = math.inf
     return value
 
 
+def _attack_row(fields) -> tuple:
+    """((rho, frames), rate) of an attack.csv line: a key that names no success
+    table cell would leave the analytic rate in place, so it is refused."""
+    rho, frames = _number(fields[0], "a finite rho_us >= 0", 0), int(fields[1])
+    if frames < 1:
+        raise ValueError(f"{fields[1]} is not a frames value >= 1")
+    return (rho, frames), _number(fields[2], "an adversary rate in [0, 1]", 0, 1)
+
+
 def _report_inputs(ctx):
     """`report`'s inputs in `--in`; a capacity_report.txt there is copied."""
     indir = Path(ctx.args.indir)
@@ -337,8 +346,7 @@ def _report_inputs(ctx):
     errors = np.array([e for e in _read_csv(
         verdicts, 5, lambda f: _number(f[3], "a finite error_us") if f[3] else None)
         if e is not None])  # None: an unscored frame, its error_us empty
-    adv = dict(_read_csv(attack, 4, lambda f: ((float(f[0]), int(f[1])), _number(
-        f[2], "an adversary rate in [0, 1]", 0, 1))))
+    adv = dict(_read_csv(attack, 4, _attack_row))
     inputs = {p.name: p for p in (verdicts, attack, trace, capacity) if p.exists()}
     return ({"bus_times": bus_times, "errors": errors, "adv": adv, "inputs": inputs},
             {capacity.name: capacity.read_text()} if capacity.exists() else {})

@@ -12,6 +12,7 @@ of consecutive frames.
 from __future__ import annotations
 
 import hashlib
+import hmac
 from collections import deque
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -108,9 +109,24 @@ def covert_delays(key: bytes, counters, id_values, payloads: np.ndarray, lengths
 
 def covert_delay(key: bytes, counter: int, can_id: CanId, payload: bytes,
                  level_bits: int = 8) -> int:
-    """One frame's covert delay: `covert_delays` on a batch of one."""
-    row = np.frombuffer(payload, dtype=np.uint8)[None]
-    return int(covert_delays(key, [counter], can_id.value, row, len(payload), level_bits)[0])
+    """One frame's covert delay: the low `level_bits` bits of the stdlib one-shot
+    HMAC-SHA256 over mac_input(counter, can_id, payload), so it shares no code
+    with `covert_delays`. A counter outside 0..2^32-1 raises OverflowError."""
+    tag = hmac.digest(key, mac_input(counter, can_id, payload), "sha256")
+    return int.from_bytes(tag[-4:], "big") & ((1 << level_bits) - 1)
+
+
+def mac_fingerprint(trace: Trace) -> bytes:
+    """SHA-256 over each column of a trace that makes up a frame's MAC input
+    (counter, the id values by `ids` and `id_index`, payload rows and lengths),
+    each after its dtype and shape: equal fingerprints mean equal MAC inputs."""
+    digest = hashlib.sha256()
+    ids = np.array([i.value for i in trace.ids], dtype=np.int64)
+    for column in (trace.counter, ids, trace.id_index, trace.payloads, trace.payload_len):
+        column = np.ascontiguousarray(column)
+        digest.update(f"{column.dtype.str}{column.shape}".encode())
+        digest.update(column)
+    return digest.digest()
 
 
 def embed_counters(payloads: np.ndarray, lengths: np.ndarray, counters) -> np.ndarray:
@@ -243,7 +259,9 @@ def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
            compensate: bool = True) -> Decoded:
     """Every frame of a trace through `Verifier`'s receiver rule at once.
 
-    Each covert delay is computed once. With `compensate` a frame arrives
+    Each covert delay is computed once: a frame whose delay the simulator
+    hashed under `covert` (`_sent_delays`) keeps it, and every other frame
+    is hashed in one `covert_delays` call. With `compensate` a frame arrives
     at its start on the bus, otherwise at its end, so stuff-bit length
     variation stays in.
     """
@@ -257,8 +275,14 @@ def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
     counter = trace.counter
     time_us = trace.bus_time_us if compensate else trace.bus_time_us + trace.tx_time_us
     id_values = np.array([i.value for i in trace.ids], dtype=np.int64)[id_index]
-    xi = covert_delays(covert.key, counter, id_values, trace.payloads, trace.payload_len,
-                       covert.level_bits)
+    xi = _sent_delays(trace, covert)
+    if xi is None:
+        xi = covert_delays(covert.key, counter, id_values, trace.payloads, trace.payload_len,
+                           covert.level_bits)
+    else:
+        rest = np.flatnonzero(xi < 0)
+        xi[rest] = covert_delays(covert.key, counter[rest], id_values[rest], trace.payloads[rest],
+                                 trace.payload_len[rest], covert.level_bits)
 
     ref, replay = _references(by_id, grouped, counter)
     s = np.flatnonzero((ref >= 0) & ~replay)
@@ -275,6 +299,19 @@ def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
     window = _windows(by_id, grouped, accepted, covert.frames_required)
     code = np.select([ref < 0, replay, ok], [1, 2, 0], 3).astype(np.uint8)
     return Decoded(time_us, xi, ref, error_us, symbol, _REASONS[code], accepted, window)
+
+
+def _sent_delays(trace: Trace, covert: CovertConfig) -> np.ndarray | None:
+    """The covert delays that `bus_sim.simulate` hashed for this trace under
+    `covert`, -1 for a frame it hashed under none (a plain sender) or another
+    config; None unless the trace holds the simulator's delays under `covert`
+    and its MAC inputs are still the ones they were hashed from."""
+    if trace.sent is None:
+        return None
+    configs, delays, fingerprint = trace.sent
+    if covert not in configs or mac_fingerprint(trace) != fingerprint:
+        return None
+    return np.where(delays >> 32 == configs.index(covert), delays & 0xFFFFFFFF, -1)
 
 
 def _references(order: np.ndarray, ids: np.ndarray, counter: np.ndarray):

@@ -326,8 +326,10 @@ def per_stream_releases(config: BusConfig):
     """The releases as they were built one (node, frame) stream at a time, with
     the payloads as a list, copied from the simulator before it batched the
     bus; only its kernels are the one-frame-at-a-time oracles above.
-    `_releases` is held to it."""
-    ready, tx, pos, counters, payloads = [], [], [], [], []
+    `_releases` is held to it. Last, the covert configs and each release's
+    k << 32 | covert delay under the k-th config (-1 for a plain sender)."""
+    ready, tx, pos, counters, payloads, delays = [], [], [], [], [], []
+    configs = tuple(dict.fromkeys(n.covert for n in config.nodes if n.covert is not None))
     id_pos = -1
     for node_idx, node in enumerate(config.nodes):
         for frame_idx, spec in enumerate(node.frames):
@@ -341,10 +343,13 @@ def per_stream_releases(config: BusConfig):
             counter = np.arange(1, len(base) + 1, dtype=np.int64)
             template = payload_template(spec)
             sent, local = [template] * len(base), base
+            delays.append(np.full(len(base), -1))
             if node.covert is not None:
                 sent = [with_counter(template, c) for c in counter.tolist()]
-                local = base + hmac_delays(node.covert.key, counter, spec.id.value, sent,
-                                           node.covert.level_bits)
+                xi = hmac_delays(node.covert.key, counter, spec.id.value, sent,
+                                 node.covert.level_bits)
+                local = base + xi
+                delays[-1] = configs.index(node.covert) << 32 | xi
             ready.append(node.clock.bus_times(local, rng))
             if config.stuffing == "payload":
                 tx.append(wire_times(spec.id, sent, config.bitrate_bps))
@@ -355,7 +360,7 @@ def per_stream_releases(config: BusConfig):
             counters.append(counter)
             payloads += sent
     return (np.concatenate(ready), np.concatenate(tx), np.concatenate(pos),
-            np.concatenate(counters), payloads)
+            np.concatenate(counters), payloads, (configs, np.concatenate(delays)))
 
 
 @st.composite
@@ -391,10 +396,12 @@ class TestBatchedReleases:
     @settings(max_examples=300, deadline=None)
     @given(release_buses())
     def test_equal_the_per_stream_loop(self, cfg):
-        *columns, rows, lengths = _releases(cfg)
-        *want, payloads = per_stream_releases(cfg)
-        for name, got, expected in zip(("ready", "tx", "pos", "counter"), columns, want):
+        *columns, rows, lengths, (configs, sent) = _releases(cfg)
+        *want, payloads, (want_configs, want_sent) = per_stream_releases(cfg)
+        for name, got, expected in zip(("ready", "tx", "pos", "counter", "sent"),
+                                       [*columns, sent], [*want, want_sent]):
             assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
+        assert configs == want_configs
         assert payload_list(rows, lengths) == payloads
         assert rows.dtype == np.uint8 and not rows[np.arange(8) >= lengths[:, None]].any()
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from canto import cli, scheduler
+from canto import bus_sim, cli, incanta, scheduler
 from canto.cli import COMMANDS, FRAME_SET, RHO_SET, build_parser, main
 from canto.scheduler import ALLOCATORS
 from canto.trace_io import TRACE_HEADER, VERDICT_HEADER
@@ -291,6 +291,15 @@ MALFORMED_REPORT = {
                                f"5,1,0.0386,0.0390625\n5,2,{text},0.00152588\n", [],
                                f"attack.csv: line 3: {text} is not an adversary rate in [0, 1]")
        for text in ("nan", "inf", "-0.5", "2")},
+    # a key that is no success table cell would leave the analytic rate in its place
+    **{f"attack-rho-{text}": ("attack.csv", "rho_us,frames,adv_rate_exact,adv_rate_analytic\n"
+                              f"5,1,0.0386,0.0390625\n{text},1,0.5,0.1\n", [],
+                              f"attack.csv: line 3: {text} is not a finite rho_us >= 0")
+       for text in ("nan", "inf", "-1")},
+    **{f"attack-frames-{text}": ("attack.csv", "rho_us,frames,adv_rate_exact,adv_rate_analytic\n"
+                                 f"5,1,0.0386,0.0390625\n5,{text},0.9,0.1\n", [],
+                                 f"attack.csv: line 3: {text} is not a frames value >= 1")
+       for text in ("0", "-3")},
     # gaps of 1 us and 1000 s: 2 * 10^7 inter-frame bins of 0.05 ms
     "trace-gap-1000-s": ("trace.csv", TRACE_HEADER + "\n0,100,1,00,1\n10,100,2,00,1\n"
                          "10000000010,100,3,00,1\n",
@@ -412,6 +421,25 @@ class TestPipeline:
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
         offsets = {line.split()[2] for line in (out / "schedule.txt").read_text().splitlines()}
         assert len(offsets) == 3  # three frames, three distinct grid slots
+
+    @pytest.mark.filterwarnings("ignore:sparse channel matrix")
+    def test_each_frame_is_hashed_once_per_command(self, tmp_path, monkeypatch):
+        # `run` decodes the delays its simulator hashed; the commands that read a
+        # trace file hash every frame again, as the file holds no delay
+        hashed = []
+        kernel = incanta.covert_delays
+
+        def counting(key, counters, *args):
+            hashed.append(len(counters))
+            return kernel(key, counters, *args)
+        for module in (incanta, bus_sim):
+            monkeypatch.setattr(module, "covert_delays", counting)
+        out, trace = tmp_path / "run", str(tmp_path / "run" / "trace.csv")
+        for argv in (["run", "--check"], ["verify", "--trace", trace],
+                     ["capacity", "--trace", trace]):
+            hashed.clear()
+            assert main([*argv, "--config", PAPER, "--out", str(out)]) == 0
+            assert sum(hashed) == 2760, argv[0]
 
     def test_simulate_then_verify(self, small_config, tmp_path):
         out = tmp_path / "sim"

@@ -2,18 +2,23 @@
 
 import hashlib
 import hmac
+import io
 import tracemalloc
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from canto.bus_sim import Trace, inject_adversary
-from canto.frame_model import CanId
-from canto.incanta import (_HASH_BLOCK, CovertConfig, Verifier, adversary_advantage,
+from canto import incanta
+from canto.bus_sim import BusConfig, NodeConfig, Trace, inject_adversary, simulate
+from canto.clock_model import ClockModel, Jitter
+from canto.frame_model import CanId, FrameSpec
+from canto.incanta import (_HASH_BLOCK, CovertConfig, Decoded, Verifier, adversary_advantage,
                            covert_delay, covert_delays, decode, ecu_success, embed_counters,
                            mac_input)
+from canto.trace_io import parse_trace, write_trace
 from payload_rows import payload_columns, payload_list
 
 KEY = bytes(range(16))
@@ -439,3 +444,105 @@ class TestDecode:
         decoded = decode(trace, config(), PERIODS)
         assert decoded.reason.tolist() == ["first", "first", "timing", "timing"]
         assert decoded.ref.tolist() == [-1, -1, 0, 1]
+
+
+@st.composite
+def mixed_buses(draw):
+    """A small simulated bus: 1-4 IDs on up to three nodes, each node covert
+    under one of two configs (level_bits 1-16) or plain, 4-8 byte payloads;
+    then the config a receiver decodes with: one of the two, or a wrong key."""
+    n = draw(st.integers(1, 4))
+    ids = [CanId(v) for v in draw(st.lists(st.integers(0, 0x7FF), min_size=n, max_size=n,
+                                           unique=True))]
+    owner = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    coverts = [config(level_bits=draw(st.integers(1, 16))),
+               config(key=bytes(range(32, 64)), level_bits=draw(st.integers(1, 16)))]
+    nodes = []
+    for node_idx in sorted(set(owner)):
+        frames = tuple(FrameSpec(can_id, draw(st.sampled_from([2500.0, 5000.0, 10000.0])),
+                                 draw(st.sampled_from([0.0, 150.0, 487.3])),
+                                 8 * draw(st.integers(4, 8)))
+                       for can_id, o in zip(ids, owner) if o == node_idx)
+        clock = ClockModel(skew_ppm=draw(st.sampled_from([0.0, 45.0, -62.5])),
+                           jitter=draw(st.sampled_from([Jitter(), Jitter("uniform")])))
+        nodes.append(NodeConfig(f"n{node_idx}", clock, frames,
+                                draw(st.sampled_from([None, *coverts]))))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # offsets drawn without a schedule may collide
+        trace = simulate(BusConfig(tuple(nodes), 20000.0 + draw(st.sampled_from([0.0, 7777.7])),
+                                   seed=draw(st.integers(0, 2**16))))
+    wrong = replace(coverts[0], key=bytes(range(1, 17)))
+    return trace, draw(st.sampled_from([*coverts, wrong])), {
+        f.id: f.period_us for nd in nodes for f in nd.frames}
+
+
+class TestSentDelays:
+    """`decode` keeps the covert delays that `simulate` hashed only where the
+    MAC input is provably the one they were hashed from, so it decodes every
+    trace as a full recompute does."""
+
+    @staticmethod
+    def assert_same(got: Decoded, want: Decoded):
+        for f in fields(Decoded):
+            a, b = getattr(got, f.name), getattr(want, f.name)
+            assert a.dtype == b.dtype, f.name
+            np.testing.assert_array_equal(a, b, err_msg=f.name)  # NaNs in place match
+
+    @staticmethod
+    def decode_counting(trace, covert, periods):
+        """`decode` and the number of frames it hashed."""
+        hashed = []
+
+        def counting(key, counters, *args):
+            hashed.append(len(counters))
+            return covert_delays(key, counters, *args)
+        incanta.covert_delays = counting
+        try:
+            return decode(trace, covert, periods), sum(hashed)
+        finally:
+            incanta.covert_delays = covert_delays
+
+    def full(self, trace, covert, periods):
+        """`decode` of the same columns with nothing the simulator hashed."""
+        fresh = replace(trace)
+        assert fresh.sent is None
+        decoded, hashed = self.decode_counting(fresh, covert, periods)
+        assert hashed == len(trace)
+        return decoded
+
+    @settings(max_examples=150, deadline=None)
+    @given(mixed_buses(), st.data())
+    def test_decode_equals_a_full_recompute(self, bus, data):
+        trace, covert, periods = bus
+        decoded, hashed = self.decode_counting(trace, covert, periods)
+        self.assert_same(decoded, self.full(trace, covert, periods))
+        reused = 0  # the frames that a sender under `covert` hashed
+        if trace.sent is not None and covert in trace.sent[0]:
+            reused = np.count_nonzero(trace.sent[1] >> 32 == trace.sent[0].index(covert))
+        assert hashed == len(trace) - reused
+
+        # the trace file holds no delay: it is read back and hashed in full
+        fh = io.StringIO()
+        write_trace(trace, fh)
+        fh.seek(0)
+        parsed = replace(parse_trace(fh), bus_time_us=trace.bus_time_us)
+        self.assert_same(decoded, self.full(parsed, covert, periods))
+
+        # the trace the adversary builds from it
+        target = data.draw(st.sampled_from(trace.ids))
+        forged = inject_adversary(trace, target, periods[target], seed=data.draw(
+            st.integers(0, 9)), level_bits=covert.level_bits)
+        self.assert_same(decode(forged, covert, periods), self.full(forged, covert, periods))
+
+        # one counter or payload byte changed, in place or through replace
+        row = data.draw(st.integers(0, len(trace) - 1))
+        counter, payloads = trace.counter.copy(), trace.payloads.copy()
+        if data.draw(st.booleans()):
+            counter[row] += data.draw(st.sampled_from([-1, 1, 1000]))
+        else:
+            payloads[row, data.draw(st.integers(0, trace.payload_len[row] - 1))] ^= \
+                data.draw(st.integers(1, 255))
+        changed = replace(trace, counter=counter, payloads=payloads)
+        self.assert_same(decode(changed, covert, periods), self.full(changed, covert, periods))
+        trace.counter[:], trace.payloads[:] = counter, payloads
+        self.assert_same(decode(trace, covert, periods), self.full(trace, covert, periods))
