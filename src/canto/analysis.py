@@ -16,6 +16,7 @@ import numpy as np
 from canto.bus_sim import Trace
 from canto.frame_model import CanId
 from canto.incanta import Decoded
+from canto.scheduler import MAX_INSTANTS
 
 
 class CapacityError(RuntimeError):
@@ -26,7 +27,6 @@ class CapacityError(RuntimeError):
 # so that later logarithms stay finite
 MIN_SAMPLES_PER_SYMBOL = 100
 SMOOTHING = 1e-9
-MAX_BINS = 1 << 24  # the cells the gcd allocator's occupancy matrix may have
 # Blahut-Arimoto's step grows x1.1 while the lower bound rises, up to 8, else
 # restarts at 1; it shrinks no mass by over e^-30, so none underflows at once
 STEP_GROWTH, MAX_STEP, MIN_EXPONENT = 1.1, 8.0, -30.0
@@ -62,15 +62,18 @@ def extract_channel_matrix(trace: Trace, decoded: Decoded, level_bits: int) -> n
     pairs = _genuine_pairs(trace, decoded)
     size = 1 << level_bits
     sent = decoded.xi[pairs]
-    # every row needs a sample; checked before the size^2 counts are allocated
-    if len(sent) < size or len(np.unique(sent)) < size:
+    # before the size^2 counts exist: their cells are bounded, and each row needs a sample
+    if len(sent) >= size:
+        if size * size > MAX_INSTANTS:
+            raise ValueError(f"level_bits {level_bits}: channel matrix over {MAX_INSTANTS} cells")
+        per_symbol = np.bincount(sent, minlength=size)
+    if len(sent) < size or per_symbol.min() == 0:
         raise ValueError("no samples for some delay symbols; trace too short")
     symbol = np.clip(decoded.symbol[pairs], 0, size - 1).astype(np.int64)
     counts = np.bincount(sent * size + symbol, minlength=size * size)
     counts = counts.reshape(size, size).astype(np.float64)
-    row_totals = counts.sum(axis=1)
-    if row_totals.min() < MIN_SAMPLES_PER_SYMBOL:
-        warnings.warn(f"sparse channel matrix: thinnest row has {int(row_totals.min())} "
+    if per_symbol.min() < MIN_SAMPLES_PER_SYMBOL:
+        warnings.warn(f"sparse channel matrix: thinnest row has {per_symbol.min()} "
                       f"samples (< {MIN_SAMPLES_PER_SYMBOL}); rows are smoothed", stacklevel=2)
     counts += SMOOTHING
     return counts / counts.sum(axis=1, keepdims=True)
@@ -159,7 +162,7 @@ def exact_adversary_rate(tolerance_us: float, level_bits: int = 8, frames: int =
 
 def histogram(series, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
     """Counts over half-open bins of the given width, aligned to multiples
-    of the width. Returns (bin start values, counts); more than MAX_BINS
+    of the width. Returns (bin start values, counts); more than MAX_INSTANTS
     bins raise ValueError before any is counted."""
     if not bin_width > 0:  # NaN fails too
         raise ValueError("bin width must be positive")
@@ -167,10 +170,10 @@ def histogram(series, bin_width: float) -> tuple[np.ndarray, np.ndarray]:
     if x.size == 0:
         return np.empty(0), np.empty(0, dtype=np.int64)
     # bin numbers stay floats: the first may lie beyond int64, and relative
-    # to it each is an exact integer below MAX_BINS
+    # to it each is an exact integer below MAX_INSTANTS
     lo, hi = np.floor(x.min() / bin_width), np.floor(x.max() / bin_width)
-    if not hi - lo < MAX_BINS:  # inf and NaN fail too
-        raise ValueError(f"{hi - lo + 1:.3g} bins of width {bin_width:g} exceed {MAX_BINS}")
+    if not hi - lo < MAX_INSTANTS:  # inf and NaN fail too
+        raise ValueError(f"{hi - lo + 1:.3g} bins of width {bin_width:g} exceed {MAX_INSTANTS}")
     counts = np.bincount((np.floor(x / bin_width) - lo).astype(np.int64))
     starts = (lo + np.arange(len(counts))) * bin_width
     return starts, counts

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import hashlib
-import inspect
 import json
 import math
 import sys
@@ -24,8 +23,8 @@ import numpy as np
 import canto
 from canto import analysis, bus_sim, trace_io
 from canto.incanta import adversary_advantage, decode, ecu_success
-from canto.scheduler import (ALLOCATORS, OversubscribedError, Schedule, build_schedule,
-                             check_complete, schedule_quality)
+from canto.scheduler import (ALLOCATOR_OPTIONS, ALLOCATORS, OversubscribedError, Schedule,
+                             build_schedule, check_complete, schedule_quality)
 from canto.trace_io import TraceFormatError
 
 # malformed or degenerate input: exit 3 with the message, never 4
@@ -146,9 +145,8 @@ def _schedule(ctx):
         if section.get("algorithm") == algorithm:
             options = {k: v for k, v in section.items() if k != "algorithm"}
             where = "[allocator] " + ", ".join(f"{k} = {v}" for k, v in section.items())
-        accepted = inspect.signature(ALLOCATORS[algorithm]).parameters
         for key, value in options.items():
-            if key not in accepted:
+            if key not in ALLOCATOR_OPTIONS[algorithm]:
                 raise TraceFormatError(f"[allocator] {key} = {value}: algorithm {algorithm} "
                                        f"does not take {key}")
         try:
@@ -284,8 +282,6 @@ def _check_report_covert(ctx):
     """The success table and the 2^-24 crossing need every tolerance they
     score to leave part of the delay alphabet outside its window."""
     covert = ctx.config.covert
-    if covert is None:
-        raise TraceFormatError("report needs a [covert] section")
     if covert.level_bits < MIN_LEVEL_BITS:
         raise TraceFormatError(
             f"[covert] level_bits {covert.level_bits}: the success table's tolerances up to "
@@ -421,7 +417,7 @@ cmd_simulate = _command(_schedule, _simulate, _busload)
 cmd_verify = _command(_decoded, _verify_summary, needs="verification")
 cmd_attack = _command(_mc_rates, needs="attack scoring", check_config=_check_attack_flags)
 cmd_capacity = _command(_decoded, _capacity, needs="capacity extraction")
-cmd_report = _command(_check_report_covert, _report_inputs, _report)
+cmd_report = _command(_check_report_covert, _report_inputs, _report, needs="report")
 
 
 def cmd_run(args) -> int:

@@ -129,8 +129,6 @@ def frame_max_stuff_bits(payload_bits: int) -> int:
     fixed-form header fields are excluded from the bound.
     """
     _check_payload(payload_bits)
-    if payload_bits == 0:
-        return max_stuff_bits(CRC_BITS)
     return max_stuff_bits(payload_bits + CRC_BITS)
 
 

@@ -26,7 +26,7 @@ import numpy as np
 
 from canto.frame_model import FrameSpec, period_tenths
 
-# the most instants one schedule evaluation lists, and cells a gcd occupancy matrix has
+# the one bound on input-sized arrays: instants, releases, matrix cells, histogram bins
 MAX_INSTANTS = 1 << 24
 
 
@@ -317,22 +317,24 @@ ALLOCATORS = {
     "greedy-ml": allocate_greedy_multilayer,
     "gcd": allocate_gcd,
 }
+# each allocator's options: the parameters its signature names after the periods
+ALLOCATOR_OPTIONS = {name: tuple(inspect.signature(fn).parameters)[1:]
+                     for name, fn in ALLOCATORS.items()}
 
 
 def build_schedule(specs: Sequence[FrameSpec], algorithm: str, **options) -> Schedule:
     """Run one allocator over the specs' periods and attach the offsets. It takes
-    the `options` its signature names; one that no allocator takes is an error."""
+    the `options` ALLOCATOR_OPTIONS names for it; one no allocator takes is an error."""
     try:
         allocate = ALLOCATORS[algorithm]
     except KeyError:
         raise ValueError(f"unknown allocation algorithm {algorithm!r}") from None
-    unknown = set(options).difference(*(list(inspect.signature(fn).parameters)[1:]
-                                        for fn in ALLOCATORS.values()))  # after the periods
+    unknown = set(options).difference(*ALLOCATOR_OPTIONS.values())
     if unknown:
         raise ValueError(f"no allocator takes the options {sorted(unknown)}")
-    accepted = inspect.signature(allocate).parameters
     periods = [f.period_us for f in specs]
-    offsets = allocate(periods, **{k: v for k, v in options.items() if k in accepted})
+    offsets = allocate(periods, **{k: v for k, v in options.items()
+                                   if k in ALLOCATOR_OPTIONS[algorithm]})
     frames = tuple(FrameSpec(f.id, f.period_us, off, f.payload_bits)
                    for f, off in zip(specs, offsets))
     return Schedule(frames)

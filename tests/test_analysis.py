@@ -9,14 +9,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from canto.analysis import (MAX_BINS, CapacityError, blahut_arimoto, deviation_series,
-                            exact_adversary_rate, extract_channel_matrix, histogram,
-                            mc_adversary_rate)
+from canto import analysis
+from canto.analysis import (CapacityError, blahut_arimoto, deviation_series, exact_adversary_rate,
+                            extract_channel_matrix, histogram, mc_adversary_rate)
 from canto.bus_sim import BusConfig, NodeConfig, inject_adversary, simulate
 from canto.cli import main
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec
 from canto.incanta import CovertConfig, decode
+from canto.scheduler import MAX_INSTANTS
 
 MS = 1000.0
 KEY = bytes(range(16))
@@ -196,8 +197,8 @@ class TestHistogram:
             histogram([1.0], 0.0)
 
     def test_refuses_more_than_max_bins(self):
-        with pytest.raises(ValueError, match=f"exceed {MAX_BINS}"):
-            histogram([0.0, float(MAX_BINS)], 1.0)
+        with pytest.raises(ValueError, match=f"exceed {MAX_INSTANTS}"):
+            histogram([0.0, float(MAX_INSTANTS)], 1.0)
 
     def test_one_bin_numbered_beyond_int64(self):
         starts, counts = histogram([0.5, 0.5], 1e-300)
@@ -271,6 +272,20 @@ class TestChannelMatrix:
         with pytest.warns(UserWarning, match="sparse"):
             m = extract_channel_matrix(trace, decode(trace, cov, periods), cov.level_bits)
         assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
+
+    @pytest.mark.parametrize("bound", [65_535, 65_536])
+    def test_refuses_more_cells_than_the_bound(self, monkeypatch, bound):
+        # 2^8 x 2^8 = 65536 cells, checked against the bound the function reads
+        trace, cov, periods = run_covert(Jitter(), 30_000 * MS)
+        decoded = decode(trace, cov, periods)
+        monkeypatch.setattr(analysis, "MAX_INSTANTS", bound)
+        if bound < 65_536:
+            with pytest.raises(ValueError, match="level_bits 8: channel matrix over 65535 cells"):
+                extract_channel_matrix(trace, decoded, cov.level_bits)
+        else:
+            with pytest.warns(UserWarning, match="sparse"):
+                m = extract_channel_matrix(trace, decoded, cov.level_bits)
+            assert m.shape == (256, 256)
 
 
 class TestGenuinePairing:

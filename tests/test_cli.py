@@ -107,6 +107,8 @@ def allocator(keys):
     return small("algorithm = gcd\nifs_us = 600", keys)
 
 
+NO_COVERT = small("[covert]\nkey_hex = 000102030405060708090A0B0C0D0E0F\nlevel_bits = 8\n"
+                  "tolerance_us = 5\nframes_required = 6\n\n", "")
 LEVEL_BITS_3 = small("level_bits = 8", "level_bits = 3").replace("tolerance_us = 5",
                                                                  "tolerance_us = 1")
 
@@ -252,6 +254,16 @@ MALFORMED = {
     # about 10^301 bins of the deviation histogram, refused before any is counted
     "run-bin-width-1e-300": ("run", SMALL, {}, ["--bin-width", "1e-300"],
                              "report: --bin-width 1e-300: "),
+    # each standalone command that reads [covert] refuses a config without one,
+    # before it looks at --seed
+    **{f"{command}-no-covert{suffix}": (seed + command, NO_COVERT, files, [],
+                                        f"{needs} needs a [covert] section")
+       for command, files, needs in (("verify", {"--trace": TRACE_HEADER + "\n"}, "verification"),
+                                     ("attack", {}, "attack scoring"),
+                                     ("capacity", {"--trace": TRACE_HEADER + "\n"},
+                                      "capacity extraction"),
+                                     ("report", {"--in": ""}, "report"))
+       for suffix, seed in (("", ""), ("-seed-negative", "--seed -1 "))},
     "verify-rho-nan": ("verify", small("tolerance_us = 5", "tolerance_us = nan"),
                        {"--trace": TRACE_HEADER + "\n"}, [],
                        "[covert]: tolerance must be nonnegative"),
@@ -841,6 +853,20 @@ class TestInputErrors:
                    "--tolerance", "1e-14", "--out", str(tmp_path / "cap")])
         err = capsys.readouterr().err
         assert rc == 3 and "--tolerance 1e-14: no convergence" in err and "bound gap" in err, err
+
+    def test_capacity_refuses_a_channel_matrix_over_the_bound(self, tmp_path, capsys):
+        # 8300 frames outnumber the 8192 symbols of 13 bits, but 2^26 cells of
+        # counts are over the bound, so they are refused before any is allocated
+        config = tmp_path / "bits13.ini"
+        config.write_text(CAPACITY_SCENARIO.replace("400000000", "83000000").replace(
+            "[covert]\n", "[covert]\nlevel_bits = 13\n"))
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--out", str(sim)]) == 0
+        rc = main(["capacity", "--config", str(config), "--trace", str(sim / "trace.csv"),
+                   "--out", str(tmp_path / "cap")])
+        err = capsys.readouterr().err
+        assert rc == 3 and "level_bits 13: channel matrix over 16777216 cells" in err
+        assert not (tmp_path / "cap").exists()
 
     @pytest.mark.parametrize("case", MALFORMED)
     def test_malformed_input_exits_3_naming_it(self, tmp_path, capsys, case):
