@@ -37,15 +37,17 @@ class OversubscribedBusError(RuntimeError):
 
 @dataclass(frozen=True)
 class NodeConfig:
-    """One ECU: its oscillator, the frames it sends, optional covert channel."""
+    """One ECU: its oscillator, the frames it sends, whether it uses the covert channel."""
 
     name: str
     clock: ClockModel = ClockModel()
     frames: tuple[FrameSpec, ...] = ()
-    covert: CovertConfig | None = None
+    covert: bool = False
 
     def __post_init__(self):
-        if self.covert is not None:
+        if not isinstance(self.covert, bool):
+            raise TypeError(f"node {self.name}: covert must be a bool; the bus holds the channel")
+        if self.covert:
             small = [str(f.id) for f in self.frames if f.payload_bits < 32]
             if small:
                 raise ValueError(f"frames {small} of node {self.name} cannot carry "
@@ -59,8 +61,13 @@ class BusConfig:
     bitrate_bps: int = 500_000
     seed: int = 0
     stuffing: str = "payload"  # none | payload
+    covert: CovertConfig | None = None  # the channel that the covert nodes share
 
     def __post_init__(self):
+        covert_nodes = [n.name for n in self.nodes if n.covert]
+        if covert_nodes and self.covert is None:
+            raise ValueError(f"node {covert_nodes[0]} uses the covert channel, but the bus "
+                             "has no [covert] channel")
         specs = self.frame_specs()
         if not specs:
             raise ValueError("no frames configured")
@@ -101,11 +108,10 @@ class Trace:
     the first `payload_len[i]` bytes of row i of `payloads` as its payload,
     and `genuine[i]`.
 
-    `simulate` sets `sent` to what its sender hashed, so that `decode` need
-    not hash it again: the covert configs, each frame's k << 32 | covert
-    delay under the k-th of them (-1 for a plain sender's frame), and the
-    `mac_fingerprint` of the trace then. `replace`, `take` and the trace
-    files do not carry it.
+    `simulate` sets `sent` to what its senders hashed, so that `decode` need
+    not hash it again: each frame's covert delay (-1 for a plain sender's
+    frame) and the `mac_fingerprint` of the trace then, under the bus's
+    channel. `replace`, `take` and the trace files do not carry it.
     """
 
     ids: tuple[CanId, ...]
@@ -141,13 +147,13 @@ def _theoretical_busload(config: BusConfig) -> float:
 def _releases(config: BusConfig):
     """Every release, stream after stream, as arrays: ready time on the bus, wire
     time, position of the ID in `frame_specs()`, counter, payload rows and
-    lengths, and the covert configs with each release's `Trace.sent` delay
-    column. A (node, frame) stream is released at k*period + offset (+ covert
+    lengths, and each release's `Trace.sent` delay (None without a covert
+    node). A (node, frame) stream is released at k*period + offset (+ covert
     delay) below the duration, on the node's clock, with jitter from its own
     generator; its payload counts up from id >> 3 and, with the covert channel
     on, carries the counter in its last 4 bytes."""
     specs = config.frame_specs()
-    base, jitter, streams, distinct = [], [], [], {}  # distinct: covert config -> number
+    base, jitter, streams = [], [], []
     for node_idx, node in enumerate(config.nodes):
         for frame_idx, spec in enumerate(node.frames):
             rng = np.random.Generator(np.random.PCG64(
@@ -157,26 +163,24 @@ def _releases(config: BusConfig):
             times = k * spec.period_us + spec.offset_us
             base.append(times[times < config.duration_us])
             jitter.append(node.clock.jitter.draws(rng, len(base[-1])))
-            streams.append((node.clock.skew_ppm, node.clock.tick_ns, -1 if node.covert is None
-                            else distinct.setdefault(node.covert, len(distinct))))
+            streams.append((node.clock.skew_ppm, node.clock.tick_ns, node.covert))
     counts = np.array([len(b) for b in base])
-    skew_ppm, tick_ns, sender = np.repeat(np.array(streams), counts, axis=0).T
+    skew_ppm, tick_ns, covert = np.repeat(np.array(streams), counts, axis=0).T
     pos = np.repeat(np.arange(len(specs)), counts)
     counter = np.arange(1, len(pos) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
     id_values, lengths = np.array([(f.id.value, f.payload_bits // 8) for f in specs]).T
     rows = ((id_values[:, None] >> 3) + np.arange(8) & 0xFF) * (np.arange(8) < lengths[:, None])
     rows, lengths, local = rows.astype(np.uint8)[pos], lengths[pos], np.concatenate(base)
-    sent = np.full(len(pos), -1)
-    for k, covert in enumerate(distinct):
-        own = sender == k
+    sent, own = None, covert == 1
+    if own.any():
         rows[own] = embed_counters(rows[own], lengths[own], counter[own])
-        xi = covert_delays(covert.key, counter[own], id_values[pos[own]], rows[own],
-                           lengths[own], covert.level_bits)
-        local[own] += xi
-        sent[own] = k << 32 | xi
+        sent = np.full(len(pos), -1)
+        sent[own] = covert_delays(config.covert.key, counter[own], id_values[pos[own]],
+                                  rows[own], lengths[own], config.covert.level_bits)
+        local[own] += sent[own]
     ready = oscillator_times(local, skew_ppm, tick_ns) + np.concatenate(jitter)
     tx = config.wire_times_us(tuple(f.id for f in specs), pos, rows, lengths)
-    return ready, tx, pos, counter, rows, lengths, (tuple(distinct), sent)
+    return ready, tx, pos, counter, rows, lengths, sent
 
 
 def simulate(config: BusConfig) -> Trace:
@@ -193,7 +197,7 @@ def simulate(config: BusConfig) -> Trace:
     if not check_complete(Schedule(tuple(specs))):
         warnings.warn("schedule is not collision-free; covert verification will degrade",
                       stacklevel=2)
-    ready, tx, pos, counter, payloads, lengths, (configs, sent) = _releases(config)
+    ready, tx, pos, counter, payloads, lengths, sent = _releases(config)
     by_priority = {can_id: r for r, can_id in enumerate(sorted(f.id for f in specs))}
     rank = np.array([by_priority[f.id] for f in specs], dtype=np.int64)[pos]
     order = np.lexsort((np.arange(len(ready)), rank, ready))
@@ -236,8 +240,8 @@ def simulate(config: BusConfig) -> Trace:
     trace = Trace(tuple(f.id for f in specs), pos[release], counter[release],
                   np.concatenate(starts), tx[rows], payloads[release], lengths[release],
                   np.ones(n, dtype=bool), config.duration_us)
-    if configs:
-        trace.sent = (configs, sent[release], mac_fingerprint(trace))
+    if sent is not None:
+        trace.sent = (sent[release], mac_fingerprint(trace, config.covert))
     return trace
 
 

@@ -21,6 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from canto.frame_model import CanId
+from canto.scheduler import MAX_INSTANTS
 
 if TYPE_CHECKING:
     from canto.bus_sim import Trace
@@ -42,8 +43,9 @@ class CovertConfig:
             raise ValueError("level_bits must be 1..32")
         if not self.tolerance_us >= 0:  # NaN fails too
             raise ValueError("tolerance must be nonnegative")
-        if self.frames_required < 1:
-            raise ValueError("frames_required must be >= 1")
+        # a bus releases at most MAX_INSTANTS frames, so a longer window never fills
+        if not 1 <= self.frames_required <= MAX_INSTANTS:
+            raise ValueError(f"frames_required must be 1..{MAX_INSTANTS}")
 
     @property
     def window_us(self) -> int:
@@ -116,11 +118,12 @@ def covert_delay(key: bytes, counter: int, can_id: CanId, payload: bytes,
     return int.from_bytes(tag[-4:], "big") & ((1 << level_bits) - 1)
 
 
-def mac_fingerprint(trace: Trace) -> bytes:
-    """SHA-256 over each column of a trace that makes up a frame's MAC input
-    (counter, the id values by `ids` and `id_index`, payload rows and lengths),
-    each after its dtype and shape: equal fingerprints mean equal MAC inputs."""
-    digest = hashlib.sha256()
+def mac_fingerprint(trace: Trace, covert: CovertConfig) -> bytes:
+    """SHA-256 over the channel's `level_bits` and key, then each column of a
+    trace that makes up a frame's MAC input (counter, the id values by `ids`
+    and `id_index`, payload rows and lengths), each after its dtype and shape:
+    equal fingerprints mean equal covert delays."""
+    digest = hashlib.sha256(f"{covert.level_bits}:{covert.key.hex()}".encode())
     ids = np.array([i.value for i in trace.ids], dtype=np.int64)
     for column in (trace.counter, ids, trace.id_index, trace.payloads, trace.payload_len):
         column = np.ascontiguousarray(column)
@@ -260,10 +263,10 @@ def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
     """Every frame of a trace through `Verifier`'s receiver rule at once.
 
     Each covert delay is computed once: a frame whose delay the simulator
-    hashed under `covert` (`_sent_delays`) keeps it, and every other frame
-    is hashed in one `covert_delays` call. With `compensate` a frame arrives
-    at its start on the bus, otherwise at its end, so stuff-bit length
-    variation stays in.
+    hashed under `covert`'s key and level_bits (`_sent_delays`) keeps it, and
+    every other frame is hashed in one `covert_delays` call. With `compensate`
+    a frame arrives at its start on the bus, otherwise at its end, so
+    stuff-bit length variation stays in.
     """
     n, id_index = len(trace), trace.id_index
     by_id = np.argsort(id_index, kind="stable")  # the one sort by ID
@@ -302,16 +305,12 @@ def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
 
 
 def _sent_delays(trace: Trace, covert: CovertConfig) -> np.ndarray | None:
-    """The covert delays that `bus_sim.simulate` hashed for this trace under
-    `covert`, -1 for a frame it hashed under none (a plain sender) or another
-    config; None unless the trace holds the simulator's delays under `covert`
-    and its MAC inputs are still the ones they were hashed from."""
-    if trace.sent is None:
+    """A copy of the covert delays that `bus_sim.simulate` hashed for this
+    trace, -1 for a plain sender's frame; None unless they were hashed under
+    `covert`'s key and level_bits from the MAC inputs the trace holds now."""
+    if trace.sent is None or trace.sent[1] != mac_fingerprint(trace, covert):
         return None
-    configs, delays, fingerprint = trace.sent
-    if covert not in configs or mac_fingerprint(trace) != fingerprint:
-        return None
-    return np.where(delays >> 32 == configs.index(covert), delays & 0xFFFFFFFF, -1)
+    return trace.sent[0].copy()
 
 
 def _references(order: np.ndarray, ids: np.ndarray, counter: np.ndarray):

@@ -290,11 +290,9 @@ def read_schedule(path) -> Schedule:
 
 @dataclass(frozen=True)
 class ExperimentConfig(BusConfig):
-    """Everything a run needs: the bus the simulator runs, the covert channel
-    parameters and the allocator options. Each node's `covert` is this
-    config's `covert` or None."""
+    """Everything a run needs: the bus the simulator runs, with its covert
+    channel, and the allocator options."""
 
-    covert: CovertConfig | None = None
     allocator: dict = field(default_factory=dict)
 
     def to_bus_config(self, schedule: Schedule | None = None,
@@ -423,13 +421,9 @@ def parse_experiment_config(source) -> ExperimentConfig:
                                         float(m.group(4) or 0), int(m.group(3)) * 8))
         with _naming(section, "covert"):
             enabled = sec.getboolean("covert", covert is not None)
-        if enabled and covert is None:
-            raise TraceFormatError(f"[{section}] covert: the node enables the covert "
-                                   "channel but [covert] is missing")
         with _naming(section):
             clock = ClockModel(**clock_fields)
-            nodes.append(NodeConfig(section[len("node."):], clock, tuple(frames),
-                                    covert if enabled else None))
+            nodes.append(NodeConfig(section[len("node."):], clock, tuple(frames), enabled))
     if not nodes:
         raise TraceFormatError("no [node.*] sections")
     if allocator and offsets_given:

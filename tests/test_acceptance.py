@@ -236,8 +236,8 @@ def calibrated_deviations():
     specs = tuple(FrameSpec(CanId(0x100 + i), p, o, 64)
                   for i, (p, o) in enumerate(zip(periods, offsets)))
     clock = ClockModel(jitter=Jitter("steps"))
-    cfg = BusConfig((NodeConfig("ecu", clock, specs, cov),), 170_000 * MS,
-                    seed=77, stuffing="payload")
+    cfg = BusConfig((NodeConfig("ecu", clock, specs, True),), 170_000 * MS,
+                    seed=77, stuffing="payload", covert=cov)
     trace = simulate(cfg)
     devs = deviation_series(trace, decode(trace, cov, {s.id: s.period_us for s in specs}))
     return np.concatenate(list(devs.values()))
@@ -273,8 +273,8 @@ def test_criterion_5_capacity():
     cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
     spec = FrameSpec(CanId(0x100), 10 * MS, 0.0, 64)
     clock = ClockModel(jitter=Jitter("uniform", half_width_us=2.5))
-    cfg = BusConfig((NodeConfig("ecu", clock, (spec,), cov),), 2_500_000 * MS,
-                    seed=5, stuffing="none")
+    cfg = BusConfig((NodeConfig("ecu", clock, (spec,), True),), 2_500_000 * MS,
+                    seed=5, stuffing="none", covert=cov)
     trace = simulate(cfg)
     matrix = extract_channel_matrix(trace, decode(trace, cov, {spec.id: spec.period_us}),
                                     cov.level_bits)

@@ -209,8 +209,8 @@ def run_covert(jitter, duration_us, seed=3, stuffing="none", skew_ppm=0.0):
     cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
     spec = FrameSpec(CanId(0x100), 10 * MS, 0.0, 64)
     clock = ClockModel(skew_ppm=skew_ppm, jitter=jitter)
-    cfg = BusConfig((NodeConfig("ecu", clock, (spec,), cov),), duration_us,
-                    seed=seed, stuffing=stuffing)
+    cfg = BusConfig((NodeConfig("ecu", clock, (spec,), True),), duration_us,
+                    seed=seed, stuffing=stuffing, covert=cov)
     return simulate(cfg), cov, {spec.id: spec.period_us}
 
 

@@ -25,7 +25,7 @@ MS = 1000.0
 KEY = bytes(range(16))
 
 
-def node(name, frames, clock=None, covert=None):
+def node(name, frames, clock=None, covert=False):
     return NodeConfig(name, clock or ClockModel(), tuple(frames), covert)
 
 
@@ -137,6 +137,15 @@ class TestSimulateBasics:
             config([node("a", [FrameSpec(CanId(1), 10 * MS)]),
                     node("b", [FrameSpec(CanId(1), 20 * MS)])], 100 * MS)
 
+    def test_covert_node_needs_the_bus_channel(self):
+        frames = [FrameSpec(CanId(1), 10 * MS)]
+        with pytest.raises(ValueError, match="node b uses the covert channel"):
+            config([node("a", frames), node("b", [FrameSpec(CanId(2), 10 * MS)], covert=True)],
+                   100 * MS)
+        assert config([node("a", frames, covert=True)], 100 * MS, covert=CovertConfig(KEY))
+        with pytest.raises(TypeError, match="node a: covert must be a bool"):
+            node("a", frames, covert=CovertConfig(KEY))  # the channel is the bus's
+
 
 class TestDeterminism:
     def _render(self, cfg):
@@ -147,7 +156,8 @@ class TestDeterminism:
     def test_same_seed_byte_identical(self):
         specs = [FrameSpec(CanId(0x10 + i), 10 * MS, i * 1250.0) for i in range(4)]
         mk = lambda: config([node("a", specs, ClockModel(skew_ppm=30, jitter=Jitter("uniform", half_width_us=2)),
-                                  CovertConfig(KEY))], 100 * MS, seed=5, stuffing="payload")
+                                  True)], 100 * MS, seed=5, stuffing="payload",
+                            covert=CovertConfig(KEY))
         assert self._render(mk()) == self._render(mk())
 
     def test_different_seed_differs(self):
@@ -245,10 +255,10 @@ def reference_simulate(config: BusConfig) -> Trace:
                     break
                 counter += 1
                 payload, xi = template, 0
-                if node.covert is not None:
+                if node.covert:
                     payload = with_counter(template, counter)
-                    xi = covert_delay(node.covert.key, counter, spec.id, payload,
-                                      node.covert.level_bits)
+                    xi = covert_delay(config.covert.key, counter, spec.id, payload,
+                                      config.covert.level_bits)
                 ready = node.clock.local_to_bus_time(base + xi, rng)
                 tx = wire_times(spec.id, [payload], config.bitrate_bps)[0] \
                     if config.stuffing == "payload" else nominal_tx
@@ -303,7 +313,6 @@ def contended_buses(draw):
     ids = [CanId(v << 18 | 5, extended=True) if draw(st.booleans()) else CanId(v)
            for v in values]
     owner = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    covert = CovertConfig(KEY, level_bits=draw(st.sampled_from([2, 8, 12])))
     nodes = []
     for node_idx in sorted(set(owner)):
         sends_covert = draw(st.booleans())
@@ -313,23 +322,22 @@ def contended_buses(draw):
                   for can_id, o in zip(ids, owner) if o == node_idx]
         clock = ClockModel(skew_ppm=draw(st.sampled_from([0.0, 45.0, -62.5, 333.3])),
                            tick_ns=draw(st.sampled_from([10, 100])), jitter=draw(JITTERS))
-        nodes.append(NodeConfig(f"n{node_idx}", clock, tuple(frames),
-                                covert if sends_covert else None))
+        nodes.append(NodeConfig(f"n{node_idx}", clock, tuple(frames), sends_covert))
     slowest = max(f.period_us for nd in nodes for f in nd.frames)
     return BusConfig(tuple(nodes), 2 * slowest + draw(st.sampled_from([0.0, 3333.3, 20000.0])),
                      bitrate_bps=draw(st.sampled_from([50_000, 125_000, 500_000])),
                      seed=draw(st.integers(0, 2**16)),
-                     stuffing=draw(st.sampled_from(["none", "payload"])))
+                     stuffing=draw(st.sampled_from(["none", "payload"])),
+                     covert=CovertConfig(KEY, level_bits=draw(st.sampled_from([2, 8, 12]))))
 
 
 def per_stream_releases(config: BusConfig):
     """The releases as they were built one (node, frame) stream at a time, with
     the payloads as a list, copied from the simulator before it batched the
     bus; only its kernels are the one-frame-at-a-time oracles above.
-    `_releases` is held to it. Last, the covert configs and each release's
-    k << 32 | covert delay under the k-th config (-1 for a plain sender)."""
+    `_releases` is held to it. Last, each release's covert delay (-1 for a
+    plain sender), or None without a covert node."""
     ready, tx, pos, counters, payloads, delays = [], [], [], [], [], []
-    configs = tuple(dict.fromkeys(n.covert for n in config.nodes if n.covert is not None))
     id_pos = -1
     for node_idx, node in enumerate(config.nodes):
         for frame_idx, spec in enumerate(node.frames):
@@ -344,12 +352,11 @@ def per_stream_releases(config: BusConfig):
             template = payload_template(spec)
             sent, local = [template] * len(base), base
             delays.append(np.full(len(base), -1))
-            if node.covert is not None:
+            if node.covert:
                 sent = [with_counter(template, c) for c in counter.tolist()]
-                xi = hmac_delays(node.covert.key, counter, spec.id.value, sent,
-                                 node.covert.level_bits)
-                local = base + xi
-                delays[-1] = configs.index(node.covert) << 32 | xi
+                delays[-1] = hmac_delays(config.covert.key, counter, spec.id.value, sent,
+                                         config.covert.level_bits)
+                local = base + delays[-1]
             ready.append(node.clock.bus_times(local, rng))
             if config.stuffing == "payload":
                 tx.append(wire_times(spec.id, sent, config.bitrate_bps))
@@ -359,28 +366,28 @@ def per_stream_releases(config: BusConfig):
             pos.append(np.full(len(base), id_pos, dtype=np.int64))
             counters.append(counter)
             payloads += sent
+    covert = any(n.covert for n in config.nodes)
     return (np.concatenate(ready), np.concatenate(tx), np.concatenate(pos),
-            np.concatenate(counters), payloads, (configs, np.concatenate(delays)))
+            np.concatenate(counters), payloads, np.concatenate(delays) if covert else None)
 
 
 @st.composite
 def release_buses(draw):
     """1-6 streams on up to three nodes: standard and extended IDs, 0-8 byte
-    payloads (4-8 on a covert node), each node sending under one of two covert
-    configs or none, every jitter kind, either stuffing mode."""
+    payloads (4-8 on a covert node), each node on the bus's covert channel
+    (level_bits 1-16, one of two keys) or not, every jitter kind, either
+    stuffing mode."""
     n = draw(st.integers(1, 6))
     values = draw(st.lists(st.integers(0, 0x7FF), min_size=n, max_size=n, unique=True))
     ids = [CanId(v << 18 | draw(st.integers(0, 0x3FFFF)), extended=True)
            if draw(st.booleans()) else CanId(v) for v in values]
     owner = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    coverts = [CovertConfig(KEY, level_bits=draw(st.sampled_from([2, 8, 12]))),
-               CovertConfig(bytes(range(32, 64)), level_bits=draw(st.integers(1, 16)))]
     nodes = []
     for node_idx in sorted(set(owner)):
-        covert = draw(st.sampled_from([None, *coverts]))
+        covert = draw(st.booleans())
         frames = [FrameSpec(can_id, draw(st.sampled_from([1000.0, 2500.0, 5000.0, 7777.7])),
                             draw(st.sampled_from([0.0, 150.0, 487.3])),
-                            8 * draw(st.integers(0 if covert is None else 4, 8)))
+                            8 * draw(st.integers(4 if covert else 0, 8)))
                   for can_id, o in zip(ids, owner) if o == node_idx]
         clock = ClockModel(skew_ppm=draw(st.sampled_from([0.0, 45.0, -62.5, 333.3])),
                            tick_ns=draw(st.sampled_from([10, 100])), jitter=draw(JITTERS))
@@ -389,19 +396,22 @@ def release_buses(draw):
     return BusConfig(tuple(nodes), 2 * slowest + draw(st.sampled_from([0.0, 3333.3, 20000.0])),
                      bitrate_bps=draw(st.sampled_from([50_000, 125_000, 500_000])),
                      seed=draw(st.integers(0, 2**16)),
-                     stuffing=draw(st.sampled_from(["none", "payload"])))
+                     stuffing=draw(st.sampled_from(["none", "payload"])),
+                     covert=CovertConfig(draw(st.sampled_from([KEY, bytes(range(32, 64))])),
+                                         level_bits=draw(st.integers(1, 16))))
 
 
 class TestBatchedReleases:
     @settings(max_examples=300, deadline=None)
     @given(release_buses())
     def test_equal_the_per_stream_loop(self, cfg):
-        *columns, rows, lengths, (configs, sent) = _releases(cfg)
-        *want, payloads, (want_configs, want_sent) = per_stream_releases(cfg)
+        *columns, rows, lengths, sent = _releases(cfg)
+        *want, payloads, want_sent = per_stream_releases(cfg)
+        assert (sent is None) == (want_sent is None)
         for name, got, expected in zip(("ready", "tx", "pos", "counter", "sent"),
                                        [*columns, sent], [*want, want_sent]):
-            assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
-        assert configs == want_configs
+            if expected is not None:
+                assert got.dtype == expected.dtype and got.tobytes() == expected.tobytes(), name
         assert payload_list(rows, lengths) == payloads
         assert rows.dtype == np.uint8 and not rows[np.arange(8) >= lengths[:, None]].any()
 
@@ -434,7 +444,7 @@ def covert_trace(duration_us=400 * MS, jitter=None, seed=3):
     offsets = allocate_gcd(periods, ifs_us=600.0)
     specs = [FrameSpec(CanId(0x100 + i), p, o) for i, (p, o) in enumerate(zip(periods, offsets))]
     clock = ClockModel(jitter=jitter or Jitter())
-    cfg = config([node("ecu", specs, clock, cov)], duration_us, seed=seed)
+    cfg = config([node("ecu", specs, clock, True)], duration_us, seed=seed, covert=cov)
     return simulate(cfg), cov, {s.id: s.period_us for s in specs}
 
 
@@ -456,7 +466,7 @@ class TestCovertSending:
     def test_payloads_carry_counters_at_every_length(self):
         cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
         specs = [FrameSpec(CanId(0x100 + n), 10 * MS, 600.0 * n, 8 * n) for n in range(4, 9)]
-        trace = simulate(config([node("ecu", specs, covert=cov)], 100 * MS))
+        trace = simulate(config([node("ecu", specs, covert=True)], 100 * MS, covert=cov))
         assert len(trace) == 50
         for can_id, counter, payload in zip(ids_of(trace), trace.counter.tolist(),
                                             payloads_of(trace)):

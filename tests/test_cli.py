@@ -264,6 +264,14 @@ MALFORMED = {
                                       "capacity extraction"),
                                      ("report", {"--in": ""}, "report"))
        for suffix, seed in (("", ""), ("-seed-negative", "--seed -1 "))},
+    # a window of more frames than a bus releases never fills: refused as the config is read
+    **{f"{command}-frames-required-{name}": (
+        command, small("frames_required = 6", f"frames_required = {value}"),
+        {"--trace": TRACE_HEADER + "\n"}, [], "[covert]: frames_required must be 1..16777216")
+       for command, name, value in (("verify", "2^63", 2**63), ("capacity", "2^63", 2**63),
+                                    ("verify", "2^24+1", scheduler.MAX_INSTANTS + 1))},
+    "covert-node-no-covert": ("simulate", NO_COVERT.replace("jitter", "covert = true\njitter"),
+                              {}, [], "[bus]: node one uses the covert channel"),
     "verify-rho-nan": ("verify", small("tolerance_us = 5", "tolerance_us = nan"),
                        {"--trace": TRACE_HEADER + "\n"}, [],
                        "[covert]: tolerance must be nonnegative"),

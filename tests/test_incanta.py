@@ -449,14 +449,16 @@ class TestDecode:
 @st.composite
 def mixed_buses(draw):
     """A small simulated bus: 1-4 IDs on up to three nodes, each node covert
-    under one of two configs (level_bits 1-16) or plain, 4-8 byte payloads;
-    then the config a receiver decodes with: one of the two, or a wrong key."""
+    or plain, 4-8 byte payloads, a channel of one of two keys (level_bits
+    1-16); then the bus and the config a receiver decodes with: the bus's
+    channel, that channel with another tolerance and window, the other key
+    with other level_bits, or a wrong key."""
     n = draw(st.integers(1, 4))
     ids = [CanId(v) for v in draw(st.lists(st.integers(0, 0x7FF), min_size=n, max_size=n,
                                            unique=True))]
     owner = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
-    coverts = [config(level_bits=draw(st.integers(1, 16))),
-               config(key=bytes(range(32, 64)), level_bits=draw(st.integers(1, 16)))]
+    keys = draw(st.permutations([KEY, bytes(range(32, 64))]))
+    channel, other = (config(key=key, level_bits=draw(st.integers(1, 16))) for key in keys)
     nodes = []
     for node_idx in sorted(set(owner)):
         frames = tuple(FrameSpec(can_id, draw(st.sampled_from([2500.0, 5000.0, 10000.0])),
@@ -465,14 +467,15 @@ def mixed_buses(draw):
                        for can_id, o in zip(ids, owner) if o == node_idx)
         clock = ClockModel(skew_ppm=draw(st.sampled_from([0.0, 45.0, -62.5])),
                            jitter=draw(st.sampled_from([Jitter(), Jitter("uniform")])))
-        nodes.append(NodeConfig(f"n{node_idx}", clock, frames,
-                                draw(st.sampled_from([None, *coverts]))))
+        nodes.append(NodeConfig(f"n{node_idx}", clock, frames, draw(st.booleans())))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # offsets drawn without a schedule may collide
-        trace = simulate(BusConfig(tuple(nodes), 20000.0 + draw(st.sampled_from([0.0, 7777.7])),
-                                   seed=draw(st.integers(0, 2**16))))
-    wrong = replace(coverts[0], key=bytes(range(1, 17)))
-    return trace, draw(st.sampled_from([*coverts, wrong])), {
+        bus = BusConfig(tuple(nodes), 20000.0 + draw(st.sampled_from([0.0, 7777.7])),
+                        seed=draw(st.integers(0, 2**16)), covert=channel)
+        trace = simulate(bus)
+    receivers = [channel, replace(channel, tolerance_us=2.0, frames_required=3), other,
+                 replace(channel, key=bytes(range(1, 17)))]
+    return trace, bus, draw(st.sampled_from(receivers)), {
         f.id: f.period_us for nd in nodes for f in nd.frames}
 
 
@@ -512,13 +515,14 @@ class TestSentDelays:
 
     @settings(max_examples=150, deadline=None)
     @given(mixed_buses(), st.data())
-    def test_decode_equals_a_full_recompute(self, bus, data):
-        trace, covert, periods = bus
+    def test_decode_equals_a_full_recompute(self, drawn, data):
+        trace, bus, covert, periods = drawn
         decoded, hashed = self.decode_counting(trace, covert, periods)
         self.assert_same(decoded, self.full(trace, covert, periods))
-        reused = 0  # the frames that a sender under `covert` hashed
-        if trace.sent is not None and covert in trace.sent[0]:
-            reused = np.count_nonzero(trace.sent[1] >> 32 == trace.sent[0].index(covert))
+        reused = 0  # the covert nodes' frames, if the bus hashed under `covert`'s key and bits
+        if (covert.key, covert.level_bits) == (bus.covert.key, bus.covert.level_bits):
+            sent = {f.id for nd in bus.nodes if nd.covert for f in nd.frames}
+            reused = sum(trace.ids[k] in sent for k in trace.id_index.tolist())
         assert hashed == len(trace) - reused
 
         # the trace file holds no delay: it is read back and hashed in full

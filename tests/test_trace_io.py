@@ -17,7 +17,7 @@ from canto.bus_sim import BusConfig, NodeConfig, OversubscribedBusError, Trace, 
 from canto.clock_model import ClockModel
 from canto.frame_model import CanId, FrameSpec
 from canto.incanta import CovertConfig
-from canto import trace_io
+from canto import scheduler, trace_io
 from canto.scheduler import Schedule
 from canto.trace_io import (TRACE_HEADER, TraceFormatError, _parse_native, export_trace,
                             parse_experiment_config, parse_trace, read_schedule,
@@ -267,8 +267,14 @@ class TestExperimentConfig:
         assert [n.clock for n in cfg.nodes] == [ClockModel()]
         defaults = {f.name: f.default for f in dataclasses.fields(BusConfig)
                     if f.default is not dataclasses.MISSING}
+        assert defaults.pop("covert") is None  # the bus's channel: [covert], not a [bus] key
         assert defaults.keys() == {"bitrate_bps", "seed", "stuffing"}
         assert {name: getattr(cfg, name) for name in defaults} == defaults
+
+    def test_allocator_keys_are_the_allocators_options(self):
+        # the seed comes from [bus] or --seed, never from [allocator]
+        options = set().union(*scheduler.ALLOCATOR_OPTIONS.values()) - {"seed"}
+        assert set(trace_io._ALLOC_KEYS) - {"algorithm"} == options
 
     def test_paper_vector_ships_forty_frames(self):
         cfg = parse_experiment_config("configs/paper_vector.ini")
@@ -311,7 +317,7 @@ frames = 0x10:10000:8:2000
 
     def test_covert_node_requires_covert_section(self):
         text = MINIMAL.replace("frames =", "covert = true\nframes =")
-        with pytest.raises(TraceFormatError, match="covert"):
+        with pytest.raises(TraceFormatError, match="node one uses the covert channel"):
             parse_experiment_config(text)
 
     def test_schedule_override_applies_offsets(self):
