@@ -142,7 +142,7 @@ class TestSimulateBasics:
         with pytest.raises(ValueError, match="node b uses the covert channel"):
             config([node("a", frames), node("b", [FrameSpec(CanId(2), 10 * MS)], covert=True)],
                    100 * MS)
-        assert config([node("a", frames, covert=True)], 100 * MS, covert=CovertConfig(KEY))
+        config([node("a", frames, covert=True)], 100 * MS, covert=CovertConfig(KEY))
         with pytest.raises(TypeError, match="node a: covert must be a bool"):
             node("a", frames, covert=CovertConfig(KEY))  # the channel is the bus's
 
