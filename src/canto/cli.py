@@ -176,22 +176,17 @@ def _busload(ctx):
             {"busload.txt": f"busload_percent={busload:.3f}\nframes={frames}\n"})
 
 
-def _periods(config) -> dict:
-    """Each configured ID's period: a receiver knows these, not the offsets."""
-    return {f.id: f.period_us for f in config.frame_specs()}
-
-
 def _decoded(ctx):
     """The receiver front end of `verify` and `capacity`: the parsed trace and
-    its `decode`. Under `--no-compensate` the frames are priced (the file
-    stores no wire times) and the decoder takes frame ends as arrivals."""
+    its `decode`. Under `--no-compensate` a frame arrives at its end, so each
+    frame's wire time (the file stores none) is added to its bus time."""
     args, config = ctx.args, ctx.config
     trace = trace_io.parse_trace(args.trace)
     if args.no_compensate:
-        trace.tx_time_us = config.wire_times_us(trace.ids, trace.id_index, trace.payloads,
-                                                trace.payload_len)
+        trace.bus_time_us += config.wire_times_us(trace.ids, trace.id_index, trace.payloads,
+                                                  trace.payload_len)
     try:
-        decoded = decode(trace, config.covert, _periods(config), compensate=not args.no_compensate)
+        decoded = decode(trace, config.covert, config.receiver)
     except KeyError as exc:
         raise TraceFormatError(f"{args.trace}: {exc.args[0]}") from exc
     return {"trace": trace, "decoded": decoded}, {}
@@ -204,7 +199,7 @@ def _verify_summary(ctx):
     if not scored.any() or not windows.size:
         raise TraceFormatError(f"{ctx.args.trace}: no scored frames or no window verdict (an "
                                "ID needs two frames to be scored and frames_required="
-                               f"{ctx.config.covert.frames_required} for a window)")
+                               f"{ctx.config.receiver.frames_required} for a window)")
     rate = 100.0 * np.count_nonzero(decoded.accepted[scored]) / np.count_nonzero(scored)
     auth = 100.0 * np.count_nonzero(windows) / windows.size
     summary = (f"frames={len(trace)}\nscored={np.count_nonzero(scored)}\n"
@@ -216,7 +211,7 @@ def _verify_summary(ctx):
 
 
 def _verify_run(ctx):
-    decoded = decode(ctx.trace, ctx.config.covert, _periods(ctx.config))
+    decoded = decode(ctx.trace, ctx.config.covert, ctx.config.receiver)
     return ({"decoded": decoded,  # the report reads errors and times as the files hold them
              "errors": trace_io.rounded4(decoded.error_us[~np.isnan(decoded.error_us)]),
              "bus_times": np.rint(ctx.trace.bus_time_us * 10) / 10.0},
@@ -281,14 +276,14 @@ def _capacity(ctx):
 def _check_report_covert(ctx):
     """The success table and the 2^-24 crossing need every tolerance they
     score to leave part of the delay alphabet outside its window."""
-    covert = ctx.config.covert
+    covert, rho = ctx.config.covert, ctx.config.receiver.tolerance_us
     if covert.level_bits < MIN_LEVEL_BITS:
         raise TraceFormatError(
             f"[covert] level_bits {covert.level_bits}: the success table's tolerances up to "
             f"{max(RHO_SET):g} us need level_bits >= {MIN_LEVEL_BITS}")
-    if 2 * covert.tolerance_us >= covert.window_us:
-        raise TraceFormatError(f"[covert] tolerance_us {covert.tolerance_us:g}: the acceptance "
-                               f"window covers the whole delay alphabet (2^{covert.level_bits} us)")
+    if 2 * rho >= 1 << covert.level_bits:
+        raise TraceFormatError(f"[covert] tolerance_us {rho:g}: the acceptance window covers "
+                               f"the whole delay alphabet (2^{covert.level_bits} us)")
     return {}, {}
 
 
@@ -342,7 +337,13 @@ def _report_inputs(ctx):
     errors = np.array([e for e in _read_csv(
         verdicts, 5, lambda f: _number(f[3], "a finite error_us") if f[3] else None)
         if e is not None])  # None: an unscored frame, its error_us empty
-    adv = dict(_read_csv(attack, 4, _attack_row))
+    adv, line_of = {}, {}
+    for lineno, (key, rate) in enumerate(_read_csv(attack, 4, _attack_row), 2):
+        first = line_of.setdefault(key, lineno)  # every line after the header is a row
+        if first != lineno:
+            raise TraceFormatError(f"{attack}: line {lineno}: rho_us {key[0]:g}, frames "
+                                   f"{key[1]} is also on line {first}")
+        adv[key] = rate
     inputs = {p.name: p for p in (verdicts, attack, trace, capacity) if p.exists()}
     return ({"bus_times": bus_times, "errors": errors, "adv": adv, "inputs": inputs},
             {capacity.name: capacity.read_text()} if capacity.exists() else {})
@@ -368,7 +369,7 @@ def _report(ctx):
     no trace) and the scored `errors` as verdicts.csv holds them."""
     errors, adv, width = ctx.errors, ctx.adv, ctx.args.bin_width
     indir = Path(getattr(ctx.args, "indir", ctx.args.out))  # `run` reads its own outputs
-    level, tolerance = ctx.config.covert.level_bits, ctx.config.covert.tolerance_us
+    level, tolerance = ctx.config.covert.level_bits, ctx.config.receiver.tolerance_us
     if errors.size == 0:
         raise TraceFormatError(f"{indir / 'verdicts.csv'}: no scored frames")
     files = {"fig_deviation_histogram.csv": _histogram(errors, width, "us",
@@ -399,7 +400,7 @@ def _check_run(ctx):
     if ctx.args.check:
         check(check_complete(ctx.schedule), "allocated schedule is not collision-free")
         check(ctx.config.covert is not None, "--check needs a covert channel to score")
-        rho, level = ctx.config.covert.tolerance_us, ctx.config.covert.level_bits
+        rho, level = ctx.config.receiver.tolerance_us, ctx.config.covert.level_bits
         errors, rate = ctx.decoded.error_us, ctx.adv[5.0, 1]
         accept = float(np.mean(np.abs(errors[~np.isnan(errors)]) <= rho))
         check(accept == 1.0, f"genuine acceptance at rho={rho} is {100 * accept:.3f}% (want 100%)")

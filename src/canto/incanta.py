@@ -29,27 +29,33 @@ if TYPE_CHECKING:
 
 @dataclass(frozen=True)
 class CovertConfig:
-    """Channel parameters: shared key, bits per frame, tolerance, window size."""
+    """The channel that the senders and the receiver share: key and bits per frame."""
 
     key: bytes
     level_bits: int = 8
-    tolerance_us: float = 5.0
-    frames_required: int = 6
 
     def __post_init__(self):
         if not 16 <= len(self.key) <= 32:
             raise ValueError("key must be 16..32 bytes")
         if not 1 <= self.level_bits <= 32:
             raise ValueError("level_bits must be 1..32")
+
+
+@dataclass(frozen=True)
+class Receiver:
+    """What the receiver alone knows and decides: each ID's period, the
+    tolerance and the window size. No sender holds these."""
+
+    periods_us: dict[CanId, float]
+    tolerance_us: float = 5.0
+    frames_required: int = 6
+
+    def __post_init__(self):
         if not self.tolerance_us >= 0:  # NaN fails too
             raise ValueError("tolerance must be nonnegative")
         # a bus releases at most MAX_INSTANTS frames, so a longer window never fills
         if not 1 <= self.frames_required <= MAX_INSTANTS:
             raise ValueError(f"frames_required must be 1..{MAX_INSTANTS}")
-
-    @property
-    def window_us(self) -> int:
-        return 1 << self.level_bits
 
 
 def mac_input(counter: int, can_id: CanId, payload: bytes) -> bytes:
@@ -202,15 +208,14 @@ class Verifier:
     so that differencing stays between consecutive frames.
     """
 
-    def __init__(self, config: CovertConfig, periods_us: dict[CanId, float]):
-        self.config = config
-        self.periods_us = dict(periods_us)
+    def __init__(self, channel: CovertConfig, receiver: Receiver):
+        self.channel, self.receiver = channel, receiver
         self._states: dict[CanId, _IdState] = {}
 
     def verify(self, can_id: CanId, counter: int, payload: bytes, time_us: float) -> Verdict:
-        if can_id not in self.periods_us:
+        if can_id not in self.receiver.periods_us:
             raise KeyError(f"unknown id {can_id} (not in the config)")
-        xi = covert_delay(self.config.key, counter, can_id, payload, self.config.level_bits)
+        xi = covert_delay(self.channel.key, counter, can_id, payload, self.channel.level_bits)
         state = self._states.get(can_id)
         if state is None:
             state = self._states[can_id] = _IdState(counter, time_us, xi)
@@ -220,19 +225,19 @@ class Verifier:
             # otherwise a replay would poison the next genuine check
             verdict = Verdict(can_id, counter, time_us, False, None, "replay")
         else:
-            expected = self.periods_us[can_id] * (counter - state.counter) \
+            expected = self.receiver.periods_us[can_id] * (counter - state.counter) \
                 + xi - state.last_xi
             error = (time_us - state.last_time_us) - expected
-            ok = abs(error) <= self.config.tolerance_us
+            ok = abs(error) <= self.receiver.tolerance_us
             verdict = Verdict(can_id, counter, time_us, ok, error,
                               "" if ok else "timing")
             state.counter = counter
             state.last_time_us = time_us
             state.last_xi = xi
         state.recent.append(verdict.accepted)
-        if len(state.recent) > self.config.frames_required:
+        if len(state.recent) > self.receiver.frames_required:
             state.recent.popleft()
-        if len(state.recent) == self.config.frames_required:
+        if len(state.recent) == self.receiver.frames_required:
             verdict.window_authenticated = all(state.recent)
         return verdict
 
@@ -245,7 +250,6 @@ class Decoded:
     covert delay, unclamped) are NaN unless `reason` is "" or "timing".
     """
 
-    time_us: np.ndarray
     xi: np.ndarray
     ref: np.ndarray         # last earlier non-replay frame of the same ID, or -1
     error_us: np.ndarray
@@ -258,34 +262,31 @@ class Decoded:
 _REASONS = np.array(["", "first", "replay", "timing"])  # decode's reason, by code
 
 
-def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
-           compensate: bool = True) -> Decoded:
-    """Every frame of a trace through `Verifier`'s receiver rule at once.
+def decode(trace: Trace, channel: CovertConfig, receiver: Receiver) -> Decoded:
+    """Every frame of a trace through `Verifier`'s receiver rule at once, each
+    frame arriving at its `bus_time_us`.
 
     Each covert delay is computed once: a frame whose delay the simulator
-    hashed under `covert`'s key and level_bits (`_sent_delays`) keeps it, and
-    every other frame is hashed in one `covert_delays` call. With `compensate`
-    a frame arrives at its start on the bus, otherwise at its end, so
-    stuff-bit length variation stays in.
+    hashed under `channel` (`_sent_delays`) keeps it, and every other frame is
+    hashed in one `covert_delays` call.
     """
-    n, id_index = len(trace), trace.id_index
+    n, id_index, periods_us = len(trace), trace.id_index, receiver.periods_us
     by_id = np.argsort(id_index, kind="stable")  # the one sort by ID
     grouped = id_index[by_id]  # each ID's first frame heads its group
     for k in id_index[np.sort(by_id[np.diff(grouped, prepend=-1) != 0])].tolist():
         if trace.ids[k] not in periods_us:
             raise KeyError(f"unknown id {trace.ids[k]} (not in the config)")
     period = np.array([periods_us.get(i, np.nan) for i in trace.ids], dtype=np.float64)[id_index]
-    counter = trace.counter
-    time_us = trace.bus_time_us if compensate else trace.bus_time_us + trace.tx_time_us
+    counter, time_us = trace.counter, trace.bus_time_us
     id_values = np.array([i.value for i in trace.ids], dtype=np.int64)[id_index]
-    xi = _sent_delays(trace, covert)
+    xi = _sent_delays(trace, channel)
     if xi is None:
-        xi = covert_delays(covert.key, counter, id_values, trace.payloads, trace.payload_len,
-                           covert.level_bits)
+        xi = covert_delays(channel.key, counter, id_values, trace.payloads, trace.payload_len,
+                           channel.level_bits)
     else:
         rest = np.flatnonzero(xi < 0)
-        xi[rest] = covert_delays(covert.key, counter[rest], id_values[rest], trace.payloads[rest],
-                                 trace.payload_len[rest], covert.level_bits)
+        xi[rest] = covert_delays(channel.key, counter[rest], id_values[rest], trace.payloads[rest],
+                                 trace.payload_len[rest], channel.level_bits)
 
     ref, replay = _references(by_id, grouped, counter)
     s = np.flatnonzero((ref >= 0) & ~replay)
@@ -297,18 +298,18 @@ def decode(trace: Trace, covert: CovertConfig, periods_us: dict[CanId, float],
     error_us[s] = gap - (period[s] * steps + xi[s] - xi[r])
     symbol[s] = np.rint(gap - period[s] * steps + xi[r])
     del s, r, gap, steps
-    ok = np.abs(error_us) <= covert.tolerance_us
+    ok = np.abs(error_us) <= receiver.tolerance_us
     accepted = (ref < 0) | ok
-    window = _windows(by_id, grouped, accepted, covert.frames_required)
+    window = _windows(by_id, grouped, accepted, receiver.frames_required)
     code = np.select([ref < 0, replay, ok], [1, 2, 0], 3).astype(np.uint8)
-    return Decoded(time_us, xi, ref, error_us, symbol, _REASONS[code], accepted, window)
+    return Decoded(xi, ref, error_us, symbol, _REASONS[code], accepted, window)
 
 
-def _sent_delays(trace: Trace, covert: CovertConfig) -> np.ndarray | None:
+def _sent_delays(trace: Trace, channel: CovertConfig) -> np.ndarray | None:
     """A copy of the covert delays that `bus_sim.simulate` hashed for this
     trace, -1 for a plain sender's frame; None unless they were hashed under
-    `covert`'s key and level_bits from the MAC inputs the trace holds now."""
-    if trace.sent is None or trace.sent[1] != mac_fingerprint(trace, covert):
+    `channel`'s key and level_bits from the MAC inputs the trace holds now."""
+    if trace.sent is None or trace.sent[1] != mac_fingerprint(trace, channel):
         return None
     return trace.sent[0].copy()
 

@@ -24,7 +24,7 @@ import numpy as np
 from canto.bus_sim import BusConfig, NodeConfig, Trace
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec
-from canto.incanta import CovertConfig
+from canto.incanta import CovertConfig, Receiver
 from canto.scheduler import Schedule
 
 TRACE_HEADER = "bus_time_us,id_hex,counter,payload_hex,genuine"
@@ -133,10 +133,11 @@ def write_trace(trace: Trace, fh) -> None:
 
 
 def write_verdicts(trace: Trace, decoded, path) -> None:
-    """verdicts.csv: each frame of `trace` with `decode`'s time, error and verdict."""
+    """verdicts.csv: each frame of `trace` at its arrival `bus_time_us`, with
+    `decode`'s error and verdict."""
     words = np.array(["intrusion", "accept"], dtype="S")
     with open(path, "w", newline="\n") as fh:
-        _write_frames(fh, VERDICT_HEADER, trace, decoded.time_us, lambda rows: (
+        _write_frames(fh, VERDICT_HEADER, trace, trace.bus_time_us, lambda rows: (
             _fixed4_parts(decoded.error_us[rows]), (words.take(decoded.accepted[rows]),)))
 
 
@@ -215,8 +216,12 @@ def _columns(chunks) -> Trace:
     for row in np.flatnonzero(odd).tolist():
         payload = bytes.fromhex(hex_texts[row].decode())  # of at most 8 bytes, as 16 characters
         payloads[row], lengths[row] = np.frombuffer(payload.ljust(8, b"\0"), np.uint8), len(payload)
+    genuine = rows["genuine"]
+    bad = np.flatnonzero((genuine != 0) & (genuine != 1))
+    if len(bad):
+        raise ValueError(f"genuine {genuine[bad[0]]} is not 0 or 1")
     return Trace(tuple(position), code[inverse], counter.copy(), rows["bus_time_us"] / 10.0,
-                 np.zeros(len(rows)), payloads, lengths, rows["genuine"] != 0)
+                 np.zeros(len(rows)), payloads, lengths, genuine == 1)
 
 
 def _data(line: str, at: int) -> bool:
@@ -291,9 +296,10 @@ def read_schedule(path) -> Schedule:
 @dataclass(frozen=True)
 class ExperimentConfig(BusConfig):
     """Everything a run needs: the bus the simulator runs, with its covert
-    channel, and the allocator options."""
+    channel, the receiver of that channel, and the allocator options."""
 
     allocator: dict = field(default_factory=dict)
+    receiver: Receiver | None = None  # with the channel, from [covert]
 
     def to_bus_config(self, schedule: Schedule | None = None,
                       seed: int | None = None) -> BusConfig:
@@ -326,9 +332,9 @@ class ExperimentConfig(BusConfig):
 # A key the file leaves out is not passed, so the field keeps its dataclass default.
 _BUS_KEYS = {"duration_us": ("duration_us", float), "bitrate": ("bitrate_bps", int),
              "seed": ("seed", int), "stuffing": ("stuffing", str)}
-_COVERT_KEYS = {"key_hex": ("key", bytes.fromhex), "level_bits": ("level_bits", int),
-                "tolerance_us": ("tolerance_us", float),
-                "frames_required": ("frames_required", int)}
+_CHANNEL_KEYS = {"key_hex": ("key", bytes.fromhex), "level_bits": ("level_bits", int)}
+_RECEIVER_KEYS = {"tolerance_us": ("tolerance_us", float),
+                  "frames_required": ("frames_required", int)}
 _ALLOC_KEYS = {"algorithm": ("algorithm", str), "ifs_us": ("ifs_us", float),
                "grid_step_us": ("grid_step_us", float), "iterations": ("iterations", int)}
 _CLOCK_KEYS = {"skew_ppm": ("skew_ppm", float), "tick_ns": ("tick_ns", int),
@@ -390,12 +396,6 @@ def parse_experiment_config(source) -> ExperimentConfig:
         raise TraceFormatError("missing [bus] section")
     bus = _checked(cp["bus"], _BUS_KEYS, "duration_us")
 
-    covert = None
-    if "covert" in cp:
-        sec = _checked(cp["covert"], _COVERT_KEYS, "key_hex")
-        with _naming("covert"):  # range checks name their own key
-            covert = CovertConfig(**_fields(sec, _COVERT_KEYS))
-
     allocator: dict = {}
     if "allocator" in cp:
         allocator = _fields(_checked(cp["allocator"], _ALLOC_KEYS, "algorithm"), _ALLOC_KEYS)
@@ -420,7 +420,7 @@ def parse_experiment_config(source) -> ExperimentConfig:
                 frames.append(FrameSpec(CanId.parse(m.group(1)), float(m.group(2)),
                                         float(m.group(4) or 0), int(m.group(3)) * 8))
         with _naming(section, "covert"):
-            enabled = sec.getboolean("covert", covert is not None)
+            enabled = sec.getboolean("covert", "covert" in cp)
         with _naming(section):
             clock = ClockModel(**clock_fields)
             nodes.append(NodeConfig(section[len("node."):], clock, tuple(frames), enabled))
@@ -429,6 +429,13 @@ def parse_experiment_config(source) -> ExperimentConfig:
     if allocator and offsets_given:
         raise TraceFormatError("offsets given both manually and via [allocator]")
 
+    covert = receiver = None
+    if "covert" in cp:
+        sec = _checked(cp["covert"], {**_CHANNEL_KEYS, **_RECEIVER_KEYS}, "key_hex")
+        with _naming("covert"):  # range checks name their own key
+            covert = CovertConfig(**_fields(sec, _CHANNEL_KEYS))
+            receiver = Receiver({f.id: f.period_us for n in nodes for f in n.frames},
+                                **_fields(sec, _RECEIVER_KEYS))
     with _naming("bus"):  # BusConfig's checks name their own key or ids
         return ExperimentConfig(nodes=tuple(nodes), covert=covert, allocator=allocator,
-                                **_fields(bus, _BUS_KEYS))
+                                receiver=receiver, **_fields(bus, _BUS_KEYS))

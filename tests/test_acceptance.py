@@ -23,7 +23,7 @@ from canto.clock_model import (DEFAULT_TICK_CLASSES, ClockModel, Jitter,
                                classify_forced_delay, cumulative_offset,
                                forced_delay_ticks)
 from canto.frame_model import CanId, FrameSpec, frame_bit_length, frame_max_stuff_bits
-from canto.incanta import CovertConfig, adversary_advantage, decode
+from canto.incanta import CovertConfig, Receiver, adversary_advantage, decode
 from canto.scheduler import Schedule, build_schedule, check_complete, schedule_quality
 
 MS = 1000.0
@@ -232,14 +232,15 @@ def calibrated_deviations():
     with frame-length compensation."""
     periods = [10 * MS] * 6
     offsets = [i * 600.0 for i in range(6)]
-    cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
+    cov = CovertConfig(key=KEY, level_bits=8)
     specs = tuple(FrameSpec(CanId(0x100 + i), p, o, 64)
                   for i, (p, o) in enumerate(zip(periods, offsets)))
     clock = ClockModel(jitter=Jitter("steps"))
     cfg = BusConfig((NodeConfig("ecu", clock, specs, True),), 170_000 * MS,
                     seed=77, stuffing="payload", covert=cov)
     trace = simulate(cfg)
-    devs = deviation_series(trace, decode(trace, cov, {s.id: s.period_us for s in specs}))
+    receiver = Receiver({s.id: s.period_us for s in specs}, tolerance_us=5.0)
+    devs = deviation_series(trace, decode(trace, cov, receiver))
     return np.concatenate(list(devs.values()))
 
 
@@ -270,14 +271,14 @@ def test_criterion_5_capacity():
     c25, _ = blahut_arimoto(np.eye(25), tolerance=1e-9)
     assert abs(c25 - math.log2(25)) <= 0.01
 
-    cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
+    cov = CovertConfig(key=KEY, level_bits=8)
     spec = FrameSpec(CanId(0x100), 10 * MS, 0.0, 64)
     clock = ClockModel(jitter=Jitter("uniform", half_width_us=2.5))
     cfg = BusConfig((NodeConfig("ecu", clock, (spec,), True),), 2_500_000 * MS,
                     seed=5, stuffing="none", covert=cov)
     trace = simulate(cfg)
-    matrix = extract_channel_matrix(trace, decode(trace, cov, {spec.id: spec.period_us}),
-                                    cov.level_bits)
+    receiver = Receiver({spec.id: spec.period_us}, tolerance_us=5.0)
+    matrix = extract_channel_matrix(trace, decode(trace, cov, receiver), cov.level_bits)
     c_noise, iters = blahut_arimoto(matrix, tolerance=1e-4)
     elapsed = time.perf_counter() - start
     assert abs(c_noise - 4.9) <= 0.3, f"noisy-channel capacity {c_noise:.3f} bits"

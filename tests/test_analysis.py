@@ -16,7 +16,7 @@ from canto.bus_sim import BusConfig, NodeConfig, inject_adversary, simulate
 from canto.cli import main
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec
-from canto.incanta import CovertConfig, decode
+from canto.incanta import CovertConfig, Receiver, decode
 from canto.scheduler import MAX_INSTANTS
 
 MS = 1000.0
@@ -206,45 +206,46 @@ class TestHistogram:
 
 
 def run_covert(jitter, duration_us, seed=3, stuffing="none", skew_ppm=0.0):
-    cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
+    cov = CovertConfig(key=KEY, level_bits=8)
     spec = FrameSpec(CanId(0x100), 10 * MS, 0.0, 64)
     clock = ClockModel(skew_ppm=skew_ppm, jitter=jitter)
     cfg = BusConfig((NodeConfig("ecu", clock, (spec,), True),), duration_us,
                     seed=seed, stuffing=stuffing, covert=cov)
-    return simulate(cfg), cov, {spec.id: spec.period_us}
+    return simulate(cfg), cov, Receiver({spec.id: spec.period_us}, tolerance_us=5.0)
 
 
 class TestDeviationSeries:
     def test_zero_jitter_is_exactly_zero(self):
-        trace, cov, periods = run_covert(Jitter(), 300 * MS)
-        devs = deviation_series(trace, decode(trace, cov, periods))
+        trace, cov, rx = run_covert(Jitter(), 300 * MS)
+        devs = deviation_series(trace, decode(trace, cov, rx))
         assert np.all(devs[CanId(0x100)] == 0.0)
 
     def test_unknown_id_raises(self):
         trace, cov, _ = run_covert(Jitter(), 300 * MS)
         with pytest.raises(KeyError):
-            decode(trace, cov, {CanId(0x7): 10 * MS})
+            decode(trace, cov, Receiver({CanId(0x7): 10 * MS}))
 
     def test_without_covert_config_sees_delay_spread(self):
         """A receiver without the sender's key decodes with another one."""
-        trace, cov, periods = run_covert(Jitter(), 300 * MS)
+        trace, cov, rx = run_covert(Jitter(), 300 * MS)
         wrong = replace(cov, key=bytes(range(1, 17)))
-        devs = deviation_series(trace, decode(trace, wrong, periods))[CanId(0x100)]
+        devs = deviation_series(trace, decode(trace, wrong, rx))[CanId(0x100)]
         assert np.max(np.abs(devs)) > 50.0  # delays from another key look like jitter
 
     def test_stuffing_variation_stays_within_ten_us(self):
-        trace, cov, periods = run_covert(Jitter(), 2000 * MS, stuffing="payload")
-        devs = deviation_series(trace, decode(trace, cov, periods, compensate=False))
+        trace, cov, rx = run_covert(Jitter(), 2000 * MS, stuffing="payload")
+        ends = replace(trace, bus_time_us=trace.bus_time_us + trace.tx_time_us)
+        devs = deviation_series(ends, decode(ends, cov, rx))
         assert 0.0 < np.max(np.abs(devs[CanId(0x100)])) <= 10.0
 
     def test_compensation_removes_stuffing_noise(self):
-        trace, cov, periods = run_covert(Jitter(), 2000 * MS, stuffing="payload")
-        devs = deviation_series(trace, decode(trace, cov, periods, compensate=True))
+        trace, cov, rx = run_covert(Jitter(), 2000 * MS, stuffing="payload")
+        devs = deviation_series(trace, decode(trace, cov, rx))
         assert np.all(devs[CanId(0x100)] == 0.0)
 
     def test_calibrated_steps_jitter_matches_envelope(self):
-        trace, cov, periods = run_covert(Jitter("steps"), 60_000 * MS)
-        devs = deviation_series(trace, decode(trace, cov, periods))[CanId(0x100)]
+        trace, cov, rx = run_covert(Jitter("steps"), 60_000 * MS)
+        devs = deviation_series(trace, decode(trace, cov, rx))[CanId(0x100)]
         lo, hi = devs.min(), devs.max()
         assert -4.62 - 1.0 <= lo <= -4.62 + 1.0
         assert 4.87 - 1.0 <= hi <= 4.87 + 1.0
@@ -252,32 +253,32 @@ class TestDeviationSeries:
 
 class TestChannelMatrix:
     def test_zero_jitter_gives_identity(self):
-        trace, cov, periods = run_covert(Jitter(), 30_000 * MS)
+        trace, cov, rx = run_covert(Jitter(), 30_000 * MS)
         with pytest.warns(UserWarning, match="sparse"):
-            m = extract_channel_matrix(trace, decode(trace, cov, periods), cov.level_bits)
+            m = extract_channel_matrix(trace, decode(trace, cov, rx), cov.level_bits)
         assert np.all(np.abs(m.sum(axis=1) - 1.0) < 1e-9)
         assert np.trace(m) == pytest.approx(256.0, abs=1e-3)
 
     def test_uniform_jitter_bands_rows(self):
-        trace, cov, periods = run_covert(Jitter("uniform", half_width_us=1.0), 60_000 * MS)
+        trace, cov, rx = run_covert(Jitter("uniform", half_width_us=1.0), 60_000 * MS)
         with pytest.warns(UserWarning, match="sparse"):
-            m = extract_channel_matrix(trace, decode(trace, cov, periods), cov.level_bits)
+            m = extract_channel_matrix(trace, decode(trace, cov, rx), cov.level_bits)
         for x in range(1, 255):
             support = np.flatnonzero(m[x] > 1e-6)
             assert support.size <= 5
             assert np.all(np.abs(support - x) <= 2)
 
     def test_row_sums(self):
-        trace, cov, periods = run_covert(Jitter("uniform", half_width_us=2.0), 30_000 * MS)
+        trace, cov, rx = run_covert(Jitter("uniform", half_width_us=2.0), 30_000 * MS)
         with pytest.warns(UserWarning, match="sparse"):
-            m = extract_channel_matrix(trace, decode(trace, cov, periods), cov.level_bits)
+            m = extract_channel_matrix(trace, decode(trace, cov, rx), cov.level_bits)
         assert np.allclose(m.sum(axis=1), 1.0, atol=1e-12)
 
     @pytest.mark.parametrize("bound", [65_535, 65_536])
     def test_refuses_more_cells_than_the_bound(self, monkeypatch, bound):
         # 2^8 x 2^8 = 65536 cells, checked against the bound the function reads
-        trace, cov, periods = run_covert(Jitter(), 30_000 * MS)
-        decoded = decode(trace, cov, periods)
+        trace, cov, rx = run_covert(Jitter(), 30_000 * MS)
+        decoded = decode(trace, cov, rx)
         monkeypatch.setattr(analysis, "MAX_INSTANTS", bound)
         if bound < 65_536:
             with pytest.raises(ValueError, match="level_bits 8: channel matrix over 65535 cells"):
@@ -293,7 +294,7 @@ class TestGenuinePairing:
         # frames 1000..1099 forged, the rest genuine; with no jitter every
         # genuine pair deviates by exactly 0 and decodes to its sent delay,
         # while a pair with a forged end sits off by the adversary's draws
-        trace, cov, periods = run_covert(Jitter(), 30_000 * MS)
+        trace, cov, rx = run_covert(Jitter(), 30_000 * MS)
         forged = inject_adversary(trace, CanId(0x100), 10 * MS, seed=1)
         window = slice(1000, 1100)
         assert not forged.genuine[window].any()
@@ -301,11 +302,11 @@ class TestGenuinePairing:
         times, genuine = trace.bus_time_us.copy(), trace.genuine.copy()
         times[window], genuine[window] = forged.bus_time_us[window], forged.genuine[window]
         mixed = replace(trace, bus_time_us=times, genuine=genuine)
-        devs = deviation_series(mixed, decode(mixed, cov, periods))[CanId(0x100)]
+        devs = deviation_series(mixed, decode(mixed, cov, rx))[CanId(0x100)]
         assert len(devs) == len(trace) - 1 - 101
         assert np.all(devs == 0.0)
         with pytest.warns(UserWarning, match="sparse"):
-            m = extract_channel_matrix(mixed, decode(mixed, cov, periods), cov.level_bits)
+            m = extract_channel_matrix(mixed, decode(mixed, cov, rx), cov.level_bits)
         assert np.all(m[~np.eye(256, dtype=bool)] < 1e-6)
 
 

@@ -16,7 +16,7 @@ from canto.bus_sim import (BusConfig, NodeConfig, OversubscribedBusError, Trace,
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_stuff_bits,
                                transmission_time_us)
-from canto.incanta import CovertConfig, Verifier, covert_delay, covert_delays
+from canto.incanta import CovertConfig, Receiver, Verifier, covert_delay, covert_delays
 from canto.scheduler import Schedule, allocate_gcd, check_complete
 from canto.trace_io import write_trace
 from payload_rows import payload_columns, payload_list
@@ -45,8 +45,9 @@ def payloads_of(trace):
 
 
 def verify_frames(cov, periods, trace):
-    """The streaming Verifier's verdict on each frame of a trace, in order."""
-    verifier = Verifier(cov, periods)
+    """The streaming Verifier's verdict on each frame of a trace, in order,
+    with a tolerance of 5 us."""
+    verifier = Verifier(cov, Receiver(periods, tolerance_us=5.0))
     return [verifier.verify(i, c, p, t) for i, c, p, t in zip(
         ids_of(trace), trace.counter.tolist(), payloads_of(trace), trace.bus_time_us.tolist())]
 
@@ -439,7 +440,7 @@ class TestMatchesReleaseLoop:
 
 
 def covert_trace(duration_us=400 * MS, jitter=None, seed=3):
-    cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
+    cov = CovertConfig(key=KEY, level_bits=8)
     periods = [10 * MS, 10 * MS]
     offsets = allocate_gcd(periods, ifs_us=600.0)
     specs = [FrameSpec(CanId(0x100 + i), p, o) for i, (p, o) in enumerate(zip(periods, offsets))]
@@ -464,7 +465,7 @@ class TestCovertSending:
             assert np.diff(own.bus_time_us).tolist() == (period + np.diff(xi)).tolist()
 
     def test_payloads_carry_counters_at_every_length(self):
-        cov = CovertConfig(key=KEY, level_bits=8, tolerance_us=5.0)
+        cov = CovertConfig(key=KEY, level_bits=8)
         specs = [FrameSpec(CanId(0x100 + n), 10 * MS, 600.0 * n, 8 * n) for n in range(4, 9)]
         trace = simulate(config([node("ecu", specs, covert=True)], 100 * MS, covert=cov))
         assert len(trace) == 50

@@ -281,6 +281,10 @@ MALFORMED = {
                                     ["--tolerance", "-1"], "--tolerance -1"),
     "capacity-tolerance-nan": ("capacity", SMALL, {"--trace": TRACE_HEADER + "\n"},
                                ["--tolerance", "nan"], "--tolerance nan"),
+    # a genuine flag other than 0 or 1 was read as genuine
+    **{f"verify-genuine-{flag}": (
+        "verify", SMALL, {"--trace": f"{TRACE_HEADER}\n100000,100,1,00,1\n110000,100,2,00,{flag}\n"},
+        [], f"line 3: genuine {flag} is not 0 or 1") for flag in ("7", "-1")},
 }
 
 
@@ -320,6 +324,10 @@ MALFORMED_REPORT = {
                                  f"5,1,0.0386,0.0390625\n5,{text},0.9,0.1\n", [],
                                  f"attack.csv: line 3: {text} is not a frames value >= 1")
        for text in ("0", "-3")},
+    # a repeated key would silently replace the rate of the line before it
+    "attack-repeated-key": ("attack.csv", "rho_us,frames,adv_rate_exact,adv_rate_analytic\n"
+                            "5,1,0.0386,0.0390625\n5,2,0.0015,0.0015\n5.0,1,0.5,0.0390625\n", [],
+                            "attack.csv: line 4: rho_us 5, frames 1 is also on line 2"),
     # gaps of 1 us and 1000 s: 2 * 10^7 inter-frame bins of 0.05 ms
     "trace-gap-1000-s": ("trace.csv", TRACE_HEADER + "\n0,100,1,00,1\n10,100,2,00,1\n"
                          "10000000010,100,3,00,1\n",

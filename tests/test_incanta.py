@@ -15,9 +15,9 @@ from canto import incanta
 from canto.bus_sim import BusConfig, NodeConfig, Trace, inject_adversary, simulate
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec
-from canto.incanta import (_HASH_BLOCK, CovertConfig, Decoded, Verifier, adversary_advantage,
-                           covert_delay, covert_delays, decode, ecu_success, embed_counters,
-                           mac_input)
+from canto.incanta import (_HASH_BLOCK, CovertConfig, Decoded, Receiver, Verifier,
+                           adversary_advantage, covert_delay, covert_delays, decode, ecu_success,
+                           embed_counters, mac_input)
 from canto.trace_io import parse_trace, write_trace
 from payload_rows import payload_columns, payload_list
 
@@ -212,6 +212,11 @@ def config(**kw):
     return CovertConfig(**kw)
 
 
+def receiver(**kw):
+    """A receiver of ID's 10 ms frames."""
+    return Receiver({ID: 10_000.0}, **kw)
+
+
 def genuine_times(cfg, period_us, n, start=1000.0):
     """Ideal covert transmission times for counters 1..n."""
     times = []
@@ -233,31 +238,37 @@ class TestVerifier:
         with pytest.raises(ValueError):
             config(level_bits=0)
         with pytest.raises(ValueError):
-            config(frames_required=0)
+            receiver(frames_required=0)
+        with pytest.raises(ValueError):
+            receiver(tolerance_us=float("nan"))
+        # the channel is what the senders share; the rest is the receiver's
+        assert [f.name for f in fields(CovertConfig)] == ["key", "level_bits"]
+        assert [f.name for f in fields(Receiver)] == ["periods_us", "tolerance_us",
+                                                      "frames_required"]
 
     def test_zero_jitter_accepts_at_zero_tolerance(self):
-        cfg = config(tolerance_us=0.0)
-        v = Verifier(cfg, {ID: 10_000.0})
+        cfg = config()
+        v = Verifier(cfg, receiver(tolerance_us=0.0))
         for k, payload, t in genuine_times(cfg, 10_000.0, 20):
             verdict = v.verify(ID, k, payload, t)
             assert verdict.accepted
 
     def test_first_frame_is_provisional(self):
         cfg = config()
-        v = Verifier(cfg, {ID: 10_000.0})
+        v = Verifier(cfg, receiver())
         k, payload, t = genuine_times(cfg, 10_000.0, 1)[0]
         assert v.verify(ID, k, payload, t).reason == "first"
 
     def test_boundary_exactly_rho_accepts(self):
-        cfg = config(tolerance_us=5.0)
-        v = Verifier(cfg, {ID: 10_000.0})
+        cfg = config()
+        v = Verifier(cfg, receiver(tolerance_us=5.0))
         (k1, p1, t1), (k2, p2, t2) = genuine_times(cfg, 10_000.0, 2)
         v.verify(ID, k1, p1, t1)
         assert v.verify(ID, k2, p2, t2 + 5.0).accepted
 
     def test_boundary_rho_plus_one_is_intrusion(self):
-        cfg = config(tolerance_us=5.0)
-        v = Verifier(cfg, {ID: 10_000.0})
+        cfg = config()
+        v = Verifier(cfg, receiver(tolerance_us=5.0))
         (k1, p1, t1), (k2, p2, t2) = genuine_times(cfg, 10_000.0, 2)
         v.verify(ID, k1, p1, t1)
         verdict = v.verify(ID, k2, p2, t2 + 6.0)
@@ -266,7 +277,7 @@ class TestVerifier:
 
     def test_replay_detected(self):
         cfg = config()
-        v = Verifier(cfg, {ID: 10_000.0})
+        v = Verifier(cfg, receiver())
         (k1, p1, t1), (k2, p2, t2) = genuine_times(cfg, 10_000.0, 2)
         v.verify(ID, k1, p1, t1)
         v.verify(ID, k2, p2, t2)
@@ -274,7 +285,7 @@ class TestVerifier:
 
     def test_replay_does_not_poison_later_frames(self):
         cfg = config()
-        v = Verifier(cfg, {ID: 10_000.0})
+        v = Verifier(cfg, receiver())
         rows = genuine_times(cfg, 10_000.0, 3)
         v.verify(ID, *rows[0][:2], rows[0][2])
         v.verify(ID, *rows[1][:2], rows[1][2])
@@ -282,7 +293,7 @@ class TestVerifier:
         assert v.verify(ID, *rows[2][:2], rows[2][2]).accepted
 
     def test_unknown_id_rejected(self):
-        v = Verifier(config(), {ID: 10_000.0})
+        v = Verifier(config(), receiver())
         with pytest.raises(KeyError):
             v.verify(CanId(0x7), 1, bytes(8), 0.0)
 
@@ -293,7 +304,7 @@ class TestVerifier:
         noisy = [(k, p, t + rng.uniform(-4, 4)) for k, p, t in rows]
         accepted_at = {}
         for rho in (0.0, 1.0, 2.0, 4.0, 8.0):
-            v = Verifier(replace(cfg, tolerance_us=rho), {ID: 10_000.0})
+            v = Verifier(cfg, receiver(tolerance_us=rho))
             accepted_at[rho] = {k for k, p, t in noisy if v.verify(ID, k, p, t).accepted}
         rhos = sorted(accepted_at)
         for lo, hi in zip(rhos, rhos[1:]):
@@ -302,15 +313,15 @@ class TestVerifier:
     def test_constant_skew_cancels_in_differencing(self):
         # a 100 ppm sender over 10 ms periods accumulates 1 ms of offset
         # across 1000 frames, yet per-interval errors stay near 1 us
-        cfg = config(tolerance_us=5.0)
-        v = Verifier(cfg, {ID: 10_000.0})
+        cfg = config()
+        v = Verifier(cfg, receiver(tolerance_us=5.0))
         factor = 1 + 100e-6
         for k, payload, t in genuine_times(cfg, 10_000.0, 1000):
             assert v.verify(ID, k, payload, t * factor).accepted
 
     def test_window_authentication(self):
-        cfg = config(frames_required=3)
-        v = Verifier(cfg, {ID: 10_000.0})
+        cfg = config()
+        v = Verifier(cfg, receiver(frames_required=3))
         rows = genuine_times(cfg, 10_000.0, 6)
         verdicts = [v.verify(ID, k, p, t) for k, p, t in rows[:3]]
         assert verdicts[-1].window_authenticated is True
@@ -332,10 +343,10 @@ PERIODS = {CanId(0x100): 10_000.0, CanId(0x101): 20_000.0, CanId(0x7FF): 8_191.7
 def receiver_traces(draw):
     """Interleaved IDs whose counters step by -2..3 (so repeat or go back) and
     whose spacing is the covert one plus an offset, then optionally one ID
-    handed to the adversary."""
-    cfg = config(level_bits=draw(st.integers(2, 8)),
-                 tolerance_us=draw(st.sampled_from([0.0, 2.5, 5.0])),
-                 frames_required=draw(st.integers(1, 4)))
+    handed to the adversary; with the channel and a receiver of PERIODS."""
+    cfg = config(level_bits=draw(st.integers(2, 8)))
+    rx = Receiver(PERIODS, tolerance_us=draw(st.sampled_from([0.0, 2.5, 5.0])),
+                  frames_required=draw(st.integers(1, 4)))
     start = draw(st.sampled_from([0.0, 123_456_789.1, 3_700_000_000.3]))
     ids = tuple(PERIODS)
     id_index, counters, times, tx, payloads, genuine, last = [], [], [], [], [], [], {}
@@ -361,7 +372,7 @@ def receiver_traces(draw):
         target = ids[id_index[0]]
         trace = inject_adversary(trace, target, PERIODS[target], seed=draw(st.integers(0, 9)),
                                  level_bits=cfg.level_bits)
-    return cfg, trace
+    return cfg, rx, trace
 
 
 @st.composite
@@ -369,9 +380,9 @@ def single_id_runs(draw):
     """One ID's run of up to 200 frames, built from a drawn seed: counters from
     0, 2^31 or just below 2^32 stepping by -2..3 (capped at 2^32 - 1, where they
     repeat), the covert spacing plus an offset, windows of up to 8 frames."""
-    cfg = config(level_bits=draw(st.integers(2, 8)),
-                 tolerance_us=draw(st.sampled_from([0.0, 2.5, 5.0])),
-                 frames_required=draw(st.integers(1, 8)))
+    cfg = config(level_bits=draw(st.integers(2, 8)))
+    rx = Receiver(PERIODS, tolerance_us=draw(st.sampled_from([0.0, 2.5, 5.0])),
+                  frames_required=draw(st.integers(1, 8)))
     can_id = draw(st.sampled_from(list(PERIODS)))
     low = draw(st.sampled_from([0, 2**31, 2**32 - 60]))
     n = draw(st.integers(0, 200))
@@ -385,29 +396,33 @@ def single_id_runs(draw):
     times = 123_456_789.1 + PERIODS[can_id] * (counters - low) + xi + np.cumsum(noise)
     trace = Trace((can_id,), np.zeros(n, dtype=np.int64), counters, times,
                   rng.choice([0.0, 108.0, 131.5], n), payloads, lengths, rng.random(n) < 0.5)
-    return cfg, trace
+    return cfg, rx, trace
 
 
 class TestDecode:
+    """`decode` against `Verifier`, on frames arriving at their starts or,
+    as `--no-compensate` feeds them, at their ends."""
+
     @settings(max_examples=300, deadline=None)
     @given(receiver_traces(), st.booleans(), st.sampled_from([None, 0.0, 1.0, 4.0]))
-    def test_matches_frame_by_frame_verifier(self, case, compensate, rho):
-        self.check_against_verifier(*case, compensate, rho)
+    def test_matches_frame_by_frame_verifier(self, case, ends, rho):
+        self.check_against_verifier(*case, ends, rho)
 
     @settings(max_examples=300, deadline=None)
     @given(single_id_runs(), st.booleans(), st.sampled_from([None, 0.0, 1.0, 4.0]))
-    def test_long_single_id_runs_match_verifier(self, case, compensate, rho):
-        self.check_against_verifier(*case, compensate, rho)
+    def test_long_single_id_runs_match_verifier(self, case, ends, rho):
+        self.check_against_verifier(*case, ends, rho)
 
     @staticmethod
-    def check_against_verifier(cfg, trace, compensate, rho):
-        cfg = cfg if rho is None else replace(cfg, tolerance_us=rho)
-        decoded = decode(trace, cfg, PERIODS, compensate)
-        verifier = Verifier(cfg, PERIODS)
+    def check_against_verifier(cfg, rx, trace, ends, rho):
+        rx = rx if rho is None else replace(rx, tolerance_us=rho)
+        if ends:
+            trace = replace(trace, bus_time_us=trace.bus_time_us + trace.tx_time_us)
+        decoded = decode(trace, cfg, rx)
+        verifier = Verifier(cfg, rx)
         ids = [trace.ids[k] for k in trace.id_index.tolist()]
         counters = trace.counter.tolist()
-        arrivals = (trace.bus_time_us if compensate
-                    else trace.bus_time_us + trace.tx_time_us).tolist()
+        arrivals = trace.bus_time_us.tolist()
         payloads = payload_list(trace.payloads, trace.payload_len)
         for i, (can_id, counter, payload, t) in enumerate(zip(ids, counters, payloads,
                                                                arrivals)):
@@ -436,12 +451,12 @@ class TestDecode:
         a, b = CanId(0x0A0), CanId(0x0B0)  # neither has a period
         trace = self.frames_of((b, a), [1, 0, 1])  # listed B, A; A is on the bus first
         with pytest.raises(KeyError) as exc:
-            decode(trace, config(), PERIODS)
+            decode(trace, config(), Receiver(PERIODS))
         assert exc.value.args[0] == f"unknown id {a} (not in the config)"
 
     def test_listed_id_without_frames_needs_no_period(self):
         trace = self.frames_of((CanId(0x0A0), ID, CanId(0x101)), [1, 2, 1, 2])
-        decoded = decode(trace, config(), PERIODS)
+        decoded = decode(trace, config(), Receiver(PERIODS))
         assert decoded.reason.tolist() == ["first", "first", "timing", "timing"]
         assert decoded.ref.tolist() == [-1, -1, 0, 1]
 
@@ -450,9 +465,9 @@ class TestDecode:
 def mixed_buses(draw):
     """A small simulated bus: 1-4 IDs on up to three nodes, each node covert
     or plain, 4-8 byte payloads, a channel of one of two keys (level_bits
-    1-16); then the bus and the config a receiver decodes with: the bus's
-    channel, that channel with another tolerance and window, the other key
-    with other level_bits, or a wrong key."""
+    1-16); then the bus, the channel a receiver decodes with (the bus's, the
+    other key with other level_bits, or a wrong key) and a receiver of the
+    bus's periods, with the default or another tolerance and window."""
     n = draw(st.integers(1, 4))
     ids = [CanId(v) for v in draw(st.lists(st.integers(0, 0x7FF), min_size=n, max_size=n,
                                            unique=True))]
@@ -473,10 +488,10 @@ def mixed_buses(draw):
         bus = BusConfig(tuple(nodes), 20000.0 + draw(st.sampled_from([0.0, 7777.7])),
                         seed=draw(st.integers(0, 2**16)), covert=channel)
         trace = simulate(bus)
-    receivers = [channel, replace(channel, tolerance_us=2.0, frames_required=3), other,
-                 replace(channel, key=bytes(range(1, 17)))]
-    return trace, bus, draw(st.sampled_from(receivers)), {
-        f.id: f.period_us for nd in nodes for f in nd.frames}
+    periods = {f.id: f.period_us for nd in nodes for f in nd.frames}
+    channels = [channel, other, replace(channel, key=bytes(range(1, 17)))]
+    receivers = [Receiver(periods), Receiver(periods, tolerance_us=2.0, frames_required=3)]
+    return trace, bus, draw(st.sampled_from(channels)), draw(st.sampled_from(receivers))
 
 
 class TestSentDelays:
@@ -492,7 +507,7 @@ class TestSentDelays:
             np.testing.assert_array_equal(a, b, err_msg=f.name)  # NaNs in place match
 
     @staticmethod
-    def decode_counting(trace, covert, periods):
+    def decode_counting(trace, covert, rx):
         """`decode` and the number of frames it hashed."""
         hashed = []
 
@@ -501,24 +516,24 @@ class TestSentDelays:
             return covert_delays(key, counters, *args)
         incanta.covert_delays = counting
         try:
-            return decode(trace, covert, periods), sum(hashed)
+            return decode(trace, covert, rx), sum(hashed)
         finally:
             incanta.covert_delays = covert_delays
 
-    def full(self, trace, covert, periods):
+    def full(self, trace, covert, rx):
         """`decode` of the same columns with nothing the simulator hashed."""
         fresh = replace(trace)
         assert fresh.sent is None
-        decoded, hashed = self.decode_counting(fresh, covert, periods)
+        decoded, hashed = self.decode_counting(fresh, covert, rx)
         assert hashed == len(trace)
         return decoded
 
     @settings(max_examples=150, deadline=None)
     @given(mixed_buses(), st.data())
     def test_decode_equals_a_full_recompute(self, drawn, data):
-        trace, bus, covert, periods = drawn
-        decoded, hashed = self.decode_counting(trace, covert, periods)
-        self.assert_same(decoded, self.full(trace, covert, periods))
+        trace, bus, covert, rx = drawn
+        decoded, hashed = self.decode_counting(trace, covert, rx)
+        self.assert_same(decoded, self.full(trace, covert, rx))
         reused = 0  # the covert nodes' frames, if the bus hashed under `covert`'s key and bits
         if (covert.key, covert.level_bits) == (bus.covert.key, bus.covert.level_bits):
             sent = {f.id for nd in bus.nodes if nd.covert for f in nd.frames}
@@ -530,13 +545,13 @@ class TestSentDelays:
         write_trace(trace, fh)
         fh.seek(0)
         parsed = replace(parse_trace(fh), bus_time_us=trace.bus_time_us)
-        self.assert_same(decoded, self.full(parsed, covert, periods))
+        self.assert_same(decoded, self.full(parsed, covert, rx))
 
         # the trace the adversary builds from it
         target = data.draw(st.sampled_from(trace.ids))
-        forged = inject_adversary(trace, target, periods[target], seed=data.draw(
+        forged = inject_adversary(trace, target, rx.periods_us[target], seed=data.draw(
             st.integers(0, 9)), level_bits=covert.level_bits)
-        self.assert_same(decode(forged, covert, periods), self.full(forged, covert, periods))
+        self.assert_same(decode(forged, covert, rx), self.full(forged, covert, rx))
 
         # one counter or payload byte changed, in place or through replace
         row = data.draw(st.integers(0, len(trace) - 1))
@@ -547,6 +562,6 @@ class TestSentDelays:
             payloads[row, data.draw(st.integers(0, trace.payload_len[row] - 1))] ^= \
                 data.draw(st.integers(1, 255))
         changed = replace(trace, counter=counter, payloads=payloads)
-        self.assert_same(decode(changed, covert, periods), self.full(changed, covert, periods))
+        self.assert_same(decode(changed, covert, rx), self.full(changed, covert, rx))
         trace.counter[:], trace.payloads[:] = counter, payloads
-        self.assert_same(decode(trace, covert, periods), self.full(trace, covert, periods))
+        self.assert_same(decode(trace, covert, rx), self.full(trace, covert, rx))

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from canto.bus_sim import BusConfig, NodeConfig, OversubscribedBusError, Trace, simulate
 from canto.clock_model import ClockModel
 from canto.frame_model import CanId, FrameSpec
-from canto.incanta import CovertConfig
+from canto.incanta import CovertConfig, Receiver
 from canto import scheduler, trace_io
 from canto.scheduler import Schedule
 from canto.trace_io import (TRACE_HEADER, TraceFormatError, _parse_native, export_trace,
@@ -57,6 +57,12 @@ class TestNativeFormat:
         bad = "bus_time_us,id_hex,counter,payload_hex,genuine\n10,0x10,1\n"
         with pytest.raises(TraceFormatError, match="line 2"):
             parse_trace(io.StringIO(bad))
+
+    @pytest.mark.parametrize("flag", ["7", "-1", "2"])
+    def test_genuine_other_than_0_or_1_refused(self, flag):
+        text = f"{TRACE_HEADER}\n100000,100,1,00,1\n200000,100,2,00,0\n300000,100,3,00,{flag}\n"
+        with pytest.raises(TraceFormatError, match=f"^line 4: genuine {flag} is not 0 or 1$"):
+            parse_trace(io.StringIO(text))
 
     # a NUL the fixed-width id field would drop, a separator numpy takes for
     # whitespace, a character numpy 2.4.6's reader crashed on
@@ -264,6 +270,8 @@ class TestExperimentConfig:
         key = bytes(range(16))
         cfg = parse_experiment_config(MINIMAL + f"\n[covert]\nkey_hex = {key.hex()}\n")
         assert cfg.covert == CovertConfig(key)
+        assert cfg.receiver == Receiver({f.id: f.period_us for f in cfg.frame_specs()})
+        assert (cfg.receiver.tolerance_us, cfg.receiver.frames_required) == (5.0, 6)
         assert [n.clock for n in cfg.nodes] == [ClockModel()]
         defaults = {f.name: f.default for f in dataclasses.fields(BusConfig)
                     if f.default is not dataclasses.MISSING}
@@ -471,14 +479,16 @@ def _line_reader(fh) -> Trace:
             payload = bytes.fromhex(parts[3])
             if len(payload) > 8:
                 raise ValueError(f"payload of {len(payload)} bytes exceeds the 8 of a CAN frame")
-            is_genuine = bool(int(parts[4]))
+            flag = int(parts[4])
+            if flag not in (0, 1):
+                raise ValueError(f"genuine {flag} is not 0 or 1")
         except (ValueError, OverflowError) as exc:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
         id_index.append(pos)
         counters.append(counter)
         times.append(time_us)
         payloads.append(payload)
-        genuine.append(is_genuine)
+        genuine.append(flag == 1)
     return Trace(tuple(position), np.array(id_index, dtype=np.int64),
                  np.array(counters, dtype=np.int64), np.array(times, dtype=np.float64),
                  np.zeros(len(times)), *payload_columns(payloads), np.array(genuine, dtype=bool))
@@ -499,8 +509,7 @@ KNOWN_DIFFERENCES = {
     "non-ASCII character": lambda line, f: not line.isascii(),
     "0x1C-0x1F at a line's ends or around an id (str.strip takes them for whitespace)":
         lambda line, f: any(c in line for c in "\x1c\x1d\x1e\x1f"),
-    "time or genuine integer beyond int64": lambda line, f: any(
-        map(_int_beyond_int64, f[::4])),
+    "time integer beyond int64": lambda line, f: _int_beyond_int64(f[0]),
     "id text over 10 characters": lambda line, f: len(f[1]) > 10,
     "payload text over 16 characters": lambda line, f: len(f[3]) > 16,
     "carriage return inside a line": lambda line, f: "\r" in line.strip(),
@@ -574,7 +583,7 @@ class TestReaderMatchesLineReader:
         ("non-ASCII character", "\u0661,100,1,00,1"),
         ("0x1C-0x1F at a line's ends or around an id (str.strip takes them for whitespace)",
          "10,100\x1c,1,00,1"),
-        ("time or genuine integer beyond int64", f"{2**63},100,1,00,1"),
+        ("time integer beyond int64", f"{2**63},100,1,00,1"),
         ("id text over 10 characters", "10,00000000100,1,00,1"),
         ("payload text over 16 characters", "10,100,1,00 00 00 00 00 00 00 00,1"),
         ("carriage return inside a line", "10,100\r,1,00,1"),
@@ -649,7 +658,7 @@ def _row_write_verdicts(trace, decoded, path: Path) -> None:
         for lo in range(0, len(trace), 4096):  # few number objects alive at a time
             rows = slice(lo, lo + 4096)
             # np.rint rounds half to even, as round() does
-            tenths = np.rint(decoded.time_us[rows] * 10).astype(np.int64).tolist()
+            tenths = np.rint(trace.bus_time_us[rows] * 10).astype(np.int64).tolist()
             for t, k, c, err, ok in zip(tenths, trace.id_index[rows].tolist(),
                                         trace.counter[rows].tolist(),
                                         decoded.error_us[rows].tolist(),
@@ -676,7 +685,8 @@ _LENGTHS = st.sampled_from([None, 1025, 2100])
 @st.composite
 def frame_columns(draw):
     """A trace and its verdict columns, drawn as up to 12 rows and, for some,
-    repeated past the writers' block of rows."""
+    repeated past the writers' block of rows; times are tenths of a microsecond
+    or, as arrivals the verdict writer takes, any float."""
     ids = tuple(draw(st.lists(st.sampled_from(_ROUND_TRIP_IDS), min_size=1, unique=True)))
     n = draw(st.integers(0, 12))
     length = draw(_LENGTHS) if n else None
@@ -685,18 +695,17 @@ def frame_columns(draw):
         values = draw(st.lists(elements, min_size=n, max_size=n))
         return np.resize(np.array(values, dtype=dtype), length or n)
 
-    tenths = column(_TENTHS, np.int64)
+    times = column(st.one_of(_TENTHS.map(lambda t: t / 10.0), _TENTHS.map(lambda t: -t / 10.0),
+                             st.floats(-1e12, 1e12)), np.float64)
     trace = Trace(ids, column(st.integers(0, len(ids) - 1), np.int64),
                   column(st.one_of(st.integers(0, 2**32 - 1), st.integers(-2**63, 2**63 - 1)),
                          np.int64),
-                  tenths / 10.0, np.zeros(len(tenths)),
+                  times, np.zeros(len(times)),
                   *payload_columns(draw(st.lists(st.binary(max_size=8), min_size=n,
                                                  max_size=n))), column(st.booleans(), bool))
-    trace.payloads = np.resize(trace.payloads, (len(tenths), 8))
-    trace.payload_len = np.resize(trace.payload_len, len(tenths))
-    decoded = SimpleNamespace(time_us=column(st.one_of(
-        st.floats(-1e12, 1e12), _TENTHS.map(lambda t: -t / 10.0))),
-        error_us=column(_ERRORS), accepted=column(st.booleans(), bool))
+    trace.payloads = np.resize(trace.payloads, (len(times), 8))
+    trace.payload_len = np.resize(trace.payload_len, len(times))
+    decoded = SimpleNamespace(error_us=column(_ERRORS), accepted=column(st.booleans(), bool))
     return trace, decoded
 
 
@@ -727,8 +736,7 @@ class TestBlockWriters:
         out = io.StringIO()
         write_trace(trace, out)
         assert out.getvalue() == TRACE_HEADER + "\n"
-        nothing = SimpleNamespace(time_us=np.zeros(0), error_us=np.zeros(0),
-                                  accepted=np.zeros(0, bool))
+        nothing = SimpleNamespace(error_us=np.zeros(0), accepted=np.zeros(0, bool))
         write_verdicts(trace, nothing, tmp_path / "v.csv")
         assert (tmp_path / "v.csv").read_text() == "bus_time_us,id_hex,counter,error_us,verdict\n"
 
@@ -764,8 +772,7 @@ class TestBlocksAndMemory:
                       np.arange(n) * 10000.0 + rng.integers(0, 50, n) / 10, np.zeros(n),
                       rng.integers(0, 256, (n, 8), dtype=np.uint8), np.full(n, 8),
                       np.ones(n, bool))
-        decoded = SimpleNamespace(time_us=trace.bus_time_us, error_us=rng.uniform(-5, 5, n),
-                                  accepted=np.ones(n, bool))
+        decoded = SimpleNamespace(error_us=rng.uniform(-5, 5, n), accepted=np.ones(n, bool))
         size = sum(a.nbytes for a in (trace.id_index, trace.counter, trace.bus_time_us,
                                       trace.tx_time_us, trace.payloads, trace.payload_len,
                                       trace.genuine))
@@ -797,12 +804,12 @@ class TestBlocksAndMemory:
         trace = long_trace(2 * trace_io._BLOCK + 5)
         errors = np.where(np.arange(len(trace)) % 7 == 0, np.nan, np.arange(len(trace)) / 3)
         errors[trace_io._BLOCK + 1] = 2.0**50
-        decoded = SimpleNamespace(time_us=trace.bus_time_us - 0.05, error_us=errors,
-                                  accepted=np.arange(len(trace)) % 5 != 0)
+        decoded = SimpleNamespace(error_us=errors, accepted=np.arange(len(trace)) % 5 != 0)
         want, got = io.StringIO(), io.StringIO()
         _row_write_trace(trace, want)
         write_trace(trace, got)
         assert got.getvalue() == want.getvalue()
-        _row_write_verdicts(trace, decoded, tmp_path / "want.csv")
-        write_verdicts(trace, decoded, tmp_path / "got.csv")
+        arrived = dataclasses.replace(trace, bus_time_us=trace.bus_time_us - 0.05)
+        _row_write_verdicts(arrived, decoded, tmp_path / "want.csv")
+        write_verdicts(arrived, decoded, tmp_path / "got.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
