@@ -23,8 +23,8 @@ import numpy as np
 import canto
 from canto import analysis, bus_sim, trace_io
 from canto.incanta import adversary_advantage, decode, ecu_success
-from canto.scheduler import (ALLOCATOR_OPTIONS, ALLOCATORS, OversubscribedError, Schedule,
-                             build_schedule, check_complete, schedule_quality)
+from canto.scheduler import (ALLOCATORS, OversubscribedError, Schedule, build_schedule,
+                             check_complete, schedule_quality)
 from canto.trace_io import TraceFormatError
 
 # malformed or degenerate input: exit 3 with the message, never 4
@@ -66,16 +66,15 @@ def write_manifest(out: Path, args, seed: int, inputs: dict[str, str | Path | No
 
 # ---------------------------------------------------------------- runner
 
-def _execute(args, stages, needs=None, check_config=None) -> int:
-    """Run one command. Refuse a bad `--tolerance` or `--bin-width`; parse
-    `--config`, check it (`needs` names what needs its `[covert]`, then
-    `check_config`) and resolve the seed; then run `stages`, (name, stage)
-    pairs, on one context of `args`, `config`, `seed`, `stdout` and earlier
-    results. A stage writes nothing: it returns its results and its files
-    (name: text, or a writer of the path). Only after the last stage or a
-    `CheckFailure` are `--out` and the files made, so no command writes before
-    its last refusal; then the manifest (not after a failed check) and
-    `stdout`. An error is a `StageError` naming its stage, if it has a name."""
+def _execute(args, stages, needs=None) -> int:
+    """Run one command. Refuse a bad `--tolerance` or `--bin-width`; parse `--config`,
+    check it (`needs` names what needs its `[covert]`) and resolve the seed; then run
+    `stages`, (name, stage) pairs, on one context of `args`, `config`, `seed`, `stdout`
+    and earlier results. A stage writes nothing: it returns its results and its files
+    (name: text, or a writer of the path). Only after the last stage or a `CheckFailure`
+    are `--out` and the files made, so no command writes before its last refusal; then
+    the manifest (not after a failed check) and `stdout`. An error is a `StageError`
+    naming its stage, if it has a name."""
     for flag in ("tolerance", "bin_width"):
         if not 0 < getattr(args, flag, 1.0) < math.inf:  # NaN fails too
             raise TraceFormatError(f"--{flag.replace('_', '-')} {getattr(args, flag):g}: "
@@ -85,8 +84,6 @@ def _execute(args, stages, needs=None, check_config=None) -> int:
         config = trace_io.parse_experiment_config(args.config)
         if needs is not None and config.covert is None:
             raise TraceFormatError(f"{needs} needs a [covert] section")
-        if check_config is not None:
-            check_config(args, config)
         if args.seed is not None and args.seed < 0:
             raise TraceFormatError(f"--seed: seed {args.seed} must be nonnegative")
         ctx = SimpleNamespace(args=args, config=config, stdout="", inputs={},
@@ -116,9 +113,9 @@ def _execute(args, stages, needs=None, check_config=None) -> int:
     return 0
 
 
-def _command(*stages, needs=None, check_config=None):
+def _command(*stages, needs=None):
     """A standalone command: `_execute` over `stages`, whose errors name no stage."""
-    return lambda args: _execute(args, [("", stage) for stage in stages], needs, check_config)
+    return lambda args: _execute(args, [("", stage) for stage in stages], needs)
 
 
 def _if_covert(stage):
@@ -131,24 +128,18 @@ def _if_covert(stage):
 def _schedule(ctx):
     """The `--schedule` file, else the allocator (`allocate --algorithm`, else
     `[allocator] algorithm`) with `[allocator]`'s keys when that section names
-    it, else the config's offsets. A key the allocator does not take exits 3."""
+    it, else the config's offsets. A value the allocator refuses exits 3."""
     args, config, section = ctx.args, ctx.config, ctx.config.allocator
     algorithm = getattr(args, "algorithm", None) or section.get("algorithm")
     if getattr(args, "schedule", None):
         sched = trace_io.read_schedule(args.schedule)
     elif algorithm is None:
         sched = Schedule(tuple(config.frame_specs()))
-    elif algorithm not in ALLOCATORS:
-        raise TraceFormatError(f"[allocator] algorithm = {algorithm}: unknown algorithm")
     else:
         options, where = {}, f"--algorithm {algorithm}"
         if section.get("algorithm") == algorithm:
             options = {k: v for k, v in section.items() if k != "algorithm"}
             where = "[allocator] " + ", ".join(f"{k} = {v}" for k, v in section.items())
-        for key, value in options.items():
-            if key not in ALLOCATOR_OPTIONS[algorithm]:
-                raise TraceFormatError(f"[allocator] {key} = {value}: algorithm {algorithm} "
-                                       f"does not take {key}")
         try:
             sched = build_schedule(config.frame_specs(), algorithm, seed=ctx.seed, **options)
         except ValueError as exc:
@@ -226,8 +217,8 @@ def _attack_csv(column: str, rates, level: int) -> str:
         for (rho, k), rate in rates)
 
 
-def _check_attack_flags(args, config) -> None:
-    level = config.covert.level_bits
+def _check_attack_flags(ctx):
+    args, level = ctx.args, ctx.config.covert.level_bits
     for rho in args.rho:
         if not 0 <= 2 * rho < 1 << level:  # NaN fails too
             raise TraceFormatError(f"--rho {rho:g}: the tolerance must be nonnegative and "
@@ -238,6 +229,7 @@ def _check_attack_flags(args, config) -> None:
                 raise TraceFormatError(f"{flag} {value}: must be >= 1")
             if flag == "--frames" and value > analysis.MC_DRAWS:  # a window fills a chunk
                 raise TraceFormatError(f"{flag} {value}: must be <= {analysis.MC_DRAWS}")
+    return {}, {}
 
 
 def _mc_rates(ctx):
@@ -416,7 +408,7 @@ def _check_run(ctx):
 cmd_allocate = _command(_schedule, _allocation_report)
 cmd_simulate = _command(_schedule, _simulate, _busload)
 cmd_verify = _command(_decoded, _verify_summary, needs="verification")
-cmd_attack = _command(_mc_rates, needs="attack scoring", check_config=_check_attack_flags)
+cmd_attack = _command(_check_attack_flags, _mc_rates, needs="attack scoring")
 cmd_capacity = _command(_decoded, _capacity, needs="capacity extraction")
 cmd_report = _command(_check_report_covert, _report_inputs, _report, needs="report")
 

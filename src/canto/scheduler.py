@@ -20,7 +20,7 @@ from __future__ import annotations
 import inspect
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Sequence, get_args
 
 import numpy as np
 
@@ -317,8 +317,9 @@ ALLOCATORS = {
     "greedy-ml": allocate_greedy_multilayer,
     "gcd": allocate_gcd,
 }
-# each allocator's options: the parameters its signature names after the periods
-ALLOCATOR_OPTIONS = {name: tuple(inspect.signature(fn).parameters)[1:]
+# each allocator's options, its parameters after the periods: name -> declared type
+ALLOCATOR_OPTIONS = {name: {p.name: (get_args(p.annotation) or (p.annotation,))[0] for p in
+                            [*inspect.signature(fn, eval_str=True).parameters.values()][1:]}
                      for name, fn in ALLOCATORS.items()}
 
 
@@ -332,9 +333,7 @@ def build_schedule(specs: Sequence[FrameSpec], algorithm: str, **options) -> Sch
     unknown = set(options).difference(*ALLOCATOR_OPTIONS.values())
     if unknown:
         raise ValueError(f"no allocator takes the options {sorted(unknown)}")
-    periods = [f.period_us for f in specs]
-    offsets = allocate(periods, **{k: v for k, v in options.items()
-                                   if k in ALLOCATOR_OPTIONS[algorithm]})
-    frames = tuple(FrameSpec(f.id, f.period_us, off, f.payload_bits)
-                   for f, off in zip(specs, offsets))
-    return Schedule(frames)
+    offsets = allocate([f.period_us for f in specs],
+                       **{k: v for k, v in options.items() if k in ALLOCATOR_OPTIONS[algorithm]})
+    return Schedule(tuple(FrameSpec(f.id, f.period_us, off, f.payload_bits)
+                          for f, off in zip(specs, offsets)))

@@ -25,7 +25,7 @@ from canto.bus_sim import BusConfig, NodeConfig, Trace
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec
 from canto.incanta import CovertConfig, Receiver
-from canto.scheduler import Schedule
+from canto.scheduler import ALLOCATOR_OPTIONS, ALLOCATORS, Schedule
 
 TRACE_HEADER = "bus_time_us,id_hex,counter,payload_hex,genuine"
 
@@ -101,8 +101,8 @@ def _fixed4_parts(values: np.ndarray) -> tuple:
             shown * np.uint8(ord(".")), fraction.view("V4"))
 
 
-def _write_frames(fh, header: str, trace: Trace, time_us: np.ndarray, more) -> None:
-    """Write `header`, then per frame its time in tenths of a microsecond, its
+def _write_frames(fh, header: str, trace: Trace, more) -> None:
+    """Write `header`, then per frame its bus time in tenths of a microsecond, its
     id text, its counter and the fields `more(rows)` gives for a block. A field
     is a tuple of parts: arrays of one fixed-width item per row, or a byte."""
     fh.write(header + "\n")
@@ -110,7 +110,7 @@ def _write_frames(fh, header: str, trace: Trace, time_us: np.ndarray, more) -> N
     comma, newline = np.uint8(ord(",")), np.uint8(ord("\n"))
     for lo in range(0, len(trace), _BLOCK):
         rows = slice(lo, lo + _BLOCK)
-        tenths = np.rint(time_us[rows] * 10).astype(np.int64)  # half to even, as round()
+        tenths = np.rint(trace.bus_time_us[rows] * 10).astype(np.int64)  # half to even, as round()
         fields = (_decimal(tenths), (ids.take(trace.id_index[rows]),),
                   _decimal(trace.counter[rows]), *more(rows))
         parts = [part for field in fields for part in (*field, comma)][:-1] + [newline]
@@ -127,7 +127,7 @@ def export_trace(trace: Trace, path) -> None:
 
 
 def write_trace(trace: Trace, fh) -> None:
-    _write_frames(fh, TRACE_HEADER, trace, trace.bus_time_us, lambda rows: (
+    _write_frames(fh, TRACE_HEADER, trace, lambda rows: (
         _hex_parts(trace.payloads[rows], trace.payload_len[rows]),
         (trace.genuine[rows] + np.uint8(ord("0")),)))
 
@@ -137,17 +137,18 @@ def write_verdicts(trace: Trace, decoded, path) -> None:
     `decode`'s error and verdict."""
     words = np.array(["intrusion", "accept"], dtype="S")
     with open(path, "w", newline="\n") as fh:
-        _write_frames(fh, VERDICT_HEADER, trace, trace.bus_time_us, lambda rows: (
+        _write_frames(fh, VERDICT_HEADER, trace, lambda rows: (
             _fixed4_parts(decoded.error_us[rows]), (words.take(decoded.accepted[rows]),)))
 
 
 def parse_trace(source) -> Trace:
-    """Read a trace from a path or a seekable text stream. The file stores no
-    wire times, so they are zero: pricing a frame needs the bus's config."""
+    """Read a trace from a path, whose refusals name it, or a seekable text stream.
+    The file stores no wire times, so they are zero: pricing a frame needs the bus's config."""
     if isinstance(source, (str, Path)):
         with open(source, "r") as fh:
-            return parse_trace(fh)
-    trace = _parse_native(source)
+            trace = _parse_native(fh, f"{source}: ")
+    else:
+        trace = _parse_native(source)
     if np.any(trace.bus_time_us[:-1] > trace.bus_time_us[1:]):
         warnings.warn("non-monotone timestamps in trace; applying stable sort", stacklevel=2)
         trace = trace.take(np.argsort(trace.bus_time_us, kind="stable"))
@@ -241,9 +242,9 @@ def _refusal(numbered, size: int = 1024) -> tuple[int, str]:
             return (block[0][0], str(exc)) if size == 1 else _refusal(iter(block), size // 32 or 1)
 
 
-def _parse_native(fh) -> Trace:
-    """The trace read by `_columns` from chunks of about 64 KiB of lines; if
-    it is refused, the file is read again to name the first refused line."""
+def _parse_native(fh, where: str = "") -> Trace:
+    """The trace read by `_columns` from chunks of about 64 KiB of lines; if it is
+    refused, the file is read again to name the first refused line, after `where`."""
 
     def chunks():
         yield [line for line in [fh.readline()] if _data(line, 1)]
@@ -260,8 +261,8 @@ def _parse_native(fh) -> Trace:
             fh.seek(0)
             at, why = _refusal((n, line) for n, line in enumerate(fh, 1) if _data(line, n))
     except UnicodeDecodeError as exc:  # raised reading the file, on no line judged
-        raise TraceFormatError(f"not text in the file's encoding: {exc}") from exc
-    raise TraceFormatError(f"line {at}: {why}")
+        raise TraceFormatError(f"{where}not text in the file's encoding: {exc}") from exc
+    raise TraceFormatError(f"{where}line {at}: {why}")
 
 
 def write_schedule(schedule: Schedule, path) -> None:
@@ -335,8 +336,6 @@ _BUS_KEYS = {"duration_us": ("duration_us", float), "bitrate": ("bitrate_bps", i
 _CHANNEL_KEYS = {"key_hex": ("key", bytes.fromhex), "level_bits": ("level_bits", int)}
 _RECEIVER_KEYS = {"tolerance_us": ("tolerance_us", float),
                   "frames_required": ("frames_required", int)}
-_ALLOC_KEYS = {"algorithm": ("algorithm", str), "ifs_us": ("ifs_us", float),
-               "grid_step_us": ("grid_step_us", float), "iterations": ("iterations", int)}
 _CLOCK_KEYS = {"skew_ppm": ("skew_ppm", float), "tick_ns": ("tick_ns", int),
                "jitter": ("jitter", Jitter.parse)}
 _NODE_KEYS = {*_CLOCK_KEYS, "covert", "frames"}
@@ -398,7 +397,16 @@ def parse_experiment_config(source) -> ExperimentConfig:
 
     allocator: dict = {}
     if "allocator" in cp:
-        allocator = _fields(_checked(cp["allocator"], _ALLOC_KEYS, "algorithm"), _ALLOC_KEYS)
+        # every allocator option, typed by its signature, but the seed ([bus] seed or --seed)
+        types = {k: t for options in ALLOCATOR_OPTIONS.values() for k, t in options.items()}
+        sec = _checked(cp["allocator"], {"algorithm", *types} - {"seed"}, "algorithm")
+        algorithm, given = sec["algorithm"], [k for k in sec if k != "algorithm"]
+        allocator = {"algorithm": algorithm, **_fields(sec, {k: (k, types[k]) for k in given})}
+        if algorithm not in ALLOCATORS:
+            raise TraceFormatError(f"[allocator] algorithm = {algorithm}: unknown algorithm")
+        if key := next((k for k in given if k not in ALLOCATOR_OPTIONS[algorithm]), None):
+            raise TraceFormatError(f"[allocator] {key} = {allocator[key]}: algorithm "
+                                   f"{algorithm} does not take {key}")
 
     nodes: list[NodeConfig] = []
     offsets_given = False

@@ -284,7 +284,27 @@ MALFORMED = {
     # a genuine flag other than 0 or 1 was read as genuine
     **{f"verify-genuine-{flag}": (
         "verify", SMALL, {"--trace": f"{TRACE_HEADER}\n100000,100,1,00,1\n110000,100,2,00,{flag}\n"},
-        [], f"line 3: genuine {flag} is not 0 or 1") for flag in ("7", "-1")},
+        [], f"trace: line 3: genuine {flag} is not 0 or 1") for flag in ("7", "-1")},
+    "capacity-genuine-7": ("capacity", SMALL, {"--trace": f"{TRACE_HEADER}\n100000,100,1,00,1\n"
+                                               "110000,100,2,00,7\n"},
+                           [], "trace: line 3: genuine 7 is not 0 or 1"),
+    # attack's flags are its first stage, checked once the seed is resolved
+    "attack-rho-negative-seed-negative": ("--seed -1 attack", SMALL, {}, ["--rho", "-1"],
+                                          "error: --seed: seed -1 must be nonnegative\n"),
+    # an [allocator] section that no command may run, refused as the config is parsed:
+    # every command, allocating or not, prints this whole message (`run` at its first stage)
+    **{f"{command}-{name}": (command, config, files, extra,
+                             f"error: {'configure: ' if command == 'run' else ''}{message}\n")
+       for name, config, message in (
+           ("algorithm-foo", small("algorithm = gcd", "algorithm = foo"),
+            "[allocator] algorithm = foo: unknown algorithm"),
+           ("gcd-takes-no-iterations", small("ifs_us = 600", "ifs_us = 600\niterations = 5"),
+            "[allocator] iterations = 5: algorithm gcd does not take iterations"))
+       for command, files, extra in (
+           ("simulate", {}, []), ("allocate", {}, ["--algorithm", "random"]),
+           ("verify", {"--trace": TRACE_HEADER + "\n"}, []),
+           ("capacity", {"--trace": TRACE_HEADER + "\n"}, []),
+           ("attack", {}, ["--trials", "10"]), ("report", {"--in": ""}, []), ("run", {}, []))},
 }
 
 
@@ -328,6 +348,9 @@ MALFORMED_REPORT = {
     "attack-repeated-key": ("attack.csv", "rho_us,frames,adv_rate_exact,adv_rate_analytic\n"
                             "5,1,0.0386,0.0390625\n5,2,0.0015,0.0015\n5.0,1,0.5,0.0390625\n", [],
                             "attack.csv: line 4: rho_us 5, frames 1 is also on line 2"),
+    # the trace reader's refusals name the file
+    "trace-genuine-7": ("trace.csv", TRACE_HEADER + "\n0,100,1,00,1\n10,100,2,00,7\n", [],
+                        "trace.csv: line 3: genuine 7 is not 0 or 1"),
     # gaps of 1 us and 1000 s: 2 * 10^7 inter-frame bins of 0.05 ms
     "trace-gap-1000-s": ("trace.csv", TRACE_HEADER + "\n0,100,1,00,1\n10,100,2,00,1\n"
                          "10000000010,100,3,00,1\n",

@@ -58,6 +58,17 @@ class TestNativeFormat:
         with pytest.raises(TraceFormatError, match="line 2"):
             parse_trace(io.StringIO(bad))
 
+    def test_a_refusal_names_the_path_it_was_given(self, tmp_path):
+        text = f"{TRACE_HEADER}\n100000,100,1,00,1\n110000,100,2,00,7\n"
+        path = tmp_path / "t.csv"
+        path.write_text(text)
+        for source in (path, str(path)):
+            with pytest.raises(TraceFormatError) as exc:
+                parse_trace(source)
+            assert str(exc.value) == f"{path}: line 3: genuine 7 is not 0 or 1"
+        with pytest.raises(TraceFormatError, match="^line 3: genuine 7 is not 0 or 1$"):
+            parse_trace(io.StringIO(text))  # a stream has no name to give
+
     @pytest.mark.parametrize("flag", ["7", "-1", "2"])
     def test_genuine_other_than_0_or_1_refused(self, flag):
         text = f"{TRACE_HEADER}\n100000,100,1,00,1\n200000,100,2,00,0\n300000,100,3,00,{flag}\n"
@@ -150,7 +161,8 @@ class TestReaderPastFirstChunk:
         path = tmp_path / "mixed.csv"
         path.write_bytes(b"\n".join(line.encode() for line in lines[:undecodable])
                          + b"\n1,1\xe9,1,00,1\n" + "\n".join(lines[undecodable + 1:]).encode())
-        with pytest.raises(TraceFormatError, match="^(line 3202: |not text in the file)"):
+        with pytest.raises(TraceFormatError,
+                           match=f"^{re.escape(str(path))}: (line 3202: |not text in the file)"):
             parse_trace(path)
 
 
@@ -279,10 +291,17 @@ class TestExperimentConfig:
         assert defaults.keys() == {"bitrate_bps", "seed", "stuffing"}
         assert {name: getattr(cfg, name) for name in defaults} == defaults
 
-    def test_allocator_keys_are_the_allocators_options(self):
-        # the seed comes from [bus] or --seed, never from [allocator]
-        options = set().union(*scheduler.ALLOCATOR_OPTIONS.values()) - {"seed"}
-        assert set(trace_io._ALLOC_KEYS) - {"algorithm"} == options
+    def test_allocator_options_take_their_declared_types(self):
+        # every allocator option but the seed, which comes from [bus] or --seed
+        cases = {"iterations": ("random", "7", 7), "grid_step_us": ("greedy-ml", "0.5", 0.5),
+                 "ifs_us": ("gcd", "600", 600.0)}
+        options = {k for opts in scheduler.ALLOCATOR_OPTIONS.values() for k in opts}
+        assert options - {"seed"} == cases.keys()
+        for key, (algorithm, text, value) in cases.items():
+            cfg = parse_experiment_config(MINIMAL + f"\n[allocator]\nalgorithm = {algorithm}\n"
+                                          f"{key} = {text}\n")
+            assert cfg.allocator == {"algorithm": algorithm, key: value}
+            assert type(cfg.allocator[key]) is type(value)
 
     def test_paper_vector_ships_forty_frames(self):
         cfg = parse_experiment_config("configs/paper_vector.ini")
@@ -636,7 +655,8 @@ class TestReaderChunkMix:
         path = tmp_path / "mixed.csv"
         path.write_bytes(b"\n".join(line.encode() for line in lines[:undecodable])
                          + b"\n1,1\xe9,1,00,1\n" + "\n".join(lines[undecodable + 1:]).encode())
-        with pytest.raises(TraceFormatError, match="^not text in the file's encoding"):
+        with pytest.raises(TraceFormatError,
+                           match=f"^{re.escape(str(path))}: not text in the file's encoding"):
             parse_trace(path)
 
 
