@@ -117,6 +117,9 @@ def _commands(tmp: Path) -> dict[str, list[str]]:
     commands["allocate_greedy-ml_grid500"] = ["allocate", "--config", str(grid500),
                                               "--algorithm", "greedy-ml"]
     commands["paper_attack"] = ["attack", "--config", PAPER, "--trials", "20000"]
+    # the receiver over the run's own trace file
+    commands["paper_verify"] = ["verify", "--config", PAPER, "--trace",
+                                str(tmp / "paper_run" / "trace.csv")]
     # the report over the run's outputs: success table, figures and summary again
     commands["paper_report"] = ["report", "--config", PAPER, "--in", str(tmp / "paper_run")]
     return commands
