@@ -118,11 +118,6 @@ def _command(*stages, needs=None):
     return lambda args: _execute(args, [("", stage) for stage in stages], needs)
 
 
-def _if_covert(stage):
-    """`stage` under a config with a covert channel, else a stage that does nothing."""
-    return lambda ctx: stage(ctx) if ctx.config.covert is not None else ({}, {})
-
-
 # ---------------------------------------------------------------- stages
 
 def _schedule(ctx):
@@ -158,6 +153,8 @@ def _allocation_report(ctx):
 
 def _simulate(ctx):
     trace = bus_sim.simulate(ctx.config.to_bus_config(ctx.schedule, seed=ctx.seed))
+    if not np.abs(trace.bus_time_us).max(initial=0.0) < trace_io.TIME_LIMIT_US:  # NaN fails too
+        raise TraceFormatError(f"a frame starts past trace.csv's {trace_io.TIME_LIMIT_US:.4g} us")
     return {"trace": trace}, {"trace.csv": functools.partial(trace_io.export_trace, trace)}
 
 
@@ -202,10 +199,10 @@ def _verify_summary(ctx):
 
 
 def _verify_run(ctx):
+    """`verify` on the trace and errors as trace.csv and verdicts.csv hold them."""
+    ctx.trace.bus_time_us[:] = np.rint(ctx.trace.bus_time_us * 10) / 10.0
     decoded = decode(ctx.trace, ctx.config.covert, ctx.config.receiver)
-    return ({"decoded": decoded,  # the report reads errors and times as the files hold them
-             "errors": trace_io.rounded4(decoded.error_us[~np.isnan(decoded.error_us)]),
-             "bus_times": np.rint(ctx.trace.bus_time_us * 10) / 10.0},
+    return ({"errors": trace_io.rounded4(decoded.error_us[~np.isnan(decoded.error_us)])},
             {"verdicts.csv": functools.partial(trace_io.write_verdicts, ctx.trace, decoded)})
 
 
@@ -311,6 +308,9 @@ def _attack_row(fields) -> tuple:
     rho, frames = _number(fields[0], "a finite rho_us >= 0", 0), int(fields[1])
     if frames < 1:
         raise ValueError(f"{fields[1]} is not a frames value >= 1")
+    if rho not in RHO_SET or frames not in FRAME_SET:
+        cells = f"rho_us {', '.join(map('{:g}'.format, RHO_SET))}; frames {str(FRAME_SET)[1:-1]}"
+        raise ValueError(f"rho_us {rho:g}, frames {frames} is no success table cell ({cells})")
     return (rho, frames), _number(fields[2], "an adversary rate in [0, 1]", 0, 1)
 
 
@@ -325,7 +325,6 @@ def _report_inputs(ctx):
     missing = [str(p) for p in (verdicts, attack) if not p.exists()]
     if missing:
         raise FileNotFoundError(f"missing report inputs: {', '.join(missing)}")
-    bus_times = trace_io.parse_trace(trace).bus_time_us if trace.exists() else None
     errors = np.array([e for e in _read_csv(
         verdicts, 5, lambda f: _number(f[3], "a finite error_us") if f[3] else None)
         if e is not None])  # None: an unscored frame, its error_us empty
@@ -337,7 +336,8 @@ def _report_inputs(ctx):
                                    f"{key[1]} is also on line {first}")
         adv[key] = rate
     inputs = {p.name: p for p in (verdicts, attack, trace, capacity) if p.exists()}
-    return ({"bus_times": bus_times, "errors": errors, "adv": adv, "inputs": inputs},
+    return ({"trace": trace_io.parse_trace(trace) if trace.exists() else None,
+             "errors": errors, "adv": adv, "inputs": inputs},
             {capacity.name: capacity.read_text()} if capacity.exists() else {})
 
 
@@ -357,8 +357,8 @@ def _histogram(values, width: float, unit: str, what: str):
 
 def _report(ctx):
     """The report stage of `report` and `run`: tables and figure CSVs from the
-    adversary rates by (rho, frames) `adv`, the bus times `bus_times` (None:
-    no trace) and the scored `errors` as verdicts.csv holds them."""
+    adversary rates by (rho, frames) `adv`, the `trace` (None: no trace) and the
+    scored `errors` as verdicts.csv holds them."""
     errors, adv, width = ctx.errors, ctx.adv, ctx.args.bin_width
     indir = Path(getattr(ctx.args, "indir", ctx.args.out))  # `run` reads its own outputs
     level, tolerance = ctx.config.covert.level_bits, ctx.config.receiver.tolerance_us
@@ -366,9 +366,10 @@ def _report(ctx):
         raise TraceFormatError(f"{indir / 'verdicts.csv'}: no scored frames")
     files = {"fig_deviation_histogram.csv": _histogram(errors, width, "us",
                                                        f"--bin-width {width:g}")}
-    if ctx.bus_times is not None:
+    if ctx.trace is not None:
         files["fig_interframe_histogram.csv"] = _histogram(
-            np.diff(ctx.bus_times) / 1000.0, 0.05, "ms", f"{indir / 'trace.csv'}: inter-frame gaps")
+            np.diff(ctx.trace.bus_time_us) / 1000.0, 0.05, "ms",
+            f"{indir / 'trace.csv'}: inter-frame gaps")
     table = "rho_us,frames,ecu_rate,adv_rate\n"
     for rho in RHO_SET:
         p = float(np.mean(np.abs(errors) <= rho))
@@ -391,10 +392,8 @@ def _check_run(ctx):
             raise CheckFailure(message)
     if ctx.args.check:
         check(check_complete(ctx.schedule), "allocated schedule is not collision-free")
-        check(ctx.config.covert is not None, "--check needs a covert channel to score")
         rho, level = ctx.config.receiver.tolerance_us, ctx.config.covert.level_bits
-        errors, rate = ctx.decoded.error_us, ctx.adv[5.0, 1]
-        accept = float(np.mean(np.abs(errors[~np.isnan(errors)]) <= rho))
+        accept, rate = float(np.mean(np.abs(ctx.errors) <= rho)), ctx.adv[5.0, 1]
         check(accept == 1.0, f"genuine acceptance at rho={rho} is {100 * accept:.3f}% (want 100%)")
         check(abs(rate - 0.039) < 0.0011,
               f"adversary rate at rho=5 is {100 * rate:.3f}% (want 3.9 +- 0.1)")
@@ -415,10 +414,10 @@ cmd_report = _command(_check_report_covert, _report_inputs, _report, needs="repo
 
 def cmd_run(args) -> int:
     return _execute(args, [
-        ("configure", _if_covert(_check_report_covert)),
+        ("configure", _check_report_covert),
         ("simulate" if args.schedule else "allocate", _schedule), ("simulate", _simulate),
-        ("verify", _if_covert(_verify_run)), ("attack", _if_covert(_exact_rates)),
-        ("report", _if_covert(_report)), ("check", _check_run)])
+        ("verify", _verify_run), ("attack", _exact_rates), ("report", _report),
+        ("check", _check_run)], needs="run")
 
 
 # `main` dispatches here, not through its parser (built once): a rebound command runs

@@ -103,8 +103,8 @@ class ClockModel:
     jitter: Jitter = Jitter()
 
     def __post_init__(self):
-        if self.tick_ns <= 0:
-            raise ValueError("tick must be positive")
+        if not 0 < self.tick_ns <= 2**63 - 1:  # numpy's int64
+            raise ValueError(f"tick_ns {self.tick_ns} must be 1..2^63-1")
         if not abs(self.skew_ppm) < 1e4:  # NaN fails too
             raise ValueError("skew beyond +-10000 ppm is not an oscillator model")
 

@@ -28,6 +28,7 @@ from canto.incanta import CovertConfig, Receiver
 from canto.scheduler import ALLOCATOR_OPTIONS, ALLOCATORS, Schedule
 
 TRACE_HEADER = "bus_time_us,id_hex,counter,payload_hex,genuine"
+TIME_LIMIT_US = 2.0 ** 63 / 10  # bus times past it overflow the file's int64 tenths of a us
 
 
 class TraceFormatError(ValueError):

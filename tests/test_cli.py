@@ -109,6 +109,8 @@ def allocator(keys):
 
 NO_COVERT = small("[covert]\nkey_hex = 000102030405060708090A0B0C0D0E0F\nlevel_bits = 8\n"
                   "tolerance_us = 5\nframes_required = 6\n\n", "")
+# a [covert] section for a config that has none
+COVERT = "[covert]\nkey_hex = 000102030405060708090A0B0C0D0E0F\n\n"
 LEVEL_BITS_3 = small("level_bits = 8", "level_bits = 3").replace("tolerance_us = 5",
                                                                  "tolerance_us = 1")
 
@@ -201,6 +203,17 @@ MALFORMED = {
     "payload-9-bytes": ("verify", SMALL, {"--trace": TRACE_HEADER
                                           + "\n100000,100,1,202122230000000101,1\n"},
                         [], "line 2: payload"),
+    # ticks past int64 made the releases an object array, which the trace writer refused
+    "tick-ns-10^20": ("simulate", small("jitter = steps", "tick_ns = 100000000000000000000"),
+                      {}, [], "[node.one]: tick_ns 100000000000000000000 must be 1..2^63-1"),
+    # a start past about 9.22e17 us was written to trace.csv wrapped, as -2^63 tenths
+    **{f"{command}-{name}": (command, (COVERT if command == "run" else "") + config, {}, [],
+                             "a frame starts past trace.csv's 9.223e+17 us")
+       for name, config in (("start-1e18", "[bus]\nduration_us = 2e18\n\n[node.a]\n"
+                                           "frames = 0x100:1000000000000000000:8\n"),
+                            ("jitter-1e300", "[bus]\nduration_us = 100000\n\n[node.a]\n"
+                                             "jitter = uniform:1e300\nframes = 0x100:10000:8\n"))
+       for command in ("simulate", "run")},
     "seed-flag-negative": ("--seed -1 simulate", SMALL, {}, [], "--seed: seed -1"),
     "schedule-other-period": ("simulate", SMALL,
                               {"--schedule": "100 20000 0 64\n101 10000 0 64\n102 20000 0 64\n"},
@@ -234,8 +247,10 @@ MALFORMED = {
                               "--frames 4000001: must be <= 4000000"),
     "attack-frames-2^62": ("attack", SMALL, {}, ["--frames", str(2**62), "--trials", "1"],
                            f"--frames {2**62}"),
+    # `run` needs a [covert] section to reach its allocate and simulate stages
     **{"-".join([name, command, *extra[1:]]): (
-        command, config, {}, extra, f"lcm {lcm} us" if "gcd" in extra else f"lcm is {lcm} us")
+        command, COVERT + config if command == "run" else config, {}, extra,
+        f"lcm {lcm} us" if "gcd" in extra else f"lcm is {lcm} us")
        for name, config, lcm in (("hyperperiod", LONG_HYPERPERIOD, "1.00044007530628e+29"),
                                  ("hyperperiod-64", HYPERPERIOD_64, LCM_64))
        for command, extra in [("simulate", []), ("run", []),
@@ -270,6 +285,7 @@ MALFORMED = {
         {"--trace": TRACE_HEADER + "\n"}, [], "[covert]: frames_required must be 1..16777216")
        for command, name, value in (("verify", "2^63", 2**63), ("capacity", "2^63", 2**63),
                                     ("verify", "2^24+1", scheduler.MAX_INSTANTS + 1))},
+    "run-no-covert": ("run", NO_COVERT, {}, [], "error: configure: run needs a [covert] section\n"),
     "covert-node-no-covert": ("simulate", NO_COVERT.replace("jitter", "covert = true\njitter"),
                               {}, [], "[bus]: node one uses the covert channel"),
     "verify-rho-nan": ("verify", small("tolerance_us = 5", "tolerance_us = nan"),
@@ -344,6 +360,11 @@ MALFORMED_REPORT = {
                                  f"5,1,0.0386,0.0390625\n5,{text},0.9,0.1\n", [],
                                  f"attack.csv: line 3: {text} is not a frames value >= 1")
        for text in ("0", "-3")},
+    **{f"attack-no-cell-{rho}-{frames}": (
+        "attack.csv", f"rho_us,frames,adv_rate_exact,adv_rate_analytic\n{rho},{frames},0.5,0.1\n",
+        [], f"attack.csv: line 2: rho_us {rho}, frames {frames} is no success table cell "
+        "(rho_us 2, 3, 4, 5; frames 1, 2, 3, 4, 6)")
+       for rho, frames in ((7, 5), (2.5, 1), (5, 5))},
     # a repeated key would silently replace the rate of the line before it
     "attack-repeated-key": ("attack.csv", "rho_us,frames,adv_rate_exact,adv_rate_analytic\n"
                             "5,1,0.0386,0.0390625\n5,2,0.0015,0.0015\n5.0,1,0.5,0.0390625\n", [],
@@ -491,6 +512,16 @@ class TestPipeline:
             hashed.clear()
             assert main([*argv, "--config", PAPER, "--out", str(out)]) == 0
             assert sum(hashed) == 2760, argv[0]
+
+    @pytest.mark.parametrize("name", ["paper", "small"])
+    def test_run_verdicts_are_verifys_on_its_trace(self, small_config, tmp_path, name):
+        # `run` decodes its trace as trace.csv holds it, to 0.1 us
+        config = str(small_config) if name == "small" else PAPER
+        run, ver = tmp_path / "run", tmp_path / "ver"
+        assert main(["run", "--config", config, "--out", str(run)]) == 0
+        assert main(["verify", "--config", config, "--trace", str(run / "trace.csv"),
+                     "--out", str(ver)]) == 0
+        assert (ver / "verdicts.csv").read_bytes() == (run / "verdicts.csv").read_bytes()
 
     def test_simulate_then_verify(self, small_config, tmp_path):
         out = tmp_path / "sim"
