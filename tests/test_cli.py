@@ -207,7 +207,7 @@ MALFORMED = {
     "tick-ns-10^20": ("simulate", small("jitter = steps", "tick_ns = 100000000000000000000"),
                       {}, [], "[node.one]: tick_ns 100000000000000000000 must be 1..2^63-1"),
     # a start past about 9.22e17 us was written to trace.csv wrapped, as -2^63 tenths
-    **{f"{command}-{name}": (command, (COVERT if command == "run" else "") + config, {}, [],
+    **{f"{command}-{name}": (command, COVERT + config if command == "run" else config, {}, [],
                              "a frame starts past trace.csv's 9.223e+17 us")
        for name, config in (("start-1e18", "[bus]\nduration_us = 2e18\n\n[node.a]\n"
                                            "frames = 0x100:1000000000000000000:8\n"),
@@ -285,7 +285,8 @@ MALFORMED = {
         {"--trace": TRACE_HEADER + "\n"}, [], "[covert]: frames_required must be 1..16777216")
        for command, name, value in (("verify", "2^63", 2**63), ("capacity", "2^63", 2**63),
                                     ("verify", "2^24+1", scheduler.MAX_INSTANTS + 1))},
-    "run-no-covert": ("run", NO_COVERT, {}, [], "error: configure: run needs a [covert] section\n"),
+    "run-no-covert": ("run", NO_COVERT, {}, [],
+                      "error: configure: run needs a [covert] section\n"),
     "covert-node-no-covert": ("simulate", NO_COVERT.replace("jitter", "covert = true\njitter"),
                               {}, [], "[bus]: node one uses the covert channel"),
     "verify-rho-nan": ("verify", small("tolerance_us = 5", "tolerance_us = nan"),
