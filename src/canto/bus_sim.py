@@ -17,7 +17,7 @@ import heapq
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -254,37 +254,3 @@ def busload(trace: Trace) -> float:
     duration = trace.duration_us or float(trace.bus_time_us[-1] + tx[-1])
     return 100.0 * sum(tx.tolist()) / duration
 
-
-def inject_adversary(trace: Trace, can_id: CanId, period_us: float,
-                     strategy: str = "random_in_window", seed: int = 0,
-                     level_bits: int = 8, offset_us: float | None = None) -> Trace:
-    """Replace an ID's genuine frames with adversary-timed ones.
-
-    "random_in_window" places each injected frame at the previous frame's
-    time plus the period plus a uniform draw over the covert-delay window,
-    which is the best a blind adversary can do. "fixed_offset" uses a
-    constant offset_us instead of the draw. Injected frames carry the
-    genuine payloads, so only timing decides verification. Frames are
-    tagged via `genuine` for later scoring.
-    """
-    if strategy not in ("random_in_window", "fixed_offset"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    if strategy == "fixed_offset" and offset_us is None:
-        raise ValueError("fixed_offset strategy needs offset_us")
-    rows = np.flatnonzero(trace.id_index == trace.ids.index(can_id)) \
-        if can_id in trace.ids else []
-    if not len(rows):
-        raise ValueError(f"id {can_id} does not appear in the trace")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xADD))))
-    times = trace.bus_time_us.copy()
-    genuine = trace.genuine.copy()
-    counters = trace.counter[rows].tolist()
-    for j in range(1, len(rows)):
-        draw = float(rng.uniform(0, 1 << level_bits)) if strategy == "random_in_window" \
-            else float(offset_us)
-        times[rows[j]] = times[rows[j - 1]] + period_us * (counters[j] - counters[j - 1]) + draw
-        genuine[rows[j]] = False
-    by_priority = sorted(trace.ids)
-    rank = np.array([by_priority.index(i) for i in trace.ids], dtype=np.int64)
-    forged = replace(trace, bus_time_us=times, genuine=genuine)
-    return forged.take(np.lexsort((rank[trace.id_index], times)))

@@ -15,6 +15,7 @@ import hashlib
 import json
 import math
 import sys
+from collections import Counter
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -226,6 +227,9 @@ def _check_attack_flags(ctx):
                 raise TraceFormatError(f"{flag} {value}: must be >= 1")
             if flag == "--frames" and value > analysis.MC_DRAWS:  # a window fills a chunk
                 raise TraceFormatError(f"{flag} {value}: must be <= {analysis.MC_DRAWS}")
+    for flag, values in (("--rho", args.rho), ("--frames", args.frames)):  # 5 and 5.0 are one
+        if repeated := [value for value, n in Counter(values).items() if n > 1]:
+            raise TraceFormatError(f"{flag} {repeated[0]:g}: given more than once")
     return {}, {}
 
 

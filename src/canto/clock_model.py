@@ -1,11 +1,11 @@
-"""Per-node oscillator models and reference-clock offset metrics.
+"""Per-node oscillator models and clock offset metrics.
 
 A node's clock is an ideal clock scaled by a ppm skew, quantized to the
 timer tick (10 ns by default, counters count whole ticks so values are
-floored), plus a per-event jitter draw. The reference-clock helpers turn
-a recording of same-ID inter-arrivals into slope estimates against the
-ideal, minimum, median or mean clock, and classify deliberately forced
-tick-level period adjustments.
+floored), plus a per-event jitter draw. The offset helpers turn a
+recording of same-ID inter-arrivals into a cumulative offset against a
+given per-step slope, and classify deliberately forced tick-level period
+adjustments.
 """
 
 from __future__ import annotations
@@ -109,6 +109,7 @@ class ClockModel:
             raise ValueError("skew beyond +-10000 ppm is not an oscillator model")
 
     def local_to_bus_time(self, t_local_us: float, rng: np.random.Generator | None = None) -> float:
+        """`bus_times` of one time; it stays while perfbench/tracer.py's TARGETS bind it."""
         return float(self.bus_times([t_local_us], rng)[0])
 
     def bus_times(self, t_local_us, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -120,32 +121,6 @@ class ClockModel:
         if rng is None or self.jitter.kind == "none":
             return quantized
         return quantized + self.jitter.draws(rng, local.size)
-
-
-def reference_slope(inter_arrivals_us, kind: str, ideal_delta_us: float | None = None,
-                    warmup: int | None = 100) -> float:
-    """Per-step slope of a reference clock for a recording of inter-arrivals.
-
-    kind "ideal" uses the configured constant delay; "min", "median" and
-    "mean" derive the slope from the first `warmup` recorded values
-    (100 by default, matching how such references are seeded in practice;
-    None uses the whole recording).
-    """
-    rec = np.asarray(inter_arrivals_us, dtype=np.float64)
-    if rec.size == 0:
-        raise ValueError("empty recording")
-    if kind == "ideal":
-        if ideal_delta_us is None:
-            raise ValueError("ideal reference needs the intended delay")
-        return float(ideal_delta_us)
-    head = rec if warmup is None else rec[:max(1, warmup)]
-    if kind == "min":
-        return float(head.min())
-    if kind == "median":
-        return float(np.median(head))
-    if kind == "mean":
-        return float(head.mean())
-    raise ValueError(f"unknown reference clock kind {kind!r}")
 
 
 def cumulative_offset(inter_arrivals_us, slope_us: float) -> np.ndarray:

@@ -210,7 +210,8 @@ def _stuff_counts(entries: np.ndarray, rows: np.ndarray, lengths: np.ndarray) ->
 
 
 def frame_stuff_bits(can_id: CanId, payload: bytes) -> int:
-    """Stuff bits of one concrete frame, from its header and payload pattern."""
+    """Stuff bits of one concrete frame, from its header and payload pattern. It
+    stays while perfbench/tracer.py's TARGETS bind it."""
     entry = _header_entry(can_id.value, can_id.extended, len(payload))
     return int(_stuff_counts(np.array([entry]), np.frombuffer(payload, dtype=np.uint8)[None],
                              np.array([len(payload)]))[0])

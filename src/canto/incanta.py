@@ -119,7 +119,8 @@ def covert_delay(key: bytes, counter: int, can_id: CanId, payload: bytes,
                  level_bits: int = 8) -> int:
     """One frame's covert delay: the low `level_bits` bits of the stdlib one-shot
     HMAC-SHA256 over mac_input(counter, can_id, payload), so it shares no code
-    with `covert_delays`. A counter outside 0..2^32-1 raises OverflowError."""
+    with `covert_delays`. A counter outside 0..2^32-1 raises OverflowError. It
+    stays while perfbench/tracer.py's TARGETS bind it."""
     tag = hmac.digest(key, mac_input(counter, can_id, payload), "sha256")
     return int.from_bytes(tag[-4:], "big") & ((1 << level_bits) - 1)
 
@@ -205,7 +206,8 @@ class Verifier:
     The first frame of an ID only initializes state (there is no previous
     covert delay to difference against) and is reported as an unscored
     accept. Timestamps of every frame, accepted or not, advance the state
-    so that differencing stays between consecutive frames.
+    so that differencing stays between consecutive frames. `decode` is the
+    pipeline's receiver; this one stays while perfbench/tracer.py's TARGETS bind it.
     """
 
     def __init__(self, channel: CovertConfig, receiver: Receiver):

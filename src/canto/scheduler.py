@@ -84,22 +84,6 @@ def timestamps(schedule: Schedule) -> np.ndarray:
                      hyperperiod_tenths([f.period_us for f in schedule.frames]))
 
 
-def q_factor(ts: np.ndarray) -> float:
-    """Mean reciprocal gap of a timestamp multiset, in 1/ms.
-
-    The input is sorted if needed, so the result does not depend on
-    presentation order. Coincident timestamps make a gap's reciprocal
-    infinite and the schedule incomplete, which is rejected.
-    """
-    ts = np.sort(np.asarray(ts, dtype=np.float64))
-    if len(ts) < 2:
-        raise ValueError("need at least two timestamps")
-    gaps = np.diff(ts)
-    if np.any(gaps <= 0):
-        raise IncompleteScheduleError("coincident timestamps: incomplete schedule")
-    return float(np.sum(1000.0 / gaps) / len(ts))
-
-
 def _q_cyclic(ts: np.ndarray, lcm_tenths: int) -> float:
     """Allocator-internal objective: q with the wrap-around gap included.
 
@@ -125,7 +109,8 @@ def schedule_quality(schedule: Schedule) -> ScheduleQuality:
         return ScheduleQuality(math.inf, 0.0, float(gaps.max()), False)
     if len(ts) < 2:
         return ScheduleQuality(0.0, 0.0, 0.0, True)
-    return ScheduleQuality(q_factor(ts), float(gaps.min()), float(gaps.max()), True)
+    return ScheduleQuality(float(np.sum(1000.0 / gaps) / len(ts)), float(gaps.min()),
+                           float(gaps.max()), True)
 
 
 def check_complete(schedule: Schedule) -> bool:

@@ -28,7 +28,7 @@ from canto.incanta import CovertConfig, Receiver
 from canto.scheduler import ALLOCATOR_OPTIONS, ALLOCATORS, Schedule
 
 TRACE_HEADER = "bus_time_us,id_hex,counter,payload_hex,genuine"
-TIME_LIMIT_US = 2.0 ** 63 / 10  # bus times past it overflow the file's int64 tenths of a us
+TIME_LIMIT_US = 2.0 ** 50 / 10  # a time under it keeps its tenths of a us through float64 us
 
 
 class TraceFormatError(ValueError):
@@ -222,8 +222,13 @@ def _columns(chunks) -> Trace:
     bad = np.flatnonzero((genuine != 0) & (genuine != 1))
     if len(bad):
         raise ValueError(f"genuine {genuine[bad[0]]} is not 0 or 1")
-    return Trace(tuple(position), code[inverse], counter.copy(), rows["bus_time_us"] / 10.0,
-                 np.zeros(len(rows)), payloads, lengths, genuine == 1)
+    times = rows["bus_time_us"] / 10.0
+    bad = np.flatnonzero(np.abs(times) >= TIME_LIMIT_US)
+    if len(bad):
+        raise ValueError(f"bus_time_us {rows['bus_time_us'][bad[0]]} tenths of a us: at or "
+                         f"past trace.csv's {TIME_LIMIT_US:.4g} us")
+    return Trace(tuple(position), code[inverse], counter.copy(), times, np.zeros(len(rows)),
+                 payloads, lengths, genuine == 1)
 
 
 def _data(line: str, at: int) -> bool:

@@ -12,12 +12,13 @@ from hypothesis import given, settings, strategies as st
 from canto import analysis
 from canto.analysis import (CapacityError, blahut_arimoto, deviation_series, exact_adversary_rate,
                             extract_channel_matrix, histogram, mc_adversary_rate)
-from canto.bus_sim import BusConfig, NodeConfig, inject_adversary, simulate
+from canto.bus_sim import BusConfig, NodeConfig, simulate
 from canto.cli import main
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec
 from canto.incanta import CovertConfig, Receiver, decode
 from canto.scheduler import MAX_INSTANTS
+from blind_forger import forge_blind
 
 MS = 1000.0
 KEY = bytes(range(16))
@@ -295,7 +296,7 @@ class TestGenuinePairing:
         # genuine pair deviates by exactly 0 and decodes to its sent delay,
         # while a pair with a forged end sits off by the adversary's draws
         trace, cov, rx = run_covert(Jitter(), 30_000 * MS)
-        forged = inject_adversary(trace, CanId(0x100), 10 * MS, seed=1)
+        forged = forge_blind(trace, CanId(0x100), 10 * MS, seed=1)
         window = slice(1000, 1100)
         assert not forged.genuine[window].any()
         assert forged.counter.tolist() == trace.counter.tolist()  # one ID keeps its order

@@ -2,23 +2,29 @@
 `perfbench/tracer.py`'s TARGETS; a name that no longer resolves silently
 drops its metrics. Each target is resolved here as `Tracer.install` does,
 without wrapping anything; only the export hook, which reads the output path
-from the call's arguments, is run on a real `simulate`."""
+from the call's arguments, is run on a real `simulate`. The gates of
+`perfbench/workloads.py` run here on the shipped configs, so that a change
+to what they read fails here and not only in a benchmark run."""
 
 import importlib
 import importlib.util
 import inspect
+import sys
 from pathlib import Path
+
+import pytest
 
 import canto
 from canto import cli, scheduler, trace_io
 
 ROOT = Path(__file__).resolve().parent.parent
-TRACER = ROOT / "perfbench" / "tracer.py"
 CONFIGS = ROOT / "configs"
 
 
-def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+def _perfbench(name: str):
+    """perfbench/<name>.py, loaded as a module of its own."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  ROOT / "perfbench" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -26,7 +32,7 @@ def _tracer():
 
 def test_every_traced_name_resolves():
     absent = []
-    for module_name, attr, span, _hook in _tracer().TARGETS:
+    for module_name, attr, span, _hook in _perfbench("tracer").TARGETS:
         owner = importlib.import_module(module_name)
         *path, leaf = attr.split(".")
         for part in path:
@@ -43,7 +49,7 @@ def test_every_exported_name_resolves():
 
 def test_allocators_are_plain_functions():
     # the tracer rebinds dict values; build_schedule reads them at call time
-    assert sorted(scheduler.ALLOCATORS) == sorted(_tracer().ALLOCATOR_NAMES)
+    assert sorted(scheduler.ALLOCATORS) == sorted(_perfbench("tracer").ALLOCATOR_NAMES)
     assert all(inspect.isfunction(fn) for fn in scheduler.ALLOCATORS.values())
 
 
@@ -54,7 +60,7 @@ def test_export_trace_takes_the_path_second():
 
 def test_export_hook_reads_the_written_file(tmp_path):
     # the trace_bytes hook takes the output path from the call's second argument
-    module = _tracer()
+    module = _perfbench("tracer")
     tracer = module.Tracer()
     tracer.begin_pass()
     original = trace_io.export_trace
@@ -71,7 +77,7 @@ def test_export_hook_reads_the_written_file(tmp_path):
 def test_rebound_command_runs_after_the_parser_is_built(tmp_path):
     # main builds its parser once; the tracer rebinds cli.cmd_* after the
     # untraced passes, so main must dispatch through the rebound name
-    module = _tracer()
+    module = _perfbench("tracer")
     config = str(CONFIGS / "paper_vector.ini")
     sim = tmp_path / "sim"
     assert cli.main(["simulate", "--config", config, "--out", str(sim)]) == 0
@@ -87,3 +93,15 @@ def test_rebound_command_runs_after_the_parser_is_built(tmp_path):
         module.rebind(wrapper, original)
     tracer.end_pass()
     assert tracer.reduce()[-1]["tree"][("cli.verify", "")][0] == 1
+
+
+# the shipped capacity scenario's 30000 frames leave thin matrix rows; the benchmark runs 64000
+@pytest.mark.filterwarnings("ignore:sparse channel matrix")
+@pytest.mark.parametrize("name,config,frames", [("paper_run", "paper_vector.ini", 2760),
+                                                ("capacity_trace", "capacity_scenario.ini", 30000)])
+def test_workload_gates_pass_on_the_shipped_configs(tmp_path, monkeypatch, name, config, frames):
+    monkeypatch.setitem(sys.modules, "tracer", _perfbench("tracer"))  # workloads.py imports it so
+    workload = _perfbench("workloads").WORKLOADS[name](tmp_path, CONFIGS / config)
+    assert [step() for step in workload.steps()] == [0] * len(workload.steps())
+    assert workload.check() == []
+    assert workload.record()["frames"] == frames

@@ -206,14 +206,23 @@ MALFORMED = {
     # ticks past int64 made the releases an object array, which the trace writer refused
     "tick-ns-10^20": ("simulate", small("jitter = steps", "tick_ns = 100000000000000000000"),
                       {}, [], "[node.one]: tick_ns 100000000000000000000 must be 1..2^63-1"),
-    # a start past about 9.22e17 us was written to trace.csv wrapped, as -2^63 tenths
+    # a start past about 9.22e17 us was written to trace.csv wrapped, as -2^63 tenths;
+    # from 2^50 tenths a start may leave the 0.1 us grid in float64
     **{f"{command}-{name}": (command, COVERT + config if command == "run" else config, {}, [],
-                             "a frame starts past trace.csv's 9.223e+17 us")
+                             "a frame starts past trace.csv's 1.126e+14 us")
        for name, config in (("start-1e18", "[bus]\nduration_us = 2e18\n\n[node.a]\n"
                                            "frames = 0x100:1000000000000000000:8\n"),
                             ("jitter-1e300", "[bus]\nduration_us = 100000\n\n[node.a]\n"
                                              "jitter = uniform:1e300\nframes = 0x100:10000:8\n"))
        for command in ("simulate", "run")},
+    # at 1e17 us a float64 start is 16 us coarse: the covert delays were lost in trace.csv
+    "simulate-start-1e17-covert": ("simulate", "[bus]\nduration_us = 4e17\n\n" + COVERT
+                                   + "[node.a]\nframes = 0x100:100000000000000000:8\n", {}, [],
+                                   "a frame starts past trace.csv's 1.126e+14 us"),
+    "verify-time-2^50": ("verify", SMALL, {"--trace": f"{TRACE_HEADER}\n100000,100,1,00,1\n"
+                                           f"{2**50},100,2,00,1\n"},
+                         [], f"trace: line 3: bus_time_us {2**50} tenths of a us: at or past "
+                             "trace.csv's 1.126e+14 us"),
     "seed-flag-negative": ("--seed -1 simulate", SMALL, {}, [], "--seed: seed -1"),
     "schedule-other-period": ("simulate", SMALL,
                               {"--schedule": "100 20000 0 64\n101 10000 0 64\n102 20000 0 64\n"},
@@ -242,6 +251,11 @@ MALFORMED = {
     "attack-rho-negative": ("attack", SMALL, {}, ["--rho", "-1"], "--rho -1"),
     "attack-frames-0": ("attack", SMALL, {}, ["--frames", "0"], "--frames 0"),
     "attack-trials-0": ("attack", SMALL, {}, ["--trials", "0"], "--trials 0"),
+    # a repeated value wrote a repeated attack.csv row, which report refused
+    "attack-rho-repeated": ("attack", SMALL, {}, ["--rho", "5", "5.0", "--trials", "10"],
+                            "--rho 5: given more than once"),
+    "attack-frames-repeated": ("attack", SMALL, {}, ["--frames", "1", "2", "1", "--trials", "10"],
+                               "--frames 1: given more than once"),
     # past 4 000 000 frames a Monte Carlo chunk is one trial, an array as wide as a window
     "attack-frames-4000001": ("attack", SMALL, {}, ["--frames", "4000001", "--trials", "1"],
                               "--frames 4000001: must be <= 4000000"),
@@ -609,6 +623,22 @@ class TestPipeline:
                      "fig_deviation_histogram.csv", "fig_interframe_histogram.csv",
                      "report_summary.txt"):
             assert (rep / name).read_bytes() == (run / name).read_bytes(), name
+
+    def test_report_over_verify_and_attack_outputs(self, tmp_path):
+        # the flow report's help names: verify and attack write into one directory
+        sim, ins, rep, run = (tmp_path / name for name in ("sim", "in", "rep", "run"))
+        assert main(["simulate", "--config", PAPER, "--out", str(sim)]) == 0
+        assert main(["verify", "--config", PAPER, "--trace", str(sim / "trace.csv"),
+                     "--out", str(ins)]) == 0
+        assert main(["attack", "--config", PAPER, "--trials", "20000", "--out", str(ins)]) == 0
+        assert main(["report", "--config", PAPER, "--in", str(ins), "--out", str(rep)]) == 0
+        assert main(["run", "--config", PAPER, "--out", str(run)]) == 0
+        table, ran, attack = ([line.split(",") for line in (out / name).read_text().splitlines()]
+                              for out, name in ((rep, "success_table.csv"),
+                                                (run, "success_table.csv"), (ins, "attack.csv")))
+        assert [row[:3] for row in table] == [row[:3] for row in ran]  # ecu_rate as run's
+        mc = {(rho, k): rate for rho, k, rate, _ in attack[1:]}
+        assert [row[3] for row in table[1:]] == [mc[rho, k] for rho, k, *_ in table[1:]]
 
     def test_seed_changes_trace_not_tables(self, small_config, tmp_path):
         a, b = tmp_path / "s1", tmp_path / "s2"

@@ -1,13 +1,12 @@
-"""Oscillator model, reference clocks, and forced-delay classification."""
+"""Oscillator model, clock offsets, and forced-delay classification."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from canto.clock_model import (DEFAULT_TICK_CLASSES, ClockModel, Jitter, classify_forced_delay,
-                               cumulative_offset, forced_delay_ticks, reference_slope)
+                               cumulative_offset, forced_delay_ticks)
 
 MS = 1000.0
 
@@ -105,39 +104,6 @@ class TestArrayDraws:
             ClockModel().bus_times(np.array([5.0, -1.0, 7.0]))
 
 
-class TestReferenceSlope:
-    def test_constant_recording_all_kinds_agree(self):
-        rec = [10 * MS] * 3
-        for kind in ("ideal", "min", "median", "mean"):
-            assert reference_slope(rec, kind, ideal_delta_us=10 * MS) == 10 * MS
-
-    def test_min_median_mean(self):
-        rec = [9 * MS, 10 * MS, 14 * MS]
-        assert reference_slope(rec, "min") == 9 * MS
-        assert reference_slope(rec, "median") == 10 * MS
-        assert reference_slope(rec, "mean") == 11 * MS
-
-    def test_warmup_prefix(self):
-        rec = [10 * MS] * 100 + [99 * MS] * 50
-        assert reference_slope(rec, "mean", warmup=100) == 10 * MS
-
-    def test_ideal_needs_delta(self):
-        with pytest.raises(ValueError):
-            reference_slope([1.0], "ideal")
-
-    def test_empty_recording(self):
-        with pytest.raises(ValueError):
-            reference_slope([], "min")
-
-    @given(st.lists(st.floats(1.0, 100.0), min_size=1, max_size=20))
-    def test_median_mean_coincide_for_symmetric(self, half):
-        center = 50.0
-        rec = half + [2 * center - x for x in half]  # mirror around the center
-        med = reference_slope(rec, "median")
-        mean = reference_slope(rec, "mean")
-        assert med == pytest.approx(center) and mean == pytest.approx(center)
-
-
 class TestCumulativeOffset:
     def test_zero_offsets(self):
         assert list(cumulative_offset([10 * MS] * 3, 10 * MS)) == [0.0, 0.0, 0.0]
@@ -170,11 +136,11 @@ class TestReferenceClockSeparation:
         blocking = 444.0  # one max-length frame at 250 kbps
         sends = np.arange(1501) * delta + rng.uniform(0, blocking, 1501)
         rec = np.diff(sends)
-        ideal = cumulative_offset(rec, reference_slope(rec, "ideal", ideal_delta_us=delta))
+        ideal = cumulative_offset(rec, delta)  # the paper's a-priori reference
         assert np.max(np.abs(ideal)) <= 2 * blocking  # telescoping jitter only
-        for kind in ("min", "mean", "median"):
-            slope = reference_slope(rec, kind, warmup=100)
-            diverged = cumulative_offset(rec, slope)
+        warmup = rec[:100]
+        for slope in (warmup.min(), warmup.mean(), np.median(warmup)):
+            diverged = cumulative_offset(rec, float(slope))
             assert abs(diverged[-1]) > np.max(np.abs(ideal))
 
 

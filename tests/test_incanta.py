@@ -12,13 +12,14 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from canto import incanta
-from canto.bus_sim import BusConfig, NodeConfig, Trace, inject_adversary, simulate
+from canto.bus_sim import BusConfig, NodeConfig, Trace, simulate
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec
 from canto.incanta import (_HASH_BLOCK, CovertConfig, Decoded, Receiver, Verifier,
                            adversary_advantage, covert_delay, covert_delays, decode, ecu_success,
                            embed_counters, mac_input)
 from canto.trace_io import parse_trace, write_trace
+from blind_forger import forge_blind
 from payload_rows import payload_columns, payload_list
 
 KEY = bytes(range(16))
@@ -370,8 +371,8 @@ def receiver_traces(draw):
                   *payload_columns(payloads), np.array(genuine, dtype=bool))
     if id_index and draw(st.booleans()):
         target = ids[id_index[0]]
-        trace = inject_adversary(trace, target, PERIODS[target], seed=draw(st.integers(0, 9)),
-                                 level_bits=cfg.level_bits)
+        trace = forge_blind(trace, target, PERIODS[target], seed=draw(st.integers(0, 9)),
+                            level_bits=cfg.level_bits)
     return cfg, rx, trace
 
 
@@ -549,7 +550,7 @@ class TestSentDelays:
 
         # the trace the adversary builds from it
         target = data.draw(st.sampled_from(trace.ids))
-        forged = inject_adversary(trace, target, rx.periods_us[target], seed=data.draw(
+        forged = forge_blind(trace, target, rx.periods_us[target], seed=data.draw(
             st.integers(0, 9)), level_bits=covert.level_bits)
         self.assert_same(decode(forged, covert, rx), self.full(forged, covert, rx))
 

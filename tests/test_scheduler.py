@@ -9,11 +9,10 @@ from hypothesis import given, settings, strategies as st
 
 from canto import scheduler
 from canto.frame_model import CanId, FrameSpec, period_tenths
-from canto.scheduler import (IncompleteScheduleError, OversubscribedError, Schedule,
-                             ScheduleQuality, allocate_binary_symmetric, allocate_gcd,
-                             allocate_greedy, allocate_greedy_multilayer,
-                             allocate_randomized, build_schedule, check_complete,
-                             hyperperiod_tenths, q_factor, schedule_quality, timestamps)
+from canto.scheduler import (OversubscribedError, Schedule, ScheduleQuality,
+                             allocate_binary_symmetric, allocate_gcd, allocate_greedy,
+                             allocate_greedy_multilayer, allocate_randomized, build_schedule,
+                             check_complete, hyperperiod_tenths, schedule_quality, timestamps)
 
 MS = 1000.0
 PAPER_VECTOR = [10 * MS] * 6 + [20 * MS] * 8 + [50 * MS] * 12 + [100 * MS] * 14
@@ -86,26 +85,28 @@ class TestTimestamps:
 
 
 class TestQFactor:
+    """q of schedules whose hyperperiod holds the given instants, in ms."""
+
+    @staticmethod
+    def quality(instants_ms, hyperperiod_ms):
+        return schedule_quality(make_schedule([hyperperiod_ms * MS] * len(instants_ms),
+                                              [t * MS for t in instants_ms]))
+
     def test_unit_gaps(self):
-        assert q_factor(np.array([0.0, 1.0, 2.0, 3.0]) * MS) == pytest.approx(0.75)
+        assert self.quality([0.0, 1.0, 2.0, 3.0], 4.0).q_per_ms == pytest.approx(0.75)
 
     def test_two_ms_gaps(self):
-        assert q_factor(np.array([0.0, 2.0, 4.0]) * MS) == pytest.approx(1 / 3)
+        assert self.quality([0.0, 2.0, 4.0], 6.0).q_per_ms == pytest.approx(1 / 3)
 
     def test_coincident_rejected(self):
-        with pytest.raises(IncompleteScheduleError):
-            q_factor(np.array([0.0, 0.0, 1.0]) * MS)
-
-    @given(st.permutations([0.0, 1.0, 2.5, 7.0, 11.0]))
-    def test_input_order_invariant(self, perm):
-        assert q_factor(np.array(perm) * MS) == pytest.approx(q_factor(np.array(sorted(perm)) * MS))
+        assert not self.quality([0.0, 0.0, 1.0], 2.0).complete
 
     @given(a=st.floats(0.1, 4.9), b=st.floats(0.1, 4.9))
     def test_evening_a_gap_lowers_q(self, a, b):
         # three points spanning [0, 10]: q drops as the split point nears the middle
         if abs(a - 5.0) < abs(b - 5.0) - 1e-6:
-            q_even = q_factor(np.array([0.0, a, 10.0]) * MS)
-            q_skew = q_factor(np.array([0.0, b, 10.0]) * MS)
+            q_even = self.quality([0.0, a, 10.0], 20.0).q_per_ms
+            q_skew = self.quality([0.0, b, 10.0], 20.0).q_per_ms
             assert q_even < q_skew
 
 

@@ -90,6 +90,15 @@ class TestNativeFormat:
         with pytest.raises(TraceFormatError, match="encoding"):
             parse_trace(path)
 
+    def test_time_at_the_limit_refused(self):
+        text = f"{TRACE_HEADER}\n100000,100,1,00,1\n{2**50},100,2,00,1\n"
+        with pytest.raises(TraceFormatError, match=f"^line 3: bus_time_us {2**50} tenths"):
+            parse_trace(io.StringIO(text))
+
+    def test_time_a_tenth_below_the_limit_round_trips(self):
+        text = f"{TRACE_HEADER}\n100000,100,1,00,1\n{2**50 - 1},100,2,00,1\n"
+        assert _exported(parse_trace(io.StringIO(text))) == text.splitlines()
+
     def test_non_monotone_warns_and_sorts(self):
         text = ("bus_time_us,id_hex,counter,payload_hex,genuine\n"
                 "200,010,2,00,1\n100,010,1,00,1\n")
@@ -513,9 +522,9 @@ def _line_reader(fh) -> Trace:
                  np.zeros(len(times)), *payload_columns(payloads), np.array(genuine, dtype=bool))
 
 
-def _int_beyond_int64(text: str) -> bool:
+def _int_at_time_limit(text: str) -> bool:
     try:
-        return not -2**63 <= int(text) < 2**63
+        return not -2**50 < int(text) < 2**50
     except ValueError:
         return False
 
@@ -528,7 +537,8 @@ KNOWN_DIFFERENCES = {
     "non-ASCII character": lambda line, f: not line.isascii(),
     "0x1C-0x1F at a line's ends or around an id (str.strip takes them for whitespace)":
         lambda line, f: any(c in line for c in "\x1c\x1d\x1e\x1f"),
-    "time integer beyond int64": lambda line, f: _int_beyond_int64(f[0]),
+    "time integer 2^50 or more from 0 (trace_io.TIME_LIMIT_US)":
+        lambda line, f: _int_at_time_limit(f[0]),
     "id text over 10 characters": lambda line, f: len(f[1]) > 10,
     "payload text over 16 characters": lambda line, f: len(f[3]) > 16,
     "carriage return inside a line": lambda line, f: "\r" in line.strip(),
@@ -602,11 +612,13 @@ class TestReaderMatchesLineReader:
         ("non-ASCII character", "\u0661,100,1,00,1"),
         ("0x1C-0x1F at a line's ends or around an id (str.strip takes them for whitespace)",
          "10,100\x1c,1,00,1"),
-        ("time integer beyond int64", f"{2**63},100,1,00,1"),
+        ("time integer 2^50 or more from 0 (trace_io.TIME_LIMIT_US)", f"{2**63},100,1,00,1"),
+        ("time integer 2^50 or more from 0 (trace_io.TIME_LIMIT_US)", f"-{2**50},100,1,00,1"),
         ("id text over 10 characters", "10,00000000100,1,00,1"),
         ("payload text over 16 characters", "10,100,1,00 00 00 00 00 00 00 00,1"),
         ("carriage return inside a line", "10,100\r,1,00,1"),
-    ], ids=["underscore", "non-ascii", "0x1c", "beyond-int64", "long-id", "long-payload", "cr"])
+    ], ids=["underscore", "non-ascii", "0x1c", "beyond-int64", "at-minus-time-limit", "long-id",
+            "long-payload", "cr"])
     def test_known_difference(self, name, line):
         text = f"{TRACE_HEADER}\n{line}\n"
         assert known_differences(text) == [name]
