@@ -248,9 +248,9 @@ def simulate(config: BusConfig) -> Trace:
 def busload(trace: Trace) -> float:
     """Occupied fraction of the bus over the trace duration, in percent,
     from the wire times the simulator recorded."""
-    if not len(trace):
-        raise ValueError("empty trace")
-    tx = trace.tx_time_us
-    duration = trace.duration_us or float(trace.bus_time_us[-1] + tx[-1])
-    return 100.0 * sum(tx.tolist()) / duration
+    if not trace.duration_us or not trace.tx_time_us.all():
+        raise ValueError("busload needs the wire times and duration the simulator records; a "
+                         "trace read from a file has neither (BusConfig.wire_times_us prices "
+                         "its frames)")
+    return 100.0 * sum(trace.tx_time_us.tolist()) / trace.duration_us
 

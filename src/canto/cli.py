@@ -183,7 +183,7 @@ def _decoded(ctx):
 
 def _verify_summary(ctx):
     trace, decoded = ctx.trace, ctx.decoded
-    scored = decoded.reason != "first"
+    scored = decoded.ref >= 0
     windows = decoded.window[decoded.window >= 0]
     if not scored.any() or not windows.size:
         raise TraceFormatError(f"{ctx.args.trace}: no scored frames or no window verdict (an "

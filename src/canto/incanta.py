@@ -249,19 +249,15 @@ class Decoded:
     """Per-frame outcome of `decode`, each array in trace order.
 
     `error_us` (observed minus expected spacing) and `symbol` (the decoded
-    covert delay, unclamped) are NaN unless `reason` is "" or "timing".
+    covert delay, unclamped) are NaN for a first frame (`ref` -1) and a replay.
     """
 
     xi: np.ndarray
     ref: np.ndarray         # last earlier non-replay frame of the same ID, or -1
     error_us: np.ndarray
     symbol: np.ndarray
-    reason: np.ndarray      # "", "first", "timing" or "replay", as in Verdict
     accepted: np.ndarray
     window: np.ndarray      # -1 before frames_required verdicts, else 0 or 1
-
-
-_REASONS = np.array(["", "first", "replay", "timing"])  # decode's reason, by code
 
 
 def decode(trace: Trace, channel: CovertConfig, receiver: Receiver) -> Decoded:
@@ -303,8 +299,7 @@ def decode(trace: Trace, channel: CovertConfig, receiver: Receiver) -> Decoded:
     ok = np.abs(error_us) <= receiver.tolerance_us
     accepted = (ref < 0) | ok
     window = _windows(by_id, grouped, accepted, receiver.frames_required)
-    code = np.select([ref < 0, replay, ok], [1, 2, 0], 3).astype(np.uint8)
-    return Decoded(xi, ref, error_us, symbol, _REASONS[code], accepted, window)
+    return Decoded(xi, ref, error_us, symbol, accepted, window)
 
 
 def _sent_delays(trace: Trace, channel: CovertConfig) -> np.ndarray | None:

@@ -30,12 +30,8 @@ from canto.frame_model import FrameSpec, period_tenths
 MAX_INSTANTS = 1 << 24
 
 
-class IncompleteScheduleError(ValueError):
-    """Two frames share a theoretical timestamp (reciprocal gap is infinite)."""
-
-
 class OversubscribedError(ValueError):
-    """The requested spacing or evaluation budget cannot accommodate all frames."""
+    """The requested spacing, evaluation budget or offsets cannot accommodate all frames."""
 
 
 @dataclass(frozen=True)
@@ -173,7 +169,7 @@ def allocate_randomized(periods_us: Sequence[float], iterations: int = 100,
         if q < best_q:
             best_q, best = q, perm
     if best is None:
-        raise IncompleteScheduleError("no random permutation was collision-free")
+        raise OversubscribedError("no random permutation was collision-free")
     return [float(x) for x in best]
 
 

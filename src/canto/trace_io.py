@@ -384,13 +384,11 @@ def _fields(sec, keys: dict) -> dict:
     return fields
 
 
-def parse_experiment_config(source) -> ExperimentConfig:
-    """Parse and validate an experiment INI document (path, stream or text)."""
+def parse_experiment_config(source: str | Path) -> ExperimentConfig:
+    """Parse and validate an experiment INI document (path or text)."""
     name = "<string>"
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
+    if "\n" not in str(source):
         name, source = str(source), Path(source).read_text()
-    elif not isinstance(source, str):
-        source = source.read()
     cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(source, name)

@@ -19,7 +19,7 @@ from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_stuff_b
                                transmission_time_us)
 from canto.incanta import CovertConfig, Receiver, Verifier, covert_delay, covert_delays
 from canto.scheduler import Schedule, allocate_gcd, check_complete
-from canto.trace_io import write_trace
+from canto.trace_io import parse_trace, write_trace
 from blind_forger import forge_blind
 from payload_rows import payload_columns, payload_list
 
@@ -196,6 +196,15 @@ class TestBusload:
         one = busload(simulate(config([node("a", specs)], 500 * MS)))
         two = busload(simulate(config([node("a", specs)], 1000 * MS)))
         assert abs(one - two) < 1.0
+
+    def test_refuses_a_trace_read_from_a_file(self):
+        # the file stores neither wire times nor the bus's duration
+        buf = io.StringIO()
+        write_trace(simulate(config([node("a", [FrameSpec(CanId(0x10), 10 * MS)])], 100 * MS)),
+                    buf)
+        buf.seek(0)
+        with pytest.raises(ValueError, match="BusConfig.wire_times_us"):
+            busload(parse_trace(buf))
 
 
 @pytest.fixture(scope="module")

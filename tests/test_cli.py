@@ -148,6 +148,16 @@ MALFORMED = {
     "oversubscribed": ("simulate", OVERSUBSCRIBED, {}, [], "busload 3330%"),
     "schedule-missing-ids": ("simulate", SMALL, {"--schedule": "100 10000 0 64\n"}, [],
                              "['101', '102']"),
+    # on a 5 ms grid a 10 ms and a 15 ms period meet at 20 or 15 ms, whichever the order
+    "random-no-permutation": ("allocate", small("0x100:10000:8 0x101:10000:8 0x102:20000:8",
+                                                "0x100:10000:8 0x101:15000:8"),
+                              {}, ["--algorithm", "random"],
+                              "--algorithm random: no random permutation was collision-free"),
+    "no-bus-section": ("simulate", "[node.a]\nframes = 0x100:10000:8\n", {}, [],
+                       "missing [bus] section"),
+    "frame-period-abc": ("simulate", "[bus]\nduration_us = 40000\n\n[node.a]\n"
+                                     "frames = 0x100:10000:8 0x101:abc:8\n", {}, [],
+                         "[node.a]: bad frame spec '0x101:abc:8'"),
     "gcd-ifs": ("allocate", small("ifs_us = 600", "ifs_us = 5000"), {}, ["--algorithm", "gcd"],
                 "[allocator] algorithm = gcd, ifs_us = 5000"),
     "greedy-ml-grid": ("allocate", allocator("algorithm = greedy-ml\ngrid_step_us = 0.05"), {},

@@ -6,7 +6,8 @@ artifact on purpose rewrites that file with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and names each changed artifact and the reason.
+which first prints each artifact it adds, removes or changes against the
+file it replaces; name those and the reason.
 """
 
 import hashlib
@@ -152,6 +153,12 @@ def test_artifacts_match_golden_digests(tmp_path):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        lines = [f"{d}  {name}\n" for name, d in sorted(digests(Path(tmp)).items())]
+        got = digests(Path(tmp))
+    old = read_golden()
+    for word, names in (("added", got.keys() - old.keys()), ("removed", old.keys() - got.keys()),
+                        ("changed", {n for n in got.keys() & old.keys() if got[n] != old[n]})):
+        for name in sorted(names):
+            print(f"{word}: {name}", file=sys.stderr)
+    lines = [f"{d}  {name}\n" for name, d in sorted(got.items())]
     GOLDEN.write_text("".join(lines))
     print(f"wrote {len(lines)} digests to {GOLDEN}", file=sys.stderr)

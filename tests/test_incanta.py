@@ -428,11 +428,13 @@ class TestDecode:
         for i, (can_id, counter, payload, t) in enumerate(zip(ids, counters, payloads,
                                                                arrivals)):
             v = verifier.verify(can_id, counter, payload, t)
-            assert (decoded.accepted[i], decoded.reason[i]) == (v.accepted, v.reason)
+            # first, replay, timing and accept each give their own triple
+            assert ((decoded.ref[i] < 0, np.isnan(decoded.error_us[i]), decoded.accepted[i])
+                    == (v.reason == "first", v.error_us is None, v.accepted))
             assert decoded.window[i] == (-1 if v.window_authenticated is None
                                          else v.window_authenticated)
             if v.error_us is None:
-                assert np.isnan(decoded.error_us[i]) and np.isnan(decoded.symbol[i])
+                assert np.isnan(decoded.symbol[i])
                 continue
             assert decoded.error_us[i] == v.error_us
             j = decoded.ref[i]
@@ -458,7 +460,9 @@ class TestDecode:
     def test_listed_id_without_frames_needs_no_period(self):
         trace = self.frames_of((CanId(0x0A0), ID, CanId(0x101)), [1, 2, 1, 2])
         decoded = decode(trace, config(), Receiver(PERIODS))
-        assert decoded.reason.tolist() == ["first", "first", "timing", "timing"]
+        # the first frame of each ID, then two timing failures
+        assert decoded.accepted.tolist() == [True, True, False, False]
+        assert np.isnan(decoded.error_us).tolist() == [True, True, False, False]
         assert decoded.ref.tolist() == [-1, -1, 0, 1]
 
 
