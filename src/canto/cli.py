@@ -395,7 +395,7 @@ def _check_run(ctx):
         if not condition:
             raise CheckFailure(message)
     if ctx.args.check:
-        check(check_complete(ctx.schedule), "allocated schedule is not collision-free")
+        check(check_complete(ctx.schedule), "schedule is not collision-free")
         rho, level = ctx.config.receiver.tolerance_us, ctx.config.covert.level_bits
         accept, rate = float(np.mean(np.abs(ctx.errors) <= rho)), ctx.adv[5.0, 1]
         check(accept == 1.0, f"genuine acceptance at rho={rho} is {100 * accept:.3f}% (want 100%)")

@@ -63,8 +63,10 @@ class CanId:
 
     @classmethod
     def parse(cls, text: str) -> "CanId":
-        """Parse a hex identifier; > 3 hex digits or > 0x7FF means extended."""
+        """Parse hex digits after an optional 0x; > 3 digits or > 0x7FF means extended."""
         t = text.strip().lower().removeprefix("0x")
+        if not t or t.strip("0123456789abcdef"):  # int() also takes "_", signs and "0x"
+            raise FrameModelError(f"CAN id {text!r} is not hex digits after an optional 0x")
         value = int(t, 16)
         return cls(value, extended=len(t) > 3 or value > 0x7FF)
 

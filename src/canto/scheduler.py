@@ -86,13 +86,10 @@ def _q_cyclic(ts: np.ndarray, lcm_tenths: int) -> float:
     Periodic schedules have no distinguished origin, so candidate offsets
     are ranked on the cyclic gap set; a collision yields infinity.
     """
-    n = len(ts)
-    gaps = np.empty(n)
-    gaps[:-1] = np.diff(ts)
-    gaps[-1] = lcm_tenths / 10 - ts[-1] + ts[0]
+    gaps = np.append(np.diff(ts), lcm_tenths / 10 - ts[-1] + ts[0])
     if np.any(gaps <= 0):
         return math.inf
-    return float(np.sum(1000.0 / gaps) / n)
+    return float(np.sum(1000.0 / gaps) / len(ts))
 
 
 def schedule_quality(schedule: Schedule) -> ScheduleQuality:
@@ -109,13 +106,22 @@ def schedule_quality(schedule: Schedule) -> ScheduleQuality:
                            float(gaps.max()), True)
 
 
+def _streams(pairs) -> np.ndarray:
+    """(period, offset) pairs in us as two arrays of whole tenths of a us, int64 or, past it,
+    Python ints. Offsets round half up, floor(10*o + 0.5), which keeps whole-tenth spacings."""
+    rows = [(period_tenths(p), math.floor(10 * o + 0.5)) for p, o in pairs]
+    big = max((p for p, _ in rows), default=0) >> 63
+    return np.array(rows, dtype=object if big else np.int64).reshape(-1, 2).T
+
+
+def _meets(p_a, o_a, p_b, o_b) -> np.ndarray:  # some k*p_a + o_a = m*p_b + o_b
+    return (o_a - o_b) % np.gcd(p_a, p_b) == 0
+
+
 def check_complete(schedule: Schedule) -> bool:
-    """True iff no two theoretical instants in one hyperperiod coincide."""
-    return schedule_quality(schedule).complete
-
-
-def _sorted_order(periods_us: Sequence[float]) -> list[int]:
-    return sorted(range(len(periods_us)), key=lambda i: (periods_us[i], i))
+    """True iff no two frames' streams k*p + o, as `_streams` takes them, ever meet."""
+    p, o = _streams((f.period_us, f.offset_us) for f in schedule.frames)
+    return not np.tril(_meets(p[:, None], o[:, None], p, o), -1).any()
 
 
 def allocate_binary_symmetric(periods_us: Sequence[float]) -> list[float]:
@@ -127,7 +133,7 @@ def allocate_binary_symmetric(periods_us: Sequence[float]) -> list[float]:
     """
     if not periods_us:
         raise ValueError("empty period vector")
-    order = _sorted_order(periods_us)
+    order = np.argsort(periods_us, kind="stable").tolist()
     w = periods_us[order[0]]
     offsets = [0.0] * len(periods_us)
     remaining = list(order[1:])
@@ -180,7 +186,7 @@ def _greedy(periods_us: Sequence[float], candidates) -> list[float]:
     lcm = hyperperiod_tenths(periods_us)
     offsets = [0.0] * len(periods_us)
     placed: list[tuple[float, float]] = []
-    for idx in _sorted_order(periods_us):
+    for idx in np.argsort(periods_us, kind="stable").tolist():  # ties in input order
         period = periods_us[idx]
         best_q, best_slot = math.inf, None
         for s in candidates(period, placed):
@@ -210,11 +216,6 @@ def allocate_greedy(periods_us: Sequence[float]) -> list[float]:
     return _greedy(periods_us, unused)
 
 
-def _collides(p1_tenths: int, o1_tenths: int, p2_tenths: int, o2_tenths: int) -> bool:
-    # k*p1 + o1 == m*p2 + o2 has a solution iff the offsets agree mod gcd.
-    return (o1_tenths - o2_tenths) % math.gcd(p1_tenths, p2_tenths) == 0
-
-
 def allocate_greedy_multilayer(periods_us: Sequence[float],
                                grid_step_us: float | None = None) -> list[float]:
     """Greedy allocation where a frame of period D may sit at any multiple
@@ -237,10 +238,11 @@ def allocate_greedy_multilayer(periods_us: Sequence[float],
             raise ValueError("grid step must sit on the 0.1 us grid")
 
     def candidates(period, placed):
-        p = period_tenths(period)
-        taken = [(period_tenths(p2), round(o2 * 10)) for p2, o2 in placed]
-        return [k * e_tenths / 10.0 for k in range(p // e_tenths)
-                if not any(_collides(p, k * e_tenths, *t) for t in taken)]
+        p, o = _streams([(period, 0.0), *placed])
+        grid = np.arange(p[0] // e_tenths, dtype=p.dtype) * e_tenths
+        for p2, o2 in zip(p[1:], o[1:]):
+            grid = grid[~_meets(p[:1], grid, p2, o2)]
+        return (grid / 10.0).tolist()
 
     return _greedy(periods_us, candidates)
 

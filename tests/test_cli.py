@@ -271,14 +271,25 @@ MALFORMED = {
                               "--frames 4000001: must be <= 4000000"),
     "attack-frames-2^62": ("attack", SMALL, {}, ["--frames", str(2**62), "--trials", "1"],
                            f"--frames {2**62}"),
-    # `run` needs a [covert] section to reach its allocate and simulate stages
-    **{"-".join([name, command, *extra[1:]]): (
-        command, COVERT + config if command == "run" else config, {}, extra,
-        f"lcm {lcm} us" if "gcd" in extra else f"lcm is {lcm} us")
+    # every allocator enumerates one hyperperiod (simulate and run do not: see
+    # test_long_hyperperiod_is_simulated)
+    **{f"{name}-allocate-{alg}": ("allocate", config, {}, ["--algorithm", alg],
+                                  f"lcm {lcm} us" if alg == "gcd" else f"lcm is {lcm} us")
        for name, config, lcm in (("hyperperiod", LONG_HYPERPERIOD, "1.00044007530628e+29"),
                                  ("hyperperiod-64", HYPERPERIOD_64, LCM_64))
-       for command, extra in [("simulate", []), ("run", []),
-                              *(("allocate", ["--algorithm", alg]) for alg in sorted(ALLOCATORS))]},
+       for alg in sorted(ALLOCATORS)},
+    # periods past 2^63 tenths of a us: the collision test stays exact, so the start is refused
+    "simulate-periods-1e18": ("simulate", "[bus]\nduration_us = 4e18\n\n[node.a]\nframes = "
+                              "0x100:1000000000000000000:8 0x101:2000000000000000000:8\n", {}, [],
+                              "a frame starts past trace.csv's 1.126e+14 us"),
+    # int() syntax that is not an id: digit separators, signs, a sign after 0x
+    **{f"verify-id-{text}": ("verify", SMALL, {"--trace": f"{TRACE_HEADER}\n100000,100,1,00,1\n"
+                                               f"110000,{text},2,00,1\n"},
+                             [], f"trace: line 3: CAN id '{text}' is not hex digits")
+       for text in ("1_00", "+100", "-0", "0x+1")},
+    "schedule-id-1_00": ("simulate", SMALL, {"--schedule": "1_00 10000 0 64\n101 10000 0 64\n"
+                                             "102 20000 0 64\n"},
+                         [], "schedule: line 1: CAN id '1_00' is not hex digits"),
     "report-tolerance-whole-alphabet": ("run", small("tolerance_us = 5", "tolerance_us = 128"),
                                         {}, [], "[covert] tolerance_us 128"),
     # the success table scores tolerances up to 5 us, which need 2^4 delay levels
@@ -612,6 +623,35 @@ class TestPipeline:
             "schedule.txt", "trace.csv", "verdicts.csv", "attack.csv", "success_table.csv",
             "fig_adversary_success.csv", "fig_deviation_histogram.csv",
             "fig_interframe_histogram.csv", "report_summary.txt"}  # no manifest
+
+    # every offset is 0, so the streams meet, but their hyperperiod is never listed
+    @pytest.mark.parametrize("case", ["hyperperiod-simulate", "hyperperiod-run",
+                                      "hyperperiod-64-simulate", "hyperperiod-64-run"])
+    def test_long_hyperperiod_is_simulated(self, tmp_path, case):
+        name, command = case.rsplit("-", 1)
+        config = tmp_path / "long.ini"
+        text = {"hyperperiod": LONG_HYPERPERIOD, "hyperperiod-64": HYPERPERIOD_64}[name]
+        config.write_text(COVERT + text if command == "run" else text)
+        with pytest.warns(UserWarning, match="schedule is not collision-free"):
+            assert main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        frames = len((tmp_path / "out" / "trace.csv").read_text().splitlines()) - 1
+        assert frames == 4 * text.count(":8")  # each period releases at 0, 1, 2 and 3 periods
+
+    def test_colliding_bus_of_a_long_hyperperiod(self, tmp_path, capsys):
+        # one hyperperiod of these three periods holds 30002200031 instants
+        config = tmp_path / "bus.ini"
+        config.write_text("[bus]\nduration_us = 2000000\n\n" + COVERT + "[node.one]\n"
+                          "frames = 0x100:10000.1:8 0x101:10000.3:8 0x102:10000.7:8\n")
+        sim, run = tmp_path / "sim", ["run", "--config", str(config), "--out"]
+        with pytest.warns(UserWarning, match="schedule is not collision-free"):
+            assert main(["simulate", "--config", str(config), "--out", str(sim)]) == 0
+            assert main([*run, str(tmp_path / "run")]) == 0
+            assert main([*run, str(tmp_path / "check"), "--check"]) == 1
+        assert "check failed: schedule is not collision-free\n" in capsys.readouterr().err
+        assert len((sim / "trace.csv").read_text().splitlines()) == 1 + 600
+        assert main(["verify", "--config", str(config), "--trace", str(sim / "trace.csv"),
+                     "--out", str(tmp_path / "ver")]) == 0
+        assert "accept_rate_percent=14.9079" in capsys.readouterr().out
 
     def test_run_check_passes_on_one_frame_schedule(self, tmp_path):
         assert main(["run", "--config", CAPACITY, "--out", str(tmp_path), "--check"]) == 0

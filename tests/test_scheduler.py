@@ -207,6 +207,9 @@ class TestGreedyMultilayer:
         assert q.complete
         assert q.min_ifs_us == pytest.approx(500.0)
 
+    def test_periods_past_int64(self):
+        assert allocate_greedy_multilayer([1e18, 1e18]) == [0.0, 5e17]
+
     def test_impossible_grid_raises(self):
         with pytest.raises(OversubscribedError):
             allocate_greedy_multilayer([10 * MS, 10 * MS, 10 * MS], grid_step_us=5 * MS)
@@ -379,18 +382,54 @@ class TestCheckComplete:
         assert schedule_quality(s) == ScheduleQuality(0.0, 0.0, 0.0, True)
 
     @given(st.lists(st.tuples(st.sampled_from([5.0, 10.0, 12.5, 15.0, 20.0]),
-                              st.integers(0, 49)), min_size=1, max_size=5))
+                              st.integers(0, 79), st.sampled_from([250.0, 156.25])),
+                    min_size=1, max_size=5))
     @settings(max_examples=50, deadline=None)
     def test_one_rule_for_both(self, frames):
-        # offsets on a 0.25 ms grid below each period, so collisions are common
-        periods = [p * MS for p, _ in frames]
-        offsets = [k * 250.0 % p for p, (_, k) in zip(periods, frames)]
+        # offsets on a 0.25 ms grid, or on binary's 156.25 us grid off the 0.1 us one,
+        # below each period, so collisions are common; their float instants are exact
+        periods = [p * MS for p, _, _ in frames]
+        offsets = [k * step % p for p, (_, k, step) in zip(periods, frames)]
         s = make_schedule(periods, offsets)
-        # oracle: two frames collide iff their offsets agree modulo the gcd of their periods
-        tenths = [(round(p * 10), round(o * 10)) for p, o in zip(periods, offsets)]
+        # oracle: two frames collide iff their offsets agree modulo the gcd of their
+        # periods, in exact twentieths of a us
+        twentieths = [(round(p * 20), round(o * 20)) for p, o in zip(periods, offsets)]
         distinct = all((o1 - o2) % math.gcd(p1, p2)
-                       for (p1, o1), (p2, o2) in itertools.combinations(tenths, 2))
+                       for (p1, o1), (p2, o2) in itertools.combinations(twentieths, 2))
         assert check_complete(s) == schedule_quality(s).complete == distinct
+
+    @given(st.lists(st.tuples(st.sampled_from([100001, 100003, 200002, 300003]),
+                              st.integers(0, 300002)), min_size=2, max_size=2))
+    @settings(max_examples=50, deadline=None)
+    def test_odd_and_unit_gcds(self, frames):
+        # 10000.1 and 10000.3 us have a gcd of one tenth, 10000.1 and 20000.2 an odd one;
+        # float instants k * 10000.1 lose those meetings, so the oracle lists the
+        # hyperperiod's instants in whole tenths, all of them below 2^24
+        tenths = [(p, k % p) for p, k in frames]
+        s = make_schedule([p / 10 for p, _ in tenths], [o / 10 for _, o in tenths])
+        lcm = math.lcm(*(p for p, _ in tenths))
+        instants = np.concatenate([o + p * np.arange(lcm // p) for p, o in tenths])
+        assert check_complete(s) == (len(np.unique(instants)) == len(instants))
+
+    def test_off_grid_offsets_round_half_up(self):
+        # 156.25 and 10156.75 us are one 10000.5 us period apart, which divides 20001 us;
+        # rounded half to even they would be 1562 and 101568 tenths, one too far apart
+        s = make_schedule([10000.5, 20001.0], [156.25, 10156.75])
+        assert not check_complete(s) and not schedule_quality(s).complete
+
+    def test_lists_no_instants(self, monkeypatch):
+        complete = make_schedule(PAPER_VECTOR, allocate_gcd(PAPER_VECTOR, ifs_us=600.0))
+        monkeypatch.setattr(scheduler, "MAX_INSTANTS", 1)
+        with pytest.raises(OversubscribedError, match="over 1:"):
+            schedule_quality(complete)
+        assert check_complete(complete)
+        assert not check_complete(make_schedule(PAPER_VECTOR, [0.0] * 40))
+
+    def test_periods_past_int64(self):
+        # 10^19 and 2*10^19 tenths of a us are past int64: the rule takes Python ints
+        periods = [1e18, 2e18]
+        assert check_complete(make_schedule(periods, [0.0, 5e17]))
+        assert not check_complete(make_schedule(periods, [0.0, 1e18]))
 
 
 ALGORITHMS = ["binary", "random", "greedy", "greedy-ml", "gcd"]
