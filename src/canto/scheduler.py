@@ -49,44 +49,60 @@ class ScheduleQuality:
     complete: bool
 
 
-def hyperperiod_tenths(periods_us: Sequence[float]) -> int:
-    """Least common multiple of the periods in tenths of a us, as an int: no
-    float holds the lcm of many long periods."""
-    return math.lcm(*(period_tenths(p) for p in periods_us))
-
-
 def _g15(number: int, divisor: int = 1) -> str:
     """number / divisor as '.15g' writes a float, also past the largest float."""
     from decimal import Decimal  # imported on these error paths only: it costs 0.4 MB
     return format(Decimal(number) / divisor, ".15g")
 
 
-def _instants(pairs: Sequence[tuple[float, float]], lcm_tenths: int) -> np.ndarray:
-    """All k*period + offset in one hyperperiod, ascending: lcm // period for each
-    pair, whose offset lies in [0, period). Over MAX_INSTANTS are refused first."""
-    counts = [lcm_tenths // period_tenths(period) for period, _ in pairs]
+def _periods(periods_us) -> np.ndarray:
+    """Periods in us as ticks of 10 ns, schedule time's one unit: int64 or, past it, Python ints."""
+    p = [10 * period_tenths(x) for x in periods_us]
+    return np.array(p, dtype=object if max(p, default=0) >> 63 else np.int64)
+
+
+def _offsets(offsets_us, p: np.ndarray) -> np.ndarray:
+    """Offsets in us as ticks below their periods p: rounded half up, floor(100*o + 0.5),
+    which keeps whole-tick spacings, and wrapped, so one that rounds up to p is 0."""
+    return np.array([math.floor(100 * o + 0.5) for o in offsets_us], dtype=p.dtype) % p
+
+
+def _streams(schedule: Schedule) -> tuple[np.ndarray, np.ndarray]:
+    """Each frame's (period, offset) as two arrays of ticks."""
+    p = _periods([f.period_us for f in schedule.frames])
+    return p, _offsets([f.offset_us for f in schedule.frames], p)
+
+
+def _steps(p: np.ndarray) -> tuple[int, list[np.ndarray]]:
+    """The periods' lcm L and k*p for each k below L // p, for each period p, in ticks: int64,
+    or Python ints once L passes int64. Over MAX_INSTANTS in all are refused first."""
+    lcm = math.lcm(*p.tolist())
+    counts = [lcm // x for x in p.tolist()]
     if sum(counts) > MAX_INSTANTS:
         raise OversubscribedError(f"one hyperperiod holds {_g15(sum(counts))} instants, over "
-                                  f"{MAX_INSTANTS}: the periods' lcm is {_g15(lcm_tenths, 10)} us")
-    out = np.concatenate([np.empty(0), *(offset + period * np.arange(n, dtype=np.float64)
-                                         for (period, offset), n in zip(pairs, counts))])
-    out.sort()
-    return out
+                                  f"{MAX_INSTANTS}: the periods' lcm is {_g15(lcm, 100)} us")
+    dtype = object if lcm >> 63 else np.int64
+    return lcm, [x * np.arange(n, dtype=dtype) for x, n in zip(p.tolist(), counts)]
+
+
+def _instants(steps: list[np.ndarray], offsets: list[int]) -> np.ndarray:
+    """The instants of streams of `_steps` steps at offsets in ticks, ascending."""
+    return np.sort(np.concatenate([np.empty(0, np.int64), *map(np.add, steps, offsets)]))
 
 
 def timestamps(schedule: Schedule) -> np.ndarray:
-    """Sorted multiset of theoretical transmission instants in one hyperperiod."""
-    return _instants([(f.period_us, f.offset_us) for f in schedule.frames],
-                     hyperperiod_tenths([f.period_us for f in schedule.frames]))
+    """Sorted multiset of theoretical transmission instants in one hyperperiod, in 10 ns ticks."""
+    p, o = _streams(schedule)
+    return _instants(_steps(p)[1], o.tolist())
 
 
-def _q_cyclic(ts: np.ndarray, lcm_tenths: int) -> float:
+def _q_cyclic(ts: np.ndarray, lcm: int) -> float:
     """Allocator-internal objective: q with the wrap-around gap included.
 
     Periodic schedules have no distinguished origin, so candidate offsets
-    are ranked on the cyclic gap set; a collision yields infinity.
+    are ranked on the cyclic gaps of ts over lcm ticks; a collision yields infinity.
     """
-    gaps = np.append(np.diff(ts), lcm_tenths / 10 - ts[-1] + ts[0])
+    gaps = np.append(np.diff(ts), lcm - ts[-1] + ts[0]) / 100
     if np.any(gaps <= 0):
         return math.inf
     return float(np.sum(1000.0 / gaps) / len(ts))
@@ -96,32 +112,20 @@ def schedule_quality(schedule: Schedule) -> ScheduleQuality:
     """q and the extreme gaps over one hyperperiod. The schedule is complete
     iff no two instants coincide, so one instant per hyperperiod is complete,
     with q and both gaps 0."""
-    ts = timestamps(schedule)
-    gaps = np.diff(ts)
+    gaps = np.diff(timestamps(schedule)) / 100  # in us
     if not np.all(gaps > 0):
         return ScheduleQuality(math.inf, 0.0, float(gaps.max()), False)
-    if len(ts) < 2:
+    if not gaps.size:
         return ScheduleQuality(0.0, 0.0, 0.0, True)
-    return ScheduleQuality(float(np.sum(1000.0 / gaps) / len(ts)), float(gaps.min()),
+    return ScheduleQuality(float(np.sum(1000.0 / gaps) / (gaps.size + 1)), float(gaps.min()),
                            float(gaps.max()), True)
 
 
-def _streams(pairs) -> np.ndarray:
-    """(period, offset) pairs in us as two arrays of whole tenths of a us, int64 or, past it,
-    Python ints. Offsets round half up, floor(10*o + 0.5), which keeps whole-tenth spacings."""
-    rows = [(period_tenths(p), math.floor(10 * o + 0.5)) for p, o in pairs]
-    big = max((p for p, _ in rows), default=0) >> 63
-    return np.array(rows, dtype=object if big else np.int64).reshape(-1, 2).T
-
-
-def _meets(p_a, o_a, p_b, o_b) -> np.ndarray:  # some k*p_a + o_a = m*p_b + o_b
-    return (o_a - o_b) % np.gcd(p_a, p_b) == 0
-
-
 def check_complete(schedule: Schedule) -> bool:
-    """True iff no two frames' streams k*p + o, as `_streams` takes them, ever meet."""
-    p, o = _streams((f.period_us, f.offset_us) for f in schedule.frames)
-    return not np.tril(_meets(p[:, None], o[:, None], p, o), -1).any()
+    """True iff no two frames' streams k*p + o, as `_streams` takes them, ever meet:
+    two meet iff their offsets agree modulo the gcd of their periods."""
+    p, o = _streams(schedule)
+    return not np.tril((o[:, None] - o) % np.gcd(p[:, None], p) == 0, -1).any()
 
 
 def allocate_binary_symmetric(periods_us: Sequence[float]) -> list[float]:
@@ -165,13 +169,13 @@ def allocate_randomized(periods_us: Sequence[float], iterations: int = 100,
         raise ValueError("empty period vector")
     e = min(periods_us) / n
     slots = np.arange(n, dtype=np.float64) * e
-    lcm = hyperperiod_tenths(periods_us)
+    p = _periods(periods_us)
+    lcm, steps = _steps(p)
     rng = np.random.Generator(np.random.PCG64(seed))
-    best_q = math.inf
-    best: np.ndarray | None = None
+    best_q, best = math.inf, None
     for _ in range(iterations):
         perm = rng.permutation(slots)
-        q = _q_cyclic(_instants(list(zip(periods_us, perm)), lcm), lcm)
+        q = _q_cyclic(_instants(steps, _offsets(perm, p).tolist()), lcm)
         if q < best_q:
             best_q, best = q, perm
     if best is None:
@@ -180,23 +184,24 @@ def allocate_randomized(periods_us: Sequence[float], iterations: int = 100,
 
 
 def _greedy(periods_us: Sequence[float], candidates) -> list[float]:
-    """Place the periods in ascending order, each at the offset among
-    `candidates(period, placed)` with the lowest cyclic q, where `placed` holds
-    the (period, offset) pairs so far; ties go to the earliest candidate."""
-    lcm = hyperperiod_tenths(periods_us)
-    offsets = [0.0] * len(periods_us)
-    placed: list[tuple[float, float]] = []
+    """Place the periods in ascending order, each at the offset among `candidates(p, taken)`
+    (p its period in ticks as a 1-array, taken the offsets so far) that meets no placed
+    stream and gives the lowest cyclic q; ties go to the earliest candidate."""
+    p = _periods(periods_us)
+    lcm, steps = _steps(p)
+    offsets, taken, ts = [0.0] * len(p), [], _instants([], [])  # ts: the placed instants
     for idx in np.argsort(periods_us, kind="stable").tolist():  # ties in input order
-        period = periods_us[idx]
-        best_q, best_slot = math.inf, None
-        for s in candidates(period, placed):
-            q = _q_cyclic(_instants(placed + [(period, s)], lcm), lcm)
+        slots = np.asarray(candidates(p[idx:idx + 1], taken), dtype=np.float64)
+        best_q, best = math.inf, None
+        for s, t in zip(slots.tolist(), _offsets(slots, p[idx:idx + 1]).tolist()):
+            merged = _instants([ts, steps[idx]], [0, t])
+            q = _q_cyclic(merged, lcm)  # infinite where the candidate meets a placed stream
             if q < best_q - 1e-12:
-                best_q, best_slot = q, s
-        if best_slot is None:
-            raise OversubscribedError(f"no collision-free offset for period {period}")
-        offsets[idx] = best_slot
-        placed.append((period, best_slot))
+                best_q, best = q, (s, merged)
+        if best is None:
+            raise OversubscribedError(f"no collision-free offset for period {periods_us[idx]}")
+        offsets[idx], ts = best
+        taken.append(offsets[idx])
     return offsets
 
 
@@ -209,8 +214,7 @@ def allocate_greedy(periods_us: Sequence[float]) -> list[float]:
     e = min(periods_us) / n
     slots = [i * e for i in range(n)]
 
-    def unused(period, placed):
-        taken = {o for _, o in placed}
+    def unused(p, taken):
         return [s for s in slots if s not in taken]
 
     return _greedy(periods_us, unused)
@@ -237,14 +241,10 @@ def allocate_greedy_multilayer(periods_us: Sequence[float],
         if e_tenths <= 0 or abs(e_tenths - grid_step_us * 10) > 1e-9:
             raise ValueError("grid step must sit on the 0.1 us grid")
 
-    def candidates(period, placed):
-        p, o = _streams([(period, 0.0), *placed])
-        grid = np.arange(p[0] // e_tenths, dtype=p.dtype) * e_tenths
-        for p2, o2 in zip(p[1:], o[1:]):
-            grid = grid[~_meets(p[:1], grid, p2, o2)]
-        return (grid / 10.0).tolist()
+    def grid(p, taken):
+        return np.arange(p[0] // (10 * e_tenths), dtype=p.dtype) * e_tenths / 10
 
-    return _greedy(periods_us, candidates)
+    return _greedy(periods_us, grid)
 
 
 def allocate_gcd(periods_us: Sequence[float], ifs_us: float = 500.0) -> list[float]:

@@ -346,8 +346,8 @@ _CLOCK_KEYS = {"skew_ppm": ("skew_ppm", float), "tick_ns": ("tick_ns", int),
                "jitter": ("jitter", Jitter.parse)}
 _NODE_KEYS = {*_CLOCK_KEYS, "covert", "frames"}
 
-_FRAME_RE = re.compile(r"^(0x[0-9A-Fa-f]+|[0-9A-Fa-f]+):(\d+(?:\.\d+)?):(\d+)"
-                       r"(?::(\d+(?:\.\d+)?))?$")
+# the id is the text before the first colon, as CanId.parse reads it in traces and schedules
+_FRAME_RE = re.compile(r"^([^:]+):(\d+(?:\.\d+)?):(\d+)(?::(\d+(?:\.\d+)?))?$")
 
 
 def _checked(sec, allowed, required: str):

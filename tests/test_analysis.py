@@ -387,9 +387,9 @@ def covered_rate(rho, level_bits):
     """The blind adversary's per-frame pass rate, summed exactly over every
     integer delay xi: the guess passes on [max(xi - rho, 0), min(xi + rho, W)]."""
     window = 1 << level_bits
-    rho = Fraction(rho)
+    rho = rho if isinstance(rho, int) else Fraction(rho)  # an int sums without Fractions
     covered = sum(min(xi + rho, window) - max(xi - rho, 0) for xi in range(window))
-    return covered / window / window
+    return Fraction(covered, window * window)
 
 
 @st.composite

@@ -80,6 +80,25 @@ frames = 0x100:10000.1:8 0x101:10000.3:8 0x102:10000.7:8 0x103:10000.9:8 0x104:1
 """
 
 
+# 10000.1 and 10000.3 us are 1000010 and 1000030 ticks of 10 ns, with a gcd of 10 ticks
+ODD_PAIR = """
+[bus]
+duration_us = 200000
+
+[node.a]
+frames = 0x100:10000.1:8 0x101:10000.3:8
+"""
+
+# 6e18 and 9e18 ticks fit int64, but their lcm of 1.8e19 ticks does not
+PAIR_PAST_INT64 = """
+[bus]
+duration_us = 2e17
+
+[node.a]
+frames = 0x100:60000000000000000:8 0x101:90000000000000000:8
+"""
+
+
 def primes_above(n: int, count: int) -> list[int]:
     found = []
     while len(found) < count:
@@ -158,6 +177,10 @@ MALFORMED = {
     "frame-period-abc": ("simulate", "[bus]\nduration_us = 40000\n\n[node.a]\n"
                                      "frames = 0x100:10000:8 0x101:abc:8\n", {}, [],
                          "[node.a]: bad frame spec '0x101:abc:8'"),
+    # a config id is read by CanId.parse, as trace and schedule ids are
+    "frame-id-0xG1": ("simulate", "[bus]\nduration_us = 40000\n\n[node.a]\n"
+                                  "frames = 0xG1:10000:8\n", {}, [],
+                      "[node.a] frames 0xG1:10000:8: CAN id '0xG1' is not hex digits"),
     "gcd-ifs": ("allocate", small("ifs_us = 600", "ifs_us = 5000"), {}, ["--algorithm", "gcd"],
                 "[allocator] algorithm = gcd, ifs_us = 5000"),
     "greedy-ml-grid": ("allocate", allocator("algorithm = greedy-ml\ngrid_step_us = 0.05"), {},
@@ -186,6 +209,12 @@ MALFORMED = {
     "binary-takes-no-ifs": ("allocate", allocator("algorithm = binary\nifs_us = -5"), {},
                             ["--algorithm", "binary"],
                             "[allocator] ifs_us = -5.0: algorithm binary does not take ifs_us"),
+    # streams that meet only past int64 ticks: the allocators that list instants refuse them
+    **{f"past-int64-allocate-{alg}": ("allocate", PAIR_PAST_INT64, {}, ["--algorithm", alg],
+                                      f"--algorithm {alg}: {refusal}")
+       for alg, refusal in (("greedy", "no collision-free offset for period 9e+16"),
+                            ("random", "no random permutation was collision-free"),
+                            ("greedy-ml", "no collision-free offset for period 9e+16"))},
     "allocator-ifs-inf": ("simulate", small("ifs_us = 600", "ifs_us = inf"), {}, [],
                           "ifs_us = inf: minimum spacing must be positive and finite"),
     # a spacing under 0.05 us rounds to no tenths of a us
@@ -462,6 +491,24 @@ class TestAllocate:
         q = float(row[2])
         assert abs(q - 1.86) / 1.86 < 0.15
 
+    # binary and greedy put the two frames at 0 and 5000.05 us, 500005 ticks apart, 5 modulo
+    # the periods' gcd: the streams never meet, and they come within 0.05 us of each other
+    @pytest.mark.parametrize("algorithm", ["binary", "greedy"])
+    def test_offsets_on_the_tick_grid_are_exact(self, tmp_path, capsys, algorithm):
+        config = tmp_path / "odd.ini"
+        config.write_text(ODD_PAIR)
+        assert main(["allocate", "--config", str(config), "--algorithm", algorithm,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == f"{algorithm},1,1.3476,5e-05,10.0001"
+
+    def test_hyperperiod_past_int64(self, tmp_path, capsys):
+        # binary's offsets 0 and 3e16 us meet at 1.2e17 us, in the second hyperperiod half
+        config = tmp_path / "pair.ini"
+        config.write_text(PAIR_PAST_INT64)
+        assert main(["allocate", "--config", str(config), "--algorithm", "binary",
+                     "--out", str(tmp_path / "out")]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "binary,0,inf,0,6e+13"
+
     def test_one_frame_schedule_is_complete(self, tmp_path):
         out = tmp_path / "alloc"
         assert main(["allocate", "--config", CAPACITY, "--algorithm", "gcd",
@@ -652,6 +699,18 @@ class TestPipeline:
         assert main(["verify", "--config", str(config), "--trace", str(sim / "trace.csv"),
                      "--out", str(tmp_path / "ver")]) == 0
         assert "accept_rate_percent=14.9079" in capsys.readouterr().out
+
+    def test_offsets_on_the_tick_grid_never_meet(self, tmp_path):
+        # ODD_PAIR at binary's offsets: 5000.05 us is 500005 ticks, 5 modulo the gcd of 10
+        config = tmp_path / "bus.ini"
+        config.write_text(ODD_PAIR.replace("[node.a]", COVERT + "[node.a]").replace(
+            "10000.1:8 0x101:10000.3:8", "10000.1:8:0 0x101:10000.3:8:5000.05"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+            assert main(["run", "--config", str(config), "--out", str(tmp_path / "run"),
+                         "--check"]) == 0
+        assert not [w for w in caught if "collision" in str(w.message)]
 
     def test_run_check_passes_on_one_frame_schedule(self, tmp_path):
         assert main(["run", "--config", CAPACITY, "--out", str(tmp_path), "--check"]) == 0

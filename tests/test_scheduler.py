@@ -12,7 +12,7 @@ from canto.frame_model import CanId, FrameSpec, period_tenths
 from canto.scheduler import (OversubscribedError, Schedule, ScheduleQuality,
                              allocate_binary_symmetric, allocate_gcd, allocate_greedy,
                              allocate_greedy_multilayer, allocate_randomized, build_schedule,
-                             check_complete, hyperperiod_tenths, schedule_quality, timestamps)
+                             check_complete, schedule_quality, timestamps)
 
 MS = 1000.0
 PAPER_VECTOR = [10 * MS] * 6 + [20 * MS] * 8 + [50 * MS] * 12 + [100 * MS] * 14
@@ -32,12 +32,13 @@ def cyclic_q(ts, horizon):
 
 
 def brute_force_best_q(periods, slots, horizon):
-    """Exhaustive search over slot permutations; returns (best q, worst q)."""
+    """Exhaustive search over slot permutations, each slot rounded half up to a
+    10 ns tick as the scheduler takes it; returns (best q, worst q)."""
     qs = []
-    for perm in itertools.permutations(slots):
-        ts = np.sort(np.concatenate(
-            [o + p * np.arange(math.ceil((horizon - o) / p)) for p, o in zip(periods, perm)]))
-        q = cyclic_q(ts, horizon)
+    for perm in itertools.permutations(math.floor(100 * s + 0.5) for s in slots):
+        ts = np.sort(np.concatenate([o + round(100 * p) * np.arange(round(horizon / p))
+                                     for p, o in zip(periods, perm)]))
+        q = cyclic_q(ts / 100, horizon)
         if math.isfinite(q):
             qs.append(q)
     return min(qs), max(qs)
@@ -45,12 +46,16 @@ def brute_force_best_q(periods, slots, horizon):
 
 class TestHyperperiod:
     def test_lcm_on_the_tenth_grid(self):
-        assert hyperperiod_tenths([10 * MS, 0.3]) == 300_000  # 0.3 * 10 is not exactly 3
+        # 0.3 * 10 is not exactly 3: the hyperperiod is 30 ms, 3 * 10^6 ticks of 10 ns
+        ts = timestamps(make_schedule([10 * MS, 0.3], [0.0, 0.0]))
+        assert len(ts) == 3 + 100_000 and ts[-1] == 3_000_000 - 30
 
     @pytest.mark.parametrize("periods", [[10000.05, 20 * MS], [0.05], [0.0]])
     def test_off_grid_or_zero_period_rejected(self, periods):
+        # a Schedule's FrameSpecs refuse these periods before any lcm is taken
         with pytest.raises(ValueError, match="period"):
-            hyperperiod_tenths(periods)
+            for p in periods:
+                period_tenths(p)
 
 
 class TestTimestamps:
@@ -60,7 +65,7 @@ class TestTimestamps:
 
     def test_two_entries_interleave(self):
         s = make_schedule([10 * MS, 10 * MS], [0.0, 5 * MS])
-        assert list(timestamps(s)) == [0.0, 5 * MS]
+        assert list(timestamps(s)) == [0, 500_000]  # ticks of 10 ns
 
     def test_all_zero_offsets_coincide_forty_fold(self):
         s = make_schedule(PAPER_VECTOR, [0.0] * 40)
@@ -104,7 +109,8 @@ class TestQFactor:
     @given(a=st.floats(0.1, 4.9), b=st.floats(0.1, 4.9))
     def test_evening_a_gap_lowers_q(self, a, b):
         # three points spanning [0, 10]: q drops as the split point nears the middle
-        if abs(a - 5.0) < abs(b - 5.0) - 1e-6:
+        # offsets round to 10 ns ticks, so a margin of two ticks keeps the order
+        if abs(a - 5.0) < abs(b - 5.0) - 2e-5:
             q_even = self.quality([0.0, a, 10.0], 20.0).q_per_ms
             q_skew = self.quality([0.0, b, 10.0], 20.0).q_per_ms
             assert q_even < q_skew
@@ -132,7 +138,7 @@ class TestGreedy:
         offs = allocate_greedy([10 * MS, 20 * MS])
         ts = timestamps(make_schedule([10 * MS, 20 * MS], offs))
         best, _ = brute_force_best_q([10 * MS, 20 * MS], [0.0, 5 * MS], 20 * MS)
-        assert cyclic_q(ts, 20 * MS) == pytest.approx(best)
+        assert cyclic_q(ts / 100, 20 * MS) == pytest.approx(best)
 
     @pytest.mark.parametrize("periods", [
         [10 * MS, 10 * MS, 20 * MS],
@@ -145,10 +151,10 @@ class TestGreedy:
         n = len(periods)
         e = min(periods) / n
         slots = [i * e for i in range(n)]
-        horizon = hyperperiod_tenths(periods) / 10
+        horizon = math.lcm(*map(period_tenths, periods)) / 10
         best, worst = brute_force_best_q(periods, slots, horizon)
         offs = allocate_greedy(periods)
-        q = cyclic_q(timestamps(make_schedule(periods, offs)), horizon)
+        q = cyclic_q(timestamps(make_schedule(periods, offs)) / 100, horizon)
         assert best - 1e-9 <= q <= worst + 1e-9
 
     def test_paper_vector_extremes(self):
@@ -417,6 +423,11 @@ class TestCheckComplete:
         s = make_schedule([10000.5, 20001.0], [156.25, 10156.75])
         assert not check_complete(s) and not schedule_quality(s).complete
 
+    def test_offset_rounding_up_to_its_period_wraps(self):
+        # 9999.999 us rounds half up to 10^6 ticks, the period itself, so the offset is 0
+        s = make_schedule([10 * MS, 10 * MS], [0.0, 9999.999])
+        assert not check_complete(s) and not schedule_quality(s).complete
+
     def test_lists_no_instants(self, monkeypatch):
         complete = make_schedule(PAPER_VECTOR, allocate_gcd(PAPER_VECTOR, ifs_us=600.0))
         monkeypatch.setattr(scheduler, "MAX_INSTANTS", 1)
@@ -430,6 +441,47 @@ class TestCheckComplete:
         periods = [1e18, 2e18]
         assert check_complete(make_schedule(periods, [0.0, 5e17]))
         assert not check_complete(make_schedule(periods, [0.0, 1e18]))
+
+    def test_hyperperiod_past_int64(self):
+        # 6e18 and 9e18 ticks fit int64, their lcm of 1.8e19 ticks does not: the stream at 0
+        # (0, 6e18 and 1.2e19 ticks) meets the one at 3e18 (3e18 and 1.2e19) at 1.2e19
+        s = make_schedule([6e16, 9e16], [0.0, 3e16])
+        assert schedule_quality(s) == ScheduleQuality(math.inf, 0.0, 6e16, False)
+        assert not check_complete(s)
+        assert check_complete(make_schedule([6e16, 9e16], [0.0, 1e16]))
+        assert schedule_quality(make_schedule([6e16, 9e16], [0.0, 1e16])).min_ifs_us == 1e16
+
+
+# periods on the 0.1 us grid: 10000.1 and 10000.3 us have a gcd of one tenth, and
+# 10000.1 and 20000.2 us an odd one, so float instants k * p + o miss their meetings
+TENTH_GRID_PERIODS = [1000.0, 2500.0, 3000.3, 5000.0, 10000.0, 10000.1, 10000.3, 20000.2]
+
+
+def instant_count(periods):
+    lcm = math.lcm(*map(period_tenths, periods))
+    return sum(lcm // period_tenths(p) for p in periods)
+
+
+@st.composite
+def one_grid_schedules(draw):
+    """2 to 4 frames whose hyperperiod holds at most 2^19 instants, at offsets on the
+    0.1 us grid, on the 10 ns grid or uniform in [0, p)."""
+    periods = [draw(st.sampled_from(TENTH_GRID_PERIODS))]
+    for _ in range(draw(st.integers(1, 3))):
+        fits = [p for p in TENTH_GRID_PERIODS if instant_count([*periods, p]) <= 1 << 19]
+        if fits:
+            periods.append(draw(st.sampled_from(fits)))
+    offsets = [draw(st.one_of(st.integers(0, round(10 * p) - 1).map(lambda k: k / 10),
+                              st.integers(0, round(100 * p) - 1).map(lambda k: k / 100),
+                              st.floats(0, p, exclude_max=True))) for p in periods]
+    return make_schedule(periods, offsets)
+
+
+class TestOneGrid:
+    @given(one_grid_schedules())
+    @settings(max_examples=40, deadline=None)
+    def test_quality_and_pair_rule_agree(self, s):
+        assert schedule_quality(s).complete == check_complete(s)
 
 
 ALGORITHMS = ["binary", "random", "greedy", "greedy-ml", "gcd"]

@@ -315,6 +315,10 @@ class TestExperimentConfig:
         assert periods == [10 * MS] * 6 + [20 * MS] * 8 + [50 * MS] * 12 + [100 * MS] * 14
         assert cfg.covert is not None and cfg.allocator["algorithm"] == "gcd"
 
+    def test_frame_ids_take_the_trace_grammar(self):
+        cfg = parse_experiment_config(MINIMAL.replace("0x10:", "0X10:"))
+        assert [f.id for f in cfg.frame_specs()] == [CanId(0x10)]
+
     def test_duplicate_id_rejected(self):
         text = MINIMAL + "\n[node.two]\nframes = 0x10:20000:8\n"
         with pytest.raises(TraceFormatError, match="duplicate"):
