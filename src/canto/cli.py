@@ -200,10 +200,10 @@ def _verify_summary(ctx):
 
 
 def _verify_run(ctx):
-    """`verify` on the trace as trace.csv holds it, to 0.1 us; errors as verdicts.csv has them."""
+    """`verify` on the trace as trace.csv holds it, to 0.1 us; its errors are verdicts.csv's."""
     ctx.trace.bus_time_us[:] = np.rint(ctx.trace.bus_time_us * 10) / 10.0
     decoded = decode(ctx.trace, ctx.config.covert, ctx.config.receiver)
-    return ({"errors": trace_io.rounded4(decoded.error_us[~np.isnan(decoded.error_us)])},
+    return ({"errors": decoded.error_us[~np.isnan(decoded.error_us)]},
             {"verdicts.csv": functools.partial(trace_io.write_verdicts, ctx.trace, decoded)})
 
 

@@ -26,6 +26,8 @@ from canto.scheduler import MAX_INSTANTS
 if TYPE_CHECKING:
     from canto.bus_sim import Trace
 
+ERROR_LIMIT_US = 2.0 ** 40 / 1e4  # under it, a rounded error's digits are rint(|e| * 1e4)
+
 
 @dataclass(frozen=True)
 class CovertConfig:
@@ -230,9 +232,9 @@ class Verifier:
             expected = self.receiver.periods_us[can_id] * (counter - state.counter) \
                 + xi - state.last_xi
             error = (time_us - state.last_time_us) - expected
+            error = round(error * 1e4) / 1e4 if abs(error) < ERROR_LIMIT_US else error
             ok = abs(error) <= self.receiver.tolerance_us
-            verdict = Verdict(can_id, counter, time_us, ok, error,
-                              "" if ok else "timing")
+            verdict = Verdict(can_id, counter, time_us, ok, error, "" if ok else "timing")
             state.counter = counter
             state.last_time_us = time_us
             state.last_xi = xi
@@ -248,8 +250,8 @@ class Verifier:
 class Decoded:
     """Per-frame outcome of `decode`, each array in trace order.
 
-    `error_us` (observed minus expected spacing) and `symbol` (the decoded
-    covert delay, unclamped) are NaN for a first frame (`ref` -1) and a replay.
+    `error_us` (observed minus expected spacing, to 1e-4 us: what `accepted` judges) and `symbol`
+    (the delay decoded from the unrounded gap, unclamped) are NaN for a first frame and a replay.
     """
 
     xi: np.ndarray
@@ -296,8 +298,9 @@ def decode(trace: Trace, channel: CovertConfig, receiver: Receiver) -> Decoded:
     error_us[s] = gap - (period[s] * steps + xi[s] - xi[r])
     symbol[s] = np.rint(gap - period[s] * steps + xi[r])
     del s, r, gap, steps
-    ok = np.abs(error_us) <= receiver.tolerance_us
-    accepted = (ref < 0) | ok
+    fine = np.abs(error_us) < ERROR_LIMIT_US  # NaN fails: first frames and replays
+    error_us[fine] = np.rint(error_us[fine] * 1e4) / 1e4 + 0.0  # the one rounding; -0 to +0
+    accepted = (ref < 0) | (np.abs(error_us) <= receiver.tolerance_us)  # the printed value
     window = _windows(by_id, grouped, accepted, receiver.frames_required)
     return Decoded(xi, ref, error_us, symbol, accepted, window)
 

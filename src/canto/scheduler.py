@@ -50,9 +50,10 @@ class ScheduleQuality:
 
 
 def _g15(number: int, divisor: int = 1) -> str:
-    """number / divisor as '.15g' writes a float, also past the largest float."""
-    from decimal import Decimal  # imported on these error paths only: it costs 0.4 MB
-    return format(Decimal(number) / divisor, ".15g")
+    """number / divisor as '.15g' writes a float that holds it, also past the largest float."""
+    from decimal import Context  # imported on these error paths only: it costs 0.4 MB
+    value = Context(prec=15).divide(number, divisor)  # 15 digits, half to even: a float keeps them
+    return format(float(value), ".15g") if value.adjusted() < 308 else f"{value.normalize():e}"
 
 
 def _periods(periods_us) -> np.ndarray:

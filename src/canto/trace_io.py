@@ -24,7 +24,7 @@ import numpy as np
 from canto.bus_sim import BusConfig, NodeConfig, Trace
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec
-from canto.incanta import CovertConfig, Receiver
+from canto.incanta import ERROR_LIMIT_US, CovertConfig, Receiver
 from canto.scheduler import ALLOCATOR_OPTIONS, ALLOCATORS, Schedule
 
 TRACE_HEADER = "bus_time_us,id_hex,counter,payload_hex,genuine"
@@ -77,25 +77,13 @@ def _hex_parts(rows: np.ndarray, lengths: np.ndarray) -> tuple:
     return (chars.view("V16").ravel(),)
 
 
-def rounded4(values: np.ndarray) -> np.ndarray:
-    """Each value as float(f"{v:.4f}") reads it back: x = |v| * 1e4 rounded half
-    to even and divided back, unless x is 2^40 or more or lies within x * 2^-52
-    (twice the product's rounding error) of a tie, when `format` rounds v."""
-    x = np.abs(np.where(np.abs(values) < 2.0**40 / 1e4, values, np.nan)) * 1e4
-    guarded = (np.abs(x - np.floor(x) - 0.5) <= x * 2.0**-52) | np.isnan(x) & ~np.isnan(values)
-    out = np.copysign(np.rint(x) / 1e4, values)
-    out[guarded] = [float(format(v, ".4f")) for v in values[guarded].tolist()]
-    return out
-
-
 def _fixed4_parts(values: np.ndarray) -> tuple:
-    """Floats as f"{v:.4f}" writes them, NaN as no text: the digits of `rounded4`'s
-    values, unless one is 2^40 / 1e4 or more, when `format` writes them all."""
-    rounded = rounded4(values)
-    if np.any(np.abs(rounded) >= 2.0**40 / 1e4):  # inf too
+    """Floats to 4 decimals, NaN as no text: the digits of rint(|v| * 1e4), f"{v:.4f}"'s for an
+    error `decode` rounded, unless one is ERROR_LIMIT_US or more, when `format` writes them all."""
+    if np.any(np.abs(values) >= ERROR_LIMIT_US):  # inf too
         return (np.array(["" if v != v else format(v, ".4f") for v in values.tolist()], "S"),)
-    shown = ~np.isnan(rounded)
-    q = np.rint(np.abs(np.where(shown, rounded, 0.0)) * 1e4).astype(np.uint64)
+    shown = ~np.isnan(values)
+    q = np.rint(np.abs(np.where(shown, values, 0.0)) * 1e4).astype(np.uint64)
     _, whole, zero = _decimal(q // 10000)
     fraction = _GROUPS.take(np.where(shown, q % 10000, 10000))  # 10000: 0 with no digits
     return ((np.signbit(values) & shown) * np.uint8(ord("-")), whole, zero * shown,
@@ -135,7 +123,7 @@ def write_trace(trace: Trace, fh) -> None:
 
 def write_verdicts(trace: Trace, decoded, path) -> None:
     """verdicts.csv: each frame of `trace` at its arrival `bus_time_us`, with
-    `decode`'s error and verdict."""
+    `decode`'s error, printed as the digits it was rounded to, and its verdict."""
     words = np.array(["intrusion", "accept"], dtype="S")
     with open(path, "w", newline="\n") as fh:
         _write_frames(fh, VERDICT_HEADER, trace, lambda rows: (

@@ -215,6 +215,9 @@ MALFORMED = {
        for alg, refusal in (("greedy", "no collision-free offset for period 9e+16"),
                             ("random", "no random permutation was collision-free"),
                             ("greedy-ml", "no collision-free offset for period 9e+16"))},
+    # the lcm prints as '.15g' prints the float that holds it, not padded to 15 digits
+    "past-int64-allocate-gcd": ("allocate", PAIR_PAST_INT64, {}, ["--algorithm", "gcd"],
+                                "the periods' lcm 1.8e+17 us is 6 times their gcd 3e+16 us"),
     "allocator-ifs-inf": ("simulate", small("ifs_us = 600", "ifs_us = inf"), {}, [],
                           "ifs_us = inf: minimum spacing must be positive and finite"),
     # a spacing under 0.05 us rounds to no tenths of a us
@@ -894,6 +897,21 @@ class TestAttackAndCapacity:
         report = (tmp_path / "cap" / "capacity_report.txt").read_text()
         value = float(report.splitlines()[0].split("=")[1])
         assert 4.0 <= value <= 8.0
+
+    def test_verdict_judges_the_printed_error(self, tmp_path):
+        # frame 54 arrives at 530053.3 us, frame 53 at 520087.3: the float difference
+        # less the expected spacing is 3.0000000000582077 us, printed as 3.0000
+        config = tmp_path / "rho3.ini"
+        config.write_text((ROOT / CAPACITY).read_text().replace(
+            "duration_us = 300000000", "duration_us = 1000000").replace(
+            "tolerance_us = 5", "tolerance_us = 3"))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == 0
+        assert main(["verify", "--config", str(config), "--trace",
+                     str(tmp_path / "sim" / "trace.csv"), "--out", str(tmp_path / "v")]) == 0
+        assert (tmp_path / "v" / "verdicts.csv").read_text().splitlines()[54] \
+            == "5300533,100,54,3.0000,accept"
+        summary = (tmp_path / "v" / "verify_summary.txt").read_text()
+        assert "accept_rate_percent=81.8182\n" in summary
 
     @pytest.mark.filterwarnings("ignore:sparse channel matrix")
     def test_no_compensate_follows_the_bus_stuffing(self, tmp_path, capsys):

@@ -18,7 +18,7 @@ from canto.frame_model import CanId, FrameSpec
 from canto.incanta import (_HASH_BLOCK, CovertConfig, Decoded, Receiver, Verifier,
                            adversary_advantage, covert_delay, covert_delays, decode, ecu_success,
                            embed_counters, mac_input)
-from canto.trace_io import parse_trace, write_trace
+from canto.trace_io import parse_trace, write_trace, write_verdicts
 from blind_forger import forge_blind
 from payload_rows import payload_columns, payload_list
 
@@ -497,6 +497,43 @@ def mixed_buses(draw):
     channels = [channel, other, replace(channel, key=bytes(range(1, 17)))]
     receivers = [Receiver(periods), Receiver(periods, tolerance_us=2.0, frames_required=3)]
     return trace, bus, draw(st.sampled_from(channels)), draw(st.sampled_from(receivers))
+
+
+class TestVerdictsFile:
+    """`decode` on traces read back from trace.csv, as `verify` scores them."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 520_087.3, 123_456_789.1,
+                                                        3_700_000_000.3]),
+           st.sampled_from([1.0, 2.0, 3.0, 5.0, 2.5]))
+    def test_verdict_judges_the_printed_error(self, tmp_path_factory, seed, start, rho):
+        """Offsets on a 0.5 us grid put errors on rho, up to the float error of the gaps."""
+        rng = np.random.default_rng(seed)
+        n, cfg, ids = 120, config(), tuple(PERIODS)
+        id_index = rng.integers(0, len(ids), n)
+        counters = np.zeros(n, dtype=np.int64)
+        for k in range(len(ids)):
+            counters[id_index == k] = np.arange(1, np.count_nonzero(id_index == k) + 1)
+        payloads, lengths = payload_columns([bytes(rng.integers(0, 256, 8, dtype=np.uint8))] * n)
+        id_values = np.array([i.value for i in ids])[id_index]
+        xi = covert_delays(cfg.key, counters, id_values, payloads, lengths, cfg.level_bits)
+        times = (start + np.array([PERIODS[i] for i in ids])[id_index] * counters + xi
+                 + rng.integers(-6, 7, n) * 0.5)
+        order = np.argsort(times, kind="stable")
+        trace = Trace(ids, id_index[order], counters[order], times[order], np.zeros(n),
+                      payloads[order], lengths[order], np.ones(n, dtype=bool))
+        fh = io.StringIO()
+        write_trace(trace, fh)
+        fh.seek(0)
+        read = parse_trace(fh)
+        path = tmp_path_factory.mktemp("verify") / "verdicts.csv"
+        write_verdicts(read, decode(read, cfg, Receiver(PERIODS, tolerance_us=rho)), path)
+        rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+        scored = [(text, word) for _, _, _, text, word in rows if text]
+        assert len(scored) == n - len(set(id_index.tolist()))
+        for text, word in scored:
+            assert (word == "accept") == (abs(float(text)) <= rho), text
+            assert text != "-0.0000"
 
 
 class TestSentDelays:
