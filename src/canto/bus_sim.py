@@ -29,10 +29,15 @@ from canto.scheduler import MAX_INSTANTS, Schedule, check_complete
 
 
 STUFFING_MODES = ("none", "payload")
+TIME_LIMIT = 1 << 53  # bus times are ticks of 10 ns below it: each is exact in float64
 
 
 class OversubscribedBusError(RuntimeError):
     """The transmission queue grows without bound for this configuration."""
+
+
+class TimeLimitError(ValueError):
+    """A frame starts at or past TIME_LIMIT ticks."""
 
 
 @dataclass(frozen=True)
@@ -104,9 +109,9 @@ class Trace:
     """A time-ordered trace, stored as one column per frame field.
 
     Frame i has identifier `ids[id_index[i]]`, `counter[i]`, transmission
-    start `bus_time_us[i]` and wire time `tx_time_us[i]` (0 when unknown),
-    the first `payload_len[i]` bytes of row i of `payloads` as its payload,
-    and `genuine[i]`.
+    start `bus_ticks[i]` and wire time `tx_ticks[i]` in ticks of 10 ns (0
+    when unknown), the first `payload_len[i]` bytes of row i of `payloads` as
+    its payload, and `genuine[i]`.
 
     `simulate` sets `sent` to what its senders hashed, so that `decode` need
     not hash it again: each frame's covert delay (-1 for a plain sender's
@@ -117,8 +122,8 @@ class Trace:
     ids: tuple[CanId, ...]
     id_index: np.ndarray  # int64
     counter: np.ndarray  # int64
-    bus_time_us: np.ndarray
-    tx_time_us: np.ndarray
+    bus_ticks: np.ndarray  # int64
+    tx_ticks: np.ndarray  # int64
     payloads: np.ndarray  # (n, 8) uint8, zero past each frame's payload
     payload_len: np.ndarray  # int64
     genuine: np.ndarray  # bool
@@ -126,13 +131,13 @@ class Trace:
     sent: tuple | None = field(default=None, init=False, repr=False)
 
     def __len__(self):
-        return len(self.bus_time_us)
+        return len(self.bus_ticks)
 
     def take(self, rows) -> "Trace":
         """The frames at the given positions (or boolean mask), in that order."""
         rows = np.arange(len(self))[rows]
-        return Trace(self.ids, self.id_index[rows], self.counter[rows], self.bus_time_us[rows],
-                     self.tx_time_us[rows], self.payloads[rows], self.payload_len[rows],
+        return Trace(self.ids, self.id_index[rows], self.counter[rows], self.bus_ticks[rows],
+                     self.tx_ticks[rows], self.payloads[rows], self.payload_len[rows],
                      self.genuine[rows], self.duration_us)
 
 
@@ -191,7 +196,7 @@ def simulate(config: BusConfig) -> Trace:
     started at its own ready time, starts at its ready time too; runs of
     such releases are taken as whole slices. From the first release that
     overlaps the one before it, the arbitration heap runs until its waiting
-    queue drains.
+    queue drains. Starts and wire times become ticks at the end, half to even.
     """
     specs = config.frame_specs()
     if not check_complete(Schedule(tuple(specs))):
@@ -237,9 +242,12 @@ def simulate(config: BusConfig) -> Trace:
         starts.append(np.array(heap_starts, dtype=np.float64))
     rows = np.concatenate(rows)
     release = order[rows]  # each transmitted frame's index among the releases
+    starts = np.rint(np.concatenate(starts) * 100)
+    if not np.abs(starts).max(initial=0.0) < TIME_LIMIT:  # NaN fails too
+        raise TimeLimitError(f"a frame starts past {TIME_LIMIT / 100:.4g} us, 2^53 ticks of 10 ns")
     trace = Trace(tuple(f.id for f in specs), pos[release], counter[release],
-                  np.concatenate(starts), tx[rows], payloads[release], lengths[release],
-                  np.ones(n, dtype=bool), config.duration_us)
+                  starts.astype(np.int64), np.rint(tx[rows] * 100).astype(np.int64),
+                  payloads[release], lengths[release], np.ones(n, dtype=bool), config.duration_us)
     if sent is not None:
         trace.sent = (sent[release], mac_fingerprint(trace, config.covert))
     return trace
@@ -248,9 +256,9 @@ def simulate(config: BusConfig) -> Trace:
 def busload(trace: Trace) -> float:
     """Occupied fraction of the bus over the trace duration, in percent,
     from the wire times the simulator recorded."""
-    if not trace.duration_us or not trace.tx_time_us.all():
+    if not trace.duration_us or not trace.tx_ticks.all():
         raise ValueError("busload needs the wire times and duration the simulator records; a "
                          "trace read from a file has neither (BusConfig.wire_times_us prices "
                          "its frames)")
-    return 100.0 * sum(trace.tx_time_us.tolist()) / trace.duration_us
+    return sum(trace.tx_ticks.tolist()) / trace.duration_us  # 100 * (ticks / 100) / duration
 

@@ -21,12 +21,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from canto.frame_model import CanId
-from canto.scheduler import MAX_INSTANTS
+from canto.scheduler import MAX_INSTANTS, _periods
 
 if TYPE_CHECKING:
     from canto.bus_sim import Trace
-
-ERROR_LIMIT_US = 2.0 ** 40 / 1e4  # under it, a rounded error's digits are rint(|e| * 1e4)
 
 
 @dataclass(frozen=True)
@@ -187,7 +185,7 @@ class Verdict:
 
     can_id: CanId
     counter: int
-    time_us: float
+    ticks: int
     accepted: bool
     error_us: float | None = None
     reason: str = ""
@@ -197,7 +195,7 @@ class Verdict:
 @dataclass
 class _IdState:
     counter: int
-    last_time_us: float
+    last_ticks: int
     last_xi: int
     recent: deque = field(default_factory=deque)
 
@@ -208,7 +206,7 @@ class Verifier:
     The first frame of an ID only initializes state (there is no previous
     covert delay to difference against) and is reported as an unscored
     accept. Timestamps of every frame, accepted or not, advance the state
-    so that differencing stays between consecutive frames. `decode` is the
+    so that differencing stays between consecutive frames, in ticks of 10 ns. `decode` is the
     pipeline's receiver; this one stays while perfbench/tracer.py's TARGETS bind it.
     """
 
@@ -216,27 +214,26 @@ class Verifier:
         self.channel, self.receiver = channel, receiver
         self._states: dict[CanId, _IdState] = {}
 
-    def verify(self, can_id: CanId, counter: int, payload: bytes, time_us: float) -> Verdict:
+    def verify(self, can_id: CanId, counter: int, payload: bytes, ticks: int) -> Verdict:
         if can_id not in self.receiver.periods_us:
             raise KeyError(f"unknown id {can_id} (not in the config)")
         xi = covert_delay(self.channel.key, counter, can_id, payload, self.channel.level_bits)
         state = self._states.get(can_id)
         if state is None:
-            state = self._states[can_id] = _IdState(counter, time_us, xi)
-            verdict = Verdict(can_id, counter, time_us, True, None, "first")
+            state = self._states[can_id] = _IdState(counter, ticks, xi)
+            verdict = Verdict(can_id, counter, ticks, True, None, "first")
         elif counter <= state.counter:
             # stale counter: drop without touching the timing reference,
             # otherwise a replay would poison the next genuine check
-            verdict = Verdict(can_id, counter, time_us, False, None, "replay")
+            verdict = Verdict(can_id, counter, ticks, False, None, "replay")
         else:
-            expected = self.receiver.periods_us[can_id] * (counter - state.counter) \
-                + xi - state.last_xi
-            error = (time_us - state.last_time_us) - expected
-            error = round(error * 1e4) / 1e4 if abs(error) < ERROR_LIMIT_US else error
+            period = int(_periods([self.receiver.periods_us[can_id]])[0])
+            expected = period * (counter - state.counter) + 100 * (xi - state.last_xi)
+            error = ((ticks - state.last_ticks) - expected) / 100
             ok = abs(error) <= self.receiver.tolerance_us
-            verdict = Verdict(can_id, counter, time_us, ok, error, "" if ok else "timing")
+            verdict = Verdict(can_id, counter, ticks, ok, error, "" if ok else "timing")
             state.counter = counter
-            state.last_time_us = time_us
+            state.last_ticks = ticks
             state.last_xi = xi
         state.recent.append(verdict.accepted)
         if len(state.recent) > self.receiver.frames_required:
@@ -250,8 +247,8 @@ class Verifier:
 class Decoded:
     """Per-frame outcome of `decode`, each array in trace order.
 
-    `error_us` (observed minus expected spacing, to 1e-4 us: what `accepted` judges) and `symbol`
-    (the delay decoded from the unrounded gap, unclamped) are NaN for a first frame and a replay.
+    `error_us` (observed minus expected spacing, whole ticks of 10 ns in us: what `accepted`
+    judges) and `symbol` (the decoded delay, unclamped) are NaN for a first frame and a replay.
     """
 
     xi: np.ndarray
@@ -264,20 +261,17 @@ class Decoded:
 
 def decode(trace: Trace, channel: CovertConfig, receiver: Receiver) -> Decoded:
     """Every frame of a trace through `Verifier`'s receiver rule at once, each
-    frame arriving at its `bus_time_us`.
+    frame arriving at its `bus_ticks`, in exact integer arithmetic.
 
     Each covert delay is computed once: a frame whose delay the simulator
     hashed under `channel` (`_sent_delays`) keeps it, and every other frame is
     hashed in one `covert_delays` call.
     """
     n, id_index, periods_us = len(trace), trace.id_index, receiver.periods_us
-    by_id = np.argsort(id_index, kind="stable")  # the one sort by ID
-    grouped = id_index[by_id]  # each ID's first frame heads its group
-    for k in id_index[np.sort(by_id[np.diff(grouped, prepend=-1) != 0])].tolist():
-        if trace.ids[k] not in periods_us:
-            raise KeyError(f"unknown id {trace.ids[k]} (not in the config)")
-    period = np.array([periods_us.get(i, np.nan) for i in trace.ids], dtype=np.float64)[id_index]
-    counter, time_us = trace.counter, trace.bus_time_us
+    if not (known := np.array([i in periods_us for i in trace.ids], dtype=bool)[id_index]).all():
+        raise KeyError(f"unknown id {trace.ids[id_index[np.argmin(known)]]} (not in the config)")
+    period = _periods([periods_us.get(i, 1.0) for i in trace.ids])[id_index]  # 1.0: no frames
+    counter, ticks = trace.counter, trace.bus_ticks
     id_values = np.array([i.value for i in trace.ids], dtype=np.int64)[id_index]
     xi = _sent_delays(trace, channel)
     if xi is None:
@@ -288,19 +282,21 @@ def decode(trace: Trace, channel: CovertConfig, receiver: Receiver) -> Decoded:
         xi[rest] = covert_delays(channel.key, counter[rest], id_values[rest], trace.payloads[rest],
                                  trace.payload_len[rest], channel.level_bits)
 
+    by_id = np.argsort(id_index, kind="stable")  # the one sort by ID
+    grouped = id_index[by_id]  # each ID's first frame heads its group
     ref, replay = _references(by_id, grouped, counter)
     s = np.flatnonzero((ref >= 0) & ~replay)
     r = ref[s]
-    gap, steps = time_us[s] - time_us[r], counter[s] - counter[r]
+    p, steps = period[s], counter[s] - counter[r]
+    if int(p.max(initial=0)) * int(steps.max(initial=0)) >> 62:  # an int64 product would wrap:
+        # Python ints, as scheduler._steps, and periods capped so that error / 100 is a float
+        p, steps = np.minimum(p.astype(object), 2 ** 990), steps.astype(object)
+    error = (ticks[s] - ticks[r]) - (p * steps + 100 * (xi[s] - xi[r]))  # exact, in ticks
     error_us, symbol = np.full(n, np.nan), np.full(n, np.nan)
-    # Verifier's expression order, so every error is bit-identical; the
-    # symbol is not error + xi, so that .5 ties round the same way
-    error_us[s] = gap - (period[s] * steps + xi[s] - xi[r])
-    symbol[s] = np.rint(gap - period[s] * steps + xi[r])
-    del s, r, gap, steps
-    fine = np.abs(error_us) < ERROR_LIMIT_US  # NaN fails: first frames and replays
-    error_us[fine] = np.rint(error_us[fine] * 1e4) / 1e4 + 0.0  # the one rounding; -0 to +0
-    accepted = (ref < 0) | (np.abs(error_us) <= receiver.tolerance_us)  # the printed value
+    error_us[s], symbol[s] = error / 100, (error + 100 * xi[s]) / 100
+    del s, r, p, steps, error
+    symbol = np.rint(symbol)  # half to even: a tick count below 2^53 makes exact ties
+    accepted = (ref < 0) | (np.abs(error_us) <= receiver.tolerance_us)
     window = _windows(by_id, grouped, accepted, receiver.frames_required)
     return Decoded(xi, ref, error_us, symbol, accepted, window)
 

@@ -1,7 +1,7 @@
 """Trace and configuration file formats.
 
-Traces are CSV with timestamps stored as integer tenths of a
-microsecond so files are bit-exact across platforms; wire times are not
+Traces are CSV with timestamps stored as the trace's integer ticks of
+10 ns, so files are bit-exact across platforms; wire times are not
 stored, so a trace read back has none (`BusConfig.wire_times_us` prices
 frames). Experiment configurations are INI documents with [bus], optional
 [covert] and [allocator] sections and one [node.NAME] section per ECU.
@@ -21,14 +21,14 @@ from pathlib import Path
 
 import numpy as np
 
-from canto.bus_sim import BusConfig, NodeConfig, Trace
+from canto.bus_sim import TIME_LIMIT, BusConfig, NodeConfig, Trace
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import CanId, FrameSpec
-from canto.incanta import ERROR_LIMIT_US, CovertConfig, Receiver
+from canto.incanta import CovertConfig, Receiver
 from canto.scheduler import ALLOCATOR_OPTIONS, ALLOCATORS, Schedule
 
-TRACE_HEADER = "bus_time_us,id_hex,counter,payload_hex,genuine"
-TIME_LIMIT_US = 2.0 ** 50 / 10  # a time under it keeps its tenths of a us through float64 us
+TRACE_HEADER = "bus_time_10ns,id_hex,counter,payload_hex,genuine"
+ERROR_LIMIT_US = 2.0 ** 40 / 1e4  # under it, f"{e:.4f}" of an error of k ticks is k's digits, 00
 
 
 class TraceFormatError(ValueError):
@@ -38,7 +38,7 @@ class TraceFormatError(ValueError):
 # Both CSV files are written _BLOCK rows at a time, as numpy records of NUL-padded
 # fixed-width byte fields; a block's text is its records' bytes without the NULs.
 _BLOCK = 4096
-VERDICT_HEADER = "bus_time_us,id_hex,counter,error_us,verdict"
+VERDICT_HEADER = "bus_time_10ns,id_hex,counter,error_us,verdict"
 
 
 def _digit_groups() -> np.ndarray:
@@ -78,20 +78,20 @@ def _hex_parts(rows: np.ndarray, lengths: np.ndarray) -> tuple:
 
 
 def _fixed4_parts(values: np.ndarray) -> tuple:
-    """Floats to 4 decimals, NaN as no text: the digits of rint(|v| * 1e4), f"{v:.4f}"'s for an
-    error `decode` rounded, unless one is ERROR_LIMIT_US or more, when `format` writes them all."""
+    """`decode`'s errors to 4 decimals, NaN as no text: the digits of each one's ticks,
+    rint(|v| * 100), unless one is ERROR_LIMIT_US or more, when `format` writes them all."""
     if np.any(np.abs(values) >= ERROR_LIMIT_US):  # inf too
         return (np.array(["" if v != v else format(v, ".4f") for v in values.tolist()], "S"),)
     shown = ~np.isnan(values)
-    q = np.rint(np.abs(np.where(shown, values, 0.0)) * 1e4).astype(np.uint64)
-    _, whole, zero = _decimal(q // 10000)
-    fraction = _GROUPS.take(np.where(shown, q % 10000, 10000))  # 10000: 0 with no digits
+    q = np.rint(np.abs(np.where(shown, values, 0.0)) * 100).astype(np.uint64)
+    _, whole, zero = _decimal(q // 100)
+    fraction = _GROUPS.take(np.where(shown, q % 100 * 100, 10000))  # 10000: 0 with no digits
     return ((np.signbit(values) & shown) * np.uint8(ord("-")), whole, zero * shown,
             shown * np.uint8(ord(".")), fraction.view("V4"))
 
 
 def _write_frames(fh, header: str, trace: Trace, more) -> None:
-    """Write `header`, then per frame its bus time in tenths of a microsecond, its
+    """Write `header`, then per frame its bus time in ticks of 10 ns, its
     id text, its counter and the fields `more(rows)` gives for a block. A field
     is a tuple of parts: arrays of one fixed-width item per row, or a byte."""
     fh.write(header + "\n")
@@ -99,11 +99,11 @@ def _write_frames(fh, header: str, trace: Trace, more) -> None:
     comma, newline = np.uint8(ord(",")), np.uint8(ord("\n"))
     for lo in range(0, len(trace), _BLOCK):
         rows = slice(lo, lo + _BLOCK)
-        tenths = np.rint(trace.bus_time_us[rows] * 10).astype(np.int64)  # half to even, as round()
-        fields = (_decimal(tenths), (ids.take(trace.id_index[rows]),),
+        ticks = trace.bus_ticks[rows]
+        fields = (_decimal(ticks), (ids.take(trace.id_index[rows]),),
                   _decimal(trace.counter[rows]), *more(rows))
         parts = [part for field in fields for part in (*field, comma)][:-1] + [newline]
-        records = np.zeros(len(tenths), dtype=[(f"f{k}", p.dtype) for k, p in enumerate(parts)])
+        records = np.zeros(len(ticks), dtype=[(f"f{k}", p.dtype) for k, p in enumerate(parts)])
         for k, part in enumerate(parts):
             records[f"f{k}"] = part
         fh.write(records.tobytes().translate(None, b"\0").decode())
@@ -122,8 +122,8 @@ def write_trace(trace: Trace, fh) -> None:
 
 
 def write_verdicts(trace: Trace, decoded, path) -> None:
-    """verdicts.csv: each frame of `trace` at its arrival `bus_time_us`, with
-    `decode`'s error, printed as the digits it was rounded to, and its verdict."""
+    """verdicts.csv: each frame of `trace` at its arrival `bus_ticks`, with
+    `decode`'s error and its verdict."""
     words = np.array(["intrusion", "accept"], dtype="S")
     with open(path, "w", newline="\n") as fh:
         _write_frames(fh, VERDICT_HEADER, trace, lambda rows: (
@@ -138,9 +138,9 @@ def parse_trace(source) -> Trace:
             trace = _parse_native(fh, f"{source}: ")
     else:
         trace = _parse_native(source)
-    if np.any(trace.bus_time_us[:-1] > trace.bus_time_us[1:]):
+    if np.any(trace.bus_ticks[:-1] > trace.bus_ticks[1:]):
         warnings.warn("non-monotone timestamps in trace; applying stable sort", stacklevel=2)
-        trace = trace.take(np.argsort(trace.bus_time_us, kind="stable"))
+        trace = trace.take(np.argsort(trace.bus_ticks, kind="stable"))
     return trace
 
 
@@ -210,13 +210,11 @@ def _columns(chunks) -> Trace:
     bad = np.flatnonzero((genuine != 0) & (genuine != 1))
     if len(bad):
         raise ValueError(f"genuine {genuine[bad[0]]} is not 0 or 1")
-    times = rows["bus_time_us"] / 10.0
-    bad = np.flatnonzero(np.abs(times) >= TIME_LIMIT_US)
-    if len(bad):
-        raise ValueError(f"bus_time_us {rows['bus_time_us'][bad[0]]} tenths of a us: at or "
-                         f"past trace.csv's {TIME_LIMIT_US:.4g} us")
-    return Trace(tuple(position), code[inverse], counter.copy(), times, np.zeros(len(rows)),
-                 payloads, lengths, genuine == 1)
+    ticks = rows["bus_time_10ns"]
+    if len(bad := np.flatnonzero((ticks >= TIME_LIMIT) | (ticks <= -TIME_LIMIT))):
+        raise ValueError(f"bus_time_10ns {ticks[bad[0]]}: at or past 2^53 ticks")
+    return Trace(tuple(position), code[inverse], counter.copy(), ticks.copy(),
+                 np.zeros(len(rows), dtype=np.int64), payloads, lengths, genuine == 1)
 
 
 def _data(line: str, at: int) -> bool:

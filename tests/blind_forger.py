@@ -12,13 +12,14 @@ def forge_blind(trace, can_id, period_us, seed=0, level_bits=8):
     Payloads stay genuine; the frames are re-sorted by (time, priority)."""
     rows = np.flatnonzero(trace.id_index == trace.ids.index(can_id))
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence((seed, 0xADD))))
-    times, genuine = trace.bus_time_us.copy(), trace.genuine.copy()
+    times, genuine = trace.bus_ticks.copy(), trace.genuine.copy()
     counters = trace.counter[rows].tolist()
     for j in range(1, len(rows)):
         draw = float(rng.uniform(0, 1 << level_bits))
-        times[rows[j]] = times[rows[j - 1]] + period_us * (counters[j] - counters[j - 1]) + draw
+        times[rows[j]] = times[rows[j - 1]] + round(
+            100 * (period_us * (counters[j] - counters[j - 1]) + draw))  # ticks of 10 ns
         genuine[rows[j]] = False
     by_priority = sorted(trace.ids)
     rank = np.array([by_priority.index(i) for i in trace.ids], dtype=np.int64)
-    forged = replace(trace, bus_time_us=times, genuine=genuine)
+    forged = replace(trace, bus_ticks=times, genuine=genuine)
     return forged.take(np.lexsort((rank[trace.id_index], times)))

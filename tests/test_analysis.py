@@ -235,7 +235,7 @@ class TestDeviationSeries:
 
     def test_stuffing_variation_stays_within_ten_us(self):
         trace, cov, rx = run_covert(Jitter(), 2000 * MS, stuffing="payload")
-        ends = replace(trace, bus_time_us=trace.bus_time_us + trace.tx_time_us)
+        ends = replace(trace, bus_ticks=trace.bus_ticks + trace.tx_ticks)
         devs = deviation_series(ends, decode(ends, cov, rx))
         assert 0.0 < np.max(np.abs(devs[CanId(0x100)])) <= 10.0
 
@@ -300,9 +300,9 @@ class TestGenuinePairing:
         window = slice(1000, 1100)
         assert not forged.genuine[window].any()
         assert forged.counter.tolist() == trace.counter.tolist()  # one ID keeps its order
-        times, genuine = trace.bus_time_us.copy(), trace.genuine.copy()
-        times[window], genuine[window] = forged.bus_time_us[window], forged.genuine[window]
-        mixed = replace(trace, bus_time_us=times, genuine=genuine)
+        times, genuine = trace.bus_ticks.copy(), trace.genuine.copy()
+        times[window], genuine[window] = forged.bus_ticks[window], forged.genuine[window]
+        mixed = replace(trace, bus_ticks=times, genuine=genuine)
         devs = deviation_series(mixed, decode(mixed, cov, rx))[CanId(0x100)]
         assert len(devs) == len(trace) - 1 - 101
         assert np.all(devs == 0.0)
@@ -341,7 +341,7 @@ class TestSuccessTable:
         indir = tmp_path / "in"
         indir.mkdir()
         (indir / "verdicts.csv").write_text(
-            "bus_time_us,id_hex,counter,error_us,verdict\n100,100,1,,accept\n"
+            "bus_time_10ns,id_hex,counter,error_us,verdict\n100,100,1,,accept\n"
             + "".join(f"{i},100,{i},{e},accept\n" for i, e in enumerate(errors, 2)))
         (indir / "attack.csv").write_text(
             "rho_us,frames,adv_rate_mc,adv_rate_analytic\n5,1,0.04,0.0390625\n")

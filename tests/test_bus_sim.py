@@ -17,7 +17,7 @@ from canto.bus_sim import (BusConfig, NodeConfig, OversubscribedBusError, Trace,
 from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_stuff_bits,
                                transmission_time_us)
-from canto.incanta import CovertConfig, Receiver, Verifier, covert_delay, covert_delays
+from canto.incanta import CovertConfig, Receiver, Verifier, covert_delay, covert_delays, decode
 from canto.scheduler import Schedule, allocate_gcd, check_complete
 from canto.trace_io import parse_trace, write_trace
 from blind_forger import forge_blind
@@ -51,7 +51,7 @@ def verify_frames(cov, periods, trace):
     with a tolerance of 5 us."""
     verifier = Verifier(cov, Receiver(periods, tolerance_us=5.0))
     return [verifier.verify(i, c, p, t) for i, c, p, t in zip(
-        ids_of(trace), trace.counter.tolist(), payloads_of(trace), trace.bus_time_us.tolist())]
+        ids_of(trace), trace.counter.tolist(), payloads_of(trace), trace.bus_ticks.tolist())]
 
 
 def payload_template(spec: FrameSpec) -> bytes:
@@ -89,7 +89,7 @@ class TestSimulateBasics:
     def test_single_frame_exact_period(self):
         cfg = config([node("a", [FrameSpec(CanId(0x10), 10 * MS)])], 100 * MS)
         trace = simulate(cfg)
-        assert trace.bus_time_us.tolist() == [k * 10 * MS for k in range(10)]
+        assert trace.bus_ticks.tolist() == [k * 10 * MS * 100 for k in range(10)]
 
     @pytest.mark.filterwarnings("ignore:schedule is not collision-free")
     def test_two_frames_arbitrate_by_id(self):
@@ -97,7 +97,7 @@ class TestSimulateBasics:
         cfg = config([node("a", frames)], 100 * MS)
         trace = simulate(cfg)
         assert ids_of(trace)[:2] == [CanId(0x10), CanId(0x20)]
-        assert trace.bus_time_us[:2].tolist() == [0.0, transmission_time_us(111, 500_000)]
+        assert trace.bus_ticks[:2].tolist() == [0, 100 * transmission_time_us(111, 500_000)]
 
     def test_conservation(self):
         specs = [FrameSpec(CanId(0x10 + i), 10 * MS, 500.0 * i) for i in range(4)]
@@ -111,8 +111,8 @@ class TestSimulateBasics:
         cfg = config([node("a", specs)], 50 * MS)
         with pytest.warns(UserWarning, match="collision"):
             trace = simulate(cfg)
-        ends = trace.bus_time_us[:-1] + trace.tx_time_us[:-1]
-        assert np.all(trace.bus_time_us[1:] >= ends - 1e-9)
+        ends = trace.bus_ticks[:-1] + trace.tx_ticks[:-1]
+        assert np.all(trace.bus_ticks[1:] >= ends)
 
     def test_lowest_id_wins_when_simultaneous(self):
         specs = [FrameSpec(CanId(0x30), 10 * MS), FrameSpec(CanId(0x21), 10 * MS),
@@ -174,16 +174,16 @@ class TestDeterminism:
 class TestStuffingModes:
     def test_none_gives_nominal_time(self):
         cfg = config([node("a", [FrameSpec(CanId(0x10), 10 * MS)])], 50 * MS)
-        assert set(simulate(cfg).tx_time_us.tolist()) == {222.0}
+        assert set(simulate(cfg).tx_ticks.tolist()) == {22200}
 
     def test_payload_mode_is_deterministic_per_payload(self):
         cfg = config([node("a", [FrameSpec(CanId(0x10), 10 * MS)])], 50 * MS,
                      stuffing="payload")
         trace, again = simulate(cfg), simulate(cfg)
-        times = dict(zip(payloads_of(trace), trace.tx_time_us.tolist()))
-        again = dict(zip(payloads_of(again), again.tx_time_us.tolist()))
+        times = dict(zip(payloads_of(trace), trace.tx_ticks.tolist()))
+        again = dict(zip(payloads_of(again), again.tx_ticks.tolist()))
         assert times == again
-        assert all(t >= 222.0 for t in times.values())
+        assert all(t >= 22200 for t in times.values())
 
 
 class TestBusload:
@@ -222,7 +222,7 @@ class TestPaperVectorTraffic:
         assert 30.0 <= busload(paper_trace) <= 45.0
 
     def test_interframe_delays_concentrate_at_gcd_spacings(self, paper_trace):
-        gaps = np.diff(paper_trace.bus_time_us) / MS
+        gaps = np.diff(paper_trace.bus_ticks) / (100 * MS)
         near = np.abs(gaps[:, None] - np.array([0.5, 1.0])).min(axis=1) < 0.05
         assert np.mean(near) > 0.85  # bulk at 0.5/1.0 ms, rare window-end idle gaps
 
@@ -239,7 +239,8 @@ class TestOversubscription:
 def reference_simulate(config: BusConfig) -> Trace:
     """The simulator as it was before it computed releases as arrays: every
     release, one scalar clock conversion at a time, through the arbitration
-    heap. `simulate` is held to it."""
+    heap, its starts and wire times rounded to ticks of 10 ns at the end.
+    `simulate` is held to it."""
     specs = config.frame_specs()
     if not check_complete(Schedule(tuple(specs))):
         warnings.warn("schedule is not collision-free; covert verification will degrade",
@@ -303,8 +304,10 @@ def reference_simulate(config: BusConfig) -> Trace:
         payloads.append(payload)
         t = start + tx
     return Trace(tuple(f.id for f in specs), np.array(id_index, dtype=np.int64),
-                 np.array(counters, dtype=np.int64), np.array(starts, dtype=np.float64),
-                 np.array(txs, dtype=np.float64), *payload_columns(payloads),
+                 np.array(counters, dtype=np.int64),
+                 np.rint(100 * np.array(starts, dtype=np.float64)).astype(np.int64),
+                 np.rint(100 * np.array(txs, dtype=np.float64)).astype(np.int64),
+                 *payload_columns(payloads),
                  np.ones(len(starts), dtype=bool), config.duration_us)
 
 
@@ -435,6 +438,25 @@ def simulate_or_overflow(simulator, cfg):
         return None
 
 
+class TestDecodeThroughTheFile:
+    @pytest.mark.filterwarnings("ignore:schedule is not collision-free")
+    @settings(max_examples=150, deadline=None)
+    @given(release_buses(), st.sampled_from([0.0, 2.0, 5.0]), st.integers(1, 3))
+    def test_the_trace_file_decodes_as_the_simulated_trace(self, cfg, rho, frames):
+        """What `verify` decodes from trace.csv is what `decode` gives on the
+        simulated trace, frame for frame."""
+        trace = simulate_or_overflow(simulate, cfg)
+        if trace is None:
+            return
+        buf = io.StringIO()
+        write_trace(trace, buf)
+        buf.seek(0)
+        rx = Receiver({f.id: f.period_us for f in cfg.frame_specs()}, rho, frames)
+        want, got = decode(trace, cfg.covert, rx), decode(parse_trace(buf), cfg.covert, rx)
+        for name in ("error_us", "symbol", "accepted", "window"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
 class TestMatchesReleaseLoop:
     @pytest.mark.filterwarnings("ignore:schedule is not collision-free")
     @settings(max_examples=300, deadline=None)
@@ -445,7 +467,7 @@ class TestMatchesReleaseLoop:
         assert (got is None) == (want is None)
         if want is not None:
             assert got.ids == want.ids
-            for column in ("id_index", "counter", "bus_time_us", "tx_time_us", "payloads",
+            for column in ("id_index", "counter", "bus_ticks", "tx_ticks", "payloads",
                            "payload_len"):
                 assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
 
@@ -473,7 +495,7 @@ class TestCovertSending:
             own = frames_of(trace, can_id)
             xi = covert_delays(cov.key, own.counter, can_id.value, own.payloads, own.payload_len,
                                cov.level_bits)
-            assert np.diff(own.bus_time_us).tolist() == (period + np.diff(xi)).tolist()
+            assert np.diff(own.bus_ticks).tolist() == (100 * (period + np.diff(xi))).tolist()
 
     def test_payloads_carry_counters_at_every_length(self):
         cov = CovertConfig(key=KEY, level_bits=8)
@@ -494,7 +516,7 @@ class TestCovertSending:
     def test_interarrival_spread_covers_delay_window(self):
         trace, _, periods = covert_trace(duration_us=1000 * MS)
         for can_id in periods:
-            deltas = np.diff(frames_of(trace, can_id).bus_time_us)
+            deltas = np.diff(frames_of(trace, can_id).bus_ticks) / 100
             spread = deltas - 10 * MS
             assert spread.max() <= 256 and spread.min() >= -256
             assert spread.max() - spread.min() > 128  # covert delays really vary

@@ -14,6 +14,7 @@ import pytest
 
 from canto import bus_sim, cli, incanta, scheduler
 from canto.cli import COMMANDS, FRAME_SET, RHO_SET, build_parser, main
+from canto.frame_model import CanId
 from canto.scheduler import ALLOCATORS
 from canto.trace_io import TRACE_HEADER, VERDICT_HEADER
 
@@ -235,23 +236,23 @@ MALFORMED = {
     "gcd-takes-no-seed": ("simulate", small("ifs_us = 600", "ifs_us = 600\nseed = 9"), {}, [],
                           "[allocator]: unknown keys ['seed']"),
     "counter-2^64+1": ("verify", SMALL, {"--trace": TRACE_HEADER
-                                         + "\n100000,100,1,2021222300000001,1\n"
-                                         + f"200000,100,{2**64 + 1},2021222300000002,1\n"},
+                                         + "\n1000000,100,1,2021222300000001,1\n"
+                                         + f"2000000,100,{2**64 + 1},2021222300000002,1\n"},
                        [], "line 3: counter"),
     "capacity-level-bits-20": ("capacity", small("level_bits = 8", "level_bits = 20"),
-                               {"--trace": TRACE_HEADER + "\n100000,100,1,2021222300000001,1\n"
-                                + "200000,100,2,2021222300000002,1\n"},
+                               {"--trace": TRACE_HEADER + "\n1000000,100,1,2021222300000001,1\n"
+                                + "2000000,100,2,2021222300000002,1\n"},
                                [], "trace too short"),
     "payload-9-bytes": ("verify", SMALL, {"--trace": TRACE_HEADER
-                                          + "\n100000,100,1,202122230000000101,1\n"},
+                                          + "\n1000000,100,1,202122230000000101,1\n"},
                         [], "line 2: payload"),
     # ticks past int64 made the releases an object array, which the trace writer refused
     "tick-ns-10^20": ("simulate", small("jitter = steps", "tick_ns = 100000000000000000000"),
                       {}, [], "[node.one]: tick_ns 100000000000000000000 must be 1..2^63-1"),
-    # a start past about 9.22e17 us was written to trace.csv wrapped, as -2^63 tenths;
-    # from 2^50 tenths a start may leave the 0.1 us grid in float64
+    # a start past about 9.22e16 us wraps as int64 ticks of 10 ns; from 2^53 ticks
+    # a start may leave the tick grid in float64
     **{f"{command}-{name}": (command, COVERT + config if command == "run" else config, {}, [],
-                             "a frame starts past trace.csv's 1.126e+14 us")
+                             "a frame starts past 9.007e+13 us, 2^53 ticks of 10 ns")
        for name, config in (("start-1e18", "[bus]\nduration_us = 2e18\n\n[node.a]\n"
                                            "frames = 0x100:1000000000000000000:8\n"),
                             ("jitter-1e300", "[bus]\nduration_us = 100000\n\n[node.a]\n"
@@ -260,11 +261,10 @@ MALFORMED = {
     # at 1e17 us a float64 start is 16 us coarse: the covert delays were lost in trace.csv
     "simulate-start-1e17-covert": ("simulate", "[bus]\nduration_us = 4e17\n\n" + COVERT
                                    + "[node.a]\nframes = 0x100:100000000000000000:8\n", {}, [],
-                                   "a frame starts past trace.csv's 1.126e+14 us"),
-    "verify-time-2^50": ("verify", SMALL, {"--trace": f"{TRACE_HEADER}\n100000,100,1,00,1\n"
-                                           f"{2**50},100,2,00,1\n"},
-                         [], f"trace: line 3: bus_time_us {2**50} tenths of a us: at or past "
-                             "trace.csv's 1.126e+14 us"),
+                                   "a frame starts past 9.007e+13 us, 2^53 ticks of 10 ns"),
+    "verify-time-2^53": ("verify", SMALL, {"--trace": f"{TRACE_HEADER}\n1000000,100,1,00,1\n"
+                                           f"{2**53},100,2,00,1\n"},
+                         [], f"trace: line 3: bus_time_10ns {2**53}: at or past 2^53 ticks"),
     "seed-flag-negative": ("--seed -1 simulate", SMALL, {}, [], "--seed: seed -1"),
     "schedule-other-period": ("simulate", SMALL,
                               {"--schedule": "100 20000 0 64\n101 10000 0 64\n102 20000 0 64\n"},
@@ -313,10 +313,10 @@ MALFORMED = {
     # periods past 2^63 tenths of a us: the collision test stays exact, so the start is refused
     "simulate-periods-1e18": ("simulate", "[bus]\nduration_us = 4e18\n\n[node.a]\nframes = "
                               "0x100:1000000000000000000:8 0x101:2000000000000000000:8\n", {}, [],
-                              "a frame starts past trace.csv's 1.126e+14 us"),
+                              "a frame starts past 9.007e+13 us, 2^53 ticks of 10 ns"),
     # int() syntax that is not an id: digit separators, signs, a sign after 0x
-    **{f"verify-id-{text}": ("verify", SMALL, {"--trace": f"{TRACE_HEADER}\n100000,100,1,00,1\n"
-                                               f"110000,{text},2,00,1\n"},
+    **{f"verify-id-{text}": ("verify", SMALL, {"--trace": f"{TRACE_HEADER}\n1000000,100,1,00,1\n"
+                                               f"1100000,{text},2,00,1\n"},
                              [], f"trace: line 3: CAN id '{text}' is not hex digits")
        for text in ("1_00", "+100", "-0", "0x+1")},
     "schedule-id-1_00": ("simulate", SMALL, {"--schedule": "1_00 10000 0 64\n101 10000 0 64\n"
@@ -367,10 +367,11 @@ MALFORMED = {
                                ["--tolerance", "nan"], "--tolerance nan"),
     # a genuine flag other than 0 or 1 was read as genuine
     **{f"verify-genuine-{flag}": (
-        "verify", SMALL, {"--trace": f"{TRACE_HEADER}\n100000,100,1,00,1\n110000,100,2,00,{flag}\n"},
+        "verify", SMALL,
+        {"--trace": f"{TRACE_HEADER}\n1000000,100,1,00,1\n1100000,100,2,00,{flag}\n"},
         [], f"trace: line 3: genuine {flag} is not 0 or 1") for flag in ("7", "-1")},
-    "capacity-genuine-7": ("capacity", SMALL, {"--trace": f"{TRACE_HEADER}\n100000,100,1,00,1\n"
-                                               "110000,100,2,00,7\n"},
+    "capacity-genuine-7": ("capacity", SMALL, {"--trace": f"{TRACE_HEADER}\n1000000,100,1,00,1\n"
+                                               "1100000,100,2,00,7\n"},
                            [], "trace: line 3: genuine 7 is not 0 or 1"),
     # attack's flags are its first stage, checked once the seed is resolved
     "attack-rho-negative-seed-negative": ("--seed -1 attack", SMALL, {}, ["--rho", "-1"],
@@ -394,15 +395,15 @@ MALFORMED = {
 
 # a run directory's inputs to `report`; a MALFORMED_REPORT case adds or replaces one
 REPORT_INPUTS = {
-    "verdicts.csv": VERDICT_HEADER + "\n100000,100,1,,accept\n110005,100,2,0.5000,accept\n"
-                    "119997,100,3,-0.2500,accept\n",
+    "verdicts.csv": VERDICT_HEADER + "\n1000000,100,1,,accept\n1100050,100,2,0.5000,accept\n"
+                    "1199970,100,3,-0.2500,accept\n",
     "attack.csv": "rho_us,frames,adv_rate_exact,adv_rate_analytic\n5,1,0.0386,0.0390625\n",
 }
 # by name: (file, its text, more arguments, what the exit-3 message must name)
 MALFORMED_REPORT = {
     "verdicts-one-field": ("verdicts.csv", VERDICT_HEADER + "\nabc\n", [],
                            "verdicts.csv: line 2: expected 5 fields, got 1"),
-    "verdicts-error-zz": ("verdicts.csv", VERDICT_HEADER + "\n100000,100,1,zz,accept\n", [],
+    "verdicts-error-zz": ("verdicts.csv", VERDICT_HEADER + "\n1000000,100,1,zz,accept\n", [],
                           "verdicts.csv: line 2: could not convert string to float: 'zz'"),
     "attack-two-fields": ("attack.csv", "rho_us,frames,adv_rate_exact,adv_rate_analytic\n5,1\n",
                           [], "attack.csv: line 2: expected 4 fields, got 2"),
@@ -411,7 +412,7 @@ MALFORMED_REPORT = {
                          "--bin-width 1e-300: 7.5e+299 bins of width 1e-300 exceed 16777216"),
     # an error that is not finite would be binned as nan or inf bins of --bin-width
     **{f"verdicts-error-{text}": ("verdicts.csv",
-                                  VERDICT_HEADER + f"\n100000,100,1,{text},accept\n", [],
+                                  VERDICT_HEADER + f"\n1000000,100,1,{text},accept\n", [],
                                   f"verdicts.csv: line 2: {text} is not a finite error_us")
        for text in ("nan", "inf")},
     # a rate that is not a probability would be written to success_table.csv
@@ -438,11 +439,11 @@ MALFORMED_REPORT = {
                             "5,1,0.0386,0.0390625\n5,2,0.0015,0.0015\n5.0,1,0.5,0.0390625\n", [],
                             "attack.csv: line 4: rho_us 5, frames 1 is also on line 2"),
     # the trace reader's refusals name the file
-    "trace-genuine-7": ("trace.csv", TRACE_HEADER + "\n0,100,1,00,1\n10,100,2,00,7\n", [],
+    "trace-genuine-7": ("trace.csv", TRACE_HEADER + "\n0,100,1,00,1\n100,100,2,00,7\n", [],
                         "trace.csv: line 3: genuine 7 is not 0 or 1"),
     # gaps of 1 us and 1000 s: 2 * 10^7 inter-frame bins of 0.05 ms
-    "trace-gap-1000-s": ("trace.csv", TRACE_HEADER + "\n0,100,1,00,1\n10,100,2,00,1\n"
-                         "10000000010,100,3,00,1\n",
+    "trace-gap-1000-s": ("trace.csv", TRACE_HEADER + "\n0,100,1,00,1\n100,100,2,00,1\n"
+                         "100000000100,100,3,00,1\n",
                          [], "trace.csv: inter-frame gaps: 2e+07 bins of width 0.05"),
 }
 
@@ -601,7 +602,7 @@ class TestPipeline:
 
     @pytest.mark.parametrize("name", ["paper", "small"])
     def test_run_verdicts_are_verifys_on_its_trace(self, small_config, tmp_path, name):
-        # `run` decodes its trace as trace.csv holds it, to 0.1 us
+        # `run` decodes its trace as trace.csv holds it, in ticks of 10 ns
         config = str(small_config) if name == "small" else PAPER
         run, ver = tmp_path / "run", tmp_path / "ver"
         assert main(["run", "--config", config, "--out", str(run)]) == 0
@@ -701,7 +702,7 @@ class TestPipeline:
         assert len((sim / "trace.csv").read_text().splitlines()) == 1 + 600
         assert main(["verify", "--config", str(config), "--trace", str(sim / "trace.csv"),
                      "--out", str(tmp_path / "ver")]) == 0
-        assert "accept_rate_percent=14.9079" in capsys.readouterr().out
+        assert "accept_rate_percent=14.7404" in capsys.readouterr().out
 
     def test_offsets_on_the_tick_grid_never_meet(self, tmp_path):
         # ODD_PAIR at binary's offsets: 5000.05 us is 500005 ticks, 5 modulo the gcd of 10
@@ -899,8 +900,8 @@ class TestAttackAndCapacity:
         assert 4.0 <= value <= 8.0
 
     def test_verdict_judges_the_printed_error(self, tmp_path):
-        # frame 54 arrives at 530053.3 us, frame 53 at 520087.3: the float difference
-        # less the expected spacing is 3.0000000000582077 us, printed as 3.0000
+        # frame 54 arrives at 530053.26 us, frame 53 at 520087.34: the difference less
+        # the expected spacing is 292 ticks of 10 ns, printed as 2.9200
         config = tmp_path / "rho3.ini"
         config.write_text((ROOT / CAPACITY).read_text().replace(
             "duration_us = 300000000", "duration_us = 1000000").replace(
@@ -909,9 +910,9 @@ class TestAttackAndCapacity:
         assert main(["verify", "--config", str(config), "--trace",
                      str(tmp_path / "sim" / "trace.csv"), "--out", str(tmp_path / "v")]) == 0
         assert (tmp_path / "v" / "verdicts.csv").read_text().splitlines()[54] \
-            == "5300533,100,54,3.0000,accept"
+            == "53005326,100,54,2.9200,accept"
         summary = (tmp_path / "v" / "verify_summary.txt").read_text()
-        assert "accept_rate_percent=81.8182\n" in summary
+        assert "accept_rate_percent=79.7980\n" in summary
 
     @pytest.mark.filterwarnings("ignore:sparse channel matrix")
     def test_no_compensate_follows_the_bus_stuffing(self, tmp_path, capsys):
@@ -999,8 +1000,8 @@ class TestInputErrors:
     def test_verify_without_scored_frames_is_format_error(self, small_config, tmp_path,
                                                           capsys):
         trace = tmp_path / "one_frame.csv"
-        trace.write_text("bus_time_us,id_hex,counter,payload_hex,genuine\n"
-                         "100000,100,1,2021222300000001,1\n")
+        trace.write_text(TRACE_HEADER + "\n"
+                         "1000000,100,1,2021222300000001,1\n")
         rc = main(["verify", "--config", str(small_config), "--trace", str(trace),
                    "--out", str(tmp_path / "ver")])
         assert rc == 3
@@ -1010,9 +1011,9 @@ class TestInputErrors:
 
     def test_verify_without_window_is_format_error(self, small_config, tmp_path, capsys):
         trace = tmp_path / "two_frames.csv"
-        trace.write_text("bus_time_us,id_hex,counter,payload_hex,genuine\n"
-                         "100000,100,1,2021222300000001,1\n"
-                         "200000,100,2,2021222300000002,1\n")
+        trace.write_text(TRACE_HEADER + "\n"
+                         "1000000,100,1,2021222300000001,1\n"
+                         "2000000,100,2,2021222300000002,1\n")
         rc = main(["verify", "--config", str(small_config), "--trace", str(trace),
                    "--out", str(tmp_path / "ver")])
         assert rc == 3
@@ -1020,11 +1021,62 @@ class TestInputErrors:
         assert "two_frames.csv" in err and "frames_required=6" in err
         assert not (tmp_path / "ver" / "verify_summary.txt").exists()
 
+    @pytest.mark.parametrize("command", ["verify", "capacity", "report"])
+    def test_trace_of_tenths_of_a_us_is_refused(self, small_config, tmp_path, capsys, command):
+        # trace.csv as it was when it held times in tenths of a us: its header
+        # is refused as a data line, so its times are never read at a tenth of their value
+        run = tmp_path / "run"
+        run.mkdir()
+        for file, content in REPORT_INPUTS.items():
+            (run / file).write_text(content)
+        (run / "trace.csv").write_text("bus_time_us,id_hex,counter,payload_hex,genuine\n"
+                                       "100000,100,1,2021222300000001,1\n"
+                                       "200000,100,2,2021222300000002,1\n")
+        given = ["--in", str(run)] if command == "report" else ["--trace", str(run / "trace.csv")]
+        rc = main([command, "--config", str(small_config), *given, "--out", str(tmp_path / "out")])
+        assert rc == 3
+        assert f"error: {run / 'trace.csv'}: line 1: bus_time_10ns: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_period_times_counter_step_past_int64(self, tmp_path):
+        # 10^10 ticks times a step of 2^32 - 2 counters is past int64, where numpy's
+        # product wraps; the error is the one of Python's integers
+        config = tmp_path / "slow.ini"
+        config.write_text("[bus]\nduration_us = 200000000\n\n[covert]\nkey_hex = "
+                          "000102030405060708090A0B0C0D0E0F\nframes_required = 2\n\n"
+                          "[node.one]\nframes = 0x100:100000000:8\n")
+        frames = [(1000000, 1, "2021222300000001"), (3000000, 2**32 - 1, "20212223FFFFFFFF")]
+        trace = tmp_path / "trace.csv"
+        trace.write_text(TRACE_HEADER + "\n"
+                         + "".join(f"{t},100,{c},{p},1\n" for t, c, p in frames))
+        assert main(["verify", "--config", str(config), "--trace", str(trace),
+                     "--out", str(tmp_path / "ver")]) == 0
+        (t1, c1, p1), (t2, c2, p2) = frames
+        xi1, xi2 = (incanta.covert_delay(bytes(range(16)), c, CanId(0x100), bytes.fromhex(p))
+                    for c, p in ((c1, p1), (c2, p2)))
+        want = ((t2 - t1) - 10**10 * (c2 - c1) - 100 * (xi2 - xi1)) / 100
+        row = (tmp_path / "ver" / "verdicts.csv").read_text().splitlines()[2].split(",")
+        assert row[4] == "intrusion" and float(row[3]) == want, row
+
+    def test_spacing_past_the_float_range_is_an_intrusion(self, tmp_path):
+        # 10^309 ticks times 99 steps, divided by 100, is past the largest float
+        config = tmp_path / "slowest.ini"
+        config.write_text(f"[bus]\nduration_us = {2 * 10**307}\n\n[covert]\nkey_hex = "
+                          "000102030405060708090A0B0C0D0E0F\nframes_required = 2\n\n"
+                          f"[node.one]\nframes = 0x100:{10**307}:8\n")
+        trace = tmp_path / "trace.csv"
+        trace.write_text(TRACE_HEADER + "\n100,100,1,2021222300000001,1\n"
+                         "200,100,100,2021222300000064,1\n")
+        assert main(["verify", "--config", str(config), "--trace", str(trace),
+                     "--out", str(tmp_path / "ver")]) == 0
+        row = (tmp_path / "ver" / "verdicts.csv").read_text().splitlines()[2].split(",")
+        assert row[4] == "intrusion" and float(row[3]) < -1e290, row
+
     @pytest.mark.parametrize("command", ["verify", "capacity"])
     def test_trace_id_missing_from_schedule(self, small_config, tmp_path, capsys, command):
         trace = tmp_path / "stray.csv"
-        trace.write_text("bus_time_us,id_hex,counter,payload_hex,genuine\n"
-                         "100000,7FF,1,2021222300000001,1\n")
+        trace.write_text(TRACE_HEADER + "\n"
+                         "1000000,7FF,1,2021222300000001,1\n")
         rc = main([command, "--config", str(small_config), "--trace", str(trace),
                    "--out", str(tmp_path / "out")])
         assert rc == 3

@@ -219,7 +219,7 @@ def receiver(**kw):
 
 
 def genuine_times(cfg, period_us, n, start=1000.0):
-    """Ideal covert transmission times for counters 1..n."""
+    """Ideal covert transmission times for counters 1..n, in ticks of 10 ns."""
     times = []
     t_prev = start
     xi_prev = 0
@@ -227,7 +227,7 @@ def genuine_times(cfg, period_us, n, start=1000.0):
         payload = embed(bytes(8), [k])[0]
         xi = covert_delay(cfg.key, k, ID, payload, cfg.level_bits)
         t = (start + xi) if k == 1 else (t_prev + period_us + xi - xi_prev)
-        times.append((k, payload, t))
+        times.append((k, payload, round(100 * t)))
         t_prev, xi_prev = t, xi
     return times
 
@@ -265,14 +265,14 @@ class TestVerifier:
         v = Verifier(cfg, receiver(tolerance_us=5.0))
         (k1, p1, t1), (k2, p2, t2) = genuine_times(cfg, 10_000.0, 2)
         v.verify(ID, k1, p1, t1)
-        assert v.verify(ID, k2, p2, t2 + 5.0).accepted
+        assert v.verify(ID, k2, p2, t2 + 500).accepted
 
     def test_boundary_rho_plus_one_is_intrusion(self):
         cfg = config()
         v = Verifier(cfg, receiver(tolerance_us=5.0))
         (k1, p1, t1), (k2, p2, t2) = genuine_times(cfg, 10_000.0, 2)
         v.verify(ID, k1, p1, t1)
-        verdict = v.verify(ID, k2, p2, t2 + 6.0)
+        verdict = v.verify(ID, k2, p2, t2 + 600)
         assert not verdict.accepted and verdict.reason == "timing"
         assert verdict.error_us == pytest.approx(6.0)
 
@@ -282,7 +282,7 @@ class TestVerifier:
         (k1, p1, t1), (k2, p2, t2) = genuine_times(cfg, 10_000.0, 2)
         v.verify(ID, k1, p1, t1)
         v.verify(ID, k2, p2, t2)
-        assert v.verify(ID, k1, p1, t2 + 10_000.0).reason == "replay"
+        assert v.verify(ID, k1, p1, t2 + 1_000_000).reason == "replay"
 
     def test_replay_does_not_poison_later_frames(self):
         cfg = config()
@@ -290,19 +290,19 @@ class TestVerifier:
         rows = genuine_times(cfg, 10_000.0, 3)
         v.verify(ID, *rows[0][:2], rows[0][2])
         v.verify(ID, *rows[1][:2], rows[1][2])
-        v.verify(ID, rows[0][0], rows[0][1], rows[1][2] + 3_000.0)  # stale replay
+        v.verify(ID, rows[0][0], rows[0][1], rows[1][2] + 300_000)  # stale replay
         assert v.verify(ID, *rows[2][:2], rows[2][2]).accepted
 
     def test_unknown_id_rejected(self):
         v = Verifier(config(), receiver())
         with pytest.raises(KeyError):
-            v.verify(CanId(0x7), 1, bytes(8), 0.0)
+            v.verify(CanId(0x7), 1, bytes(8), 0)
 
     def test_acceptance_monotone_in_rho(self):
         cfg = config()
         rng = np.random.default_rng(3)
         rows = genuine_times(cfg, 10_000.0, 300)
-        noisy = [(k, p, t + rng.uniform(-4, 4)) for k, p, t in rows]
+        noisy = [(k, p, t + round(100 * rng.uniform(-4, 4))) for k, p, t in rows]
         accepted_at = {}
         for rho in (0.0, 1.0, 2.0, 4.0, 8.0):
             v = Verifier(cfg, receiver(tolerance_us=rho))
@@ -318,7 +318,7 @@ class TestVerifier:
         v = Verifier(cfg, receiver(tolerance_us=5.0))
         factor = 1 + 100e-6
         for k, payload, t in genuine_times(cfg, 10_000.0, 1000):
-            assert v.verify(ID, k, payload, t * factor).accepted
+            assert v.verify(ID, k, payload, round(t * factor)).accepted
 
     def test_window_authentication(self):
         cfg = config()
@@ -328,27 +328,27 @@ class TestVerifier:
         assert verdicts[-1].window_authenticated is True
         # one bad frame poisons the next windows until it slides out
         k, p, t = rows[3]
-        bad = v.verify(ID, k, p, t + 50.0)
+        bad = v.verify(ID, k, p, t + 5000)
         assert bad.window_authenticated is False
         for k, p, t in rows[4:]:
             last = v.verify(ID, k, p, t)
         assert last.window_authenticated is False  # bad frame still inside
 
 
-# 8191.7 us: period plus covert delay crosses 2^13, so an inexact period
-# makes the float result depend on the order of operations
+# 8191.7 us: a period that float64 holds inexactly, 819170 ticks of 10 ns
 PERIODS = {CanId(0x100): 10_000.0, CanId(0x101): 20_000.0, CanId(0x7FF): 8_191.7}
+TICKS = {can_id: round(100 * p) for can_id, p in PERIODS.items()}
 
 
 @st.composite
 def receiver_traces(draw):
     """Interleaved IDs whose counters step by -2..3 (so repeat or go back) and
-    whose spacing is the covert one plus an offset, then optionally one ID
-    handed to the adversary; with the channel and a receiver of PERIODS."""
+    whose spacing in ticks is the covert one plus an offset, then optionally one
+    ID handed to the adversary; with the channel and a receiver of PERIODS."""
     cfg = config(level_bits=draw(st.integers(2, 8)))
     rx = Receiver(PERIODS, tolerance_us=draw(st.sampled_from([0.0, 2.5, 5.0])),
                   frames_required=draw(st.integers(1, 4)))
-    start = draw(st.sampled_from([0.0, 123_456_789.1, 3_700_000_000.3]))
+    start = draw(st.sampled_from([0, 12_345_678_910, 370_000_000_030]))
     ids = tuple(PERIODS)
     id_index, counters, times, tx, payloads, genuine, last = [], [], [], [], [], [], {}
     for _ in range(draw(st.integers(0, 40))):
@@ -357,17 +357,17 @@ def receiver_traces(draw):
         counter = max(0, c0 + draw(st.integers(-2, 3)))
         payload = embed(draw(st.binary(min_size=8, max_size=8)), [counter])[0]
         xi = covert_delay(cfg.key, counter, can_id, payload, cfg.level_bits)
-        t = t0 + PERIODS[can_id] * (counter - c0) + xi - xi0 \
-            + draw(st.sampled_from([0.0, 0.5, -2.5, 5.0, 7.25, 0.1, -4.9, 2.3]))
+        t = t0 + TICKS[can_id] * (counter - c0) + 100 * (xi - xi0) \
+            + draw(st.sampled_from([0, 50, -250, 500, 725, 10, -490, 230]))
         id_index.append(ids.index(can_id))
         counters.append(counter)
         times.append(t)
-        tx.append(draw(st.sampled_from([0.0, 108.0, 131.5])))
+        tx.append(draw(st.sampled_from([0, 10800, 13150])))
         payloads.append(payload)
         genuine.append(draw(st.booleans()))
         last[can_id] = (counter, t, xi)
     trace = Trace(ids, np.array(id_index, dtype=np.int64), np.array(counters, dtype=np.int64),
-                  np.array(times, dtype=np.float64), np.array(tx, dtype=np.float64),
+                  np.array(times, dtype=np.int64), np.array(tx, dtype=np.int64),
                   *payload_columns(payloads), np.array(genuine, dtype=bool))
     if id_index and draw(st.booleans()):
         target = ids[id_index[0]]
@@ -380,7 +380,7 @@ def receiver_traces(draw):
 def single_id_runs(draw):
     """One ID's run of up to 200 frames, built from a drawn seed: counters from
     0, 2^31 or just below 2^32 stepping by -2..3 (capped at 2^32 - 1, where they
-    repeat), the covert spacing plus an offset, windows of up to 8 frames."""
+    repeat), the covert spacing plus an offset in ticks, windows of up to 8 frames."""
     cfg = config(level_bits=draw(st.integers(2, 8)))
     rx = Receiver(PERIODS, tolerance_us=draw(st.sampled_from([0.0, 2.5, 5.0])),
                   frames_required=draw(st.integers(1, 8)))
@@ -393,10 +393,10 @@ def single_id_runs(draw):
     payloads, lengths = payload_columns([bytes(rng.integers(0, 256, 8, dtype=np.uint8))] * n)
     payloads = embed_counters(payloads, lengths, counters)
     xi = covert_delays(cfg.key, counters, can_id.value, payloads, lengths, cfg.level_bits)
-    noise = rng.choice([0.0, 0.0, 0.0, 0.5, -2.5, 5.0, 7.25, 0.1, -4.9, 2.3], n)
-    times = 123_456_789.1 + PERIODS[can_id] * (counters - low) + xi + np.cumsum(noise)
+    noise = rng.choice([0, 0, 0, 50, -250, 500, 725, 10, -490, 230], n)
+    times = 12_345_678_910 + TICKS[can_id] * (counters - low) + 100 * xi + np.cumsum(noise)
     trace = Trace((can_id,), np.zeros(n, dtype=np.int64), counters, times,
-                  rng.choice([0.0, 108.0, 131.5], n), payloads, lengths, rng.random(n) < 0.5)
+                  rng.choice([0, 10800, 13150], n), payloads, lengths, rng.random(n) < 0.5)
     return cfg, rx, trace
 
 
@@ -418,12 +418,12 @@ class TestDecode:
     def check_against_verifier(cfg, rx, trace, ends, rho):
         rx = rx if rho is None else replace(rx, tolerance_us=rho)
         if ends:
-            trace = replace(trace, bus_time_us=trace.bus_time_us + trace.tx_time_us)
+            trace = replace(trace, bus_ticks=trace.bus_ticks + trace.tx_ticks)
         decoded = decode(trace, cfg, rx)
         verifier = Verifier(cfg, rx)
         ids = [trace.ids[k] for k in trace.id_index.tolist()]
         counters = trace.counter.tolist()
-        arrivals = trace.bus_time_us.tolist()
+        arrivals = trace.bus_ticks.tolist()
         payloads = payload_list(trace.payloads, trace.payload_len)
         for i, (can_id, counter, payload, t) in enumerate(zip(ids, counters, payloads,
                                                                arrivals)):
@@ -440,7 +440,7 @@ class TestDecode:
             j = decoded.ref[i]
             xi_ref = covert_delay(cfg.key, counters[j], ids[j], payloads[j], cfg.level_bits)
             assert decoded.symbol[i] == round(
-                (t - arrivals[j]) - PERIODS[can_id] * (counter - counters[j]) + xi_ref)
+                ((t - arrivals[j]) - TICKS[can_id] * (counter - counters[j]) + 100 * xi_ref) / 100)
 
     @staticmethod
     def frames_of(ids, id_index):
@@ -448,7 +448,8 @@ class TestDecode:
         n = len(id_index)
         payloads, lengths = payload_columns([PAYLOAD] * n)
         return Trace(ids, np.array(id_index, dtype=np.int64), np.arange(1, n + 1),
-                     1000.0 * np.arange(n), np.zeros(n), payloads, lengths, np.ones(n, dtype=bool))
+                     100_000 * np.arange(n), np.zeros(n, dtype=np.int64), payloads, lengths,
+                     np.ones(n, dtype=bool))
 
     def test_unknown_id_named_by_first_appearance(self):
         a, b = CanId(0x0A0), CanId(0x0B0)  # neither has a period
@@ -503,11 +504,11 @@ class TestVerdictsFile:
     """`decode` on traces read back from trace.csv, as `verify` scores them."""
 
     @settings(max_examples=60, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.0, 520_087.3, 123_456_789.1,
-                                                        3_700_000_000.3]),
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0, 52_008_730, 12_345_678_910,
+                                                        370_000_000_030]),
            st.sampled_from([1.0, 2.0, 3.0, 5.0, 2.5]))
     def test_verdict_judges_the_printed_error(self, tmp_path_factory, seed, start, rho):
-        """Offsets on a 0.5 us grid put errors on rho, up to the float error of the gaps."""
+        """Offsets on a 0.5 us grid put errors on rho; times are ticks of 10 ns."""
         rng = np.random.default_rng(seed)
         n, cfg, ids = 120, config(), tuple(PERIODS)
         id_index = rng.integers(0, len(ids), n)
@@ -517,10 +518,11 @@ class TestVerdictsFile:
         payloads, lengths = payload_columns([bytes(rng.integers(0, 256, 8, dtype=np.uint8))] * n)
         id_values = np.array([i.value for i in ids])[id_index]
         xi = covert_delays(cfg.key, counters, id_values, payloads, lengths, cfg.level_bits)
-        times = (start + np.array([PERIODS[i] for i in ids])[id_index] * counters + xi
-                 + rng.integers(-6, 7, n) * 0.5)
+        times = (start + np.array([TICKS[i] for i in ids])[id_index] * counters + 100 * xi
+                 + rng.integers(-6, 7, n) * 50)
         order = np.argsort(times, kind="stable")
-        trace = Trace(ids, id_index[order], counters[order], times[order], np.zeros(n),
+        trace = Trace(ids, id_index[order], counters[order], times[order],
+                      np.zeros(n, dtype=np.int64),
                       payloads[order], lengths[order], np.ones(n, dtype=bool))
         fh = io.StringIO()
         write_trace(trace, fh)
@@ -586,7 +588,7 @@ class TestSentDelays:
         fh = io.StringIO()
         write_trace(trace, fh)
         fh.seek(0)
-        parsed = replace(parse_trace(fh), bus_time_us=trace.bus_time_us)
+        parsed = replace(parse_trace(fh), bus_ticks=trace.bus_ticks)
         self.assert_same(decoded, self.full(parsed, covert, rx))
 
         # the trace the adversary builds from it

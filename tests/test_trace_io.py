@@ -16,11 +16,11 @@ from hypothesis import given, settings, strategies as st
 from canto.bus_sim import BusConfig, NodeConfig, OversubscribedBusError, Trace, simulate
 from canto.clock_model import ClockModel
 from canto.frame_model import CanId, FrameSpec
-from canto.incanta import ERROR_LIMIT_US, CovertConfig, Receiver
+from canto.incanta import CovertConfig, Receiver
 from canto import scheduler, trace_io
 from canto.scheduler import Schedule
-from canto.trace_io import (TRACE_HEADER, TraceFormatError, _parse_native, export_trace,
-                            parse_experiment_config, parse_trace, read_schedule,
+from canto.trace_io import (ERROR_LIMIT_US, TRACE_HEADER, TraceFormatError, _parse_native,
+                            export_trace, parse_experiment_config, parse_trace, read_schedule,
                             write_schedule, write_trace, write_verdicts)
 from payload_rows import payload_columns, payload_list
 
@@ -44,17 +44,18 @@ class TestNativeFormat:
         assert out.getvalue().encode() == original
 
     def test_spec_line(self):
-        line = "bus_time_us,id_hex,counter,payload_hex,genuine\n10000,0x10,1,DEADBEEF00000001,1\n"
+        line = ("bus_time_10ns,id_hex,counter,payload_hex,genuine\n"
+                "100000,0x10,1,DEADBEEF00000001,1\n")
         trace = parse_trace(io.StringIO(line))
         assert trace.ids == (CanId(0x10),) and trace.id_index.tolist() == [0]
-        assert trace.bus_time_us.tolist() == [1000.0]  # stored as tenths of a microsecond
+        assert trace.bus_ticks.tolist() == [100000]  # stored as ticks of 10 ns
         assert trace.counter.tolist() == [1] and trace.genuine.tolist() == [True]
         assert trace.payloads.tolist() == [list(bytes.fromhex("DEADBEEF00000001"))]
         assert trace.payload_len.tolist() == [8]
-        assert trace.tx_time_us.tolist() == [0.0]  # the file stores no wire times
+        assert trace.tx_ticks.tolist() == [0]  # the file stores no wire times
 
     def test_malformed_line_reports_number(self):
-        bad = "bus_time_us,id_hex,counter,payload_hex,genuine\n10,0x10,1\n"
+        bad = "bus_time_10ns,id_hex,counter,payload_hex,genuine\n10,0x10,1\n"
         with pytest.raises(TraceFormatError, match="line 2"):
             parse_trace(io.StringIO(bad))
 
@@ -90,12 +91,12 @@ class TestNativeFormat:
         with pytest.raises(TraceFormatError, match="encoding"):
             parse_trace(path)
 
-    def test_time_a_tenth_below_the_limit_round_trips(self):
-        text = f"{TRACE_HEADER}\n100000,100,1,00,1\n{2**50 - 1},100,2,00,1\n"
+    def test_time_a_tick_below_the_limit_round_trips(self):
+        text = f"{TRACE_HEADER}\n1000000,100,1,00,1\n{2**53 - 1},100,2,00,1\n"
         assert _exported(parse_trace(io.StringIO(text))) == text.splitlines()
 
     def test_non_monotone_warns_and_sorts(self):
-        text = ("bus_time_us,id_hex,counter,payload_hex,genuine\n"
+        text = ("bus_time_10ns,id_hex,counter,payload_hex,genuine\n"
                 "200,010,2,00,1\n100,010,1,00,1\n")
         with pytest.warns(UserWarning, match="non-monotone"):
             trace = parse_trace(io.StringIO(text))
@@ -175,7 +176,7 @@ def long_trace(n: int) -> Trace:
     ids = (CanId(0x100), CanId(0x7FF), CanId(0x1FFFFFFF, extended=True))
     payloads = [bytes(range(k % 9)) for k in range(n)]
     return Trace(ids, np.arange(n) % 3, np.arange(n, dtype=np.int64),
-                 np.arange(n) * 125.5, np.zeros(n), *payload_columns(payloads),
+                 np.arange(n) * 12550, np.zeros(n, np.int64), *payload_columns(payloads),
                  np.arange(n) % 4 != 0)
 
 
@@ -197,16 +198,16 @@ _ROUND_TRIP_IDS = [CanId(0x0), CanId(0x100), CanId(0x7FF), CanId(0x800, extended
 
 @st.composite
 def columnar_traces(draw):
-    """Column-built traces, times non-decreasing on the 0.1 us grid."""
+    """Column-built traces, times non-decreasing, in ticks of 10 ns."""
     ids = tuple(draw(st.lists(st.sampled_from(_ROUND_TRIP_IDS), min_size=1, unique=True)))
     n = draw(st.integers(0, 12))
     rows = st.lists(st.integers(0, len(ids) - 1), min_size=n, max_size=n)
-    steps = st.lists(st.integers(0, 10**12), min_size=n, max_size=n)
-    tenths = np.array(sorted(draw(steps)), dtype=np.int64)
+    steps = st.lists(st.integers(0, 10**13), min_size=n, max_size=n)
+    ticks = np.array(sorted(draw(steps)), dtype=np.int64)
     return Trace(ids, np.array(draw(rows), dtype=np.int64),
                  np.array(draw(st.lists(st.integers(0, 2**32 - 1), min_size=n, max_size=n)),
                           dtype=np.int64),
-                 tenths / 10.0, np.zeros(n),
+                 ticks, np.zeros(n, np.int64),
                  *payload_columns(draw(st.lists(st.binary(max_size=8), min_size=n, max_size=n))),
                  np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool))
 
@@ -214,9 +215,9 @@ def columnar_traces(draw):
 def columns(trace):
     """Every column of a trace, ids resolved per frame, with each array's dtype."""
     return ([trace.ids[k] for k in trace.id_index.tolist()], trace.counter.tolist(),
-            trace.bus_time_us.tolist(), trace.payloads.tolist(), trace.payload_len.tolist(),
+            trace.bus_ticks.tolist(), trace.payloads.tolist(), trace.payload_len.tolist(),
             trace.genuine.tolist(),
-            [a.dtype for a in (trace.id_index, trace.counter, trace.bus_time_us, trace.tx_time_us,
+            [a.dtype for a in (trace.id_index, trace.counter, trace.bus_ticks, trace.tx_ticks,
                        trace.payloads, trace.payload_len, trace.genuine)])
 
 
@@ -228,7 +229,7 @@ class TestColumnarRoundTrip:
         write_trace(trace, out)
         parsed = parse_trace(io.StringIO(out.getvalue()))
         assert columns(parsed) == columns(trace)
-        assert parsed.tx_time_us.tolist() == [0.0] * len(trace)
+        assert parsed.tx_ticks.tolist() == [0] * len(trace)
 
 
 class TestScheduleFile:
@@ -495,7 +496,7 @@ def _line_reader(fh) -> Trace:
         if len(parts) != 5:
             raise TraceFormatError(f"line {lineno}: expected 5 fields, got {len(parts)}")
         try:
-            time_us = int(parts[0]) / 10.0
+            ticks = int(parts[0])
             pos = by_text.get(parts[1])
             if pos is None:
                 pos = by_text[parts[1]] = position.setdefault(CanId.parse(parts[1]),
@@ -513,17 +514,19 @@ def _line_reader(fh) -> Trace:
             raise TraceFormatError(f"line {lineno}: {exc}") from exc
         id_index.append(pos)
         counters.append(counter)
-        times.append(time_us)
+        times.append(ticks)
         payloads.append(payload)
         genuine.append(flag == 1)
+    # int64 times, but as numpy takes a time past int64, which its reader refuses
+    times = np.array(times) if times else np.zeros(0, np.int64)
     return Trace(tuple(position), np.array(id_index, dtype=np.int64),
-                 np.array(counters, dtype=np.int64), np.array(times, dtype=np.float64),
-                 np.zeros(len(times)), *payload_columns(payloads), np.array(genuine, dtype=bool))
+                 np.array(counters, dtype=np.int64), times, np.zeros(len(times), np.int64),
+                 *payload_columns(payloads), np.array(genuine, dtype=bool))
 
 
 def _int_at_time_limit(text: str) -> bool:
     try:
-        return not -2**50 < int(text) < 2**50
+        return not -2**53 < int(text) < 2**53
     except ValueError:
         return False
 
@@ -536,7 +539,7 @@ KNOWN_DIFFERENCES = {
     "non-ASCII character": lambda line, f: not line.isascii(),
     "0x1C-0x1F at a line's ends or around an id (str.strip takes them for whitespace)":
         lambda line, f: any(c in line for c in "\x1c\x1d\x1e\x1f"),
-    "time integer 2^50 or more from 0 (trace_io.TIME_LIMIT_US)":
+    "time integer 2^53 or more from 0 (bus_sim.TIME_LIMIT)":
         lambda line, f: _int_at_time_limit(f[0]),
     "id text over 10 characters": lambda line, f: len(f[1]) > 10,
     "payload text over 16 characters": lambda line, f: len(f[3]) > 16,
@@ -557,7 +560,7 @@ def _outcome(reader, text):
         trace = reader(io.StringIO(text))
     except TraceFormatError as exc:
         return re.match(r"line \d+", str(exc)).group()
-    return (columns(trace), trace.ids, trace.id_index.tolist(), trace.tx_time_us.tolist())
+    return (columns(trace), trace.ids, trace.id_index.tolist(), trace.tx_ticks.tolist())
 
 
 _BLANKS = st.lists(st.sampled_from(["", " ", "\t", " \x0c ", "\u3000"]), max_size=2)
@@ -611,8 +614,8 @@ class TestReaderMatchesLineReader:
         ("non-ASCII character", "\u0661,100,1,00,1"),
         ("0x1C-0x1F at a line's ends or around an id (str.strip takes them for whitespace)",
          "10,100\x1c,1,00,1"),
-        ("time integer 2^50 or more from 0 (trace_io.TIME_LIMIT_US)", f"{2**63},100,1,00,1"),
-        ("time integer 2^50 or more from 0 (trace_io.TIME_LIMIT_US)", f"-{2**50},100,1,00,1"),
+        ("time integer 2^53 or more from 0 (bus_sim.TIME_LIMIT)", f"{2**63},100,1,00,1"),
+        ("time integer 2^53 or more from 0 (bus_sim.TIME_LIMIT)", f"-{2**53},100,1,00,1"),
         ("id text over 10 characters", "10,00000000100,1,00,1"),
         ("payload text over 16 characters", "10,100,1,00 00 00 00 00 00 00 00,1"),
         ("carriage return inside a line", "10,100\r,1,00,1"),
@@ -675,22 +678,20 @@ class TestReaderChunkMix:
 def _row_write_trace(trace: Trace, fh) -> None:
     fh.write(TRACE_HEADER + "\n")
     texts = [str(i) for i in trace.ids]
-    # np.rint rounds half to even, as round() does
-    tenths = np.rint(trace.bus_time_us * 10).astype(np.int64).tolist()
+    ticks = trace.bus_ticks.tolist()
     fh.writelines(f"{t},{texts[k]},{c},{p.hex().upper()},{g}\n" for t, k, c, p, g in zip(
-        tenths, trace.id_index.tolist(), trace.counter.tolist(),
+        ticks, trace.id_index.tolist(), trace.counter.tolist(),
         payload_list(trace.payloads, trace.payload_len), trace.genuine.astype(np.int64).tolist()))
 
 
 def _row_write_verdicts(trace, decoded, path: Path) -> None:
     with open(path, "w", newline="\n") as fh:
-        fh.write("bus_time_us,id_hex,counter,error_us,verdict\n")
+        fh.write("bus_time_10ns,id_hex,counter,error_us,verdict\n")
         texts = [str(i) for i in trace.ids]
         for lo in range(0, len(trace), 4096):  # few number objects alive at a time
             rows = slice(lo, lo + 4096)
-            # np.rint rounds half to even, as round() does
-            tenths = np.rint(trace.bus_time_us[rows] * 10).astype(np.int64).tolist()
-            for t, k, c, err, ok in zip(tenths, trace.id_index[rows].tolist(),
+            ticks = trace.bus_ticks[rows].tolist()
+            for t, k, c, err, ok in zip(ticks, trace.id_index[rows].tolist(),
                                         trace.counter[rows].tolist(),
                                         decoded.error_us[rows].tolist(),
                                         decoded.accepted[rows].tolist()):
@@ -699,13 +700,13 @@ def _row_write_verdicts(trace, decoded, path: Path) -> None:
                 fh.write(f"{t},{texts[k]},{c},{err},{word}\n")
 
 
-_TENTHS = st.one_of(st.integers(0, 10**13),
-                    st.sampled_from([10**k + d for k in range(14) for d in (-1, 0)]))
-# exact binary ties of the fourth decimal, values next to a tie, next to ERROR_LIMIT_US
-# (past which `decode` leaves an error unrounded) and at the ends of the float range
+_TICKS = st.one_of(st.integers(0, 10**14),
+                   st.sampled_from([10**k + d for k in range(15) for d in (-1, 0)]))
+# ties of the tick grid, values next to a tie, next to ERROR_LIMIT_US (past
+# which the writer calls `format`) and at the ends of the float range
 _ERRORS = st.one_of(
     st.floats(-300.0, 300.0), st.floats(allow_nan=True, allow_infinity=True),
-    st.integers(-10**6, 10**6).map(lambda k: k / 1e4 + 0.5e-4),
+    st.integers(-10**6, 10**6).map(lambda k: k / 100 + 0.005),
     st.sampled_from([math.nan, 0.0, -0.0, -1e-5, 1e-5, 0.03125, -0.03125, 0.00015, 2.675,
                      1e300, -1e300, 5e-324, -5e-324, 2.2250738585072014e-308, math.inf,
                      -math.inf, *(np.nextafter(2.0**40 / 1e4, d) for d in (0, math.inf)),
@@ -716,8 +717,7 @@ _LENGTHS = st.sampled_from([None, 1025, 2100])
 @st.composite
 def frame_columns(draw):
     """A trace and its verdict columns, drawn as up to 12 rows and, for some,
-    repeated past the writers' block of rows; times are tenths of a microsecond
-    or, as arrivals the verdict writer takes, any float."""
+    repeated past the writers' block of rows; times are ticks of 10 ns."""
     ids = tuple(draw(st.lists(st.sampled_from(_ROUND_TRIP_IDS), min_size=1, unique=True)))
     n = draw(st.integers(0, 12))
     length = draw(_LENGTHS) if n else None
@@ -726,12 +726,12 @@ def frame_columns(draw):
         values = draw(st.lists(elements, min_size=n, max_size=n))
         return np.resize(np.array(values, dtype=dtype), length or n)
 
-    times = column(st.one_of(_TENTHS.map(lambda t: t / 10.0), _TENTHS.map(lambda t: -t / 10.0),
-                             st.floats(-1e12, 1e12)), np.float64)
+    times = column(st.one_of(_TICKS, _TICKS.map(lambda t: -t), st.integers(-10**14, 10**14)),
+                   np.int64)
     trace = Trace(ids, column(st.integers(0, len(ids) - 1), np.int64),
                   column(st.one_of(st.integers(0, 2**32 - 1), st.integers(-2**63, 2**63 - 1)),
                          np.int64),
-                  times, np.zeros(len(times)),
+                  times, np.zeros(len(times), np.int64),
                   *payload_columns(draw(st.lists(st.binary(max_size=8), min_size=n,
                                                  max_size=n))), column(st.booleans(), bool))
     trace.payloads = np.resize(trace.payloads, (len(times), 8))
@@ -756,23 +756,24 @@ class TestBlockWriters:
     @settings(max_examples=150, deadline=None)
     def test_verdicts_bytes_identical(self, tmp_path_factory, columns):
         trace, decoded = columns
-        # the writer prints the digits of the value it is given: `decode`'s rounding first
+        # the writer prints the digits of an error in whole ticks, as `decode` gives it
         fine = np.abs(decoded.error_us) < ERROR_LIMIT_US
-        decoded.error_us[fine] = np.rint(decoded.error_us[fine] * 1e4) / 1e4 + 0.0
+        decoded.error_us[fine] = np.rint(decoded.error_us[fine] * 100) / 100 + 0.0
         out = tmp_path_factory.mktemp("verdicts")
         _row_write_verdicts(trace, decoded, out / "want.csv")
         write_verdicts(trace, decoded, out / "got.csv")
         assert (out / "got.csv").read_bytes() == (out / "want.csv").read_bytes()
 
     def test_empty_trace_writes_the_header(self, tmp_path):
-        trace = Trace((), np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0), np.zeros(0),
-                      *payload_columns([]), np.zeros(0, bool))
+        trace = Trace((), np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64),
+                      np.zeros(0, np.int64), *payload_columns([]), np.zeros(0, bool))
         out = io.StringIO()
         write_trace(trace, out)
         assert out.getvalue() == TRACE_HEADER + "\n"
         nothing = SimpleNamespace(error_us=np.zeros(0), accepted=np.zeros(0, bool))
         write_verdicts(trace, nothing, tmp_path / "v.csv")
-        assert (tmp_path / "v.csv").read_text() == "bus_time_us,id_hex,counter,error_us,verdict\n"
+        assert (tmp_path / "v.csv").read_text() == \
+            "bus_time_10ns,id_hex,counter,error_us,verdict\n"
 
 
 class TestBlocksAndMemory:
@@ -789,12 +790,13 @@ class TestBlocksAndMemory:
         rng = np.random.default_rng(7)
         n = 64000
         trace = Trace((CanId(0x100),), np.zeros(n, np.int64), np.arange(n, dtype=np.int64),
-                      np.arange(n) * 10000.0 + rng.integers(0, 50, n) / 10, np.zeros(n),
+                      np.arange(n) * 1_000_000 + rng.integers(0, 50, n) * 10,
+                      np.zeros(n, np.int64),
                       rng.integers(0, 256, (n, 8), dtype=np.uint8), np.full(n, 8),
                       np.ones(n, bool))
         decoded = SimpleNamespace(error_us=rng.uniform(-5, 5, n), accepted=np.ones(n, bool))
-        size = sum(a.nbytes for a in (trace.id_index, trace.counter, trace.bus_time_us,
-                                      trace.tx_time_us, trace.payloads, trace.payload_len,
+        size = sum(a.nbytes for a in (trace.id_index, trace.counter, trace.bus_ticks,
+                                      trace.tx_ticks, trace.payloads, trace.payload_len,
                                       trace.genuine))
         return trace, decoded, size
 
@@ -822,14 +824,15 @@ class TestBlocksAndMemory:
         """Three blocks of rows, one of them with an error that only `format`
         writes, against the row-at-a-time writers."""
         trace = long_trace(2 * trace_io._BLOCK + 5)
-        errors = np.where(np.arange(len(trace)) % 7 == 0, np.nan, np.arange(len(trace)) / 3)
+        errors = np.where(np.arange(len(trace)) % 7 == 0, np.nan,
+                          np.rint(np.arange(len(trace)) * 100 / 3) / 100)  # whole ticks
         errors[trace_io._BLOCK + 1] = 2.0**50
         decoded = SimpleNamespace(error_us=errors, accepted=np.arange(len(trace)) % 5 != 0)
         want, got = io.StringIO(), io.StringIO()
         _row_write_trace(trace, want)
         write_trace(trace, got)
         assert got.getvalue() == want.getvalue()
-        arrived = dataclasses.replace(trace, bus_time_us=trace.bus_time_us - 0.05)
+        arrived = dataclasses.replace(trace, bus_ticks=trace.bus_ticks - 5)
         _row_write_verdicts(arrived, decoded, tmp_path / "want.csv")
         write_verdicts(arrived, decoded, tmp_path / "got.csv")
         assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
