@@ -2,13 +2,13 @@
 
 Every cyclic frame is released at k*period + offset (+ covert delay) on
 its sender's local clock, mapped to bus time through that node's skewed
-and quantized oscillator; each (node, frame) stream is computed as
-arrays. Whenever the bus is idle the pending frame with the lowest
-identifier transmits for its full wire time, including the stuff bits of
-its actual payload (or none, with `stuffing = none`); arbitration is
-non-destructive so losers simply wait. Only releases that overlap go
-through the arbitration heap. Identical configuration and seed reproduce
-the trace byte for byte.
+and quantized oscillator, all in int64 ticks of 10 ns; each (node, frame)
+stream is computed as arrays. Whenever the bus is idle the pending frame
+with the lowest identifier transmits for its full wire time, including the
+stuff bits of its actual payload (or none, with `stuffing = none`);
+arbitration is non-destructive so losers simply wait. Only releases that
+overlap go through the arbitration heap. Identical configuration and seed
+reproduce the trace byte for byte.
 """
 
 from __future__ import annotations
@@ -25,11 +25,12 @@ from canto.clock_model import ClockModel, oscillator_times
 from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_wire_times_us,
                                transmission_time_us)
 from canto.incanta import CovertConfig, covert_delays, embed_counters, mac_fingerprint
-from canto.scheduler import MAX_INSTANTS, Schedule, check_complete
+from canto.scheduler import MAX_INSTANTS, Schedule, _streams, check_complete
 
 
 STUFFING_MODES = ("none", "payload")
 TIME_LIMIT = 1 << 53  # bus times are ticks of 10 ns below it: each is exact in float64
+PAST_TIME_LIMIT = f"a frame starts past {TIME_LIMIT / 100:.4g} us, 2^53 ticks of 10 ns"
 
 
 class OversubscribedBusError(RuntimeError):
@@ -84,7 +85,7 @@ class BusConfig:
         if not 2 * slowest <= self.duration_us < math.inf:
             raise ValueError(f"duration_us {self.duration_us:g} must be finite and cover "
                              f"two periods of the slowest frame ({slowest:g} us)")
-        releases = sum(math.ceil((self.duration_us - f.offset_us) / f.period_us) for f in specs)
+        releases = sum(n for _, _, n in self.stream_ticks())
         if releases > MAX_INSTANTS:
             raise ValueError(f"duration_us {self.duration_us:g} releases {releases:.6g} frames, "
                              f"over {MAX_INSTANTS}")
@@ -98,10 +99,17 @@ class BusConfig:
     def frame_specs(self) -> list[FrameSpec]:
         return [f for n in self.nodes for f in n.frames]
 
-    def wire_times_us(self, ids, id_index, rows, lengths) -> np.ndarray:
-        """`frame_wire_times_us` on this bus: its bitrate, stuff bits iff `payload`."""
-        return frame_wire_times_us(ids, id_index, rows, lengths, self.bitrate_bps,
-                                   self.stuffing == "payload")
+    def stream_ticks(self) -> list[tuple[int, int, int]]:
+        """Each frame's period p and offset o in ticks of 10 ns, as `scheduler._streams`
+        takes them, and its number of releases o + k*p below the duration."""
+        p, o = (x.tolist() for x in _streams(Schedule(tuple(self.frame_specs()))))
+        num, den = float(self.duration_us).as_integer_ratio()  # o + k*p < 100 * num / den
+        return [(pi, oi, -((oi * den - 100 * num) // (pi * den))) for pi, oi in zip(p, o)]
+
+    def wire_ticks(self, ids, id_index, rows, lengths) -> np.ndarray:
+        """`frame_wire_times_us` on this bus (bitrate, stuff bits iff `payload`) in 10 ns ticks."""
+        return np.rint(100 * frame_wire_times_us(ids, id_index, rows, lengths, self.bitrate_bps,
+                                                 self.stuffing == "payload")).astype(np.int64)
 
 
 @dataclass(eq=False)
@@ -142,61 +150,59 @@ class Trace:
 
 
 def _theoretical_busload(config: BusConfig) -> float:
-    load = 0.0
-    for f in config.frame_specs():
-        bits = frame_bit_length(f.payload_bits, f.id.kind)
-        load += transmission_time_us(bits, config.bitrate_bps) / f.period_us
-    return 100.0 * load
+    return 100.0 * sum(transmission_time_us(frame_bit_length(f.payload_bits, f.id.kind),
+                                            config.bitrate_bps) / f.period_us
+                       for f in config.frame_specs())
 
 
 def _releases(config: BusConfig):
-    """Every release, stream after stream, as arrays: ready time on the bus, wire
-    time, position of the ID in `frame_specs()`, counter, payload rows and
-    lengths, and each release's `Trace.sent` delay (None without a covert
-    node). A (node, frame) stream is released at k*period + offset (+ covert
-    delay) below the duration, on the node's clock, with jitter from its own
-    generator; its payload counts up from id >> 3 and, with the covert channel
-    on, carries the counter in its last 4 bytes."""
-    specs = config.frame_specs()
-    base, jitter, streams = [], [], []
+    """Every release, stream after stream, as arrays: ready and wire time in ticks, position
+    of the ID in `frame_specs()`, counter, payload rows and lengths, and each release's
+    `Trace.sent` delay (None without a covert node). A (node, frame) stream is released at
+    `BusConfig.stream_ticks`' o + k*p plus its covert delay, on its node's clock floored to
+    its tick, plus jitter from its own generator rounded to ticks; its payload counts up
+    from id >> 3 and, on the covert channel, carries the counter in its last 4 bytes."""
+    specs, streams = config.frame_specs(), config.stream_ticks()
+    counts = np.array([n for _, _, n in streams])
+    jitter, clocks = [], []
     for node_idx, node in enumerate(config.nodes):
-        for frame_idx, spec in enumerate(node.frames):
+        for frame_idx in range(len(node.frames)):
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence((config.seed, node_idx, frame_idx))))
-            # one k past the estimate; the mask keeps the releases below the duration
-            k = np.arange(math.ceil((config.duration_us - spec.offset_us) / spec.period_us) + 1)
-            times = k * spec.period_us + spec.offset_us
-            base.append(times[times < config.duration_us])
-            jitter.append(node.clock.jitter.draws(rng, len(base[-1])))
-            streams.append((node.clock.skew_ppm, node.clock.tick_ns, node.covert))
-    counts = np.array([len(b) for b in base])
-    skew_ppm, tick_ns, covert = np.repeat(np.array(streams), counts, axis=0).T
+            jitter.append(node.clock.jitter.draws(rng, counts[len(clocks)]))
+            clocks.append((node.clock.skew_ppm, node.clock.tick_ns, node.covert))
+    jitter = np.rint(100 * np.concatenate(jitter))
+    if not max(float(np.abs(jitter).max()), *(o + (n - 1) * p for p, o, n in streams)) < TIME_LIMIT:
+        raise TimeLimitError(PAST_TIME_LIMIT)  # before int64 arrays hold them; NaN fails too
+    local = np.concatenate([o + p * np.arange(n) for p, o, n in streams])
+    skew_ppm, tick_ns, covert = np.repeat(np.array(clocks), counts, axis=0).T
     pos = np.repeat(np.arange(len(specs)), counts)
     counter = np.arange(1, len(pos) + 1) - np.repeat(np.cumsum(counts) - counts, counts)
     id_values, lengths = np.array([(f.id.value, f.payload_bits // 8) for f in specs]).T
     rows = ((id_values[:, None] >> 3) + np.arange(8) & 0xFF) * (np.arange(8) < lengths[:, None])
-    rows, lengths, local = rows.astype(np.uint8)[pos], lengths[pos], np.concatenate(base)
+    rows, lengths = rows.astype(np.uint8)[pos], lengths[pos]
     sent, own = None, covert == 1
     if own.any():
         rows[own] = embed_counters(rows[own], lengths[own], counter[own])
         sent = np.full(len(pos), -1)
         sent[own] = covert_delays(config.covert.key, counter[own], id_values[pos[own]],
                                   rows[own], lengths[own], config.covert.level_bits)
-        local[own] += sent[own]
-    ready = oscillator_times(local, skew_ppm, tick_ns) + np.concatenate(jitter)
-    tx = config.wire_times_us(tuple(f.id for f in specs), pos, rows, lengths)
+        local[own] += 100 * sent[own]
+    # integers below 2^53 add exactly in float64, and a sum at or past it stays there
+    ready = (oscillator_times(local, skew_ppm, tick_ns / 10) + jitter).astype(np.int64)
+    tx = config.wire_ticks(tuple(f.id for f in specs), pos, rows, lengths)
     return ready, tx, pos, counter, rows, lengths, sent
 
 
 def simulate(config: BusConfig) -> Trace:
     """Run the bus and return the time-ordered trace of transmissions.
 
-    Releases are sorted by (ready time, arbitration rank, release order). A
-    release that is ready once the one before it has ended, where that one
-    started at its own ready time, starts at its ready time too; runs of
-    such releases are taken as whole slices. From the first release that
-    overlaps the one before it, the arbitration heap runs until its waiting
-    queue drains. Starts and wire times become ticks at the end, half to even.
+    Releases are sorted by (ready time, arbitration rank, release order). A release
+    that is ready once the one before it has ended, where that one started at its own
+    ready time, starts at its ready time too; runs of such releases are taken as whole
+    slices. From the first release that overlaps the one before it, the arbitration heap
+    runs until its waiting queue drains. Each frame starts once it is ready and the bus
+    is free, in int64 ticks; a start of TIME_LIMIT ticks or more is refused.
     """
     specs = config.frame_specs()
     if not check_complete(Schedule(tuple(specs))):
@@ -212,17 +218,14 @@ def simulate(config: BusConfig) -> Trace:
     # the releases whose predecessor in `order` has not ended by their ready time
     overlapped = np.append(np.flatnonzero(ready[1:] < ready[:-1] + tx[:-1]) + 1, n)
     queue_limit = 4 * len(specs) + 16
-    rows, starts = [], []
-    t, i = 0.0, 0
+    rows, t, i = [], 0, 0
     while i < n:
         if ready[i] >= t:  # the bus is free: a run starting at its ready times
             j = int(overlapped[np.searchsorted(overlapped, i, side="right")])
             rows.append(np.arange(i, j))
-            starts.append(ready[i:j])
             t, i = ready[j - 1] + tx[j - 1], j
             continue
-        waiting: list[tuple] = []  # (arbitration rank, release order, row)
-        heap_rows, heap_starts = [], []
+        waiting, heap_rows = [], []  # waiting: (arbitration rank, release order, row)
         while True:
             while i < n and ready[i] <= t:
                 heapq.heappush(waiting, (rank[i], order[i], i))
@@ -234,19 +237,17 @@ def simulate(config: BusConfig) -> Trace:
                     f"transmission queue exceeded {queue_limit} pending frames "
                     f"(theoretical busload {_theoretical_busload(config):.0f}%)")
             row = heapq.heappop(waiting)[2]
-            start = max(t, ready[row])
             heap_rows.append(row)
-            heap_starts.append(start)
-            t = start + tx[row]
+            t = max(t, ready[row]) + tx[row]
         rows.append(np.array(heap_rows, dtype=np.int64))
-        starts.append(np.array(heap_starts, dtype=np.float64))
     rows = np.concatenate(rows)
     release = order[rows]  # each transmitted frame's index among the releases
-    starts = np.rint(np.concatenate(starts) * 100)
-    if not np.abs(starts).max(initial=0.0) < TIME_LIMIT:  # NaN fails too
-        raise TimeLimitError(f"a frame starts past {TIME_LIMIT / 100:.4g} us, 2^53 ticks of 10 ns")
-    trace = Trace(tuple(f.id for f in specs), pos[release], counter[release],
-                  starts.astype(np.int64), np.rint(tx[rows] * 100).astype(np.int64),
+    # start k = max(end k-1, ready k), end -1 = 0: a running maximum past the wire time before k
+    before = np.cumsum(tx[rows]) - tx[rows]
+    starts = before + np.maximum.accumulate(np.maximum(ready[rows] - before, 0))
+    if not starts.max() < TIME_LIMIT:
+        raise TimeLimitError(PAST_TIME_LIMIT)
+    trace = Trace(tuple(f.id for f in specs), pos[release], counter[release], starts, tx[rows],
                   payloads[release], lengths[release], np.ones(n, dtype=bool), config.duration_us)
     if sent is not None:
         trace.sent = (sent[release], mac_fingerprint(trace, config.covert))
@@ -258,7 +259,7 @@ def busload(trace: Trace) -> float:
     from the wire times the simulator recorded."""
     if not trace.duration_us or not trace.tx_ticks.all():
         raise ValueError("busload needs the wire times and duration the simulator records; a "
-                         "trace read from a file has neither (BusConfig.wire_times_us prices "
+                         "trace read from a file has neither (BusConfig.wire_ticks prices "
                          "its frames)")
     return sum(trace.tx_ticks.tolist()) / trace.duration_us  # 100 * (ticks / 100) / duration
 

@@ -171,8 +171,8 @@ def _decoded(ctx):
     args, config = ctx.args, ctx.config
     trace = trace_io.parse_trace(args.trace)
     if args.no_compensate:
-        trace.bus_ticks += np.rint(100 * config.wire_times_us(
-            trace.ids, trace.id_index, trace.payloads, trace.payload_len)).astype(np.int64)
+        trace.bus_ticks += config.wire_ticks(trace.ids, trace.id_index, trace.payloads,
+                                             trace.payload_len)
     try:
         decoded = decode(trace, config.covert, config.receiver)
     except KeyError as exc:

@@ -1,11 +1,11 @@
 """Per-node oscillator models and clock offset metrics.
 
 A node's clock is an ideal clock scaled by a ppm skew, quantized to the
-timer tick (10 ns by default, counters count whole ticks so values are
-floored), plus a per-event jitter draw. The offset helpers turn a
-recording of same-ID inter-arrivals into a cumulative offset against a
-given per-step slope, and classify deliberately forced tick-level period
-adjustments.
+timer tick (a multiple of 10 ns, 10 ns by default; counters count whole
+ticks so values are floored), plus a per-event jitter draw. The offset
+helpers turn a recording of same-ID inter-arrivals into a cumulative
+offset against a given per-step slope, and classify deliberately forced
+tick-level period adjustments.
 """
 
 from __future__ import annotations
@@ -86,17 +86,16 @@ class Jitter:
         return math.inf
 
 
-def oscillator_times(local_us, skew_ppm, tick_ns) -> np.ndarray:
-    """floor(local * (1 + skew_ppm * 1e-6) / tick) * tick: local times on skewed
-    oscillators, floored to their ticks; skew and tick are per row or scalars."""
-    tick_us = tick_ns / 1000.0
-    return np.floor(local_us * (1.0 + skew_ppm * 1e-6) / tick_us) * tick_us
+def oscillator_times(local, skew_ppm, tick) -> np.ndarray:
+    """floor(local * (1 + skew_ppm * 1e-6) / tick) * tick: local times on skewed oscillators,
+    floored to their ticks, in the unit of `tick`; skew and tick are per row or scalars."""
+    return np.floor(local * (1.0 + skew_ppm * 1e-6) / tick) * tick
 
 
 @dataclass(frozen=True)
 class ClockModel:
     """Skewed, quantized oscillator: bus time = local * (1 + skew) floored
-    to the tick grid, plus one jitter draw."""
+    to the tick grid, a multiple of 10 ns, plus one jitter draw."""
 
     skew_ppm: float = 0.0
     tick_ns: int = 10
@@ -105,6 +104,8 @@ class ClockModel:
     def __post_init__(self):
         if not 0 < self.tick_ns <= 2**63 - 1:  # numpy's int64
             raise ValueError(f"tick_ns {self.tick_ns} must be 1..2^63-1")
+        if self.tick_ns % 10:
+            raise ValueError(f"tick_ns {self.tick_ns} must be a multiple of 10")
         if not abs(self.skew_ppm) < 1e4:  # NaN fails too
             raise ValueError("skew beyond +-10000 ppm is not an oscillator model")
 
@@ -117,10 +118,8 @@ class ClockModel:
         local = np.asarray(t_local_us, dtype=np.float64)
         if (local < 0).any():
             raise ValueError("local time must be nonnegative")
-        quantized = oscillator_times(local, self.skew_ppm, self.tick_ns)
-        if rng is None or self.jitter.kind == "none":
-            return quantized
-        return quantized + self.jitter.draws(rng, local.size)
+        quantized = oscillator_times(local, self.skew_ppm, self.tick_ns / 1000)
+        return quantized if rng is None else quantized + self.jitter.draws(rng, local.size)
 
 
 def cumulative_offset(inter_arrivals_us, slope_us: float) -> np.ndarray:

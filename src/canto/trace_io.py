@@ -2,7 +2,7 @@
 
 Traces are CSV with timestamps stored as the trace's integer ticks of
 10 ns, so files are bit-exact across platforms; wire times are not
-stored, so a trace read back has none (`BusConfig.wire_times_us` prices
+stored, so a trace read back has none (`BusConfig.wire_ticks` prices
 frames). Experiment configurations are INI documents with [bus], optional
 [covert] and [allocator] sections and one [node.NAME] section per ECU.
 Schedules are line-oriented text: `id_hex period_us offset_us payload_bits`.

@@ -7,10 +7,11 @@ import io
 import math
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from canto.bus_sim import (BusConfig, NodeConfig, OversubscribedBusError, Trace, _releases,
                            _theoretical_busload, busload, simulate)
@@ -18,7 +19,7 @@ from canto.clock_model import ClockModel, Jitter
 from canto.frame_model import (CanId, FrameSpec, frame_bit_length, frame_stuff_bits,
                                transmission_time_us)
 from canto.incanta import CovertConfig, Receiver, Verifier, covert_delay, covert_delays, decode
-from canto.scheduler import Schedule, allocate_gcd, check_complete
+from canto.scheduler import Schedule, _streams, allocate_gcd, check_complete
 from canto.trace_io import parse_trace, write_trace
 from blind_forger import forge_blind
 from payload_rows import payload_columns, payload_list
@@ -73,11 +74,30 @@ def hmac_delays(key, counters, id_value, payloads, level_bits):
                     dtype=np.int64)
 
 
-def wire_times(can_id, payloads, bitrate_bps):
-    """Each payload's wire time, its stuff bits counted one frame at a time."""
-    return np.array([transmission_time_us(frame_bit_length(8 * len(p), can_id.kind)
-                                          + frame_stuff_bits(can_id, p), bitrate_bps)
-                     for p in payloads])
+def base_ticks(config, spec):
+    """A stream's base times k*p + o in ticks of 10 ns below the duration, one at a
+    time in Python ints, p and o as `scheduler._streams` takes them."""
+    p, o = (int(x[0]) for x in _streams(Schedule((spec,))))
+    k = 0
+    while Fraction(k * p + o, 100) < config.duration_us:
+        yield k * p + o
+        k += 1
+
+
+def ready_tick(clock, local, rng):
+    """One release's ready time in ticks: its local time in ticks on the node's skewed
+    clock, floored to the clock's tick, plus one jitter draw rounded to ticks, half to even."""
+    tick = clock.tick_ns / 10
+    draw = float(clock.jitter.draws(rng, 1)[0])
+    return int(math.floor(local * (1.0 + clock.skew_ppm * 1e-6) / tick) * tick) + round(100 * draw)
+
+
+def wire_tick(config, can_id, payload):
+    """One frame's wire time in ticks, its stuff bits counted iff the bus stuffs payloads."""
+    bits = frame_bit_length(8 * len(payload), can_id.kind)
+    if config.stuffing == "payload":
+        bits += frame_stuff_bits(can_id, payload)
+    return round(100 * transmission_time_us(bits, config.bitrate_bps))
 
 
 def config(nodes, duration_us, **kw):
@@ -203,7 +223,7 @@ class TestBusload:
         write_trace(simulate(config([node("a", [FrameSpec(CanId(0x10), 10 * MS)])], 100 * MS)),
                     buf)
         buf.seek(0)
-        with pytest.raises(ValueError, match="BusConfig.wire_times_us"):
+        with pytest.raises(ValueError, match="BusConfig.wire_ticks"):
             busload(parse_trace(buf))
 
 
@@ -238,15 +258,14 @@ class TestOversubscription:
 
 def reference_simulate(config: BusConfig) -> Trace:
     """The simulator as it was before it computed releases as arrays: every
-    release, one scalar clock conversion at a time, through the arbitration
-    heap, its starts and wire times rounded to ticks of 10 ns at the end.
-    `simulate` is held to it."""
+    release, one at a time in Python ints of 10 ns ticks, through the
+    arbitration heap. `simulate` is held to it."""
     specs = config.frame_specs()
     if not check_complete(Schedule(tuple(specs))):
         warnings.warn("schedule is not collision-free; covert verification will degrade",
                       stacklevel=2)
 
-    # (ready_us, arbitration key, seq, id position in specs, counter, tx,
+    # (ready tick, arbitration key, seq, id position in specs, counter, tx ticks,
     # payload) per release
     releases: list[tuple] = []
     seq = 0
@@ -257,33 +276,23 @@ def reference_simulate(config: BusConfig) -> Trace:
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence((config.seed, node_idx, frame_idx))))
             template = payload_template(spec)
-            nominal_tx = transmission_time_us(frame_bit_length(spec.payload_bits, spec.id.kind),
-                                              config.bitrate_bps)
             key = spec.id.arbitration_key()
-            counter = 0
-            k = 0
-            while True:
-                base = k * spec.period_us + spec.offset_us
-                if base >= config.duration_us:
-                    break
-                counter += 1
+            for counter, base in enumerate(base_ticks(config, spec), 1):
                 payload, xi = template, 0
                 if node.covert:
                     payload = with_counter(template, counter)
                     xi = covert_delay(config.covert.key, counter, spec.id, payload,
                                       config.covert.level_bits)
-                ready = node.clock.local_to_bus_time(base + xi, rng)
-                tx = wire_times(spec.id, [payload], config.bitrate_bps)[0] \
-                    if config.stuffing == "payload" else nominal_tx
-                releases.append((ready, key, seq, id_pos, counter, tx, payload))
+                ready = ready_tick(node.clock, base + 100 * xi, rng)
+                releases.append((ready, key, seq, id_pos, counter,
+                                 wire_tick(config, spec.id, payload), payload))
                 seq += 1
-                k += 1
 
     heapq.heapify(releases)
     waiting: list[tuple] = []  # (arbitration key, seq, release)
     id_index, counters, starts, txs, payloads = [], [], [], [], []
     queue_limit = 4 * len(specs) + 16
-    t = 0.0
+    t = 0
     while releases or waiting:
         while releases and releases[0][0] <= t:
             release = heapq.heappop(releases)
@@ -304,9 +313,8 @@ def reference_simulate(config: BusConfig) -> Trace:
         payloads.append(payload)
         t = start + tx
     return Trace(tuple(f.id for f in specs), np.array(id_index, dtype=np.int64),
-                 np.array(counters, dtype=np.int64),
-                 np.rint(100 * np.array(starts, dtype=np.float64)).astype(np.int64),
-                 np.rint(100 * np.array(txs, dtype=np.float64)).astype(np.int64),
+                 np.array(counters, dtype=np.int64), np.array(starts, dtype=np.int64),
+                 np.array(txs, dtype=np.int64),
                  *payload_columns(payloads),
                  np.ones(len(starts), dtype=bool), config.duration_us)
 
@@ -347,11 +355,11 @@ def contended_buses(draw):
 
 
 def per_stream_releases(config: BusConfig):
-    """The releases as they were built one (node, frame) stream at a time, with
-    the payloads as a list, copied from the simulator before it batched the
-    bus; only its kernels are the one-frame-at-a-time oracles above.
-    `_releases` is held to it. Last, each release's covert delay (-1 for a
-    plain sender), or None without a covert node."""
+    """The releases built one (node, frame) stream at a time and one release at a
+    time, in Python ints of 10 ns ticks, with the payloads as a list; its kernels
+    are the one-frame-at-a-time oracles above. `_releases` is held to it. Last,
+    each release's covert delay (-1 for a plain sender), or None without a covert
+    node."""
     ready, tx, pos, counters, payloads, delays = [], [], [], [], [], []
     id_pos = -1
     for node_idx, node in enumerate(config.nodes):
@@ -359,31 +367,22 @@ def per_stream_releases(config: BusConfig):
             id_pos += 1
             rng = np.random.Generator(np.random.PCG64(
                 np.random.SeedSequence((config.seed, node_idx, frame_idx))))
-            # one k past the estimate; the mask keeps the releases below the duration
-            k = np.arange(math.ceil((config.duration_us - spec.offset_us) / spec.period_us) + 1)
-            base = k * spec.period_us + spec.offset_us
-            base = base[base < config.duration_us]
-            counter = np.arange(1, len(base) + 1, dtype=np.int64)
             template = payload_template(spec)
-            sent, local = [template] * len(base), base
-            delays.append(np.full(len(base), -1))
-            if node.covert:
-                sent = [with_counter(template, c) for c in counter.tolist()]
-                delays[-1] = hmac_delays(config.covert.key, counter, spec.id.value, sent,
-                                         config.covert.level_bits)
-                local = base + delays[-1]
-            ready.append(node.clock.bus_times(local, rng))
-            if config.stuffing == "payload":
-                tx.append(wire_times(spec.id, sent, config.bitrate_bps))
-            else:
-                bits = frame_bit_length(spec.payload_bits, spec.id.kind)
-                tx.append(np.full(len(base), transmission_time_us(bits, config.bitrate_bps)))
-            pos.append(np.full(len(base), id_pos, dtype=np.int64))
-            counters.append(counter)
-            payloads += sent
+            for counter, base in enumerate(base_ticks(config, spec), 1):
+                payload, xi = template, -1
+                if node.covert:
+                    payload = with_counter(template, counter)
+                    xi = int(hmac_delays(config.covert.key, [counter], spec.id.value, [payload],
+                                         config.covert.level_bits)[0])
+                ready.append(ready_tick(node.clock, base + 100 * max(xi, 0), rng))
+                tx.append(wire_tick(config, spec.id, payload))
+                pos.append(id_pos)
+                counters.append(counter)
+                payloads.append(payload)
+                delays.append(xi)
     covert = any(n.covert for n in config.nodes)
-    return (np.concatenate(ready), np.concatenate(tx), np.concatenate(pos),
-            np.concatenate(counters), payloads, np.concatenate(delays) if covert else None)
+    return (*(np.array(column, dtype=np.int64) for column in (ready, tx, pos, counters)),
+            payloads, np.array(delays, dtype=np.int64) if covert else None)
 
 
 @st.composite
@@ -470,6 +469,54 @@ class TestMatchesReleaseLoop:
             for column in ("id_index", "counter", "bus_ticks", "tx_ticks", "payloads",
                            "payload_len"):
                 assert getattr(got, column).tobytes() == getattr(want, column).tobytes(), column
+
+
+@st.composite
+def clean_buses(draw):
+    """1-4 streams on one node with a clean clock (no skew, a 10 ns tick, no jitter),
+    covert or not, at 1 Mbit/s. Periods are whole ms and each offset lies a few us
+    into its own quarter of a ms, some off the tick grid, so with covert delays under
+    64 us and wire times under 170 us no frame ever waits for another."""
+    n = draw(st.integers(1, 4))
+    covert = draw(st.booleans())
+    values = draw(st.lists(st.integers(0, 0x7FF), min_size=n, max_size=n, unique=True))
+    frames = tuple(FrameSpec(CanId(v), draw(st.sampled_from([1000.0, 2000.0, 3000.0, 5000.0])),
+                             250.0 * slot + draw(st.sampled_from([0.0, 0.017, 0.3, 7.3, 12.345])),
+                             8 * draw(st.integers(4 if covert else 0, 8)))
+                   for slot, v in enumerate(values))
+    return BusConfig((NodeConfig("a", ClockModel(), frames, covert),),
+                     draw(st.sampled_from([10000.0, 13333.3, 20000.0])), bitrate_bps=1_000_000,
+                     stuffing=draw(st.sampled_from(["none", "payload"])),
+                     covert=CovertConfig(KEY, level_bits=draw(st.integers(1, 6))))
+
+
+# a float k*1000 + 487.3 us fell just below its tick, and 0.017 us was floored to 1 tick
+OFF_GRID = config([node("a", [FrameSpec(CanId(0x100), 1000.0, 487.3),
+                              FrameSpec(CanId(0x101), 2000.0, 0.017)])], 10 * MS)
+
+
+class TestCleanClocks:
+    @settings(max_examples=200, deadline=None)
+    @given(clean_buses())
+    @example(OFF_GRID)
+    def test_frames_start_at_their_stream_instants(self, cfg):
+        """A frame that waits for no other starts at o + k*p, in the ticks that
+        `scheduler._streams` gives, plus 100 ticks a us of its covert delay."""
+        trace = simulate(cfg)
+        p, o = _streams(Schedule(tuple(cfg.frame_specs())))
+        xi = 0
+        if cfg.nodes[0].covert:
+            id_values = np.array([i.value for i in trace.ids])[trace.id_index]
+            xi = covert_delays(cfg.covert.key, trace.counter, id_values, trace.payloads,
+                               trace.payload_len, cfg.covert.level_bits)
+        k = trace.counter - 1
+        want = o[trace.id_index] + k * p[trace.id_index] + 100 * xi
+        assert trace.bus_ticks.tolist() == want.tolist()
+
+    def test_off_grid_offsets(self):
+        trace = simulate(OFF_GRID)
+        assert frames_of(trace, CanId(0x100)).bus_ticks[8:].tolist() == [848730, 948730]
+        assert frames_of(trace, CanId(0x101)).bus_ticks[0] == 2  # floor(1.7 + 0.5)
 
 
 def covert_trace(duration_us=400 * MS, jitter=None, seed=3):

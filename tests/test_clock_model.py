@@ -35,6 +35,8 @@ class TestLocalToBusTime:
     def test_rejects_silly_parameters(self):
         with pytest.raises(ValueError):
             ClockModel(tick_ns=0)
+        with pytest.raises(ValueError, match="multiple of 10"):
+            ClockModel(tick_ns=15)
         with pytest.raises(ValueError):
             ClockModel(skew_ppm=20000.0)
 
